@@ -17,8 +17,8 @@ import numpy as np
 
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
-from .fields import BitField, Y0Class, level0_embeds
-from .lattice import LatticeAnimal, Point, Rect, same_shape
+from .fields import BitField, level0_embeds
+from .lattice import LatticeAnimal, Point, Rect, chebyshev, same_shape
 from .params import ParameterSet
 
 __all__ = [
@@ -38,12 +38,8 @@ class InvalidOffset(PreconditionError):
     """The requested family offset produces a geometrically invalid map."""
 
 
-def _chebyshev(a: Point, b: Point) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def _set_distance(a: Iterable[Point], b: Iterable[Point]) -> int:
-    return min(_chebyshev(p, q) for p in a for q in b)
+    return min(chebyshev(p, q) for p in a for q in b)
 
 
 def _boundary_distance(cells: frozenset, subset: Iterable[Point]) -> int:
@@ -144,14 +140,14 @@ def star_canonical(
         movable_dst = _lex(tv - animal.sites)
         for s, d in zip(movable_src, movable_dst):
             mapping[s] = d
-            budget = max(budget, _chebyshev(s, d))
+            budget = max(budget, chebyshev(s, d))
         # Cells of tv that lost their identity image take the vacated slots.
         vacated = _lex(sv - tv - animal.sites)
         displaced = _lex(tv - sv - animal.sites)
         for s, d in zip(displaced, vacated):
             if mapping[s] == s:
                 mapping[s] = d
-                budget = max(budget, _chebyshev(s, d))
+                budget = max(budget, chebyshev(s, d))
     return _rebalance(domain, domain, mapping, tuple((t, t) for t in T), level, budget)
 
 
@@ -176,12 +172,12 @@ def _rebalance(
                 break
             counts[mapping[c]] -= 1
             mapping[c] = missing.pop(0)
-            budget = max(budget, _chebyshev(c, mapping[c]))
+            budget = max(budget, chebyshev(c, mapping[c]))
     return CellCorrespondence(level, source, target, mapping, matched_pairs, budget)
 
 
-def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> int:
-    """Redirect images so zone_from maps onto zone_to; returns extra budget.
+def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> None:
+    """Redirect images so zone_from maps onto zone_to.
 
     ``mapping`` currently sends each source cell to its rigid-translation
     image; the swap permutes images inside the union of the two zones.
@@ -189,13 +185,11 @@ def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> int:
     inverse = {v: k for k, v in mapping.items()}
     src_from = [inverse[v] for v in _lex(zone_from)]
     src_to_displaced = [inverse[v] for v in _lex(zone_to - zone_from)]
-    budget = 0
     for s, v in zip(src_from, _lex(zone_to)):
         mapping[s] = v
     vacated = _lex(zone_from - zone_to)
     for s, v in zip(src_to_displaced, vacated):
         mapping[s] = v
-    return budget
 
 
 def translation_family(
@@ -249,7 +243,7 @@ def translation_family(
         zone_from = frozenset((x + t[0], y + t[1]) for x, y in animal.sites)
         _swap_sets(mapping, zone_from, zone_to)
     budget = max(
-        (_chebyshev((c[0] + t[0], c[1] + t[1]), v) for c, v in mapping.items()),
+        (chebyshev((c[0] + t[0], c[1] + t[1]), v) for c, v in mapping.items()),
         default=0,
     )
     matched = tuple(
@@ -412,10 +406,6 @@ class EmbeddingWitness:
         return EmbeddingMap(mapping, params.M)
 
 
-def _level0_cell_ok(x_bit: int, y_class: Y0Class) -> bool:
-    return level0_embeds(x_bit, y_class)
-
-
 DEFAULT_OFFSET_BUDGET = 512
 
 
@@ -459,7 +449,7 @@ def _embeds_level0(component, y_window, params, x_structure):
             _cell_window_of_field(y_window, params), site_field=y_window,
         )
         for c in cells:
-            if not _level0_cell_ok(_content_bit(x_structure, c), y0.class_at(c)):
+            if not level0_embeds(_content_bit(x_structure, c), y0.class_at(c)):
                 return None
     else:
         # Source is a target-family component; partner window carries bits.
@@ -471,7 +461,7 @@ def _embeds_level0(component, y_window, params, x_structure):
             site_field=y_window,
         )
         for c in cells:
-            if not _level0_cell_ok(x0.bit_at(c), x_structure.class_at(c)):
+            if not level0_embeds(x0.bit_at(c), x_structure.class_at(c)):
                 return None
     identity = CellCorrespondence(
         0,
@@ -519,13 +509,13 @@ def _repair_correspondence(
     for c in sorted(src_cells):
         if c in mapping:
             continue
-        near = [q for q in pool if _chebyshev(c, q) <= cap]
+        near = [q for q in pool if chebyshev(c, q) <= cap]
         if not near:
             return None
-        best = min(near, key=lambda q: (_chebyshev(c, q), q))
+        best = min(near, key=lambda q: (chebyshev(c, q), q))
         mapping[c] = best
         pool.discard(best)
-        budget = max(budget, _chebyshev(c, best))
+        budget = max(budget, chebyshev(c, best))
     target = frozenset(mapping.values())
     return CellCorrespondence(level, frozenset(src_cells), target, mapping, (), budget)
 
@@ -555,7 +545,7 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
     def works(corr: CellCorrespondence) -> bool:
         for c in sorted(corr.source_cells):
             bit = _content_bit(x_structure, c)
-            if not _level0_cell_ok(bit, y_hier.level0.class_at(corr.apply(c))):
+            if not level0_embeds(bit, y_hier.level0.class_at(corr.apply(c))):
                 return False
         return True
 

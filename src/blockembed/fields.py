@@ -203,16 +203,36 @@ def dump_field(field: BitField) -> bytes:
 
 
 def load_field(data: bytes) -> BitField:
-    """Inverse of dump_field; bit-exact round trip."""
-    newline = data.index(b"\n")
-    parts = data[:newline].decode("ascii").split()
+    """Inverse of dump_field; bit-exact round trip.
+
+    Raises ConfigError on a malformed header, an unknown family or
+    version, non-positive dimensions, or a payload of the wrong length.
+    """
+    newline = data.find(b"\n")
+    if newline < 0:
+        raise ConfigError("field header has no terminating newline")
+    parts = data[:newline].decode("ascii", errors="replace").split()
     if len(parts) != 8 or parts[0] != "field":
         raise ConfigError("malformed field header")
     family = parts[1]
-    ox, oy, width, height, seed, version = (int(v) for v in parts[2:])
+    if family not in _FAMILY_TAGS:
+        raise ConfigError(f"unknown family {family!r}")
+    try:
+        ox, oy, width, height, seed, version = (int(v) for v in parts[2:])
+    except ValueError:
+        raise ConfigError("non-integer field header value") from None
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported field format version {version}")
+    if width < 1 or height < 1:
+        raise ConfigError("field dimensions must be positive")
     count = width * height
-    packed = np.frombuffer(data[newline + 1 :], dtype=np.uint8)
+    payload = data[newline + 1 :]
+    expected = -(count // -8)
+    if len(payload) != expected:
+        raise ConfigError(
+            f"payload of {len(payload)} bytes, expected {expected} for "
+            f"{width}x{height} bits"
+        )
+    packed = np.frombuffer(payload, dtype=np.uint8)
     bits = np.unpackbits(packed, count=count, bitorder="little")
     return BitField(family, (ox, oy), width, height, seed, bits.reshape(height, width))

@@ -6,6 +6,13 @@ pick a valid boundary curve for each lattice block, cut the domain into a
 block by the north-east-corner rule, classify block goodness, and group
 blocks into components.
 
+Both groupings are connected-component labellings of a boolean grid, done
+by ``_label_groups``.  Bad cells (level 0) or the cells of bad blocks are
+closed under the 2x2 rule, a diagonal pair pulling in the rest of its
+square, and labelled with close-packed connectivity.  Lattice blocks are
+labelled on a doubled grid: cells on the even sites, conjoined edges on the
+odd sites between them.
+
 Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
 indices.  Level-0 cells coincide with level-0 blocks of the field.
@@ -14,21 +21,23 @@ indices.  Level-0 cells coincide with level-0 blocks of the field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from . import fields as fields_mod
 from .errors import ConfigError, CurveSelectionError, PreconditionError
-from .fields import BitField, Y0Class, classify_grid, derive_seed, level0_embeds
+from .fields import BitField, Y0Class, classify_grid, derive_seed
 from .lattice import (
     BufferZone,
     LatticeAnimal,
     Point,
     Rect,
     buffer_zone,
+    chebyshev,
     neighbors,
 )
 from .params import ParameterSet
@@ -47,8 +56,6 @@ __all__ = [
     "select_boundary_curve",
     "form_block",
     "form_components",
-    "classify_semibad",
-    "is_airport",
     "classify_good_block",
     "build_level0",
     "build_hierarchy",
@@ -244,28 +251,30 @@ def build_level0(
 def _level0_bad_components(
     grid: np.ndarray, window: Rect, params: ParameterSet
 ) -> list:
-    bad_cells = {
-        (window.x0 + int(x), window.y0 + int(y))
-        for y, x in zip(*np.nonzero(grid != fields_mod.GRID_GOOD))
-    }
-    if not bad_cells:
+    bad = grid != fields_mod.GRID_GOOD
+    if not bad.any():
         return []
-    good = lambda c: window.contains_cell(c) and c not in bad_cells
-    groups = _component_closure(bad_cells, lambda c: window.contains_cell(c))
+    # The window is a rectangle, so it never clips the 2x2 fill.
+    labels = _label_groups(bad, np.ones_like(bad))
+    height, width = bad.shape
     comps = []
-    for cells in groups:
-        n_bad = sum(1 for c in cells if c in bad_cells)
+    for k, (sy, sx) in enumerate(ndimage.find_objects(labels), start=1):
+        # Transposed, nonzero lists the cells in sorted (x, y) order.
+        inside = (labels[sy, sx] == k).T
+        xs, ys = np.nonzero(inside)
+        cell_bad = bad[sy, sx].T[inside].tolist()
+        cells = list(zip((xs + sx.start + window.x0).tolist(),
+                         (ys + sy.start + window.y0).tolist()))
+        n_bad = sum(cell_bad)
         blocks = tuple(
             Block(0, LatticeBlock(0, LatticeAnimal(frozenset([c]))),
-                  frozenset([c]), frozenset([c]), good=good(c))
-            for c in sorted(cells)
+                  frozenset([c]), frozenset([c]), good=not b)
+            for c, b in zip(cells, cell_bad)
         )
         status = exact_level0_status(len(cells), False, params)
-        censored = any(
-            not window.contains_cell(n)
-            for c in cells
-            for n in neighbors(c, "close_packed")
-        )
+        # A component on the window's edge may extend past it.
+        censored = (sx.start == 0 or sy.start == 0
+                    or sx.stop == width or sy.stop == height)
         comps.append(
             Component(0, LatticeAnimal(frozenset(cells)), blocks, status,
                       (n_bad, n_bad), censored)
@@ -274,60 +283,29 @@ def _level0_bad_components(
     return comps
 
 
-def _component_closure(bad_cells: set, in_window) -> list:
-    """Grow components from bad cells to the fixed point of the grouping rules.
+def _label_groups(mask: np.ndarray, allowed: Optional[np.ndarray] = None) -> np.ndarray:
+    """Label the close-packed (8-connected) groups of a boolean grid.
 
-    Rules: close-packed-adjacent cells of bad components merge, and any
-    diagonal pair inside one component pulls the full 2x2 square in.
+    With ``allowed`` given, the mask is first closed under the 2x2 rule:
+    a diagonal pair of mask cells pulls the other two cells of its square
+    in, where ``allowed`` holds them.  Close-packed neighbours share a
+    label, so this is the grouping of bad cells into components.  Returns
+    ``ndimage.label``'s label grid (0 off the groups).
     """
-    parent: dict = {}
-
-    def find(c):
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    members = set(bad_cells)
-    for c in members:
-        parent[c] = c
-    changed = True
-    while changed:
-        changed = False
-        # Merge close-packed-adjacent component cells.
-        for c in list(members):
-            for n in neighbors(c, "close_packed"):
-                if n in members and find(n) != find(c):
-                    union(c, n)
-                    changed = True
-        # Fill 2x2 squares around diagonal pairs of one component.
-        for c in list(members):
-            x, y = c
-            for dx, dy in ((1, 1), (1, -1)):
-                d = (x + dx, y + dy)
-                if d in members and find(d) == find(c):
-                    for e in ((x + dx, y), (x, y + dy)):
-                        if e not in members:
-                            if not in_window(e):
-                                continue
-                            members.add(e)
-                            parent[e] = e
-                            union(e, c)
-                            changed = True
-                        elif find(e) != find(c):
-                            union(e, c)
-                            changed = True
-    groups: dict = {}
-    for c in members:
-        groups.setdefault(find(c), set()).add(c)
-    return [groups[k] for k in sorted(groups)]
+    if allowed is not None:
+        while True:
+            pair = (mask[:-1, :-1] & mask[1:, 1:]) | (mask[:-1, 1:] & mask[1:, :-1])
+            square = np.zeros_like(mask)
+            square[:-1, :-1] |= pair
+            square[:-1, 1:] |= pair
+            square[1:, :-1] |= pair
+            square[1:, 1:] |= pair
+            grown = square & allowed & ~mask
+            if not grown.any():
+                break
+            mask = mask | grown
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +338,28 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
     ``conjoined`` is a predicate on ordered cell pairs (u, u') for euclidean
     neighbors; it is queried once per undirected internal edge.
     """
-    cells = set(window)
-    parent = {c: c for c in cells}
-
-    def find(c):
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    for u in cells:
-        for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):
-            if v in cells and conjoined(u, v):
-                ra, rb = find(u), find(v)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    cells = sorted(set(window))
+    if not cells:
+        return []
+    x0 = min(x for x, _ in cells)
+    y0 = min(y for _, y in cells)
+    # Doubled grid: cell (x, y) sits at (2x, 2y) and the edge to its right
+    # or upper neighbour at the odd site between them.  Odd-odd sites stay
+    # empty, so diagonal contact only joins two edges of one shared cell and
+    # the close-packed labels are the 4-connected ones.
+    grid = np.zeros((2 * (max(y for _, y in cells) - y0) + 1,
+                     2 * (max(x for x, _ in cells) - x0) + 1), dtype=bool)
+    cell_set = set(cells)
+    for x, y in cells:
+        gx, gy = 2 * (x - x0), 2 * (y - y0)
+        grid[gy, gx] = True
+        for v, (ex, ey) in (((x + 1, y), (gx + 1, gy)), ((x, y + 1), (gx, gy + 1))):
+            if v in cell_set and conjoined((x, y), v):
+                grid[ey, ex] = True
+    labels = _label_groups(grid)
     groups: dict = {}
-    for c in cells:
-        groups.setdefault(find(c), set()).add(c)
+    for x, y in cells:
+        groups.setdefault(labels[2 * (y - y0), 2 * (x - x0)], []).append((x, y))
     blocks = [LatticeBlock(0, LatticeAnimal(frozenset(g))) for g in groups.values()]
     blocks.sort(key=lambda b: min(b.animal.sites))
     return blocks
@@ -581,16 +561,12 @@ def region_boundary_loops(domain: frozenset) -> tuple:
     return tuple(loops)
 
 
-def _chebyshev(a: Point, b: Point) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def curve_clearance(domain: frozenset, bad_components: Sequence) -> int:
     """Smallest distance from any bad-component cell to the domain boundary."""
     boundary = domain_boundary_cells(domain)
     bad: list = []
     for comp in bad_components:
-        bad.extend(comp.animal.sites if hasattr(comp, "animal") else comp)
+        bad.extend(comp.animal.sites)
     if not bad or not boundary:
         return 10**9
     b_arr = np.array(sorted(boundary), dtype=np.int64)
@@ -657,8 +633,7 @@ def select_boundary_curve(
     near = [
         c
         for c in bad_components
-        if any(reach.contains_cell(p) for p in
-               (c.animal.sites if hasattr(c, "animal") else c))
+        if any(reach.contains_cell(p) for p in c.animal.sites)
     ]
 
     def realize(corner_idx, edge_idx):
@@ -668,7 +643,7 @@ def select_boundary_curve(
     # exactly when its boundary cells avoid the dilated set.
     forbidden = set()
     for comp in near:
-        for cx, cy in (comp.animal.sites if hasattr(comp, "animal") else comp):
+        for cx, cy in comp.animal.sites:
             for dx in range(1 - clearance, clearance):
                 for dy in range(1 - clearance, clearance):
                     forbidden.add((cx + dx, cy + dy))
@@ -696,16 +671,12 @@ def select_boundary_curve(
     # Deterministic targeted scan: only edges (and their endpoints) whose
     # track band comes near an offending cell are perturbed; the rest stay
     # straight.  Scanned in canonical index order, capped.
-    offending = [
-        c
-        for comp in near
-        for c in (comp.animal.sites if hasattr(comp, "animal") else comp)
-    ]
+    offending = [c for comp in near for c in comp.animal.sites]
     reach_d = clearance + params.k0 + 1
 
     def edge_affected(edge) -> bool:
         cells = _edge_outside_cells(edge, r)
-        return any(_chebyshev(c, o) <= reach_d for c in cells for o in offending)
+        return any(chebyshev(c, o) <= reach_d for c in cells for o in offending)
 
     hot_edges = [e for e in edges if edge_affected(e)]
     hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, r)})
@@ -769,86 +740,40 @@ def form_block(
 def form_components(blocks: Sequence[Block]) -> list:
     """Group blocks into the maximal component family.
 
-    Bad blocks (and any blocks of size above 1) seed components; groups
-    absorb close-packed neighbors that are bad and complete 2x2 squares
-    around diagonal pairs, iterated to a fixed point.  Remaining good
-    blocks become good singleton components.
+    The cells of bad blocks are closed under the grouping rules: a
+    diagonal pair pulls in the other two cells of its 2x2 square, taking
+    the blocks there along, and close-packed neighbours merge.  Each block
+    joins the group of its cells; remaining good blocks become good
+    singleton components.
     """
-    cell_block: dict = {}
-    for i, b in enumerate(blocks):
+    covered: set = set()
+    for b in blocks:
         if b.good and b.size != 1:
             raise PreconditionError("good blocks must have size 1")
         if b.good is None:
             raise PreconditionError("goodness must be decided for every block")
-        for c in b.animal.sites:
-            if c in cell_block:
-                raise PreconditionError("blocks overlap")
-            cell_block[c] = i
+        if not covered.isdisjoint(b.animal.sites):
+            raise PreconditionError("blocks overlap")
+        covered |= b.animal.sites
 
-    n = len(blocks)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    def group_has_bad(root):
-        return bad_in_group[root]
-
-    bad_in_group = [not b.good for b in blocks]
-    changed = True
-    while changed:
-        changed = False
-        roots: dict = {}
-        for i in range(n):
-            roots.setdefault(find(i), []).append(i)
-        bad_roots = {}
-        for root, ids in roots.items():
-            bad_roots[root] = any(not blocks[i].good for i in ids)
-        # Rule: bad groups merge with close-packed-adjacent bad groups.
-        for i, b in enumerate(blocks):
-            if blocks[i].good and not bad_roots[find(i)]:
-                continue
-            for c in b.animal.sites:
-                for nb in neighbors(c, "close_packed"):
-                    k = cell_block.get(nb)
-                    if k is None or find(k) == find(i):
-                        continue
-                    if bad_roots[find(k)] and bad_roots[find(i)]:
-                        union(i, k)
-                        changed = True
-        # Rule: diagonal pairs inside a bad group pull in the 2x2 square.
-        roots = {}
-        for i in range(n):
-            roots.setdefault(find(i), set()).update(blocks[i].animal.sites)
-        bad_roots = {}
-        for root in roots:
-            bad_roots[root] = any(
-                not blocks[i].good for i in range(n) if find(i) == root
-            )
-        for root, cells in roots.items():
-            if not bad_roots[root]:
-                continue
-            for x, y in list(cells):
-                for dx, dy in ((1, 1), (1, -1)):
-                    d = (x + dx, y + dy)
-                    if d in cells:
-                        for e in ((x + dx, y), (x, y + dy)):
-                            k = cell_block.get(e)
-                            if k is not None and find(k) != root:
-                                union(k, root)
-                                changed = True
-
+    labels = None
+    if not all(b.good for b in blocks):
+        xy = np.array(list(covered), dtype=np.int64)
+        x0, y0 = xy.min(axis=0)
+        x1, y1 = xy.max(axis=0) + 1
+        allowed = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+        allowed[xy[:, 1] - y0, xy[:, 0] - x0] = True
+        mask = np.zeros_like(allowed)
+        for b in blocks:
+            if not b.good:
+                for x, y in b.animal.sites:
+                    mask[y - y0, x - x0] = True
+        labels = _label_groups(mask, allowed)
     groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, b in enumerate(blocks):
+        x, y = next(iter(b.animal.sites))
+        k = 0 if labels is None else int(labels[y - y0, x - x0])
+        groups.setdefault(k or -1 - i, []).append(i)
     comps = []
     for ids in groups.values():
         members = tuple(sorted((blocks[i] for i in ids),
@@ -875,21 +800,6 @@ def form_components(blocks: Sequence[Block]) -> list:
     return comps
 
 
-def classify_semibad(component: Component, s_estimate, params: ParameterSet) -> bool:
-    """Semi-bad test: size at most v0 and embedding probability near one.
-
-    ``s_estimate`` is an exact probability or an estimate carrying a 95%
-    confidence interval; Monte Carlo decisions use the interval's lower
-    bound, which is the conservative side.
-    """
-    if component.size > params.v0:
-        return False
-    threshold = params.semibad_threshold(component.level)
-    lower = getattr(s_estimate, "ci_low", None)
-    value = Fraction(lower if lower is not None else s_estimate)
-    return value >= threshold
-
-
 def nonneighbouring_bad_subset(component: Component) -> frozenset:
     """A greedy close-packed-independent set of bad cells of a component.
 
@@ -911,71 +821,7 @@ def nonneighbouring_bad_subset(component: Component) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Airports and good blocks
-
-
-def is_airport(
-    square: Rect,
-    semibad_library: Sequence,
-    level_below: Level0Structure,
-    params: ParameterSet,
-    j: int = 1,
-) -> bool:
-    """Whether a square hosts nearly every translate of every library shape.
-
-    Library entries are (animal, bits) pairs: the shape of a semi-bad
-    partner component and its source-side bit content.  For each entry, the
-    number of translates inside the square whose cells are blocks of the
-    structure and into which the entry embeds must reach (1 - defect) times
-    the number of same-shape subsets of the square.
-    """
-    if not level_below.window.contains_rect(square):
-        raise PreconditionError("structure not built over the square")
-    defect = params.airport_defect(j)
-    side_x = square.x1 - square.x0
-    side_y = square.y1 - square.y0
-    for animal, bits in semibad_library:
-        base = sorted(animal.sites)
-        ax, ay = base[0]
-        w, h = (
-            max(p[0] for p in base) - min(p[0] for p in base) + 1,
-            max(p[1] for p in base) - min(p[1] for p in base) + 1,
-        )
-        total = max(0, side_x - w + 1) * max(0, side_y - h + 1)
-        if total == 0:
-            continue
-        minx = min(p[0] for p in base)
-        miny = min(p[1] for p in base)
-        usable = 0
-        for tx in range(square.x0 - minx, square.x0 - minx + side_x - w + 1):
-            for ty in range(square.y0 - miny, square.y0 - miny + side_y - h + 1):
-                ok = True
-                for (px, py) in base:
-                    cell = (px + tx, py + ty)
-                    if not level0_embeds(bits[(px, py)], level_below.class_at(cell)):
-                        ok = False
-                        break
-                if ok:
-                    usable += 1
-        if Fraction(usable) < (1 - defect) * total:
-            return False
-    return True
-
-
-def airport_squares(block: Block, params: ParameterSet) -> list:
-    """All axis-aligned airport-sized squares of member cells inside a block."""
-    side = params.airport_side(block.level)
-    cells = block.member_cells
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    out = []
-    for x in range(min(xs), max(xs) - side + 2):
-        for y in range(min(ys), max(ys) - side + 2):
-            square = Rect(x, y, x + side, y + side)
-            if all((cx, cy) in cells for cx in range(x, x + side)
-                   for cy in range(y, y + side)):
-                out.append(square)
-    return out
+# Good blocks
 
 
 def bad_subcomponents(block: Block, level_below: Level0Structure) -> list:
@@ -991,26 +837,24 @@ def classify_good_block(
     block: Block,
     level_below: Level0Structure,
     params: ParameterSet,
-    semibad_library: Sequence = (),
 ) -> bool:
     """Goodness test for a block.
 
-    Good blocks have size 1, carry at most k0 cells of bad subcomponents,
-    all of them semi-bad, and every airport-sized square of member cells is
-    an airport.
+    Good blocks have size 1 and carry at most k0 cells of bad
+    subcomponents, all of them semi-bad.  The construction also asks every
+    airport-sized square of member cells to host nearly every translate of
+    each semi-bad partner shape; at depth 1 that condition is vacuous, as
+    the partner library is empty: a level-0 component of V cells embeds
+    with probability 2**-V, below the semi-bad floor
+    1 - 1/(v0**5 * k0**4) whenever v0**5 * k0**4 > 2, as in every bundled
+    profile.
     """
     if block.size != 1:
         return False
     bad = bad_subcomponents(block, level_below)
     if sum(c.size for c in bad) > params.k0:
         return False
-    if any(c.status != SEMI_BAD for c in bad):
-        return False
-    if semibad_library:
-        for square in airport_squares(block, params):
-            if not is_airport(square, semibad_library, level_below, params, block.level):
-                return False
-    return True
+    return all(c.status == SEMI_BAD for c in bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +907,6 @@ def build_hierarchy(
     window1: Rect,
     depth: int = 1,
     site_field: Optional[BitField] = None,
-    semibad_library: Sequence = (),
 ) -> BlockHierarchy:
     """Build levels 0 and 1 over a window of level-1 cell indices.
 
@@ -1075,7 +918,7 @@ def build_hierarchy(
         raise ConfigError("the hierarchy driver supports depth 1")
     window0 = level0_window_for(window1, params)
     level0 = build_level0(params, family, seed, window0, site_field)
-    level1 = build_level1(level0, window1, seed, semibad_library)
+    level1 = build_level1(level0, window1, seed)
     return BlockHierarchy(params, family, seed, level0, {1: level1})
 
 
@@ -1083,7 +926,6 @@ def build_level1(
     level0: Level0Structure,
     window1: Rect,
     seed: int,
-    semibad_library: Sequence = (),
 ) -> LevelStructure:
     """Construct level 1 (buffers, lattice blocks, curves, blocks, components)."""
     params = level0.params
@@ -1138,7 +980,7 @@ def build_level1(
             blocks.append(replace(block, good=False, censored=True))
             continue
         block = form_block(curve.domain, lb, curve, j)
-        good = classify_good_block(block, level0, params, semibad_library)
+        good = classify_good_block(block, level0, params)
         blocks.append(replace(block, good=good, censored=censored))
 
     components = form_components(blocks)

@@ -33,6 +33,11 @@ def neighbors(u: Point, mode: str = "euclidean") -> frozenset[Point]:
     return frozenset((u[0] + dx, u[1] + dy) for dx, dy in steps)
 
 
+def chebyshev(a: Point, b: Point) -> int:
+    """Close-packed (king-move) distance between two lattice points."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
 def is_connected(sites: Iterable[Point]) -> bool:
     """Whether a finite site set is connected under the 4-neighborhood."""
     sites = set(sites)

@@ -10,7 +10,7 @@ to violate them, and the auditor reports rather than repairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,7 +52,6 @@ class ParameterSet:
     M0: int
     M: float
     name: str = "custom"
-    max_depth: int = 2
     margin_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -136,17 +135,6 @@ class ParameterSet:
         """Embedding-probability floor for a semi-bad level-j component."""
         return 1 - Fraction(1, self.v0**5 * self.k0**4 * 100**j)
 
-    def airport_defect(self, j: int) -> Fraction:
-        """Allowed fraction of unusable translates inside a level-j airport."""
-        return Fraction(1, self.v0**2 * self.k0**4 * 100**j)
-
-    def airport_side(self, j: int) -> int:
-        """Side of the airport squares inside a level-j block, in level-(j-1) cells."""
-        if j < 1:
-            raise ConfigError("airports are defined for levels >= 1")
-        ideal = int(self.scale(j - 1) ** 1.5)
-        return max(2, min(ideal, self.cells_per_side(j)))
-
     def straight_curve_mass(self, j: int) -> float:
         """Minimum probability of keeping a valid straight boundary index."""
         return 1.0 - 10.0 ** -(j + 10)
@@ -228,9 +216,10 @@ TRANSCENDENTAL_BAND = Fraction(1, 10**15)
 
 def _power_bound(v0: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure of (1 - 10**-10) ** (4 * v0)."""
-    getcontext().prec = 60
-    base = Decimal(1) - Decimal(10) ** -10
-    value = (4 * v0 * base.ln()).exp()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        base = Decimal(1) - Decimal(10) ** -10
+        value = (4 * v0 * base.ln()).exp()
     # Decimal ops at 60 digits are correct to far better than the band.
     center = Fraction(value)
     return center - TRANSCENDENTAL_BAND, center + TRANSCENDENTAL_BAND

@@ -86,6 +86,19 @@ class TestSampleAndOracle:
                          "-m", "2", "--mode", "count", "--node-cap", "1")
         assert code == EXIT_CAP
 
+    def test_truncated_field_file_is_config_error(self, tmp_path, capsys):
+        run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
+            "--height", "2", "--out-dir", str(tmp_path / "sx"))
+        run(capsys, "sample", "--seed", "2", "--family", "Y", "--width", "5",
+            "--height", "5", "--out-dir", str(tmp_path / "sy"))
+        x_file = tmp_path / "sx" / "field-X-1.bin"
+        x_file.write_bytes(x_file.read_bytes()[:-1])
+        code, _, err = run(capsys, "oracle", "--x-file", str(x_file),
+                           "--y-file", str(tmp_path / "sy" / "field-Y-2.bin"),
+                           "-m", "2", "--mode", "count")
+        assert code == EXIT_CONFIG
+        assert "payload" in err
+
 
 class TestEstimateAndReports:
     def test_estimate_s_runs(self, capsys):

@@ -135,3 +135,16 @@ class TestSerialization:
         bad = data.replace(b" 1\n", b" 99\n", 1)
         with pytest.raises(ConfigError):
             load_field(bad)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda d: d[:-10], id="payload-short"),
+        pytest.param(lambda d: d + b"\0", id="payload-long"),
+        pytest.param(lambda d: d.replace(b"field X", b"field Q", 1), id="unknown-family"),
+        pytest.param(lambda d: d.replace(b" 16 16 ", b" 0 16 ", 1), id="zero-width"),
+        pytest.param(lambda d: d.replace(b" 16 16 ", b" 16 x ", 1), id="non-integer"),
+        pytest.param(lambda d: d[:d.index(b"\n")], id="no-newline"),
+    ])
+    def test_corrupt_input_rejected(self, corrupt):
+        data = dump_field(sample_field(1, "X", (0, 0), 16, 16))
+        with pytest.raises(ConfigError):
+            load_field(corrupt(data))

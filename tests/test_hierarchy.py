@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockembed.errors import ConfigError, PreconditionError
 from blockembed.fields import Y0Class
@@ -15,7 +17,8 @@ from blockembed.hierarchy import (
     BoundaryCurve,
     Component,
     LatticeBlock,
-    _component_closure,
+    _label_groups,
+    _level0_bad_components,
     boundary_family,
     build_hierarchy,
     build_level0,
@@ -35,6 +38,138 @@ from blockembed.hierarchy import (
     select_boundary_curve,
 )
 from blockembed.lattice import LatticeAnimal, Rect, buffer_zone, neighbors
+
+
+def _component_closure(bad_cells: set, in_window) -> list:
+    """Reference grouping: union-find to the fixed point of the rules.
+
+    Rules: close-packed-adjacent cells of bad components merge, and any
+    diagonal pair inside one component pulls the full 2x2 square in.
+    """
+    parent: dict = {}
+
+    def find(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    members = set(bad_cells)
+    for c in members:
+        parent[c] = c
+    changed = True
+    while changed:
+        changed = False
+        for c in list(members):
+            for n in neighbors(c, "close_packed"):
+                if n in members and find(n) != find(c):
+                    union(c, n)
+                    changed = True
+        for c in list(members):
+            x, y = c
+            for dx, dy in ((1, 1), (1, -1)):
+                d = (x + dx, y + dy)
+                if d in members and find(d) == find(c):
+                    for e in ((x + dx, y), (x, y + dy)):
+                        if e not in members:
+                            if not in_window(e):
+                                continue
+                            members.add(e)
+                            parent[e] = e
+                            union(e, c)
+                            changed = True
+                        elif find(e) != find(c):
+                            union(e, c)
+                            changed = True
+    groups: dict = {}
+    for c in members:
+        groups.setdefault(find(c), set()).add(c)
+    return [groups[k] for k in sorted(groups)]
+
+
+def _helper_groups(cells, allowed=None) -> list:
+    """Groups of ``_label_groups`` over the bounding box of its input.
+
+    ``allowed`` defaults to the whole box.  Groups come back as cell sets
+    ordered by their least cell, like the reference.
+    """
+    pts = set(cells) | set(allowed or ())
+    x0, y0 = min(x for x, _ in pts), min(y for _, y in pts)
+    shape = (max(y for _, y in pts) - y0 + 1, max(x for x, _ in pts) - x0 + 1)
+    mask = np.zeros(shape, dtype=bool)
+    for x, y in cells:
+        mask[y - y0, x - x0] = True
+    if allowed is None:
+        allow = np.ones(shape, dtype=bool)
+    else:
+        allow = np.zeros(shape, dtype=bool)
+        for x, y in allowed:
+            allow[y - y0, x - x0] = True
+    labels = _label_groups(mask, allow)
+    groups: dict = {}
+    for y, x in zip(*np.nonzero(labels)):
+        groups.setdefault(labels[y, x], set()).add((int(x) + x0, int(y) + y0))
+    return sorted(groups.values(), key=min)
+
+
+def _flood_fill(cells, edges) -> list:
+    """Reference lattice blocks: flood fill along the given edges."""
+    cellset = set(cells)
+    seen = set()
+    flood = []
+    for start in sorted(cellset):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            for n in neighbors(c):
+                if n in cellset and n not in comp and frozenset((c, n)) in edges:
+                    comp.add(n)
+                    stack.append(n)
+        seen |= comp
+        flood.append(frozenset(comp))
+    return flood
+
+
+def _block(cells, good, level=1):
+    cells = frozenset(cells)
+    return Block(level, LatticeBlock(level, LatticeAnimal(cells)), cells, cells,
+                 good=good)
+
+
+@st.composite
+def _full_tilings(draw):
+    """A full tiling of a small window: rectangular bad blocks, then good
+    singletons on every cell left, in shuffled order."""
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    ox, oy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    rects = draw(st.lists(
+        st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
+                  st.integers(1, 3), st.integers(1, 3)),
+        max_size=8,
+    ))
+    taken: set = set()
+    blocks = []
+    for x, y, bw, bh in rects:
+        cells = {(ox + x + i, oy + y + k)
+                 for i in range(min(bw, w - x)) for k in range(min(bh, h - y))}
+        if not cells & taken:
+            taken |= cells
+            blocks.append(_block(cells, good=False))
+    for x in range(ox, ox + w):
+        for y in range(oy, oy + h):
+            if (x, y) not in taken:
+                blocks.append(_block({(x, y)}, good=True))
+    return draw(st.permutations(blocks))
 
 
 def _singleton_bad_component(cells, status=REALLY_BAD):
@@ -79,18 +214,52 @@ class TestLevel0:
                     assert not (neighbors(c, "close_packed") & b.animal.sites)
 
     def test_diagonal_square_completion(self):
-        groups = _component_closure({(0, 0), (1, 1)}, lambda c: True)
+        groups = _helper_groups({(0, 0), (1, 1)})
         assert groups == [{(0, 0), (1, 0), (0, 1), (1, 1)}]
 
     def test_closure_fixed_point_chain(self):
         # Two diagonal pairs sharing a cell collapse into one filled component.
-        groups = _component_closure({(0, 0), (1, 1), (2, 2)}, lambda c: True)
+        groups = _helper_groups({(0, 0), (1, 1), (2, 2)})
         assert len(groups) == 1
         cells = groups[0]
         for x, y in list(cells):
             for dx, dy in ((1, 1), (1, -1)):
                 if (x + dx, y + dy) in cells:
                     assert (x + dx, y) in cells and (x, y + dy) in cells
+
+    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                   min_size=1, max_size=60),
+           st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_label_groups_matches_reference(self, bad, extra):
+        # Cells outside ``allowed`` clip the 2x2 fill.
+        allowed = bad | extra
+        assert _helper_groups(bad, allowed) == _component_closure(
+            bad, lambda c: c in allowed)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(-5, 5),
+           st.integers(-5, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_level0_components_match_reference(self, toy1, w, h, x0, y0, data):
+        codes = data.draw(st.lists(st.sampled_from([0, 0, 1, 2]),
+                                   min_size=w * h, max_size=w * h))
+        grid = np.array(codes, dtype=np.int8).reshape(h, w)
+        window = Rect(x0, y0, x0 + w, y0 + h)
+        bad = {(x0 + x, y0 + y) for y in range(h) for x in range(w) if grid[y, x]}
+        comps = _level0_bad_components(grid, window, toy1)
+        expected = _component_closure(bad, window.contains_cell)
+        assert [set(c.animal.sites) for c in comps] == expected
+        for comp, cells in zip(comps, expected):
+            n_bad = len(cells & bad)
+            assert comp.bad_summary == (n_bad, n_bad)
+            assert comp.status == exact_level0_status(len(cells), False, toy1)
+            assert comp.censored == any(
+                not window.contains_cell(n)
+                for c in cells for n in neighbors(c, "close_packed"))
+            assert [b.animal.sites for b in comp.blocks] == [
+                frozenset([c]) for c in sorted(cells)]
+            assert [b.good for b in comp.blocks] == [
+                c not in bad for c in sorted(cells)]
 
     def test_exact_level0_status_toy_never_semibad(self, toy1):
         # 2^-V is always far below the toy semi-bad threshold.
@@ -154,24 +323,25 @@ class TestLatticeBlocks:
                  frozenset(((3, 3), (3, 4)))}
 
         blocks = form_lattice_blocks(cells, lambda u, v: frozenset((u, v)) in edges)
+        assert sorted(b.animal.sites for b in blocks) == sorted(_flood_fill(cells, edges))
 
-        seen = set()
-        flood = []
-        cellset = set(cells)
-        for start in sorted(cellset):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                c = stack.pop()
-                for n in neighbors(c):
-                    if n in cellset and n not in comp and frozenset((c, n)) in edges:
-                        comp.add(n)
-                        stack.append(n)
-            seen |= comp
-            flood.append(frozenset(comp))
-        assert sorted(b.animal.sites for b in blocks) == sorted(flood)
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_edges_match_flood_fill(self, w, h, data):
+        cells = list(Rect(-2, 1, w - 2, h + 1).cells())
+        internal = [frozenset((u, v)) for u in cells
+                    for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)) if v in cells]
+        edges = {e for e in internal if data.draw(st.booleans())}
+        queried = []
+
+        def conjoined(u, v):
+            queried.append(frozenset((u, v)))
+            return frozenset((u, v)) in edges
+
+        blocks = form_lattice_blocks(cells, conjoined)
+        assert len(queried) == len(internal) and set(queried) == set(internal)
+        assert [b.animal.sites for b in blocks] == sorted(
+            _flood_fill(cells, edges), key=min)
 
     def test_partition(self, toy1):
         cells = list(Rect(0, 0, 4, 4).cells())
@@ -316,6 +486,25 @@ class TestBlocksAndComponents:
         assert {(0, 0), (1, 1), (1, 0), (0, 1)} <= big.animal.sites
         assert big.status == REALLY_BAD
         assert big.bad_summary[0] == 2
+
+    @given(_full_tilings())
+    @settings(max_examples=400, deadline=None)
+    def test_form_components_matches_reference(self, blocks):
+        cell_owner = {c: b for b in blocks for c in b.animal.sites}
+        bad = {c for b in blocks if not b.good for c in b.animal.sites}
+        groups = _component_closure(bad, cell_owner.__contains__)
+        grouped = set().union(*groups)
+        expected = groups + [{c} for c in cell_owner if c not in grouped]
+        expected.sort(key=min)
+        comps = form_components(blocks)
+        assert [set(c.animal.sites) for c in comps] == expected
+        for comp in comps:
+            members = {cell_owner[c] for c in comp.animal.sites}
+            assert set(comp.blocks) == members
+            bad_blocks = [b for b in members if not b.good]
+            assert comp.bad_summary == (len(bad_blocks),
+                                        sum(b.size for b in bad_blocks))
+            assert comp.status == (REALLY_BAD if bad_blocks else GOOD_SINGLETON)
 
     def test_undecided_goodness_rejected(self):
         b = Block(1, LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)]))),

@@ -1,5 +1,6 @@
 """Parameter profiles, derived scales, and the constraint auditor."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,12 @@ class TestAuditor:
         report = check_constraints(published_profile)
         row = report.rows[-1]
         assert row.satisfied is True  # far from the 9/10 boundary
+
+    def test_decimal_context_untouched(self, published_profile):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 28
+            check_constraints(published_profile)
+            assert decimal.getcontext().prec == 28
 
     def test_pure_function(self, published_profile):
         assert check_constraints(published_profile) == check_constraints(published_profile)
