@@ -37,7 +37,6 @@ from .lattice import (
     Point,
     Rect,
     buffer_zone,
-    chebyshev,
     neighbors,
 )
 from .params import ParameterSet
@@ -405,19 +404,6 @@ def _edge_normal(side: str) -> Point:
     return {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}[side]
 
 
-def _edge_outside_cells(edge, r: int) -> list:
-    """Cells just outside the side, ordered from the low vertex."""
-    (ux, uy), side = edge
-    x0, y0 = ux * r, uy * r
-    if side == "T":
-        return [(x0 + i, y0 + r) for i in range(r)]
-    if side == "B":
-        return [(x0 + i, y0 - 1) for i in range(r)]
-    if side == "L":
-        return [(x0 - 1, y0 + i) for i in range(r)]
-    return [(x0 + r, y0 + i) for i in range(r)]
-
-
 def boundary_family(animal: LatticeAnimal, j: int, params: ParameterSet):
     """Boundary edges and vertices indexing the curve family of a block."""
     r = params.cells_per_side(j)
@@ -433,99 +419,158 @@ def curve_family_size(animal: LatticeAnimal, j: int, params: ParameterSet) -> in
     return (k2**len(edges)) * ((2 * k2) ** len(vertices))
 
 
+def _band(axis: int, n0: int, n1: int, a0: int, a1: int) -> tuple:
+    """Index of the cells [n0, n1) along a normal axis (0: y, 1: x) and
+    [a0, a1) along the other."""
+    return (slice(n0, n1), slice(a0, a1)) if axis == 0 else (slice(a0, a1), slice(n0, n1))
+
+
+class CurveFrame:
+    """The mask frame of one lattice block's curve family.
+
+    Masks over the frame are boolean arrays indexed ``[y - y0, x - x0]`` in
+    level-(j-1) cells.  The frame is the ideal block's bounding box padded
+    by clearance + k0 + 2 cells: realized domains reach k0 cells past the
+    ideal outline, the outside strips of the boundary edges one cell, and
+    the widest dilation of bad cells read there a further clearance + k0 + 1.
+    Bad cells the frame clips are therefore never read.
+    """
+
+    def __init__(self, animal: LatticeAnimal, j: int, params: ParameterSet):
+        self.j = j
+        self.r = r = params.cells_per_side(j)
+        margins = params.margins(j)
+        self.mb = mb = margins.buffer
+        self.clearance = margins.clearance
+        self.k0 = params.k0
+        if self.k0 > self.mb:
+            raise ConfigError("buffer margin too small for 2*k0 curve tracks")
+        self.edges, self.vertices = boundary_family(animal, j, params)
+        pad = self.clearance + self.k0 + 2
+        bx0, by0, bx1, by1 = animal.bounding_box()
+        self.x0, self.y0 = bx0 * r - pad, by0 * r - pad
+        self.ideal = np.zeros(((by1 - by0 + 1) * r + 2 * pad,
+                               (bx1 - bx0 + 1) * r + 2 * pad), dtype=bool)
+        for ux, uy in animal.sites:
+            self.ideal[uy * r - self.y0:(uy + 1) * r - self.y0,
+                       ux * r - self.x0:(ux + 1) * r - self.x0] = True
+        # An edge's low-vertex, middle and high-vertex track segments.  When
+        # 2 * mb > r the middle one is empty and the low vertex keeps the
+        # cells below mb.
+        self.segments = ((0, min(mb, r)), (mb, r - mb), (max(mb, r - mb), r))
+        # Per edge: the normal axis and sign, the side's line along the
+        # normal, the edge's low end along the side (frame coordinates), and
+        # its two vertices.
+        self.strips = {}
+        self.outside = {}
+        incident: dict = {}
+        for edge in self.edges:
+            nx, ny = _edge_normal(edge[1])
+            v_low, v_high = _edge_vertices(edge, r)
+            fx, fy = v_low[0] - self.x0, v_low[1] - self.y0
+            axis, line, along = (0, fy, fx) if nx == 0 else (1, fx, fy)
+            sign = nx + ny
+            self.strips[edge] = (axis, sign, line, along, v_low, v_high)
+            out = line if sign > 0 else line - 1
+            self.outside[edge] = _band(axis, out, out + 1, along, along + r)
+            for v in (v_low, v_high):
+                incident.setdefault(v, []).append((nx, ny))
+        # Corner squares: vertices where exactly two perpendicular sides
+        # meet, keyed to the diagonal (qx, qy) pointing out of the block.
+        self.corners = {}
+        for v, normals in incident.items():
+            if len(normals) == 2:
+                (ax, ay), (bx, by) = normals
+                if ax + bx and ay + by:
+                    self.corners[v] = (ax + bx, ay + by)
+
+    def cells(self, mask: np.ndarray) -> frozenset:
+        ys, xs = np.nonzero(mask)
+        return frozenset(zip((xs + self.x0).tolist(), (ys + self.y0).tolist()))
+
+    def raster(self, cells: Iterable[Point]) -> np.ndarray:
+        """Mask of the given cells, clipped to the frame."""
+        mask = np.zeros_like(self.ideal)
+        xy = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+        xs, ys = xy[:, 0] - self.x0, xy[:, 1] - self.y0
+        keep = (xs >= 0) & (ys >= 0) & (xs < mask.shape[1]) & (ys < mask.shape[0])
+        mask[ys[keep], xs[keep]] = True
+        return mask
+
+
 def realize_domain(
-    animal: LatticeAnimal,
-    j: int,
-    params: ParameterSet,
-    corner_indices: dict,
-    edge_indices: dict,
-) -> frozenset:
-    """Cells of the domain carved out by one curve-index assignment.
+    frame: CurveFrame, corner_indices: dict, edge_indices: dict
+) -> np.ndarray:
+    """Mask of the domain carved out by one curve-index assignment.
 
     Each boundary side runs at its own track offset over its middle, bending
     to the vertex offsets within one buffer width of each endpoint; an
     orientation index of 2 additionally fills (or cuts) the diagonal square
-    where two perpendicular sides meet.
+    where two perpendicular sides meet.  The domain is the ideal block plus
+    every outward strip or square, minus every inward one.
     """
-    r = params.cells_per_side(j)
-    mb = params.margins(j).buffer
-    if params.k0 > mb:
-        raise ConfigError("buffer margin too small for 2*k0 curve tracks")
-    edges = _boundary_edges(animal)
-    cells = {
-        (ux * r + i, uy * r + k)
-        for ux, uy in animal
-        for i in range(r)
-        for k in range(r)
-    }
-    add: set = set()
-    rem: set = set()
-
-    def apply_strip(outside_cell: Point, n: Point, depth: int) -> None:
-        ox, oy = outside_cell
-        if depth > 0:
-            for k in range(depth):
-                add.add((ox + k * n[0], oy + k * n[1]))
-        else:
-            for k in range(-depth):
-                rem.add((ox - (k + 1) * n[0], oy - (k + 1) * n[1]))
-
-    vertex_edges: dict = {}
-    for edge in edges:
-        n = _edge_normal(edge[1])
-        v_low, v_high = _edge_vertices(edge, r)
-        vertex_edges.setdefault(v_low, []).append(edge)
-        vertex_edges.setdefault(v_high, []).append(edge)
-        d_edge = _offset_of_index(edge_indices[edge])
-        d_low = _offset_of_index(corner_indices[v_low][0])
-        d_high = _offset_of_index(corner_indices[v_high][0])
-        outside = _edge_outside_cells(edge, r)
-        for i, cell in enumerate(outside):
-            if i < mb:
-                d = d_low
-            elif i >= r - mb:
-                d = d_high
-            else:
-                d = d_edge
-            apply_strip(cell, n, d)
-
-    for v, (ell, s) in corner_indices.items():
-        if s != 2:
-            continue
+    add = np.zeros_like(frame.ideal)
+    rem = np.zeros_like(frame.ideal)
+    for edge, (axis, sign, line, along, v_low, v_high) in frame.strips.items():
+        offsets = (corner_indices[v_low][0], edge_indices[edge], corner_indices[v_high][0])
+        for (a0, a1), i in zip(frame.segments, offsets):
+            d = _offset_of_index(i)
+            if d:
+                n0, n1 = sorted((line, line + sign * d))
+                (add if d > 0 else rem)[
+                    _band(axis, n0, n1, along + a0, along + a1)] = True
+    for v, (qx, qy) in frame.corners.items():
+        ell, s = corner_indices[v]
         d = _offset_of_index(ell)
-        if d == 0:
-            continue
-        incident = vertex_edges.get(v, [])
-        if len(incident) != 2:
-            continue
-        n1, n2 = (_edge_normal(e[1]) for e in incident)
-        qx, qy = n1[0] + n2[0], n1[1] + n2[1]
-        if qx == 0 or qy == 0:
+        if s != 2 or d == 0:
             continue
         if d < 0:
             qx, qy, d = -qx, -qy, -d
-        for a in range(d):
-            for b in range(d):
-                cx = v[0] + a if qx > 0 else v[0] - 1 - a
-                cy = v[1] + b if qy > 0 else v[1] - 1 - b
-                # Outward squares extend the domain; inward ones cut it.
-                if (cx, cy) in cells:
-                    rem.add((cx, cy))
-                else:
-                    add.add((cx, cy))
+        fx, fy = v[0] - frame.x0, v[1] - frame.y0
+        square = (slice(fy, fy + d) if qy > 0 else slice(fy - d, fy),
+                  slice(fx, fx + d) if qx > 0 else slice(fx - d, fx))
+        # Outward squares extend the domain; inward ones cut it.
+        inside = frame.ideal[square]
+        add[square] |= ~inside
+        rem[square] |= inside
+    return (frame.ideal | add) & ~rem
 
-    return frozenset((cells | add) - rem)
+
+def _boundary(mask: np.ndarray) -> np.ndarray:
+    """Mask cells with a lattice neighbour outside the mask or the array."""
+    inner = np.zeros_like(mask)
+    inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
+                         & mask[1:-1, :-2] & mask[1:-1, 2:])
+    return mask & ~inner
+
+
+def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Cells within Chebyshev distance ``radius`` of a mask cell."""
+    return ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant")
+
+
+def _clears(mask: np.ndarray, forbidden: np.ndarray) -> bool:
+    """Whether a realized domain's boundary avoids every forbidden cell."""
+    return not (_boundary(mask) & forbidden).any()
+
+
+def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
+    """Edges whose outside strip comes within clearance + k0 + 1 of a bad cell."""
+    near = _dilate(bad, frame.clearance + frame.k0 + 1)
+    return [e for e in frame.edges if near[frame.outside[e]].any()]
 
 
 def domain_boundary_cells(domain: frozenset) -> frozenset:
     """Domain cells with at least one lattice neighbor outside the domain."""
-    out = set()
-    for x, y in domain:
-        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if n not in domain:
-                out.add((x, y))
-                break
-    return frozenset(out)
+    if not domain:
+        return frozenset()
+    xy = np.array(list(domain), dtype=np.int64)
+    x0, y0 = xy.min(axis=0)
+    x1, y1 = xy.max(axis=0)
+    mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    mask[xy[:, 1] - y0, xy[:, 0] - x0] = True
+    ys, xs = np.nonzero(_boundary(mask))
+    return frozenset(zip((xs + x0).tolist(), (ys + y0).tolist()))
 
 
 def region_boundary_loops(domain: frozenset) -> tuple:
@@ -561,35 +606,19 @@ def region_boundary_loops(domain: frozenset) -> tuple:
     return tuple(loops)
 
 
-def curve_clearance(domain: frozenset, bad_components: Sequence) -> int:
-    """Smallest distance from any bad-component cell to the domain boundary."""
-    boundary = domain_boundary_cells(domain)
-    bad: list = []
-    for comp in bad_components:
-        bad.extend(comp.animal.sites)
-    if not bad or not boundary:
-        return 10**9
-    b_arr = np.array(sorted(boundary), dtype=np.int64)
-    c_arr = np.array(bad, dtype=np.int64)
-    diff = np.abs(c_arr[:, None, :] - b_arr[None, :, :])
-    return int(diff.max(axis=2).min())
-
-
-def curve_is_valid(
-    domain: frozenset, bad_components: Sequence, clearance: int
-) -> bool:
-    """Whether every bad component keeps the required clearance."""
-    return curve_clearance(domain, bad_components) >= clearance
+def _straight(frame: CurveFrame) -> tuple:
+    """The all-ones curve indices and their realized domain mask."""
+    corner_idx = {v: (1, 1) for v in frame.vertices}
+    edge_idx = {e: 1 for e in frame.edges}
+    return corner_idx, edge_idx, realize_domain(frame, corner_idx, edge_idx)
 
 
 def _make_curve(
-    j: int,
-    corner_indices: dict,
-    edge_indices: dict,
-    domain: frozenset,
+    frame: CurveFrame, corner_indices: dict, edge_indices: dict, mask: np.ndarray
 ) -> BoundaryCurve:
+    domain = frame.cells(mask)
     return BoundaryCurve(
-        j,
+        frame.j,
         tuple(sorted(corner_indices.items())),
         tuple(sorted(edge_indices.items())),
         domain,
@@ -616,13 +645,12 @@ def select_boundary_curve(
     """
     if j is None:
         j = ideal_block.level or 1
-    clearance = params.margins(j).clearance
-    edges, vertices = boundary_family(ideal_block.animal, j, params)
+    frame = CurveFrame(ideal_block.animal, j, params)
+    clearance = frame.clearance
     k2 = 2 * params.k0
 
     # Prefilter: only components near the blow-up can constrain the curve.
-    r = params.cells_per_side(j)
-    mb = params.margins(j).buffer
+    r, mb = frame.r, frame.mb
     x0, y0, x1, y1 = ideal_block.animal.bounding_box()
     reach = Rect(
         x0 * r - mb - clearance,
@@ -630,58 +658,36 @@ def select_boundary_curve(
         (x1 + 1) * r + mb + clearance,
         (y1 + 1) * r + mb + clearance,
     )
-    near = [
-        c
+    bad = frame.raster(
+        p
         for c in bad_components
-        if any(reach.contains_cell(p) for p in c.animal.sites)
-    ]
+        if any(reach.contains_cell(q) for q in c.animal.sites)
+        for p in c.animal.sites
+    )
+    # A curve is valid exactly when its boundary cells avoid the bad cells
+    # dilated by clearance - 1.
+    forbidden = _dilate(bad, clearance - 1)
 
-    def realize(corner_idx, edge_idx):
-        return realize_domain(ideal_block.animal, j, params, corner_idx, edge_idx)
-
-    # Dilate the nearby bad cells by clearance-1 once; a curve is then valid
-    # exactly when its boundary cells avoid the dilated set.
-    forbidden = set()
-    for comp in near:
-        for cx, cy in comp.animal.sites:
-            for dx in range(1 - clearance, clearance):
-                for dy in range(1 - clearance, clearance):
-                    forbidden.add((cx + dx, cy + dy))
-
-    def valid(domain: frozenset) -> bool:
-        return forbidden.isdisjoint(domain_boundary_cells(domain))
-
-    straight_corners = {v: (1, 1) for v in vertices}
-    straight_edges = {e: 1 for e in edges}
-    straight = realize(straight_corners, straight_edges)
-    straight_ok = valid(straight)
-    if straight_ok and rng.random() < params.straight_curve_mass(j):
-        return _make_curve(j, straight_corners, straight_edges, straight)
+    straight = _straight(frame)
+    if _clears(straight[2], forbidden) and rng.random() < params.straight_curve_mass(j):
+        return _make_curve(frame, *straight)
 
     for _ in range(CURVE_SAMPLE_TRIES):
         corner_idx = {
             v: (int(rng.integers(1, k2 + 1)), int(rng.integers(1, 3)))
-            for v in vertices
+            for v in frame.vertices
         }
-        edge_idx = {e: int(rng.integers(1, k2 + 1)) for e in edges}
-        domain = realize(corner_idx, edge_idx)
-        if valid(domain):
-            return _make_curve(j, corner_idx, edge_idx, domain)
+        edge_idx = {e: int(rng.integers(1, k2 + 1)) for e in frame.edges}
+        mask = realize_domain(frame, corner_idx, edge_idx)
+        if _clears(mask, forbidden):
+            return _make_curve(frame, corner_idx, edge_idx, mask)
 
     # Deterministic targeted scan: only edges (and their endpoints) whose
     # track band comes near an offending cell are perturbed; the rest stay
     # straight.  Scanned in canonical index order, capped.
-    offending = [c for comp in near for c in comp.animal.sites]
-    reach_d = clearance + params.k0 + 1
-
-    def edge_affected(edge) -> bool:
-        cells = _edge_outside_cells(edge, r)
-        return any(chebyshev(c, o) <= reach_d for c in cells for o in offending)
-
-    hot_edges = [e for e in edges if edge_affected(e)]
+    hot_edges = _hot_edges(frame, bad)
     hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, r)})
-    corner_idx = {v: (1, 1) for v in vertices}
-    edge_idx = {e: 1 for e in edges}
+    corner_idx, edge_idx, _ = straight
     corner_space = [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2)]
     edge_space = list(range(1, k2 + 1))
     scanned = 0
@@ -694,9 +700,9 @@ def select_boundary_curve(
                 )
             corner_idx.update(zip(hot_vertices, corner_choice))
             edge_idx.update(zip(hot_edges, edge_choice))
-            domain = realize(corner_idx, edge_idx)
-            if valid(domain):
-                return _make_curve(j, corner_idx, edge_idx, domain)
+            mask = realize_domain(frame, corner_idx, edge_idx)
+            if _clears(mask, forbidden):
+                return _make_curve(frame, corner_idx, edge_idx, mask)
     raise CurveSelectionError("no valid boundary curve exists for this block")
 
 
@@ -712,25 +718,16 @@ def form_block(
 ) -> Block:
     """Cut a block out of a curve-bounded domain.
 
-    Member cells are the level-(j-1) cells lying inside the domain or whose
-    north-east corner lies in the domain's interior.
+    The member cells are the domain's cells.  The north-east-corner rule,
+    which takes in a cell whose north-east corner is interior to the domain,
+    adds none: the four cells around an interior corner are domain cells,
+    the cell itself among them.
     """
     if not domain:
         raise PreconditionError("domain is empty")
     j = level if level is not None else (curve.level if curve else 1)
-    members = set()
-    for cell in domain:
-        members.add(cell)
-    # North-east-corner rule: a cell whose corner point is interior to the
-    # domain joins even if the cell itself straddles the boundary.
-    for cell in list(domain):
-        x, y = cell
-        for cand in ((x - 1, y - 1),):
-            cx, cy = cand
-            corner_cells = ((cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1))
-            if all(c in domain for c in corner_cells):
-                members.add(cand)
-    return Block(j, lattice_block, frozenset(domain), frozenset(members), curve)
+    domain = frozenset(domain)
+    return Block(j, lattice_block, domain, domain, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +843,7 @@ def classify_good_block(
     each semi-bad partner shape; at depth 1 that condition is vacuous, as
     the partner library is empty: a level-0 component of V cells embeds
     with probability 2**-V, below the semi-bad floor
-    1 - 1/(v0**5 * k0**4) whenever v0**5 * k0**4 > 2, as in every bundled
-    profile.
+    1 - 1/(v0**5 * k0**4), as ParameterSet keeps v0**5 * k0**4 > 2.
     """
     if block.size != 1:
         return False
@@ -969,13 +965,8 @@ def build_level1(
             # Bad content hugging the window edge would have conjoined this
             # block outward in the full construction; keep a straight-curve
             # placeholder, flagged censored and bad, excluded from statistics.
-            edges, vertices = boundary_family(lb.animal, j, params)
-            domain = realize_domain(
-                lb.animal, j, params,
-                {v: (1, 1) for v in vertices}, {e: 1 for e in edges},
-            )
-            curve = _make_curve(j, {v: (1, 1) for v in vertices},
-                                {e: 1 for e in edges}, domain)
+            frame = CurveFrame(lb.animal, j, params)
+            curve = _make_curve(frame, *_straight(frame))
             block = form_block(curve.domain, lb, curve, j)
             blocks.append(replace(block, good=False, censored=True))
             continue

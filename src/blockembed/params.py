@@ -64,6 +64,10 @@ class ParameterSet:
                 raise ConfigError(f"{label} must be a positive integer")
         if self.L0 < 2:
             raise ConfigError("L0 must be at least 2")
+        # Level-0 components then embed with probability 2**-V <= 1/2, below
+        # the semi-bad floor, which classify_good_block relies on.
+        if self.v0**5 * self.k0**4 <= 2:
+            raise ConfigError("v0**5 * k0**4 must exceed 2")
 
     def scale(self, j: int) -> int:
         """Side length of a level-j cell in site units of the index lattice."""

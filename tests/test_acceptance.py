@@ -25,7 +25,6 @@ from blockembed.hierarchy import (
     LatticeBlock,
     build_hierarchy,
     build_level0,
-    curve_clearance,
     form_lattice_blocks,
     is_conjoined,
     level0_window_for,
@@ -43,6 +42,7 @@ from blockembed.stats import (
     size_report,
     tail_report,
 )
+from test_hierarchy import curve_clearance
 
 EXPECTED_PUBLISHED_VERDICTS = [
     True, True, True, False, True, True, False, False, True, True,

@@ -1,6 +1,7 @@
 """Recursive block structure: components, buffers, curves, blocks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,20 @@ from blockembed.hierarchy import (
     Block,
     BoundaryCurve,
     Component,
+    CurveFrame,
     LatticeBlock,
+    _boundary_edges,
+    _clears,
+    _dilate,
+    _edge_normal,
+    _edge_vertices,
+    _hot_edges,
     _label_groups,
     _level0_bad_components,
+    _offset_of_index,
     boundary_family,
     build_hierarchy,
     build_level0,
-    curve_clearance,
     curve_family_size,
     domain_boundary_cells,
     dump_hierarchy,
@@ -37,7 +45,12 @@ from blockembed.hierarchy import (
     region_boundary_loops,
     select_boundary_curve,
 )
-from blockembed.lattice import LatticeAnimal, Rect, buffer_zone, neighbors
+from blockembed.lattice import LatticeAnimal, Rect, buffer_zone, chebyshev, neighbors
+from blockembed.params import named_profile
+
+TOY1 = named_profile("toy1")
+# k0 = buffer: the widest tracks the margins allow.
+TOY1_K3 = replace(TOY1, k0=3)
 
 
 def _component_closure(bad_cells: set, in_window) -> list:
@@ -138,6 +151,128 @@ def _flood_fill(cells, edges) -> list:
         seen |= comp
         flood.append(frozenset(comp))
     return flood
+
+
+def _realize_domain_ref(animal, j, params, corner_indices, edge_indices) -> frozenset:
+    """Reference realization on cell sets: ideal cells plus outward strips
+    and squares, minus inward ones."""
+    r = params.cells_per_side(j)
+    mb = params.margins(j).buffer
+    cells = {(ux * r + i, uy * r + k) for ux, uy in animal
+             for i in range(r) for k in range(r)}
+    add: set = set()
+    rem: set = set()
+    vertex_edges: dict = {}
+    for edge in _boundary_edges(animal):
+        n = _edge_normal(edge[1])
+        v_low, v_high = _edge_vertices(edge, r)
+        vertex_edges.setdefault(v_low, []).append(edge)
+        vertex_edges.setdefault(v_high, []).append(edge)
+        for i, (ox, oy) in enumerate(_edge_outside_cells(edge, r)):
+            if i < mb:
+                d = _offset_of_index(corner_indices[v_low][0])
+            elif i >= r - mb:
+                d = _offset_of_index(corner_indices[v_high][0])
+            else:
+                d = _offset_of_index(edge_indices[edge])
+            if d > 0:
+                add.update((ox + k * n[0], oy + k * n[1]) for k in range(d))
+            else:
+                rem.update((ox - (k + 1) * n[0], oy - (k + 1) * n[1]) for k in range(-d))
+    for v, (ell, s) in corner_indices.items():
+        d = _offset_of_index(ell)
+        incident = vertex_edges.get(v, [])
+        if s != 2 or d == 0 or len(incident) != 2:
+            continue
+        n1, n2 = (_edge_normal(e[1]) for e in incident)
+        qx, qy = n1[0] + n2[0], n1[1] + n2[1]
+        if qx == 0 or qy == 0:
+            continue
+        if d < 0:
+            qx, qy, d = -qx, -qy, -d
+        for a in range(d):
+            for b in range(d):
+                c = (v[0] + a if qx > 0 else v[0] - 1 - a,
+                     v[1] + b if qy > 0 else v[1] - 1 - b)
+                (rem if c in cells else add).add(c)
+    return frozenset((cells | add) - rem)
+
+
+def _edge_outside_cells(edge, r: int) -> list:
+    """Cells just outside the side, ordered from the low vertex."""
+    (ux, uy), side = edge
+    x0, y0 = ux * r, uy * r
+    if side == "T":
+        return [(x0 + i, y0 + r) for i in range(r)]
+    if side == "B":
+        return [(x0 + i, y0 - 1) for i in range(r)]
+    if side == "L":
+        return [(x0 - 1, y0 + i) for i in range(r)]
+    return [(x0 + r, y0 + i) for i in range(r)]
+
+
+def _domain_boundary_cells_ref(domain: frozenset) -> frozenset:
+    """Reference boundary: domain cells with a lattice neighbour outside."""
+    return frozenset(
+        (x, y) for x, y in domain
+        if any(n not in domain for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
+    )
+
+
+def curve_clearance(domain: frozenset, bad_components) -> int:
+    """Reference clearance: smallest distance from any bad-component cell
+    to the domain boundary (10**9 when either side is empty)."""
+    boundary = _domain_boundary_cells_ref(domain)
+    bad = [c for comp in bad_components for c in comp.animal.sites]
+    if not bad or not boundary:
+        return 10**9
+    return min(chebyshev(b, c) for b in boundary for c in bad)
+
+
+def _realized(animal, params, corner_indices, edge_indices) -> frozenset:
+    """Cells of the mask ``realize_domain`` returns."""
+    frame = CurveFrame(animal, 1, params)
+    return frame.cells(realize_domain(frame, corner_indices, edge_indices))
+
+
+_SHAPES = [
+    [(0, 0)],
+    [(0, 0), (1, 0), (0, 1)],  # L: one concave corner
+    [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)],  # ring
+    [(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)],  # T
+    [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)],  # staircase
+]
+
+
+@st.composite
+def _animals(draw):
+    """A listed shape or a random animal grown cell by cell, shifted."""
+    sites = set(draw(st.sampled_from(_SHAPES)))
+    for _ in range(draw(st.integers(0, 5))):
+        x, y = draw(st.sampled_from(sorted(sites)))
+        dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        sites.add((x + dx, y + dy))
+    ox, oy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return LatticeAnimal(frozenset((x + ox, y + oy) for x, y in sites))
+
+
+@st.composite
+def _curve_choices(draw, params):
+    """An animal and a random index assignment of its curve family."""
+    animal = draw(_animals())
+    edges, vertices = boundary_family(animal, 1, params)
+    k2 = 2 * params.k0
+    corner = {v: (draw(st.integers(1, k2)), draw(st.integers(1, 2))) for v in vertices}
+    edge = {e: draw(st.integers(1, k2)) for e in edges}
+    return animal, corner, edge
+
+
+def _cells_around(frame, max_size):
+    """Cell sets over a frame and four cells past each of its sides."""
+    h, w = frame.ideal.shape
+    return st.sets(st.tuples(st.integers(frame.x0 - 4, frame.x0 + w + 3),
+                             st.integers(frame.y0 - 4, frame.y0 + h + 3)),
+                   max_size=max_size)
 
 
 def _block(cells, good, level=1):
@@ -323,7 +458,7 @@ class TestLatticeBlocks:
                  frozenset(((3, 3), (3, 4)))}
 
         blocks = form_lattice_blocks(cells, lambda u, v: frozenset((u, v)) in edges)
-        assert sorted(b.animal.sites for b in blocks) == sorted(_flood_fill(cells, edges))
+        assert [b.animal.sites for b in blocks] == sorted(_flood_fill(cells, edges), key=min)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=200, deadline=None)
@@ -367,9 +502,8 @@ class TestCurves:
     def test_straight_realization_tiles_ideal(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0), (1, 0)]))
         edges, vertices = boundary_family(a, 1, toy1)
-        domain = realize_domain(a, 1, toy1,
-                                {v: (1, 1) for v in vertices},
-                                {e: 1 for e in edges})
+        domain = _realized(a, toy1, {v: (1, 1) for v in vertices},
+                           {e: 1 for e in edges})
         r = toy1.cells_per_side(1)
         expected = {(x, y) for u in a.sites
                     for x in range(u[0] * r, (u[0] + 1) * r)
@@ -385,7 +519,7 @@ class TestCurves:
         edge_idx = {e: 1 for e in edges}
         right = ((0, 0), "R")
         edge_idx[right] = 2  # offset +1
-        domain = realize_domain(a, 1, toy1, corner_idx, edge_idx)
+        domain = _realized(a, toy1, corner_idx, edge_idx)
         r, mb = toy1.cells_per_side(1), toy1.margins(1).buffer
         base = {(x, y) for x in range(r) for y in range(r)}
         strip = {(r, y) for y in range(mb, r - mb)}
@@ -403,7 +537,7 @@ class TestCurves:
             corner_idx = {v: (int(rng.integers(1, k2 + 1)), int(rng.integers(1, 3)))
                           for v in vertices}
             edge_idx = {e: int(rng.integers(1, k2 + 1)) for e in edges}
-            domain = realize_domain(a, 1, toy1, corner_idx, edge_idx)
+            domain = _realized(a, toy1, corner_idx, edge_idx)
             assert all(blowup.contains_cell(c) for c in domain)
             assert all(c in domain for c in interior.cells())
 
@@ -435,14 +569,51 @@ class TestCurves:
         domain = frozenset((x, y) for x in range(3) for y in range(3))
         assert domain_boundary_cells(domain) == domain - {(1, 1)}
 
+    @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_domain_boundary_cells_match_reference(self, domain):
+        domain = frozenset(domain)
+        assert domain_boundary_cells(domain) == _domain_boundary_cells_ref(domain)
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_realize_domain_matches_reference(self, params, data):
+        animal, corner, edge = data.draw(_curve_choices(params))
+        assert _realized(animal, params, corner, edge) == _realize_domain_ref(
+            animal, 1, params, corner, edge)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_clearance_predicate_matches_reference(self, data):
+        # Obstructions reach past the frame, whose clipping must not matter.
+        animal, corner, edge = data.draw(_curve_choices(TOY1))
+        frame = CurveFrame(animal, 1, TOY1)
+        mask = realize_domain(frame, corner, edge)
+        cells = data.draw(_cells_around(frame, 12))
+        bad = [_singleton_bad_component([c]) for c in cells]
+        clearance = frame.clearance
+        assert _clears(mask, _dilate(frame.raster(cells), clearance - 1)) == (
+            curve_clearance(frame.cells(mask), bad) >= clearance)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hot_edges_match_chebyshev_rule(self, data):
+        animal = data.draw(_animals())
+        frame = CurveFrame(animal, 1, TOY1)
+        cells = data.draw(_cells_around(frame, 6))
+        reach_d = frame.clearance + TOY1.k0 + 1
+        expected = [e for e in frame.edges
+                    if any(chebyshev(c, o) <= reach_d
+                           for c in _edge_outside_cells(e, frame.r) for o in cells)]
+        assert _hot_edges(frame, frame.raster(cells)) == expected
+
 
 class TestBlocksAndComponents:
     def test_form_block_straight_tiles(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0)]))
         edges, vertices = boundary_family(a, 1, toy1)
-        domain = realize_domain(a, 1, toy1,
-                                {v: (1, 1) for v in vertices},
-                                {e: 1 for e in edges})
+        domain = _realized(a, toy1, {v: (1, 1) for v in vertices},
+                           {e: 1 for e in edges})
         block = form_block(domain, LatticeBlock(1, a), None, 1)
         assert block.member_cells == domain
 
@@ -457,7 +628,7 @@ class TestBlocksAndComponents:
             corner_idx = {v: (int(rng.integers(1, k2 + 1)), int(rng.integers(1, 3)))
                           for v in vertices}
             edge_idx = {e: int(rng.integers(1, k2 + 1)) for e in edges}
-            domain = realize_domain(a, 1, toy1, corner_idx, edge_idx)
+            domain = _realized(a, toy1, corner_idx, edge_idx)
             block = form_block(domain, LatticeBlock(1, a), None, 1)
             assert interior <= block.member_cells
 

@@ -61,6 +61,15 @@ class TestScales:
         with pytest.raises(ConfigError):
             ParameterSet(alpha=0, beta=1, gamma=1, m=1, k0=1, v0=1, L0=2, M0=2, M=1)
 
+    def test_semibad_floor_must_exceed_level0_probability(self):
+        # With v0 = k0 = 1 the semi-bad floor is 0, so every small level-0
+        # component would be semi-bad and the airport condition not vacuous.
+        base = dict(alpha=2, beta=1, gamma=1, m=1, L0=2, M0=2, M=1)
+        with pytest.raises(ConfigError):
+            ParameterSet(k0=1, v0=1, **base)
+        assert ParameterSet(k0=1, v0=2, **base).semibad_threshold(0) == Fraction(31, 32)
+        assert ParameterSet(k0=2, v0=1, **base).semibad_threshold(0) == Fraction(15, 16)
+
 
 class TestAuditor:
     def test_ten_rows(self, published_profile):
