@@ -176,24 +176,21 @@ def estimate_s(profile, seed, family, level, window, trials, workers):
     if level == 0:
         if family != "Y":
             raise ConfigError("level-0 estimation drives target-family components")
-        targets = [c for c in h.level0.bad_components if not c.censored]
-        for i, comp in enumerate(targets):
-            est = stats.estimate_S(comp, 0, trials, stats.derive_seed(seed, i),
-                                   p, family="Y", structure=h.level0, workers=workers)
-            click.echo(f"0,{comp.size},{est.point:.6f},{est.ci_low:.6f},"
-                       f"{est.ci_high:.6f},{est.trials}")
+        targets = list(enumerate(c for c in h.level0.bad_components if not c.censored))
     elif level == 1:
         if family != "X":
             raise ConfigError("level-1 estimation drives source-family blocks")
-        for i, block in enumerate(h.levels[1].blocks):
-            if block.censored:
-                continue
-            est = stats.estimate_S(block, 1, trials, stats.derive_seed(seed, i),
-                                   p, family="X", structure=h.level0, workers=workers)
-            click.echo(f"1,{block.size},{est.point:.6f},{est.ci_low:.6f},"
-                       f"{est.ci_high:.6f},{est.trials}")
+        targets = [(i, b) for i, b in enumerate(h.levels[1].blocks) if not b.censored]
     else:
         raise ConfigError("estimation supports levels 0 and 1")
+    if not targets:
+        click.echo(f"note: no rows: no uncensored level-{level} target in this window; "
+                   "try a wider --window", err=True)
+    for i, target in targets:
+        est = stats.estimate_S(target, level, trials, stats.derive_seed(seed, i),
+                               p, family=family, structure=h.level0, workers=workers)
+        click.echo(f"{level},{target.size},{est.point:.6f},{est.ci_low:.6f},"
+                   f"{est.ci_high:.6f},{est.trials}")
 
 
 @cli.command()

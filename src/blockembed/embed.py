@@ -318,11 +318,17 @@ class EmbeddingMap:
     M: float
 
 
+# Entries of the pairwise distance matrices that verify_embedding holds at
+# once: it compares them in blocks of rows, never all n x n together.
+VERIFY_CHUNK = 1 << 16
+
+
 def verify_embedding(emb: EmbeddingMap, x: BitField, y: BitField) -> bool:
     """Exhaustively check injectivity, the Lipschitz bound, and values.
 
     The map is checked on its own domain, which must lie inside x's window;
-    images must lie in y's window.
+    images must lie in y's window.  Pairwise distances are compared exactly,
+    a block of rows at a time.
     """
     sites = sorted(emb.mapping)
     window = Rect(x.origin[0], x.origin[1], x.origin[0] + x.width, x.origin[1] + x.height)
@@ -344,24 +350,28 @@ def verify_embedding(emb: EmbeddingMap, x: BitField, y: BitField) -> bool:
     if not np.array_equal(xv, yv):
         return False
     m2 = Fraction(emb.M) ** 2
-    d_src = (
-        (src[:, None, 0] - src[None, :, 0]) ** 2
-        + (src[:, None, 1] - src[None, :, 1]) ** 2
-    )
-    d_dst = (
-        (dst[:, None, 0] - dst[None, :, 0]) ** 2
-        + (dst[:, None, 1] - dst[None, :, 1]) ** 2
-    )
-    # Exact comparison; stays in machine integers when products cannot
-    # overflow, else falls back to arbitrary precision.
-    if (
-        int(d_dst.max()) * m2.denominator < 2**62
-        and int(d_src.max()) * m2.numerator < 2**62
-    ):
-        return bool(np.all(d_dst * int(m2.denominator) <= d_src * int(m2.numerator)))
-    lhs = d_dst.astype(object) * m2.denominator
-    rhs = d_src.astype(object) * m2.numerator
-    return bool(np.all(lhs <= rhs))
+    num, den = m2.numerator, m2.denominator
+    rows = max(1, VERIFY_CHUNK // len(sites))
+    for i in range(0, len(sites), rows):
+        d_src = _squared_distances(src[i:i + rows], src)
+        d_dst = _squared_distances(dst[i:i + rows], dst)
+        # Exact comparison; stays in machine integers when products cannot
+        # overflow, else falls back to arbitrary precision.  The floor of 1
+        # keeps a numerator or denominator too large for int64 out of numpy
+        # when every distance in the block is 0.
+        if (max(int(d_dst.max()), 1) * den < 2**62
+                and max(int(d_src.max()), 1) * num < 2**62):
+            ok = np.all(d_dst * den <= d_src * num)
+        else:
+            ok = np.all(d_dst.astype(object) * den <= d_src.astype(object) * num)
+        if not ok:
+            return False
+    return True
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances from each point of ``a`` to each of ``b``."""
+    return (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
 
 
 @dataclass(frozen=True)

@@ -554,6 +554,28 @@ def _clears(mask: np.ndarray, forbidden: np.ndarray) -> bool:
     return not (_boundary(mask) & forbidden).any()
 
 
+def _blocked_edge(frame: CurveFrame, forbidden: np.ndarray, k2: int) -> bool:
+    """Whether some boundary edge has a forbidden cell on every track.
+
+    Over an edge's middle segment only the edge's own index moves the
+    outline: perpendicular bands and corner squares reach at most k0 <= mb
+    cells from a vertex.  There the domain's outermost row at offset d is
+    line + d - 1 (outward normal positive) or line - d, and it lies on the
+    domain boundary.  So when each of the 2*k0 rows meets a forbidden cell,
+    no index assignment clears.
+    """
+    a0, a1 = frame.segments[1]
+    if a0 >= a1:
+        return False
+    for axis, sign, line, along, _, _ in frame.strips.values():
+        rows = (line + d - 1 if sign > 0 else line - d
+                for d in map(_offset_of_index, range(1, k2 + 1)))
+        if all(forbidden[_band(axis, n, n + 1, along + a0, along + a1)].any()
+               for n in rows):
+            return True
+    return False
+
+
 def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
     """Edges whose outside strip comes within clearance + k0 + 1 of a bad cell."""
     near = _dilate(bad, frame.clearance + frame.k0 + 1)
@@ -574,26 +596,42 @@ def domain_boundary_cells(domain: frozenset) -> frozenset:
 
 
 def region_boundary_loops(domain: frozenset) -> tuple:
-    """Closed rectilinear loops bounding a cell set, as vertex tuples."""
+    """Closed rectilinear loops bounding a cell set, as vertex tuples.
+
+    Boundary edges run with the set on their left.  A pinch vertex, whose
+    four cells hold exactly one diagonal pair of the set, has two outgoing
+    edges; the walk turns left there, so that each loop keeps to the cell
+    it has just passed.  Every loop starts at its least vertex, which is
+    never a pinch.
+    """
     edges: dict = {}
     for x, y in domain:
         if (x, y - 1) not in domain:
-            edges[(x, y)] = (x + 1, y)
+            edges.setdefault((x, y), []).append((x + 1, y))
         if (x + 1, y) not in domain:
-            edges[(x + 1, y)] = (x + 1, y + 1)
+            edges.setdefault((x + 1, y), []).append((x + 1, y + 1))
         if (x, y + 1) not in domain:
-            edges[(x + 1, y + 1)] = (x, y + 1)
+            edges.setdefault((x + 1, y + 1), []).append((x, y + 1))
         if (x - 1, y) not in domain:
-            edges[(x, y + 1)] = (x, y)
+            edges.setdefault((x, y + 1), []).append((x, y))
+
+    def step(prev, cur):
+        ends = edges[cur]
+        if len(ends) == 1:
+            del edges[cur]
+            return ends[0]
+        nxt = (cur[0] - (cur[1] - prev[1]), cur[1] + (cur[0] - prev[0]))
+        ends.remove(nxt)
+        return nxt
+
     loops = []
-    remaining = dict(edges)
-    while remaining:
-        start = min(remaining)
+    while edges:
+        start = min(edges)
         loop = [start]
-        cur = remaining.pop(start)
+        prev, cur = start, step(None, start)
         while cur != start:
             loop.append(cur)
-            cur = remaining.pop(cur)
+            prev, cur = cur, step(prev, cur)
         # Merge collinear runs.
         merged = []
         m = len(loop)
@@ -641,7 +679,8 @@ def select_boundary_curve(
     otherwise indices are drawn uniformly and rejected until valid, with a
     deterministic scan as a final fallback.  Raises CurveSelectionError if
     no valid curve exists, which indicates the caller formed the block from
-    conjoined buffers.
+    conjoined buffers; when some boundary edge has a forbidden cell on every
+    track, it raises before drawing any sample.
     """
     if j is None:
         j = ideal_block.level or 1
@@ -669,8 +708,11 @@ def select_boundary_curve(
     forbidden = _dilate(bad, clearance - 1)
 
     straight = _straight(frame)
-    if _clears(straight[2], forbidden) and rng.random() < params.straight_curve_mass(j):
-        return _make_curve(frame, *straight)
+    if _clears(straight[2], forbidden):
+        if rng.random() < params.straight_curve_mass(j):
+            return _make_curve(frame, *straight)
+    elif _blocked_edge(frame, forbidden, k2):
+        raise CurveSelectionError("no valid boundary curve exists for this block")
 
     for _ in range(CURVE_SAMPLE_TRIES):
         corner_idx = {

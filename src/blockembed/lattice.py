@@ -65,7 +65,7 @@ class LatticeAnimal:
         object.__setattr__(self, "sites", frozenset(self.sites))
         if not self.sites:
             raise ConfigError("a lattice animal must be nonempty")
-        if not is_connected(self.sites):
+        if len(self.sites) > 1 and not is_connected(self.sites):
             raise ConfigError("a lattice animal must be connected")
 
     def __len__(self) -> int:

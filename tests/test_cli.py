@@ -108,6 +108,20 @@ class TestEstimateAndReports:
         assert code == EXIT_OK
         assert out.startswith("level,size,point")
 
+    def test_estimate_s_says_why_no_rows(self, capsys):
+        # Every block of the default 2x2 window is censored.
+        code, out, err = run(capsys, "estimate-s", "--profile", "toy1", "--family", "X",
+                             "--level", "1", "--trials", "5")
+        assert code == EXIT_OK
+        assert out == "level,size,point,ci_low,ci_high,trials\n"
+        assert len(err.splitlines()) == 1
+        assert "no uncensored level-1 target" in err
+        code, out, err = run(capsys, "estimate-s", "--profile", "toy1", "--family", "X",
+                             "--level", "1", "--trials", "5", "--seed", "5",
+                             "--window", "0", "0", "3", "3")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) > 1 and err == ""
+
     def test_estimate_s_level_validation(self, capsys):
         code, _, _ = run(capsys, "estimate-s", "--level", "2")
         assert code == EXIT_CONFIG

@@ -1,7 +1,12 @@
 """Cell correspondences, map families, embedding search, and verification."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockembed import embed, hierarchy as hier
 from blockembed.embed import (
@@ -196,6 +201,58 @@ class TestVerifyEmbedding:
         emb = EmbeddingMap({(0, 0): (0, 0), (1, 0): (9, 0)}, 20.0)
         with pytest.raises(PreconditionError):
             verify_embedding(emb, x, y)
+
+    def test_single_site_with_fine_bound(self):
+        # M**2 with a huge denominator; no pair of sites to compare.
+        x = BitField("X", (0, 0), 1, 1, 0, np.array([[1]], dtype=np.uint8))
+        assert verify_embedding(EmbeddingMap({(0, 0): (0, 0)}, 0.1), x, x)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunks_match_full_matrices(self, data):
+        # Random maps on a 4x3 source into a 6x6 target, compared a few
+        # distance-matrix entries at a time, against one full comparison.
+        x = BitField("X", (0, 0), 4, 3, 0, np.zeros((3, 4), dtype=np.uint8))
+        y = BitField("Y", (0, 0), 6, 6, 0, np.zeros((6, 6), dtype=np.uint8))
+        source = [(i, j) for i in range(4) for j in range(3)]
+        sites = data.draw(st.lists(st.sampled_from(source), min_size=1,
+                                   max_size=12, unique=True))
+        images = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                    min_size=len(sites), max_size=len(sites), unique=True))
+        m = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+        m2 = Fraction(m) ** 2
+        expected = all(
+            ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) * m2.denominator
+            <= ((s[0] - t[0]) ** 2 + (s[1] - t[1]) ** 2) * m2.numerator
+            for s, a in zip(sites, images) for t, b in zip(sites, images))
+        emb = EmbeddingMap(dict(zip(sites, images)), m)
+        chunk = embed.VERIFY_CHUNK
+        embed.VERIFY_CHUNK = data.draw(st.integers(1, 20))
+        try:
+            assert verify_embedding(emb, x, y) == expected
+        finally:
+            embed.VERIFY_CHUNK = chunk
+
+    def test_large_map_without_square_matrix(self):
+        # 2400 sites: one n x n int64 matrix would take 46 MB.
+        w, h = 60, 40
+        bits = (np.arange(w * h).reshape(h, w) % 3 == 0).astype(np.uint8)
+        x = BitField("X", (0, 0), w, h, 0, bits)
+        y = BitField("Y", (5, 7), w, h, 0, bits)
+        shift = {(i, j): (i + 5, j + 7) for i in range(w) for j in range(h)}
+        tracemalloc.start()
+        try:
+            ok = verify_embedding(EmbeddingMap(shift, 1.0), x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < len(shift) ** 2 * 8 // 4
+        squeezed = dict(shift)
+        squeezed[(w - 1, h - 1)], squeezed[(0, 0)] = (5, 7), (w + 4, h + 6)
+        y2 = BitField("Y", (5, 7), w, h, 0, bits.copy())
+        y2.bits[0, 0], y2.bits[h - 1, w - 1] = bits[h - 1, w - 1], bits[0, 0]
+        assert not verify_embedding(EmbeddingMap(squeezed, 1.0), x, y2)
 
 
 class TestEmbedsLevel:

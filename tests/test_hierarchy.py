@@ -1,14 +1,15 @@
 """Recursive block structure: components, buffers, curves, blocks."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blockembed.errors import ConfigError, PreconditionError
+from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
 from blockembed.fields import Y0Class
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
@@ -19,6 +20,8 @@ from blockembed.hierarchy import (
     Component,
     CurveFrame,
     LatticeBlock,
+    _blocked_edge,
+    _boundary,
     _boundary_edges,
     _clears,
     _dilate,
@@ -51,6 +54,8 @@ from blockembed.params import named_profile
 TOY1 = named_profile("toy1")
 # k0 = buffer: the widest tracks the margins allow.
 TOY1_K3 = replace(TOY1, k0=3)
+# Two tracks: a single-cell block has 2**4 * 4**4 = 4096 curves.
+TOY1_K1 = named_profile("toy1", k0=1)
 
 
 def _component_closure(bad_cells: set, in_window) -> list:
@@ -227,6 +232,68 @@ def curve_clearance(domain: frozenset, bad_components) -> int:
     if not bad or not boundary:
         return 10**9
     return min(chebyshev(b, c) for b in boundary for c in bad)
+
+
+def _region_boundary_loops_ref(domain: frozenset) -> tuple:
+    """Reference loops for sets without a pinch vertex: one outgoing edge
+    per vertex, walked from the least vertex left."""
+    edges: dict = {}
+    for x, y in domain:
+        if (x, y - 1) not in domain:
+            edges[(x, y)] = (x + 1, y)
+        if (x + 1, y) not in domain:
+            edges[(x + 1, y)] = (x + 1, y + 1)
+        if (x, y + 1) not in domain:
+            edges[(x + 1, y + 1)] = (x, y + 1)
+        if (x - 1, y) not in domain:
+            edges[(x, y + 1)] = (x, y)
+    loops = []
+    while edges:
+        start = min(edges)
+        loop = [start]
+        cur = edges.pop(start)
+        while cur != start:
+            loop.append(cur)
+            cur = edges.pop(cur)
+        m = len(loop)
+        loops.append(tuple(v for i, v in enumerate(loop)
+                           if not (loop[i - 1][0] == v[0] == loop[(i + 1) % m][0]
+                                   or loop[i - 1][1] == v[1] == loop[(i + 1) % m][1])))
+    return tuple(loops)
+
+
+def _pinch_free(cells) -> frozenset:
+    """The set with a cell added at a pinch vertex until none is left."""
+    cells = set(cells)
+    while True:
+        pinch = next(((x, y) for x, y in sorted(cells) for dy in (1, -1)
+                      if (x + 1, y + dy) in cells
+                      and (x + 1, y) not in cells and (x, y + dy) not in cells), None)
+        if pinch is None:
+            return frozenset(cells)
+        cells.add((pinch[0] + 1, pinch[1]))
+
+
+def _unit_edges(loops) -> list:
+    """Directed unit edges of closed loops given by their turning vertices."""
+    out = []
+    for loop in loops:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            step = ((b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1]))
+            assert 0 in step and step != (0, 0)
+            while a != b:
+                nxt = (a[0] + step[0], a[1] + step[1])
+                out.append((a, nxt))
+                a = nxt
+    return out
+
+
+def _middle_rows(frame, edge, d) -> list:
+    """Cells of an edge's middle segment on the outermost domain row at
+    offset d: the outside cells shifted by d - 1 along the outward normal."""
+    nx, ny = _edge_normal(edge[1])
+    mid = _edge_outside_cells(edge, frame.r)[frame.mb:frame.r - frame.mb]
+    return [(x + (d - 1) * nx, y + (d - 1) * ny) for x, y in mid]
 
 
 def _realized(animal, params, corner_indices, edge_indices) -> frozenset:
@@ -565,6 +632,36 @@ class TestCurves:
         assert len(loops) == 1
         assert set(loops[0]) == {(0, 0), (2, 0), (2, 2), (0, 2)}
 
+    @pytest.mark.parametrize("domain, expected", [
+        ({(0, 0), (1, 1)},
+         (((0, 0), (1, 0), (1, 1), (0, 1)), ((1, 1), (2, 1), (2, 2), (1, 2)))),
+        ({(0, 0), (1, 0), (2, 1)},
+         (((0, 0), (2, 0), (2, 1), (0, 1)), ((2, 1), (3, 1), (3, 2), (2, 2)))),
+    ])
+    def test_region_boundary_loops_pinch(self, domain, expected):
+        # Two cells meeting only at a corner: one loop around each side.
+        assert region_boundary_loops(frozenset(domain)) == expected
+
+    @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_region_boundary_loops_cover_boundary_once(self, domain):
+        domain = frozenset(domain)
+        expected = []
+        for x, y in domain:
+            for edge, across in ((((x, y), (x + 1, y)), (x, y - 1)),
+                                 (((x + 1, y), (x + 1, y + 1)), (x + 1, y)),
+                                 (((x + 1, y + 1), (x, y + 1)), (x, y + 1)),
+                                 (((x, y + 1), (x, y)), (x - 1, y))):
+                if across not in domain:
+                    expected.append(edge)
+        assert sorted(_unit_edges(region_boundary_loops(domain))) == sorted(expected)
+
+    @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_region_boundary_loops_unchanged_without_pinches(self, cells):
+        domain = _pinch_free(cells)
+        assert region_boundary_loops(domain) == _region_boundary_loops_ref(domain)
+
     def test_domain_boundary_cells_square(self):
         domain = frozenset((x, y) for x in range(3) for y in range(3))
         assert domain_boundary_cells(domain) == domain - {(1, 1)}
@@ -606,6 +703,69 @@ class TestCurves:
                     if any(chebyshev(c, o) <= reach_d
                            for c in _edge_outside_cells(e, frame.r) for o in cells)]
         assert _hot_edges(frame, frame.raster(cells)) == expected
+
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_blocked_edge_is_exact(self, data):
+        # Exhaustive at k0 = 1: when the predicate fires, no curve clears.
+        frame = CurveFrame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
+        cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
+                                  min_size=1, max_size=6))
+        forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
+        assume(_blocked_edge(frame, forbidden, 2))
+        corner_space = [(ell, s) for ell in (1, 2) for s in (1, 2)]
+        for edge_choice in itertools.product((1, 2), repeat=len(frame.edges)):
+            for corner_choice in itertools.product(corner_space, repeat=len(frame.vertices)):
+                mask = realize_domain(frame, dict(zip(frame.vertices, corner_choice)),
+                                      dict(zip(frame.edges, edge_choice)))
+                assert not _clears(mask, forbidden)
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_middle_rows_lie_on_the_outline(self, params, data):
+        # Whatever the other indices, an edge's middle-segment row at its
+        # own offset is boundary of the realized domain.
+        animal, corner, edge = data.draw(_curve_choices(params))
+        frame = CurveFrame(animal, 1, params)
+        outline = frame.cells(_boundary(realize_domain(frame, corner, edge)))
+        for e in frame.edges:
+            assert set(_middle_rows(frame, e, _offset_of_index(edge[e]))) <= outline
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_edge_reads_every_track(self, params, data):
+        # One forbidden cell on each track row of one edge blocks it; with
+        # any one of them gone, nothing is blocked.
+        frame = CurveFrame(data.draw(_animals()), 1, params)
+        k2 = 2 * params.k0
+        e = data.draw(st.sampled_from(frame.edges))
+        cells = [data.draw(st.sampled_from(_middle_rows(frame, e, _offset_of_index(i))))
+                 for i in range(1, k2 + 1)]
+        assert _blocked_edge(frame, frame.raster(cells), k2)
+        gone = data.draw(st.integers(0, k2 - 1))
+        assert not _blocked_edge(frame, frame.raster(cells[:gone] + cells[gone + 1:]), k2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_edge_never_when_straight_clears(self, data):
+        frame = CurveFrame(data.draw(_animals()), 1, TOY1)
+        cells = data.draw(_cells_around(frame, 12))
+        forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
+        straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
+                                  {e: 1 for e in frame.edges})
+        assert not (_clears(straight, forbidden) and _blocked_edge(frame, forbidden, 4))
+
+    def test_blocked_block_raises_before_sampling(self, toy1):
+        # Bad cells across every track of the right edge: no curve exists,
+        # and the selection raises without drawing from its generator.
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CurveSelectionError, match="no valid boundary curve exists"):
+            select_boundary_curve(lb, [_singleton_bad_component([c])
+                                       for c in ((15, 8), (17, 8))], toy1, rng, 1)
+        assert rng.bit_generator.state == state
 
 
 class TestBlocksAndComponents:
