@@ -1,19 +1,26 @@
-"""Golden digests: hierarchy dumps and chosen curves for a fixed seed grid.
+"""Golden digests: hierarchy dumps, chosen curves and CLI outputs for a fixed
+seed grid.
 
 Each digest is a sha256 over the outputs of one group of cases.  The grid
 covers every curve-selection path: straight and sampled curves (toy1), a
 curve found by the deterministic scan, a scan that runs out of candidates,
 and windows whose one merged block scans to the cap and falls back to the
-censored straight placeholder (toy1 seed 41, toy-m0-2, toy-m0-3).  A
-change to the construction that moves any of these digests changes
+censored straight placeholder (toy1 seed 41, toy-m0-2, toy-m0-3).  The
+CLI digests cover `estimate-s` at level 1 (seed 100008 meets a target
+block with no valid curve, seed 100098 one whose 1 536 valid curves the
+sampler and the scan both miss), `reports` tables and one `render` SVG.
+A change to the construction that moves any of these digests changes
 program output and must say so.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from blockembed.cli import EXIT_OK, main
 from blockembed.errors import CurveSelectionError
 from blockembed.hierarchy import (
     REALLY_BAD,
@@ -56,11 +63,27 @@ CURVE_CASES = {
 
 CURVE_DIGEST = "42554a889a8e7a263d97e82cd40c310f4f86f2449800f9c5172fef3aca722a8a"
 
+ESTIMATE_SEEDS = (100001, 100002, 100003, 100008, 100098)
+ESTIMATE_DIGEST = "d3f19eb514abfd39ad10ebfb3e2d0547452d868f858f8cc19d2887497de46469"
+
+REPORTS_SEEDS = (1, 2)
+REPORTS_DIGEST = "974d0afe8506850d3bbed6d96b8249e5932bdfe24e19c690b263fb046b4812fa"
+
+RENDER_DIGEST = "88cb9bae498abdc385482d0992e02208b90545aa472c22a4af83635e45c29d86"
+
 
 def _bad_cell(c):
     cell = frozenset([c])
     block = Block(0, LatticeBlock(0, LatticeAnimal(cell)), cell, cell, good=False)
     return Component(0, LatticeAnimal(cell), (block,), REALLY_BAD, (1, 1))
+
+
+def _cli(*args) -> str:
+    """Stdout of one in-process CLI run that must succeed."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(list(args)) == EXIT_OK
+    return out.getvalue()
 
 
 def _curve_record(cells, seed) -> str:
@@ -91,3 +114,31 @@ def test_selected_curves_reproduce():
         for seed in seeds:
             h.update(f"{name} {seed} {_curve_record(cells, seed)}\n".encode())
     assert h.hexdigest() == CURVE_DIGEST
+
+
+def test_estimate_lines_reproduce():
+    h = hashlib.sha256()
+    for seed in ESTIMATE_SEEDS:
+        h.update(_cli("estimate-s", "--profile", "toy1", "--family", "X", "--level", "1",
+                      "--window", "0", "0", "3", "3", "--trials", "20",
+                      "--seed", str(seed)).encode())
+    assert h.hexdigest() == ESTIMATE_DIGEST
+
+
+def test_reports_tables_reproduce(tmp_path):
+    h = hashlib.sha256()
+    for seed in REPORTS_SEEDS:
+        out = tmp_path / str(seed)
+        _cli("reports", "--profile", "toy-m0-3", "--windows", "2", "--window", "0", "0", "3", "3",
+             "--seed", str(seed), "--out-dir", str(out))
+        for name in sorted(f"{t}.{ext}" for t in ("tail", "size", "good")
+                           for ext in ("csv", "records")):
+            h.update(name.encode() + b"\n" + (out / name).read_bytes())
+    assert h.hexdigest() == REPORTS_DIGEST
+
+
+def test_render_svg_reproduces(tmp_path):
+    _cli("render", "--profile", "toy1", "--seed", "2", "--window", "0", "0", "3", "3",
+         "--out-dir", str(tmp_path))
+    svg = (tmp_path / "level1-Y-2.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == RENDER_DIGEST
