@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
@@ -92,10 +93,31 @@ class CellCorrespondence:
 
 
 def _base_translation(source: frozenset, target: frozenset) -> Point:
-    t = same_shape(LatticeAnimal(source), LatticeAnimal(target))
-    if t is None:
-        raise PreconditionError("source and target domains have different shapes")
-    return t
+    """The translation taking source onto target: least site onto least site.
+
+    Both must be lattice animals (ConfigError otherwise, as LatticeAnimal
+    raises); a target that is a translate of a connected source is one, so
+    only a mismatched target is checked apart.
+    """
+    _check_animal(source)
+    if target:
+        (ax, ay), (bx, by) = min(source), min(target)
+        t = (bx - ax, by - ay)
+        if {(x + t[0], y + t[1]) for x, y in source} == target:
+            return t
+    _check_animal(target)
+    raise PreconditionError("source and target domains have different shapes")
+
+
+def _check_animal(cells: frozenset) -> None:
+    """Raise ConfigError, as LatticeAnimal does, unless the cells are a
+    nonempty 4-connected set."""
+    if not cells:
+        raise ConfigError("a lattice animal must be nonempty")
+    if len(cells) > 1:
+        _, groups = ndimage.label(hier.cell_mask(cells)[0])
+        if groups != 1:
+            raise ConfigError("a lattice animal must be connected")
 
 
 def _lex(cells: Iterable[Point]) -> list:
@@ -331,6 +353,8 @@ def verify_embedding(emb: EmbeddingMap, x: BitField, y: BitField) -> bool:
     a block of rows at a time.
     """
     sites = sorted(emb.mapping)
+    if not sites:
+        return True  # the empty map is vacuously an embedding
     window = Rect(x.origin[0], x.origin[1], x.origin[0] + x.width, x.origin[1] + x.height)
     if not all(window.contains_cell(s) for s in sites):
         raise PreconditionError("map domain outside the source window")
@@ -533,9 +557,12 @@ def _repair_correspondence(
 def _embeds_level1(block, y_window, params, x_structure, budget):
     animal = block.animal
     window1 = Rect(*_level1_window(animal))
-    # The target structure is rebuilt from the seed; windows of the same
-    # seed agree site-for-site, so y_window only needs to cover the images.
-    y_hier = hier.build_hierarchy(params, "Y", y_window.seed, window1)
+    # The target structure is built over the level-0 window of the block's
+    # level-1 window, from y_window's sites when it covers that window and
+    # resampled from its seed otherwise: windows of one seed agree site for
+    # site, so y_window only needs to cover the images.
+    y_hier = hier.build_hierarchy(params, "Y", y_window.seed, window1,
+                                  site_field=_crop(y_window, window1, params))
     y_level1 = y_hier.levels[1]
     # The target must reproduce the same lattice block (valid buffers).
     y_block = None
@@ -598,6 +625,20 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         if corr is not None and works(corr):
             return EmbeddingWitness(1, (corr,), (1, 1))
     return None
+
+
+def _crop(field: BitField, window1: Rect, params: ParameterSet) -> Optional[BitField]:
+    """The target-family sites of the level-0 window under ``window1``, cut
+    from ``field``, or None when the field does not cover them."""
+    w0 = hier.level0_window_for(window1, params)
+    m0 = params.M0
+    x0, y0 = w0.x0 * m0 - field.origin[0], w0.y0 * m0 - field.origin[1]
+    width, height = (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0
+    if (field.family != "Y" or x0 < 0 or y0 < 0
+            or x0 + width > field.width or y0 + height > field.height):
+        return None
+    return BitField("Y", (w0.x0 * m0, w0.y0 * m0), width, height, field.seed,
+                    field.bits[y0:y0 + height, x0:x0 + width])
 
 
 def _level1_window(animal: LatticeAnimal) -> tuple:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -97,7 +98,12 @@ class BoundaryCurve:
     corner_indices: tuple  # ((vertex, (ell, s)), ...) sorted
     edge_indices: tuple  # (((cell, side), s_e), ...) sorted
     domain: frozenset
-    polyline: tuple  # loops of vertices in level-(j-1) cell coordinates
+
+    @cached_property
+    def polyline(self) -> tuple:
+        """Loops of vertices in level-(j-1) cell coordinates, traced on
+        first read: only rendering needs them."""
+        return region_boundary_loops(self.domain)
 
     @property
     def is_straight(self) -> bool:
@@ -445,6 +451,12 @@ class CurveFrame:
         self.k0 = params.k0
         if self.k0 > self.mb:
             raise ConfigError("buffer margin too small for 2*k0 curve tracks")
+        # With k0 <= mb < r / 4 every cell is within one step of the pieces
+        # of at most one vertex and two edges (two only where the outward
+        # strips of a concave corner meet, at k0 = mb), as _curve_factors
+        # needs.
+        if 4 * mb >= r:
+            raise ConfigError("buffer margin must stay below a quarter of the block side")
         self.edges, self.vertices = boundary_family(animal, j, params)
         pad = self.clearance + self.k0 + 2
         bx0, by0, bx1, by1 = animal.bounding_box()
@@ -454,14 +466,13 @@ class CurveFrame:
         for ux, uy in animal.sites:
             self.ideal[uy * r - self.y0:(uy + 1) * r - self.y0,
                        ux * r - self.x0:(ux + 1) * r - self.x0] = True
-        # An edge's low-vertex, middle and high-vertex track segments.  When
-        # 2 * mb > r the middle one is empty and the low vertex keeps the
-        # cells below mb.
-        self.segments = ((0, min(mb, r)), (mb, r - mb), (max(mb, r - mb), r))
-        # Per edge: the normal axis and sign, the side's line along the
-        # normal, the edge's low end along the side (frame coordinates), and
-        # its two vertices.
-        self.strips = {}
+        # An edge's low-vertex, middle and high-vertex track segments.
+        segments = ((0, mb), (mb, r - mb), (r - mb, r))
+        # Per edge, its three segments in that order: the vertex or edge
+        # whose track index offsets the segment, the edge's normal axis and
+        # sign, the side's line along the normal, and the segment's extent
+        # along the side (frame coordinates).
+        self.bands = []
         self.outside = {}
         incident: dict = {}
         for edge in self.edges:
@@ -470,7 +481,8 @@ class CurveFrame:
             fx, fy = v_low[0] - self.x0, v_low[1] - self.y0
             axis, line, along = (0, fy, fx) if nx == 0 else (1, fx, fy)
             sign = nx + ny
-            self.strips[edge] = (axis, sign, line, along, v_low, v_high)
+            for key, (a0, a1) in zip((v_low, edge, v_high), segments):
+                self.bands.append((key, axis, sign, line, along + a0, along + a1))
             out = line if sign > 0 else line - 1
             self.outside[edge] = _band(axis, out, out + 1, along, along + r)
             for v in (v_low, v_high):
@@ -509,17 +521,28 @@ def realize_domain(
     where two perpendicular sides meet.  The domain is the ideal block plus
     every outward strip or square, minus every inward one.
     """
+    add, rem = _paint(frame, corner_indices, edge_indices)
+    return (frame.ideal | add) & ~rem
+
+
+def _paint(frame: CurveFrame, corner_indices: dict, edge_indices: dict) -> tuple:
+    """The outward and the inward strips and squares of an assignment.
+
+    Pieces whose vertex or edge has no index given are left out, so the
+    vertex pieces and the edge pieces can be painted apart.
+    """
     add = np.zeros_like(frame.ideal)
     rem = np.zeros_like(frame.ideal)
-    for edge, (axis, sign, line, along, v_low, v_high) in frame.strips.items():
-        offsets = (corner_indices[v_low][0], edge_indices[edge], corner_indices[v_high][0])
-        for (a0, a1), i in zip(frame.segments, offsets):
-            d = _offset_of_index(i)
-            if d:
-                n0, n1 = sorted((line, line + sign * d))
-                (add if d > 0 else rem)[
-                    _band(axis, n0, n1, along + a0, along + a1)] = True
+    tracks = {v: ell for v, (ell, _) in corner_indices.items()}
+    tracks.update(edge_indices)
+    for key, axis, sign, line, a0, a1 in frame.bands:
+        d = _offset_of_index(tracks[key]) if key in tracks else 0
+        if d:
+            n0, n1 = sorted((line, line + sign * d))
+            (add if d > 0 else rem)[_band(axis, n0, n1, a0, a1)] = True
     for v, (qx, qy) in frame.corners.items():
+        if v not in corner_indices:
+            continue
         ell, s = corner_indices[v]
         d = _offset_of_index(ell)
         if s != 2 or d == 0:
@@ -533,7 +556,7 @@ def realize_domain(
         inside = frame.ideal[square]
         add[square] |= ~inside
         rem[square] |= inside
-    return (frame.ideal | add) & ~rem
+    return add, rem
 
 
 def _boundary(mask: np.ndarray) -> np.ndarray:
@@ -554,26 +577,162 @@ def _clears(mask: np.ndarray, forbidden: np.ndarray) -> bool:
     return not (_boundary(mask) & forbidden).any()
 
 
-def _blocked_edge(frame: CurveFrame, forbidden: np.ndarray, k2: int) -> bool:
-    """Whether some boundary edge has a forbidden cell on every track.
+def _edge_factors(frame: CurveFrame, forbidden: np.ndarray) -> dict:
+    """Per boundary edge, which of its 2*k0 track indices keep the middle
+    segment's outermost row clear of ``forbidden`` (a boolean array).
 
     Over an edge's middle segment only the edge's own index moves the
     outline: perpendicular bands and corner squares reach at most k0 <= mb
     cells from a vertex.  There the domain's outermost row at offset d is
     line + d - 1 (outward normal positive) or line - d, and it lies on the
-    domain boundary.  So when each of the 2*k0 rows meets a forbidden cell,
-    no index assignment clears.
+    domain boundary, whatever the other indices.  For d in [1 - k0, k0]
+    these rows are the 2*k0 rows from line - k0.
     """
-    a0, a1 = frame.segments[1]
-    if a0 >= a1:
-        return False
-    for axis, sign, line, along, _, _ in frame.strips.values():
-        rows = (line + d - 1 if sign > 0 else line - d
-                for d in map(_offset_of_index, range(1, k2 + 1)))
-        if all(forbidden[_band(axis, n, n + 1, along + a0, along + a1)].any()
-               for n in rows):
-            return True
-    return False
+    k0 = frame.k0
+    d = np.array([_offset_of_index(i) for i in range(1, 2 * k0 + 1)])
+    factors = {}
+    for edge, axis, sign, line, a0, a1 in frame.bands[1::3]:  # middle segments
+        met = forbidden[_band(axis, line - k0, line + k0, a0, a1)]
+        factors[edge] = ~met.any(axis=1 - axis)[d - 1 + k0 if sign > 0 else k0 - d]
+    return factors
+
+
+def _blocked_edge(frame: CurveFrame, forbidden: np.ndarray) -> bool:
+    """Whether some edge factor is all false: an edge with a forbidden cell
+    on every track row, so that no index assignment clears."""
+    return not all(f.any() for f in _edge_factors(frame, forbidden).values())
+
+
+def _curve_count(frame: CurveFrame, forbidden: np.ndarray) -> int:
+    """The exact number of index assignments whose domain clears ``forbidden``."""
+    return _contract(*_curve_factors(frame, forbidden))
+
+
+def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> tuple:
+    """Local factors whose product is the validity of an assignment.
+
+    Whether a cell is boundary depends on the mask over the cell and its
+    four neighbours, and the mask there on the indices whose strips or
+    squares can reach them: at most one vertex and two edges (see
+    ``CurveFrame``).  So validity is a product of local factors: the edge
+    factors of ``_edge_factors``, and per such group of indices the
+    forbidden cells it reaches, tabulated over realizations that give every
+    vertex one state and every edge of one colour one index.  Edges that
+    reach a cell together get distinct colours; one colour serves unless
+    k0 = mb.
+
+    Variables are the vertices, then the edges, in frame order; a vertex
+    state (ell, s) sits at table position 2 * (ell - 1) + s - 1, an edge
+    index i at i - 1.  Returns (factors, sizes) for ``_contract``.
+    """
+    k0 = frame.k0
+    nv, n = len(frame.vertices), len(frame.vertices) + len(frame.edges)
+    sizes = [4 * k0] * nv + [2 * k0] * len(frame.edges)
+    var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
+    ys, xs = np.nonzero(forbidden)
+    groups: dict = {}
+    for i, scope in enumerate(zip(*(a.tolist() for a in _cell_scopes(frame, ys, xs)))):
+        groups.setdefault(scope, []).append(i)
+    colour = dict.fromkeys(range(nv, n), 0)
+    pairs = {(lo, hi) for _, lo, hi in groups if 0 <= lo < hi}
+    for x in colour:
+        taken = {colour[y] for pair in pairs if x in pair for y in pair if y < x}
+        colour[x] = min(set(range(len(taken) + 1)) - taken)
+    colours = max(colour.values(), default=0) + 1
+
+    states = [(ell, s) for ell in range(1, 2 * k0 + 1) for s in (1, 2)]
+    vertex_paints = [_paint(frame, dict.fromkeys(frame.vertices, st), {}) for st in states]
+    edge_paints = [[_paint(frame, {}, {e: i for e in frame.edges if colour[var[e]] == c})
+                    for i in range(1, 2 * k0 + 1)] for c in range(colours)]
+    clear = np.empty((4 * k0,) + (2 * k0,) * colours + (len(ys),), dtype=bool)
+    for a, (add, rem) in enumerate(vertex_paints):
+        for combo in itertools.product(range(2 * k0), repeat=colours):
+            mask_add, mask_rem = add, rem
+            for c, i in enumerate(combo):
+                mask_add = mask_add | edge_paints[c][i][0]
+                mask_rem = mask_rem | edge_paints[c][i][1]
+            mask = (frame.ideal | mask_add) & ~mask_rem
+            clear[(a,) + combo] = ~_boundary(mask)[ys, xs]
+
+    factors = [((var[e],), f) for e, f in _edge_factors(frame, forbidden).items()]
+    for (v, lo, hi), cells in groups.items():
+        by_colour = {colour[x]: x for x in {lo, hi} - {-1}}
+        scope = ((v,) if v >= 0 else ()) + tuple(by_colour[c] for c in sorted(by_colour))
+        index = ((slice(None) if v >= 0 else 0,)
+                 + tuple(slice(None) if c in by_colour else 0 for c in range(colours)))
+        factors.append((scope, clear[..., cells].all(axis=-1)[index]))
+    return factors, sizes
+
+
+def _cell_scopes(frame: CurveFrame, ys: np.ndarray, xs: np.ndarray) -> tuple:
+    """Per frame cell (ys, xs), the indices its boundary status can depend
+    on: arrays of the vertex and of the lower and higher edge (variable
+    numbers as in ``_curve_factors``), -1 where there is none.
+
+    Those are the indices whose pieces can lie within one step of the cell,
+    over all their values: bands within tracks [1 - k0, k0] of their line,
+    corner squares within k0 of their vertex.
+    """
+    k0, nv = frame.k0, len(frame.vertices)
+    var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
+    rects, owner = [], []
+    for key, axis, sign, line, a0, a1 in frame.bands:
+        n0, n1 = sorted((line + sign * k0, line - sign * (k0 - 1)))
+        rects.append((n0, n1, a0, a1) if axis == 0 else (a0, a1, n0, n1))
+        owner.append(var[key])
+    for vx, vy in frame.corners:
+        fx, fy = vx - frame.x0, vy - frame.y0
+        rects.append((fy - k0, fy + k0, fx - k0, fx + k0))
+        owner.append(var[(vx, vy)])
+    y0, y1, x0, x1 = np.array(rects).T[:, :, None]
+    near = (np.maximum(np.maximum(y0 - ys, ys - y1 + 1), 0)
+            + np.maximum(np.maximum(x0 - xs, xs - x1 + 1), 0)) <= 1
+    owner = np.array(owner)[:, None]
+    edge = near & (owner >= nv)
+    vertex = np.where(near & (owner < nv), owner, -1).max(axis=0)
+    hi = np.where(edge, owner, -1).max(axis=0)
+    lo = np.where(edge, owner, len(var)).min(axis=0)
+    return vertex, np.where(hi < 0, -1, lo), hi
+
+
+def _contract(factors: list, sizes: list) -> int:
+    """Sum over all assignments of the product of factor tables, exactly.
+
+    ``factors`` holds (variables, boolean table) pairs, one table axis per
+    variable; variable i takes ``sizes[i]`` values.  Variables are summed
+    out one at a time, each time the one whose factors span the fewest
+    other variables.
+    """
+    total = 1
+    named = {x for scope, _ in factors for x in scope}
+    for x in set(range(len(sizes))) - named:
+        total *= sizes[x]
+    factors = [(scope, np.asarray(table, dtype=np.int64).astype(object))
+               for scope, table in factors]
+    while factors:
+        if any(not scope for scope, _ in factors):
+            for scope, table in factors:
+                if not scope:
+                    total *= table.item()
+            factors = [f for f in factors if f[0]]
+            continue
+
+        def span(x):
+            return len({y for scope, _ in factors if x in scope for y in scope})
+
+        x = min({y for scope, _ in factors for y in scope}, key=span)
+        touching = [f for f in factors if x in f[0]]
+        factors = [f for f in factors if x not in f[0]]
+        joint = sorted({y for scope, _ in touching for y in scope})
+        product = np.ones([sizes[y] for y in joint], dtype=object)
+        for scope, table in touching:
+            order = sorted(range(len(scope)), key=scope.__getitem__)
+            shape = [sizes[y] if y in scope else 1 for y in joint]
+            product = product * table.transpose(order).reshape(shape)
+        k = joint.index(x)
+        factors.append((tuple(joint[:k] + joint[k + 1:]),
+                        np.asarray(product.sum(axis=k), dtype=object)))
+    return total
 
 
 def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
@@ -582,15 +741,22 @@ def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
     return [e for e in frame.edges if near[frame.outside[e]].any()]
 
 
-def domain_boundary_cells(domain: frozenset) -> frozenset:
-    """Domain cells with at least one lattice neighbor outside the domain."""
-    if not domain:
-        return frozenset()
-    xy = np.array(list(domain), dtype=np.int64)
+def cell_mask(cells: Iterable[Point]) -> tuple:
+    """A nonempty cell set as (mask over its bounding box, x0, y0); the
+    mask is indexed [y - y0, x - x0]."""
+    xy = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64).reshape(-1, 2)
     x0, y0 = xy.min(axis=0)
     x1, y1 = xy.max(axis=0)
     mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
     mask[xy[:, 1] - y0, xy[:, 0] - x0] = True
+    return mask, int(x0), int(y0)
+
+
+def domain_boundary_cells(domain: frozenset) -> frozenset:
+    """Domain cells with at least one lattice neighbor outside the domain."""
+    if not domain:
+        return frozenset()
+    mask, x0, y0 = cell_mask(domain)
     ys, xs = np.nonzero(_boundary(mask))
     return frozenset(zip((xs + x0).tolist(), (ys + y0).tolist()))
 
@@ -654,13 +820,25 @@ def _straight(frame: CurveFrame) -> tuple:
 def _make_curve(
     frame: CurveFrame, corner_indices: dict, edge_indices: dict, mask: np.ndarray
 ) -> BoundaryCurve:
-    domain = frame.cells(mask)
     return BoundaryCurve(
         frame.j,
         tuple(sorted(corner_indices.items())),
         tuple(sorted(edge_indices.items())),
-        domain,
-        region_boundary_loops(domain),
+        frame.cells(mask),
+    )
+
+
+def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequence) -> np.ndarray:
+    """Mask of the cells of the bad components that come near the blow-up,
+    the only ones that can constrain the curve."""
+    r, margin = frame.r, frame.mb + frame.clearance
+    x0, y0, x1, y1 = animal.bounding_box()
+    reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
+    return frame.raster(
+        p
+        for c in bad_components
+        if any(reach.contains_cell(q) for q in c.animal.sites)
+        for p in c.animal.sites
     )
 
 
@@ -679,39 +857,24 @@ def select_boundary_curve(
     otherwise indices are drawn uniformly and rejected until valid, with a
     deterministic scan as a final fallback.  Raises CurveSelectionError if
     no valid curve exists, which indicates the caller formed the block from
-    conjoined buffers; when some boundary edge has a forbidden cell on every
-    track, it raises before drawing any sample.
+    conjoined buffers: before any draw when some boundary edge has a
+    forbidden cell on every track, else before the scan when the exact
+    count of valid curves is 0.  A scan that reaches its cap raises too.
     """
     if j is None:
         j = ideal_block.level or 1
     frame = CurveFrame(ideal_block.animal, j, params)
-    clearance = frame.clearance
     k2 = 2 * params.k0
-
-    # Prefilter: only components near the blow-up can constrain the curve.
-    r, mb = frame.r, frame.mb
-    x0, y0, x1, y1 = ideal_block.animal.bounding_box()
-    reach = Rect(
-        x0 * r - mb - clearance,
-        y0 * r - mb - clearance,
-        (x1 + 1) * r + mb + clearance,
-        (y1 + 1) * r + mb + clearance,
-    )
-    bad = frame.raster(
-        p
-        for c in bad_components
-        if any(reach.contains_cell(q) for q in c.animal.sites)
-        for p in c.animal.sites
-    )
+    bad = _bad_cells(frame, ideal_block.animal, bad_components)
     # A curve is valid exactly when its boundary cells avoid the bad cells
     # dilated by clearance - 1.
-    forbidden = _dilate(bad, clearance - 1)
+    forbidden = _dilate(bad, frame.clearance - 1)
 
     straight = _straight(frame)
     if _clears(straight[2], forbidden):
         if rng.random() < params.straight_curve_mass(j):
             return _make_curve(frame, *straight)
-    elif _blocked_edge(frame, forbidden, k2):
+    elif _blocked_edge(frame, forbidden):
         raise CurveSelectionError("no valid boundary curve exists for this block")
 
     for _ in range(CURVE_SAMPLE_TRIES):
@@ -723,12 +886,14 @@ def select_boundary_curve(
         mask = realize_domain(frame, corner_idx, edge_idx)
         if _clears(mask, forbidden):
             return _make_curve(frame, corner_idx, edge_idx, mask)
+    if _curve_count(frame, forbidden) == 0:
+        raise CurveSelectionError("no valid boundary curve exists for this block")
 
     # Deterministic targeted scan: only edges (and their endpoints) whose
     # track band comes near an offending cell are perturbed; the rest stay
     # straight.  Scanned in canonical index order, capped.
     hot_edges = _hot_edges(frame, bad)
-    hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, r)})
+    hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, frame.r)})
     corner_idx, edge_idx, _ = straight
     corner_space = [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2)]
     edge_space = list(range(1, k2 + 1))
@@ -797,11 +962,7 @@ def form_components(blocks: Sequence[Block]) -> list:
 
     labels = None
     if not all(b.good for b in blocks):
-        xy = np.array(list(covered), dtype=np.int64)
-        x0, y0 = xy.min(axis=0)
-        x1, y1 = xy.max(axis=0) + 1
-        allowed = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-        allowed[xy[:, 1] - y0, xy[:, 0] - x0] = True
+        allowed, x0, y0 = cell_mask(covered)
         mask = np.zeros_like(allowed)
         for b in blocks:
             if not b.good:

@@ -22,8 +22,9 @@ from blockembed.embed import (
 )
 from blockembed.errors import ConfigError, PreconditionError
 from blockembed.fields import BitField, level0_embeds, sample_field
-from blockembed.lattice import LatticeAnimal, Rect
-from blockembed.hierarchy import build_level0, level0_window_for
+from blockembed.lattice import LatticeAnimal, Rect, same_shape
+from blockembed.hierarchy import build_level0, dump_hierarchy, level0_window_for
+from blockembed.params import named_profile
 
 
 def _square(n, off=(0, 0)):
@@ -169,6 +170,46 @@ class TestTranslationFamily:
                 ) > 1
 
 
+def _base_translation_ref(source, target):
+    """Reference: both sets wrapped as lattice animals, then same_shape."""
+    t = same_shape(LatticeAnimal(source), LatticeAnimal(target))
+    if t is None:
+        raise PreconditionError("source and target domains have different shapes")
+    return t
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ConfigError, PreconditionError) as exc:
+        return type(exc)
+
+
+_cell_sets = st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12)
+
+
+class TestBaseTranslation:
+    @given(_cell_sets, st.one_of(_cell_sets, st.tuples(st.integers(-5, 5), st.integers(-5, 5))),
+           st.frozensets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lattice_animal_reference(self, source, other, toggled):
+        # The target is another random set, or a translate of the source
+        # with a few cells toggled: connected or not, matching or not.
+        if isinstance(other, frozenset):
+            target = other
+        else:
+            target = frozenset((x + other[0], y + other[1]) for x, y in source) ^ toggled
+        assert (_outcome(embed._base_translation, source, target)
+                == _outcome(_base_translation_ref, source, target))
+
+    def test_disconnected_domain_is_config_error(self):
+        cells = frozenset([(0, 0), (2, 0)])
+        with pytest.raises(ConfigError):
+            embed._base_translation(cells, cells)
+        with pytest.raises(ConfigError):
+            embed._base_translation(_square(2), frozenset([(0, 0), (1, 0), (3, 0), (3, 1)]))
+
+
 class TestVerifyEmbedding:
     def _fields(self):
         x = BitField("X", (0, 0), 2, 1, 0, np.array([[0, 1]], dtype=np.uint8))
@@ -201,6 +242,10 @@ class TestVerifyEmbedding:
         emb = EmbeddingMap({(0, 0): (0, 0), (1, 0): (9, 0)}, 20.0)
         with pytest.raises(PreconditionError):
             verify_embedding(emb, x, y)
+
+    def test_empty_map_is_an_embedding(self):
+        x, y = self._fields()
+        assert verify_embedding(EmbeddingMap({}, 2.0), x, y)
 
     def test_single_site_with_fine_bound(self):
         # M**2 with a huge denominator; no pair of sites to compare.
@@ -314,6 +359,53 @@ class TestEmbedsLevel:
         x_field = sample_field(42, "X", (0, 0), 16, 16)
         emb = wit.flatten(x_field, yf, toy1)
         assert verify_embedding(emb, x_field, yf)
+
+    @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2),
+           st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_cropped_field_builds_the_same_hierarchy(self, seed, ux, uy, grow_lo, grow_hi):
+        # A target window sampled wider than the level-0 window, cropped,
+        # gives the hierarchy a fresh sample of that window gives.
+        toy1 = named_profile("toy1")
+        window1 = Rect(ux, uy, ux + 1, uy + 1)
+        w0, m0 = level0_window_for(window1, toy1), toy1.M0
+        wide = sample_field(seed, "Y", ((w0.x0 - grow_lo) * m0, (w0.y0 - grow_hi) * m0),
+                            (w0.x1 - w0.x0 + grow_lo + grow_hi) * m0,
+                            (w0.y1 - w0.y0 + grow_hi + grow_lo) * m0)
+        cropped = embed._crop(wide, window1, toy1)
+        assert cropped == sample_field(seed, "Y", (w0.x0 * m0, w0.y0 * m0),
+                                       (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
+        assert dump_hierarchy(hier.build_hierarchy(toy1, "Y", seed, window1,
+                                                   site_field=cropped)) == dump_hierarchy(
+            hier.build_hierarchy(toy1, "Y", seed, window1))
+
+    def test_crop_needs_a_covering_target_window(self, toy1):
+        window1 = Rect(0, 0, 1, 1)
+        w0, m0 = level0_window_for(window1, toy1), toy1.M0
+        short = sample_field(3, "Y", (w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0 - 1,
+                             (w0.y1 - w0.y0) * m0)
+        source = sample_field(3, "X", (w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0,
+                              (w0.y1 - w0.y0) * m0)
+        assert embed._crop(short, window1, toy1) is None
+        assert embed._crop(source, window1, toy1) is None
+
+    def test_level1_search_with_wider_and_narrower_target_windows(self, toy1):
+        # Wider windows are cropped, narrower ones resampled: the witness is
+        # the one the exact level-0 window gives.
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        xb = hx.levels[1].blocks[0]
+        m0 = toy1.M0
+        w0 = level0_window_for(Rect(0, 0, 1, 1), toy1)
+        found = 0
+        for seed in range(8):
+            windows = [sample_field(seed, "Y", ((w0.x0 - a) * m0, (w0.y0 - a) * m0),
+                                    (w0.x1 - w0.x0 + 2 * a) * m0,
+                                    (w0.y1 - w0.y0 + 2 * a) * m0) for a in (0, 2, -1)]
+            witnesses = [embeds_level(xb, yf, 1, toy1, x_structure=hx.level0)
+                         for yf in windows]
+            assert witnesses[1] == witnesses[0] == witnesses[2]
+            found += witnesses[0] is not None
+        assert found
 
     def test_unsupported_level(self, toy1):
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blockembed import hierarchy
 from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
 from blockembed.fields import Y0Class
 from blockembed.hierarchy import (
@@ -20,10 +21,15 @@ from blockembed.hierarchy import (
     Component,
     CurveFrame,
     LatticeBlock,
+    _bad_cells,
     _blocked_edge,
     _boundary,
     _boundary_edges,
+    _cell_scopes,
     _clears,
+    _contract,
+    _curve_count,
+    _curve_factors,
     _dilate,
     _edge_normal,
     _edge_vertices,
@@ -311,10 +317,15 @@ _SHAPES = [
 ]
 
 
+# A hook whose end touches its start at one vertex: a pinch vertex with
+# four boundary edges, between the outline and the enclosed cell (0, 1).
+_PINCHED = [(0, 0), (-1, 0), (-1, 1), (-1, 2), (0, 2), (1, 2), (1, 1)]
+
+
 @st.composite
-def _animals(draw):
+def _animals(draw, shapes=tuple(_SHAPES)):
     """A listed shape or a random animal grown cell by cell, shifted."""
-    sites = set(draw(st.sampled_from(_SHAPES)))
+    sites = set(draw(st.sampled_from(shapes)))
     for _ in range(draw(st.integers(0, 5))):
         x, y = draw(st.sampled_from(sorted(sites)))
         dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
@@ -327,11 +338,31 @@ def _animals(draw):
 def _curve_choices(draw, params):
     """An animal and a random index assignment of its curve family."""
     animal = draw(_animals())
-    edges, vertices = boundary_family(animal, 1, params)
-    k2 = 2 * params.k0
-    corner = {v: (draw(st.integers(1, k2)), draw(st.integers(1, 2))) for v in vertices}
-    edge = {e: draw(st.integers(1, k2)) for e in edges}
-    return animal, corner, edge
+    return (animal, *draw(_indices(CurveFrame(animal, 1, params))))
+
+
+@st.composite
+def _indices(draw, frame):
+    """A random index assignment of a frame's curve family."""
+    k2 = 2 * frame.k0
+    corner = {v: (draw(st.integers(1, k2)), draw(st.integers(1, 2))) for v in frame.vertices}
+    edge = {e: draw(st.integers(1, k2)) for e in frame.edges}
+    return corner, edge
+
+
+@st.composite
+def _outline_cells(draw, frame, max_size, near=None):
+    """A few cells of the outlines of two random curves: forbidding them
+    makes validity hinge on the indices around them.  With ``near`` given
+    as (point, radius), only cells within that Chebyshev radius."""
+    outline = set()
+    for _ in range(2):
+        corner, edge = draw(_indices(frame))
+        outline |= frame.cells(_boundary(realize_domain(frame, corner, edge)))
+    if near is not None:
+        outline = {c for c in outline if chebyshev(c, near[0]) <= near[1]}
+    return draw(st.lists(st.sampled_from(sorted(outline)), min_size=1, max_size=max_size,
+                         unique=True))
 
 
 def _cells_around(frame, max_size):
@@ -340,6 +371,42 @@ def _cells_around(frame, max_size):
     return st.sets(st.tuples(st.integers(frame.x0 - 4, frame.x0 + w + 3),
                              st.integers(frame.y0 - 4, frame.y0 + h + 3)),
                    max_size=max_size)
+
+
+def _blocked_edge_ref(frame, forbidden, k2) -> bool:
+    """Reference: some edge has a forbidden cell on each of its 2*k0 middle
+    rows, taken one row at a time."""
+    for e in frame.edges:
+        if all(frame.raster(_middle_rows(frame, e, _offset_of_index(i)))[forbidden].any()
+               for i in range(1, k2 + 1)):
+            return True
+    return False
+
+
+def _factor_product(frame, factors, corner, edge) -> bool:
+    """The product of the curve factors at one index assignment."""
+    at = {i: 2 * (corner[v][0] - 1) + corner[v][1] - 1 for i, v in enumerate(frame.vertices)}
+    at.update({len(frame.vertices) + i: edge[e] - 1 for i, e in enumerate(frame.edges)})
+    return all(bool(table[tuple(at[x] for x in scope)]) for scope, table in factors)
+
+
+def _brute_count(frame, forbidden, free_vertices, free_edges) -> int:
+    """Valid assignments counted by realizing each one.  Only the given
+    vertices and edges vary; the rest stay straight and multiply the count
+    by their number of indices."""
+    k2 = 2 * frame.k0
+    corner = {v: (1, 1) for v in frame.vertices}
+    edge = {e: 1 for e in frame.edges}
+    corner_space = [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2)]
+    valid = 0
+    for edge_choice in itertools.product(range(1, k2 + 1), repeat=len(free_edges)):
+        edge.update(zip(free_edges, edge_choice))
+        for corner_choice in itertools.product(corner_space, repeat=len(free_vertices)):
+            corner.update(zip(free_vertices, corner_choice))
+            valid += _clears(realize_domain(frame, corner, edge), forbidden)
+    fixed = ((2 * k2) ** (len(frame.vertices) - len(free_vertices))
+             * k2 ** (len(frame.edges) - len(free_edges)))
+    return valid * fixed
 
 
 def _block(cells, good, level=1):
@@ -713,7 +780,7 @@ class TestCurves:
         cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
                                   min_size=1, max_size=6))
         forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
-        assume(_blocked_edge(frame, forbidden, 2))
+        assume(_blocked_edge(frame, forbidden))
         corner_space = [(ell, s) for ell in (1, 2) for s in (1, 2)]
         for edge_choice in itertools.product((1, 2), repeat=len(frame.edges)):
             for corner_choice in itertools.product(corner_space, repeat=len(frame.vertices)):
@@ -742,9 +809,9 @@ class TestCurves:
         e = data.draw(st.sampled_from(frame.edges))
         cells = [data.draw(st.sampled_from(_middle_rows(frame, e, _offset_of_index(i))))
                  for i in range(1, k2 + 1)]
-        assert _blocked_edge(frame, frame.raster(cells), k2)
+        assert _blocked_edge(frame, frame.raster(cells))
         gone = data.draw(st.integers(0, k2 - 1))
-        assert not _blocked_edge(frame, frame.raster(cells[:gone] + cells[gone + 1:]), k2)
+        assert not _blocked_edge(frame, frame.raster(cells[:gone] + cells[gone + 1:]))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -754,7 +821,7 @@ class TestCurves:
         forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
         straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
                                   {e: 1 for e in frame.edges})
-        assert not (_clears(straight, forbidden) and _blocked_edge(frame, forbidden, 4))
+        assert not (_clears(straight, forbidden) and _blocked_edge(frame, forbidden))
 
     def test_blocked_block_raises_before_sampling(self, toy1):
         # Bad cells across every track of the right edge: no curve exists,
@@ -766,6 +833,182 @@ class TestCurves:
             select_boundary_curve(lb, [_singleton_bad_component([c])
                                        for c in ((15, 8), (17, 8))], toy1, rng, 1)
         assert rng.bit_generator.state == state
+
+
+class TestCurveCount:
+    @given(st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_count_matches_brute_force_one_cell(self, data):
+        # All 4096 assignments of a one-cell block at k0 = 1.
+        frame = CurveFrame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
+        forbidden = frame.raster(data.draw(_outline_cells(frame, 3)))
+        assert _curve_count(frame, forbidden) == _brute_count(
+            frame, forbidden, frame.vertices, frame.edges)
+
+    @given(st.sampled_from([[(0, 0), (1, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]]),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_count_matches_brute_force_near_a_vertex(self, shape, data):
+        # Two-cell and L-shaped blocks at k0 = 1, forbidden cells near one
+        # vertex: the vertex, its edges and their far vertices vary, 4**3 *
+        # 2**2 assignments.
+        animal = LatticeAnimal(frozenset(shape))
+        frame = CurveFrame(animal, 1, TOY1_K1)
+        v = data.draw(st.sampled_from(frame.vertices))
+        forbidden = frame.raster(data.draw(_outline_cells(frame, 3, (v, frame.mb + frame.k0))))
+        edges = [e for e in frame.edges if v in _edge_vertices(e, frame.r)]
+        vertices = sorted({w for e in edges for w in _edge_vertices(e, frame.r)})
+        assert _curve_count(frame, forbidden) == _brute_count(frame, forbidden, vertices, edges)
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_factors_multiply_to_validity(self, params, data):
+        # Any animal, pinches included, with forbidden cells on the outline
+        # of one assignment: at that assignment, at every assignment one
+        # index away from it and at random ones, the product of the factors
+        # is the validity.
+        frame = CurveFrame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        corner, edge = data.draw(_indices(frame))
+        outline = sorted(frame.cells(_boundary(realize_domain(frame, corner, edge))))
+        forbidden = frame.raster(data.draw(st.lists(st.sampled_from(outline), min_size=1,
+                                                    max_size=2, unique=True)))
+        factors, _ = _curve_factors(frame, forbidden)
+        k2 = 2 * params.k0
+        nearby = [({**corner, v: (ell, s)}, edge) for v in frame.vertices
+                  for ell in range(1, k2 + 1) for s in (1, 2)]
+        nearby += [(corner, {**edge, e: i}) for e in frame.edges for i in range(1, k2 + 1)]
+        for c, e in nearby + [data.draw(_indices(frame)) for _ in range(4)]:
+            assert _factor_product(frame, factors, c, e) == _clears(
+                realize_domain(frame, c, e), forbidden)
+
+    @given(st.sampled_from([TOY1, TOY1_K3, TOY1_K1]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cell_scopes_hold_every_index_that_moves_a_cell(self, params, data):
+        # Changing one index changes the boundary status only of cells whose
+        # scope holds that index.
+        frame = CurveFrame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        h, w = frame.ideal.shape
+        ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
+        scopes = np.stack(_cell_scopes(frame, ys, xs))
+        corner, edge = data.draw(_indices(frame))
+        before = _boundary(realize_domain(frame, corner, edge)).ravel()
+        k2 = 2 * params.k0
+        for x, v in enumerate(frame.vertices):
+            state = data.draw(st.sampled_from(
+                [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2) if (ell, s) != corner[v]]))
+            moved = _boundary(realize_domain(frame, {**corner, v: state}, edge)).ravel() != before
+            assert (scopes[:, moved] == x).any(axis=0).all()
+        for x, e in enumerate(frame.edges, start=len(frame.vertices)):
+            i = data.draw(st.sampled_from([i for i in range(1, k2 + 1) if i != edge[e]]))
+            moved = _boundary(realize_domain(frame, corner, {**edge, e: i})).ravel() != before
+            assert (scopes[:, moved] == x).any(axis=0).all()
+
+    @pytest.mark.parametrize("shape, v", [(_SHAPES[1], (16, 16)), (_SHAPES[2], (32, 32))])
+    def test_two_edge_cells_at_a_concave_corner(self, shape, v):
+        # At k0 = mb the outward strips of a concave corner's two edges meet:
+        # forbid the cells near it that both reach, and count against the
+        # brute force over the corner and its edges.
+        frame = CurveFrame(LatticeAnimal(frozenset(shape)), 1, TOY1_K3)
+        h, w = frame.ideal.shape
+        ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
+        _, lo, hi = _cell_scopes(frame, ys, xs)
+        both = ((lo >= 0) & (lo != hi) & (abs(xs + frame.x0 - v[0]) <= frame.mb + frame.k0)
+                & (abs(ys + frame.y0 - v[1]) <= frame.mb + frame.k0))
+        assert both.any()
+        forbidden = np.zeros_like(frame.ideal)
+        forbidden[ys[both], xs[both]] = True
+        edges = [e for e in frame.edges if v in _edge_vertices(e, frame.r)]
+        assert _curve_count(frame, forbidden) == _brute_count(frame, forbidden, [v], edges)
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_edge_reads_the_edge_factors(self, params, data):
+        frame = CurveFrame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        forbidden = frame.raster(data.draw(_cells_around(frame, 40)))
+        blocked = _blocked_edge(frame, forbidden)
+        assert blocked == _blocked_edge_ref(frame, forbidden, 2 * params.k0)
+        factors, _ = _curve_factors(frame, forbidden)
+        edge_ids = {len(frame.vertices) + i for i in range(len(frame.edges))}
+        assert blocked == any(scope[0] in edge_ids and not table.any()
+                              for scope, table in factors if len(scope) == 1)
+        if blocked:
+            assert _curve_count(frame, forbidden) == 0
+
+    def test_count_without_bad_cells_is_the_family_size(self):
+        for animal in (_SHAPES[0], _SHAPES[2], _PINCHED):
+            frame = CurveFrame(LatticeAnimal(frozenset(animal)), 1, TOY1)
+            assert _curve_count(frame, np.zeros_like(frame.ideal)) == curve_family_size(
+                LatticeAnimal(frozenset(animal)), 1, TOY1)
+
+    def test_contract_sums_a_cycle(self):
+        # Three two-state variables on a cycle, each pair unequal: none.
+        ne = np.array([[False, True], [True, False]])
+        assert _contract([((0, 1), ne), ((1, 2), ne), ((0, 2), ne)], [2, 2, 2]) == 0
+        assert _contract([((0, 1), ne), ((1, 2), ne)], [2, 2, 2, 5]) == 10
+
+    # Target seeds of the ten level-1 trials of estimate-l1-toy1 (seed 1,
+    # items 1-100) whose block {(1, 1)} has no edge blocked on every track
+    # yet no curve was found; counts from enumerating all 2**20 assignments.
+    FUTILE_TARGETS = {
+        11802693454003433696: 0, 4886134052447959575: 0, 3163779586740611331: 0,
+        16392776005298054927: 0, 12206845312523714862: 0, 6196704347490519625: 0,
+        15883531645252787833: 0, 18099999912603604144: 0, 3583140666337361999: 0,
+        13511787533275398868: 1536,
+    }
+
+    def test_futile_blocks_of_the_benchmark(self, toy1):
+        animal = LatticeAnimal(frozenset([(1, 1)]))
+        frame = CurveFrame(animal, 1, toy1)
+        window0 = level0_window_for(Rect(1, 1, 2, 2), toy1)
+        for seed, count in self.FUTILE_TARGETS.items():
+            level0 = build_level0(toy1, "Y", seed, window0)
+            bad = _bad_cells(frame, animal, level0.bad_components)
+            forbidden = _dilate(bad, frame.clearance - 1)
+            assert not _blocked_edge(frame, forbidden)
+            assert _curve_count(frame, forbidden) == count
+
+    def test_count_zero_raises_before_the_scan(self, toy1, monkeypatch):
+        # Seed 100008's futile block: 200 draws, then the count, no scan.
+        level0 = build_level0(toy1, "Y", 11802693454003433696,
+                              level0_window_for(Rect(1, 1, 2, 2), toy1))
+        calls = []
+        realize = realize_domain
+        monkeypatch.setattr(hierarchy, "realize_domain",
+                            lambda *a: calls.append(1) or realize(*a))
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(1, 1)])))
+        with pytest.raises(CurveSelectionError, match="no valid boundary curve exists"):
+            select_boundary_curve(lb, level0.bad_components, toy1,
+                                  np.random.default_rng(0), 1)
+        assert len(calls) == 1 + hierarchy.CURVE_SAMPLE_TRIES
+
+
+class TestLazyPolyline:
+    def test_polyline_traced_on_first_read(self, toy1, monkeypatch):
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        bad = [_singleton_bad_component([(0, 7)])]
+        calls = []
+        trace = region_boundary_loops
+        monkeypatch.setattr(hierarchy, "region_boundary_loops",
+                            lambda d: calls.append(d) or trace(d))
+        curve = select_boundary_curve(lb, bad, toy1, np.random.default_rng(2), 1)
+        assert calls == []
+        assert curve.polyline == region_boundary_loops(curve.domain)
+        assert curve.polyline is curve.polyline
+        assert calls == [curve.domain]
+
+    def test_equality_and_hash_ignore_reading(self, toy1):
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        bad = [_singleton_bad_component([(0, 7)])]
+        a, b = (select_boundary_curve(lb, bad, toy1, np.random.default_rng(2), 1)
+                for _ in range(2))
+        other = select_boundary_curve(lb, bad, toy1, np.random.default_rng(3), 1)
+        before = hash(a)
+        assert a == b and hash(a) == hash(b)
+        assert a.polyline
+        assert hash(a) == before and a == b and hash(a) == hash(b)
+        assert a != other
+        assert [f for f in BoundaryCurve.__dataclass_fields__] == [
+            "level", "corner_indices", "edge_indices", "domain"]
 
 
 class TestBlocksAndComponents:
