@@ -127,18 +127,17 @@ def _window_option(f):
 @seed_option
 @click.option("--family", default="Y", type=click.Choice(["X", "Y"]), show_default=True)
 @_window_option
-@click.option("--depth", default=1, show_default=True, type=int)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-def build(profile, seed, family, window, depth, out_dir):
+def build(profile, seed, family, window, out_dir):
     """Build the block hierarchy over a window and dump it."""
     p = _params(profile)
-    h = hier.build_hierarchy(p, family, seed, Rect(*window), depth)
+    h = hier.build_hierarchy(p, family, seed, Rect(*window))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = _fresh(out / f"hierarchy-{family}-{seed}.txt")
     path.write_text(hier.dump_hierarchy(h))
     _write_manifest(out, "build", dict(profile=profile, seed=seed, family=family,
-                                       window=window, depth=depth), [path.name])
+                                       window=window), [path.name])
     click.echo(str(path))
 
 

@@ -1,4 +1,4 @@
-"""Cell correspondences, canonical-map families, and site-level embeddings.
+"""Cell correspondences, the translation family, and site-level embeddings.
 
 A CellCorrespondence is the discrete stand-in for a shape-preserving map
 between equal-shape domains: a bijection on member cells that matches up
@@ -26,9 +26,7 @@ __all__ = [
     "CellCorrespondence",
     "EmbeddingMap",
     "EmbeddingWitness",
-    "star_canonical",
     "translation_family",
-    "interior_translation_family",
     "translation_subfamily",
     "embeds_level",
     "verify_embedding",
@@ -77,20 +75,6 @@ class CellCorrespondence:
     def apply(self, cell: Point) -> Point:
         return self.mapping[cell]
 
-    def compose(self, other: "CellCorrespondence") -> "CellCorrespondence":
-        """other after self; budgets add."""
-        if self.target_cells != other.source_cells:
-            raise ConfigError("correspondences do not chain")
-        mapping = {c: other.mapping[v] for c, v in self.mapping.items()}
-        return CellCorrespondence(
-            other.level,
-            self.source_cells,
-            other.target_cells,
-            mapping,
-            self.matched_pairs + other.matched_pairs,
-            self.displacement_budget + other.displacement_budget,
-        )
-
 
 def _base_translation(source: frozenset, target: frozenset) -> Point:
     """The translation taking source onto target: least site onto least site.
@@ -122,80 +106,6 @@ def _check_animal(cells: frozenset) -> None:
 
 def _lex(cells: Iterable[Point]) -> list:
     return sorted(cells)
-
-
-def star_canonical(
-    domain: frozenset,
-    T: Sequence[LatticeAnimal],
-    source_variants: Sequence[frozenset],
-    target_variants: Sequence[frozenset],
-    params: ParameterSet,
-    level: int = 1,
-) -> CellCorrespondence:
-    """Reassign sub-domain boundaries in place.
-
-    The map is the identity outside the variant regions; inside the i-th
-    region it carries the source variant onto the target variant while
-    fixing the designated set T_i pointwise.
-    """
-    if not (len(T) == len(source_variants) == len(target_variants)):
-        raise ConfigError("one source and target variant required per set")
-    margin = params.margins(level).interior
-    mapping = {c: c for c in domain}
-    budget = 0
-    claimed: set = set()
-    for animal, sv, tv in zip(T, source_variants, target_variants):
-        sv, tv = frozenset(sv), frozenset(tv)
-        if len(sv) != len(tv):
-            raise PreconditionError("variant shapes incompatible")
-        if not (animal.sites <= sv and animal.sites <= tv):
-            raise PreconditionError("designated set must lie in both variants")
-        if not (sv <= domain and tv <= domain):
-            raise PreconditionError("variants must lie inside the domain")
-        if _boundary_distance(domain, animal.sites) < margin:
-            raise PreconditionError("designated set too close to the domain boundary")
-        zone = sv | tv
-        if zone & claimed:
-            raise PreconditionError("variant regions overlap")
-        claimed |= zone
-        movable_src = _lex(sv - animal.sites)
-        movable_dst = _lex(tv - animal.sites)
-        for s, d in zip(movable_src, movable_dst):
-            mapping[s] = d
-            budget = max(budget, chebyshev(s, d))
-        # Cells of tv that lost their identity image take the vacated slots.
-        vacated = _lex(sv - tv - animal.sites)
-        displaced = _lex(tv - sv - animal.sites)
-        for s, d in zip(displaced, vacated):
-            if mapping[s] == s:
-                mapping[s] = d
-                budget = max(budget, chebyshev(s, d))
-    return _rebalance(domain, domain, mapping, tuple((t, t) for t in T), level, budget)
-
-
-def _rebalance(
-    source: frozenset,
-    target: frozenset,
-    mapping: dict,
-    matched_pairs: tuple,
-    level: int,
-    budget: int,
-) -> CellCorrespondence:
-    """Repair any residual collisions by matching leftover cells lexically."""
-    images = list(mapping.values())
-    counts: dict = {}
-    for v in images:
-        counts[v] = counts.get(v, 0) + 1
-    missing = _lex(set(target) - set(images))
-    if missing:
-        surplus = [c for c in _lex(mapping) if counts[mapping[c]] > 1]
-        for c in surplus:
-            if not missing:
-                break
-            counts[mapping[c]] -= 1
-            mapping[c] = missing.pop(0)
-            budget = max(budget, chebyshev(c, mapping[c]))
-    return CellCorrespondence(level, source, target, mapping, matched_pairs, budget)
 
 
 def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> None:
@@ -272,31 +182,6 @@ def translation_family(
         (animal, LatticeAnimal(img)) for animal, img in zip(T, images)
     )
     return CellCorrespondence(level, source, target, mapping, matched, budget)
-
-
-def interior_translation_family(
-    source: frozenset,
-    T: Sequence[LatticeAnimal],
-    h: Point,
-    params: ParameterSet,
-    interior_cells: frozenset,
-    level: int = 1,
-) -> CellCorrespondence:
-    """Translation-family member whose designated images stay interior.
-
-    The target is the unperturbed multi-cell itself; every designated set
-    not already inside the buffer annulus must land inside the given
-    interior index set.
-    """
-    corr = translation_family(source, source, T, (), h, params, level)
-    for animal, image in corr.matched_pairs:
-        if animal.sites <= interior_cells and not image.sites <= interior_cells:
-            raise InvalidOffset("designated image leaves the interior")
-        if not animal.sites <= interior_cells:
-            # Sets already meeting the annulus must still land interior.
-            if not image.sites <= interior_cells:
-                raise InvalidOffset("designated image leaves the interior")
-    return corr
 
 
 def translation_subfamily(
@@ -400,18 +285,11 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingWitness:
-    """The correspondence chain found by embeds_level, flattenable to sites."""
+    """The correspondence found by embeds_level, flattenable to sites."""
 
     level: int
-    correspondences: tuple
+    correspondence: CellCorrespondence
     offset: Optional[Point]
-
-    @property
-    def cell_map(self) -> CellCorrespondence:
-        chain = self.correspondences[0]
-        for c in self.correspondences[1:]:
-            chain = chain.compose(c)
-        return chain
 
     def flatten(self, x_field: BitField, y_field: BitField, params: ParameterSet) -> EmbeddingMap:
         """Site-level map: each source site to a value-matched target site.
@@ -421,7 +299,7 @@ class EmbeddingWitness:
         matching value is chosen.
         """
         m0 = params.M0
-        corr = self.cell_map
+        corr = self.correspondence
         mapping = {}
         for cell in sorted(corr.source_cells):
             bit = x_field.get(cell[0], cell[1])
@@ -505,7 +383,7 @@ def _embeds_level0(component, y_window, params, x_structure):
         ((component.animal, component.animal),),
         0,
     )
-    return EmbeddingWitness(0, (identity,), None)
+    return EmbeddingWitness(0, identity, None)
 
 
 def _cell_window_of_field(field: BitField, params: ParameterSet) -> Rect:
@@ -605,7 +483,7 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         except (InvalidOffset, PreconditionError, ConfigError):
             continue
         if works(corr):
-            return EmbeddingWitness(1, (corr,), h)
+            return EmbeddingWitness(1, corr, h)
 
     # Domains of the two blocks may have different curve perturbations.
     # Without designated bad sets to relocate, absorb the boundary slivers
@@ -618,12 +496,12 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         pool = [
             c
             for c in blowup.cells()
-            if (c in y_block.member_cells or y_hier.level0.is_good(c))
+            if (c in y_block.domain or y_hier.level0.is_good(c))
             and y_hier.level0.in_window(c)
         ]
-        corr = _repair_correspondence(block.member_cells, pool, 1, cap=3 * mb)
+        corr = _repair_correspondence(block.domain, pool, 1, cap=3 * mb)
         if corr is not None and works(corr):
-            return EmbeddingWitness(1, (corr,), (1, 1))
+            return EmbeddingWitness(1, corr, (1, 1))
     return None
 
 

@@ -2,9 +2,9 @@
 
 Pipeline per level: decide which shared buffers are conjoined from the bad
 components one level below, percolate conjoined edges into lattice blocks,
-pick a valid boundary curve for each lattice block, cut the domain into a
-block by the north-east-corner rule, classify block goodness, and group
-blocks into components.
+pick a valid boundary curve for each lattice block, take its realized
+domain as the block, classify block goodness, and group blocks into
+components.
 
 Both groupings are connected-component labellings of a boolean grid, done
 by ``_label_groups``.  Bad cells (level 0) or the cells of bad blocks are
@@ -38,7 +38,6 @@ from .lattice import (
     Point,
     Rect,
     buffer_zone,
-    neighbors,
 )
 from .params import ParameterSet
 
@@ -59,8 +58,6 @@ __all__ = [
     "classify_good_block",
     "build_level0",
     "build_hierarchy",
-    "nonneighbouring_bad_subset",
-    "curve_family_size",
 ]
 
 GOOD_SINGLETON = "good-singleton"
@@ -114,12 +111,12 @@ class BoundaryCurve:
 
 @dataclass(frozen=True)
 class Block:
-    """A level-j block: lattice block, selected domain, and member cells."""
+    """A level-j block: a lattice block and its selected domain, whose
+    level-(j-1) cells are the block's member cells."""
 
     level: int
     lattice_block: LatticeBlock
     domain: frozenset
-    member_cells: frozenset
     curve: Optional[BoundaryCurve] = None
     good: Optional[bool] = None
     censored: bool = False
@@ -139,12 +136,14 @@ class Component:
 
     ``bad_summary`` is (number of bad blocks, total cell count of bad
     blocks).  Bad components without an embedding-probability certificate
-    are conservatively reported really-bad.
+    are conservatively reported really-bad.  At level 0 each cell is its
+    own block, so ``blocks`` is empty there: the cells are ``animal`` and
+    ``bad_summary`` counts the bad ones.
     """
 
     level: int
     animal: LatticeAnimal
-    blocks: tuple  # member Block objects
+    blocks: tuple  # member Block objects; () at level 0
     status: str
     bad_summary: tuple
     censored: bool = False
@@ -152,10 +151,6 @@ class Component:
     @property
     def size(self) -> int:
         return len(self.animal)
-
-    @property
-    def is_bad(self) -> bool:
-        return self.status != GOOD_SINGLETON
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +188,6 @@ class Level0Structure:
             return True
         x, y = cell[0] - self.window.x0, cell[1] - self.window.y0
         return int(self.class_grid[y, x]) == fields_mod.GRID_GOOD
-
-    def iter_components(self) -> Iterable[Component]:
-        """Full component partition: bad components plus good singletons."""
-        absorbed = set()
-        for comp in self.bad_components:
-            absorbed.update(comp.animal.sites)
-        yield from self.bad_components
-        for cell in self.window.cells():
-            if cell not in absorbed:
-                yield _good_singleton_component(0, cell)
-
-
-def _good_singleton_component(level: int, cell: Point) -> Component:
-    animal = LatticeAnimal(frozenset([cell]))
-    block = Block(level, LatticeBlock(level, animal), frozenset([cell]),
-                  frozenset([cell]), good=True)
-    return Component(level, animal, (block,), GOOD_SINGLETON, (0, 0))
 
 
 def exact_level0_status(size: int, good: bool, params: ParameterSet) -> str:
@@ -264,25 +242,17 @@ def _level0_bad_components(
     height, width = bad.shape
     comps = []
     for k, (sy, sx) in enumerate(ndimage.find_objects(labels), start=1):
-        # Transposed, nonzero lists the cells in sorted (x, y) order.
-        inside = (labels[sy, sx] == k).T
-        xs, ys = np.nonzero(inside)
-        cell_bad = bad[sy, sx].T[inside].tolist()
-        cells = list(zip((xs + sx.start + window.x0).tolist(),
-                         (ys + sy.start + window.y0).tolist()))
-        n_bad = sum(cell_bad)
-        blocks = tuple(
-            Block(0, LatticeBlock(0, LatticeAnimal(frozenset([c]))),
-                  frozenset([c]), frozenset([c]), good=not b)
-            for c, b in zip(cells, cell_bad)
-        )
+        inside = labels[sy, sx] == k
+        ys, xs = np.nonzero(inside)
+        cells = frozenset(zip((xs + sx.start + window.x0).tolist(),
+                              (ys + sy.start + window.y0).tolist()))
+        n_bad = int(np.count_nonzero(bad[sy, sx] & inside))
         status = exact_level0_status(len(cells), False, params)
         # A component on the window's edge may extend past it.
         censored = (sx.start == 0 or sy.start == 0
                     or sx.stop == width or sy.stop == height)
         comps.append(
-            Component(0, LatticeAnimal(frozenset(cells)), blocks, status,
-                      (n_bad, n_bad), censored)
+            Component(0, LatticeAnimal(cells), (), status, (n_bad, n_bad), censored)
         )
     comps.sort(key=lambda c: min(c.animal.sites))
     return comps
@@ -416,13 +386,6 @@ def boundary_family(animal: LatticeAnimal, j: int, params: ParameterSet):
     edges = _boundary_edges(animal)
     vertices = sorted({v for e in edges for v in _edge_vertices(e, r)})
     return edges, vertices
-
-
-def curve_family_size(animal: LatticeAnimal, j: int, params: ParameterSet) -> int:
-    """Number of index tuples in the potential-curve family of a block."""
-    edges, vertices = boundary_family(animal, j, params)
-    k2 = 2 * params.k0
-    return (k2**len(edges)) * ((2 * k2) ** len(vertices))
 
 
 def _band(axis: int, n0: int, n1: int, a0: int, a1: int) -> tuple:
@@ -923,18 +886,12 @@ def form_block(
     curve: Optional[BoundaryCurve] = None,
     level: Optional[int] = None,
 ) -> Block:
-    """Cut a block out of a curve-bounded domain.
-
-    The member cells are the domain's cells.  The north-east-corner rule,
-    which takes in a cell whose north-east corner is interior to the domain,
-    adds none: the four cells around an interior corner are domain cells,
-    the cell itself among them.
-    """
+    """Cut a block out of a curve-bounded domain: its member cells are the
+    domain's cells."""
     if not domain:
         raise PreconditionError("domain is empty")
     j = level if level is not None else (curve.level if curve else 1)
-    domain = frozenset(domain)
-    return Block(j, lattice_block, domain, domain, curve)
+    return Block(j, lattice_block, frozenset(domain), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,36 +957,16 @@ def form_components(blocks: Sequence[Block]) -> list:
     return comps
 
 
-def nonneighbouring_bad_subset(component: Component) -> frozenset:
-    """A greedy close-packed-independent set of bad cells of a component.
-
-    For any component of size k > 1 the construction guarantees such a set
-    of size at least ceil(k / 25).
-    """
-    bad_cells = sorted(
-        c for b in component.blocks if not b.good for c in b.animal.sites
-    )
-    chosen: set = set()
-    blocked: set = set()
-    for c in bad_cells:
-        if c in blocked:
-            continue
-        chosen.add(c)
-        blocked.add(c)
-        blocked.update(neighbors(c, "close_packed"))
-    return frozenset(chosen)
-
-
 # ---------------------------------------------------------------------------
 # Good blocks
 
 
 def bad_subcomponents(block: Block, level_below: Level0Structure) -> list:
-    """Bad components of the level below that meet the block's member cells."""
+    """Bad components of the level below that meet the block's domain."""
     return [
         comp
         for comp in level_below.bad_components
-        if comp.animal.sites & block.member_cells
+        if comp.animal.sites & block.domain
     ]
 
 
@@ -1082,9 +1019,6 @@ class BlockHierarchy:
     level0: Level0Structure
     levels: dict
 
-    def level(self, j: int):
-        return self.level0 if j == 0 else self.levels[j]
-
 
 def level0_window_for(window1: Rect, params: ParameterSet) -> Rect:
     """Level-0 extent needed to build level 1 over a level-1 cell window."""
@@ -1104,7 +1038,6 @@ def build_hierarchy(
     family: str,
     seed: int,
     window1: Rect,
-    depth: int = 1,
     site_field: Optional[BitField] = None,
 ) -> BlockHierarchy:
     """Build levels 0 and 1 over a window of level-1 cell indices.
@@ -1113,8 +1046,8 @@ def build_hierarchy(
     and clearances never run off the studied region.  Blocks and components
     whose blow-up leaves the level-1 window are flagged censored.
     """
-    if depth != 1:
-        raise ConfigError("the hierarchy driver supports depth 1")
+    if window1.x1 <= window1.x0 or window1.y1 <= window1.y0:
+        raise ConfigError(f"level-1 window {tuple(window1)} holds no cell")
     window0 = level0_window_for(window1, params)
     level0 = build_level0(params, family, seed, window0, site_field)
     level1 = build_level1(level0, window1, seed)

@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import CapExceeded, ConfigError
+from .errors import ConfigError
 from .params import ParameterSet
 
 Point = tuple[int, int]
-
-SHAPE_SIZE_CAP = 10
 
 _EUCLIDEAN_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _CLOSE_PACKED_STEPS = _EUCLIDEAN_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -86,48 +84,6 @@ class LatticeAnimal:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Translation class of a lattice animal.
-
-    Canonical form: the animal translated so its lexicographically least
-    site sits at the origin.
-    """
-
-    canonical_sites: frozenset[Point]
-
-    @classmethod
-    def of(cls, animal: LatticeAnimal) -> "Shape":
-        ax, ay = min(animal.sites)
-        return cls(frozenset((x - ax, y - ay) for x, y in animal.sites))
-
-    def animal_at(self, anchor: Point) -> LatticeAnimal:
-        """The representative whose least site sits at ``anchor``."""
-        return LatticeAnimal(
-            frozenset((x + anchor[0], y + anchor[1]) for x, y in self.canonical_sites)
-        )
-
-    def __len__(self) -> int:
-        return len(self.canonical_sites)
-
-    def bounding_dims(self) -> tuple[int, int]:
-        xs = [p[0] for p in self.canonical_sites]
-        ys = [p[1] for p in self.canonical_sites]
-        return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
-
-    def serialize(self) -> str:
-        """Line-oriented text form: sorted coordinate pairs."""
-        return " ".join(f"{x},{y}" for x, y in sorted(self.canonical_sites))
-
-    @classmethod
-    def deserialize(cls, line: str) -> "Shape":
-        sites = []
-        for token in line.split():
-            x, y = token.split(",")
-            sites.append((int(x), int(y)))
-        return cls.of(LatticeAnimal(frozenset(sites)))
-
-
 def same_shape(a: LatticeAnimal, b: LatticeAnimal) -> Optional[Point]:
     """The unique translation taking a onto b, or None if shapes differ."""
     if len(a) != len(b):
@@ -138,46 +94,6 @@ def same_shape(a: LatticeAnimal, b: LatticeAnimal) -> Optional[Point]:
     if all((x + t[0], y + t[1]) in b.sites for x, y in a.sites):
         return t
     return None
-
-
-def enumerate_shapes(
-    size: int, containing_origin: bool = False, cap: int = SHAPE_SIZE_CAP
-) -> list:
-    """All fixed polyomino shapes of the given size, each exactly once.
-
-    With ``containing_origin`` set, returns instead every animal of that
-    size that contains the origin.
-    """
-    if size < 1:
-        raise ConfigError("size must be at least 1")
-    if size > cap:
-        raise CapExceeded(f"shape size {size} exceeds cap {cap}")
-    shapes = {Shape.of(LatticeAnimal(frozenset([(0, 0)])))}
-    for _ in range(size - 1):
-        grown = set()
-        for shape in shapes:
-            sites = shape.canonical_sites
-            frontier = set()
-            for x, y in sites:
-                for dx, dy in _EUCLIDEAN_STEPS:
-                    q = (x + dx, y + dy)
-                    if q not in sites:
-                        frontier.add(q)
-            for q in frontier:
-                grown.add(Shape.of(LatticeAnimal(sites | {q})))
-        shapes = grown
-    result = sorted(shapes, key=lambda s: sorted(s.canonical_sites))
-    if not containing_origin:
-        return result
-    animals = set()
-    for shape in result:
-        for x, y in shape.canonical_sites:
-            animals.add(
-                LatticeAnimal(
-                    frozenset((sx - x, sy - y) for sx, sy in shape.canonical_sites)
-                )
-            )
-    return sorted(animals, key=lambda a: sorted(a.sites))
 
 
 class Rect(NamedTuple):
@@ -197,14 +113,6 @@ class Rect(NamedTuple):
             and self.y0 <= other.y0
             and other.x1 <= self.x1
             and other.y1 <= self.y1
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        return (
-            self.x0 < other.x1
-            and other.x0 < self.x1
-            and self.y0 < other.y1
-            and other.y0 < self.y1
         )
 
     def intersection(self, other: "Rect") -> Optional["Rect"]:

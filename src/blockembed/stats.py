@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import beta as _beta
 
 from . import hierarchy as hier
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, CurveSelectionError, PreconditionError
 from .fields import (
     GRID_GOOD,
     GRID_ONE,
@@ -83,12 +83,6 @@ class ProbabilityEstimate:
         if not self.ci_low <= self.point <= self.ci_high:
             raise ConfigError("interval must contain the point estimate")
 
-    @property
-    def sigma(self) -> float:
-        """Binomial standard error of the point estimate."""
-        p = self.point
-        return (p * (1.0 - p) / self.trials) ** 0.5
-
 
 class ClassProbabilities:
     """Exact probabilities of the three level-0 target block classes."""
@@ -123,27 +117,19 @@ def class_probabilities(m0: int) -> ClassProbabilities:
     return ClassProbabilities(m0)
 
 
-def _bad_cells_with_flags(component) -> list:
-    return sorted(
-        c for b in component.blocks if not b.good for c in b.animal.sites
-    )
-
-
 def exact_S0(component, family: str, params: ParameterSet, structure=None) -> Fraction:
     """Exact level-0 embedding probability of a component into a fresh partner.
 
-    Target-family components: 1 when good, else 2**(-V) with V the number
-    of bad cells (each bad cell pins the partner bit).  Source-family
-    components: product over cells of the probability that a random target
-    block accepts the cell's bit, which needs the bit content (structure).
+    Target-family components: 2**(-V) with V the number of bad cells, read
+    from ``bad_summary`` (each bad cell pins the partner bit; a good
+    singleton has none).  Source-family components: product over cells of
+    the probability that a random target block accepts the cell's bit,
+    which needs the bit content (structure).
     """
     if component.level != 0:
         raise ConfigError("exact probabilities are available at level 0 only")
     if family == "Y":
-        if not component.is_bad:
-            return Fraction(1)
-        v = len(_bad_cells_with_flags(component))
-        return Fraction(1, 2**v)
+        return Fraction(1, 2**component.bad_summary[1])
     if family != "X":
         raise ConfigError(f"unknown family {family!r}")
     probs = class_probabilities(params.M0)
@@ -215,7 +201,7 @@ def _estimate_level1_x(block, structure, trials, seed, params, workers):
         )
         try:
             return embed_mod.embeds_level(block, y_field, 1, params, structure) is not None
-        except PreconditionError:
+        except CurveSelectionError:
             return False
 
     if workers <= 1:

@@ -20,7 +20,6 @@ from blockembed.fields import (
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
     REALLY_BAD,
-    Block,
     Component,
     LatticeBlock,
     build_hierarchy,
@@ -50,12 +49,7 @@ EXPECTED_PUBLISHED_VERDICTS = [
 
 
 def _bad_component(cells):
-    blocks = tuple(
-        Block(0, LatticeBlock(0, LatticeAnimal(frozenset([c]))),
-              frozenset([c]), frozenset([c]), good=False)
-        for c in sorted(cells)
-    )
-    return Component(0, LatticeAnimal(frozenset(cells)), blocks, REALLY_BAD,
+    return Component(0, LatticeAnimal(frozenset(cells)), (), REALLY_BAD,
                      (len(cells), len(cells)))
 
 
@@ -198,13 +192,13 @@ class TestStructuralInvariants:
                 if all((c[0] + dx, c[1] + dy) in ideal
                        for dx in range(-mb, mb + 1) for dy in range(-mb, mb + 1))
             }
-            assert interior <= block.member_cells
+            assert interior <= block.domain
             blowup = {
                 (c[0] + dx, c[1] + dy)
                 for c in ideal
                 for dx in range(-mb, mb + 1) for dy in range(-mb, mb + 1)
             }
-            assert block.member_cells <= blowup
+            assert block.domain <= blowup
             if not block.censored:
                 assert curve_clearance(
                     block.domain, h.level0.bad_components) >= clearance

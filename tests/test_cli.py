@@ -48,6 +48,7 @@ class TestBuild:
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["subcommand"] == "build"
+        assert sorted(manifest["config"]) == ["family", "profile", "seed", "window"]
         assert "config_hash" in manifest and manifest["artifacts"]
 
     def test_no_overwrite(self, tmp_path, capsys):
@@ -135,6 +136,22 @@ class TestEstimateAndReports:
         assert code == EXIT_OK
         for name in ("tail.csv", "size.csv", "good.csv", "tail.records"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+class TestEmptyWindow:
+    # Empty and inverted level-1 windows hold no level-1 cell.
+    @pytest.mark.parametrize("window", [(0, 0, 0, 0), (1, 1, 1, 3), (2, 2, 0, 0)])
+    @pytest.mark.parametrize("command", ["build", "components", "estimate-s", "reports",
+                                         "render"])
+    def test_rejected_as_config_error(self, tmp_path, capsys, command, window):
+        out_dir = tmp_path / "out"
+        args = [command, "--window", *map(str, window)]
+        if command in ("build", "reports", "render"):
+            args += ["--out-dir", str(out_dir)]
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_CONFIG
+        assert f"level-1 window {window} holds no cell" in err
+        assert out == "" and not out_dir.exists()
 
 
 class TestRender:

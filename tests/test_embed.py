@@ -14,8 +14,6 @@ from blockembed.embed import (
     EmbeddingMap,
     InvalidOffset,
     embeds_level,
-    interior_translation_family,
-    star_canonical,
     translation_family,
     translation_subfamily,
     verify_embedding,
@@ -31,6 +29,12 @@ def _square(n, off=(0, 0)):
     return frozenset((x + off[0], y + off[1]) for x in range(n) for y in range(n))
 
 
+def _good_cell(cell):
+    """A level-0 good-singleton component: one cell, no bad cell."""
+    return hier.Component(0, LatticeAnimal(frozenset([cell])), (), hier.GOOD_SINGLETON,
+                          (0, 0))
+
+
 class TestCellCorrespondence:
     def test_bijection_enforced(self):
         cells = _square(2)
@@ -41,58 +45,6 @@ class TestCellCorrespondence:
         cells = _square(2)
         with pytest.raises(ConfigError):
             CellCorrespondence(1, cells, cells, {(0, 0): (0, 0)}, (), 0)
-
-    def test_compose_adds_budgets(self):
-        cells = _square(2)
-        ident = CellCorrespondence(1, cells, cells, {c: c for c in cells}, (), 3)
-        both = ident.compose(ident)
-        assert both.displacement_budget == 6
-        assert all(both.apply(c) == c for c in cells)
-
-
-class TestStarCanonical:
-    def test_identity_outside_variants(self, toy1):
-        domain = _square(10)
-        T = [LatticeAnimal(frozenset([(4, 4)]))]
-        sv = [frozenset([(4, 4), (5, 4)])]
-        tv = [frozenset([(4, 4), (4, 5)])]
-        corr = star_canonical(domain, T, sv, tv, toy1)
-        zone = sv[0] | tv[0]
-        for c in domain - zone:
-            assert corr.apply(c) == c
-
-    def test_designated_set_fixed(self, toy1):
-        domain = _square(10)
-        T = [LatticeAnimal(frozenset([(4, 4)]))]
-        sv = [frozenset([(4, 4), (5, 4)])]
-        tv = [frozenset([(4, 4), (4, 5)])]
-        corr = star_canonical(domain, T, sv, tv, toy1)
-        assert corr.apply((4, 4)) == (4, 4)
-        # The moved cell lands on the target variant.
-        assert corr.apply((5, 4)) == (4, 5)
-        assert corr.apply((4, 5)) == (5, 4)
-
-    def test_region_difference_check(self, toy1):
-        # Compare images against a direct region-difference computation.
-        domain = _square(12)
-        T = [LatticeAnimal(frozenset([(5, 5), (6, 5)]))]
-        sv = [frozenset([(5, 5), (6, 5), (7, 5)])]
-        tv = [frozenset([(5, 5), (6, 5), (5, 6)])]
-        corr = star_canonical(domain, T, sv, tv, toy1)
-        moved_src = sorted(sv[0] - T[0].sites)
-        moved_dst = sorted(tv[0] - T[0].sites)
-        for s, d in zip(moved_src, moved_dst):
-            assert corr.apply(s) == d
-        images = {corr.apply(c) for c in domain}
-        assert images == domain  # in-place bijection
-
-    def test_interior_margin_precondition(self, toy1):
-        domain = _square(6)
-        T = [LatticeAnimal(frozenset([(0, 0)]))]
-        sv = [frozenset([(0, 0), (1, 0)])]
-        tv = [frozenset([(0, 0), (0, 1)])]
-        with pytest.raises(PreconditionError):
-            star_canonical(domain, T, sv, tv, toy1)
 
 
 class TestTranslationFamily:
@@ -144,15 +96,6 @@ class TestTranslationFamily:
         src = _square(16)
         with pytest.raises(ConfigError):
             translation_family(src, src, [], (), (0, 0), toy1)
-
-    def test_interior_variant(self, toy1):
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(5, 5)]))]
-        interior = frozenset(Rect(3, 3, 13, 13).cells())
-        corr = interior_translation_family(src, T, (2, 2), toy1, interior)
-        assert corr.matched_pairs[0][1].sites <= interior
-        with pytest.raises(InvalidOffset):
-            interior_translation_family(src, T, (9, 9), toy1, interior)
 
     def test_subfamily_size_and_disjointness(self, toy1):
         src = _square(16)
@@ -308,7 +251,7 @@ class TestVerifyEmbedding:
 class TestEmbedsLevel:
     def test_level0_source_component(self, toy1):
         xs = build_level0(toy1, "X", 3, Rect(0, 0, 4, 4))
-        comp = hier._good_singleton_component(0, (1, 1))
+        comp = _good_cell((1, 1))
         m0 = toy1.M0
         hits = 0
         for seed in range(40):
@@ -322,7 +265,7 @@ class TestEmbedsLevel:
 
     def test_level0_witness_flattens_and_verifies(self, toy1):
         xs = build_level0(toy1, "X", 3, Rect(0, 0, 4, 4))
-        comp = hier._good_singleton_component(0, (1, 1))
+        comp = _good_cell((1, 1))
         m0 = toy1.M0
         x_field = sample_field(3, "X", (0, 0), 4, 4)
         for seed in range(40):

@@ -24,7 +24,6 @@ from blockembed.cli import EXIT_OK, main
 from blockembed.errors import CurveSelectionError
 from blockembed.hierarchy import (
     REALLY_BAD,
-    Block,
     Component,
     LatticeBlock,
     build_hierarchy,
@@ -73,9 +72,7 @@ RENDER_DIGEST = "88cb9bae498abdc385482d0992e02208b90545aa472c22a4af83635e45c29d8
 
 
 def _bad_cell(c):
-    cell = frozenset([c])
-    block = Block(0, LatticeBlock(0, LatticeAnimal(cell)), cell, cell, good=False)
-    return Component(0, LatticeAnimal(cell), (block,), REALLY_BAD, (1, 1))
+    return Component(0, LatticeAnimal(frozenset([c])), (), REALLY_BAD, (1, 1))
 
 
 def _cli(*args) -> str:

@@ -1,7 +1,6 @@
 """Recursive block structure: components, buffers, curves, blocks."""
 
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockembed import hierarchy
-from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
+from blockembed.errors import CurveSelectionError, PreconditionError
 from blockembed.fields import Y0Class
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
@@ -40,7 +39,6 @@ from blockembed.hierarchy import (
     boundary_family,
     build_hierarchy,
     build_level0,
-    curve_family_size,
     domain_boundary_cells,
     dump_hierarchy,
     exact_level0_status,
@@ -49,7 +47,6 @@ from blockembed.hierarchy import (
     form_lattice_blocks,
     is_conjoined,
     level0_window_for,
-    nonneighbouring_bad_subset,
     realize_domain,
     region_boundary_loops,
     select_boundary_curve,
@@ -409,10 +406,17 @@ def _brute_count(frame, forbidden, free_vertices, free_edges) -> int:
     return valid * fixed
 
 
+def curve_family_size(animal, j, params) -> int:
+    """Reference: the number of index tuples in a block's curve family,
+    (2 k0) per boundary edge and (4 k0) per boundary vertex."""
+    edges, vertices = boundary_family(animal, j, params)
+    k2 = 2 * params.k0
+    return k2 ** len(edges) * (2 * k2) ** len(vertices)
+
+
 def _block(cells, good, level=1):
     cells = frozenset(cells)
-    return Block(level, LatticeBlock(level, LatticeAnimal(cells)), cells, cells,
-                 good=good)
+    return Block(level, LatticeBlock(level, LatticeAnimal(cells)), cells, good=good)
 
 
 @st.composite
@@ -442,12 +446,7 @@ def _full_tilings(draw):
 
 
 def _singleton_bad_component(cells, status=REALLY_BAD):
-    blocks = tuple(
-        Block(0, LatticeBlock(0, LatticeAnimal(frozenset([c]))),
-              frozenset([c]), frozenset([c]), good=False)
-        for c in sorted(cells)
-    )
-    return Component(0, LatticeAnimal(frozenset(cells)), blocks, status,
+    return Component(0, LatticeAnimal(frozenset(cells)), (), status,
                      (len(cells), len(cells)))
 
 
@@ -525,25 +524,13 @@ class TestLevel0:
             assert comp.censored == any(
                 not window.contains_cell(n)
                 for c in cells for n in neighbors(c, "close_packed"))
-            assert [b.animal.sites for b in comp.blocks] == [
-                frozenset([c]) for c in sorted(cells)]
-            assert [b.good for b in comp.blocks] == [
-                c not in bad for c in sorted(cells)]
+            assert comp.blocks == ()
 
     def test_exact_level0_status_toy_never_semibad(self, toy1):
         # 2^-V is always far below the toy semi-bad threshold.
         for v in range(1, 5):
             assert exact_level0_status(v, False, toy1) == REALLY_BAD
         assert exact_level0_status(1, True, toy1) == GOOD_SINGLETON
-
-    def test_iter_components_partitions_window(self, toy1):
-        s = build_level0(toy1, "Y", 8, Rect(0, 0, 12, 12))
-        cells = []
-        for comp in s.iter_components():
-            cells.extend(comp.animal.sites)
-        inside = [c for c in cells if s.window.contains_cell(c)]
-        assert sorted(inside) == sorted(set(inside))
-        assert set(cells) >= set(s.window.cells())
 
 
 class TestConjoined:
@@ -1018,7 +1005,7 @@ class TestBlocksAndComponents:
         domain = _realized(a, toy1, {v: (1, 1) for v in vertices},
                            {e: 1 for e in edges})
         block = form_block(domain, LatticeBlock(1, a), None, 1)
-        assert block.member_cells == domain
+        assert block.domain == domain
 
     def test_form_block_contains_interior(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0)]))
@@ -1033,12 +1020,11 @@ class TestBlocksAndComponents:
             edge_idx = {e: int(rng.integers(1, k2 + 1)) for e in edges}
             domain = _realized(a, toy1, corner_idx, edge_idx)
             block = form_block(domain, LatticeBlock(1, a), None, 1)
-            assert interior <= block.member_cells
+            assert interior <= block.domain
 
     def test_form_components_good_singletons(self):
         blocks = [
-            Block(1, LatticeBlock(1, LatticeAnimal(frozenset([c]))),
-                  frozenset([c]), frozenset([c]), good=True)
+            _block({c}, good=True)
             for c in [(0, 0), (1, 0), (0, 1)]
         ]
         comps = form_components(blocks)
@@ -1048,12 +1034,10 @@ class TestBlocksAndComponents:
     def test_form_components_merges_adjacent_bad(self):
         blocks = []
         for c, good in [((0, 0), False), ((1, 1), False), ((2, 2), True)]:
-            blocks.append(Block(1, LatticeBlock(1, LatticeAnimal(frozenset([c]))),
-                                frozenset([c]), frozenset([c]), good=good))
+            blocks.append(_block({c}, good=good))
         # Fill the grid with good singletons so 2x2 completion has material.
         for c in [(1, 0), (0, 1), (2, 1), (1, 2)]:
-            blocks.append(Block(1, LatticeBlock(1, LatticeAnimal(frozenset([c]))),
-                                frozenset([c]), frozenset([c]), good=True))
+            blocks.append(_block({c}, good=True))
         comps = form_components(blocks)
         big = max(comps, key=lambda c: c.size)
         # The two diagonal bad blocks merge and pull in their 2x2 squares.
@@ -1081,21 +1065,9 @@ class TestBlocksAndComponents:
             assert comp.status == (REALLY_BAD if bad_blocks else GOOD_SINGLETON)
 
     def test_undecided_goodness_rejected(self):
-        b = Block(1, LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)]))),
-                  frozenset([(0, 0)]), frozenset([(0, 0)]))
+        b = _block({(0, 0)}, good=None)
         with pytest.raises(PreconditionError):
             form_components([b])
-
-    def test_nonneighbouring_subset_bound(self):
-        # ceil(k/25) guaranteed for any bad component of size k.
-        for w in range(1, 6):
-            cells = [(x, y) for x in range(w) for y in range(w)]
-            comp = _singleton_bad_component(cells)
-            subset = nonneighbouring_bad_subset(comp)
-            k = len(cells)
-            assert len(subset) >= math.ceil(k / 25)
-            for a in subset:
-                assert not (neighbors(a, "close_packed") & (subset - {a}))
 
 
 class TestDriver:
@@ -1103,10 +1075,6 @@ class TestDriver:
         a = dump_hierarchy(build_hierarchy(toy1, "Y", 99, Rect(0, 0, 2, 2)))
         b = dump_hierarchy(build_hierarchy(toy1, "Y", 99, Rect(0, 0, 2, 2)))
         assert a == b
-
-    def test_depth_limited(self, toy1):
-        with pytest.raises(ConfigError):
-            build_hierarchy(toy1, "Y", 0, Rect(0, 0, 1, 1), depth=2)
 
     def test_blocks_partition_window(self, toy1):
         h = build_hierarchy(toy1, "Y", 4, Rect(0, 0, 3, 3))

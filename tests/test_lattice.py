@@ -1,17 +1,13 @@
-"""Lattice animals, shape enumeration, rectangles, and buffer geometry."""
+"""Lattice animals, rectangles, and buffer geometry."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from blockembed.errors import CapExceeded, ConfigError
+from blockembed.errors import ConfigError
 from blockembed.lattice import (
     LatticeAnimal,
     Rect,
-    Shape,
     buffer_zone,
     cell_geometry,
-    enumerate_shapes,
     is_connected,
     neighbors,
     outer_buffers,
@@ -57,32 +53,6 @@ class TestAnimals:
 
     def test_diagonal_is_disconnected(self):
         assert not is_connected([(0, 0), (1, 1)])
-
-
-class TestShapeEnumeration:
-    def test_fixed_polyomino_counts(self):
-        # Fixed (translation-only) polyomino counts for sizes 1..6.
-        assert [len(enumerate_shapes(v)) for v in range(1, 7)] == [1, 2, 6, 19, 63, 216]
-
-    def test_containing_origin_count(self):
-        # Each fixed shape of size v has v placements containing the origin.
-        assert len(enumerate_shapes(3, containing_origin=True)) == 18
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            enumerate_shapes(11)
-
-    def test_serialize_round_trip(self):
-        for shape in enumerate_shapes(4):
-            assert Shape.deserialize(shape.serialize()) == shape
-
-    @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_shape_canonical_invariant_under_translation(self, sites):
-        if not is_connected(sites):
-            return
-        a = LatticeAnimal(frozenset(sites))
-        assert Shape.of(a) == Shape.of(a.translate((17, -9)))
 
 
 class TestRect:

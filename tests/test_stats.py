@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockembed.errors import ConfigError, PreconditionError
-from blockembed.fields import Y0Class, classify_y0_block
-from blockembed.hierarchy import Block, Component, LatticeBlock, build_level0
+from blockembed import embed
+from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
+from blockembed.fields import GRID_GOOD, Y0Class, classify_y0_block
+from blockembed.hierarchy import Component, build_hierarchy, build_level0
 from blockembed.lattice import LatticeAnimal, Rect
 from blockembed.params import named_profile
 from blockembed.stats import (
@@ -24,12 +25,7 @@ from blockembed.stats import (
 
 
 def _bad_component(cells):
-    blocks = tuple(
-        Block(0, LatticeBlock(0, LatticeAnimal(frozenset([c]))),
-              frozenset([c]), frozenset([c]), good=False)
-        for c in sorted(cells)
-    )
-    return Component(0, LatticeAnimal(frozenset(cells)), blocks, "really-bad",
+    return Component(0, LatticeAnimal(frozenset(cells)), (), "really-bad",
                      (len(cells), len(cells)))
 
 
@@ -82,9 +78,8 @@ class TestClassProbabilities:
 
 class TestExactS0:
     def test_good_component_is_one(self, toy1):
-        block = Block(0, LatticeBlock(0, LatticeAnimal(frozenset([(0, 0)]))),
-                      frozenset([(0, 0)]), frozenset([(0, 0)]), good=True)
-        comp = Component(0, block.animal, (block,), "good-singleton", (0, 0))
+        comp = Component(0, LatticeAnimal(frozenset([(0, 0)])), (), "good-singleton",
+                         (0, 0))
         assert exact_S0(comp, "Y", toy1) == 1
 
     def test_bad_component_2_pow_v(self, toy1):
@@ -108,6 +103,21 @@ class TestExactS0:
         object.__setattr__(comp, "level", 1)
         with pytest.raises(ConfigError):
             exact_S0(comp, "Y", toy1)
+
+    def test_built_components_count_their_bad_cells(self):
+        # Level-0 components carry no blocks: the count of cells that are
+        # not good comes from bad_summary.  The 2x2 rule pulls good cells
+        # in, so that count is below the size of some components.
+        p = named_profile("toy-m0-3")
+        sizes_differ = False
+        for seed in range(6):
+            s = build_level0(p, "Y", seed, Rect(0, 0, 12, 12))
+            assert s.bad_components
+            for comp in s.bad_components:
+                n = sum(int(s.class_grid[y, x]) != GRID_GOOD for x, y in comp.animal.sites)
+                assert exact_S0(comp, "Y", p) == Fraction(1, 2**n)
+                sizes_differ |= n < comp.size
+        assert sizes_differ
 
 
 class TestEstimateS:
@@ -159,12 +169,41 @@ class TestEstimateS:
         assert checked >= 5
 
     def test_good_component_estimates_one(self, toy1):
-        block = Block(0, LatticeBlock(0, LatticeAnimal(frozenset([(0, 0)]))),
-                      frozenset([(0, 0)]), frozenset([(0, 0)]), good=True)
-        comp = Component(0, block.animal, (block,), "good-singleton", (0, 0))
+        comp = Component(0, LatticeAnimal(frozenset([(0, 0)])), (), "good-singleton",
+                         (0, 0))
         est = estimate_S(comp, 0, 1000, 3, toy1, family="Y",
                          structure=_ClassContent({(0, 0): Y0Class.GOOD}))
         assert est.point == 1.0
+
+
+class TestLevel1FailedTrials:
+    """A trial fails only when no valid curve exists; other errors raise."""
+
+    @pytest.fixture
+    def source(self, toy1):
+        h = build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        return h.levels[1].blocks[0], h.level0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_curve_failure_is_a_failed_trial(self, toy1, source, monkeypatch, workers):
+        def no_curve(*args, **kwargs):
+            raise CurveSelectionError("no valid boundary curve exists for this block")
+
+        monkeypatch.setattr(embed, "embeds_level", no_curve)
+        block, level0 = source
+        est = estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0,
+                         workers=workers)
+        assert (est.successes, est.trials) == (0, 5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_precondition_errors_raise(self, toy1, source, monkeypatch, workers):
+        def broken(*args, **kwargs):
+            raise PreconditionError("planted failure")
+
+        monkeypatch.setattr(embed, "embeds_level", broken)
+        block, level0 = source
+        with pytest.raises(PreconditionError, match="planted failure"):
+            estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0, workers=workers)
 
 
 class TestIntervals:
