@@ -9,7 +9,9 @@ censored straight placeholder (toy1 seed 41, toy-m0-2, toy-m0-3).  The
 CLI digests cover `estimate-s` at level 1 (seed 100008 meets a target
 block with no valid curve, seed 100098 one whose 1 536 valid curves the
 sampler and the scan both miss), `reports` tables and one `render` SVG.
-A change to the construction that moves any of these digests changes
+The witness digests pin what the embedding search returns, not just
+whether it returns: the level-1 witnesses behind those estimate lines and
+level-0 witnesses of a source-family and a target-family source.  A change to the construction that moves any of these digests changes
 program output and must say so.
 """
 
@@ -21,13 +23,18 @@ import numpy as np
 import pytest
 
 from blockembed.cli import EXIT_OK, main
+from blockembed.embed import embeds_level
 from blockembed.errors import CurveSelectionError
+from blockembed.fields import derive_seed, sample_field
 from blockembed.hierarchy import (
+    GOOD_SINGLETON,
     REALLY_BAD,
     Component,
     LatticeBlock,
     build_hierarchy,
+    build_level0,
     dump_hierarchy,
+    level0_window_for,
     select_boundary_curve,
 )
 from blockembed.lattice import LatticeAnimal, Rect
@@ -69,6 +76,9 @@ REPORTS_SEEDS = (1, 2)
 REPORTS_DIGEST = "974d0afe8506850d3bbed6d96b8249e5932bdfe24e19c690b263fb046b4812fa"
 
 RENDER_DIGEST = "88cb9bae498abdc385482d0992e02208b90545aa472c22a4af83635e45c29d86"
+
+LEVEL1_WITNESS_DIGEST = "ab4880b3e0b17a0f671cca5c5db9e9adbfc18e2659d21ed5ee66144809a4c4de"
+LEVEL0_WITNESS_DIGEST = "845eb3764bacfb4c7041a950056ed0b0585f2689bf40172516bd6c3ecd8084a4"
 
 
 def _bad_cell(c):
@@ -139,3 +149,62 @@ def test_render_svg_reproduces(tmp_path):
          "--out-dir", str(tmp_path))
     svg = (tmp_path / "level1-Y-2.svg").read_bytes()
     assert hashlib.sha256(svg).hexdigest() == RENDER_DIGEST
+
+
+def _witness_record(witness) -> str:
+    if witness is None:
+        return "none"
+    corr = witness.correspondence
+    return repr((witness.offset, sorted(corr.mapping.items()), corr.displacement_budget,
+                 [(sorted(a.sites), sorted(b.sites)) for a, b in corr.matched_pairs]))
+
+
+def test_level1_witnesses_reproduce():
+    # The trials behind the estimate lines above: each uncensored source
+    # block of the window against the same 20 target fields estimate-s draws.
+    p = named_profile("toy1")
+    m0 = p.M0
+    h = hashlib.sha256()
+    for seed in ESTIMATE_SEEDS:
+        hx = build_hierarchy(p, "X", seed, Rect(0, 0, 3, 3))
+        for i, block in enumerate(hx.levels[1].blocks):
+            if block.censored:
+                continue
+            x0, y0, x1, y1 = block.animal.bounding_box()
+            w0 = level0_window_for(Rect(x0, y0, x1 + 1, y1 + 1), p)
+            for t in range(20):
+                y_field = sample_field(derive_seed(derive_seed(seed, i), 0x51, t), "Y",
+                                       (w0.x0 * m0, w0.y0 * m0),
+                                       (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
+                try:
+                    record = _witness_record(embeds_level(block, y_field, 1, p, hx.level0))
+                except CurveSelectionError as exc:
+                    record = f"error {exc}"
+                h.update(f"{seed} {i} {t} {record}\n".encode())
+    assert h.hexdigest() == LEVEL1_WITNESS_DIGEST
+
+
+def test_level0_witnesses_reproduce():
+    # toy-m0-3 makes about one target block in ten accept only one bit.
+    p = named_profile("toy-m0-3")
+    m0 = p.M0
+    window = Rect(0, 0, 8, 8)
+    h = hashlib.sha256()
+    # Source family: cell sets of one to nine cells against 40 targets.
+    xs = build_level0(p, "X", 3, window)
+    square = [(x, y) for x in range(5, 8) for y in range(5, 8)]
+    for cells in ([(1, 1)], [(2, 3), (3, 3)], [(4, 0), (5, 0), (4, 1), (5, 1)], square):
+        comp = Component(0, LatticeAnimal(frozenset(cells)), (), GOOD_SINGLETON, (0, 0))
+        for seed in range(40):
+            y_field = sample_field(seed, "Y", (0, 0), 8 * m0, 8 * m0)
+            record = _witness_record(embeds_level(comp, y_field, 0, p, x_structure=xs))
+            h.update(f"X {cells} {seed} {record}\n".encode())
+    # Target family: every bad component of a window, one of them holding
+    # good cells, against 40 partners.
+    ys = build_level0(p, "Y", 1, window)
+    for k, comp in enumerate(ys.bad_components):
+        for seed in range(40):
+            partner = sample_field(seed, "X", (0, 0), 8, 8)
+            record = _witness_record(embeds_level(comp, partner, 0, p, x_structure=ys))
+            h.update(f"Y {k} {seed} {record}\n".encode())
+    assert h.hexdigest() == LEVEL0_WITNESS_DIGEST
