@@ -20,7 +20,7 @@ from . import hierarchy as hier
 from . import oracle as oracle_mod
 from . import stats
 from .errors import BlockEmbedError, CapExceeded, ConfigError, PreconditionError
-from .fields import dump_field, load_field, sample_field
+from .fields import GRID_GOOD, dump_field, load_field, sample_field
 from .lattice import Rect, outer_buffers
 from .params import PROFILES, check_constraints, named_profile
 
@@ -64,6 +64,20 @@ def _params(profile: str, **overrides):
     return named_profile(profile, **clean)
 
 
+def _claim(out_dir: str, *names: str) -> list:
+    """Paths of the named artifacts in ``out_dir``, which is created.
+
+    Refuses before anything is written when the manifest or any of the
+    artifacts already exists there.
+    """
+    out = Path(out_dir)
+    for path in (out / "manifest.json", *(out / n for n in names)):
+        if path.exists():
+            raise PreconditionError(f"refusing to overwrite existing {path}")
+    out.mkdir(parents=True, exist_ok=True)
+    return [out / n for n in names]
+
+
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, artifacts: list):
     payload = {
         "subcommand": subcommand,
@@ -76,16 +90,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, artifacts: lis
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()
     payload["config_hash"] = digest
-    path = out_dir / "manifest.json"
-    if path.exists():
-        raise PreconditionError(f"refusing to overwrite existing manifest {path}")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _fresh(path: Path):
-    if path.exists():
-        raise PreconditionError(f"refusing to overwrite existing artifact {path}")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 profile_option = click.option("--profile", default="toy1", show_default=True,
@@ -105,11 +110,9 @@ def sample(profile, seed, family, origin, width, height, out_dir):
     """Sample a field window and write it to disk."""
     _params(profile)  # validates the profile
     field = sample_field(seed, family, tuple(origin), width, height)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = _fresh(out / f"field-{family}-{seed}.bin")
+    [path] = _claim(out_dir, f"field-{family}-{seed}.bin")
     path.write_bytes(dump_field(field))
-    _write_manifest(out, "sample", dict(profile=profile, seed=seed, family=family,
+    _write_manifest(path.parent, "sample", dict(profile=profile, seed=seed, family=family,
                                         origin=origin, width=width, height=height),
                     [path.name])
     click.echo(str(path))
@@ -132,11 +135,9 @@ def build(profile, seed, family, window, out_dir):
     """Build the block hierarchy over a window and dump it."""
     p = _params(profile)
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = _fresh(out / f"hierarchy-{family}-{seed}.txt")
+    [path] = _claim(out_dir, f"hierarchy-{family}-{seed}.txt")
     path.write_text(hier.dump_hierarchy(h))
-    _write_manifest(out, "build", dict(profile=profile, seed=seed, family=family,
+    _write_manifest(path.parent, "build", dict(profile=profile, seed=seed, family=family,
                                        window=window), [path.name])
     click.echo(str(path))
 
@@ -216,8 +217,8 @@ def reports(profile, seed, windows, window, out_dir):
             s = stats.exact_S0(comp, "Y", p)
             tail_samples.append((float(s), comp.size))
             sizes.append(comp.size)
-        for cell in h.level0.window.cells():
-            good0.append(h.level0.is_good(cell))
+        # Row-major, the order of window.cells().
+        good0 += (h.level0.class_grid == GRID_GOOD).ravel().tolist()
         for block in h.levels[1].blocks:
             if not block.censored:
                 good1.append(block.good)
@@ -226,21 +227,19 @@ def reports(profile, seed, windows, window, out_dir):
         sizes.append(1)
     # Fully censored levels contribute no samples and are omitted.
     good_by_level = {j: flags for j, flags in ((0, good0), (1, good1)) if flags}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    texts = {}
     for name, report in (
         ("tail", stats.tail_report(tail_samples, p, 0)),
         ("size", stats.size_report(sizes, p, 0)),
         ("good", stats.good_prob_report(good_by_level, p)),
     ):
-        csv_path = _fresh(out / f"{name}.csv")
-        csv_path.write_text(report.to_csv())
-        rec_path = _fresh(out / f"{name}.records")
-        rec_path.write_text(report.to_records())
-        artifacts += [csv_path.name, rec_path.name]
+        texts[f"{name}.csv"] = report.to_csv()
+        texts[f"{name}.records"] = report.to_records()
+    for path, text in zip(_claim(out_dir, *texts), texts.values()):
+        path.write_text(text)
+    out = Path(out_dir)
     _write_manifest(out, "reports", dict(profile=profile, seed=seed,
-                                         windows=windows, window=window), artifacts)
+                                         windows=windows, window=window), list(texts))
     click.echo(str(out))
 
 
@@ -256,6 +255,8 @@ def reports(profile, seed, windows, window, out_dir):
               type=int)
 def oracle(x_file, y_file, bound, mode, limit, node_cap):
     """Run the exact embedding oracle on two serialized field windows."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {limit}")
     x = load_field(Path(x_file).read_bytes())
     y = load_field(Path(y_file).read_bytes())
     from fractions import Fraction
@@ -358,11 +359,9 @@ def render(profile, seed, family, window, level, out_dir):
                          f'stroke="#222" stroke-width="2"/>')
         parts.append("</g>")
     parts.append("</svg>")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = _fresh(out / f"level{level}-{family}-{seed}.svg")
+    [path] = _claim(out_dir, f"level{level}-{family}-{seed}.svg")
     path.write_text("\n".join(parts) + "\n")
-    _write_manifest(out, "render", dict(profile=profile, seed=seed, family=family,
+    _write_manifest(path.parent, "render", dict(profile=profile, seed=seed, family=family,
                                         window=window, level=level), [path.name])
     click.echo(str(path))
 

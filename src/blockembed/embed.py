@@ -9,17 +9,17 @@ families only; it is a sound semi-decision, never a completeness claim.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
-from .fields import BitField, level0_embeds
-from .lattice import LatticeAnimal, Point, Rect, chebyshev, same_shape
+from .fields import ACCEPTS, GRID_GOOD, BitField
+from .lattice import LatticeAnimal, Point, Rect, cell_array, chebyshev, same_shape
 from .params import ParameterSet
 
 __all__ = [
@@ -79,29 +79,18 @@ class CellCorrespondence:
 def _base_translation(source: frozenset, target: frozenset) -> Point:
     """The translation taking source onto target: least site onto least site.
 
-    Both must be lattice animals (ConfigError otherwise, as LatticeAnimal
-    raises); a target that is a translate of a connected source is one, so
-    only a mismatched target is checked apart.
+    Both must be lattice animals: constructing one raises ConfigError
+    otherwise.  A target that is a translate of a connected source is one,
+    so only a mismatched target is checked apart.
     """
-    _check_animal(source)
+    LatticeAnimal(source)
     if target:
         (ax, ay), (bx, by) = min(source), min(target)
         t = (bx - ax, by - ay)
         if {(x + t[0], y + t[1]) for x, y in source} == target:
             return t
-    _check_animal(target)
+    LatticeAnimal(target)
     raise PreconditionError("source and target domains have different shapes")
-
-
-def _check_animal(cells: frozenset) -> None:
-    """Raise ConfigError, as LatticeAnimal does, unless the cells are a
-    nonempty 4-connected set."""
-    if not cells:
-        raise ConfigError("a lattice animal must be nonempty")
-    if len(cells) > 1:
-        _, groups = ndimage.label(hier.cell_mask(cells)[0])
-        if groups != 1:
-            raise ConfigError("a lattice animal must be connected")
 
 
 def _lex(cells: Iterable[Point]) -> list:
@@ -174,10 +163,9 @@ def translation_family(
     for animal, zone_to in zip(T, images):
         zone_from = frozenset((x + t[0], y + t[1]) for x, y in animal.sites)
         _swap_sets(mapping, zone_from, zone_to)
-    budget = max(
-        (chebyshev((c[0] + t[0], c[1] + t[1]), v) for c, v in mapping.items()),
-        default=0,
-    )
+    # Largest Chebyshev displacement from the rigid image.
+    pairs = _pairs(mapping)
+    budget = int(np.abs(pairs[:, 1] - pairs[:, 0] - t).max())
     matched = tuple(
         (animal, LatticeAnimal(img)) for animal, img in zip(T, images)
     )
@@ -338,31 +326,32 @@ def embeds_level(
     to an embeddable target.  Sound but not complete: a None result means
     the searched families contain no witness.
     """
-    if level == 0:
-        return _embeds_level0(x, y_window, params, x_structure)
-    if level == 1:
-        return _embeds_level1(x, y_window, params, x_structure, budget)
-    raise ConfigError("embedding search supports levels 0 and 1")
-
-
-def _content_bit(x_structure, cell: Point) -> int:
+    if level not in (0, 1):
+        raise ConfigError("embedding search supports levels 0 and 1")
     if x_structure is None:
         raise PreconditionError("source structure required for content lookup")
-    return x_structure.bit_at(cell)
+    if level == 0:
+        return _embeds_level0(x, y_window, params, x_structure)
+    return _embeds_level1(x, y_window, params, x_structure, budget)
 
 
 def _embeds_level0(component, y_window, params, x_structure):
     cells = sorted(component.animal.sites)
-    src_family = getattr(x_structure, "family", "X") if x_structure else "X"
-    if src_family == "X":
+    identity = CellCorrespondence(
+        0,
+        frozenset(cells),
+        frozenset(cells),
+        {c: c for c in cells},
+        ((component.animal, component.animal),),
+        0,
+    )
+    if x_structure.family == "X":
         # Source bits against target block classes sampled from y_window.
         y0 = hier.build_level0(
             params, "Y", y_window.seed,
             _cell_window_of_field(y_window, params), site_field=y_window,
         )
-        for c in cells:
-            if not level0_embeds(_content_bit(x_structure, c), y0.class_at(c)):
-                return None
+        ok = _accepts(identity, x_structure, y0)
     else:
         # Source is a target-family component; partner window carries bits.
         x0 = hier.build_level0(
@@ -372,18 +361,8 @@ def _embeds_level0(component, y_window, params, x_structure):
                  y_window.origin[1] + y_window.height),
             site_field=y_window,
         )
-        for c in cells:
-            if not level0_embeds(x0.bit_at(c), x_structure.class_at(c)):
-                return None
-    identity = CellCorrespondence(
-        0,
-        frozenset(cells),
-        frozenset(cells),
-        {c: c for c in cells},
-        ((component.animal, component.animal),),
-        0,
-    )
-    return EmbeddingWitness(0, identity, None)
+        ok = _accepts(identity, x0, x_structure)
+    return EmbeddingWitness(0, identity, None) if ok else None
 
 
 def _cell_window_of_field(field: BitField, params: ParameterSet) -> Rect:
@@ -457,13 +436,6 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         for c in hier.bad_subcomponents(y_block, y_hier.level0)
     ]
 
-    def works(corr: CellCorrespondence) -> bool:
-        for c in sorted(corr.source_cells):
-            bit = _content_bit(x_structure, c)
-            if not level0_embeds(bit, y_hier.level0.class_at(corr.apply(c))):
-                return False
-        return True
-
     candidates = [(1, 1)]
     if x_bad:
         candidates += [
@@ -482,7 +454,7 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
             )
         except (InvalidOffset, PreconditionError, ConfigError):
             continue
-        if works(corr):
+        if _accepts(corr, x_structure, y_hier.level0):
             return EmbeddingWitness(1, corr, h)
 
     # Domains of the two blocks may have different curve perturbations.
@@ -493,16 +465,35 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         r = params.cells_per_side(1)
         bx0, by0, bx1, by1 = y_block.animal.bounding_box()
         blowup = Rect(bx0 * r - mb, by0 * r - mb, (bx1 + 1) * r + mb, (by1 + 1) * r + mb)
-        pool = [
-            c
-            for c in blowup.cells()
-            if (c in y_block.domain or y_hier.level0.is_good(c))
-            and y_hier.level0.in_window(c)
-        ]
+        pool = _good_or_in(y_hier.level0, blowup, y_block.domain)
         corr = _repair_correspondence(block.domain, pool, 1, cap=3 * mb)
-        if corr is not None and works(corr):
+        if corr is not None and _accepts(corr, x_structure, y_hier.level0):
             return EmbeddingWitness(1, corr, (1, 1))
     return None
+
+
+def _pairs(mapping: dict) -> np.ndarray:
+    """A cell map as an (n, 2, 2) array: [i, 0] a source cell, [i, 1] its image."""
+    return cell_array(itertools.chain.from_iterable(mapping.items())).reshape(-1, 2, 2)
+
+
+def _accepts(corr: CellCorrespondence, x_level0, y_level0) -> bool:
+    """Whether every source cell's bit embeds into its image's target block."""
+    pairs = _pairs(corr.mapping)
+    return bool(ACCEPTS[x_level0.bits_at(pairs[:, 0]), y_level0.codes_at(pairs[:, 1])].all())
+
+
+def _good_or_in(level0, rect: Rect, domain: frozenset) -> list:
+    """Cells of ``rect`` that are good or in ``domain``, row-major; ``rect``
+    lies inside the level-0 window."""
+    w = level0.window
+    mask = level0.class_grid[rect.y0 - w.y0:rect.y1 - w.y0,
+                             rect.x0 - w.x0:rect.x1 - w.x0] == GRID_GOOD
+    xy = cell_array(domain) - (rect.x0, rect.y0)
+    xy = xy[((xy >= 0) & (xy < (rect.x1 - rect.x0, rect.y1 - rect.y0))).all(axis=1)]
+    mask[xy[:, 1], xy[:, 0]] = True
+    ys, xs = np.nonzero(mask)
+    return list(zip((xs + rect.x0).tolist(), (ys + rect.y0).tolist()))
 
 
 def _crop(field: BitField, window1: Rect, params: ParameterSet) -> Optional[BitField]:

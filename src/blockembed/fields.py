@@ -150,12 +150,15 @@ def classify_y0_block(block_bits, params: ParameterSet) -> Y0Class:
     return Y0Class.ONE if ones >= zeros else Y0Class.ZERO
 
 
+GRID_GOOD, GRID_ZERO, GRID_ONE = 0, 1, 2
+
+
 def classify_grid(field: BitField, params: ParameterSet) -> np.ndarray:
     """Classify every aligned M0 x M0 block of a sampled target window.
 
     The window must start at a block boundary and span whole blocks.
-    Returns an int8 grid with 0 = Good, 1 = Zero, 2 = One, indexed by
-    block coordinates.
+    Returns an int8 grid of codes GRID_GOOD, GRID_ZERO and GRID_ONE,
+    indexed [block y, block x].
     """
     m0 = params.M0
     if field.origin[0] % m0 or field.origin[1] % m0:
@@ -169,18 +172,9 @@ def classify_grid(field: BitField, params: ParameterSet) -> np.ndarray:
     n = m0 * m0
     zeros = n - ones
     good = np.minimum(ones, zeros) >= good_threshold(m0)
-    out = np.where(ones >= zeros, 2, 1).astype(np.int8)
-    out[good] = 0
+    out = np.where(ones >= zeros, GRID_ONE, GRID_ZERO).astype(np.int8)
+    out[good] = GRID_GOOD
     return out
-
-
-GRID_GOOD, GRID_ZERO, GRID_ONE = 0, 1, 2
-
-_GRID_TO_CLASS = {0: Y0Class.GOOD, 1: Y0Class.ZERO, 2: Y0Class.ONE}
-
-
-def grid_code_to_class(code: int) -> Y0Class:
-    return _GRID_TO_CLASS[int(code)]
 
 
 def level0_embeds(x_bit: int, y_class: Y0Class) -> bool:
@@ -190,6 +184,12 @@ def level0_embeds(x_bit: int, y_class: Y0Class) -> bool:
     if x_bit == 0:
         return y_class is Y0Class.ZERO
     return y_class is Y0Class.ONE
+
+
+# The level-0 rule as a table: ACCEPTS[bit, code] is whether a source bit
+# embeds into a target block of grid code GRID_GOOD, GRID_ZERO or GRID_ONE.
+ACCEPTS = np.array([[level0_embeds(bit, k) for k in (Y0Class.GOOD, Y0Class.ZERO, Y0Class.ONE)]
+                    for bit in (0, 1)])
 
 
 def dump_field(field: BitField) -> bytes:

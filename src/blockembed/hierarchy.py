@@ -31,13 +31,14 @@ from scipy import ndimage
 
 from . import fields as fields_mod
 from .errors import ConfigError, CurveSelectionError, PreconditionError
-from .fields import BitField, Y0Class, classify_grid, derive_seed
+from .fields import BitField, classify_grid, derive_seed
 from .lattice import (
     BufferZone,
     LatticeAnimal,
     Point,
     Rect,
     buffer_zone,
+    cell_mask,
 )
 from .params import ParameterSet
 
@@ -159,7 +160,15 @@ class Component:
 
 @dataclass
 class Level0Structure:
-    """Classification of level-0 blocks over a window, plus bad components."""
+    """Level-0 content over a window, plus the target family's bad components.
+
+    Both grids are indexed [y - window.y0, x - window.x0] by level-0 cell
+    (x, y).  A target-family structure holds ``class_grid``, the int8 codes
+    GRID_GOOD, GRID_ZERO and GRID_ONE of its blocks; a source-family one
+    holds ``bits``, one bit per cell, and all its cells are good.  A source
+    bit b embeds into a target block of code k exactly when
+    ``fields.ACCEPTS[b, k]``.
+    """
 
     family: str
     window: Rect  # level-0 cell indices
@@ -169,25 +178,17 @@ class Level0Structure:
     bits: Optional[np.ndarray]  # source family only; one bit per cell
     bad_components: list
 
-    def in_window(self, cell: Point) -> bool:
-        return self.window.contains_cell(cell)
-
-    def class_at(self, cell: Point) -> Y0Class:
+    def codes_at(self, cells: np.ndarray) -> np.ndarray:
+        """Class codes of an (n, 2) array of (x, y) cells."""
         if self.class_grid is None:
             raise ConfigError("source-family cells are unclassified (always good)")
-        x, y = cell[0] - self.window.x0, cell[1] - self.window.y0
-        return fields_mod.grid_code_to_class(self.class_grid[y, x])
+        return self.class_grid[cells[:, 1] - self.window.y0, cells[:, 0] - self.window.x0]
 
-    def bit_at(self, cell: Point) -> int:
+    def bits_at(self, cells: np.ndarray) -> np.ndarray:
+        """Bits of an (n, 2) array of (x, y) cells."""
         if self.bits is None:
             raise ConfigError("target-family cells carry classes, not single bits")
-        return int(self.bits[cell[1] - self.window.y0, cell[0] - self.window.x0])
-
-    def is_good(self, cell: Point) -> bool:
-        if self.class_grid is None:
-            return True
-        x, y = cell[0] - self.window.x0, cell[1] - self.window.y0
-        return int(self.class_grid[y, x]) == fields_mod.GRID_GOOD
+        return self.bits[cells[:, 1] - self.window.y0, cells[:, 0] - self.window.x0]
 
 
 def exact_level0_status(size: int, good: bool, params: ParameterSet) -> str:
@@ -702,17 +703,6 @@ def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
     """Edges whose outside strip comes within clearance + k0 + 1 of a bad cell."""
     near = _dilate(bad, frame.clearance + frame.k0 + 1)
     return [e for e in frame.edges if near[frame.outside[e]].any()]
-
-
-def cell_mask(cells: Iterable[Point]) -> tuple:
-    """A nonempty cell set as (mask over its bounding box, x0, y0); the
-    mask is indexed [y - y0, x - x0]."""
-    xy = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64).reshape(-1, 2)
-    x0, y0 = xy.min(axis=0)
-    x1, y1 = xy.max(axis=0)
-    mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-    mask[xy[:, 1] - y0, xy[:, 0] - x0] = True
-    return mask, int(x0), int(y0)
 
 
 def domain_boundary_cells(domain: frozenset) -> frozenset:

@@ -8,8 +8,12 @@ y0 <= y < y1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
+from scipy import ndimage
 
 from .errors import ConfigError
 from .params import ParameterSet
@@ -36,26 +40,29 @@ def chebyshev(a: Point, b: Point) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-def is_connected(sites: Iterable[Point]) -> bool:
-    """Whether a finite site set is connected under the 4-neighborhood."""
-    sites = set(sites)
-    if not sites:
-        return False
-    stack = [next(iter(sites))]
-    seen = {stack[0]}
-    while stack:
-        x, y = stack.pop()
-        for dx, dy in _EUCLIDEAN_STEPS:
-            q = (x + dx, y + dy)
-            if q in sites and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(sites)
+def cell_array(cells: Iterable[Point]) -> np.ndarray:
+    """Cells as an (n, 2) int64 array of (x, y) rows, in iteration order."""
+    return np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64).reshape(-1, 2)
+
+
+def cell_mask(cells: Iterable[Point]) -> tuple:
+    """A nonempty cell set as (mask over its bounding box, x0, y0); the
+    mask is indexed [y - y0, x - x0]."""
+    xy = cell_array(cells)
+    x0, y0 = xy.min(axis=0)
+    x1, y1 = xy.max(axis=0)
+    mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    mask[xy[:, 1] - y0, xy[:, 0] - x0] = True
+    return mask, int(x0), int(y0)
 
 
 @dataclass(frozen=True)
 class LatticeAnimal:
-    """A nonempty finite subset of the lattice, connected by lattice edges."""
+    """A nonempty finite subset of the lattice, connected by lattice edges.
+
+    Connectivity is checked with one 4-connected labelling of the set's
+    bounding-box mask.
+    """
 
     sites: frozenset[Point]
 
@@ -63,7 +70,7 @@ class LatticeAnimal:
         object.__setattr__(self, "sites", frozenset(self.sites))
         if not self.sites:
             raise ConfigError("a lattice animal must be nonempty")
-        if len(self.sites) > 1 and not is_connected(self.sites):
+        if len(self.sites) > 1 and ndimage.label(cell_mask(self.sites)[0])[1] != 1:
             raise ConfigError("a lattice animal must be connected")
 
     def __len__(self) -> int:

@@ -45,6 +45,8 @@ class Instance:
     def from_fields(
         cls, x: BitField, y: BitField, m: Fraction | int | float
     ) -> "Instance":
+        if m < 0:
+            raise ConfigError(f"the Lipschitz bound must be nonnegative, got {m}")
         sites = tuple(
             (sx, sy)
             for sy in range(x.origin[1], x.origin[1] + x.height)
@@ -119,6 +121,8 @@ class _Search:
 
     def run(self, limit: Optional[int]) -> Iterator[dict]:
         """Yield embeddings (as dicts) up to ``limit``; None means all."""
+        if limit is not None and limit < 1:
+            raise ConfigError(f"the witness limit must be at least 1, got {limit}")
         assignment: dict = {}
 
         def extend(i: int) -> Iterator[dict]:

@@ -21,16 +21,16 @@ from scipy.stats import beta as _beta
 from . import hierarchy as hier
 from .errors import ConfigError, CurveSelectionError, PreconditionError
 from .fields import (
+    ACCEPTS,
     GRID_GOOD,
     GRID_ONE,
-    GRID_ZERO,
     classify_grid,
     derive_seed,
     good_threshold,
     sample_field,
     site_bits,
 )
-from .lattice import Rect
+from .lattice import Rect, cell_array
 from .params import ParameterSet
 
 __all__ = [
@@ -132,13 +132,11 @@ def exact_S0(component, family: str, params: ParameterSet, structure=None) -> Fr
         return Fraction(1, 2**component.bad_summary[1])
     if family != "X":
         raise ConfigError(f"unknown family {family!r}")
+    if structure is None:
+        raise PreconditionError("source-side probability needs the bit content")
     probs = class_probabilities(params.M0)
-    total = Fraction(1)
-    for cell in sorted(component.animal.sites):
-        if structure is None:
-            raise PreconditionError("source-side probability needs the bit content")
-        total *= probs.accepts_bit(structure.bit_at(cell))
-    return total
+    ones = int(structure.bits_at(cell_array(component.animal.sites)).sum())
+    return probs.accepts_bit(1) ** ones * probs.accepts_bit(0) ** (component.size - ones)
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +145,35 @@ def exact_S0(component, family: str, params: ParameterSet, structure=None) -> Fr
 
 def _estimate_level0_y(component, structure, trials, seed, params):
     """P over fresh source bits that the component's bad cells are matched."""
-    cells = sorted(component.animal.sites)
-    classes = [structure.class_at(c) for c in cells]
-    need = [
-        (c, 1 if k.value == "One" else 0)
-        for c, k in zip(cells, classes)
-        if k.value != "Good"
-    ]
-    if not need:
+    cells = cell_array(component.animal.sites)
+    codes = structure.codes_at(cells)
+    bad = codes != GRID_GOOD
+    if not bad.any():
         return trials  # every trial succeeds
+    need = cells[bad]
     x0, y0, x1, _ = component.animal.bounding_box()
     stride = x1 - x0 + 2
     t_idx = np.arange(trials, dtype=np.int64)[:, None]
-    xs = np.array([c[0] - x0 for c, _ in need], dtype=np.int64)[None, :] + t_idx * stride
-    ys = np.array([c[1] - y0 for c, _ in need], dtype=np.int64)[None, :] + 0 * t_idx
+    xs = (need[:, 0] - x0)[None, :] + t_idx * stride
+    ys = (need[:, 1] - y0)[None, :] + 0 * t_idx
     bits = site_bits(seed, "X", xs, ys)
-    want = np.array([b for _, b in need], dtype=np.uint8)[None, :]
+    want = (codes[bad] == GRID_ONE)[None, :]
     return int(np.all(bits == want, axis=1).sum())
 
 
 def _estimate_level0_x(component, structure, trials, seed, params):
     """P over fresh target blocks that every cell's bit is accepted."""
-    cells = sorted(component.animal.sites)
-    bits = [structure.bit_at(c) for c in cells]
+    cells = cell_array(component.animal.sites)
+    bits = structure.bits_at(cells)
     m0 = params.M0
     x0, y0, x1, y1 = component.animal.bounding_box()
     w, h = x1 - x0 + 1, y1 - y0 + 1
     stride = w  # trials packed side by side in block coordinates
     field = sample_field(seed, "Y", (0, 0), trials * stride * m0, h * m0)
     grid = classify_grid(field, params)  # shape (h, trials * w)
-    ok = np.ones(trials, dtype=bool)
-    for (cx, cy), bit in zip(cells, bits):
-        col = np.arange(trials, dtype=np.int64) * stride + (cx - x0)
-        codes = grid[cy - y0, col]
-        accept = (codes == GRID_GOOD) | (codes == (GRID_ONE if bit else GRID_ZERO))
-        ok &= accept
-    return int(ok.sum())
+    cols = np.arange(trials, dtype=np.int64)[:, None] * stride + (cells[:, 0] - x0)
+    codes = grid[cells[:, 1] - y0, cols]  # shape (trials, cells)
+    return int(ACCEPTS[bits, codes].all(axis=1).sum())
 
 
 def _estimate_level1_x(block, structure, trials, seed, params, workers):

@@ -13,7 +13,7 @@ from blockembed import embed as embed_mod, hierarchy as hier, stats
 from blockembed.embed import EmbeddingMap, embeds_level, verify_embedding
 from blockembed.fields import (
     GRID_GOOD,
-    Y0Class,
+    GRID_ONE,
     classify_grid,
     sample_field,
 )
@@ -22,6 +22,7 @@ from blockembed.hierarchy import (
     REALLY_BAD,
     Component,
     LatticeBlock,
+    Level0Structure,
     build_hierarchy,
     build_level0,
     form_lattice_blocks,
@@ -53,19 +54,20 @@ def _bad_component(cells):
                      (len(cells), len(cells)))
 
 
-class _AllOnesContent:
-    """Class content making every listed cell forced-bad (class One)."""
-
-    def class_at(self, cell):
-        return Y0Class.ONE
+# Every fabricated component below lies in this window.
+_WINDOW = Rect(0, 0, 3, 1)
 
 
-class _BitContent:
-    def __init__(self, bit):
-        self.bit = bit
+def _all_ones_content():
+    """Target-family content making every cell forced-bad (class One)."""
+    grid = np.full((_WINDOW.y1, _WINDOW.x1), GRID_ONE, dtype=np.int8)
+    return Level0Structure("Y", _WINDOW, 0, named_profile("toy1"), grid, None, [])
 
-    def bit_at(self, cell):
-        return self.bit
+
+def _bit_content(bit):
+    """Source-family content: every cell of the window carries ``bit``."""
+    bits = np.full((_WINDOW.y1, _WINDOW.x1), bit, dtype=np.uint8)
+    return Level0Structure("X", _WINDOW, 0, named_profile("toy1"), None, bits, [])
 
 
 class TestLevel0TargetExactness:
@@ -76,7 +78,7 @@ class TestLevel0TargetExactness:
         for v, seed in ((1, 11), (2, 12), (3, 13)):
             comp = _bad_component([(i, 0) for i in range(v)])
             est = estimate_S(comp, 0, 20_000, seed, toy1, family="Y",
-                             structure=_AllOnesContent())
+                             structure=_all_ones_content())
             exact = 2.0 ** -v
             sigma = (exact * (1 - exact) / 20_000) ** 0.5
             assert abs(est.point - exact) <= 3 * sigma
@@ -91,10 +93,10 @@ class TestLevel0SourceExactness:
         p = named_profile(f"toy-m0-{m0}")
         for bit in (0, 1):
             comp = _bad_component([(0, 0)])
-            exact = float(exact_S0(comp, "X", p, structure=_BitContent(bit)))
+            exact = float(exact_S0(comp, "X", p, structure=_bit_content(bit)))
             assert exact == float(class_probabilities(m0).accepts_bit(bit))
             est = estimate_S(comp, 0, 20_000, 17 + bit, p, family="X",
-                             structure=_BitContent(bit))
+                             structure=_bit_content(bit))
             sigma = (exact * (1 - exact) / 20_000) ** 0.5
             assert abs(est.point - exact) <= 3 * sigma
 

@@ -59,6 +59,28 @@ class TestBuild:
         assert code == EXIT_PRECONDITION
 
 
+def _snapshot(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sample", ("--width", "4", "--height", "4")),
+    ("build", ()),
+    ("render", ()),
+    ("reports", ("--profile", "toy1", "--windows", "1")),
+])
+def test_second_run_into_an_out_dir_writes_nothing(tmp_path, capsys, command, extra):
+    # Another seed names another artifact, but the manifest is taken.
+    d = tmp_path / "out"
+    code, _, _ = run(capsys, command, "--seed", "1", *extra, "--out-dir", str(d))
+    assert code == EXIT_OK
+    before = _snapshot(d)
+    code, out, err = run(capsys, command, "--seed", "2", *extra, "--out-dir", str(d))
+    assert code == EXIT_PRECONDITION
+    assert out == "" and "refusing to overwrite" in err
+    assert _snapshot(d) == before
+
+
 class TestSampleAndOracle:
     def test_round_trip_through_files(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sample", "--seed", "1", "--family", "X",
@@ -86,6 +108,22 @@ class TestSampleAndOracle:
                          "--y-file", str(tmp_path / "sy" / "field-Y-2.bin"),
                          "-m", "2", "--mode", "count", "--node-cap", "1")
         assert code == EXIT_CAP
+
+    @pytest.mark.parametrize("extra", [("--mode", "enumerate", "--limit", "0"),
+                                       ("--mode", "enumerate", "--limit", "-3"),
+                                       ("-m", "-2", "--mode", "count")])
+    def test_bad_limit_or_bound_is_config_error(self, tmp_path, capsys, extra):
+        run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
+            "--height", "2", "--out-dir", str(tmp_path / "sx"))
+        run(capsys, "sample", "--seed", "2", "--family", "Y", "--width", "5",
+            "--height", "5", "--out-dir", str(tmp_path / "sy"))
+        args = ["oracle", "--x-file", str(tmp_path / "sx" / "field-X-1.bin"),
+                "--y-file", str(tmp_path / "sy" / "field-Y-2.bin")]
+        if "-m" not in extra:
+            args += ["-m", "2"]
+        code, out, err = run(capsys, *args, *extra)
+        assert code == EXIT_CONFIG
+        assert out == "" and "config error" in err
 
     def test_truncated_field_file_is_config_error(self, tmp_path, capsys):
         run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",

@@ -19,8 +19,14 @@ from blockembed.embed import (
     verify_embedding,
 )
 from blockembed.errors import ConfigError, PreconditionError
-from blockembed.fields import BitField, level0_embeds, sample_field
-from blockembed.lattice import LatticeAnimal, Rect, same_shape
+from blockembed.fields import (
+    GRID_GOOD,
+    BitField,
+    classify_y0_block,
+    level0_embeds,
+    sample_field,
+)
+from blockembed.lattice import LatticeAnimal, Rect, chebyshev, same_shape
 from blockembed.hierarchy import build_level0, dump_hierarchy, level0_window_for
 from blockembed.params import named_profile
 
@@ -96,6 +102,17 @@ class TestTranslationFamily:
         src = _square(16)
         with pytest.raises(ConfigError):
             translation_family(src, src, [], (), (0, 0), toy1)
+
+    @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
+    def test_budget_is_largest_displacement(self, toy1, h):
+        # Between translated domains, against the per-cell maximum.
+        src, t = _square(16), (3, -2)
+        target = _square(16, off=t)
+        T = [LatticeAnimal(frozenset([(5, 5), (5, 6)]))]
+        corr = translation_family(src, target, T, (), h, toy1)
+        expect = max(chebyshev((c[0] + t[0], c[1] + t[1]), v) for c, v in corr.mapping.items())
+        assert corr.displacement_budget == expect
+        assert (expect > 0) == (h != (1, 1))
 
     def test_subfamily_size_and_disjointness(self, toy1):
         src = _square(16)
@@ -248,6 +265,57 @@ class TestVerifyEmbedding:
         assert not verify_embedding(EmbeddingMap(squeezed, 1.0), x, y2)
 
 
+def _accepts_ref(corr, x_field, y_field, params):
+    """Per cell: the source bit against the class of its image's sites."""
+    m0 = params.M0
+    for (sx, sy), (tx, ty) in corr.mapping.items():
+        block = y_field.bits[ty * m0:(ty + 1) * m0, tx * m0:(tx + 1) * m0]
+        if not level0_embeds(x_field.get(sx, sy), classify_y0_block(block, params)):
+            return False
+    return True
+
+
+class TestGatheredContent:
+    """The array reads of level-0 content against per-cell references."""
+
+    WINDOW = Rect(0, 0, 6, 6)
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32),
+           st.permutations(list(Rect(0, 0, 6, 6).cells())))
+    @settings(max_examples=60, deadline=None)
+    def test_accepts_matches_per_cell_reference(self, xseed, yseed, order):
+        # A 3x3 source square onto nine random target cells; toy-m0-3
+        # accepts a bit in about nine target blocks of ten.
+        p = named_profile("toy-m0-3")
+        m0 = p.M0
+        x_field = sample_field(xseed, "X", (0, 0), 6, 6)
+        y_field = sample_field(yseed, "Y", (0, 0), 6 * m0, 6 * m0)
+        xs = build_level0(p, "X", xseed, self.WINDOW, site_field=x_field)
+        ys = build_level0(p, "Y", yseed, self.WINDOW, site_field=y_field)
+        src = sorted(_square(3, off=(2, 1)))
+        corr = CellCorrespondence(1, frozenset(src), frozenset(order[:9]),
+                                  dict(zip(src, order[:9])), (), 0)
+        assert embed._accepts(corr, xs, ys) == _accepts_ref(corr, x_field, y_field, p)
+
+    def test_accepts_reads_bits_from_the_source(self, toy1):
+        ys = build_level0(toy1, "Y", 1, self.WINDOW)
+        corr = CellCorrespondence(1, frozenset([(1, 1)]), frozenset([(1, 1)]),
+                                  {(1, 1): (1, 1)}, (), 0)
+        with pytest.raises(ConfigError, match="not single bits"):
+            embed._accepts(corr, ys, ys)
+
+    @given(st.integers(0, 2**32),
+           st.frozensets(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1))
+    @settings(max_examples=60, deadline=None)
+    def test_pool_matches_per_cell_reference(self, seed, domain):
+        p = named_profile("toy-m0-3")
+        ys = build_level0(p, "Y", seed, Rect(-2, -2, 8, 8))
+        rect = Rect(-1, 0, 7, 6)
+        expect = [c for c in rect.cells()
+                  if c in domain or ys.class_grid[c[1] + 2, c[0] + 2] == GRID_GOOD]
+        assert embed._good_or_in(ys, rect, domain) == expect
+
+
 class TestEmbedsLevel:
     def test_level0_source_component(self, toy1):
         xs = build_level0(toy1, "X", 3, Rect(0, 0, 4, 4))
@@ -257,8 +325,8 @@ class TestEmbedsLevel:
         for seed in range(40):
             yf = sample_field(seed, "Y", (0, 0), 4 * m0, 4 * m0)
             wit = embeds_level(comp, yf, 0, toy1, x_structure=xs)
-            y0 = build_level0(toy1, "Y", seed, Rect(0, 0, 4, 4), site_field=yf)
-            expected = level0_embeds(xs.bit_at((1, 1)), y0.class_at((1, 1)))
+            block = yf.bits[m0:2 * m0, m0:2 * m0]  # the sites of cell (1, 1)
+            expected = level0_embeds(int(xs.bits[1, 1]), classify_y0_block(block, toy1))
             assert (wit is not None) == expected
             hits += wit is not None
         assert hits > 0
@@ -358,3 +426,11 @@ class TestEmbedsLevel:
     def test_unsupported_level(self, toy1):
         with pytest.raises(ConfigError):
             embeds_level(None, None, 2, toy1)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_missing_source_structure(self, toy1, level):
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        x = _good_cell((1, 1)) if level == 0 else hx.levels[1].blocks[0]
+        yf = sample_field(0, "Y", (0, 0), 4 * toy1.M0, 4 * toy1.M0)
+        with pytest.raises(PreconditionError, match="source structure required"):
+            embeds_level(x, yf, level, toy1)

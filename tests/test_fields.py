@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from blockembed.errors import CapExceeded, ConfigError
 from blockembed.fields import (
+    ACCEPTS,
+    GRID_GOOD,
+    GRID_ONE,
+    GRID_ZERO,
     BitField,
     Y0Class,
     classify_grid,
@@ -14,13 +18,14 @@ from blockembed.fields import (
     derive_seed,
     dump_field,
     good_threshold,
-    grid_code_to_class,
     level0_embeds,
     load_field,
     sample_field,
     site_bits,
 )
 from blockembed.params import named_profile
+
+CODES = {Y0Class.GOOD: GRID_GOOD, Y0Class.ZERO: GRID_ZERO, Y0Class.ONE: GRID_ONE}
 
 
 class TestSampling:
@@ -97,7 +102,7 @@ class TestClassification:
         for by in range(10):
             for bx in range(10):
                 block = f.bits[by * 3 : by * 3 + 3, bx * 3 : bx * 3 + 3]
-                assert grid_code_to_class(grid[by, bx]) is classify_y0_block(block, p)
+                assert grid[by, bx] == CODES[classify_y0_block(block, p)]
 
     def test_classify_grid_alignment_required(self):
         p = named_profile("toy-m0-3")
@@ -112,6 +117,11 @@ class TestClassification:
         assert not level0_embeds(1, Y0Class.ZERO)
         assert level0_embeds(1, Y0Class.ONE)
         assert not level0_embeds(0, Y0Class.ONE)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("klass", list(Y0Class))
+    def test_accepts_table_is_the_rule(self, bit, klass):
+        assert ACCEPTS[bit, CODES[klass]] == level0_embeds(bit, klass)
 
 
 class TestSerialization:

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockembed import hierarchy
-from blockembed.errors import CurveSelectionError, PreconditionError
-from blockembed.fields import Y0Class
+from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
+from blockembed.fields import GRID_GOOD, GRID_ONE, GRID_ZERO
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
     REALLY_BAD,
@@ -454,19 +454,35 @@ class TestLevel0:
     def test_source_family_all_good(self, toy1):
         s = build_level0(toy1, "X", 5, Rect(0, 0, 10, 10))
         assert s.bad_components == []
-        assert s.is_good((3, 3))
-        assert s.bit_at((0, 0)) in (0, 1)
+        assert s.class_grid is None  # no classes: every cell is good
+        assert s.bits.shape == (10, 10) and set(np.unique(s.bits)) <= {0, 1}
+        with pytest.raises(ConfigError, match="unclassified"):
+            s.codes_at(np.array([(3, 3)]))
 
     def test_target_family_classes(self, toy1):
         s = build_level0(toy1, "Y", 5, Rect(0, 0, 10, 10))
-        assert all(isinstance(s.class_at(c), Y0Class) for c in s.window.cells())
+        assert s.bits is None and s.class_grid.shape == (10, 10)
+        assert set(np.unique(s.class_grid)) <= {GRID_GOOD, GRID_ZERO, GRID_ONE}
+        with pytest.raises(ConfigError, match="not single bits"):
+            s.bits_at(np.array([(3, 3)]))
+
+    def test_readers_index_by_cell(self, toy1):
+        # Grids are indexed [y - window.y0, x - window.x0].
+        window = Rect(-3, 4, 5, 9)
+        ys = build_level0(toy1, "Y", 5, window)
+        xs = build_level0(toy1, "X", 5, window)
+        cells = np.array(list(window.cells()))
+        expect_codes = [ys.class_grid[y - 4, x + 3] for x, y in window.cells()]
+        expect_bits = [xs.bits[y - 4, x + 3] for x, y in window.cells()]
+        assert ys.codes_at(cells).tolist() == expect_codes
+        assert xs.bits_at(cells).tolist() == expect_bits
 
     def test_bad_components_cover_all_bad_cells(self, toy1):
         s = build_level0(toy1, "Y", 5, Rect(0, 0, 30, 30))
         covered = set()
         for comp in s.bad_components:
             covered |= comp.animal.sites
-        bad = {c for c in s.window.cells() if not s.is_good(c)}
+        bad = {(x, y) for y, x in zip(*np.nonzero(s.class_grid != GRID_GOOD))}
         assert bad <= covered
 
     def test_components_disjoint_and_separated(self, toy1):

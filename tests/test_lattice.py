@@ -1,6 +1,8 @@
 """Lattice animals, rectangles, and buffer geometry."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockembed.errors import ConfigError
 from blockembed.lattice import (
@@ -8,12 +10,51 @@ from blockembed.lattice import (
     Rect,
     buffer_zone,
     cell_geometry,
-    is_connected,
     neighbors,
     outer_buffers,
     same_shape,
 )
 from blockembed.params import named_profile
+
+
+def is_connected(sites) -> bool:
+    """Reference: a flood fill over the 4-neighbourhood."""
+    sites = set(sites)
+    if not sites:
+        return False
+    stack = [next(iter(sites))]
+    seen = {stack[0]}
+    while stack:
+        x, y = stack.pop()
+        for q in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if q in sites and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen) == len(sites)
+
+
+def _is_animal(cells) -> bool:
+    try:
+        LatticeAnimal(frozenset(cells))
+    except ConfigError as exc:
+        assert str(exc) in ("a lattice animal must be nonempty",
+                            "a lattice animal must be connected")
+        return False
+    return True
+
+
+def _walk(steps):
+    """Cells of a king-move walk from the origin: connected when every step
+    is a lattice edge, possibly joined only at corners otherwise."""
+    cells, x, y = {(0, 0)}, 0, 0
+    for dx, dy in steps:
+        x, y = x + dx, y + dy
+        cells.add((x, y))
+    return frozenset(cells)
+
+
+_KING_STEPS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+_RING = {(x, y) for x in range(4) for y in range(4)} - {(1, 1), (2, 1), (1, 2), (2, 2)}
 
 
 class TestNeighbors:
@@ -52,7 +93,28 @@ class TestAnimals:
         assert same_shape(a, b) is None
 
     def test_diagonal_is_disconnected(self):
-        assert not is_connected([(0, 0), (1, 1)])
+        with pytest.raises(ConfigError, match="connected"):
+            LatticeAnimal(frozenset([(0, 0), (1, 1)]))
+
+    def test_empty_message(self):
+        with pytest.raises(ConfigError, match="a lattice animal must be nonempty"):
+            LatticeAnimal(frozenset())
+
+    @given(st.one_of(
+        st.frozensets(st.tuples(st.integers(-3, 4), st.integers(-2, 5)), max_size=30),
+        st.lists(st.sampled_from(_KING_STEPS), max_size=25).map(_walk),
+    ))
+    @example(frozenset())
+    @example(frozenset([(7, -4)]))
+    @example(frozenset([(0, 0), (1, 1), (2, 0), (1, -1)]))  # corners only
+    @example(frozenset([(0, 0), (1, 1), (1, 0)]))
+    @example(frozenset(_RING))
+    @example(frozenset(_RING - {(0, 0)}))
+    @example(frozenset(_RING - {(1, 0), (0, 1)}))
+    @example(frozenset(_RING | {(6, 6)}))
+    @settings(max_examples=300, deadline=None)
+    def test_labelling_agrees_with_flood_fill(self, cells):
+        assert _is_animal(cells) == is_connected(cells)
 
 
 class TestRect:

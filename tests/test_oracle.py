@@ -131,6 +131,17 @@ class TestCountEmbeddings:
         inst = Instance.from_fields(x, y, 1)
         assert len(list(enumerate_embeddings(inst, limit=7))) == 7
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit):
+        inst = Instance.from_fields(_bf("X", [[0]]), _bf("Y", [[0] * 5] * 5), 1)
+        with pytest.raises(ConfigError, match="at least 1"):
+            list(enumerate_embeddings(inst, limit=limit))
+
+    @pytest.mark.parametrize("m", [-2, Fraction(-1, 3)])
+    def test_negative_bound_rejected(self, m):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            Instance.from_fields(_bf("X", [[0]]), _bf("Y", [[0] * 5] * 5), m)
+
 
 class TestMonotonicity:
     @given(st.integers(0, 10_000))

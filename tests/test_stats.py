@@ -8,8 +8,8 @@ import pytest
 
 from blockembed import embed
 from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
-from blockembed.fields import GRID_GOOD, Y0Class, classify_y0_block
-from blockembed.hierarchy import Component, build_hierarchy, build_level0
+from blockembed.fields import GRID_GOOD, GRID_ONE, Y0Class, classify_y0_block
+from blockembed.hierarchy import Component, Level0Structure, build_hierarchy, build_level0
 from blockembed.lattice import LatticeAnimal, Rect
 from blockembed.params import named_profile
 from blockembed.stats import (
@@ -29,23 +29,20 @@ def _bad_component(cells):
                      (len(cells), len(cells)))
 
 
-class _ClassContent:
-    """Fixed class content for fabricated target-side components."""
-
-    def __init__(self, mapping, default=Y0Class.ONE):
-        self.mapping = mapping
-        self.default = default
-
-    def class_at(self, cell):
-        return self.mapping.get(cell, self.default)
+# Every fabricated component below lies in this window.
+_WINDOW = Rect(0, 0, 3, 1)
 
 
-class _BitContent:
-    def __init__(self, bit):
-        self.bit = bit
+def _class_content(code=GRID_ONE):
+    """Target-family content: every cell of the window has class ``code``."""
+    grid = np.full((_WINDOW.y1, _WINDOW.x1), code, dtype=np.int8)
+    return Level0Structure("Y", _WINDOW, 0, named_profile("toy1"), grid, None, [])
 
-    def bit_at(self, cell):
-        return self.bit
+
+def _bit_content(bit):
+    """Source-family content: every cell of the window carries ``bit``."""
+    bits = np.full((_WINDOW.y1, _WINDOW.x1), bit, dtype=np.uint8)
+    return Level0Structure("X", _WINDOW, 0, named_profile("toy1"), None, bits, [])
 
 
 class TestClassProbabilities:
@@ -90,12 +87,12 @@ class TestExactS0:
     def test_source_singleton(self):
         p = named_profile("toy-m0-2")
         comp = _bad_component([(0, 0)])
-        assert exact_S0(comp, "X", p, structure=_BitContent(0)) == Fraction(11, 16)
+        assert exact_S0(comp, "X", p, structure=_bit_content(0)) == Fraction(11, 16)
 
     def test_source_product_over_cells(self):
         p = named_profile("toy-m0-2")
         comp = _bad_component([(0, 0), (1, 0)])
-        got = exact_S0(comp, "X", p, structure=_BitContent(1))
+        got = exact_S0(comp, "X", p, structure=_bit_content(1))
         assert got == Fraction(11, 16) ** 2
 
     def test_level_restriction(self, toy1):
@@ -128,7 +125,7 @@ class TestEstimateS:
 
     def test_deterministic(self, toy1):
         comp = _bad_component([(0, 0)])
-        content = _ClassContent({})
+        content = _class_content()
         a = estimate_S(comp, 0, 5000, 42, toy1, family="Y", structure=content)
         b = estimate_S(comp, 0, 5000, 42, toy1, family="Y", structure=content)
         assert a == b
@@ -137,7 +134,7 @@ class TestEstimateS:
         for v, seed in ((1, 5), (2, 6), (3, 7)):
             comp = _bad_component([(i, 0) for i in range(v)])
             est = estimate_S(comp, 0, 20000, seed, toy1, family="Y",
-                             structure=_ClassContent({}))
+                             structure=_class_content())
             exact = float(exact_S0(comp, "Y", toy1))
             sigma = (exact * (1 - exact) / 20000) ** 0.5
             assert abs(est.point - exact) <= 3 * sigma
@@ -145,7 +142,7 @@ class TestEstimateS:
     def test_source_side_matches_exact(self):
         p = named_profile("toy-m0-2")
         comp = _bad_component([(0, 0)])
-        est = estimate_S(comp, 0, 20000, 9, p, family="X", structure=_BitContent(0))
+        est = estimate_S(comp, 0, 20000, 9, p, family="X", structure=_bit_content(0))
         exact = float(Fraction(11, 16))
         sigma = (exact * (1 - exact) / 20000) ** 0.5
         assert abs(est.point - exact) <= 3 * sigma
@@ -172,7 +169,7 @@ class TestEstimateS:
         comp = Component(0, LatticeAnimal(frozenset([(0, 0)])), (), "good-singleton",
                          (0, 0))
         est = estimate_S(comp, 0, 1000, 3, toy1, family="Y",
-                         structure=_ClassContent({(0, 0): Y0Class.GOOD}))
+                         structure=_class_content(GRID_GOOD))
         assert est.point == 1.0
 
 
