@@ -78,7 +78,7 @@ def _claim(out_dir: str, *names: str) -> list:
     return [out / n for n in names]
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config: dict, artifacts: list):
+def _write_manifest(out_dir: str, subcommand: str, config: dict, artifacts: list):
     payload = {
         "subcommand": subcommand,
         "config": {k: str(v) for k, v in sorted(config.items())},
@@ -90,7 +90,8 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, artifacts: lis
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()
     payload["config_hash"] = digest
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path = Path(out_dir) / "manifest.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 profile_option = click.option("--profile", default="toy1", show_default=True,
@@ -112,8 +113,8 @@ def sample(profile, seed, family, origin, width, height, out_dir):
     field = sample_field(seed, family, tuple(origin), width, height)
     [path] = _claim(out_dir, f"field-{family}-{seed}.bin")
     path.write_bytes(dump_field(field))
-    _write_manifest(path.parent, "sample", dict(profile=profile, seed=seed, family=family,
-                                        origin=origin, width=width, height=height),
+    _write_manifest(out_dir, "sample", dict(profile=profile, seed=seed, family=family,
+                                            origin=origin, width=width, height=height),
                     [path.name])
     click.echo(str(path))
 
@@ -137,8 +138,8 @@ def build(profile, seed, family, window, out_dir):
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
     [path] = _claim(out_dir, f"hierarchy-{family}-{seed}.txt")
     path.write_text(hier.dump_hierarchy(h))
-    _write_manifest(path.parent, "build", dict(profile=profile, seed=seed, family=family,
-                                       window=window), [path.name])
+    _write_manifest(out_dir, "build", dict(profile=profile, seed=seed, family=family,
+                                           window=window), [path.name])
     click.echo(str(path))
 
 
@@ -237,10 +238,9 @@ def reports(profile, seed, windows, window, out_dir):
         texts[f"{name}.records"] = report.to_records()
     for path, text in zip(_claim(out_dir, *texts), texts.values()):
         path.write_text(text)
-    out = Path(out_dir)
-    _write_manifest(out, "reports", dict(profile=profile, seed=seed,
-                                         windows=windows, window=window), list(texts))
-    click.echo(str(out))
+    _write_manifest(out_dir, "reports", dict(profile=profile, seed=seed,
+                                             windows=windows, window=window), list(texts))
+    click.echo(str(Path(out_dir)))
 
 
 @cli.command()
@@ -259,9 +259,7 @@ def oracle(x_file, y_file, bound, mode, limit, node_cap):
         raise ConfigError(f"--limit must be at least 1, got {limit}")
     x = load_field(Path(x_file).read_bytes())
     y = load_field(Path(y_file).read_bytes())
-    from fractions import Fraction
-
-    inst = oracle_mod.Instance.from_fields(x, y, Fraction(bound))
+    inst = oracle_mod.Instance.from_fields(x, y, bound)
     if mode == "decide":
         emb = oracle_mod.find_embedding(inst, node_cap)
         rec = {"mode": mode, "decision": emb is not None}
@@ -361,8 +359,8 @@ def render(profile, seed, family, window, level, out_dir):
     parts.append("</svg>")
     [path] = _claim(out_dir, f"level{level}-{family}-{seed}.svg")
     path.write_text("\n".join(parts) + "\n")
-    _write_manifest(path.parent, "render", dict(profile=profile, seed=seed, family=family,
-                                        window=window, level=level), [path.name])
+    _write_manifest(out_dir, "render", dict(profile=profile, seed=seed, family=family,
+                                            window=window, level=level), [path.name])
     click.echo(str(path))
 
 

@@ -45,6 +45,10 @@ class Instance:
     def from_fields(
         cls, x: BitField, y: BitField, m: Fraction | int | float
     ) -> "Instance":
+        try:
+            m = Fraction(m)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"the Lipschitz bound must be finite, got {m}") from None
         if m < 0:
             raise ConfigError(f"the Lipschitz bound must be nonnegative, got {m}")
         sites = tuple(
@@ -57,7 +61,7 @@ class Instance:
                 f"oracle source of {len(sites)} sites exceeds cap {SOURCE_SITE_CAP}"
             )
         values = {s: x.get(*s) for s in sites}
-        return cls(sites, values, y, Fraction(m) ** 2)
+        return cls(sites, values, y, m ** 2)
 
     def __post_init__(self) -> None:
         if not self.source_sites:

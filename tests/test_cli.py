@@ -111,7 +111,9 @@ class TestSampleAndOracle:
 
     @pytest.mark.parametrize("extra", [("--mode", "enumerate", "--limit", "0"),
                                        ("--mode", "enumerate", "--limit", "-3"),
-                                       ("-m", "-2", "--mode", "count")])
+                                       ("-m", "-2", "--mode", "count"),
+                                       ("-m", "nan", "--mode", "count"),
+                                       ("-m", "inf", "--mode", "decide")])
     def test_bad_limit_or_bound_is_config_error(self, tmp_path, capsys, extra):
         run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
             "--height", "2", "--out-dir", str(tmp_path / "sx"))

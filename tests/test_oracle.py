@@ -137,9 +137,10 @@ class TestCountEmbeddings:
         with pytest.raises(ConfigError, match="at least 1"):
             list(enumerate_embeddings(inst, limit=limit))
 
-    @pytest.mark.parametrize("m", [-2, Fraction(-1, 3)])
-    def test_negative_bound_rejected(self, m):
-        with pytest.raises(ConfigError, match="nonnegative"):
+    @pytest.mark.parametrize("m, reason", [(-2, "nonnegative"), (Fraction(-1, 3), "nonnegative"),
+                                           (float("nan"), "finite"), (float("inf"), "finite")])
+    def test_bad_bound_rejected(self, m, reason):
+        with pytest.raises(ConfigError, match=reason):
             Instance.from_fields(_bf("X", [[0]]), _bf("Y", [[0] * 5] * 5), m)
 
 
