@@ -257,6 +257,8 @@ def oracle(x_file, y_file, bound, mode, limit, node_cap):
     """Run the exact embedding oracle on two serialized field windows."""
     if limit is not None and limit < 1:
         raise ConfigError(f"--limit must be at least 1, got {limit}")
+    if node_cap < 1:
+        raise ConfigError(f"--node-cap must be at least 1, got {node_cap}")
     x = load_field(Path(x_file).read_bytes())
     y = load_field(Path(y_file).read_bytes())
     inst = oracle_mod.Instance.from_fields(x, y, bound)

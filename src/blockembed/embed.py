@@ -76,18 +76,18 @@ class CellCorrespondence:
         return self.mapping[cell]
 
 
-def _base_translation(source: frozenset, target: frozenset) -> Point:
+def _base_translation(source: LatticeAnimal, target: frozenset) -> Point:
     """The translation taking source onto target: least site onto least site.
 
-    Both must be lattice animals: constructing one raises ConfigError
-    otherwise.  A target that is a translate of a connected source is one,
-    so only a mismatched target is checked apart.
+    The target must be a lattice animal too: constructing one raises
+    ConfigError otherwise.  A translate of the source is one, so only a
+    mismatched target is checked apart.
     """
-    LatticeAnimal(source)
+    sites = source.sites
     if target:
-        (ax, ay), (bx, by) = min(source), min(target)
+        (ax, ay), (bx, by) = min(sites), min(target)
         t = (bx - ax, by - ay)
-        if {(x + t[0], y + t[1]) for x, y in source} == target:
+        if {(x + t[0], y + t[1]) for x, y in sites} == target:
             return t
     LatticeAnimal(target)
     raise PreconditionError("source and target domains have different shapes")
@@ -114,7 +114,7 @@ def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> None:
 
 
 def translation_family(
-    source: frozenset,
+    source: frozenset | LatticeAnimal,
     target: frozenset,
     T: Sequence[LatticeAnimal],
     T_prime: Sequence[LatticeAnimal],
@@ -127,9 +127,15 @@ def translation_family(
     The base map (h = (1, 1)) is the rigid translation; member h displaces
     the image of every designated source set by h - (1, 1).  Images of the
     source sets and preimages of the target sets must come out pairwise
-    disjoint and non-neighbouring, else the offset is rejected.
+    disjoint and non-neighbouring, else the offset is rejected.  A source
+    given as a set is checked to be a lattice animal (ConfigError if not);
+    one given as a LatticeAnimal was checked when it was built, which saves
+    the check when one source is searched many times.
     """
+    if not isinstance(source, LatticeAnimal):
+        source = LatticeAnimal(source)
     t = _base_translation(source, target)
+    source = source.sites
     scale_sq = params.scale(max(level - 1, 0)) ** 2
     if not (1 <= h[0] <= scale_sq and 1 <= h[1] <= scale_sq):
         raise ConfigError("offset outside the family index window")
@@ -173,7 +179,7 @@ def translation_family(
 
 
 def translation_subfamily(
-    source: frozenset,
+    source: frozenset | LatticeAnimal,
     T: Sequence[LatticeAnimal],
     params: ParameterSet,
     level: int = 1,
@@ -182,8 +188,14 @@ def translation_subfamily(
 
     Mirrors the proof device of trying ``scale(level - 1)`` offsets whose
     designated images are pairwise disjoint and non-neighbouring: offsets
-    form a grid spaced by the largest designated diameter plus two.
+    form a grid spaced by the largest designated diameter plus two.  A
+    source set that is not a lattice animal has no members.
     """
+    if not isinstance(source, LatticeAnimal):
+        try:
+            source = LatticeAnimal(source)
+        except ConfigError:
+            return []
     want = params.scale(max(level - 1, 0))
     diam = 1
     for animal in T:
@@ -196,7 +208,7 @@ def translation_subfamily(
         for a in range(g):
             h = (1 + a * spacing, 1 + b * spacing)
             try:
-                translation_family(source, source, T, (), h, params, level)
+                translation_family(source, source.sites, T, (), h, params, level)
             except (InvalidOffset, PreconditionError, ConfigError):
                 continue
             out.append(h)
@@ -436,11 +448,15 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         for c in hier.bad_subcomponents(y_block, y_hier.level0)
     ]
 
+    # The block checks its domain once for all the trials that search it.
+    source = block.domain_animal
+    if source is None:  # not a lattice animal: every member raises ConfigError
+        source = block.domain
     candidates = [(1, 1)]
     if x_bad:
         candidates += [
             h
-            for h in translation_subfamily(block.domain, x_bad, params, 1)
+            for h in translation_subfamily(source, x_bad, params, 1)
             if h != (1, 1)
         ]
     tried = 0
@@ -450,7 +466,7 @@ def _embeds_level1(block, y_window, params, x_structure, budget):
         tried += 1
         try:
             corr = translation_family(
-                block.domain, y_block.domain, x_bad, y_bad, h, params, 1
+                source, y_block.domain, x_bad, y_bad, h, params, 1
             )
         except (InvalidOffset, PreconditionError, ConfigError):
             continue

@@ -126,6 +126,15 @@ class Block:
     def animal(self) -> LatticeAnimal:
         return self.lattice_block.animal
 
+    @cached_property
+    def domain_animal(self) -> Optional[LatticeAnimal]:
+        """The domain as a lattice animal, checked on first read; None when
+        it is not connected."""
+        try:
+            return LatticeAnimal(self.domain)
+        except ConfigError:
+            return None
+
     @property
     def size(self) -> int:
         return self.lattice_block.size

@@ -5,13 +5,22 @@ window into a target window with X(v) = Y(phi(v)) and
 ||phi(u) - phi(v)|| <= M ||u - v|| for every pair, using exact rational
 arithmetic for the distance comparisons.  It is deliberately independent of
 the constructive machinery so it can serve as ground truth for it.
+
+The search backtracks over the source sites center-out, with a domain per
+site: a bitmask over the target sites still open to it.  Each assignment
+intersects the later domains with a ball around its image (forward
+checking); the balls and the nearest-first candidate streams are built
+lazily and cached for one search.  Counting takes the last site's domain
+size without visiting its targets one by one, and counts the same nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import ConfigError, SearchBudgetExceeded
 from .fields import BitField
@@ -68,7 +77,26 @@ class Instance:
             raise ConfigError("oracle instance needs at least one source site")
         if len(self.source_sites) > SOURCE_SITE_CAP:
             raise ConfigError("oracle source exceeds the site cap")
-        object.__setattr__(self, "m_squared", Fraction(self.m_squared))
+        if len(set(self.source_sites)) != len(self.source_sites):
+            raise ConfigError("oracle source sites must be distinct")
+        for s in self.source_sites:
+            if s not in self.source_values:
+                raise ConfigError(f"oracle source site {s} has no value")
+            if self.source_values[s] not in (0, 1):
+                raise ConfigError(
+                    f"oracle source site {s} has value {self.source_values[s]!r}, not 0 or 1"
+                )
+        if not np.isin(self.target.bits, (0, 1)).all():
+            raise ConfigError("oracle target bits must be 0 or 1")
+        try:
+            m_squared = Fraction(self.m_squared)
+        except (ValueError, OverflowError):
+            raise ConfigError(
+                f"the squared bound must be finite, got {self.m_squared}"
+            ) from None
+        if m_squared < 0:
+            raise ConfigError(f"the squared bound must be nonnegative, got {m_squared}")
+        object.__setattr__(self, "m_squared", m_squared)
 
 
 def _d2(a, b) -> int:
@@ -82,95 +110,140 @@ def _variable_order(sites) -> list:
     return sorted(sites, key=lambda s: ((s[0] - cx) ** 2 + (s[1] - cy) ** 2, s))
 
 
+def _bitmask(mask: np.ndarray) -> int:
+    """A boolean vector as an int whose bit k is mask[k]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 class _Search:
+    """Backtracking over the sites of ``_variable_order``.
+
+    Target sites are numbered row-major, k = iy * width + ix, and sets of
+    them are int bitmasks.  Each source site keeps a domain: the targets
+    still open to it.  Assigning site i to target k intersects every later
+    domain with the ball of k whose radius is M times the source distance,
+    minus k itself; the assignment is kept only when no later domain
+    empties (forward checking).  Balls and candidate orders are built on
+    first use and cached for the search.
+    """
+
     def __init__(self, inst: Instance, node_cap: int):
         self.inst = inst
         self.node_cap = node_cap
         self.nodes = 0
         y = inst.target
         self.order = _variable_order(inst.source_sites)
-        # Target sites grouped by value for fast candidate streams.
-        self.by_value = {0: [], 1: []}
-        for iy in range(y.height):
-            for ix in range(y.width):
-                t = (y.origin[0] + ix, y.origin[1] + iy)
-                self.by_value[int(y.bits[iy, ix])].append(t)
+        iy, ix = np.indices((y.height, y.width))
+        self._tx = ix.ravel().astype(np.int64) + y.origin[0]
+        self._ty = iy.ravel().astype(np.int64) + y.origin[1]
+        self._targets = list(zip(self._tx.tolist(), self._ty.tolist()))
+        self._far = (y.width - 1) ** 2 + (y.height - 1) ** 2
+        bits = y.bits.ravel()
+        self._roots = [_bitmask(bits == inst.source_values[s]) for s in self.order]
+        self._src_d2 = [[_d2(a, b) for b in self.order] for a in self.order]
+        self._balls: dict = {}
+        self._rows: dict = {}
+        self._streams: dict = {}
 
-    def candidates(self, site, assignment) -> Iterator:
-        """Value-matched target sites satisfying all bound checks, nearest first.
+    def _visit(self, n: int = 1) -> None:
+        """Count n nodes; on a trip, stop where one-at-a-time counting would."""
+        if self.nodes + n > self.node_cap:
+            self.nodes = max(self.nodes + 1, self.node_cap + 1)
+            raise SearchBudgetExceeded(f"oracle exceeded {self.node_cap} search nodes")
+        self.nodes += n
 
-        Nearest is relative to the image of the first assigned site shifted
-        by the source displacement, which centers the stream on the rigid
-        continuation of the partial map.
-        """
-        value = self.inst.source_values[site]
-        m2 = self.inst.m_squared
-        pool = self.by_value[value]
-        if assignment:
-            s0, t0 = next(iter(assignment.items()))
-            ref = (t0[0] + site[0] - s0[0], t0[1] + site[1] - s0[1])
-            pool = sorted(pool, key=lambda t: (_d2(t, ref), t))
-        used = set(assignment.values())
-        for t in pool:
-            if t in used:
-                continue
-            ok = True
-            for s, u in assignment.items():
-                # d(t, u)^2 <= M^2 d(site, s)^2, exactly.
-                if _d2(t, u) * m2.denominator > m2.numerator * _d2(site, s):
-                    ok = False
-                    break
-            if ok:
-                yield t
+    def _ball(self, d2: int, k: int) -> int:
+        """Targets u != k with d(u, k)^2 <= M^2 d2, exactly."""
+        ball = self._balls.get((d2, k))
+        if ball is None:
+            m2 = self.inst.m_squared
+            # Over integers, d^2 * den <= num * d2 iff d^2 <= floor(num * d2 / den).
+            radius = min(m2.numerator * d2 // m2.denominator, self._far)
+            dist = (self._tx - self._tx[k]) ** 2 + (self._ty - self._ty[k]) ** 2
+            ball = _bitmask(dist <= radius) & ~(1 << k)
+            self._balls[(d2, k)] = ball
+        return ball
+
+    def _row(self, i: int, k: int) -> list:
+        """The balls that order[i] -> k imposes on each later site."""
+        row = self._rows.get((i, k))
+        if row is None:
+            d2 = self._src_d2[i]
+            row = [self._ball(d2[j], k) for j in range(i + 1, len(self.order))]
+            self._rows[(i, k)] = row
+        return row
+
+    def _narrow(self, i: int, k: int, domains: list) -> Optional[list]:
+        """The domains after order[i] -> k, or None when a later one empties."""
+        out = domains[:]
+        j = i
+        for ball in self._row(i, k):
+            j += 1
+            d = out[j] & ball
+            if not d:
+                return None
+            out[j] = d
+        return out
+
+    def _stream(self, i: int, k0: int) -> list:
+        """Targets nearest first to the rigid continuation of order[0] -> k0
+        at order[i], by (d^2, target)."""
+        stream = self._streams.get((i, k0))
+        if stream is None:
+            (ax, ay), (bx, by) = self.order[0], self.order[i]
+            rx, ry = self._tx[k0] + bx - ax, self._ty[k0] + by - ay
+            dist = (self._tx - rx) ** 2 + (self._ty - ry) ** 2
+            stream = np.lexsort((self._ty, self._tx, dist)).tolist()
+            self._streams[(i, k0)] = stream
+        return stream
 
     def run(self, limit: Optional[int]) -> Iterator[dict]:
         """Yield embeddings (as dicts) up to ``limit``; None means all."""
         if limit is not None and limit < 1:
             raise ConfigError(f"the witness limit must be at least 1, got {limit}")
-        assignment: dict = {}
-
-        def extend(i: int) -> Iterator[dict]:
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise SearchBudgetExceeded(
-                    f"oracle exceeded {self.node_cap} search nodes"
-                )
-            if i == len(self.order):
-                yield dict(assignment)
-                return
-            site = self.order[i]
-            for t in self.candidates(site, assignment):
-                assignment[site] = t
-                if self._forward_ok(i + 1, assignment):
-                    yield from extend(i + 1)
-                del assignment[site]
-
         count = 0
-        for emb in extend(0):
+        for emb in self._walk(0, self._roots, []):
             yield emb
             count += 1
             if limit is not None and count >= limit:
                 return
 
-    def _forward_ok(self, i: int, assignment: dict) -> bool:
-        """Forward check: every unassigned site keeps at least one candidate."""
-        m2 = self.inst.m_squared
-        used = set(assignment.values())
-        for site in self.order[i:]:
-            value = self.inst.source_values[site]
-            found = False
-            for t in self.by_value[value]:
-                if t in used:
-                    continue
-                if all(
-                    _d2(t, u) * m2.denominator <= m2.numerator * _d2(site, s)
-                    for s, u in assignment.items()
-                ):
-                    found = True
-                    break
-            if not found:
-                return False
-        return True
+    def _walk(self, i: int, domains: list, image: list) -> Iterator[dict]:
+        self._visit()
+        if i == len(self.order):
+            yield dict(zip(self.order, (self._targets[k] for k in image)))
+            return
+        domain = domains[i]
+        for k in self._stream(i, image[0]) if i else range(len(self._targets)):
+            if domain >> k & 1:
+                narrowed = self._narrow(i, k, domains)
+                if narrowed is not None:
+                    image.append(k)
+                    yield from self._walk(i + 1, narrowed, image)
+                    image.pop()
+
+    def count(self) -> int:
+        """The number of embeddings.  The nodes are those ``run`` visits, in
+        target order: the set of nodes, and so the count and the node cap's
+        trip point, do not depend on the order of siblings."""
+        return self._count(0, self._roots)
+
+    def _count(self, i: int, domains: list) -> int:
+        self._visit()
+        domain = domains[i]
+        if i == len(self.order) - 1:
+            # Each target left to the last site is one leaf node.
+            leaves = domain.bit_count()
+            self._visit(leaves)
+            return leaves
+        total = 0
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            narrowed = self._narrow(i, low.bit_length() - 1, domains)
+            if narrowed is not None:
+                total += self._count(i + 1, narrowed)
+        return total
 
 
 def find_embedding(
@@ -188,10 +261,7 @@ def find_embedding(
 
 def count_embeddings(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """The exact number of embeddings; raises on budget exhaustion."""
-    n = 0
-    for _ in _Search(inst, node_cap).run(limit=None):
-        n += 1
-    return n
+    return _Search(inst, node_cap).count()
 
 
 def enumerate_embeddings(

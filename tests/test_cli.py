@@ -127,6 +127,18 @@ class TestSampleAndOracle:
         assert code == EXIT_CONFIG
         assert out == "" and "config error" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_node_cap_below_one_is_config_error(self, tmp_path, capsys, cap):
+        run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
+            "--height", "2", "--out-dir", str(tmp_path / "sx"))
+        run(capsys, "sample", "--seed", "2", "--family", "Y", "--width", "5",
+            "--height", "5", "--out-dir", str(tmp_path / "sy"))
+        code, out, err = run(capsys, "oracle", "--x-file", str(tmp_path / "sx" / "field-X-1.bin"),
+                             "--y-file", str(tmp_path / "sy" / "field-Y-2.bin"),
+                             "-m", "2", "--mode", "count", "--node-cap", cap)
+        assert code == EXIT_CONFIG
+        assert out == "" and f"--node-cap must be at least 1, got {cap}" in err
+
     def test_truncated_field_file_is_config_error(self, tmp_path, capsys):
         run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
             "--height", "2", "--out-dir", str(tmp_path / "sx"))

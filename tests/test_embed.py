@@ -114,6 +114,29 @@ class TestTranslationFamily:
         assert corr.displacement_budget == expect
         assert (expect > 0) == (h != (1, 1))
 
+    @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
+    def test_checked_source_gives_the_same_member(self, toy1, h):
+        src, target = _square(16), _square(16, off=(3, -2))
+        T = [LatticeAnimal(frozenset([(5, 5), (5, 6)]))]
+        a = translation_family(src, target, T, (), h, toy1)
+        b = translation_family(LatticeAnimal(src), target, T, (), h, toy1)
+        assert a == b and list(a.mapping) == list(b.mapping)
+        assert (translation_subfamily(LatticeAnimal(src), T, toy1, 1)
+                == translation_subfamily(src, T, toy1, 1))
+
+    def test_disconnected_source_rejected(self, toy1):
+        src = frozenset([(0, 0), (2, 0)])
+        with pytest.raises(ConfigError, match="connected"):
+            translation_family(src, src, [], (), (1, 1), toy1)
+        assert translation_subfamily(src, [], toy1, 1) == []
+
+    def test_block_checks_its_domain_once(self):
+        lb = hier.LatticeBlock(0, LatticeAnimal(frozenset([(0, 0)])))
+        connected = hier.Block(1, lb, _square(4))
+        assert connected.domain_animal is connected.domain_animal
+        assert connected.domain_animal.sites == _square(4)
+        assert hier.Block(1, lb, frozenset([(0, 0), (2, 0)])).domain_animal is None
+
     def test_subfamily_size_and_disjointness(self, toy1):
         src = _square(16)
         T = [LatticeAnimal(frozenset([(5, 5)]))]
@@ -171,7 +194,7 @@ class TestBaseTranslation:
             target = other
         else:
             target = frozenset((x + other[0], y + other[1]) for x, y in source) ^ toggled
-        assert (_outcome(embed._base_translation, source, target)
+        assert (_outcome(lambda s, t: embed._base_translation(LatticeAnimal(s), t), source, target)
                 == _outcome(_base_translation_ref, source, target))
 
 

@@ -13,6 +13,8 @@ from blockembed.errors import ConfigError, SearchBudgetExceeded
 from blockembed.fields import BitField, sample_field
 from blockembed.oracle import (
     Instance,
+    _Search,
+    _variable_order,
     count_embeddings,
     enumerate_embeddings,
     find_embedding,
@@ -53,6 +55,181 @@ def brute_force_count(x: BitField, y: BitField, m) -> int:
                 break
         n += ok
     return n
+
+
+def _d2(a, b) -> int:
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+class ReferenceSearch:
+    """The set-and-tuple search the bitset ``_Search`` replaced: the same
+    tree, candidate order and node count, re-sorting and rescanning the
+    target pool at every node."""
+
+    def __init__(self, inst: Instance, node_cap: int):
+        self.inst = inst
+        self.node_cap = node_cap
+        self.nodes = 0
+        y = inst.target
+        self.order = _variable_order(inst.source_sites)
+        self.by_value = {0: [], 1: []}
+        for iy in range(y.height):
+            for ix in range(y.width):
+                t = (y.origin[0] + ix, y.origin[1] + iy)
+                self.by_value[int(y.bits[iy, ix])].append(t)
+
+    def _fits(self, t, site, assignment) -> bool:
+        m2 = self.inst.m_squared
+        return all(_d2(t, u) * m2.denominator <= m2.numerator * _d2(site, s)
+                   for s, u in assignment.items())
+
+    def candidates(self, site, assignment):
+        pool = self.by_value[self.inst.source_values[site]]
+        if assignment:
+            s0, t0 = next(iter(assignment.items()))
+            ref = (t0[0] + site[0] - s0[0], t0[1] + site[1] - s0[1])
+            pool = sorted(pool, key=lambda t: (_d2(t, ref), t))
+        used = set(assignment.values())
+        for t in pool:
+            if t not in used and self._fits(t, site, assignment):
+                yield t
+
+    def _forward_ok(self, i, assignment) -> bool:
+        used = set(assignment.values())
+        return all(
+            any(t not in used and self._fits(t, site, assignment)
+                for t in self.by_value[self.inst.source_values[site]])
+            for site in self.order[i:]
+        )
+
+    def run(self, limit):
+        assignment: dict = {}
+
+        def extend(i):
+            self.nodes += 1
+            if self.nodes > self.node_cap:
+                raise SearchBudgetExceeded(f"oracle exceeded {self.node_cap} search nodes")
+            if i == len(self.order):
+                yield dict(assignment)
+                return
+            site = self.order[i]
+            for t in self.candidates(site, assignment):
+                assignment[site] = t
+                if self._forward_ok(i + 1, assignment):
+                    yield from extend(i + 1)
+                del assignment[site]
+
+        count = 0
+        for emb in extend(0):
+            yield emb
+            count += 1
+            if limit is not None and count >= limit:
+                return
+
+
+def _outcome(search, mode):
+    """What one search gives: count or witnesses (with key order), how it
+    ended, and its node count."""
+    got = []
+    try:
+        if mode == "count":
+            got = search.count() if isinstance(search, _Search) else sum(1 for _ in search.run(None))
+        else:
+            for emb in search.run(1 if mode == "find" else None):
+                got.append(list(emb.items()))
+        end = "done"
+    except SearchBudgetExceeded as exc:
+        end = str(exc)
+    return got, end, search.nodes
+
+
+@st.composite
+def oracle_instances(draw):
+    """Small instances: any source shape and origin, target windows away from
+    the origin, constant or random bits, M in {0, 1, 3/2, 2, 5}."""
+    box = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]))
+    ox, oy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    box_sites = [(ox + i, oy + j) for j in range(box[1]) for i in range(box[0])]
+    sites = draw(st.lists(st.sampled_from(box_sites), min_size=1, max_size=4, unique=True))
+    const = draw(st.sampled_from([None, 0, 1]))
+    values = {s: const if const is not None else draw(st.integers(0, 1)) for s in sites}
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    tconst = draw(st.sampled_from([None, 0, 1]))
+    if tconst is None:
+        bits = np.array(draw(st.lists(st.integers(0, 1), min_size=w * h, max_size=w * h)),
+                        dtype=np.uint8).reshape(h, w)
+    else:
+        bits = np.full((h, w), tconst, dtype=np.uint8)
+    origin = (draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+    y = BitField("Y", origin, w, h, 0, bits)
+    m = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)]))
+    return Instance(tuple(sites), values, y, m * m)
+
+
+class TestBitsetSearch:
+    """The bitset search against the reference: counts, the enumerate
+    sequence with each dict's key order, the first witness, node counts and
+    the point where the node cap trips."""
+
+    @given(oracle_instances(), st.sampled_from(["count", "find", "enumerate"]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_reference(self, inst, mode):
+        cap = 3000
+        assert _outcome(_Search(inst, cap), mode) == _outcome(ReferenceSearch(inst, cap), mode)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampled_3x2_instances_agree(self, seed):
+        x = sample_field(seed, "X", (0, 0), 3, 2)
+        y = sample_field(seed + 1000, "Y", (0, 0), 5, 5)
+        inst = Instance.from_fields(x, y, 2)
+        for mode in ("count", "find"):
+            assert _outcome(_Search(inst, 10**6), mode) == _outcome(ReferenceSearch(inst, 10**6), mode)
+
+    @pytest.mark.parametrize("mode", ["count", "find"])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_cap_trips_where_reference_does(self, seed, mode):
+        x = sample_field(seed, "X", (0, 0), 3, 2)
+        y = sample_field(seed + 1000, "Y", (0, 0), 5, 5)
+        inst = Instance.from_fields(x, y, 2)
+        ref = ReferenceSearch(inst, 10**6)
+        _outcome(ref, mode)
+        n = ref.nodes
+        got, end, nodes = _outcome(_Search(inst, n - 1), mode)
+        assert end == f"oracle exceeded {n - 1} search nodes" and nodes == n
+        got, end, nodes = _outcome(_Search(inst, n), mode)
+        assert end == "done" and nodes == n
+        for cap in (0, 1, n // 3, n // 2):
+            assert _outcome(_Search(inst, cap), mode) == _outcome(ReferenceSearch(inst, cap), mode)
+
+
+class TestMalformedInstance:
+    def _y(self):
+        return _bf("Y", [[0, 1], [1, 0]])
+
+    def test_duplicate_site(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            Instance(((0, 0), (0, 0)), {(0, 0): 0}, self._y(), Fraction(4))
+
+    def test_site_without_value(self):
+        with pytest.raises(ConfigError, match=r"\(1, 0\) has no value"):
+            Instance(((0, 0), (1, 0)), {(0, 0): 0}, self._y(), Fraction(4))
+
+    @pytest.mark.parametrize("value", [2, -1, None])
+    def test_value_outside_bits(self, value):
+        with pytest.raises(ConfigError, match="not 0 or 1"):
+            Instance(((0, 0),), {(0, 0): value}, self._y(), Fraction(4))
+
+    def test_target_bit_outside_bits(self):
+        with pytest.raises(ConfigError, match="target bits"):
+            Instance(((0, 0),), {(0, 0): 0}, _bf("Y", [[0, 2]]), Fraction(4))
+
+    def test_negative_squared_bound(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            Instance(((0, 0),), {(0, 0): 0}, self._y(), Fraction(-1))
+
+    def test_nonfinite_squared_bound(self):
+        with pytest.raises(ConfigError, match="finite"):
+            Instance(((0, 0),), {(0, 0): 0}, self._y(), float("inf"))
 
 
 class TestFindEmbedding:
