@@ -23,43 +23,51 @@ DEFAULT_SITE_CAP = 1 << 26
 _FAMILY_TAGS = {"X": 0x58, "Y": 0x59}
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z):
-    """SplitMix64 finalizer; accepts uint64 scalars or arrays."""
-    # Work on arrays of ndim >= 1 throughout: numpy wraps array arithmetic
-    # silently but warns on scalar overflow.
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=_U64)) + _GOLDEN
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array of ndim >= 1: numpy wraps
+    array arithmetic silently but warns on scalar overflow."""
+    z = z + _U64(_GOLDEN)
     z ^= z >> _U64(30)
-    z *= _MIX1
+    z *= _U64(_MIX1)
     z ^= z >> _U64(27)
-    z *= _MIX2
+    z *= _U64(_MIX2)
     z ^= z >> _U64(31)
-    return z[0] if scalar else z
+    return z
+
+
+def _mix64_int(z: int) -> int:
+    """SplitMix64 finalizer of one value in [0, 2**64), in int arithmetic."""
+    z = (z + _GOLDEN) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
+    return z ^ (z >> 31)
 
 
 def site_bits(seed: int, family: str, xs, ys) -> np.ndarray:
     """Fair-coin bits for absolute sites (xs, ys); broadcasts like numpy."""
     if family not in _FAMILY_TAGS:
         raise ConfigError(f"unknown family {family!r}")
-    xs = np.asarray(xs, dtype=np.int64).astype(_U64)
-    ys = np.asarray(ys, dtype=np.int64).astype(_U64)
-    h = _mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(_FAMILY_TAGS[family]))
-    h = _mix64(h ^ xs)
-    h = _mix64(h ^ ys)
-    return ((h >> _U64(31)) & _U64(1)).astype(np.uint8)
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    prefix = _mix64_int((seed & _M64) ^ _mix64_int(_FAMILY_TAGS[family]))
+    h = _mix64(np.atleast_1d(xs).astype(_U64) ^ _U64(prefix))
+    h = _mix64(h ^ np.atleast_1d(ys).astype(_U64))
+    return ((h >> _U64(31)) & _U64(1)).astype(np.uint8).reshape(shape)
 
 
 def derive_seed(seed: int, *counters: int) -> int:
     """Derive an independent 64-bit subseed from a seed and counters."""
-    h = _U64(seed & 0xFFFFFFFFFFFFFFFF)
+    h = seed & _M64
     for c in counters:
-        h = _mix64(h ^ _U64(c & 0xFFFFFFFFFFFFFFFF))
-    return int(h)
+        h = _mix64_int(h ^ (c & _M64))
+    return h
 
 
 @dataclass(frozen=True)

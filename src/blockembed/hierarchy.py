@@ -21,8 +21,9 @@ indices.  Level-0 cells coincide with level-0 blocks of the field.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -68,6 +69,15 @@ REALLY_BAD = "really-bad"
 # Attempt caps for randomized then deterministic curve selection.
 CURVE_SAMPLE_TRIES = 200
 CURVE_SCAN_CAP = 2_000
+# Draws realized one at a time before the remaining ones are decided from
+# the exact factor tables.  On a one-cell toy1 block the tables cost as much
+# as 25 to 30 realized draws.  Level-1 toy1 trials mostly find a curve
+# within a few draws, while a block with no valid curve fails them all;
+# over the draws of 100 such trials' selections, 16 gives the least total.
+CURVE_TABLE_AFTER = 16
+# Curve frames kept for reuse: blocks of one shape and place share a frame.
+FRAME_CACHE_SIZE = 64
+_NO_CURVE = "no valid boundary curve exists for this block"
 
 
 @dataclass(frozen=True)
@@ -390,14 +400,6 @@ def _edge_normal(side: str) -> Point:
     return {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}[side]
 
 
-def boundary_family(animal: LatticeAnimal, j: int, params: ParameterSet):
-    """Boundary edges and vertices indexing the curve family of a block."""
-    r = params.cells_per_side(j)
-    edges = _boundary_edges(animal)
-    vertices = sorted({v for e in edges for v in _edge_vertices(e, r)})
-    return edges, vertices
-
-
 def _band(axis: int, n0: int, n1: int, a0: int, a1: int) -> tuple:
     """Index of the cells [n0, n1) along a normal axis (0: y, 1: x) and
     [a0, a1) along the other."""
@@ -413,15 +415,21 @@ class CurveFrame:
     ideal outline, the outside strips of the boundary edges one cell, and
     the widest dilation of bad cells read there a further clearance + k0 + 1.
     Bad cells the frame clips are therefore never read.
+
+    A frame depends on the block's geometry alone, so ``curve_frame`` shares
+    one among blocks of one shape and place, and the frame holds what a
+    selection reads that no field changes: the straight curve and its ring,
+    the cells within clearance - 1 of the straight outline.  Its arrays are
+    read-only.
     """
 
-    def __init__(self, animal: LatticeAnimal, j: int, params: ParameterSet):
+    def __init__(self, animal: LatticeAnimal, j: int, r: int, mb: int, clearance: int,
+                 k0: int):
         self.j = j
-        self.r = r = params.cells_per_side(j)
-        margins = params.margins(j)
-        self.mb = mb = margins.buffer
-        self.clearance = margins.clearance
-        self.k0 = params.k0
+        self.r = r
+        self.mb = mb
+        self.clearance = clearance
+        self.k0 = k0
         if self.k0 > self.mb:
             raise ConfigError("buffer margin too small for 2*k0 curve tracks")
         # With k0 <= mb < r / 4 every cell is within one step of the pieces
@@ -430,7 +438,8 @@ class CurveFrame:
         # needs.
         if 4 * mb >= r:
             raise ConfigError("buffer margin must stay below a quarter of the block side")
-        self.edges, self.vertices = boundary_family(animal, j, params)
+        self.edges = _boundary_edges(animal)
+        self.vertices = sorted({v for e in self.edges for v in _edge_vertices(e, r)})
         pad = self.clearance + self.k0 + 2
         bx0, by0, bx1, by1 = animal.bounding_box()
         self.x0, self.y0 = bx0 * r - pad, by0 * r - pad
@@ -468,6 +477,13 @@ class CurveFrame:
                 (ax, ay), (bx, by) = normals
                 if ax + bx and ay + by:
                     self.corners[v] = (ax + bx, ay + by)
+        self.ideal.flags.writeable = False
+        corner_idx, edge_idx, mask = _straight(self)
+        self.straight = _make_curve(self, corner_idx, edge_idx, mask)
+        # Chebyshev dilation is symmetric: a bad cell lies on the ring exactly
+        # when the straight outline lies within clearance - 1 of it.
+        self.ring = _dilate(_boundary(mask), self.clearance - 1)
+        self.ring.flags.writeable = False
 
     def cells(self, mask: np.ndarray) -> frozenset:
         ys, xs = np.nonzero(mask)
@@ -481,6 +497,19 @@ class CurveFrame:
         keep = (xs >= 0) & (ys >= 0) & (xs < mask.shape[1]) & (ys < mask.shape[0])
         mask[ys[keep], xs[keep]] = True
         return mask
+
+
+def curve_frame(animal: LatticeAnimal, j: int, params: ParameterSet) -> CurveFrame:
+    """The curve frame of a lattice block, shared by blocks of one shape and
+    place: it reads of the parameters only the level's geometry."""
+    margins = params.margins(j)
+    return _cached_frame(animal, j, params.cells_per_side(j), margins.buffer,
+                         margins.clearance, params.k0)
+
+
+@lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _cached_frame(animal: LatticeAnimal, j: int, r: int, mb: int, clearance: int, k0: int):
+    return CurveFrame(animal, j, r, mb, clearance, k0)
 
 
 def realize_domain(
@@ -574,11 +603,6 @@ def _blocked_edge(frame: CurveFrame, forbidden: np.ndarray) -> bool:
     """Whether some edge factor is all false: an edge with a forbidden cell
     on every track row, so that no index assignment clears."""
     return not all(f.any() for f in _edge_factors(frame, forbidden).values())
-
-
-def _curve_count(frame: CurveFrame, forbidden: np.ndarray) -> int:
-    """The exact number of index assignments whose domain clears ``forbidden``."""
-    return _contract(*_curve_factors(frame, forbidden))
 
 
 def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> tuple:
@@ -816,63 +840,96 @@ def select_boundary_curve(
     A curve is valid when every bad component of the level below keeps the
     configured clearance from its polyline.  When the straight choice (all
     indices 1) is valid it is kept with probability 1 - 10**-(j+10);
-    otherwise indices are drawn uniformly and rejected until valid, with a
-    deterministic scan as a final fallback.  Raises CurveSelectionError if
-    no valid curve exists, which indicates the caller formed the block from
-    conjoined buffers: before any draw when some boundary edge has a
-    forbidden cell on every track, else before the scan when the exact
-    count of valid curves is 0.  A scan that reaches its cap raises too.
+    otherwise up to CURVE_SAMPLE_TRIES index assignments are drawn
+    uniformly and the first valid one is kept, with a deterministic scan as
+    a final fallback.  Raises CurveSelectionError if no valid curve exists,
+    which indicates the caller formed the block from conjoined buffers:
+    before any draw when some boundary edge has a forbidden cell on every
+    track, else once CURVE_TABLE_AFTER draws have failed and the exact count
+    of valid curves is 0.  A scan that reaches its cap raises too, and its
+    message gives that count.
+
+    Validity is read off the straight curve's ring first, then off realized
+    domains for CURVE_TABLE_AFTER draws, and after that off the exact factor
+    tables, for all remaining draws at once.  The choice is the same either
+    way, but after the tables the generator has moved past all
+    CURVE_SAMPLE_TRIES draws, whichever one is kept.
     """
     if j is None:
         j = ideal_block.level or 1
-    frame = CurveFrame(ideal_block.animal, j, params)
-    k2 = 2 * params.k0
+    frame = curve_frame(ideal_block.animal, j, params)
     bad = _bad_cells(frame, ideal_block.animal, bad_components)
+    straight_clears = not (bad & frame.ring).any()
+    if straight_clears and rng.random() < params.straight_curve_mass(j):
+        return frame.straight
     # A curve is valid exactly when its boundary cells avoid the bad cells
     # dilated by clearance - 1.
     forbidden = _dilate(bad, frame.clearance - 1)
+    if not straight_clears and _blocked_edge(frame, forbidden):
+        raise CurveSelectionError(_NO_CURVE)
 
-    straight = _straight(frame)
-    if _clears(straight[2], forbidden):
-        if rng.random() < params.straight_curve_mass(j):
-            return _make_curve(frame, *straight)
-    elif _blocked_edge(frame, forbidden):
-        raise CurveSelectionError("no valid boundary curve exists for this block")
-
-    for _ in range(CURVE_SAMPLE_TRIES):
-        corner_idx = {
-            v: (int(rng.integers(1, k2 + 1)), int(rng.integers(1, 3)))
-            for v in frame.vertices
-        }
-        edge_idx = {e: int(rng.integers(1, k2 + 1)) for e in frame.edges}
+    # A draw is (ell, s) per vertex, then one index per edge, in frame order.
+    k2, nv = 2 * frame.k0, len(frame.vertices)
+    high = np.array([k2 + 1, 3] * nv + [k2 + 1] * len(frame.edges))
+    for _ in range(CURVE_TABLE_AFTER):
+        draw = rng.integers(1, high).tolist()
+        corner_idx = dict(zip(frame.vertices, zip(draw[:2 * nv:2], draw[1:2 * nv:2])))
+        edge_idx = dict(zip(frame.edges, draw[2 * nv:]))
         mask = realize_domain(frame, corner_idx, edge_idx)
         if _clears(mask, forbidden):
             return _make_curve(frame, corner_idx, edge_idx, mask)
-    if _curve_count(frame, forbidden) == 0:
-        raise CurveSelectionError("no valid boundary curve exists for this block")
+    factors, sizes = _curve_factors(frame, forbidden)
+    count = _contract(factors, sizes)
+    if count == 0:
+        raise CurveSelectionError(_NO_CURVE)
+    draws = rng.integers(1, np.tile(high, CURVE_SAMPLE_TRIES - CURVE_TABLE_AFTER))
+    found = _first_valid(factors, _draw_states(draws.reshape(-1, len(high)), nv))
+    if found is not None:
+        return _realized_curve(frame, found)
 
     # Deterministic targeted scan: only edges (and their endpoints) whose
     # track band comes near an offending cell are perturbed; the rest stay
-    # straight.  Scanned in canonical index order, capped.
+    # straight.  Scanned in canonical index order, hot edges before hot
+    # vertices and the last one fastest, capped.
     hot_edges = _hot_edges(frame, bad)
     hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, frame.r)})
-    corner_idx, edge_idx, _ = straight
-    corner_space = [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2)]
-    edge_space = list(range(1, k2 + 1))
-    scanned = 0
-    for edge_choice in itertools.product(edge_space, repeat=len(hot_edges)):
-        for corner_choice in itertools.product(corner_space, repeat=len(hot_vertices)):
-            scanned += 1
-            if scanned > CURVE_SCAN_CAP:
-                raise CurveSelectionError(
-                    "no valid boundary curve found within the scan cap"
-                )
-            corner_idx.update(zip(hot_vertices, corner_choice))
-            edge_idx.update(zip(hot_edges, edge_choice))
-            mask = realize_domain(frame, corner_idx, edge_idx)
-            if _clears(mask, forbidden):
-                return _make_curve(frame, corner_idx, edge_idx, mask)
-    raise CurveSelectionError("no valid boundary curve exists for this block")
+    var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
+    digits = [(var[e], k2) for e in hot_edges] + [(var[v], 2 * k2) for v in hot_vertices]
+    total = math.prod(radix for _, radix in digits)
+    rest = np.arange(min(total, CURVE_SCAN_CAP))
+    states = np.zeros((len(rest), len(var)), dtype=np.int64)
+    for x, radix in reversed(digits):
+        rest, states[:, x] = np.divmod(rest, radix)
+    found = _first_valid(factors, states)
+    if found is not None:
+        return _realized_curve(frame, found)
+    if total > CURVE_SCAN_CAP:
+        raise CurveSelectionError(
+            f"no valid boundary curve found within the scan cap ({count} valid curves exist)")
+    raise CurveSelectionError(_NO_CURVE)
+
+
+def _draw_states(draws: np.ndarray, nv: int) -> np.ndarray:
+    """Table positions (see ``_curve_factors``) of drawn index rows."""
+    ell, s = draws[:, 0:2 * nv:2], draws[:, 1:2 * nv:2]
+    return np.concatenate([2 * ell + s - 3, draws[:, 2 * nv:] - 1], axis=1)
+
+
+def _first_valid(factors: list, states: np.ndarray) -> Optional[np.ndarray]:
+    """The first row of table positions at which every factor holds."""
+    valid = np.ones(len(states), dtype=bool)
+    for scope, table in factors:
+        valid &= table[tuple(states[:, x] for x in scope)]
+    hits = np.flatnonzero(valid)
+    return states[hits[0]] if len(hits) else None
+
+
+def _realized_curve(frame: CurveFrame, states: np.ndarray) -> BoundaryCurve:
+    """The curve of one row of table positions."""
+    row = states.tolist()
+    corner_idx = {v: (st // 2 + 1, st % 2 + 1) for v, st in zip(frame.vertices, row)}
+    edge_idx = {e: st + 1 for e, st in zip(frame.edges, row[len(frame.vertices):])}
+    return _make_curve(frame, corner_idx, edge_idx, realize_domain(frame, corner_idx, edge_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -1100,8 +1157,7 @@ def build_level1(
             # Bad content hugging the window edge would have conjoined this
             # block outward in the full construction; keep a straight-curve
             # placeholder, flagged censored and bad, excluded from statistics.
-            frame = CurveFrame(lb.animal, j, params)
-            curve = _make_curve(frame, *_straight(frame))
+            curve = curve_frame(lb.animal, j, params).straight
             block = form_block(curve.domain, lb, curve, j)
             blocks.append(replace(block, good=False, censored=True))
             continue

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blockembed.errors import CapExceeded, ConfigError
 from blockembed.fields import (
+    _FAMILY_TAGS,
     ACCEPTS,
     GRID_GOOD,
     GRID_ONE,
@@ -18,6 +19,8 @@ from blockembed.fields import (
     derive_seed,
     dump_field,
     good_threshold,
+    _mix64,
+    _mix64_int,
     level0_embeds,
     load_field,
     sample_field,
@@ -68,6 +71,32 @@ class TestSampling:
     def test_derive_seed_counter_sensitivity(self):
         seen = {derive_seed(42, t) for t in range(1000)}
         assert len(seen) == 1000
+
+    @given(st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_int_mix_matches_the_array_mix(self, z):
+        assert _mix64_int(z) == int(_mix64(np.array([z], dtype=np.uint64))[0])
+
+    @given(st.integers(-2**64, 2**64 - 1),
+           st.lists(st.one_of(st.sampled_from([0, -1, 2**64 - 1, -2**63]),
+                              st.integers(-2**64, 2**64 - 1)), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_derive_seed_matches_the_array_mix(self, seed, counters):
+        # Reference: the mix over one-element uint64 arrays, counters of any
+        # sign taken mod 2**64.
+        h = np.array([seed % 2**64], dtype=np.uint64)
+        for c in counters:
+            h = _mix64(h ^ np.uint64(c % 2**64))
+        assert derive_seed(seed, *counters) == int(h[0])
+
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(sorted(_FAMILY_TAGS)),
+           st.integers(-2**40, 2**40), st.integers(-2**40, 2**40))
+    @settings(max_examples=100, deadline=None)
+    def test_site_bits_match_the_array_mix(self, seed, family, x, y):
+        prefix = _mix64(np.array([seed], dtype=np.uint64)
+                        ^ _mix64(np.array([_FAMILY_TAGS[family]], dtype=np.uint64)))
+        h = _mix64(_mix64(prefix ^ np.uint64(x % 2**64)) ^ np.uint64(y % 2**64))
+        assert site_bits(seed, family, x, y) == (int(h[0]) >> 31) & 1
 
 
 class TestClassification:

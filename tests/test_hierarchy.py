@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from blockembed import hierarchy
 from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
-from blockembed.fields import GRID_GOOD, GRID_ONE, GRID_ZERO
+from blockembed.fields import GRID_GOOD, GRID_ONE, GRID_ZERO, derive_seed
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
     REALLY_BAD,
@@ -18,7 +18,6 @@ from blockembed.hierarchy import (
     Block,
     BoundaryCurve,
     Component,
-    CurveFrame,
     LatticeBlock,
     _bad_cells,
     _blocked_edge,
@@ -27,7 +26,6 @@ from blockembed.hierarchy import (
     _cell_scopes,
     _clears,
     _contract,
-    _curve_count,
     _curve_factors,
     _dilate,
     _edge_normal,
@@ -35,10 +33,12 @@ from blockembed.hierarchy import (
     _hot_edges,
     _label_groups,
     _level0_bad_components,
+    _make_curve,
     _offset_of_index,
-    boundary_family,
+    _straight,
     build_hierarchy,
     build_level0,
+    curve_frame,
     domain_boundary_cells,
     dump_hierarchy,
     exact_level0_status,
@@ -301,7 +301,7 @@ def _middle_rows(frame, edge, d) -> list:
 
 def _realized(animal, params, corner_indices, edge_indices) -> frozenset:
     """Cells of the mask ``realize_domain`` returns."""
-    frame = CurveFrame(animal, 1, params)
+    frame = curve_frame(animal, 1, params)
     return frame.cells(realize_domain(frame, corner_indices, edge_indices))
 
 
@@ -335,7 +335,7 @@ def _animals(draw, shapes=tuple(_SHAPES)):
 def _curve_choices(draw, params):
     """An animal and a random index assignment of its curve family."""
     animal = draw(_animals())
-    return (animal, *draw(_indices(CurveFrame(animal, 1, params))))
+    return (animal, *draw(_indices(curve_frame(animal, 1, params))))
 
 
 @st.composite
@@ -380,6 +380,11 @@ def _blocked_edge_ref(frame, forbidden, k2) -> bool:
     return False
 
 
+def _curve_count(frame, forbidden) -> int:
+    """The exact number of index assignments whose domain clears ``forbidden``."""
+    return _contract(*_curve_factors(frame, forbidden))
+
+
 def _factor_product(frame, factors, corner, edge) -> bool:
     """The product of the curve factors at one index assignment."""
     at = {i: 2 * (corner[v][0] - 1) + corner[v][1] - 1 for i, v in enumerate(frame.vertices)}
@@ -406,12 +411,70 @@ def _brute_count(frame, forbidden, free_vertices, free_edges) -> int:
     return valid * fixed
 
 
+def _family(animal, j, params) -> tuple:
+    """Boundary edges and vertices indexing the curve family of a block."""
+    frame = curve_frame(animal, j, params)
+    return frame.edges, frame.vertices
+
+
 def curve_family_size(animal, j, params) -> int:
     """Reference: the number of index tuples in a block's curve family,
     (2 k0) per boundary edge and (4 k0) per boundary vertex."""
-    edges, vertices = boundary_family(animal, j, params)
+    edges, vertices = _family(animal, j, params)
     k2 = 2 * params.k0
     return k2 ** len(edges) * (2 * k2) ** len(vertices)
+
+
+def _select_ref(lb, bad_components, params, rng, j=1):
+    """Reference curve selection: every draw and every scan candidate is
+    realized and checked, each index drawn by its own generator call."""
+    frame = curve_frame(lb.animal, j, params)
+    k2 = 2 * params.k0
+    bad = _bad_cells(frame, lb.animal, bad_components)
+    forbidden = _dilate(bad, frame.clearance - 1)
+    corner_idx = {v: (1, 1) for v in frame.vertices}
+    edge_idx = {e: 1 for e in frame.edges}
+    mask = realize_domain(frame, corner_idx, edge_idx)
+    if _clears(mask, forbidden):
+        if rng.random() < params.straight_curve_mass(j):
+            return _make_curve(frame, corner_idx, edge_idx, mask)
+    elif _blocked_edge(frame, forbidden):
+        raise CurveSelectionError("no valid boundary curve exists for this block")
+    for _ in range(hierarchy.CURVE_SAMPLE_TRIES):
+        corner = {v: (int(rng.integers(1, k2 + 1)), int(rng.integers(1, 3)))
+                  for v in frame.vertices}
+        edge = {e: int(rng.integers(1, k2 + 1)) for e in frame.edges}
+        mask = realize_domain(frame, corner, edge)
+        if _clears(mask, forbidden):
+            return _make_curve(frame, corner, edge, mask)
+    count = _curve_count(frame, forbidden)
+    if count == 0:
+        raise CurveSelectionError("no valid boundary curve exists for this block")
+    hot_edges = _hot_edges(frame, bad)
+    hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, frame.r)})
+    corner_space = [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2)]
+    scanned = 0
+    for edge_choice in itertools.product(range(1, k2 + 1), repeat=len(hot_edges)):
+        for corner_choice in itertools.product(corner_space, repeat=len(hot_vertices)):
+            scanned += 1
+            if scanned > hierarchy.CURVE_SCAN_CAP:
+                raise CurveSelectionError("no valid boundary curve found within the scan cap"
+                                          f" ({count} valid curves exist)")
+            corner_idx.update(zip(hot_vertices, corner_choice))
+            edge_idx.update(zip(hot_edges, edge_choice))
+            mask = realize_domain(frame, corner_idx, edge_idx)
+            if _clears(mask, forbidden):
+                return _make_curve(frame, corner_idx, edge_idx, mask)
+    raise CurveSelectionError("no valid boundary curve exists for this block")
+
+
+def _selection(select, *args):
+    """A selection's curve indices and domain, or its error message."""
+    try:
+        curve = select(*args)
+    except CurveSelectionError as exc:
+        return str(exc)
+    return curve.corner_indices, curve.edge_indices, curve.domain
 
 
 def _block(cells, good, level=1):
@@ -638,7 +701,7 @@ class TestCurves:
 
     def test_straight_realization_tiles_ideal(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0), (1, 0)]))
-        edges, vertices = boundary_family(a, 1, toy1)
+        edges, vertices = _family(a, 1, toy1)
         domain = _realized(a, toy1, {v: (1, 1) for v in vertices},
                            {e: 1 for e in edges})
         r = toy1.cells_per_side(1)
@@ -651,7 +714,7 @@ class TestCurves:
         # Pushing one edge out by delta adds exactly the strip over its middle
         # and the vertex-offset strips near its endpoints.
         a = LatticeAnimal(frozenset([(0, 0)]))
-        edges, vertices = boundary_family(a, 1, toy1)
+        edges, vertices = _family(a, 1, toy1)
         corner_idx = {v: (1, 1) for v in vertices}
         edge_idx = {e: 1 for e in edges}
         right = ((0, 0), "R")
@@ -664,7 +727,7 @@ class TestCurves:
 
     def test_domain_within_blowup(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0)]))
-        edges, vertices = boundary_family(a, 1, toy1)
+        edges, vertices = _family(a, 1, toy1)
         rng = np.random.default_rng(0)
         r, mb = toy1.cells_per_side(1), toy1.margins(1).buffer
         blowup = Rect(-mb, -mb, r + mb, r + mb)
@@ -754,7 +817,7 @@ class TestCurves:
     def test_clearance_predicate_matches_reference(self, data):
         # Obstructions reach past the frame, whose clipping must not matter.
         animal, corner, edge = data.draw(_curve_choices(TOY1))
-        frame = CurveFrame(animal, 1, TOY1)
+        frame = curve_frame(animal, 1, TOY1)
         mask = realize_domain(frame, corner, edge)
         cells = data.draw(_cells_around(frame, 12))
         bad = [_singleton_bad_component([c]) for c in cells]
@@ -766,7 +829,7 @@ class TestCurves:
     @settings(max_examples=200, deadline=None)
     def test_hot_edges_match_chebyshev_rule(self, data):
         animal = data.draw(_animals())
-        frame = CurveFrame(animal, 1, TOY1)
+        frame = curve_frame(animal, 1, TOY1)
         cells = data.draw(_cells_around(frame, 6))
         reach_d = frame.clearance + TOY1.k0 + 1
         expected = [e for e in frame.edges
@@ -779,7 +842,7 @@ class TestCurves:
     @settings(max_examples=15, deadline=None)
     def test_blocked_edge_is_exact(self, data):
         # Exhaustive at k0 = 1: when the predicate fires, no curve clears.
-        frame = CurveFrame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
+        frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
         cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
                                   min_size=1, max_size=6))
         forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
@@ -797,7 +860,7 @@ class TestCurves:
         # Whatever the other indices, an edge's middle-segment row at its
         # own offset is boundary of the realized domain.
         animal, corner, edge = data.draw(_curve_choices(params))
-        frame = CurveFrame(animal, 1, params)
+        frame = curve_frame(animal, 1, params)
         outline = frame.cells(_boundary(realize_domain(frame, corner, edge)))
         for e in frame.edges:
             assert set(_middle_rows(frame, e, _offset_of_index(edge[e]))) <= outline
@@ -807,7 +870,7 @@ class TestCurves:
     def test_blocked_edge_reads_every_track(self, params, data):
         # One forbidden cell on each track row of one edge blocks it; with
         # any one of them gone, nothing is blocked.
-        frame = CurveFrame(data.draw(_animals()), 1, params)
+        frame = curve_frame(data.draw(_animals()), 1, params)
         k2 = 2 * params.k0
         e = data.draw(st.sampled_from(frame.edges))
         cells = [data.draw(st.sampled_from(_middle_rows(frame, e, _offset_of_index(i))))
@@ -819,7 +882,7 @@ class TestCurves:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_blocked_edge_never_when_straight_clears(self, data):
-        frame = CurveFrame(data.draw(_animals()), 1, TOY1)
+        frame = curve_frame(data.draw(_animals()), 1, TOY1)
         cells = data.draw(_cells_around(frame, 12))
         forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
         straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
@@ -843,7 +906,7 @@ class TestCurveCount:
     @settings(max_examples=8, deadline=None)
     def test_count_matches_brute_force_one_cell(self, data):
         # All 4096 assignments of a one-cell block at k0 = 1.
-        frame = CurveFrame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
+        frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
         forbidden = frame.raster(data.draw(_outline_cells(frame, 3)))
         assert _curve_count(frame, forbidden) == _brute_count(
             frame, forbidden, frame.vertices, frame.edges)
@@ -856,7 +919,7 @@ class TestCurveCount:
         # vertex: the vertex, its edges and their far vertices vary, 4**3 *
         # 2**2 assignments.
         animal = LatticeAnimal(frozenset(shape))
-        frame = CurveFrame(animal, 1, TOY1_K1)
+        frame = curve_frame(animal, 1, TOY1_K1)
         v = data.draw(st.sampled_from(frame.vertices))
         forbidden = frame.raster(data.draw(_outline_cells(frame, 3, (v, frame.mb + frame.k0))))
         edges = [e for e in frame.edges if v in _edge_vertices(e, frame.r)]
@@ -870,7 +933,7 @@ class TestCurveCount:
         # of one assignment: at that assignment, at every assignment one
         # index away from it and at random ones, the product of the factors
         # is the validity.
-        frame = CurveFrame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
         corner, edge = data.draw(_indices(frame))
         outline = sorted(frame.cells(_boundary(realize_domain(frame, corner, edge))))
         forbidden = frame.raster(data.draw(st.lists(st.sampled_from(outline), min_size=1,
@@ -889,7 +952,7 @@ class TestCurveCount:
     def test_cell_scopes_hold_every_index_that_moves_a_cell(self, params, data):
         # Changing one index changes the boundary status only of cells whose
         # scope holds that index.
-        frame = CurveFrame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
         h, w = frame.ideal.shape
         ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
         scopes = np.stack(_cell_scopes(frame, ys, xs))
@@ -911,7 +974,7 @@ class TestCurveCount:
         # At k0 = mb the outward strips of a concave corner's two edges meet:
         # forbid the cells near it that both reach, and count against the
         # brute force over the corner and its edges.
-        frame = CurveFrame(LatticeAnimal(frozenset(shape)), 1, TOY1_K3)
+        frame = curve_frame(LatticeAnimal(frozenset(shape)), 1, TOY1_K3)
         h, w = frame.ideal.shape
         ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
         _, lo, hi = _cell_scopes(frame, ys, xs)
@@ -926,7 +989,7 @@ class TestCurveCount:
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_blocked_edge_reads_the_edge_factors(self, params, data):
-        frame = CurveFrame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
         forbidden = frame.raster(data.draw(_cells_around(frame, 40)))
         blocked = _blocked_edge(frame, forbidden)
         assert blocked == _blocked_edge_ref(frame, forbidden, 2 * params.k0)
@@ -939,7 +1002,7 @@ class TestCurveCount:
 
     def test_count_without_bad_cells_is_the_family_size(self):
         for animal in (_SHAPES[0], _SHAPES[2], _PINCHED):
-            frame = CurveFrame(LatticeAnimal(frozenset(animal)), 1, TOY1)
+            frame = curve_frame(LatticeAnimal(frozenset(animal)), 1, TOY1)
             assert _curve_count(frame, np.zeros_like(frame.ideal)) == curve_family_size(
                 LatticeAnimal(frozenset(animal)), 1, TOY1)
 
@@ -961,7 +1024,7 @@ class TestCurveCount:
 
     def test_futile_blocks_of_the_benchmark(self, toy1):
         animal = LatticeAnimal(frozenset([(1, 1)]))
-        frame = CurveFrame(animal, 1, toy1)
+        frame = curve_frame(animal, 1, toy1)
         window0 = level0_window_for(Rect(1, 1, 2, 2), toy1)
         for seed, count in self.FUTILE_TARGETS.items():
             level0 = build_level0(toy1, "Y", seed, window0)
@@ -971,9 +1034,11 @@ class TestCurveCount:
             assert _curve_count(frame, forbidden) == count
 
     def test_count_zero_raises_before_the_scan(self, toy1, monkeypatch):
-        # Seed 100008's futile block: 200 draws, then the count, no scan.
+        # Seed 100008's futile block: at most CURVE_TABLE_AFTER realized
+        # draws, then the count, no further draw and no scan.
         level0 = build_level0(toy1, "Y", 11802693454003433696,
                               level0_window_for(Rect(1, 1, 2, 2), toy1))
+        curve_frame(LatticeAnimal(frozenset([(1, 1)])), 1, toy1)  # straight realized
         calls = []
         realize = realize_domain
         monkeypatch.setattr(hierarchy, "realize_domain",
@@ -982,7 +1047,136 @@ class TestCurveCount:
         with pytest.raises(CurveSelectionError, match="no valid boundary curve exists"):
             select_boundary_curve(lb, level0.bad_components, toy1,
                                   np.random.default_rng(0), 1)
-        assert len(calls) == 1 + hierarchy.CURVE_SAMPLE_TRIES
+        assert len(calls) <= hierarchy.CURVE_TABLE_AFTER
+
+    def test_scan_cap_states_the_missed_count(self, toy1):
+        # The benchmark's block with 1 536 valid curves: the draws of its own
+        # generator (as build_level1 seeds it) and the capped scan miss them
+        # all, and the error says how many there are.
+        seed = 13511787533275398868
+        level0 = build_level0(toy1, "Y", seed, level0_window_for(Rect(1, 1, 2, 2), toy1))
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(1, 1)])))
+        rng = np.random.default_rng(derive_seed(seed, 0xC0DE, 1, 1, 1))
+        with pytest.raises(CurveSelectionError, match=r"within the scan cap \(1536 valid"):
+            select_boundary_curve(lb, level0.bad_components, toy1, rng, 1)
+
+
+class TestCurveTables:
+    """Curve selection through the frame cache and the factor tables
+    against the reference that realizes every draw and scan candidate."""
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_selection_matches_reference(self, params, data):
+        animal = data.draw(_animals(_SHAPES[:2]))
+        frame = curve_frame(animal, 1, params)
+        cells = data.draw(_outline_cells(frame, 12))
+        bad = [_singleton_bad_component([c]) for c in cells]
+        seed = data.draw(st.integers(0, 2**32))
+        lb = LatticeBlock(1, animal)
+        assert _selection(select_boundary_curve, lb, bad, params,
+                          np.random.default_rng(seed), 1) == _selection(
+            _select_ref, lb, bad, params, np.random.default_rng(seed), 1)
+
+    def test_benchmark_blocks_match_reference(self, toy1):
+        # The futile blocks settle by the tables (count 0) or the scan (1 536
+        # valid curves missed), each under its build_level1 generator.
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(1, 1)])))
+        window0 = level0_window_for(Rect(1, 1, 2, 2), toy1)
+        for seed in TestCurveCount.FUTILE_TARGETS:
+            comps = build_level0(toy1, "Y", seed, window0).bad_components
+            rng_seed = derive_seed(seed, 0xC0DE, 1, 1, 1)
+            assert _selection(select_boundary_curve, lb, comps, toy1,
+                              np.random.default_rng(rng_seed), 1) == _selection(
+                _select_ref, lb, comps, toy1, np.random.default_rng(rng_seed), 1)
+
+    @pytest.mark.parametrize("cells, seeds", [
+        ([(0, 7)], range(4)),  # found by a draw
+        ([(13, 8), (17, 8), (8, 15), (15, 15)], range(8)),  # found by the scan
+        ([(15, 8), (17, 8)], (0,)),  # an edge blocked on every track
+    ])
+    def test_planted_blocks_match_reference(self, toy1, cells, seeds):
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        bad = [_singleton_bad_component([c]) for c in cells]
+        for seed in seeds:
+            assert _selection(select_boundary_curve, lb, bad, toy1,
+                              np.random.default_rng(seed), 1) == _selection(
+                _select_ref, lb, bad, toy1, np.random.default_rng(seed), 1)
+
+    # Seed 5 of the planted scan case misses with all 200 draws, and the
+    # scan finds its curve at candidate 1 544.
+    SCAN_CELLS = [(13, 8), (17, 8), (8, 15), (15, 15)]
+
+    @pytest.mark.parametrize("cap", [1543, 1544])
+    def test_scan_reads_exactly_its_cap(self, toy1, monkeypatch, cap):
+        monkeypatch.setattr(hierarchy, "CURVE_SCAN_CAP", cap)
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        bad = [_singleton_bad_component([c]) for c in self.SCAN_CELLS]
+        got = _selection(select_boundary_curve, lb, bad, toy1, np.random.default_rng(5), 1)
+        assert got == _selection(_select_ref, lb, bad, toy1, np.random.default_rng(5), 1)
+        assert isinstance(got, str) == (cap == 1543)
+
+    def test_tables_take_every_remaining_draw(self, toy1):
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        bad = [_singleton_bad_component([c]) for c in self.SCAN_CELLS]
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        select_boundary_curve(lb, bad, toy1, rng, 1)
+        # Four vertices and four edges at 2 * k0 = 4 tracks.
+        ref.integers(1, np.tile([5, 3] * 4 + [5] * 4, hierarchy.CURVE_SAMPLE_TRIES))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ring_test_is_the_straight_clearance(self, params, data):
+        frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        cells = data.draw(st.one_of(_cells_around(frame, 12), _outline_cells(frame, 3)))
+        bad = frame.raster(cells)
+        straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
+                                  {e: 1 for e in frame.edges})
+        assert (not (bad & frame.ring).any()) == _clears(
+            straight, _dilate(bad, frame.clearance - 1))
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cached_straight_curve_is_the_realized_one(self, params, data):
+        animal = data.draw(_animals(_SHAPES + [_PINCHED]))
+        frame = curve_frame(animal, 1, params)
+        assert curve_frame(animal, 1, params) is frame
+        assert frame.straight == _make_curve(frame, *_straight(frame))
+        assert frame.straight.is_straight
+
+    def test_dumps_do_not_depend_on_the_cache(self, toy1, toy_m0_2):
+        cases = [(toy1, "Y", seed, Rect(0, 0, 3, 3)) for seed in (1, 4, 99)]
+        cases.append((toy_m0_2, "Y", 3, Rect(0, 0, 2, 2)))
+        hierarchy._cached_frame.cache_clear()
+        cold = [dump_hierarchy(build_hierarchy(*case)) for case in cases]
+        warm = [dump_hierarchy(build_hierarchy(*case)) for case in cases]
+        assert hierarchy._cached_frame.cache_info().hits > 0
+        assert cold == warm
+
+    def test_cache_stays_at_its_maxsize(self):
+        size = hierarchy.FRAME_CACHE_SIZE
+        for x in range(size + 8):
+            curve_frame(LatticeAnimal(frozenset([(x, 0)])), 1, TOY1)
+        info = hierarchy._cached_frame.cache_info()
+        assert info.maxsize == size
+        assert info.currsize == size
+
+    @given(st.integers(0, 2**63), st.integers(1, 6), st.integers(1, 9), st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_array_bounds_draw_as_scalar_calls(self, seed, k0, nv, ne):
+        # One integers() call over per-index bounds yields the values, and
+        # leaves the generator state, of one call per index.
+        k2 = 2 * k0
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        scalar = []
+        for _ in range(3):
+            for _ in range(nv):
+                scalar += [int(a.integers(1, k2 + 1)), int(a.integers(1, 3))]
+            scalar += [int(a.integers(1, k2 + 1)) for _ in range(ne)]
+        high = np.array([k2 + 1, 3] * nv + [k2 + 1] * ne)
+        assert b.integers(1, np.tile(high, 3)).tolist() == scalar
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestLazyPolyline:
@@ -1017,7 +1211,7 @@ class TestLazyPolyline:
 class TestBlocksAndComponents:
     def test_form_block_straight_tiles(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0)]))
-        edges, vertices = boundary_family(a, 1, toy1)
+        edges, vertices = _family(a, 1, toy1)
         domain = _realized(a, toy1, {v: (1, 1) for v in vertices},
                            {e: 1 for e in edges})
         block = form_block(domain, LatticeBlock(1, a), None, 1)
@@ -1025,7 +1219,7 @@ class TestBlocksAndComponents:
 
     def test_form_block_contains_interior(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0)]))
-        edges, vertices = boundary_family(a, 1, toy1)
+        edges, vertices = _family(a, 1, toy1)
         rng = np.random.default_rng(3)
         k2 = 2 * toy1.k0
         r, mb = toy1.cells_per_side(1), toy1.margins(1).buffer
