@@ -39,6 +39,7 @@ from .lattice import (
     Point,
     Rect,
     buffer_zone,
+    cell_array,
     cell_mask,
 )
 from .params import ParameterSet
@@ -69,12 +70,6 @@ REALLY_BAD = "really-bad"
 # Attempt caps for randomized then deterministic curve selection.
 CURVE_SAMPLE_TRIES = 200
 CURVE_SCAN_CAP = 2_000
-# Draws realized one at a time before the remaining ones are decided from
-# the exact factor tables.  On a one-cell toy1 block the tables cost as much
-# as 25 to 30 realized draws.  Level-1 toy1 trials mostly find a curve
-# within a few draws, while a block with no valid curve fails them all;
-# over the draws of 100 such trials' selections, 16 gives the least total.
-CURVE_TABLE_AFTER = 16
 # Curve frames kept for reuse: blocks of one shape and place share a frame.
 FRAME_CACHE_SIZE = 64
 _NO_CURVE = "no valid boundary curve exists for this block"
@@ -419,8 +414,9 @@ class CurveFrame:
     A frame depends on the block's geometry alone, so ``curve_frame`` shares
     one among blocks of one shape and place, and the frame holds what a
     selection reads that no field changes: the straight curve and its ring,
-    the cells within clearance - 1 of the straight outline.  Its arrays are
-    read-only.
+    the cells within clearance - 1 of the straight outline, and, built on
+    first use, the field-free part of the factor tables (``tables``).  Its
+    arrays are read-only.
     """
 
     def __init__(self, animal: LatticeAnimal, j: int, r: int, mb: int, clearance: int,
@@ -440,6 +436,8 @@ class CurveFrame:
             raise ConfigError("buffer margin must stay below a quarter of the block side")
         self.edges = _boundary_edges(animal)
         self.vertices = sorted({v for e in self.edges for v in _edge_vertices(e, r)})
+        # Values per factor-table variable: the vertices, then the edges.
+        self.sizes = [4 * k0] * len(self.vertices) + [2 * k0] * len(self.edges)
         pad = self.clearance + self.k0 + 2
         bx0, by0, bx1, by1 = animal.bounding_box()
         self.x0, self.y0 = bx0 * r - pad, by0 * r - pad
@@ -478,21 +476,61 @@ class CurveFrame:
                 if ax + bx and ay + by:
                     self.corners[v] = (ax + bx, ay + by)
         self.ideal.flags.writeable = False
-        corner_idx, edge_idx, mask = _straight(self)
+        corner_idx, edge_idx = dict.fromkeys(self.vertices, (1, 1)), dict.fromkeys(self.edges, 1)
+        mask = realize_domain(self, corner_idx, edge_idx)
         self.straight = _make_curve(self, corner_idx, edge_idx, mask)
         # Chebyshev dilation is symmetric: a bad cell lies on the ring exactly
         # when the straight outline lies within clearance - 1 of it.
         self.ring = _dilate(_boundary(mask), self.clearance - 1)
         self.ring.flags.writeable = False
 
+    @cached_property
+    def tables(self) -> tuple:
+        """What the factor tables read of the frame alone, as (scopes,
+        colour, outlines).
+
+        ``scopes[:, y, x]`` is the (vertex, lower edge, higher edge) scope
+        of each frame cell (see ``_cell_scopes``).  ``colour`` maps each
+        edge variable to a colour, distinct for the two edges of any cell's
+        scope; one colour serves unless k0 = mb.  ``outlines`` holds the
+        boundary masks of the realizations that give every vertex one state
+        and every edge of one colour one index, indexed [vertex state, index
+        of colour 0, ..., y, x] by table positions (see ``_curve_factors``).
+        """
+        nv, k2 = len(self.vertices), 2 * self.k0
+        h, w = self.ideal.shape
+        scopes = _cell_scopes(self)
+        lo, hi = scopes[1].ravel(), scopes[2].ravel()
+        pairs = set(zip(lo[lo < hi].tolist(), hi[lo < hi].tolist()))
+        colour = dict.fromkeys(range(nv, nv + len(self.edges)), 0)
+        for x in colour:
+            taken = {colour[y] for pair in pairs if x in pair for y in pair if y < x}
+            colour[x] = min(set(range(len(taken) + 1)) - taken)
+        colours = max(colour.values(), default=0) + 1
+
+        states = [(ell, s) for ell in range(1, k2 + 1) for s in (1, 2)]
+        add, rem = (np.stack(m).reshape((2 * k2,) + (1,) * colours + (h, w)) for m in zip(
+            *(_paint(self, dict.fromkeys(self.vertices, st), {}) for st in states)))
+        for c in range(colours):
+            shape = [1] * (1 + colours) + [h, w]
+            shape[1 + c] = k2
+            edges = [e for x, e in enumerate(self.edges, start=nv) if colour[x] == c]
+            paints = [_paint(self, {}, dict.fromkeys(edges, i)) for i in range(1, k2 + 1)]
+            add = add | np.stack([a for a, _ in paints]).reshape(shape)
+            rem = rem | np.stack([r for _, r in paints]).reshape(shape)
+        outlines = _boundary((self.ideal | add) & ~rem)
+        scopes.flags.writeable = outlines.flags.writeable = False
+        return scopes, colour, outlines
+
     def cells(self, mask: np.ndarray) -> frozenset:
         ys, xs = np.nonzero(mask)
         return frozenset(zip((xs + self.x0).tolist(), (ys + self.y0).tolist()))
 
-    def raster(self, cells: Iterable[Point]) -> np.ndarray:
-        """Mask of the given cells, clipped to the frame."""
+    def raster(self, cells) -> np.ndarray:
+        """Mask of the given cells, an (n, 2) array of (x, y) rows or an
+        iterable of points, clipped to the frame."""
         mask = np.zeros_like(self.ideal)
-        xy = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+        xy = cells if isinstance(cells, np.ndarray) else cell_array(cells)
         xs, ys = xy[:, 0] - self.x0, xy[:, 1] - self.y0
         keep = (xs >= 0) & (ys >= 0) & (xs < mask.shape[1]) & (ys < mask.shape[0])
         mask[ys[keep], xs[keep]] = True
@@ -562,21 +600,18 @@ def _paint(frame: CurveFrame, corner_indices: dict, edge_indices: dict) -> tuple
 
 
 def _boundary(mask: np.ndarray) -> np.ndarray:
-    """Mask cells with a lattice neighbour outside the mask or the array."""
+    """Mask cells with a lattice neighbour outside the mask or the array;
+    masks may be stacked along leading axes."""
     inner = np.zeros_like(mask)
-    inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
-                         & mask[1:-1, :-2] & mask[1:-1, 2:])
+    inner[..., 1:-1, 1:-1] = (mask[..., 1:-1, 1:-1] & mask[..., :-2, 1:-1]
+                              & mask[..., 2:, 1:-1] & mask[..., 1:-1, :-2]
+                              & mask[..., 1:-1, 2:])
     return mask & ~inner
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Cells within Chebyshev distance ``radius`` of a mask cell."""
     return ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant")
-
-
-def _clears(mask: np.ndarray, forbidden: np.ndarray) -> bool:
-    """Whether a realized domain's boundary avoids every forbidden cell."""
-    return not (_boundary(mask) & forbidden).any()
 
 
 def _edge_factors(frame: CurveFrame, forbidden: np.ndarray) -> dict:
@@ -599,97 +634,71 @@ def _edge_factors(frame: CurveFrame, forbidden: np.ndarray) -> dict:
     return factors
 
 
-def _blocked_edge(frame: CurveFrame, forbidden: np.ndarray) -> bool:
-    """Whether some edge factor is all false: an edge with a forbidden cell
-    on every track row, so that no index assignment clears."""
-    return not all(f.any() for f in _edge_factors(frame, forbidden).values())
-
-
-def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> tuple:
+def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> list:
     """Local factors whose product is the validity of an assignment.
 
     Whether a cell is boundary depends on the mask over the cell and its
     four neighbours, and the mask there on the indices whose strips or
     squares can reach them: at most one vertex and two edges (see
-    ``CurveFrame``).  So validity is a product of local factors: the edge
-    factors of ``_edge_factors``, and per such group of indices the
-    forbidden cells it reaches, tabulated over realizations that give every
-    vertex one state and every edge of one colour one index.  Edges that
-    reach a cell together get distinct colours; one colour serves unless
-    k0 = mb.
+    ``CurveFrame``), the cell's scope.  So validity is a product of one
+    factor per scope that forbidden cells have: whether all those cells
+    are clear, read off the frame's outline masks (``CurveFrame.tables``).
+    The edge factors of ``_edge_factors`` are implied by these.
 
     Variables are the vertices, then the edges, in frame order; a vertex
     state (ell, s) sits at table position 2 * (ell - 1) + s - 1, an edge
-    index i at i - 1.  Returns (factors, sizes) for ``_contract``.
+    index i at i - 1.  Returns (variables, table) pairs for ``_contract``
+    and ``_first_valid``.
     """
-    k0 = frame.k0
-    nv, n = len(frame.vertices), len(frame.vertices) + len(frame.edges)
-    sizes = [4 * k0] * nv + [2 * k0] * len(frame.edges)
-    var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
+    scopes, colour, outlines = frame.tables
+    colours = outlines.ndim - 3
     ys, xs = np.nonzero(forbidden)
     groups: dict = {}
-    for i, scope in enumerate(zip(*(a.tolist() for a in _cell_scopes(frame, ys, xs)))):
+    for i, scope in enumerate(zip(*scopes[:, ys, xs].tolist())):
         groups.setdefault(scope, []).append(i)
-    colour = dict.fromkeys(range(nv, n), 0)
-    pairs = {(lo, hi) for _, lo, hi in groups if 0 <= lo < hi}
-    for x in colour:
-        taken = {colour[y] for pair in pairs if x in pair for y in pair if y < x}
-        colour[x] = min(set(range(len(taken) + 1)) - taken)
-    colours = max(colour.values(), default=0) + 1
-
-    states = [(ell, s) for ell in range(1, 2 * k0 + 1) for s in (1, 2)]
-    vertex_paints = [_paint(frame, dict.fromkeys(frame.vertices, st), {}) for st in states]
-    edge_paints = [[_paint(frame, {}, {e: i for e in frame.edges if colour[var[e]] == c})
-                    for i in range(1, 2 * k0 + 1)] for c in range(colours)]
-    clear = np.empty((4 * k0,) + (2 * k0,) * colours + (len(ys),), dtype=bool)
-    for a, (add, rem) in enumerate(vertex_paints):
-        for combo in itertools.product(range(2 * k0), repeat=colours):
-            mask_add, mask_rem = add, rem
-            for c, i in enumerate(combo):
-                mask_add = mask_add | edge_paints[c][i][0]
-                mask_rem = mask_rem | edge_paints[c][i][1]
-            mask = (frame.ideal | mask_add) & ~mask_rem
-            clear[(a,) + combo] = ~_boundary(mask)[ys, xs]
-
-    factors = [((var[e],), f) for e, f in _edge_factors(frame, forbidden).items()]
+    factors = []
     for (v, lo, hi), cells in groups.items():
         by_colour = {colour[x]: x for x in {lo, hi} - {-1}}
         scope = ((v,) if v >= 0 else ()) + tuple(by_colour[c] for c in sorted(by_colour))
         index = ((slice(None) if v >= 0 else 0,)
                  + tuple(slice(None) if c in by_colour else 0 for c in range(colours)))
-        factors.append((scope, clear[..., cells].all(axis=-1)[index]))
-    return factors, sizes
+        factors.append((scope, ~outlines[index][..., ys[cells], xs[cells]].any(axis=-1)))
+    return factors
 
 
-def _cell_scopes(frame: CurveFrame, ys: np.ndarray, xs: np.ndarray) -> tuple:
-    """Per frame cell (ys, xs), the indices its boundary status can depend
-    on: arrays of the vertex and of the lower and higher edge (variable
-    numbers as in ``_curve_factors``), -1 where there is none.
+def _cell_scopes(frame: CurveFrame) -> np.ndarray:
+    """Per frame cell, the indices its boundary status can depend on: a
+    (3, h, w) array of the vertex and of the lower and higher edge
+    (variable numbers as in ``_curve_factors``), -1 where there is none.
 
     Those are the indices whose pieces can lie within one step of the cell,
     over all their values: bands within tracks [1 - k0, k0] of their line,
-    corner squares within k0 of their vertex.
+    corner squares within k0 of their vertex.  The frame's padding keeps
+    every such cell inside it.
     """
     k0, nv = frame.k0, len(frame.vertices)
     var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
-    rects, owner = [], []
+    pieces = []
     for key, axis, sign, line, a0, a1 in frame.bands:
         n0, n1 = sorted((line + sign * k0, line - sign * (k0 - 1)))
-        rects.append((n0, n1, a0, a1) if axis == 0 else (a0, a1, n0, n1))
-        owner.append(var[key])
+        pieces.append((var[key], (n0, n1, a0, a1) if axis == 0 else (a0, a1, n0, n1)))
     for vx, vy in frame.corners:
         fx, fy = vx - frame.x0, vy - frame.y0
-        rects.append((fy - k0, fy + k0, fx - k0, fx + k0))
-        owner.append(var[(vx, vy)])
-    y0, y1, x0, x1 = np.array(rects).T[:, :, None]
-    near = (np.maximum(np.maximum(y0 - ys, ys - y1 + 1), 0)
-            + np.maximum(np.maximum(x0 - xs, xs - x1 + 1), 0)) <= 1
-    owner = np.array(owner)[:, None]
-    edge = near & (owner >= nv)
-    vertex = np.where(near & (owner < nv), owner, -1).max(axis=0)
-    hi = np.where(edge, owner, -1).max(axis=0)
-    lo = np.where(edge, owner, len(var)).min(axis=0)
-    return vertex, np.where(hi < 0, -1, lo), hi
+        pieces.append((var[(vx, vy)], (fy - k0, fy + k0, fx - k0, fx + k0)))
+    scopes = np.full((3,) + frame.ideal.shape, -1)
+    vertex, lo, hi = scopes
+    lo[:] = len(var)
+    for x, (y0, y1, x0, x1) in pieces:
+        # The piece's rectangle widened by one step along either axis.
+        for near in ((slice(y0 - 1, y1 + 1), slice(x0, x1)),
+                     (slice(y0, y1), slice(x0 - 1, x1 + 1))):
+            if x < nv:
+                np.maximum(vertex[near], x, out=vertex[near])
+            else:
+                np.maximum(hi[near], x, out=hi[near])
+                np.minimum(lo[near], x, out=lo[near])
+    lo[hi < 0] = -1
+    return scopes
 
 
 def _contract(factors: list, sizes: list) -> int:
@@ -796,13 +805,6 @@ def region_boundary_loops(domain: frozenset) -> tuple:
     return tuple(loops)
 
 
-def _straight(frame: CurveFrame) -> tuple:
-    """The all-ones curve indices and their realized domain mask."""
-    corner_idx = {v: (1, 1) for v in frame.vertices}
-    edge_idx = {e: 1 for e in frame.edges}
-    return corner_idx, edge_idx, realize_domain(frame, corner_idx, edge_idx)
-
-
 def _make_curve(
     frame: CurveFrame, corner_indices: dict, edge_indices: dict, mask: np.ndarray
 ) -> BoundaryCurve:
@@ -817,15 +819,17 @@ def _make_curve(
 def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequence) -> np.ndarray:
     """Mask of the cells of the bad components that come near the blow-up,
     the only ones that can constrain the curve."""
+    sites = [c.animal.sites for c in bad_components]
+    xy = cell_array(itertools.chain.from_iterable(sites))
     r, margin = frame.r, frame.mb + frame.clearance
     x0, y0, x1, y1 = animal.bounding_box()
-    reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
-    return frame.raster(
-        p
-        for c in bad_components
-        if any(reach.contains_cell(q) for q in c.animal.sites)
-        for p in c.animal.sites
-    )
+    xs, ys = xy[:, 0], xy[:, 1]
+    reach = ((xs >= x0 * r - margin) & (xs < (x1 + 1) * r + margin)
+             & (ys >= y0 * r - margin) & (ys < (y1 + 1) * r + margin))
+    owner = np.repeat(np.arange(len(sites)), [len(s) for s in sites])
+    near = np.zeros(len(sites), dtype=bool)
+    near[owner[reach]] = True
+    return frame.raster(xy[near[owner]])
 
 
 def select_boundary_curve(
@@ -840,20 +844,19 @@ def select_boundary_curve(
     A curve is valid when every bad component of the level below keeps the
     configured clearance from its polyline.  When the straight choice (all
     indices 1) is valid it is kept with probability 1 - 10**-(j+10);
-    otherwise up to CURVE_SAMPLE_TRIES index assignments are drawn
-    uniformly and the first valid one is kept, with a deterministic scan as
-    a final fallback.  Raises CurveSelectionError if no valid curve exists,
-    which indicates the caller formed the block from conjoined buffers:
-    before any draw when some boundary edge has a forbidden cell on every
-    track, else once CURVE_TABLE_AFTER draws have failed and the exact count
-    of valid curves is 0.  A scan that reaches its cap raises too, and its
-    message gives that count.
+    otherwise CURVE_SAMPLE_TRIES index assignments are drawn uniformly and
+    the first valid one is kept, with a deterministic scan as a final
+    fallback.  Raises CurveSelectionError if no valid curve exists, which
+    indicates the caller formed the block from conjoined buffers: before
+    any draw when some boundary edge has a forbidden cell on every track,
+    else once every draw has failed and the exact count of valid curves is
+    0.  A scan that reaches its cap raises too, and its message gives that
+    count.
 
-    Validity is read off the straight curve's ring first, then off realized
-    domains for CURVE_TABLE_AFTER draws, and after that off the exact factor
-    tables, for all remaining draws at once.  The choice is the same either
-    way, but after the tables the generator has moved past all
-    CURVE_SAMPLE_TRIES draws, whichever one is kept.
+    Validity is read off the straight curve's ring first, then off the
+    exact factor tables of ``_curve_factors``, for all draws at once; only
+    the kept curve is realized.  A selection that draws takes all
+    CURVE_SAMPLE_TRIES draws in one generator call, whichever one is kept.
     """
     if j is None:
         j = ideal_block.level or 1
@@ -865,27 +868,20 @@ def select_boundary_curve(
     # A curve is valid exactly when its boundary cells avoid the bad cells
     # dilated by clearance - 1.
     forbidden = _dilate(bad, frame.clearance - 1)
-    if not straight_clears and _blocked_edge(frame, forbidden):
+    if not all(f.any() for f in _edge_factors(frame, forbidden).values()):
         raise CurveSelectionError(_NO_CURVE)
+    factors = _curve_factors(frame, forbidden)
 
     # A draw is (ell, s) per vertex, then one index per edge, in frame order.
     k2, nv = 2 * frame.k0, len(frame.vertices)
     high = np.array([k2 + 1, 3] * nv + [k2 + 1] * len(frame.edges))
-    for _ in range(CURVE_TABLE_AFTER):
-        draw = rng.integers(1, high).tolist()
-        corner_idx = dict(zip(frame.vertices, zip(draw[:2 * nv:2], draw[1:2 * nv:2])))
-        edge_idx = dict(zip(frame.edges, draw[2 * nv:]))
-        mask = realize_domain(frame, corner_idx, edge_idx)
-        if _clears(mask, forbidden):
-            return _make_curve(frame, corner_idx, edge_idx, mask)
-    factors, sizes = _curve_factors(frame, forbidden)
-    count = _contract(factors, sizes)
-    if count == 0:
-        raise CurveSelectionError(_NO_CURVE)
-    draws = rng.integers(1, np.tile(high, CURVE_SAMPLE_TRIES - CURVE_TABLE_AFTER))
+    draws = rng.integers(1, np.tile(high, CURVE_SAMPLE_TRIES))
     found = _first_valid(factors, _draw_states(draws.reshape(-1, len(high)), nv))
     if found is not None:
         return _realized_curve(frame, found)
+    count = _contract(factors, frame.sizes)
+    if count == 0:
+        raise CurveSelectionError(_NO_CURVE)
 
     # Deterministic targeted scan: only edges (and their endpoints) whose
     # track band comes near an offending cell are perturbed; the rest stay

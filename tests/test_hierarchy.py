@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockembed import hierarchy
@@ -20,14 +20,13 @@ from blockembed.hierarchy import (
     Component,
     LatticeBlock,
     _bad_cells,
-    _blocked_edge,
     _boundary,
     _boundary_edges,
     _cell_scopes,
-    _clears,
     _contract,
     _curve_factors,
     _dilate,
+    _edge_factors,
     _edge_normal,
     _edge_vertices,
     _hot_edges,
@@ -35,7 +34,6 @@ from blockembed.hierarchy import (
     _level0_bad_components,
     _make_curve,
     _offset_of_index,
-    _straight,
     build_hierarchy,
     build_level0,
     curve_frame,
@@ -370,6 +368,57 @@ def _cells_around(frame, max_size):
                    max_size=max_size)
 
 
+def _clears(mask, forbidden) -> bool:
+    """Reference predicate: whether a realized domain's boundary avoids
+    every forbidden cell."""
+    return not (_boundary(mask) & forbidden).any()
+
+
+def _edge_blocked(frame, forbidden) -> bool:
+    """Whether some edge factor is all false, the selection's check before
+    it draws."""
+    return not all(f.any() for f in _edge_factors(frame, forbidden).values())
+
+
+def _bad_cells_ref(frame, animal, bad_components):
+    """Reference: the cells of every bad component with a cell in the
+    blow-up's reach, tested one cell at a time."""
+    r, margin = frame.r, frame.mb + frame.clearance
+    x0, y0, x1, y1 = animal.bounding_box()
+    reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
+    return frame.raster(
+        p
+        for c in bad_components
+        if any(reach.contains_cell(q) for q in c.animal.sites)
+        for p in c.animal.sites
+    )
+
+
+def _cell_scopes_ref(frame, ys, xs) -> tuple:
+    """Reference scopes of the cells (ys, xs): every band and corner
+    rectangle against every cell, by Manhattan distance."""
+    k0, nv = frame.k0, len(frame.vertices)
+    var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
+    rects, owner = [], []
+    for key, axis, sign, line, a0, a1 in frame.bands:
+        n0, n1 = sorted((line + sign * k0, line - sign * (k0 - 1)))
+        rects.append((n0, n1, a0, a1) if axis == 0 else (a0, a1, n0, n1))
+        owner.append(var[key])
+    for vx, vy in frame.corners:
+        fx, fy = vx - frame.x0, vy - frame.y0
+        rects.append((fy - k0, fy + k0, fx - k0, fx + k0))
+        owner.append(var[(vx, vy)])
+    y0, y1, x0, x1 = np.array(rects).T[:, :, None]
+    near = (np.maximum(np.maximum(y0 - ys, ys - y1 + 1), 0)
+            + np.maximum(np.maximum(x0 - xs, xs - x1 + 1), 0)) <= 1
+    owner = np.array(owner)[:, None]
+    edge = near & (owner >= nv)
+    vertex = np.where(near & (owner < nv), owner, -1).max(axis=0)
+    hi = np.where(edge, owner, -1).max(axis=0)
+    lo = np.where(edge, owner, len(var)).min(axis=0)
+    return vertex, np.where(hi < 0, -1, lo), hi
+
+
 def _blocked_edge_ref(frame, forbidden, k2) -> bool:
     """Reference: some edge has a forbidden cell on each of its 2*k0 middle
     rows, taken one row at a time."""
@@ -382,7 +431,7 @@ def _blocked_edge_ref(frame, forbidden, k2) -> bool:
 
 def _curve_count(frame, forbidden) -> int:
     """The exact number of index assignments whose domain clears ``forbidden``."""
-    return _contract(*_curve_factors(frame, forbidden))
+    return _contract(_curve_factors(frame, forbidden), frame.sizes)
 
 
 def _factor_product(frame, factors, corner, edge) -> bool:
@@ -417,6 +466,28 @@ def _family(animal, j, params) -> tuple:
     return frame.edges, frame.vertices
 
 
+@st.composite
+def _factor_cases(draw):
+    """A profile, an animal (pinches included), an index assignment, one or
+    two cells of its outline to forbid, and four more assignments."""
+    params = draw(st.sampled_from([TOY1, TOY1_K3]))
+    animal = draw(_animals(_SHAPES + [_PINCHED]))
+    frame = curve_frame(animal, 1, params)
+    corner, edge = draw(_indices(frame))
+    outline = sorted(frame.cells(_boundary(realize_domain(frame, corner, edge))))
+    cells = draw(st.lists(st.sampled_from(outline), min_size=1, max_size=2, unique=True))
+    return params, animal, corner, edge, cells, [draw(_indices(frame)) for _ in range(4)]
+
+
+# An L-tromino at k0 = mb: the two edges at its concave corner (16, 16)
+# both reach cell (18, 18), so the frame's edges take two colours, and that
+# corner at offset 3 puts the cell on the outline.
+_L_EDGES, _L_VERTICES = _family(LatticeAnimal(frozenset(_SHAPES[1])), 1, TOY1_K3)
+_TWO_COLOUR_CASE = (TOY1_K3, LatticeAnimal(frozenset(_SHAPES[1])),
+                    {**dict.fromkeys(_L_VERTICES, (1, 1)), (16, 16): (6, 1)},
+                    dict.fromkeys(_L_EDGES, 1), [(18, 18)], [])
+
+
 def curve_family_size(animal, j, params) -> int:
     """Reference: the number of index tuples in a block's curve family,
     (2 k0) per boundary edge and (4 k0) per boundary vertex."""
@@ -438,7 +509,7 @@ def _select_ref(lb, bad_components, params, rng, j=1):
     if _clears(mask, forbidden):
         if rng.random() < params.straight_curve_mass(j):
             return _make_curve(frame, corner_idx, edge_idx, mask)
-    elif _blocked_edge(frame, forbidden):
+    elif _blocked_edge_ref(frame, forbidden, k2):
         raise CurveSelectionError("no valid boundary curve exists for this block")
     for _ in range(hierarchy.CURVE_SAMPLE_TRIES):
         corner = {v: (int(rng.integers(1, k2 + 1)), int(rng.integers(1, 3)))
@@ -846,7 +917,7 @@ class TestCurves:
         cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
                                   min_size=1, max_size=6))
         forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
-        assume(_blocked_edge(frame, forbidden))
+        assume(_edge_blocked(frame, forbidden))
         corner_space = [(ell, s) for ell in (1, 2) for s in (1, 2)]
         for edge_choice in itertools.product((1, 2), repeat=len(frame.edges)):
             for corner_choice in itertools.product(corner_space, repeat=len(frame.vertices)):
@@ -875,9 +946,9 @@ class TestCurves:
         e = data.draw(st.sampled_from(frame.edges))
         cells = [data.draw(st.sampled_from(_middle_rows(frame, e, _offset_of_index(i))))
                  for i in range(1, k2 + 1)]
-        assert _blocked_edge(frame, frame.raster(cells))
+        assert _edge_blocked(frame, frame.raster(cells))
         gone = data.draw(st.integers(0, k2 - 1))
-        assert not _blocked_edge(frame, frame.raster(cells[:gone] + cells[gone + 1:]))
+        assert not _edge_blocked(frame, frame.raster(cells[:gone] + cells[gone + 1:]))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -887,7 +958,7 @@ class TestCurves:
         forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
         straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
                                   {e: 1 for e in frame.edges})
-        assert not (_clears(straight, forbidden) and _blocked_edge(frame, forbidden))
+        assert not (_clears(straight, forbidden) and _edge_blocked(frame, forbidden))
 
     def test_blocked_block_raises_before_sampling(self, toy1):
         # Bad cells across every track of the right edge: no curve exists,
@@ -926,24 +997,22 @@ class TestCurveCount:
         vertices = sorted({w for e in edges for w in _edge_vertices(e, frame.r)})
         assert _curve_count(frame, forbidden) == _brute_count(frame, forbidden, vertices, edges)
 
-    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @given(_factor_cases())
+    @example(_TWO_COLOUR_CASE)
     @settings(max_examples=60, deadline=None)
-    def test_factors_multiply_to_validity(self, params, data):
-        # Any animal, pinches included, with forbidden cells on the outline
-        # of one assignment: at that assignment, at every assignment one
-        # index away from it and at random ones, the product of the factors
-        # is the validity.
-        frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
-        corner, edge = data.draw(_indices(frame))
-        outline = sorted(frame.cells(_boundary(realize_domain(frame, corner, edge))))
-        forbidden = frame.raster(data.draw(st.lists(st.sampled_from(outline), min_size=1,
-                                                    max_size=2, unique=True)))
-        factors, _ = _curve_factors(frame, forbidden)
+    def test_factors_multiply_to_validity(self, case):
+        # Forbidden cells on the outline of one assignment: at that
+        # assignment, at every assignment one index away from it and at
+        # random ones, the product of the factors is the validity.
+        params, animal, corner, edge, cells, others = case
+        frame = curve_frame(animal, 1, params)
+        forbidden = frame.raster(cells)
+        factors = _curve_factors(frame, forbidden)
         k2 = 2 * params.k0
         nearby = [({**corner, v: (ell, s)}, edge) for v in frame.vertices
                   for ell in range(1, k2 + 1) for s in (1, 2)]
         nearby += [(corner, {**edge, e: i}) for e in frame.edges for i in range(1, k2 + 1)]
-        for c, e in nearby + [data.draw(_indices(frame)) for _ in range(4)]:
+        for c, e in nearby + others:
             assert _factor_product(frame, factors, c, e) == _clears(
                 realize_domain(frame, c, e), forbidden)
 
@@ -953,9 +1022,7 @@ class TestCurveCount:
         # Changing one index changes the boundary status only of cells whose
         # scope holds that index.
         frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
-        h, w = frame.ideal.shape
-        ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
-        scopes = np.stack(_cell_scopes(frame, ys, xs))
+        scopes = _cell_scopes(frame).reshape(3, -1)
         corner, edge = data.draw(_indices(frame))
         before = _boundary(realize_domain(frame, corner, edge)).ravel()
         k2 = 2 * params.k0
@@ -969,15 +1036,25 @@ class TestCurveCount:
             moved = _boundary(realize_domain(frame, corner, {**edge, e: i})).ravel() != before
             assert (scopes[:, moved] == x).any(axis=0).all()
 
+    @given(st.sampled_from([TOY1, TOY1_K3, TOY1_K1]), _animals(_SHAPES + [_PINCHED]))
+    @settings(max_examples=60, deadline=None)
+    def test_cell_scopes_match_reference(self, params, animal):
+        frame = curve_frame(animal, 1, params)
+        h, w = frame.ideal.shape
+        ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
+        assert np.array_equal(_cell_scopes(frame).reshape(3, -1),
+                              np.stack(_cell_scopes_ref(frame, ys, xs)))
+
     @pytest.mark.parametrize("shape, v", [(_SHAPES[1], (16, 16)), (_SHAPES[2], (32, 32))])
     def test_two_edge_cells_at_a_concave_corner(self, shape, v):
         # At k0 = mb the outward strips of a concave corner's two edges meet:
         # forbid the cells near it that both reach, and count against the
         # brute force over the corner and its edges.
         frame = curve_frame(LatticeAnimal(frozenset(shape)), 1, TOY1_K3)
+        assert set(frame.tables[1].values()) == {0, 1}  # two edge colours
         h, w = frame.ideal.shape
         ys, xs = (a.ravel() for a in np.mgrid[0:h, 0:w])
-        _, lo, hi = _cell_scopes(frame, ys, xs)
+        _, lo, hi = _cell_scopes(frame).reshape(3, -1)
         both = ((lo >= 0) & (lo != hi) & (abs(xs + frame.x0 - v[0]) <= frame.mb + frame.k0)
                 & (abs(ys + frame.y0 - v[1]) <= frame.mb + frame.k0))
         assert both.any()
@@ -989,14 +1066,18 @@ class TestCurveCount:
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_blocked_edge_reads_the_edge_factors(self, params, data):
+        # An all-false edge factor is the row-by-row blocked edge, and no
+        # curve is valid then; every false entry is one the factor tables
+        # rule out too.
         frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
         forbidden = frame.raster(data.draw(_cells_around(frame, 40)))
-        blocked = _blocked_edge(frame, forbidden)
+        blocked = _edge_blocked(frame, forbidden)
         assert blocked == _blocked_edge_ref(frame, forbidden, 2 * params.k0)
-        factors, _ = _curve_factors(frame, forbidden)
-        edge_ids = {len(frame.vertices) + i for i in range(len(frame.edges))}
-        assert blocked == any(scope[0] in edge_ids and not table.any()
-                              for scope, table in factors if len(scope) == 1)
+        factors = _curve_factors(frame, forbidden)
+        corner, edge = data.draw(_indices(frame))
+        for e, f in _edge_factors(frame, forbidden).items():
+            for i in np.flatnonzero(~f).tolist():
+                assert not _factor_product(frame, factors, corner, {**edge, e: i + 1})
         if blocked:
             assert _curve_count(frame, forbidden) == 0
 
@@ -1030,12 +1111,12 @@ class TestCurveCount:
             level0 = build_level0(toy1, "Y", seed, window0)
             bad = _bad_cells(frame, animal, level0.bad_components)
             forbidden = _dilate(bad, frame.clearance - 1)
-            assert not _blocked_edge(frame, forbidden)
+            assert not _edge_blocked(frame, forbidden)
             assert _curve_count(frame, forbidden) == count
 
     def test_count_zero_raises_before_the_scan(self, toy1, monkeypatch):
-        # Seed 100008's futile block: at most CURVE_TABLE_AFTER realized
-        # draws, then the count, no further draw and no scan.
+        # Seed 100008's futile block: every draw decided by the tables, then
+        # the count, no realization and no scan.
         level0 = build_level0(toy1, "Y", 11802693454003433696,
                               level0_window_for(Rect(1, 1, 2, 2), toy1))
         curve_frame(LatticeAnimal(frozenset([(1, 1)])), 1, toy1)  # straight realized
@@ -1047,7 +1128,7 @@ class TestCurveCount:
         with pytest.raises(CurveSelectionError, match="no valid boundary curve exists"):
             select_boundary_curve(lb, level0.bad_components, toy1,
                                   np.random.default_rng(0), 1)
-        assert len(calls) <= hierarchy.CURVE_TABLE_AFTER
+        assert calls == []
 
     def test_scan_cap_states_the_missed_count(self, toy1):
         # The benchmark's block with 1 536 valid curves: the draws of its own
@@ -1116,6 +1197,63 @@ class TestCurveTables:
         assert got == _selection(_select_ref, lb, bad, toy1, np.random.default_rng(5), 1)
         assert isinstance(got, str) == (cap == 1543)
 
+    @pytest.mark.parametrize("cells, seed", [
+        ([(0, 7)], 0),  # found by a draw
+        (SCAN_CELLS, 5),  # found by the scan
+        ([(15, 8), (17, 8)], 0),  # an edge blocked on every track
+    ])
+    def test_selection_realizes_only_the_kept_curve(self, toy1, monkeypatch, cells, seed):
+        # Draws and scan candidates are decided by the tables: only the kept
+        # curve is realized, and a selection that raises realizes none.
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        frame = curve_frame(lb.animal, 1, toy1)  # straight curve realized
+        bad = [_singleton_bad_component([c]) for c in cells]
+        masks = []
+        realize = realize_domain
+        monkeypatch.setattr(hierarchy, "realize_domain",
+                            lambda *a: masks.append(realize(*a)) or masks[-1])
+        try:
+            curve = select_boundary_curve(lb, bad, toy1, np.random.default_rng(seed), 1)
+        except CurveSelectionError:
+            assert masks == []
+        else:
+            assert [frame.cells(m) for m in masks] == [curve.domain]
+
+    def test_second_selection_paints_nothing(self, toy1, monkeypatch):
+        # Seed 100008's futile block: the first selection builds the frame's
+        # tables, and the second reads them without painting a mask.
+        level0 = build_level0(toy1, "Y", 11802693454003433696,
+                              level0_window_for(Rect(1, 1, 2, 2), toy1))
+        lb = LatticeBlock(1, LatticeAnimal(frozenset([(1, 1)])))
+        calls = []
+        paint = hierarchy._paint
+        monkeypatch.setattr(hierarchy, "_paint", lambda *a: calls.append(1) or paint(*a))
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(CurveSelectionError, match="no valid boundary curve exists"):
+                select_boundary_curve(lb, level0.bad_components, toy1,
+                                      np.random.default_rng(0), 1)
+        assert calls == []
+
+    @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bad_cells_match_reference(self, params, data):
+        # Components grown cell by cell around the frame, some reaching
+        # into the blow-up's reach and some only near it.
+        animal = data.draw(_animals())
+        frame = curve_frame(animal, 1, params)
+        h, w = frame.ideal.shape
+        comps = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            cells = [(data.draw(st.integers(frame.x0 - 8, frame.x0 + w + 4)),
+                      data.draw(st.integers(frame.y0 - 8, frame.y0 + h + 4)))]
+            for step in data.draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+                                           max_size=8)):
+                cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
+            comps.append(_singleton_bad_component(set(cells)))
+        assert np.array_equal(_bad_cells(frame, animal, comps),
+                              _bad_cells_ref(frame, animal, comps))
+
     def test_tables_take_every_remaining_draw(self, toy1):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
         bad = [_singleton_bad_component([c]) for c in self.SCAN_CELLS]
@@ -1142,7 +1280,9 @@ class TestCurveTables:
         animal = data.draw(_animals(_SHAPES + [_PINCHED]))
         frame = curve_frame(animal, 1, params)
         assert curve_frame(animal, 1, params) is frame
-        assert frame.straight == _make_curve(frame, *_straight(frame))
+        corner, edge = dict.fromkeys(frame.vertices, (1, 1)), dict.fromkeys(frame.edges, 1)
+        assert frame.straight == _make_curve(frame, corner, edge,
+                                             realize_domain(frame, corner, edge))
         assert frame.straight.is_straight
 
     def test_dumps_do_not_depend_on_the_cache(self, toy1, toy_m0_2):
