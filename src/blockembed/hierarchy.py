@@ -6,12 +6,12 @@ pick a valid boundary curve for each lattice block, take its realized
 domain as the block, classify block goodness, and group blocks into
 components.
 
-Both groupings are connected-component labellings of a boolean grid, done
-by ``_label_groups``.  Bad cells (level 0) or the cells of bad blocks are
-closed under the 2x2 rule, a diagonal pair pulling in the rest of its
-square, and labelled with close-packed connectivity.  Lattice blocks are
-labelled on a doubled grid: cells on the even sites, conjoined edges on the
-odd sites between them.
+Both groupings are ``ndimage.label`` of a boolean grid.  Bad cells (level
+0) or the cells of bad blocks are closed under the 2x2 rule (a diagonal
+pair pulls in the rest of its square) and close-packed neighbours merge:
+``_close_boxes`` fills the bounding box of every close-packed group until
+each is full.  Lattice blocks are the 4-connected labels of a doubled grid:
+cells on the even sites, conjoined edges on the odd sites between them.
 
 Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
@@ -250,18 +250,15 @@ def _level0_bad_components(
     grid: np.ndarray, window: Rect, params: ParameterSet
 ) -> list:
     bad = grid != fields_mod.GRID_GOOD
-    if not bad.any():
-        return []
-    # The window is a rectangle, so it never clips the 2x2 fill.
-    labels = _label_groups(bad, np.ones_like(bad))
     height, width = bad.shape
     comps = []
-    for k, (sy, sx) in enumerate(ndimage.find_objects(labels), start=1):
-        inside = labels[sy, sx] == k
-        ys, xs = np.nonzero(inside)
-        cells = frozenset(zip((xs + sx.start + window.x0).tolist(),
-                              (ys + sy.start + window.y0).tolist()))
-        n_bad = int(np.count_nonzero(bad[sy, sx] & inside))
+    # A component is its filled box, whose (x0, y0) corner is its least cell.
+    boxes = sorted(_close_boxes(bad), key=lambda box: (box[1].start, box[0].start))
+    for sy, sx in boxes:
+        xs = range(sx.start + window.x0, sx.stop + window.x0)
+        ys = range(sy.start + window.y0, sy.stop + window.y0)
+        cells = frozenset(itertools.product(xs, ys))
+        n_bad = int(np.count_nonzero(bad[sy, sx]))
         status = exact_level0_status(len(cells), False, params)
         # A component on the window's edge may extend past it.
         censored = (sx.start == 0 or sy.start == 0
@@ -269,33 +266,26 @@ def _level0_bad_components(
         comps.append(
             Component(0, LatticeAnimal(cells), (), status, (n_bad, n_bad), censored)
         )
-    comps.sort(key=lambda c: min(c.animal.sites))
     return comps
 
 
-def _label_groups(mask: np.ndarray, allowed: Optional[np.ndarray] = None) -> np.ndarray:
-    """Label the close-packed (8-connected) groups of a boolean grid.
+def _close_boxes(mask: np.ndarray) -> list:
+    """Close a boolean grid under the grouping rules and return its groups
+    as ``ndimage.find_objects`` boxes, each one filled by the closure.
 
-    With ``allowed`` given, the mask is first closed under the 2x2 rule:
-    a diagonal pair of mask cells pulls the other two cells of its square
-    in, where ``allowed`` holds them.  Close-packed neighbours share a
-    label, so this is the grouping of bad cells into components.  Returns
-    ``ndimage.label``'s label grid (0 off the groups).
+    A closed set has no 2x2 square holding a diagonal pair or exactly three
+    cells, so its close-packed groups are filled rectangles that do not
+    touch even at a corner.  Filling every group's bounding box until all
+    are full thus reaches the closure and adds no cell outside it.
     """
-    if allowed is not None:
-        while True:
-            pair = (mask[:-1, :-1] & mask[1:, 1:]) | (mask[:-1, 1:] & mask[1:, :-1])
-            square = np.zeros_like(mask)
-            square[:-1, :-1] |= pair
-            square[:-1, 1:] |= pair
-            square[1:, :-1] |= pair
-            square[1:, 1:] |= pair
-            grown = square & allowed & ~mask
-            if not grown.any():
-                break
-            mask = mask | grown
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    return labels
+    while True:
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+        boxes = ndimage.find_objects(labels)
+        if all(mask[box].all() for box in boxes):
+            return boxes
+        mask = mask.copy()
+        for box in boxes:
+            mask[box] = True
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
     # Doubled grid: cell (x, y) sits at (2x, 2y) and the edge to its right
     # or upper neighbour at the odd site between them.  Odd-odd sites stay
     # empty, so diagonal contact only joins two edges of one shared cell and
-    # the close-packed labels are the 4-connected ones.
+    # the 4-connected labels are the close-packed ones.
     grid = np.zeros((2 * (max(y for _, y in cells) - y0) + 1,
                      2 * (max(x for x, _ in cells) - x0) + 1), dtype=bool)
     cell_set = set(cells)
@@ -346,7 +336,7 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
         for v, (ex, ey) in (((x + 1, y), (gx + 1, gy)), ((x, y + 1), (gx, gy + 1))):
             if v in cell_set and conjoined((x, y), v):
                 grid[ey, ex] = True
-    labels = _label_groups(grid)
+    labels, _ = ndimage.label(grid)
     groups: dict = {}
     for x, y in cells:
         groups.setdefault(labels[2 * (y - y0), 2 * (x - x0)], []).append((x, y))
@@ -958,6 +948,10 @@ def form_components(blocks: Sequence[Block]) -> list:
     the blocks there along, and close-packed neighbours merge.  Each block
     joins the group of its cells; remaining good blocks become good
     singleton components.
+
+    The blocks must cover the closure of their bad cells, as a tiling of a
+    rectangle always does; a closure that reaches a cell no block covers
+    raises ``PreconditionError``.
     """
     covered: set = set()
     for b in blocks:
@@ -971,13 +965,15 @@ def form_components(blocks: Sequence[Block]) -> list:
 
     labels = None
     if not all(b.good for b in blocks):
-        allowed, x0, y0 = cell_mask(covered)
-        mask = np.zeros_like(allowed)
-        for b in blocks:
-            if not b.good:
-                for x, y in b.animal.sites:
-                    mask[y - y0, x - x0] = True
-        labels = _label_groups(mask, allowed)
+        cover, x0, y0 = cell_mask(covered)
+        bad = cell_array(c for b in blocks if not b.good for c in b.animal.sites)
+        mask = np.zeros_like(cover)
+        mask[bad[:, 1] - y0, bad[:, 0] - x0] = True
+        labels = np.zeros(mask.shape, dtype=np.intp)
+        for k, box in enumerate(_close_boxes(mask), start=1):
+            if not cover[box].all():
+                raise PreconditionError("bad-block closure reaches a cell no block covers")
+            labels[box] = k
     groups: dict = {}
     for i, b in enumerate(blocks):
         x, y = next(iter(b.animal.sites))

@@ -182,6 +182,18 @@ def _king_walks(draw):
     return frozenset(cells)
 
 
+class TestSetDistance:
+    @given(st.frozensets(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                         min_size=1, max_size=40),
+           st.frozensets(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                         min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_reference(self, a, b):
+        d = embed._set_distance(a, b)
+        assert type(d) is int
+        assert d == min(chebyshev(p, q) for p in a for q in b)
+
+
 class TestBaseTranslation:
     @given(st.one_of(_cell_sets, _king_walks()),
            st.one_of(_cell_sets, st.tuples(st.integers(-5, 5), st.integers(-5, 5))),

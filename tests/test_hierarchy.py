@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from blockembed import hierarchy
 from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
@@ -23,6 +24,7 @@ from blockembed.hierarchy import (
     _boundary,
     _boundary_edges,
     _cell_scopes,
+    _close_boxes,
     _contract,
     _curve_factors,
     _dilate,
@@ -30,7 +32,6 @@ from blockembed.hierarchy import (
     _edge_normal,
     _edge_vertices,
     _hot_edges,
-    _label_groups,
     _level0_bad_components,
     _make_curve,
     _offset_of_index,
@@ -49,7 +50,14 @@ from blockembed.hierarchy import (
     region_boundary_loops,
     select_boundary_curve,
 )
-from blockembed.lattice import LatticeAnimal, Rect, buffer_zone, chebyshev, neighbors
+from blockembed.lattice import (
+    LatticeAnimal,
+    Rect,
+    buffer_zone,
+    cell_mask,
+    chebyshev,
+    neighbors,
+)
 from blockembed.params import named_profile
 
 TOY1 = named_profile("toy1")
@@ -113,29 +121,15 @@ def _component_closure(bad_cells: set, in_window) -> list:
     return [groups[k] for k in sorted(groups)]
 
 
-def _helper_groups(cells, allowed=None) -> list:
-    """Groups of ``_label_groups`` over the bounding box of its input.
-
-    ``allowed`` defaults to the whole box.  Groups come back as cell sets
-    ordered by their least cell, like the reference.
-    """
-    pts = set(cells) | set(allowed or ())
-    x0, y0 = min(x for x, _ in pts), min(y for _, y in pts)
-    shape = (max(y for _, y in pts) - y0 + 1, max(x for x, _ in pts) - x0 + 1)
-    mask = np.zeros(shape, dtype=bool)
-    for x, y in cells:
-        mask[y - y0, x - x0] = True
-    if allowed is None:
-        allow = np.ones(shape, dtype=bool)
-    else:
-        allow = np.zeros(shape, dtype=bool)
-        for x, y in allowed:
-            allow[y - y0, x - x0] = True
-    labels = _label_groups(mask, allow)
-    groups: dict = {}
-    for y, x in zip(*np.nonzero(labels)):
-        groups.setdefault(labels[y, x], set()).add((int(x) + x0, int(y) + y0))
-    return sorted(groups.values(), key=min)
+def _helper_groups(cells) -> list:
+    """Groups of ``_close_boxes`` over the bounding box of its input, as
+    cell sets ordered by their least cell, like the reference."""
+    mask, x0, y0 = cell_mask(cells)
+    groups = [
+        {(x + x0, y + y0) for x in range(sx.start, sx.stop) for y in range(sy.start, sy.stop)}
+        for sy, sx in _close_boxes(mask)
+    ]
+    return sorted(groups, key=min)
 
 
 def _flood_fill(cells, edges) -> list:
@@ -646,14 +640,38 @@ class TestLevel0:
                     assert (x + dx, y) in cells and (x, y + dy) in cells
 
     @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)),
-                   min_size=1, max_size=60),
-           st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60))
+                   min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
-    def test_label_groups_matches_reference(self, bad, extra):
-        # Cells outside ``allowed`` clip the 2x2 fill.
-        allowed = bad | extra
-        assert _helper_groups(bad, allowed) == _component_closure(
-            bad, lambda c: c in allowed)
+    def test_close_boxes_matches_reference(self, bad):
+        # The bad cells lie inside a full 10x10 window: nothing clips the fill.
+        window = Rect(0, 0, 10, 10)
+        assert _helper_groups(bad) == _component_closure(bad, window.contains_cell)
+
+    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_close_boxes_are_separated_filled_and_closed(self, bad):
+        mask = np.zeros((10, 10), dtype=bool)
+        for x, y in bad:
+            mask[y, x] = True
+        before = mask.copy()
+        boxes = _close_boxes(mask)
+        assert (mask == before).all()
+        closed = np.zeros_like(mask)
+        for box in boxes:
+            closed[box] = True
+        assert (mask <= closed).all()
+        # Every close-packed group of the result is one of the filled boxes.
+        labels, _ = ndimage.label(closed, structure=np.ones((3, 3), dtype=bool))
+        assert sorted(ndimage.find_objects(labels), key=str) == sorted(boxes, key=str)
+        # No two boxes lie within Chebyshev distance 1 of each other.
+        for (ay, ax), (by, bx) in itertools.combinations(boxes, 2):
+            gap = max(ax.start - bx.stop, bx.start - ax.stop,
+                      ay.start - by.stop, by.start - ay.stop) + 1
+            assert gap > 1
+        # Closed under the rule: a diagonal pair fills its 2x2 square.
+        a, b = closed[:-1, :-1], closed[:-1, 1:]
+        c, d = closed[1:, :-1], closed[1:, 1:]
+        assert not (((a & d) | (b & c)) & ~(a & b & c & d)).any()
 
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(-5, 5),
            st.integers(-5, 5), st.data())
@@ -1413,6 +1431,13 @@ class TestBlocksAndComponents:
             assert comp.bad_summary == (len(bad_blocks),
                                         sum(b.size for b in bad_blocks))
             assert comp.status == (REALLY_BAD if bad_blocks else GOOD_SINGLETON)
+
+    def test_closure_past_the_blocks_rejected(self):
+        # The diagonal bad pair pulls in (0, 1), which no block covers.
+        blocks = [_block({(0, 0)}, good=False), _block({(1, 1)}, good=False),
+                  _block({(1, 0)}, good=True)]
+        with pytest.raises(PreconditionError, match="no block covers"):
+            form_components(blocks)
 
     def test_undecided_goodness_rejected(self):
         b = _block({(0, 0)}, good=None)
