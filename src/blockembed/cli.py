@@ -171,6 +171,10 @@ def components(profile, seed, family, window):
 @click.option("--workers", default=1, show_default=True, type=int)
 def estimate_s(profile, seed, family, level, window, trials, workers):
     """Estimate embedding probabilities of the components of a built window."""
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     p = _params(profile)
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
     click.echo("level,size,point,ci_low,ci_high,trials")

@@ -65,10 +65,10 @@ class CellCorrespondence:
     displacement_budget: int
 
     def __post_init__(self) -> None:
-        if set(self.mapping) != set(self.source_cells):
+        if self.mapping.keys() != _as_set(self.source_cells):
             raise ConfigError("mapping must cover exactly the source cells")
         images = set(self.mapping.values())
-        if images != set(self.target_cells) or len(images) != len(self.mapping):
+        if images != _as_set(self.target_cells) or len(images) != len(self.mapping):
             raise ConfigError("mapping must be a bijection onto the target cells")
         for src, dst in self.matched_pairs:
             if same_shape(src, dst) is None:
@@ -78,14 +78,21 @@ class CellCorrespondence:
         return self.mapping[cell]
 
 
+def _as_set(cells: Iterable[Point]):
+    return cells if isinstance(cells, (set, frozenset)) else set(cells)
+
+
 def _base_translation(source: LatticeAnimal, target: frozenset) -> Point:
     """The translation taking source onto target: least site onto least site.
 
     The target must be a lattice animal too: constructing one raises
     ConfigError otherwise.  A translate of the source is one, so only a
-    mismatched target is checked apart.
+    mismatched target is checked apart, and the source's own set is its
+    zero translate.
     """
     sites = source.sites
+    if target is sites:
+        return (0, 0)
     if target:
         (ax, ay), (bx, by) = min(sites), min(target)
         t = (bx - ax, by - ay)
@@ -99,8 +106,9 @@ def _lex(cells: Iterable[Point]) -> list:
     return sorted(cells)
 
 
-def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> None:
-    """Redirect images so zone_from maps onto zone_to.
+def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> list:
+    """Redirect images so zone_from maps onto zone_to, and return the source
+    cells whose images moved.
 
     ``mapping`` currently sends each source cell to its rigid-translation
     image; the swap permutes images inside the union of the two zones.
@@ -113,6 +121,7 @@ def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> None:
     vacated = _lex(zone_from - zone_to)
     for s, v in zip(src_to_displaced, vacated):
         mapping[s] = v
+    return src_from + src_to_displaced
 
 
 def translation_family(
@@ -168,12 +177,12 @@ def translation_family(
         for k in range(i + 1, len(zones)):
             if _set_distance(zones[i], zones[k]) <= 1:
                 raise InvalidOffset("designated images neighbour each other")
+    moved = []
     for animal, zone_to in zip(T, images):
         zone_from = frozenset((x + t[0], y + t[1]) for x, y in animal.sites)
-        _swap_sets(mapping, zone_from, zone_to)
-    # Largest Chebyshev displacement from the rigid image.
-    pairs = _pairs(mapping)
-    budget = int(np.abs(pairs[:, 1] - pairs[:, 0] - t).max())
+        moved += _swap_sets(mapping, zone_from, zone_to)
+    # Largest Chebyshev displacement from the rigid image: only swaps move.
+    budget = max((chebyshev(mapping[c], (c[0] + t[0], c[1] + t[1])) for c in moved), default=0)
     matched = tuple(
         (animal, LatticeAnimal(img)) for animal, img in zip(T, images)
     )
@@ -406,12 +415,13 @@ def _repair_correspondence(
     """
     pool = set(free_pool)
     mapping = {}
-    for c in sorted(src_cells):
+    cells = sorted(src_cells)
+    for c in cells:
         if c in pool:
             mapping[c] = c
             pool.discard(c)
     budget = 0
-    for c in sorted(src_cells):
+    for c in cells:
         if c in mapping:
             continue
         near = [q for q in pool if chebyshev(c, q) <= cap]

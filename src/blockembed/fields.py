@@ -173,10 +173,9 @@ def classify_grid(field: BitField, params: ParameterSet) -> np.ndarray:
         raise ConfigError("window origin must align to the block lattice")
     if field.width % m0 or field.height % m0:
         raise ConfigError("window must span whole blocks")
-    h, w = field.height // m0, field.width // m0
-    ones = (
-        field.bits.reshape(h, m0, w, m0).sum(axis=(1, 3)).astype(np.int64)
-    )
+    # Block rows, then block columns; int64 holds every count exactly.
+    rows = np.add.reduceat(field.bits, np.arange(0, field.height, m0), axis=0, dtype=np.int64)
+    ones = np.add.reduceat(rows, np.arange(0, field.width, m0), axis=1)
     n = m0 * m0
     zeros = n - ones
     good = np.minimum(ones, zeros) >= good_threshold(m0)

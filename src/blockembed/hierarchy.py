@@ -20,7 +20,6 @@ indices.  Level-0 cells coincide with level-0 blocks of the field.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -255,17 +254,14 @@ def _level0_bad_components(
     # A component is its filled box, whose (x0, y0) corner is its least cell.
     boxes = sorted(_close_boxes(bad), key=lambda box: (box[1].start, box[0].start))
     for sy, sx in boxes:
-        xs = range(sx.start + window.x0, sx.stop + window.x0)
-        ys = range(sy.start + window.y0, sy.stop + window.y0)
-        cells = frozenset(itertools.product(xs, ys))
+        animal = LatticeAnimal.filled(Rect(sx.start + window.x0, sy.start + window.y0,
+                                           sx.stop + window.x0, sy.stop + window.y0))
         n_bad = int(np.count_nonzero(bad[sy, sx]))
-        status = exact_level0_status(len(cells), False, params)
+        status = exact_level0_status(len(animal), False, params)
         # A component on the window's edge may extend past it.
         censored = (sx.start == 0 or sy.start == 0
                     or sx.stop == width or sy.stop == height)
-        comps.append(
-            Component(0, LatticeAnimal(cells), (), status, (n_bad, n_bad), censored)
-        )
+        comps.append(Component(0, animal, (), status, (n_bad, n_bad), censored))
     return comps
 
 
@@ -515,16 +511,6 @@ class CurveFrame:
     def cells(self, mask: np.ndarray) -> frozenset:
         ys, xs = np.nonzero(mask)
         return frozenset(zip((xs + self.x0).tolist(), (ys + self.y0).tolist()))
-
-    def raster(self, cells) -> np.ndarray:
-        """Mask of the given cells, an (n, 2) array of (x, y) rows or an
-        iterable of points, clipped to the frame."""
-        mask = np.zeros_like(self.ideal)
-        xy = cells if isinstance(cells, np.ndarray) else cell_array(cells)
-        xs, ys = xy[:, 0] - self.x0, xy[:, 1] - self.y0
-        keep = (xs >= 0) & (ys >= 0) & (xs < mask.shape[1]) & (ys < mask.shape[0])
-        mask[ys[keep], xs[keep]] = True
-        return mask
 
 
 def curve_frame(animal: LatticeAnimal, j: int, params: ParameterSet) -> CurveFrame:
@@ -808,18 +794,23 @@ def _make_curve(
 
 def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequence) -> np.ndarray:
     """Mask of the cells of the bad components that come near the blow-up,
-    the only ones that can constrain the curve."""
-    sites = [c.animal.sites for c in bad_components]
-    xy = cell_array(itertools.chain.from_iterable(sites))
+    the only ones that can constrain the curve.  A component that is a
+    filled box is tested and painted as its box, any other cell by cell."""
     r, margin = frame.r, frame.mb + frame.clearance
     x0, y0, x1, y1 = animal.bounding_box()
-    xs, ys = xy[:, 0], xy[:, 1]
-    reach = ((xs >= x0 * r - margin) & (xs < (x1 + 1) * r + margin)
-             & (ys >= y0 * r - margin) & (ys < (y1 + 1) * r + margin))
-    owner = np.repeat(np.arange(len(sites)), [len(s) for s in sites])
-    near = np.zeros(len(sites), dtype=bool)
-    near[owner[reach]] = True
-    return frame.raster(xy[near[owner]])
+    reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
+    h, w = frame.ideal.shape
+    view = Rect(frame.x0, frame.y0, frame.x0 + w, frame.y0 + h)
+    mask = np.zeros_like(frame.ideal)
+    for comp in bad_components:
+        box = comp.animal.box
+        rects = ([box] if box is not None
+                 else [Rect(x, y, x + 1, y + 1) for x, y in comp.animal.sites])
+        if any(reach.intersection(b) for b in rects):
+            for part in filter(None, map(view.intersection, rects)):
+                mask[part.y0 - frame.y0:part.y1 - frame.y0,
+                     part.x0 - frame.x0:part.x1 - frame.x0] = True
+    return mask
 
 
 def select_boundary_curve(

@@ -9,7 +9,7 @@ y0 <= y < y1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -61,10 +61,13 @@ class LatticeAnimal:
     """A nonempty finite subset of the lattice, connected by lattice edges.
 
     Connectivity is checked with one 4-connected labelling of the set's
-    bounding-box mask.
+    bounding-box mask.  An animal built by ``filled`` is a rectangle's
+    cells, connected by construction, and keeps the rectangle as ``box``;
+    any other has ``box`` None.  ``box`` takes no part in ``==`` or hashing.
     """
 
     sites: frozenset[Point]
+    box: Optional[Rect] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", frozenset(self.sites))
@@ -72,6 +75,17 @@ class LatticeAnimal:
             raise ConfigError("a lattice animal must be nonempty")
         if len(self.sites) > 1 and ndimage.label(cell_mask(self.sites)[0])[1] != 1:
             raise ConfigError("a lattice animal must be connected")
+
+    @classmethod
+    def filled(cls, rect: Rect) -> LatticeAnimal:
+        """The cells of a nonempty rectangle, not re-checked."""
+        if rect.x1 <= rect.x0 or rect.y1 <= rect.y0:
+            raise ConfigError("a lattice animal must be nonempty")
+        animal = object.__new__(cls)
+        cells = itertools.product(range(rect.x0, rect.x1), range(rect.y0, rect.y1))
+        object.__setattr__(animal, "sites", frozenset(cells))
+        object.__setattr__(animal, "box", rect)
+        return animal
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -86,6 +100,8 @@ class LatticeAnimal:
         return LatticeAnimal(frozenset((x + t[0], y + t[1]) for x, y in self.sites))
 
     def bounding_box(self) -> tuple[int, int, int, int]:
+        if self.box is not None:
+            return self.box.x0, self.box.y0, self.box.x1 - 1, self.box.y1 - 1
         xs = [p[0] for p in self.sites]
         ys = [p[1] for p in self.sites]
         return min(xs), min(ys), max(xs), max(ys)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import wraps
 from typing import NamedTuple
 
 from .errors import CapExceeded, ConfigError
@@ -34,12 +35,28 @@ class Margins(NamedTuple):
     buffer: int
 
 
+def _per_level(method):
+    """Keep a per-level value on its ParameterSet after the first call; a
+    call that raises stores nothing, so it raises again on the next."""
+    @wraps(method)
+    def cached(self, j):
+        key = (method.__name__, j)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = method(self, j)
+            return value
+    return cached
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """All numeric parameters of the construction plus derived quantities.
 
     Scales grow as ``scale(j) = L0 ** (alpha ** j)``; the estimate exponent
-    at level j is ``m + 2**-j``.
+    at level j is ``m + 2**-j``.  Each instance computes its per-level
+    values once, so ``margin_overrides`` is read at a level's first
+    ``margins`` call.
     """
 
     alpha: float
@@ -53,6 +70,7 @@ class ParameterSet:
     M: float
     name: str = "custom"
     margin_overrides: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label in ("alpha", "beta", "gamma", "m", "M"):
@@ -69,6 +87,7 @@ class ParameterSet:
         if self.v0**5 * self.k0**4 <= 2:
             raise ConfigError("v0**5 * k0**4 must exceed 2")
 
+    @_per_level
     def scale(self, j: int) -> int:
         """Side length of a level-j cell in site units of the index lattice."""
         if j < 0:
@@ -83,6 +102,7 @@ class ParameterSet:
             raise CapExceeded(f"scale at level {j} exceeds cap {SCALE_CAP}")
         return value
 
+    @_per_level
     def cell_side(self, j: int) -> int:
         """Side of a level-j cell counted in level-0 cells (1 at level 0)."""
         if j == 0:
@@ -92,6 +112,7 @@ class ParameterSet:
             raise ConfigError("level scales do not nest")
         return side
 
+    @_per_level
     def cells_per_side(self, j: int) -> int:
         """Number of level-(j-1) cells per side of a level-j cell."""
         if j < 1:
@@ -105,6 +126,7 @@ class ParameterSet:
         """Tail-estimate exponent at level j (decreases toward m)."""
         return self.m + 2.0**-j
 
+    @_per_level
     def margins(self, j: int) -> Margins:
         """Interior/clearance/buffer margins for level-j cells.
 
@@ -135,6 +157,7 @@ class ParameterSet:
             )
         return margins
 
+    @_per_level
     def semibad_threshold(self, j: int) -> Fraction:
         """Embedding-probability floor for a semi-bad level-j component."""
         return 1 - Fraction(1, self.v0**5 * self.k0**4 * 100**j)

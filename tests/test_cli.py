@@ -175,6 +175,17 @@ class TestEstimateAndReports:
         assert code == EXIT_OK
         assert len(out.splitlines()) > 1 and err == ""
 
+    @pytest.mark.parametrize("flag", [("--trials", "0"), ("--trials", "-2"),
+                                      ("--workers", "0"), ("--workers", "-3")])
+    @pytest.mark.parametrize("window", [("0", "0", "2", "2"), ("0", "0", "3", "3")])
+    def test_estimate_s_bad_counts_are_config_errors(self, capsys, flag, window):
+        # The 2x2 window has no uncensored target at seed 5, the 3x3 one has.
+        code, out, err = run(capsys, "estimate-s", "--profile", "toy1", "--family", "X",
+                             "--level", "1", "--seed", "5", "--window", *window, *flag)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"{flag[0]} must be at least 1, got {flag[1]}" in err
+
     def test_estimate_s_level_validation(self, capsys):
         code, _, _ = run(capsys, "estimate-s", "--level", "2")
         assert code == EXIT_CONFIG

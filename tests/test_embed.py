@@ -41,7 +41,53 @@ def _good_cell(cell):
                           (0, 0))
 
 
+def _correspondence_check_ref(mapping, source_cells, target_cells):
+    """Reference: the correspondence's cover and bijection checks on sets."""
+    if set(mapping) != set(source_cells):
+        raise ConfigError("mapping must cover exactly the source cells")
+    images = set(mapping.values())
+    if images != set(target_cells) or len(images) != len(mapping):
+        raise ConfigError("mapping must be a bijection onto the target cells")
+
+
+_small_cells = st.tuples(st.integers(0, 3), st.integers(0, 2))
+
+
+@st.composite
+def _cell_collections(draw, base):
+    """``base`` or a near miss of it, as a frozenset, a set or a list,
+    the list possibly with repeats."""
+    cells = set(base) ^ draw(st.sets(_small_cells, max_size=1))
+    kind = draw(st.sampled_from(["frozenset", "set", "list"]))
+    if kind == "list":
+        cells = list(cells) + draw(st.lists(st.sampled_from(sorted(cells)), max_size=2)
+                                   if cells else st.just([]))
+        return draw(st.permutations(cells))
+    return frozenset(cells) if kind == "frozenset" else cells
+
+
 class TestCellCorrespondence:
+    @given(st.dictionaries(_small_cells, _small_cells, max_size=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_checks_match_set_reference(self, mapping, data):
+        source = data.draw(_cell_collections(mapping.keys()))
+        target = data.draw(_cell_collections(mapping.values()))
+
+        def outcome(f):
+            try:
+                f()
+            except ConfigError as exc:
+                return str(exc)
+            return None
+
+        assert (outcome(lambda: CellCorrespondence(1, source, target, mapping, (), 0))
+                == outcome(lambda: _correspondence_check_ref(mapping, source, target)))
+
+    def test_list_of_source_cells_accepted(self):
+        cells = sorted(_square(2))
+        corr = CellCorrespondence(1, cells, list(reversed(cells)), {c: c for c in cells}, (), 0)
+        assert corr.apply((1, 1)) == (1, 1)
+
     def test_bijection_enforced(self):
         cells = _square(2)
         with pytest.raises(ConfigError):
@@ -106,10 +152,20 @@ class TestTranslationFamily:
     @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
     def test_budget_is_largest_displacement(self, toy1, h):
         # Between translated domains, against the per-cell maximum.
+        self._check_budget(toy1, [[(5, 5), (5, 6)]], h)
+
+    @pytest.mark.parametrize("h", [(1, 1), (3, 3), (3, 4)])
+    def test_budget_after_overlapping_swaps(self, toy1, h):
+        # At h = (3, 3) the second set's rigid image is where the first
+        # set's image lands, so the second swap moves cells the first moved.
+        self._check_budget(toy1, [[(5, 5)], [(7, 7)]], h)
+
+    @staticmethod
+    def _check_budget(params, cells, h):
         src, t = _square(16), (3, -2)
         target = _square(16, off=t)
-        T = [LatticeAnimal(frozenset([(5, 5), (5, 6)]))]
-        corr = translation_family(src, target, T, (), h, toy1)
+        T = [LatticeAnimal(frozenset(c)) for c in cells]
+        corr = translation_family(src, target, T, (), h, params)
         expect = max(chebyshev((c[0] + t[0], c[1] + t[1]), v) for c, v in corr.mapping.items())
         assert corr.displacement_budget == expect
         assert (expect > 0) == (h != (1, 1))
@@ -196,13 +252,19 @@ class TestSetDistance:
 
 class TestBaseTranslation:
     @given(st.one_of(_cell_sets, _king_walks()),
-           st.one_of(_cell_sets, st.tuples(st.integers(-5, 5), st.integers(-5, 5))),
+           st.one_of(_cell_sets, st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                     st.sampled_from(["same", "copy"])),
            st.frozensets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=2))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_lattice_animal_reference(self, source, other, toggled):
-        # The target is another random set, or a translate of the source
-        # with a few cells toggled: connected or not, matching or not.
-        if isinstance(other, frozenset):
+        # The target is another random set, a translate of the source with
+        # a few cells toggled (connected or not, matching or not), the
+        # source's own set object (which the animal keeps), or a copy of it.
+        if other == "same":
+            target = source
+        elif other == "copy":
+            target = frozenset(list(source))
+        elif isinstance(other, frozenset):
             target = other
         else:
             target = frozenset((x + other[0], y + other[1]) for x, y in source) ^ toggled

@@ -99,6 +99,16 @@ class TestSampling:
         assert site_bits(seed, family, x, y) == (int(h[0]) >> 31) & 1
 
 
+def _classify_grid_ref(bits, m0):
+    """Reference: block counts by one reshape and sum."""
+    h, w = bits.shape[0] // m0, bits.shape[1] // m0
+    ones = bits.reshape(h, m0, w, m0).sum(axis=(1, 3)).astype(np.int64)
+    zeros = m0 * m0 - ones
+    out = np.where(ones >= zeros, GRID_ONE, GRID_ZERO).astype(np.int8)
+    out[np.minimum(ones, zeros) >= good_threshold(m0)] = GRID_GOOD
+    return out
+
+
 class TestClassification:
     def test_good_threshold_values(self):
         # ceil(M0^2 / 3) for M0 = 2, 3, 6, 9
@@ -132,6 +142,29 @@ class TestClassification:
             for bx in range(10):
                 block = f.bits[by * 3 : by * 3 + 3, bx * 3 : bx * 3 + 3]
                 assert grid[by, bx] == CODES[classify_y0_block(block, p)]
+
+    @given(st.sampled_from([2, 3, 6, 9]), st.integers(0, 7), st.integers(0, 7),
+           st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([0.2, 0.5, 0.8]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_classify_grid_matches_reshape_sum(self, m0, w, h, ox, oy, density, seed):
+        # Windows of any density, aligned but not at the origin, empty ones too.
+        p = named_profile(f"toy-m0-{m0}")
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((h * m0, w * m0)) < density).astype(np.uint8)
+        f = BitField("Y", (ox * m0, oy * m0), w * m0, h * m0, seed, bits)
+        grid = classify_grid(f, p)
+        assert grid.dtype == np.int8
+        assert np.array_equal(grid, _classify_grid_ref(bits, m0))
+
+    @given(st.sampled_from([2, 3, 6, 9]), st.integers(1, 60), st.integers(1, 4),
+           st.integers(1, 3), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_classify_grid_matches_reshape_sum_on_strips(self, m0, trials, stride, h, seed):
+        # The wide strip stats._estimate_level0_x samples: trials side by side.
+        p = named_profile(f"toy-m0-{m0}")
+        f = sample_field(seed, "Y", (0, 0), trials * stride * m0, h * m0)
+        assert np.array_equal(classify_grid(f, p), _classify_grid_ref(f.bits, m0))
 
     def test_classify_grid_alignment_required(self):
         p = named_profile("toy-m0-3")

@@ -54,6 +54,7 @@ from blockembed.lattice import (
     LatticeAnimal,
     Rect,
     buffer_zone,
+    cell_array,
     cell_mask,
     chebyshev,
     neighbors,
@@ -374,18 +375,29 @@ def _edge_blocked(frame, forbidden) -> bool:
     return not all(f.any() for f in _edge_factors(frame, forbidden).values())
 
 
+def _raster(frame, cells):
+    """Mask of the given cells, an (n, 2) array of (x, y) rows or an
+    iterable of points, clipped to the frame."""
+    mask = np.zeros_like(frame.ideal)
+    xy = cells if isinstance(cells, np.ndarray) else cell_array(cells)
+    xs, ys = xy[:, 0] - frame.x0, xy[:, 1] - frame.y0
+    keep = (xs >= 0) & (ys >= 0) & (xs < mask.shape[1]) & (ys < mask.shape[0])
+    mask[ys[keep], xs[keep]] = True
+    return mask
+
+
 def _bad_cells_ref(frame, animal, bad_components):
     """Reference: the cells of every bad component with a cell in the
     blow-up's reach, tested one cell at a time."""
     r, margin = frame.r, frame.mb + frame.clearance
     x0, y0, x1, y1 = animal.bounding_box()
     reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
-    return frame.raster(
+    return _raster(frame, [
         p
         for c in bad_components
         if any(reach.contains_cell(q) for q in c.animal.sites)
         for p in c.animal.sites
-    )
+    ])
 
 
 def _cell_scopes_ref(frame, ys, xs) -> tuple:
@@ -417,7 +429,7 @@ def _blocked_edge_ref(frame, forbidden, k2) -> bool:
     """Reference: some edge has a forbidden cell on each of its 2*k0 middle
     rows, taken one row at a time."""
     for e in frame.edges:
-        if all(frame.raster(_middle_rows(frame, e, _offset_of_index(i)))[forbidden].any()
+        if all(_raster(frame, _middle_rows(frame, e, _offset_of_index(i)))[forbidden].any()
                for i in range(1, k2 + 1)):
             return True
     return False
@@ -686,6 +698,8 @@ class TestLevel0:
         expected = _component_closure(bad, window.contains_cell)
         assert [set(c.animal.sites) for c in comps] == expected
         for comp, cells in zip(comps, expected):
+            assert comp.animal == LatticeAnimal(frozenset(cells))
+            assert set(comp.animal.box.cells()) == cells
             n_bad = len(cells & bad)
             assert comp.bad_summary == (n_bad, n_bad)
             assert comp.status == exact_level0_status(len(cells), False, toy1)
@@ -911,7 +925,7 @@ class TestCurves:
         cells = data.draw(_cells_around(frame, 12))
         bad = [_singleton_bad_component([c]) for c in cells]
         clearance = frame.clearance
-        assert _clears(mask, _dilate(frame.raster(cells), clearance - 1)) == (
+        assert _clears(mask, _dilate(_raster(frame, cells), clearance - 1)) == (
             curve_clearance(frame.cells(mask), bad) >= clearance)
 
     @given(st.data())
@@ -924,7 +938,7 @@ class TestCurves:
         expected = [e for e in frame.edges
                     if any(chebyshev(c, o) <= reach_d
                            for c in _edge_outside_cells(e, frame.r) for o in cells)]
-        assert _hot_edges(frame, frame.raster(cells)) == expected
+        assert _hot_edges(frame, _raster(frame, cells)) == expected
 
 
     @given(st.data())
@@ -934,7 +948,7 @@ class TestCurves:
         frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
         cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
                                   min_size=1, max_size=6))
-        forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
+        forbidden = _dilate(_raster(frame, cells), frame.clearance - 1)
         assume(_edge_blocked(frame, forbidden))
         corner_space = [(ell, s) for ell in (1, 2) for s in (1, 2)]
         for edge_choice in itertools.product((1, 2), repeat=len(frame.edges)):
@@ -964,16 +978,16 @@ class TestCurves:
         e = data.draw(st.sampled_from(frame.edges))
         cells = [data.draw(st.sampled_from(_middle_rows(frame, e, _offset_of_index(i))))
                  for i in range(1, k2 + 1)]
-        assert _edge_blocked(frame, frame.raster(cells))
+        assert _edge_blocked(frame, _raster(frame, cells))
         gone = data.draw(st.integers(0, k2 - 1))
-        assert not _edge_blocked(frame, frame.raster(cells[:gone] + cells[gone + 1:]))
+        assert not _edge_blocked(frame, _raster(frame, cells[:gone] + cells[gone + 1:]))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_blocked_edge_never_when_straight_clears(self, data):
         frame = curve_frame(data.draw(_animals()), 1, TOY1)
         cells = data.draw(_cells_around(frame, 12))
-        forbidden = _dilate(frame.raster(cells), frame.clearance - 1)
+        forbidden = _dilate(_raster(frame, cells), frame.clearance - 1)
         straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
                                   {e: 1 for e in frame.edges})
         assert not (_clears(straight, forbidden) and _edge_blocked(frame, forbidden))
@@ -996,7 +1010,7 @@ class TestCurveCount:
     def test_count_matches_brute_force_one_cell(self, data):
         # All 4096 assignments of a one-cell block at k0 = 1.
         frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
-        forbidden = frame.raster(data.draw(_outline_cells(frame, 3)))
+        forbidden = _raster(frame, data.draw(_outline_cells(frame, 3)))
         assert _curve_count(frame, forbidden) == _brute_count(
             frame, forbidden, frame.vertices, frame.edges)
 
@@ -1010,7 +1024,7 @@ class TestCurveCount:
         animal = LatticeAnimal(frozenset(shape))
         frame = curve_frame(animal, 1, TOY1_K1)
         v = data.draw(st.sampled_from(frame.vertices))
-        forbidden = frame.raster(data.draw(_outline_cells(frame, 3, (v, frame.mb + frame.k0))))
+        forbidden = _raster(frame, data.draw(_outline_cells(frame, 3, (v, frame.mb + frame.k0))))
         edges = [e for e in frame.edges if v in _edge_vertices(e, frame.r)]
         vertices = sorted({w for e in edges for w in _edge_vertices(e, frame.r)})
         assert _curve_count(frame, forbidden) == _brute_count(frame, forbidden, vertices, edges)
@@ -1024,7 +1038,7 @@ class TestCurveCount:
         # random ones, the product of the factors is the validity.
         params, animal, corner, edge, cells, others = case
         frame = curve_frame(animal, 1, params)
-        forbidden = frame.raster(cells)
+        forbidden = _raster(frame, cells)
         factors = _curve_factors(frame, forbidden)
         k2 = 2 * params.k0
         nearby = [({**corner, v: (ell, s)}, edge) for v in frame.vertices
@@ -1088,7 +1102,7 @@ class TestCurveCount:
         # curve is valid then; every false entry is one the factor tables
         # rule out too.
         frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
-        forbidden = frame.raster(data.draw(_cells_around(frame, 40)))
+        forbidden = _raster(frame, data.draw(_cells_around(frame, 40)))
         blocked = _edge_blocked(frame, forbidden)
         assert blocked == _blocked_edge_ref(frame, forbidden, 2 * params.k0)
         factors = _curve_factors(frame, forbidden)
@@ -1256,15 +1270,22 @@ class TestCurveTables:
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_bad_cells_match_reference(self, params, data):
-        # Components grown cell by cell around the frame, some reaching
-        # into the blow-up's reach and some only near it.
+        # Components grown cell by cell, or filled boxes as level 0 builds
+        # them, around the frame: some reach into the blow-up's reach, some
+        # only come near it, and boxes may overhang the frame.
         animal = data.draw(_animals())
         frame = curve_frame(animal, 1, params)
         h, w = frame.ideal.shape
         comps = []
         for _ in range(data.draw(st.integers(0, 10))):
-            cells = [(data.draw(st.integers(frame.x0 - 8, frame.x0 + w + 4)),
-                      data.draw(st.integers(frame.y0 - 8, frame.y0 + h + 4)))]
+            x = data.draw(st.integers(frame.x0 - 8, frame.x0 + w + 4))
+            y = data.draw(st.integers(frame.y0 - 8, frame.y0 + h + 4))
+            if data.draw(st.booleans()):
+                bw, bh = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+                box = Rect(x, y, x + bw, y + bh)
+                comps.append(Component(0, LatticeAnimal.filled(box), (), REALLY_BAD, (1, 1)))
+                continue
+            cells = [(x, y)]
             for step in data.draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
                                            max_size=8)):
                 cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
@@ -1286,7 +1307,7 @@ class TestCurveTables:
     def test_ring_test_is_the_straight_clearance(self, params, data):
         frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
         cells = data.draw(st.one_of(_cells_around(frame, 12), _outline_cells(frame, 3)))
-        bad = frame.raster(cells)
+        bad = _raster(frame, cells)
         straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
                                   {e: 1 for e in frame.edges})
         assert (not (bad & frame.ring).any()) == _clears(

@@ -117,6 +117,25 @@ class TestAnimals:
         assert _is_animal(cells) == is_connected(cells)
 
 
+class TestFilledAnimals:
+    @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_box_animal_equals_checked_animal(self, x0, y0, w, h):
+        rect = Rect(x0, y0, x0 + w, y0 + h)
+        box = LatticeAnimal.filled(rect)
+        checked = LatticeAnimal(frozenset(rect.cells()))
+        assert box.sites == checked.sites
+        assert box == checked and checked == box
+        assert hash(box) == hash(checked)
+        assert box.bounding_box() == checked.bounding_box()
+        assert box.box == rect and checked.box is None
+
+    @pytest.mark.parametrize("rect", [Rect(0, 0, 0, 3), Rect(2, 2, 1, 4), Rect(0, 0, 0, 0)])
+    def test_empty_box_rejected(self, rect):
+        with pytest.raises(ConfigError, match="a lattice animal must be nonempty"):
+            LatticeAnimal.filled(rect)
+
+
 class TestRect:
     def test_half_open_contains(self):
         r = Rect(0, 0, 2, 2)

@@ -1,6 +1,7 @@
 """Parameter profiles, derived scales, and the constraint auditor."""
 
 import decimal
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,47 @@ class TestScales:
             ParameterSet(k0=1, v0=1, **base)
         assert ParameterSet(k0=1, v0=2, **base).semibad_threshold(0) == Fraction(31, 32)
         assert ParameterSet(k0=2, v0=1, **base).semibad_threshold(0) == Fraction(15, 16)
+
+
+class TestPerLevelMemo:
+    def test_replace_and_overrides_see_their_own_values(self):
+        base = named_profile("published")
+        assert base.margins(1) == (4, 30, 31)
+        assert base.cell_side(1) == 128
+        custom = replace(base, margin_overrides={1: (1, 2, 3)})
+        assert custom.margins(1) == (1, 2, 3)
+        assert base.margins(1) == (4, 30, 31)
+        # Built first this time: the default instance does not see it.
+        wide = named_profile("toy1", L0=64, margin_overrides={1: (2, 3, 4)})
+        assert (wide.margins(1), wide.cell_side(1), wide.scale(0)) == ((2, 3, 4), 64, 64)
+        toy1 = named_profile("toy1")
+        assert (toy1.margins(1), toy1.cell_side(1), toy1.scale(0)) == ((1, 2, 3), 16, 16)
+        assert named_profile("toy1", L0=64).margins(1) == (13, 14, 15)
+
+    def test_errors_raise_on_every_call(self, toy1):
+        bad = replace(toy1, margin_overrides={1: (3, 2, 1)})
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                bad.margins(1)
+            with pytest.raises(ConfigError):
+                toy1.margins(0)
+            with pytest.raises(ConfigError):
+                toy1.cells_per_side(0)
+            with pytest.raises(ConfigError):
+                toy1.scale(-1)
+            with pytest.raises(CapExceeded):
+                toy1.scale(4)
+            with pytest.raises(CapExceeded):
+                toy1.margins(4)
+
+    def test_equality_and_repr_unchanged(self):
+        used, fresh = named_profile("toy1"), named_profile("toy1")
+        used.margins(1), used.semibad_threshold(1), used.cells_per_side(1)
+        assert used == fresh and fresh == used
+        assert repr(used) == repr(fresh) == (
+            "ParameterSet(alpha=2, beta=1.0, gamma=2.0, m=2.0, k0=2, v0=3, L0=16, M0=9, "
+            "M=180.0, name='toy1', margin_overrides={})")
+        assert replace(used, name="other") != used
 
 
 class TestAuditor:
