@@ -228,6 +228,8 @@ def reports(profile, seed, windows, window, out_dir):
             if not block.censored:
                 good1.append(block.good)
     if not tail_samples:
+        click.echo("note: every level-0 bad component is censored; the tail and size "
+                   "tables hold one stand-in sample (S=1, V=1)", err=True)
         tail_samples.append((1.0, 1))
         sizes.append(1)
     # Fully censored levels contribute no samples and are omitted.

@@ -19,7 +19,7 @@ import numpy as np
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
 from .fields import ACCEPTS, GRID_GOOD, BitField
-from .lattice import LatticeAnimal, Point, Rect, cell_array, chebyshev, same_shape
+from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry, chebyshev, same_shape
 from .params import ParameterSet
 
 __all__ = [
@@ -329,25 +329,21 @@ class EmbeddingWitness:
         return EmbeddingMap(mapping, params.M)
 
 
-DEFAULT_OFFSET_BUDGET = 512
-
-
 def embeds_level(
     x,
     y_window: BitField,
     level: int,
     params: ParameterSet,
     x_structure=None,
-    budget: int = DEFAULT_OFFSET_BUDGET,
 ) -> Optional[EmbeddingWitness]:
     """Search the constructed map families for an embedding witness.
 
     At level 0, x is a component and the check is cellwise.  At level 1, x
-    is a block; the target structure is built from the given window with
-    curve randomness derived from the window's seed, and the translation
-    family is searched for an offset matching every bad subcomponent of x
-    to an embeddable target.  Sound but not complete: a None result means
-    the searched families contain no witness.
+    is a single-cell block of the source family, as every source block is
+    at depth 1: the one target block over that cell is cut from the given
+    window with curve randomness derived from the window's seed, and the
+    rigid map, then a boundary repair, is checked cell by cell.  Sound but
+    not complete: a None result means the searched maps hold no witness.
     """
     if level not in (0, 1):
         raise ConfigError("embedding search supports levels 0 and 1")
@@ -355,7 +351,9 @@ def embeds_level(
         raise PreconditionError("source structure required for content lookup")
     if level == 0:
         return _embeds_level0(x, y_window, params, x_structure)
-    return _embeds_level1(x, y_window, params, x_structure, budget)
+    if x_structure.family != "X" or x.size != 1:
+        raise ConfigError("the level-1 search maps one source-family cell")
+    return _embeds_level1(x, y_window, params, x_structure)
 
 
 def _embeds_level0(component, y_window, params, x_structure):
@@ -435,68 +433,40 @@ def _repair_correspondence(
     return CellCorrespondence(level, frozenset(src_cells), target, mapping, (), budget)
 
 
-def _embeds_level1(block, y_window, params, x_structure, budget):
-    animal = block.animal
-    window1 = Rect(*_level1_window(animal))
-    # The target structure is built over the level-0 window of the block's
+def _embeds_level1(block, y_window, params, x_structure):
+    (x, y), = block.animal.sites
+    # The target block is cut over the level-0 window of the cell's own
     # level-1 window, from y_window's sites when it covers that window and
     # resampled from its seed otherwise: windows of one seed agree site for
     # site, so y_window only needs to cover the images.
-    y_hier = hier.build_hierarchy(params, "Y", y_window.seed, window1,
-                                  site_field=_crop(y_window, window1, params))
-    y_level1 = y_hier.levels[1]
-    # The target must reproduce the same lattice block (valid buffers).
-    y_block = None
-    for b in y_level1.blocks:
-        if b.animal.sites == animal.sites:
-            y_block = b
-            break
-    if y_block is None:
-        return None
-
-    x_bad = [c.animal for c in hier.bad_subcomponents(block, x_structure)]
-    y_bad = [
-        c.animal
-        for c in hier.bad_subcomponents(y_block, y_hier.level0)
-    ]
+    window0 = hier.level0_window_for(Rect(x, y, x + 1, y + 1), params)
+    y_level0 = hier.build_level0(params, "Y", y_window.seed, window0,
+                                 site_field=_crop(y_window, window0, params.M0))
+    # The cell's blow-up reaches past its own window, so the block is
+    # censored: a missed curve leaves the straight placeholder.
+    curve, _ = hier.block_curve(block.lattice_block, y_level0, y_window.seed, censored=True)
+    y_domain = curve.domain
+    y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
 
     # The block checks its domain once for all the trials that search it.
     source = block.domain_animal
-    if source is None:  # not a lattice animal: every member raises ConfigError
+    if source is None:  # not a lattice animal: the rigid map raises ConfigError
         source = block.domain
-    candidates = [(1, 1)]
-    if x_bad:
-        candidates += [
-            h
-            for h in translation_subfamily(source, x_bad, params, 1)
-            if h != (1, 1)
-        ]
-    tried = 0
-    for h in candidates:
-        if tried >= budget:
-            break
-        tried += 1
-        try:
-            corr = translation_family(
-                source, y_block.domain, x_bad, y_bad, h, params, 1
-            )
-        except (InvalidOffset, PreconditionError, ConfigError):
-            continue
-        if _accepts(corr, x_structure, y_hier.level0):
-            return EmbeddingWitness(1, corr, h)
+    try:
+        corr = translation_family(source, y_domain, (), y_bad, (1, 1), params, 1)
+    except (PreconditionError, ConfigError):
+        corr = None
+    if corr is not None and _accepts(corr, x_structure, y_level0):
+        return EmbeddingWitness(1, corr, (1, 1))
 
-    # Domains of the two blocks may have different curve perturbations.
-    # Without designated bad sets to relocate, absorb the boundary slivers
-    # with an in-place reassignment into good-class cells of the blow-up.
-    if not x_bad:
-        mb = params.margins(1).buffer
-        r = params.cells_per_side(1)
-        bx0, by0, bx1, by1 = y_block.animal.bounding_box()
-        blowup = Rect(bx0 * r - mb, by0 * r - mb, (bx1 + 1) * r + mb, (by1 + 1) * r + mb)
-        pool = _good_or_in(y_hier.level0, blowup, y_block.domain)
-        corr = _repair_correspondence(block.domain, pool, 1, cap=3 * mb)
-        if corr is not None and _accepts(corr, x_structure, y_hier.level0):
-            return EmbeddingWitness(1, corr, (1, 1))
+    # Domains of the two blocks may have different curve perturbations:
+    # absorb the boundary slivers with an in-place reassignment into
+    # good-class cells of the blow-up.
+    geometry = cell_geometry(1, (x, y), params)
+    pool = _good_or_in(y_level0, geometry.blowup, y_domain)
+    corr = _repair_correspondence(block.domain, pool, 1, cap=3 * geometry.margin)
+    if corr is not None and _accepts(corr, x_structure, y_level0):
+        return EmbeddingWitness(1, corr, (1, 1))
     return None
 
 
@@ -524,20 +494,13 @@ def _good_or_in(level0, rect: Rect, domain: frozenset) -> list:
     return list(zip((xs + rect.x0).tolist(), (ys + rect.y0).tolist()))
 
 
-def _crop(field: BitField, window1: Rect, params: ParameterSet) -> Optional[BitField]:
-    """The target-family sites of the level-0 window under ``window1``, cut
-    from ``field``, or None when the field does not cover them."""
-    w0 = hier.level0_window_for(window1, params)
-    m0 = params.M0
-    x0, y0 = w0.x0 * m0 - field.origin[0], w0.y0 * m0 - field.origin[1]
-    width, height = (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0
+def _crop(field: BitField, window0: Rect, m0: int) -> Optional[BitField]:
+    """The target-family sites of a level-0 cell window, cut from ``field``,
+    or None when the field does not cover them."""
+    x0, y0 = window0.x0 * m0 - field.origin[0], window0.y0 * m0 - field.origin[1]
+    width, height = (window0.x1 - window0.x0) * m0, (window0.y1 - window0.y0) * m0
     if (field.family != "Y" or x0 < 0 or y0 < 0
             or x0 + width > field.width or y0 + height > field.height):
         return None
-    return BitField("Y", (w0.x0 * m0, w0.y0 * m0), width, height, field.seed,
+    return BitField("Y", (window0.x0 * m0, window0.y0 * m0), width, height, field.seed,
                     field.bits[y0:y0 + height, x0:x0 + width])
-
-
-def _level1_window(animal: LatticeAnimal) -> tuple:
-    x0, y0, x1, y1 = animal.bounding_box()
-    return (x0, y0, x1 + 1, y1 + 1)

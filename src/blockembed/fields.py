@@ -17,8 +17,8 @@ from .params import ParameterSet
 
 FORMAT_VERSION = 1
 
-# Default cap on the number of sites in one sampled window.
-DEFAULT_SITE_CAP = 1 << 26
+# Cap on the number of sites in one sampled window.
+SITE_CAP = 1 << 26
 
 _FAMILY_TAGS = {"X": 0x58, "Y": 0x59}
 
@@ -114,13 +114,12 @@ def sample_field(
     origin: tuple[int, int],
     width: int,
     height: int,
-    site_cap: int = DEFAULT_SITE_CAP,
 ) -> BitField:
     """Sample a window of i.i.d. fair bits determined by (seed, family, site)."""
     if width < 1 or height < 1:
         raise ConfigError("window dimensions must be positive")
-    if width * height > site_cap:
-        raise CapExceeded(f"window of {width * height} sites exceeds cap {site_cap}")
+    if width * height > SITE_CAP:
+        raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
     xs = np.arange(origin[0], origin[0] + width, dtype=np.int64)
     ys = np.arange(origin[1], origin[1] + height, dtype=np.int64)
     bits = site_bits(seed, family, xs[np.newaxis, :], ys[:, np.newaxis])

@@ -59,6 +59,7 @@ __all__ = [
     "form_components",
     "classify_good_block",
     "build_level0",
+    "block_curve",
     "build_hierarchy",
 ]
 
@@ -1000,13 +1001,9 @@ def form_components(blocks: Sequence[Block]) -> list:
 # Good blocks
 
 
-def bad_subcomponents(block: Block, level_below: Level0Structure) -> list:
-    """Bad components of the level below that meet the block's domain."""
-    return [
-        comp
-        for comp in level_below.bad_components
-        if comp.animal.sites & block.domain
-    ]
+def bad_subcomponents(domain: frozenset, level_below: Level0Structure) -> list:
+    """Bad components of the level below that meet a block's domain."""
+    return [comp for comp in level_below.bad_components if comp.animal.sites & domain]
 
 
 def classify_good_block(
@@ -1026,7 +1023,7 @@ def classify_good_block(
     """
     if block.size != 1:
         return False
-    bad = bad_subcomponents(block, level_below)
+    bad = bad_subcomponents(block.domain, level_below)
     if sum(c.size for c in bad) > params.k0:
         return False
     return all(c.status == SEMI_BAD for c in bad)
@@ -1077,7 +1074,6 @@ def build_hierarchy(
     family: str,
     seed: int,
     window1: Rect,
-    site_field: Optional[BitField] = None,
 ) -> BlockHierarchy:
     """Build levels 0 and 1 over a window of level-1 cell indices.
 
@@ -1088,9 +1084,35 @@ def build_hierarchy(
     if window1.x1 <= window1.x0 or window1.y1 <= window1.y0:
         raise ConfigError(f"level-1 window {tuple(window1)} holds no cell")
     window0 = level0_window_for(window1, params)
-    level0 = build_level0(params, family, seed, window0, site_field)
+    level0 = build_level0(params, family, seed, window0)
     level1 = build_level1(level0, window1, seed)
     return BlockHierarchy(params, family, seed, level0, {1: level1})
+
+
+def block_curve(
+    lattice_block: LatticeBlock,
+    level0: Level0Structure,
+    seed: int,
+    censored: bool,
+) -> tuple:
+    """The boundary curve of one lattice block, as (curve, placeholder).
+
+    The curve randomness is keyed by the seed and the block's least cell.
+    When no valid curve is found for a censored block, the straight curve
+    stands in and ``placeholder`` is True: bad content hugging the window
+    edge would have conjoined the block outward in the full construction,
+    so the block is kept flagged censored and bad, excluded from
+    statistics.  An uncensored block raises CurveSelectionError instead.
+    """
+    params, j = level0.params, lattice_block.level
+    x, y = min(lattice_block.animal.sites)
+    rng = np.random.default_rng(derive_seed(seed, 0xC0DE, j, x & 0xFFFF, y & 0xFFFF))
+    try:
+        return select_boundary_curve(lattice_block, level0.bad_components, params, rng, j), False
+    except CurveSelectionError:
+        if not censored:
+            raise
+        return curve_frame(lattice_block.animal, j, params).straight, True
 
 
 def build_level1(
@@ -1121,31 +1143,15 @@ def build_level1(
 
     r = params.cells_per_side(j)
     mb = params.margins(j).buffer
+    region = Rect(window1.x0 * r, window1.y0 * r, window1.x1 * r, window1.y1 * r)
     blocks = []
     for lb in lattice_blocks:
-        anchor = min(lb.animal.sites)
-        rng = np.random.default_rng(
-            derive_seed(seed, 0xC0DE, j, anchor[0] & 0xFFFF, anchor[1] & 0xFFFF)
-        )
         bx0, by0, bx1, by1 = lb.animal.bounding_box()
         blowup = Rect(bx0 * r - mb, by0 * r - mb, (bx1 + 1) * r + mb, (by1 + 1) * r + mb)
-        censored = not Rect(
-            window1.x0 * r, window1.y0 * r, window1.x1 * r, window1.y1 * r
-        ).contains_rect(blowup)
-        try:
-            curve = select_boundary_curve(lb, level0.bad_components, params, rng, j)
-        except CurveSelectionError:
-            if not censored:
-                raise
-            # Bad content hugging the window edge would have conjoined this
-            # block outward in the full construction; keep a straight-curve
-            # placeholder, flagged censored and bad, excluded from statistics.
-            curve = curve_frame(lb.animal, j, params).straight
-            block = form_block(curve.domain, lb, curve, j)
-            blocks.append(replace(block, good=False, censored=True))
-            continue
+        censored = not region.contains_rect(blowup)
+        curve, placeholder = block_curve(lb, level0, seed, censored)
         block = form_block(curve.domain, lb, curve, j)
-        good = classify_good_block(block, level0, params)
+        good = not placeholder and classify_good_block(block, level0, params)
         blocks.append(replace(block, good=good, censored=censored))
 
     components = form_components(blocks)

@@ -169,19 +169,14 @@ class CellGeometry:
     margin: int
 
 
-def cell_geometry(
-    j: int, u: Point, params: ParameterSet, margin: int | None = None
-) -> CellGeometry:
+def cell_geometry(j: int, u: Point, params: ParameterSet) -> CellGeometry:
     """Geometry of the level-j cell at index u, in level-0 cell units.
 
     The interior and blow-up are inset/outset from the region by the
     buffer margin (level 0 has no buffers and uses margin 0).
     """
     side = params.cell_side(j)
-    if margin is None:
-        margin = params.margins(j).buffer if j >= 1 else 0
-    if j >= 1 and 2 * margin >= side:
-        raise ConfigError("margin too large for the cell side")
+    margin = params.margins(j).buffer if j >= 1 else 0
     region = Rect(u[0] * side, u[1] * side, (u[0] + 1) * side, (u[1] + 1) * side)
     return CellGeometry(j, u, region, region.inset(margin), region.outset(margin), margin)
 
@@ -206,13 +201,11 @@ class BufferZone:
     shared_with: Point
 
 
-def buffer_zone(
-    j: int, u: Point, side: str, params: ParameterSet, margin: int | None = None
-) -> BufferZone:
+def buffer_zone(j: int, u: Point, side: str, params: ParameterSet) -> BufferZone:
     """The buffer of the level-j cell at u on the given side (T/L/B/R)."""
     if side not in _SIDE_STEPS:
         raise ConfigError(f"unknown side {side!r}")
-    geo = cell_geometry(j, u, params, margin)
+    geo = cell_geometry(j, u, params)
     m = geo.margin
     r = geo.region
     if side == "T":
@@ -227,14 +220,12 @@ def buffer_zone(
     return BufferZone(j, u, side, rect, (u[0] + dx, u[1] + dy))
 
 
-def outer_buffers(
-    animal: LatticeAnimal, j: int, params: ParameterSet, margin: int | None = None
-) -> list[BufferZone]:
+def outer_buffers(animal: LatticeAnimal, j: int, params: ParameterSet) -> list[BufferZone]:
     """Side buffers shared with cells outside the animal, in sorted order."""
     out = []
     for u in animal:
         for side in ("B", "L", "R", "T"):
-            zone = buffer_zone(j, u, side, params, margin)
+            zone = buffer_zone(j, u, side, params)
             if zone.shared_with not in animal:
                 out.append(zone)
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import beta as _beta
 
 from . import hierarchy as hier
-from .errors import ConfigError, CurveSelectionError, PreconditionError
+from .errors import ConfigError, PreconditionError
 from .fields import (
     ACCEPTS,
     GRID_GOOD,
@@ -49,11 +49,11 @@ __all__ = [
 CONFIDENCE = 0.95
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = CONFIDENCE):
-    """Exact binomial confidence interval."""
+def clopper_pearson(successes: int, trials: int):
+    """Exact binomial interval at confidence ``CONFIDENCE``."""
     if not 0 <= successes <= trials or trials < 1:
         raise ConfigError("need 0 <= successes <= trials, trials >= 1")
-    a = (1.0 - confidence) / 2.0
+    a = (1.0 - CONFIDENCE) / 2.0
     lo = 0.0 if successes == 0 else float(_beta.ppf(a, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(
         _beta.ppf(1.0 - a, successes + 1, trials - successes)
@@ -190,10 +190,7 @@ def _estimate_level1_x(block, structure, trials, seed, params, workers):
             s, "Y", (window0.x0 * m0, window0.y0 * m0),
             (window0.x1 - window0.x0) * m0, (window0.y1 - window0.y0) * m0,
         )
-        try:
-            return embed_mod.embeds_level(block, y_field, 1, params, structure) is not None
-        except CurveSelectionError:
-            return False
+        return embed_mod.embeds_level(block, y_field, 1, params, structure) is not None
 
     if workers <= 1:
         return sum(one(t) for t in range(trials))

@@ -146,27 +146,20 @@ class TestOracleSoundness:
 
     @staticmethod
     def _brute_force(x, y, m):
+        """The number of embeddings, by checking every choice of a
+        value-matched target site per source site, all choices at once."""
         m2 = Fraction(m) ** 2
-        xsites = [(sx, sy) for sy in range(x.height) for sx in range(x.width)]
-        cands = [
-            [(tx, ty) for ty in range(y.height) for tx in range(y.width)
-             if y.get(tx, ty) == x.get(*s)]
-            for s in xsites
-        ]
-        n = 0
-        for choice in itertools.product(*cands):
-            if len(set(choice)) != len(choice):
-                continue
-            ok = all(
-                (choice[i][0] - choice[k][0]) ** 2
-                + (choice[i][1] - choice[k][1]) ** 2
-                <= m2 * ((xsites[i][0] - xsites[k][0]) ** 2
-                         + (xsites[i][1] - xsites[k][1]) ** 2)
-                for i in range(len(xsites))
-                for k in range(i + 1, len(xsites))
-            )
-            n += ok
-        return n
+        xsites = np.array([(sx, sy) for sy in range(x.height) for sx in range(x.width)])
+        ysites = np.array([(tx, ty) for ty in range(y.height) for tx in range(y.width)])
+        cands = [ysites[y.bits.ravel() == bit] for bit in x.bits.ravel()]
+        picks = np.meshgrid(*(np.arange(len(c)) for c in cands), indexing="ij")
+        choice = np.stack([c[p.ravel()] for c, p in zip(cands, picks)], axis=1)
+        ok = np.ones(len(choice), dtype=bool)
+        for i, k in itertools.combinations(range(len(xsites)), 2):
+            d_dst = ((choice[:, i] - choice[:, k]) ** 2).sum(axis=1)
+            d_src = int(((xsites[i] - xsites[k]) ** 2).sum())
+            ok &= (d_dst > 0) & (d_dst * m2.denominator <= d_src * m2.numerator)
+        return int(ok.sum())
 
 
 class TestStructuralInvariants:

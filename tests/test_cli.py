@@ -201,6 +201,19 @@ class TestEstimateAndReports:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+    @pytest.mark.parametrize("profile, censored", [("toy-m0-3", True), ("toy1", False)])
+    def test_reports_notes_a_stand_in_sample(self, tmp_path, capsys, profile, censored):
+        # A toy-m0-3 window's bad cells merge into one censored component,
+        # so the tail and size tables fall back to one stand-in sample.
+        code, _, err = run(capsys, "reports", "--profile", profile, "--seed", "3",
+                           "--windows", "1", "--window", "0", "0", "3", "3",
+                           "--out-dir", str(tmp_path / "r"))
+        assert code == EXIT_OK
+        assert ("stand-in sample (S=1, V=1)" in err) == censored
+        size = (tmp_path / "r" / "size.csv").read_text().splitlines()
+        assert (size[2:] == ["0,1,1,1,1,1"]) == censored
+
+
 class TestEmptyWindow:
     # Empty and inverted level-1 windows hold no level-1 cell.
     @pytest.mark.parametrize("window", [(0, 0, 0, 0), (1, 1, 1, 3), (2, 2, 0, 0)])

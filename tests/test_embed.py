@@ -27,7 +27,7 @@ from blockembed.fields import (
     sample_field,
 )
 from blockembed.lattice import LatticeAnimal, Rect, chebyshev, same_shape
-from blockembed.hierarchy import build_level0, dump_hierarchy, level0_window_for
+from blockembed.hierarchy import build_level0, level0_window_for
 from blockembed.params import named_profile
 
 
@@ -478,29 +478,28 @@ class TestEmbedsLevel:
     @settings(max_examples=15, deadline=None)
     def test_cropped_field_builds_the_same_hierarchy(self, seed, ux, uy, grow_lo, grow_hi):
         # A target window sampled wider than the level-0 window, cropped,
-        # gives the hierarchy a fresh sample of that window gives.
+        # gives the level-0 structure a fresh sample of that window gives.
         toy1 = named_profile("toy1")
-        window1 = Rect(ux, uy, ux + 1, uy + 1)
-        w0, m0 = level0_window_for(window1, toy1), toy1.M0
+        w0, m0 = level0_window_for(Rect(ux, uy, ux + 1, uy + 1), toy1), toy1.M0
         wide = sample_field(seed, "Y", ((w0.x0 - grow_lo) * m0, (w0.y0 - grow_hi) * m0),
                             (w0.x1 - w0.x0 + grow_lo + grow_hi) * m0,
                             (w0.y1 - w0.y0 + grow_hi + grow_lo) * m0)
-        cropped = embed._crop(wide, window1, toy1)
+        cropped = embed._crop(wide, w0, m0)
         assert cropped == sample_field(seed, "Y", (w0.x0 * m0, w0.y0 * m0),
                                        (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
-        assert dump_hierarchy(hier.build_hierarchy(toy1, "Y", seed, window1,
-                                                   site_field=cropped)) == dump_hierarchy(
-            hier.build_hierarchy(toy1, "Y", seed, window1))
+        built = build_level0(toy1, "Y", seed, w0, site_field=cropped)
+        fresh = build_level0(toy1, "Y", seed, w0)
+        assert np.array_equal(built.class_grid, fresh.class_grid)
+        assert built.bad_components == fresh.bad_components
 
     def test_crop_needs_a_covering_target_window(self, toy1):
-        window1 = Rect(0, 0, 1, 1)
-        w0, m0 = level0_window_for(window1, toy1), toy1.M0
+        w0, m0 = level0_window_for(Rect(0, 0, 1, 1), toy1), toy1.M0
         short = sample_field(3, "Y", (w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0 - 1,
                              (w0.y1 - w0.y0) * m0)
         source = sample_field(3, "X", (w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0,
                               (w0.y1 - w0.y0) * m0)
-        assert embed._crop(short, window1, toy1) is None
-        assert embed._crop(source, window1, toy1) is None
+        assert embed._crop(short, w0, m0) is None
+        assert embed._crop(source, w0, m0) is None
 
     def test_level1_search_with_wider_and_narrower_target_windows(self, toy1):
         # Wider windows are cropped, narrower ones resampled: the witness is
@@ -523,6 +522,22 @@ class TestEmbedsLevel:
     def test_unsupported_level(self, toy1):
         with pytest.raises(ConfigError):
             embeds_level(None, None, 2, toy1)
+
+    def test_level1_source_is_one_source_cell(self, toy1):
+        # A level-1 source is a single cell of the source family: a wider
+        # block or a target-family structure is rejected before any work.
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        cell = hx.levels[1].blocks[0]
+        pair = LatticeAnimal(frozenset([(0, 0), (1, 0)]))
+        wide = hier.Block(1, hier.LatticeBlock(1, pair), frozenset(), good=False)
+        yf = sample_field(0, "Y", (0, 0), 4 * toy1.M0, 4 * toy1.M0)
+        with pytest.raises(ConfigError, match="one source-family cell"):
+            embeds_level(wide, yf, 1, toy1, x_structure=hx.level0)
+        hy = hier.build_hierarchy(toy1, "Y", 42, Rect(0, 0, 1, 1))
+        with pytest.raises(ConfigError, match="one source-family cell"):
+            embeds_level(hy.levels[1].blocks[0], yf, 1, toy1, x_structure=hy.level0)
+        with pytest.raises(ConfigError, match="one source-family cell"):
+            embeds_level(cell, yf, 1, toy1, x_structure=hy.level0)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_missing_source_structure(self, toy1, level):

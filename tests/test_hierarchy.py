@@ -37,6 +37,7 @@ from blockembed.hierarchy import (
     _offset_of_index,
     build_hierarchy,
     build_level0,
+    classify_good_block,
     curve_frame,
     domain_boundary_cells,
     dump_hierarchy,
@@ -1488,3 +1489,28 @@ class TestDriver:
     def test_source_family_blocks_good(self, toy1):
         h = build_hierarchy(toy1, "X", 4, Rect(0, 0, 2, 2))
         assert all(b.good for b in h.levels[1].blocks)
+
+    @given(st.integers(0, 2**32), st.integers(-3, 3), st.integers(-3, 3))
+    @example(7, 0x10000 + 1, 2)
+    @example(7, 1, -0x10000 - 5)
+    @settings(max_examples=25, deadline=None)
+    def test_block_curve_is_the_one_cell_hierarchy_block(self, seed, x, y):
+        # Cutting the one target block over a cell gives the single block a
+        # 1x1 hierarchy builds; that block is censored, a placeholder is
+        # never good, and any other block is classified as usual.  The
+        # curve is the one a generator keyed by the cell's low 16 bits
+        # selects.
+        h = build_hierarchy(TOY1, "Y", seed, Rect(x, y, x + 1, y + 1))
+        (block,) = h.levels[1].blocks
+        curve, placeholder = hierarchy.block_curve(block.lattice_block, h.level0, seed, True)
+        assert block.censored
+        assert (curve, curve.domain) == (block.curve, block.domain)
+        rng = np.random.default_rng(derive_seed(seed, 0xC0DE, 1, x & 0xFFFF, y & 0xFFFF))
+        if placeholder:
+            assert curve == curve_frame(block.animal, 1, TOY1).straight and not block.good
+            with pytest.raises(CurveSelectionError):
+                select_boundary_curve(block.lattice_block, h.level0.bad_components, TOY1, rng, 1)
+        else:
+            assert curve == select_boundary_curve(block.lattice_block,
+                                                  h.level0.bad_components, TOY1, rng, 1)
+            assert block.good == classify_good_block(block, h.level0, TOY1)

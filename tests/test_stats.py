@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blockembed import embed
-from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
+from blockembed.errors import ConfigError, PreconditionError
 from blockembed.fields import GRID_GOOD, GRID_ONE, Y0Class, classify_y0_block
 from blockembed.hierarchy import Component, Level0Structure, build_hierarchy, build_level0
 from blockembed.lattice import LatticeAnimal, Rect
@@ -174,23 +174,12 @@ class TestEstimateS:
 
 
 class TestLevel1FailedTrials:
-    """A trial fails only when no valid curve exists; other errors raise."""
+    """A trial's errors raise: none is folded into a failed trial."""
 
     @pytest.fixture
     def source(self, toy1):
         h = build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         return h.levels[1].blocks[0], h.level0
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_curve_failure_is_a_failed_trial(self, toy1, source, monkeypatch, workers):
-        def no_curve(*args, **kwargs):
-            raise CurveSelectionError("no valid boundary curve exists for this block")
-
-        monkeypatch.setattr(embed, "embeds_level", no_curve)
-        block, level0 = source
-        est = estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0,
-                         workers=workers)
-        assert (est.successes, est.trials) == (0, 5)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_precondition_errors_raise(self, toy1, source, monkeypatch, workers):
