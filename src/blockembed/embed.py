@@ -338,25 +338,36 @@ def embeds_level(
 ) -> Optional[EmbeddingWitness]:
     """Search the constructed map families for an embedding witness.
 
-    At level 0, x is a component and the check is cellwise.  At level 1, x
-    is a single-cell block of the source family, as every source block is
-    at depth 1: the one target block over that cell is cut from the given
-    window with curve randomness derived from the window's seed, and the
-    rigid map, then a boundary repair, is checked cell by cell.  Sound but
-    not complete: a None result means the searched maps hold no witness.
+    At level 0, x is a bad component of the target family, the only family
+    with level-0 components (a source level 0 has no bad cell), and
+    y_window is a source-family partner whose bits are checked cellwise.
+    At level 1, x is a single-cell block of the source family, as every
+    source block is at depth 1: the one target block over that cell is cut
+    from the target-family window with curve randomness derived from the
+    window's seed, and the rigid map, then a boundary repair, is checked
+    cell by cell.  Sound but not complete: a None result means the
+    searched maps hold no witness.
     """
     if level not in (0, 1):
         raise ConfigError("embedding search supports levels 0 and 1")
     if x_structure is None:
         raise PreconditionError("source structure required for content lookup")
     if level == 0:
-        return _embeds_level0(x, y_window, params, x_structure)
-    if x_structure.family != "X" or x.size != 1:
-        raise ConfigError("the level-1 search maps one source-family cell")
-    return _embeds_level1(x, y_window, params, x_structure)
+        if x_structure.family != "Y":
+            raise ConfigError("the level-0 search maps a target-family component")
+        partner, search = "X", _embeds_level0
+    else:
+        if x_structure.family != "X" or x.size != 1:
+            raise ConfigError("the level-1 search maps one source-family cell")
+        partner, search = "Y", _embeds_level1
+    if y_window.family != partner:
+        raise ConfigError(f"the level-{level} partner window must be of family {partner}")
+    return search(x, y_window, params, x_structure)
 
 
-def _embeds_level0(component, y_window, params, x_structure):
+def _embeds_level0(component, x_window, params, y_level0):
+    """The identity witness when every partner bit embeds into the target
+    block of its own cell, else None."""
     cells = sorted(component.animal.sites)
     identity = CellCorrespondence(
         0,
@@ -366,36 +377,13 @@ def _embeds_level0(component, y_window, params, x_structure):
         ((component.animal, component.animal),),
         0,
     )
-    if x_structure.family == "X":
-        # Source bits against target block classes sampled from y_window.
-        y0 = hier.build_level0(
-            params, "Y", y_window.seed,
-            _cell_window_of_field(y_window, params), site_field=y_window,
-        )
-        ok = _accepts(identity, x_structure, y0)
-    else:
-        # Source is a target-family component; partner window carries bits.
-        x0 = hier.build_level0(
-            params, "X", y_window.seed,
-            Rect(y_window.origin[0], y_window.origin[1],
-                 y_window.origin[0] + y_window.width,
-                 y_window.origin[1] + y_window.height),
-            site_field=y_window,
-        )
-        ok = _accepts(identity, x0, x_structure)
-    return EmbeddingWitness(0, identity, None) if ok else None
-
-
-def _cell_window_of_field(field: BitField, params: ParameterSet) -> Rect:
-    m0 = params.M0
-    if field.origin[0] % m0 or field.origin[1] % m0 or field.width % m0 or field.height % m0:
-        raise PreconditionError("target window must align to whole blocks")
-    return Rect(
-        field.origin[0] // m0,
-        field.origin[1] // m0,
-        (field.origin[0] + field.width) // m0,
-        (field.origin[1] + field.height) // m0,
+    x_level0 = hier.build_level0(
+        params, "X", x_window.seed,
+        Rect(x_window.origin[0], x_window.origin[1],
+             x_window.origin[0] + x_window.width, x_window.origin[1] + x_window.height),
+        site_field=x_window,
     )
+    return EmbeddingWitness(0, identity, None) if _accepts(identity, x_level0, y_level0) else None
 
 
 def _repair_correspondence(
@@ -499,8 +487,7 @@ def _crop(field: BitField, window0: Rect, m0: int) -> Optional[BitField]:
     or None when the field does not cover them."""
     x0, y0 = window0.x0 * m0 - field.origin[0], window0.y0 * m0 - field.origin[1]
     width, height = (window0.x1 - window0.x0) * m0, (window0.y1 - window0.y0) * m0
-    if (field.family != "Y" or x0 < 0 or y0 < 0
-            or x0 + width > field.width or y0 + height > field.height):
+    if x0 < 0 or y0 < 0 or x0 + width > field.width or y0 + height > field.height:
         return None
     return BitField("Y", (window0.x0 * m0, window0.y0 * m0), width, height, field.seed,
                     field.bits[y0:y0 + height, x0:x0 + width])

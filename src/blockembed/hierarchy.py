@@ -205,10 +205,8 @@ class Level0Structure:
         return self.bits[cells[:, 1] - self.window.y0, cells[:, 0] - self.window.x0]
 
 
-def exact_level0_status(size: int, good: bool, params: ParameterSet) -> str:
-    """Exact semi-bad status of a level-0 component of the target family."""
-    if good:
-        return GOOD_SINGLETON
+def exact_level0_status(size: int, params: ParameterSet) -> str:
+    """Exact semi-bad status of a level-0 bad component of the target family."""
     if size <= params.v0 and Fraction(1, 2**size) >= params.semibad_threshold(0):
         return SEMI_BAD
     return REALLY_BAD
@@ -258,7 +256,7 @@ def _level0_bad_components(
         animal = LatticeAnimal.filled(Rect(sx.start + window.x0, sy.start + window.y0,
                                            sx.stop + window.x0, sy.stop + window.y0))
         n_bad = int(np.count_nonzero(bad[sy, sx]))
-        status = exact_level0_status(len(animal), False, params)
+        status = exact_level0_status(len(animal), params)
         # A component on the window's edge may extend past it.
         censored = (sx.start == 0 or sy.start == 0
                     or sx.stop == width or sy.stop == height)

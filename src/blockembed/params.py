@@ -55,8 +55,7 @@ class ParameterSet:
 
     Scales grow as ``scale(j) = L0 ** (alpha ** j)``; the estimate exponent
     at level j is ``m + 2**-j``.  Each instance computes its per-level
-    values once, so ``margin_overrides`` is read at a level's first
-    ``margins`` call.
+    values once.
     """
 
     alpha: float
@@ -69,7 +68,6 @@ class ParameterSet:
     M0: int
     M: float
     name: str = "custom"
-    margin_overrides: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -130,30 +128,21 @@ class ParameterSet:
     def margins(self, j: int) -> Margins:
         """Interior/clearance/buffer margins for level-j cells.
 
-        Defaults follow the full-scale formulas (previous scale to the 5th,
-        4th, and 3rd powers) but are capped so that
-        interior < clearance < buffer < cell_side/4 always holds.
+        They follow the full-scale formulas (previous scale to the 5th,
+        4th, and 3rd powers), capped so that buffer < cell_side/4; a cell
+        too narrow for 1 <= interior < clearance < buffer raises.
         """
         if j < 1:
             raise ConfigError("margins are defined for levels >= 1")
-        override = self.margin_overrides.get(j)
-        if override is not None:
-            margins = Margins(*override)
-        else:
-            side = self.cell_side(j)
-            prev = self.scale(j - 1)
-            buffer = min(prev**5, side // 4 - 1)
-            clearance = min(10 * prev**4, buffer - 1)
-            interior = min(max(prev**3 // 2, 1), clearance - 1)
-            margins = Margins(interior, clearance, buffer)
+        prev = self.scale(j - 1)
+        buffer = min(prev**5, self.cell_side(j) // 4 - 1)
+        clearance = min(10 * prev**4, buffer - 1)
+        interior = min(max(prev**3 // 2, 1), clearance - 1)
+        margins = Margins(interior, clearance, buffer)
         if not (1 <= margins.interior < margins.clearance < margins.buffer):
             raise ConfigError(
                 f"margins at level {j} must satisfy 1 <= interior < clearance "
                 f"< buffer, got {margins}"
-            )
-        if 4 * margins.buffer >= self.cell_side(j):
-            raise ConfigError(
-                f"buffer margin at level {j} must stay below a quarter cell"
             )
         return margins
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,24 +19,13 @@ from scipy.stats import beta as _beta
 
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
-from .fields import (
-    ACCEPTS,
-    GRID_GOOD,
-    GRID_ONE,
-    classify_grid,
-    derive_seed,
-    good_threshold,
-    sample_field,
-    site_bits,
-)
+from .fields import GRID_GOOD, GRID_ONE, derive_seed, sample_field, site_bits
 from .lattice import Rect, cell_array
 from .params import ParameterSet
 
 __all__ = [
     "ProbabilityEstimate",
     "clopper_pearson",
-    "ClassProbabilities",
-    "class_probabilities",
     "exact_S0",
     "estimate_S",
     "Report",
@@ -84,59 +72,19 @@ class ProbabilityEstimate:
             raise ConfigError("interval must contain the point estimate")
 
 
-class ClassProbabilities:
-    """Exact probabilities of the three level-0 target block classes."""
-
-    def __init__(self, m0: int):
-        n = m0 * m0
-        t = good_threshold(m0)
-        denom = 2**n
-        p_good = Fraction(0)
-        p_one = Fraction(0)
-        p_zero = Fraction(0)
-        for ones in range(n + 1):
-            w = Fraction(comb(n, ones), denom)
-            zeros = n - ones
-            if min(ones, zeros) >= t:
-                p_good += w
-            elif ones >= zeros:
-                p_one += w
-            else:
-                p_zero += w
-        self.m0 = m0
-        self.good = p_good
-        self.one = p_one
-        self.zero = p_zero
-
-    def accepts_bit(self, bit: int) -> Fraction:
-        """Probability that a random target block accepts the given bit."""
-        return self.good + (self.one if bit else self.zero)
-
-
-def class_probabilities(m0: int) -> ClassProbabilities:
-    return ClassProbabilities(m0)
-
-
-def exact_S0(component, family: str, params: ParameterSet, structure=None) -> Fraction:
+def exact_S0(component, family: str, params: ParameterSet) -> Fraction:
     """Exact level-0 embedding probability of a component into a fresh partner.
 
-    Target-family components: 2**(-V) with V the number of bad cells, read
-    from ``bad_summary`` (each bad cell pins the partner bit; a good
-    singleton has none).  Source-family components: product over cells of
-    the probability that a random target block accepts the cell's bit,
-    which needs the bit content (structure).
+    Only the target family has level-0 components: 2**(-V) with V the
+    number of bad cells, read from ``bad_summary`` (each bad cell pins the
+    partner bit; a good singleton has none).  A source-family level 0 has
+    no bad cell, so a source component is rejected.
     """
     if component.level != 0:
         raise ConfigError("exact probabilities are available at level 0 only")
-    if family == "Y":
-        return Fraction(1, 2**component.bad_summary[1])
-    if family != "X":
-        raise ConfigError(f"unknown family {family!r}")
-    if structure is None:
-        raise PreconditionError("source-side probability needs the bit content")
-    probs = class_probabilities(params.M0)
-    ones = int(structure.bits_at(cell_array(component.animal.sites)).sum())
-    return probs.accepts_bit(1) ** ones * probs.accepts_bit(0) ** (component.size - ones)
+    if family != "Y":
+        raise ConfigError(f"level-0 components are target-family, not {family!r}")
+    return Fraction(1, 2**component.bad_summary[1])
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +107,6 @@ def _estimate_level0_y(component, structure, trials, seed, params):
     bits = site_bits(seed, "X", xs, ys)
     want = (codes[bad] == GRID_ONE)[None, :]
     return int(np.all(bits == want, axis=1).sum())
-
-
-def _estimate_level0_x(component, structure, trials, seed, params):
-    """P over fresh target blocks that every cell's bit is accepted."""
-    cells = cell_array(component.animal.sites)
-    bits = structure.bits_at(cells)
-    m0 = params.M0
-    x0, y0, x1, y1 = component.animal.bounding_box()
-    w, h = x1 - x0 + 1, y1 - y0 + 1
-    stride = w  # trials packed side by side in block coordinates
-    field = sample_field(seed, "Y", (0, 0), trials * stride * m0, h * m0)
-    grid = classify_grid(field, params)  # shape (h, trials * w)
-    cols = np.arange(trials, dtype=np.int64)[:, None] * stride + (cells[:, 0] - x0)
-    codes = grid[cells[:, 1] - y0, cols]  # shape (trials, cells)
-    return int(ACCEPTS[bits, codes].all(axis=1).sum())
 
 
 def _estimate_level1_x(block, structure, trials, seed, params, workers):
@@ -219,16 +152,11 @@ def estimate_S(
     if trials < 1:
         raise PreconditionError("at least one trial required")
     if level == 0:
-        if family == "Y":
-            if structure is None:
-                raise PreconditionError("target-side estimation needs the class content")
-            succ = _estimate_level0_y(component, structure, trials, seed, params)
-        elif family == "X":
-            if structure is None:
-                raise PreconditionError("source-side estimation needs the bit content")
-            succ = _estimate_level0_x(component, structure, trials, seed, params)
-        else:
-            raise ConfigError(f"unknown family {family!r}")
+        if family != "Y":
+            raise ConfigError(f"level-0 components are target-family, not {family!r}")
+        if structure is None:
+            raise PreconditionError("target-side estimation needs the class content")
+        succ = _estimate_level0_y(component, structure, trials, seed, params)
     elif level == 1:
         if family != "X":
             raise ConfigError("level-1 estimation is implemented for source blocks")

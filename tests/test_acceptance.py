@@ -5,6 +5,7 @@ constraint auditing, and report integrity."""
 import itertools
 import time
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from blockembed.fields import (
     GRID_GOOD,
     GRID_ONE,
     classify_grid,
+    good_threshold,
     sample_field,
 )
 from blockembed.hierarchy import (
@@ -34,10 +36,8 @@ from blockembed.lattice import LatticeAnimal, Rect, buffer_zone, neighbors
 from blockembed.oracle import Instance, find_embedding
 from blockembed.params import check_constraints, named_profile
 from blockembed.stats import (
-    class_probabilities,
     clopper_pearson,
     estimate_S,
-    exact_S0,
     good_prob_report,
     size_report,
     tail_report,
@@ -64,12 +64,6 @@ def _all_ones_content():
     return Level0Structure("Y", _WINDOW, 0, named_profile("toy1"), grid, None, [])
 
 
-def _bit_content(bit):
-    """Source-family content: every cell of the window carries ``bit``."""
-    bits = np.full((_WINDOW.y1, _WINDOW.x1), bit, dtype=np.uint8)
-    return Level0Structure("X", _WINDOW, 0, named_profile("toy1"), None, bits, [])
-
-
 class TestLevel0TargetExactness:
     """Forced-bad target components of size v estimate to 2^-v."""
 
@@ -85,22 +79,6 @@ class TestLevel0TargetExactness:
         assert time.monotonic() - start < 30.0
 
 
-class TestLevel0SourceExactness:
-    """Exact full-enumeration singleton values match Monte Carlo."""
-
-    @pytest.mark.parametrize("m0", [2, 3])
-    def test_singleton_exact_vs_estimate(self, m0):
-        p = named_profile(f"toy-m0-{m0}")
-        for bit in (0, 1):
-            comp = _bad_component([(0, 0)])
-            exact = float(exact_S0(comp, "X", p, structure=_bit_content(bit)))
-            assert exact == float(class_probabilities(m0).accepts_bit(bit))
-            est = estimate_S(comp, 0, 20_000, 17 + bit, p, family="X",
-                             structure=_bit_content(bit))
-            sigma = (exact * (1 - exact) / 20_000) ** 0.5
-            assert abs(est.point - exact) <= 3 * sigma
-
-
 class TestGoodBlockProbability:
     """Empirical frequency of good target cells matches the exact binomial sum."""
 
@@ -112,7 +90,9 @@ class TestGoodBlockProbability:
         grid = classify_grid(yf, p)
         assert grid.shape == (1, trials)
         freq = float(np.count_nonzero(grid == GRID_GOOD)) / trials
-        exact = float(class_probabilities(m0).good)
+        # A block is good when each bit value fills at least the threshold.
+        n, t = m0 * m0, good_threshold(m0)
+        exact = float(Fraction(sum(comb(n, k) for k in range(t, n - t + 1)), 2**n))
         sigma = max((exact * (1 - exact) / trials) ** 0.5, 1e-12)
         assert abs(freq - exact) <= 3 * sigma
 

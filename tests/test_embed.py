@@ -415,31 +415,35 @@ class TestGatheredContent:
 
 class TestEmbedsLevel:
     def test_level0_source_component(self, toy1):
+        # A source level 0 has no bad cell, so no source component exists.
         xs = build_level0(toy1, "X", 3, Rect(0, 0, 4, 4))
-        comp = _good_cell((1, 1))
-        m0 = toy1.M0
-        hits = 0
-        for seed in range(40):
-            yf = sample_field(seed, "Y", (0, 0), 4 * m0, 4 * m0)
-            wit = embeds_level(comp, yf, 0, toy1, x_structure=xs)
-            block = yf.bits[m0:2 * m0, m0:2 * m0]  # the sites of cell (1, 1)
-            expected = level0_embeds(int(xs.bits[1, 1]), classify_y0_block(block, toy1))
-            assert (wit is not None) == expected
-            hits += wit is not None
-        assert hits > 0
+        yf = sample_field(0, "Y", (0, 0), 4 * toy1.M0, 4 * toy1.M0)
+        with pytest.raises(ConfigError, match="target-family component"):
+            embeds_level(_good_cell((1, 1)), yf, 0, toy1, x_structure=xs)
 
-    def test_level0_witness_flattens_and_verifies(self, toy1):
-        xs = build_level0(toy1, "X", 3, Rect(0, 0, 4, 4))
-        comp = _good_cell((1, 1))
-        m0 = toy1.M0
-        x_field = sample_field(3, "X", (0, 0), 4, 4)
-        for seed in range(40):
-            yf = sample_field(seed, "Y", (0, 0), 4 * m0, 4 * m0)
-            wit = embeds_level(comp, yf, 0, toy1, x_structure=xs)
-            if wit is None:
-                continue
-            emb = wit.flatten(x_field, yf, toy1)
-            assert verify_embedding(emb, x_field, yf)
+    def test_level0_witness_flattens_and_verifies(self):
+        # Each bad component of a target window against source partners:
+        # a witness maps every partner site into its cell's block.
+        p = named_profile("toy-m0-3")
+        m0, window = p.M0, Rect(0, 0, 8, 8)
+        found = 0
+        for yseed in range(3):
+            y_field = sample_field(yseed, "Y", (0, 0), 8 * m0, 8 * m0)
+            ys = build_level0(p, "Y", yseed, window, site_field=y_field)
+            for comp in ys.bad_components:
+                for xseed in range(20):
+                    x_field = sample_field(xseed, "X", (0, 0), 8, 8)
+                    wit = embeds_level(comp, x_field, 0, p, x_structure=ys)
+                    expected = all(
+                        level0_embeds(x_field.get(x, y), classify_y0_block(
+                            y_field.bits[y * m0:(y + 1) * m0, x * m0:(x + 1) * m0], p))
+                        for x, y in comp.animal.sites)
+                    assert (wit is not None) == expected
+                    if wit is not None:
+                        assert verify_embedding(wit.flatten(x_field, y_field, p),
+                                                x_field, y_field)
+                        found += 1
+        assert found
 
     def test_level1_good_pair_has_witness(self, toy1):
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
@@ -496,10 +500,7 @@ class TestEmbedsLevel:
         w0, m0 = level0_window_for(Rect(0, 0, 1, 1), toy1), toy1.M0
         short = sample_field(3, "Y", (w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0 - 1,
                              (w0.y1 - w0.y0) * m0)
-        source = sample_field(3, "X", (w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0,
-                              (w0.y1 - w0.y0) * m0)
         assert embed._crop(short, w0, m0) is None
-        assert embed._crop(source, w0, m0) is None
 
     def test_level1_search_with_wider_and_narrower_target_windows(self, toy1):
         # Wider windows are cropped, narrower ones resampled: the witness is
@@ -538,6 +539,21 @@ class TestEmbedsLevel:
             embeds_level(hy.levels[1].blocks[0], yf, 1, toy1, x_structure=hy.level0)
         with pytest.raises(ConfigError, match="one source-family cell"):
             embeds_level(cell, yf, 1, toy1, x_structure=hy.level0)
+
+    def test_partner_window_family_is_checked(self, toy1):
+        # A level-1 target window must be target-family and a level-0
+        # partner source-family: the other family's bits are never read.
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        w0, m0 = level0_window_for(Rect(0, 0, 1, 1), toy1), toy1.M0
+        size = ((w0.x0 * m0, w0.y0 * m0), (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
+        with pytest.raises(ConfigError, match="partner window must be of family Y"):
+            embeds_level(hx.levels[1].blocks[0], sample_field(0, "X", *size), 1, toy1,
+                         x_structure=hx.level0)
+        p = named_profile("toy-m0-3")
+        ys = build_level0(p, "Y", 1, Rect(0, 0, 8, 8))
+        with pytest.raises(ConfigError, match="partner window must be of family X"):
+            embeds_level(ys.bad_components[0], sample_field(0, "Y", (0, 0), 8, 8), 0, p,
+                         x_structure=ys)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_missing_source_structure(self, toy1, level):

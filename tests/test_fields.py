@@ -161,7 +161,7 @@ class TestClassification:
            st.integers(1, 3), st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
     def test_classify_grid_matches_reshape_sum_on_strips(self, m0, trials, stride, h, seed):
-        # The wide strip stats._estimate_level0_x samples: trials side by side.
+        # Wide strips of blocks side by side, as the good-block frequency check samples.
         p = named_profile(f"toy-m0-{m0}")
         f = sample_field(seed, "Y", (0, 0), trials * stride * m0, h * m0)
         assert np.array_equal(classify_grid(f, p), _classify_grid_ref(f.bits, m0))

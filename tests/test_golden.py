@@ -11,8 +11,9 @@ block with no valid curve, seed 100098 one whose 1 536 valid curves the
 sampler and the scan both miss), `reports` tables and one `render` SVG.
 The witness digests pin what the embedding search returns, not just
 whether it returns: the level-1 witnesses behind those estimate lines and
-level-0 witnesses of a source-family and a target-family source.  A change to the construction that moves any of these digests changes
-program output and must say so.
+level-0 witnesses of target-family components, the only level-0
+components there are.  A change to the construction that moves any of
+these digests changes program output and must say so.
 """
 
 import hashlib
@@ -27,7 +28,6 @@ from blockembed.embed import embeds_level
 from blockembed.errors import CurveSelectionError
 from blockembed.fields import derive_seed, sample_field
 from blockembed.hierarchy import (
-    GOOD_SINGLETON,
     REALLY_BAD,
     Component,
     LatticeBlock,
@@ -78,7 +78,7 @@ REPORTS_DIGEST = "974d0afe8506850d3bbed6d96b8249e5932bdfe24e19c690b263fb046b4812
 RENDER_DIGEST = "88cb9bae498abdc385482d0992e02208b90545aa472c22a4af83635e45c29d86"
 
 LEVEL1_WITNESS_DIGEST = "ab4880b3e0b17a0f671cca5c5db9e9adbfc18e2659d21ed5ee66144809a4c4de"
-LEVEL0_WITNESS_DIGEST = "845eb3764bacfb4c7041a950056ed0b0585f2689bf40172516bd6c3ecd8084a4"
+LEVEL0_WITNESS_DIGEST = "17064f4eadfdf5f2dd2b96b94386fcb4ec8ce693e8fb827634b7d0d7d865bf1d"
 
 
 def _bad_cell(c):
@@ -187,20 +187,10 @@ def test_level1_witnesses_reproduce():
 def test_level0_witnesses_reproduce():
     # toy-m0-3 makes about one target block in ten accept only one bit.
     p = named_profile("toy-m0-3")
-    m0 = p.M0
     window = Rect(0, 0, 8, 8)
     h = hashlib.sha256()
-    # Source family: cell sets of one to nine cells against 40 targets.
-    xs = build_level0(p, "X", 3, window)
-    square = [(x, y) for x in range(5, 8) for y in range(5, 8)]
-    for cells in ([(1, 1)], [(2, 3), (3, 3)], [(4, 0), (5, 0), (4, 1), (5, 1)], square):
-        comp = Component(0, LatticeAnimal(frozenset(cells)), (), GOOD_SINGLETON, (0, 0))
-        for seed in range(40):
-            y_field = sample_field(seed, "Y", (0, 0), 8 * m0, 8 * m0)
-            record = _witness_record(embeds_level(comp, y_field, 0, p, x_structure=xs))
-            h.update(f"X {cells} {seed} {record}\n".encode())
-    # Target family: every bad component of a window, one of them holding
-    # good cells, against 40 partners.
+    # Every bad component of a target window, one of them holding good
+    # cells, against 40 source partners.
     ys = build_level0(p, "Y", 1, window)
     for k, comp in enumerate(ys.bad_components):
         for seed in range(40):

@@ -1,5 +1,6 @@
 """Recursive block structure: components, buffers, curves, blocks."""
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -370,6 +371,20 @@ def _clears(mask, forbidden) -> bool:
     return not (_boundary(mask) & forbidden).any()
 
 
+@functools.cache
+def _k1_single_cell_boundaries():
+    """The frame of a single-cell block at k0 = 1 and the boundary masks of
+    all 4 096 of its curves, stacked once per session, so that ``_clears``
+    on every curve is one reduction of the stack."""
+    frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
+    corner_space = [(ell, s) for ell in (1, 2) for s in (1, 2)]
+    return frame, np.stack([
+        _boundary(realize_domain(frame, dict(zip(frame.vertices, corner_choice)),
+                                 dict(zip(frame.edges, edge_choice))))
+        for edge_choice in itertools.product((1, 2), repeat=len(frame.edges))
+        for corner_choice in itertools.product(corner_space, repeat=len(frame.vertices))])
+
+
 def _edge_blocked(frame, forbidden) -> bool:
     """Whether some edge factor is all false, the selection's check before
     it draws."""
@@ -592,13 +607,29 @@ def _singleton_bad_component(cells, status=REALLY_BAD):
 
 
 class TestLevel0:
-    def test_source_family_all_good(self, toy1):
-        s = build_level0(toy1, "X", 5, Rect(0, 0, 10, 10))
+    @given(st.sampled_from(["toy1", "toy-m0-3"]), st.integers(0, 2**32),
+           st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_source_family_all_good(self, profile, seed, x0, y0, w, h):
+        # One good site per source cell: no bad component at level 0, so no
+        # buffer is conjoined and every level-1 block is one good cell.
+        # No source component exists at any level, which is why nothing
+        # prices or searches one.
+        p = named_profile(profile)
+        hx = build_hierarchy(p, "X", seed, Rect(x0, y0, x0 + w, y0 + h))
+        s = hx.level0
         assert s.bad_components == []
         assert s.class_grid is None  # no classes: every cell is good
-        assert s.bits.shape == (10, 10) and set(np.unique(s.bits)) <= {0, 1}
+        assert set(np.unique(s.bits)) <= {0, 1}
         with pytest.raises(ConfigError, match="unclassified"):
-            s.codes_at(np.array([(3, 3)]))
+            s.codes_at(cell_array([min(s.window.cells())]))
+        level1 = hx.levels[1]
+        assert level1.conjoined == frozenset()
+        assert len(level1.blocks) == w * h
+        assert all(b.size == 1 and b.good is True for b in level1.blocks)
+        assert len(level1.components) == w * h
+        assert all(c.status == GOOD_SINGLETON and c.size == 1 and c.bad_summary == (0, 0)
+                   for c in level1.components)
 
     def test_target_family_classes(self, toy1):
         s = build_level0(toy1, "Y", 5, Rect(0, 0, 10, 10))
@@ -703,7 +734,7 @@ class TestLevel0:
             assert set(comp.animal.box.cells()) == cells
             n_bad = len(cells & bad)
             assert comp.bad_summary == (n_bad, n_bad)
-            assert comp.status == exact_level0_status(len(cells), False, toy1)
+            assert comp.status == exact_level0_status(len(cells), toy1)
             assert comp.censored == any(
                 not window.contains_cell(n)
                 for c in cells for n in neighbors(c, "close_packed"))
@@ -712,8 +743,7 @@ class TestLevel0:
     def test_exact_level0_status_toy_never_semibad(self, toy1):
         # 2^-V is always far below the toy semi-bad threshold.
         for v in range(1, 5):
-            assert exact_level0_status(v, False, toy1) == REALLY_BAD
-        assert exact_level0_status(1, True, toy1) == GOOD_SINGLETON
+            assert exact_level0_status(v, toy1) == REALLY_BAD
 
 
 class TestConjoined:
@@ -946,17 +976,12 @@ class TestCurves:
     @settings(max_examples=15, deadline=None)
     def test_blocked_edge_is_exact(self, data):
         # Exhaustive at k0 = 1: when the predicate fires, no curve clears.
-        frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, TOY1_K1)
+        frame, boundaries = _k1_single_cell_boundaries()
         cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
                                   min_size=1, max_size=6))
         forbidden = _dilate(_raster(frame, cells), frame.clearance - 1)
         assume(_edge_blocked(frame, forbidden))
-        corner_space = [(ell, s) for ell in (1, 2) for s in (1, 2)]
-        for edge_choice in itertools.product((1, 2), repeat=len(frame.edges)):
-            for corner_choice in itertools.product(corner_space, repeat=len(frame.vertices)):
-                mask = realize_domain(frame, dict(zip(frame.vertices, corner_choice)),
-                                      dict(zip(frame.edges, edge_choice)))
-                assert not _clears(mask, forbidden)
+        assert (boundaries & forbidden).any(axis=(1, 2)).all()
 
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=200, deadline=None)

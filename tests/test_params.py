@@ -38,18 +38,14 @@ class TestScales:
         assert 1 <= m.interior < m.clearance < m.buffer
         assert 4 * m.buffer < toy1.cell_side(1)
 
-    def test_margin_override(self, toy1):
-        from dataclasses import replace
+    def test_margin_override(self):
+        # A profile override that widens the cell widens the margins.
+        assert named_profile("toy1", L0=32).margins(1) == (5, 6, 7)
 
-        p = replace(toy1, margin_overrides={1: (1, 2, 3)})
-        assert p.margins(1) == (1, 2, 3)
-
-    def test_bad_override_rejected(self, toy1):
-        from dataclasses import replace
-
-        p = replace(toy1, margin_overrides={1: (3, 2, 1)})
-        with pytest.raises(ConfigError):
-            p.margins(1)
+    def test_bad_override_rejected(self):
+        # A level-1 cell four cells wide leaves no room for a buffer.
+        with pytest.raises(ConfigError, match="interior < clearance < buffer"):
+            named_profile("toy1", L0=4).margins(1)
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
@@ -77,18 +73,17 @@ class TestPerLevelMemo:
         base = named_profile("published")
         assert base.margins(1) == (4, 30, 31)
         assert base.cell_side(1) == 128
-        custom = replace(base, margin_overrides={1: (1, 2, 3)})
-        assert custom.margins(1) == (1, 2, 3)
+        custom = replace(base, L0=4)
+        assert (custom.margins(1), custom.cell_side(1)) == ((32, 1023, 1024), 16384)
         assert base.margins(1) == (4, 30, 31)
         # Built first this time: the default instance does not see it.
-        wide = named_profile("toy1", L0=64, margin_overrides={1: (2, 3, 4)})
-        assert (wide.margins(1), wide.cell_side(1), wide.scale(0)) == ((2, 3, 4), 64, 64)
+        wide = named_profile("toy1", L0=64)
+        assert (wide.margins(1), wide.cell_side(1), wide.scale(0)) == ((13, 14, 15), 64, 64)
         toy1 = named_profile("toy1")
         assert (toy1.margins(1), toy1.cell_side(1), toy1.scale(0)) == ((1, 2, 3), 16, 16)
-        assert named_profile("toy1", L0=64).margins(1) == (13, 14, 15)
 
     def test_errors_raise_on_every_call(self, toy1):
-        bad = replace(toy1, margin_overrides={1: (3, 2, 1)})
+        bad = replace(toy1, L0=4)
         for _ in range(3):
             with pytest.raises(ConfigError):
                 bad.margins(1)
@@ -109,7 +104,7 @@ class TestPerLevelMemo:
         assert used == fresh and fresh == used
         assert repr(used) == repr(fresh) == (
             "ParameterSet(alpha=2, beta=1.0, gamma=2.0, m=2.0, k0=2, v0=3, L0=16, M0=9, "
-            "M=180.0, name='toy1', margin_overrides={})")
+            "M=180.0, name='toy1')")
         assert replace(used, name="other") != used
 
 

@@ -1,6 +1,5 @@
 """Exact formulas, Monte Carlo estimation, and report tables."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +7,12 @@ import pytest
 
 from blockembed import embed
 from blockembed.errors import ConfigError, PreconditionError
-from blockembed.fields import GRID_GOOD, GRID_ONE, Y0Class, classify_y0_block
+from blockembed.fields import GRID_GOOD, GRID_ONE
 from blockembed.hierarchy import Component, Level0Structure, build_hierarchy, build_level0
 from blockembed.lattice import LatticeAnimal, Rect
 from blockembed.params import named_profile
 from blockembed.stats import (
     ProbabilityEstimate,
-    class_probabilities,
     clopper_pearson,
     estimate_S,
     exact_S0,
@@ -45,34 +43,6 @@ def _bit_content(bit):
     return Level0Structure("X", _WINDOW, 0, named_profile("toy1"), None, bits, [])
 
 
-class TestClassProbabilities:
-    def test_sum_to_one(self):
-        for m0 in (2, 3, 6):
-            cp = class_probabilities(m0)
-            assert cp.good + cp.zero + cp.one == 1
-
-    def test_full_enumeration_m0_2(self):
-        # Independent oracle: enumerate all 2^4 blocks.
-        p = named_profile("toy-m0-2")
-        counts = {Y0Class.GOOD: 0, Y0Class.ZERO: 0, Y0Class.ONE: 0}
-        for bits in itertools.product((0, 1), repeat=4):
-            counts[classify_y0_block(np.array(bits), p)] += 1
-        cp = class_probabilities(2)
-        assert cp.good == Fraction(counts[Y0Class.GOOD], 16)
-        assert cp.zero == Fraction(counts[Y0Class.ZERO], 16)
-        assert cp.one == Fraction(counts[Y0Class.ONE], 16)
-
-    def test_accepts_bit_frozen_values(self):
-        # Frozen from full enumeration of all target blocks.
-        assert class_probabilities(2).accepts_bit(0) == Fraction(11, 16)
-        assert class_probabilities(3).accepts_bit(0) == Fraction(233, 256)
-
-    def test_symmetry(self):
-        cp = class_probabilities(3)
-        assert cp.zero == cp.one
-        assert cp.accepts_bit(0) == cp.accepts_bit(1)
-
-
 class TestExactS0:
     def test_good_component_is_one(self, toy1):
         comp = Component(0, LatticeAnimal(frozenset([(0, 0)])), (), "good-singleton",
@@ -85,15 +55,10 @@ class TestExactS0:
             assert exact_S0(comp, "Y", toy1) == Fraction(1, 2**v)
 
     def test_source_singleton(self):
-        p = named_profile("toy-m0-2")
+        # A source level 0 has no bad cell, so it has no component to price.
         comp = _bad_component([(0, 0)])
-        assert exact_S0(comp, "X", p, structure=_bit_content(0)) == Fraction(11, 16)
-
-    def test_source_product_over_cells(self):
-        p = named_profile("toy-m0-2")
-        comp = _bad_component([(0, 0), (1, 0)])
-        got = exact_S0(comp, "X", p, structure=_bit_content(1))
-        assert got == Fraction(11, 16) ** 2
+        with pytest.raises(ConfigError, match="target-family"):
+            exact_S0(comp, "X", named_profile("toy-m0-2"))
 
     def test_level_restriction(self, toy1):
         comp = _bad_component([(0, 0)])
@@ -139,13 +104,11 @@ class TestEstimateS:
             sigma = (exact * (1 - exact) / 20000) ** 0.5
             assert abs(est.point - exact) <= 3 * sigma
 
-    def test_source_side_matches_exact(self):
-        p = named_profile("toy-m0-2")
+    def test_level0_source_side_rejected(self):
         comp = _bad_component([(0, 0)])
-        est = estimate_S(comp, 0, 20000, 9, p, family="X", structure=_bit_content(0))
-        exact = float(Fraction(11, 16))
-        sigma = (exact * (1 - exact) / 20000) ** 0.5
-        assert abs(est.point - exact) <= 3 * sigma
+        with pytest.raises(ConfigError, match="target-family"):
+            estimate_S(comp, 0, 100, 9, named_profile("toy-m0-2"), family="X",
+                       structure=_bit_content(0))
 
     def test_random_components_both_families(self):
         # Exact vs estimated agreement on components taken from real builds.
