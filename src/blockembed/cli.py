@@ -175,19 +175,19 @@ def estimate_s(profile, seed, family, level, window, trials, workers):
         raise ConfigError(f"--trials must be at least 1, got {trials}")
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
+    if level not in (0, 1):
+        raise ConfigError("estimation supports levels 0 and 1")
+    if level == 0 and family != "Y":
+        raise ConfigError("level-0 estimation drives target-family components")
+    if level == 1 and family != "X":
+        raise ConfigError("level-1 estimation drives source-family blocks")
     p = _params(profile)
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
     click.echo("level,size,point,ci_low,ci_high,trials")
     if level == 0:
-        if family != "Y":
-            raise ConfigError("level-0 estimation drives target-family components")
         targets = list(enumerate(c for c in h.level0.bad_components if not c.censored))
-    elif level == 1:
-        if family != "X":
-            raise ConfigError("level-1 estimation drives source-family blocks")
-        targets = [(i, b) for i, b in enumerate(h.levels[1].blocks) if not b.censored]
     else:
-        raise ConfigError("estimation supports levels 0 and 1")
+        targets = [(i, b) for i, b in enumerate(h.levels[1].blocks) if not b.censored]
     if not targets:
         click.echo(f"note: no rows: no uncensored level-{level} target in this window; "
                    "try a wider --window", err=True)

@@ -1,10 +1,12 @@
-"""Cell correspondences, the translation family, and site-level embeddings.
+"""Cell correspondences, the rigid map and its repair, and site-level embeddings.
 
 A CellCorrespondence is the discrete stand-in for a shape-preserving map
-between equal-shape domains: a bijection on member cells that matches up
-designated bad sets and carries an integer displacement budget in place of
-continuum distortion constants.  ``embeds_level`` searches the constructed
-families only; it is a sound semi-decision, never a completeness claim.
+between two domains: a bijection on member cells that carries an integer
+displacement budget in place of continuum distortion constants.  At depth 1
+a source block has no bad subcomponent, so the paper's family of offset
+maps has one member, the rigid translation.  ``embeds_level`` searches that
+map and a boundary repair; it is a sound semi-decision, never a
+completeness claim.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
 from .fields import ACCEPTS, GRID_GOOD, BitField
-from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry, chebyshev, same_shape
+from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry, chebyshev
 from .params import ParameterSet
 
 __all__ = [
@@ -27,41 +29,29 @@ __all__ = [
     "EmbeddingMap",
     "EmbeddingWitness",
     "translation_family",
-    "translation_subfamily",
     "embeds_level",
     "verify_embedding",
 ]
 
 
 class InvalidOffset(PreconditionError):
-    """The requested family offset produces a geometrically invalid map."""
-
-
-def _set_distance(a: Iterable[Point], b: Iterable[Point]) -> int:
-    """Least Chebyshev distance between two nonempty cell sets."""
-    gap = cell_array(a)[:, None, :] - cell_array(b)[None, :, :]
-    return int(np.abs(gap).max(axis=2).min())
-
-
-def _boundary_distance(cells: frozenset, subset: Iterable[Point]) -> int:
-    boundary = hier.domain_boundary_cells(cells)
-    return _set_distance(subset, boundary)
+    """A family offset that gives an invalid map.  No longer raised: depth-1
+    maps are rigid and take no offset.  The benchmark's traced run still
+    reads the name, until the in-package trace of ROADMAP item 4."""
 
 
 @dataclass(frozen=True)
 class CellCorrespondence:
-    """A bijection between equal-shape cell domains with matched bad sets.
+    """A bijection between two cell domains.
 
-    ``matched_pairs`` lists (source animal, image animal) for the designated
-    sets; ``displacement_budget`` is the largest per-cell displacement
-    relative to the rigid translation between the domains.
+    ``displacement_budget`` is the largest per-cell displacement relative
+    to the rigid translation between the domains.
     """
 
     level: int
     source_cells: frozenset
     target_cells: frozenset
     mapping: dict
-    matched_pairs: tuple
     displacement_budget: int
 
     def __post_init__(self) -> None:
@@ -70,9 +60,6 @@ class CellCorrespondence:
         images = set(self.mapping.values())
         if images != _as_set(self.target_cells) or len(images) != len(self.mapping):
             raise ConfigError("mapping must be a bijection onto the target cells")
-        for src, dst in self.matched_pairs:
-            if same_shape(src, dst) is None:
-                raise ConfigError("matched sets must have equal shapes")
 
     def apply(self, cell: Point) -> Point:
         return self.mapping[cell]
@@ -82,150 +69,33 @@ def _as_set(cells: Iterable[Point]):
     return cells if isinstance(cells, (set, frozenset)) else set(cells)
 
 
-def _base_translation(source: LatticeAnimal, target: frozenset) -> Point:
-    """The translation taking source onto target: least site onto least site.
+def translation_family(
+    source: LatticeAnimal,
+    target: frozenset,
+    T_prime: Sequence[LatticeAnimal],
+    params: ParameterSet,
+) -> CellCorrespondence:
+    """The rigid map of a source domain onto its translate: least site onto
+    least site, with displacement budget 0.  At depth 1 this map is the
+    whole translation family: a source block has no bad subcomponent to
+    move.
 
-    The target must be a lattice animal too: constructing one raises
-    ConfigError otherwise.  A translate of the source is one, so only a
-    mismatched target is checked apart, and the source's own set is its
-    zero translate.
+    Raises PreconditionError when the target is not that translate, or when
+    the target's designated bad sets ``T_prime`` hold more than v0 * k0
+    cells.  The source's own set is its zero translate.
     """
     sites = source.sites
-    if target is sites:
-        return (0, 0)
-    if target:
-        (ax, ay), (bx, by) = min(sites), min(target)
+    t = (0, 0)
+    if target is not sites:
+        ax, ay = min(sites)
+        bx, by = min(target, default=(ax, ay))
         t = (bx - ax, by - ay)
-        if {(x + t[0], y + t[1]) for x, y in sites} == target:
-            return t
-    LatticeAnimal(target)
-    raise PreconditionError("source and target domains have different shapes")
-
-
-def _lex(cells: Iterable[Point]) -> list:
-    return sorted(cells)
-
-
-def _swap_sets(mapping: dict, zone_from: frozenset, zone_to: frozenset) -> list:
-    """Redirect images so zone_from maps onto zone_to, and return the source
-    cells whose images moved.
-
-    ``mapping`` currently sends each source cell to its rigid-translation
-    image; the swap permutes images inside the union of the two zones.
-    """
-    inverse = {v: k for k, v in mapping.items()}
-    src_from = [inverse[v] for v in _lex(zone_from)]
-    src_to_displaced = [inverse[v] for v in _lex(zone_to - zone_from)]
-    for s, v in zip(src_from, _lex(zone_to)):
-        mapping[s] = v
-    vacated = _lex(zone_from - zone_to)
-    for s, v in zip(src_to_displaced, vacated):
-        mapping[s] = v
-    return src_from + src_to_displaced
-
-
-def translation_family(
-    source: frozenset | LatticeAnimal,
-    target: frozenset,
-    T: Sequence[LatticeAnimal],
-    T_prime: Sequence[LatticeAnimal],
-    h: Point,
-    params: ParameterSet,
-    level: int = 1,
-) -> CellCorrespondence:
-    """Member h of the translation family of maps between two domains.
-
-    The base map (h = (1, 1)) is the rigid translation; member h displaces
-    the image of every designated source set by h - (1, 1).  Images of the
-    source sets and preimages of the target sets must come out pairwise
-    disjoint and non-neighbouring, else the offset is rejected.  A source
-    given as a set is checked to be a lattice animal (ConfigError if not);
-    one given as a LatticeAnimal was checked when it was built, which saves
-    the check when one source is searched many times.
-    """
-    if not isinstance(source, LatticeAnimal):
-        source = LatticeAnimal(source)
-    t = _base_translation(source, target)
-    source = source.sites
-    scale_sq = params.scale(max(level - 1, 0)) ** 2
-    if not (1 <= h[0] <= scale_sq and 1 <= h[1] <= scale_sq):
-        raise ConfigError("offset outside the family index window")
-    budget_cap = params.v0 * params.k0
-    if sum(len(a) for a in T) > budget_cap or sum(len(a) for a in T_prime) > budget_cap:
+        if {(x + t[0], y + t[1]) for x, y in sites} != target:
+            raise PreconditionError("source and target domains have different shapes")
+    if sum(len(a) for a in T_prime) > params.v0 * params.k0:
         raise PreconditionError("designated sets exceed the size budget")
-    margin = params.margins(level).interior
-    delta = (h[0] - 1, h[1] - 1)
-
-    mapping = {c: (c[0] + t[0], c[1] + t[1]) for c in source}
-    images = []
-    for animal in T:
-        if _boundary_distance(source, animal.sites) < margin:
-            raise PreconditionError("designated set too close to the domain boundary")
-        zone_from = frozenset((x + t[0], y + t[1]) for x, y in animal.sites)
-        zone_to = frozenset(
-            (x + delta[0], y + delta[1]) for x, y in zone_from
-        )
-        if not zone_to <= target:
-            raise InvalidOffset("image leaves the target domain")
-        if _boundary_distance(target, zone_to) < margin:
-            raise InvalidOffset("image too close to the target boundary")
-        images.append(zone_to)
-    # Images of T and preimages of T' must be pairwise disjoint and
-    # non-neighbouring.
-    zones = images + [frozenset(a.sites) for a in T_prime]
-    for i in range(len(zones)):
-        for k in range(i + 1, len(zones)):
-            if _set_distance(zones[i], zones[k]) <= 1:
-                raise InvalidOffset("designated images neighbour each other")
-    moved = []
-    for animal, zone_to in zip(T, images):
-        zone_from = frozenset((x + t[0], y + t[1]) for x, y in animal.sites)
-        moved += _swap_sets(mapping, zone_from, zone_to)
-    # Largest Chebyshev displacement from the rigid image: only swaps move.
-    budget = max((chebyshev(mapping[c], (c[0] + t[0], c[1] + t[1])) for c in moved), default=0)
-    matched = tuple(
-        (animal, LatticeAnimal(img)) for animal, img in zip(T, images)
-    )
-    return CellCorrespondence(level, source, target, mapping, matched, budget)
-
-
-def translation_subfamily(
-    source: frozenset | LatticeAnimal,
-    T: Sequence[LatticeAnimal],
-    params: ParameterSet,
-    level: int = 1,
-) -> list:
-    """A deterministic subfamily of offsets with non-neighbouring images.
-
-    Mirrors the proof device of trying ``scale(level - 1)`` offsets whose
-    designated images are pairwise disjoint and non-neighbouring: offsets
-    form a grid spaced by the largest designated diameter plus two.  A
-    source set that is not a lattice animal has no members.
-    """
-    if not isinstance(source, LatticeAnimal):
-        try:
-            source = LatticeAnimal(source)
-        except ConfigError:
-            return []
-    want = params.scale(max(level - 1, 0))
-    diam = 1
-    for animal in T:
-        x0, y0, x1, y1 = animal.bounding_box()
-        diam = max(diam, x1 - x0 + 1, y1 - y0 + 1)
-    spacing = diam + 2
-    out = []
-    g = int(np.ceil(np.sqrt(want)))
-    for b in range(g):
-        for a in range(g):
-            h = (1 + a * spacing, 1 + b * spacing)
-            try:
-                translation_family(source, source.sites, T, (), h, params, level)
-            except (InvalidOffset, PreconditionError, ConfigError):
-                continue
-            out.append(h)
-            if len(out) == want:
-                return out
-    return out
+    mapping = {c: (c[0] + t[0], c[1] + t[1]) for c in sites}
+    return CellCorrespondence(1, sites, target, mapping, 0)
 
 
 @dataclass(frozen=True)
@@ -300,7 +170,6 @@ class EmbeddingWitness:
 
     level: int
     correspondence: CellCorrespondence
-    offset: Optional[Point]
 
     def flatten(self, x_field: BitField, y_field: BitField, params: ParameterSet) -> EmbeddingMap:
         """Site-level map: each source site to a value-matched target site.
@@ -336,11 +205,12 @@ def embeds_level(
     params: ParameterSet,
     x_structure=None,
 ) -> Optional[EmbeddingWitness]:
-    """Search the constructed map families for an embedding witness.
+    """Search the constructed maps for an embedding witness.
 
     At level 0, x is a bad component of the target family, the only family
     with level-0 components (a source level 0 has no bad cell), and
-    y_window is a source-family partner whose bits are checked cellwise.
+    y_window is a source-family partner covering it, whose bits are checked
+    cellwise under the identity map.
     At level 1, x is a single-cell block of the source family, as every
     source block is at depth 1: the one target block over that cell is cut
     from the target-family window with curve randomness derived from the
@@ -367,23 +237,18 @@ def embeds_level(
 
 def _embeds_level0(component, x_window, params, y_level0):
     """The identity witness when every partner bit embeds into the target
-    block of its own cell, else None."""
+    block of its own cell, else None.  A source level-0 cell carries one
+    site, so the bits are read from the partner window, which must cover
+    the component."""
     cells = sorted(component.animal.sites)
-    identity = CellCorrespondence(
-        0,
-        frozenset(cells),
-        frozenset(cells),
-        {c: c for c in cells},
-        ((component.animal, component.animal),),
-        0,
-    )
-    x_level0 = hier.build_level0(
-        params, "X", x_window.seed,
-        Rect(x_window.origin[0], x_window.origin[1],
-             x_window.origin[0] + x_window.width, x_window.origin[1] + x_window.height),
-        site_field=x_window,
-    )
-    return EmbeddingWitness(0, identity, None) if _accepts(identity, x_level0, y_level0) else None
+    xy = cell_array(cells)
+    ix, iy = xy[:, 0] - x_window.origin[0], xy[:, 1] - x_window.origin[1]
+    if not ((ix >= 0) & (ix < x_window.width) & (iy >= 0) & (iy < x_window.height)).all():
+        raise PreconditionError("component cell outside the partner window")
+    if not ACCEPTS[x_window.bits[iy, ix], y_level0.codes_at(xy)].all():
+        return None
+    identity = CellCorrespondence(0, frozenset(cells), frozenset(cells), {c: c for c in cells}, 0)
+    return EmbeddingWitness(0, identity)
 
 
 def _repair_correspondence(
@@ -418,7 +283,7 @@ def _repair_correspondence(
         pool.discard(best)
         budget = max(budget, chebyshev(c, best))
     target = frozenset(mapping.values())
-    return CellCorrespondence(level, frozenset(src_cells), target, mapping, (), budget)
+    return CellCorrespondence(level, frozenset(src_cells), target, mapping, budget)
 
 
 def _embeds_level1(block, y_window, params, x_structure):
@@ -436,16 +301,16 @@ def _embeds_level1(block, y_window, params, x_structure):
     y_domain = curve.domain
     y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
 
-    # The block checks its domain once for all the trials that search it.
+    # The block checks its domain once for all the trials that search it;
+    # a domain that is not a lattice animal has no rigid map.
     source = block.domain_animal
-    if source is None:  # not a lattice animal: the rigid map raises ConfigError
-        source = block.domain
-    try:
-        corr = translation_family(source, y_domain, (), y_bad, (1, 1), params, 1)
-    except (PreconditionError, ConfigError):
-        corr = None
-    if corr is not None and _accepts(corr, x_structure, y_level0):
-        return EmbeddingWitness(1, corr, (1, 1))
+    if source is not None:
+        try:
+            corr = translation_family(source, y_domain, y_bad, params)
+        except PreconditionError:
+            corr = None
+        if corr is not None and _accepts(corr, x_structure, y_level0):
+            return EmbeddingWitness(1, corr)
 
     # Domains of the two blocks may have different curve perturbations:
     # absorb the boundary slivers with an in-place reassignment into
@@ -454,7 +319,7 @@ def _embeds_level1(block, y_window, params, x_structure):
     pool = _good_or_in(y_level0, geometry.blowup, y_domain)
     corr = _repair_correspondence(block.domain, pool, 1, cap=3 * geometry.margin)
     if corr is not None and _accepts(corr, x_structure, y_level0):
-        return EmbeddingWitness(1, corr, (1, 1))
+        return EmbeddingWitness(1, corr)
     return None
 
 

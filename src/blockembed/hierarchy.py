@@ -723,7 +723,10 @@ def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
 
 
 def domain_boundary_cells(domain: frozenset) -> frozenset:
-    """Domain cells with at least one lattice neighbor outside the domain."""
+    """Domain cells with at least one lattice neighbor outside the domain.
+
+    No program path calls it; the benchmark's traced run spans it by name
+    until the in-package trace of ROADMAP item 4."""
     if not domain:
         return frozenset()
     mask, x0, y0 = cell_mask(domain)

@@ -96,27 +96,12 @@ class LatticeAnimal:
     def __iter__(self):
         return iter(sorted(self.sites))
 
-    def translate(self, t: Point) -> "LatticeAnimal":
-        return LatticeAnimal(frozenset((x + t[0], y + t[1]) for x, y in self.sites))
-
     def bounding_box(self) -> tuple[int, int, int, int]:
         if self.box is not None:
             return self.box.x0, self.box.y0, self.box.x1 - 1, self.box.y1 - 1
         xs = [p[0] for p in self.sites]
         ys = [p[1] for p in self.sites]
         return min(xs), min(ys), max(xs), max(ys)
-
-
-def same_shape(a: LatticeAnimal, b: LatticeAnimal) -> Optional[Point]:
-    """The unique translation taking a onto b, or None if shapes differ."""
-    if len(a) != len(b):
-        return None
-    ax, ay = min(a.sites)
-    bx, by = min(b.sites)
-    t = (bx - ax, by - ay)
-    if all((x + t[0], y + t[1]) in b.sites for x, y in a.sites):
-        return t
-    return None
 
 
 class Rect(NamedTuple):
@@ -182,7 +167,6 @@ def cell_geometry(j: int, u: Point, params: ParameterSet) -> CellGeometry:
 
 
 _SIDE_STEPS = {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}
-_OPPOSITE_SIDE = {"T": "B", "B": "T", "L": "R", "R": "L"}
 
 
 @dataclass(frozen=True)

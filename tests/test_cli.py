@@ -187,8 +187,12 @@ class TestEstimateAndReports:
         assert f"{flag[0]} must be at least 1, got {flag[1]}" in err
 
     def test_estimate_s_level_validation(self, capsys):
-        code, _, _ = run(capsys, "estimate-s", "--level", "2")
-        assert code == EXIT_CONFIG
+        # Rejected before anything is built or printed.
+        for args in [("--level", "2"), ("--family", "X", "--level", "0"),
+                     ("--family", "Y", "--level", "1")]:
+            code, out, _ = run(capsys, "estimate-s", *args)
+            assert code == EXIT_CONFIG
+            assert out == ""
 
     def test_reports_deterministic(self, tmp_path, capsys):
         args = ("reports", "--profile", "toy-m0-3", "--seed", "3",

@@ -1,4 +1,4 @@
-"""Cell correspondences, map families, embedding search, and verification."""
+"""Cell correspondences, the rigid map, embedding search, and verification."""
 
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +15,6 @@ from blockembed.embed import (
     InvalidOffset,
     embeds_level,
     translation_family,
-    translation_subfamily,
     verify_embedding,
 )
 from blockembed.errors import ConfigError, PreconditionError
@@ -26,7 +25,7 @@ from blockembed.fields import (
     level0_embeds,
     sample_field,
 )
-from blockembed.lattice import LatticeAnimal, Rect, chebyshev, same_shape
+from blockembed.lattice import LatticeAnimal, Rect, chebyshev
 from blockembed.hierarchy import build_level0, level0_window_for
 from blockembed.params import named_profile
 
@@ -80,111 +79,187 @@ class TestCellCorrespondence:
                 return str(exc)
             return None
 
-        assert (outcome(lambda: CellCorrespondence(1, source, target, mapping, (), 0))
+        assert (outcome(lambda: CellCorrespondence(1, source, target, mapping, 0))
                 == outcome(lambda: _correspondence_check_ref(mapping, source, target)))
 
     def test_list_of_source_cells_accepted(self):
         cells = sorted(_square(2))
-        corr = CellCorrespondence(1, cells, list(reversed(cells)), {c: c for c in cells}, (), 0)
+        corr = CellCorrespondence(1, cells, list(reversed(cells)), {c: c for c in cells}, 0)
         assert corr.apply((1, 1)) == (1, 1)
 
     def test_bijection_enforced(self):
         cells = _square(2)
         with pytest.raises(ConfigError):
-            CellCorrespondence(1, cells, cells, {c: (0, 0) for c in cells}, (), 0)
+            CellCorrespondence(1, cells, cells, {c: (0, 0) for c in cells}, 0)
 
     def test_coverage_enforced(self):
         cells = _square(2)
         with pytest.raises(ConfigError):
-            CellCorrespondence(1, cells, cells, {(0, 0): (0, 0)}, (), 0)
+            CellCorrespondence(1, cells, cells, {(0, 0): (0, 0)}, 0)
+
+
+def _same_shape(a, b):
+    """The unique translation taking animal a onto animal b, or None if
+    their shapes differ."""
+    if len(a) != len(b):
+        return None
+    (ax, ay), (bx, by) = min(a.sites), min(b.sites)
+    t = (bx - ax, by - ay)
+    if all((x + t[0], y + t[1]) in b.sites for x, y in a.sites):
+        return t
+    return None
+
+
+def _offset_family_ref(source, target, T_prime, params):
+    """Reference: the offset family of maps at the one member a depth-1
+    search asks for, no designated source set (T = ()) and h = (1, 1).  A
+    mismatched target is checked as a lattice animal to choose the error."""
+    sites = source.sites
+    t = None
+    if target is sites:
+        t = (0, 0)
+    elif target:
+        (ax, ay), (bx, by) = min(sites), min(target)
+        t = (bx - ax, by - ay)
+        if {(x + t[0], y + t[1]) for x, y in sites} != target:
+            t = None
+    if t is None:
+        LatticeAnimal(target)
+        raise PreconditionError("source and target domains have different shapes")
+    if sum(len(a) for a in T_prime) > params.v0 * params.k0:
+        raise PreconditionError("designated sets exceed the size budget")
+    zones = [a.sites for a in T_prime]
+    for i, a in enumerate(zones):
+        for b in zones[i + 1:]:
+            if min(chebyshev(p, q) for p in a for q in b) <= 1:
+                raise InvalidOffset("designated images neighbour each other")
+    mapping = {c: (c[0] + t[0], c[1] + t[1]) for c in sites}
+    return CellCorrespondence(1, sites, target, mapping, 0)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ConfigError, PreconditionError) as exc:
+        return type(exc)
+
+
+def _record(outcome):
+    """A correspondence as its fields, the mapping in iteration order; an
+    exception class as itself."""
+    if isinstance(outcome, CellCorrespondence):
+        return (outcome.level, outcome.source_cells, outcome.target_cells,
+                list(outcome.mapping.items()), outcome.displacement_budget)
+    return outcome
+
+
+@st.composite
+def _polyominoes(draw):
+    """Cells grown by lattice steps: always a lattice animal."""
+    cells = {draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))}
+    for _ in range(draw(st.integers(0, 10))):
+        x, y = draw(st.sampled_from(sorted(cells)))
+        dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        cells.add((x + dx, y + dy))
+    return LatticeAnimal(frozenset(cells))
+
+
+@st.composite
+def _level0_components(draw):
+    """Bad components as level 0 makes them: the closed boxes of a few
+    random bad cells."""
+    bad = np.zeros((9, 9), dtype=bool)
+    for x, y in draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8)):
+        bad[y, x] = True
+    return [LatticeAnimal.filled(Rect(sx.start, sy.start, sx.stop, sy.stop))
+            for sy, sx in hier._close_boxes(bad)]
 
 
 class TestTranslationFamily:
     def test_base_offset_is_rigid(self, toy1):
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(5, 5)]))]
-        corr = translation_family(src, src, T, (), (1, 1), toy1)
-        assert all(corr.apply(c) == c for c in src)
+        src = LatticeAnimal(_square(16))
+        corr = translation_family(src, src.sites, (), toy1)
+        assert all(corr.apply(c) == c for c in src.sites)
         assert corr.displacement_budget == 0
+        moved = translation_family(src, _square(16, off=(3, -2)), (), toy1)
+        assert all(moved.apply(c) == (c[0] + 3, c[1] - 2) for c in src.sites)
+        assert moved.displacement_budget == 0
 
-    def test_translation_law(self, toy1):
-        # The image of each designated set translates with h.
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(5, 5), (5, 6)]))]
-        base = translation_family(src, src, T, (), (1, 1), toy1)
-        moved = translation_family(src, src, T, (), (3, 4), toy1)
-        base_img = base.matched_pairs[0][1]
-        moved_img = moved.matched_pairs[0][1]
-        assert moved_img.sites == base_img.translate((2, 3)).sites
+    def test_bijection_onto_every_translate(self, toy1):
+        src = LatticeAnimal(frozenset([(0, 0), (1, 0), (1, 1), (1, 2)]))
+        for t in [(0, 0), (2, 2), (-4, 7), (9, -3)]:
+            target = frozenset((x + t[0], y + t[1]) for x, y in src.sites)
+            corr = translation_family(src, target, (), toy1)
+            assert {corr.apply(c) for c in src.sites} == target
 
-    def test_bijection_for_every_offset(self, toy1):
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(5, 5)]))]
-        for h in [(1, 1), (2, 2), (4, 7), (9, 3)]:
-            corr = translation_family(src, src, T, (), h, toy1)
-            assert {corr.apply(c) for c in src} == src
+    def test_same_shape_translation(self, toy1):
+        a = LatticeAnimal(frozenset([(0, 0), (1, 0), (1, 1)]))
+        corr = translation_family(a, frozenset([(-5, 2), (-4, 2), (-4, 3)]), (), toy1)
+        assert corr.mapping == {(0, 0): (-5, 2), (1, 0): (-4, 2), (1, 1): (-4, 3)}
 
-    def test_image_leaving_domain_rejected(self, toy1):
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(14, 14)]))]
-        with pytest.raises(InvalidOffset):
-            translation_family(src, src, T, (), (5, 5), toy1)
-
-    def test_neighbouring_images_rejected(self, toy1):
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(5, 5)]))]
-        T_prime = [LatticeAnimal(frozenset([(6, 6)]))]
-        with pytest.raises(InvalidOffset):
-            translation_family(src, src, T, T_prime, (1, 1), toy1)
+    def test_different_shapes(self, toy1):
+        # Another shape of the same size, a disconnected set, and sets of
+        # other sizes (the empty set too) are no translates.
+        a = LatticeAnimal(frozenset([(0, 0), (1, 0), (2, 0)]))
+        for target in [frozenset([(0, 0), (1, 0), (1, 1)]), frozenset([(0, 0), (1, 0), (3, 0)]),
+                       frozenset([(0, 0), (1, 0)]), frozenset()]:
+            with pytest.raises(PreconditionError, match="different shapes"):
+                translation_family(a, target, (), toy1)
 
     def test_size_budget(self, toy1):
-        src = _square(16)
+        src = LatticeAnimal(_square(16))
         big = [LatticeAnimal(frozenset((x, y) for x in range(4, 12) for y in range(4, 5)))]
         # 8 cells > v0*k0 = 6 for toy1.
-        with pytest.raises(PreconditionError):
-            translation_family(src, src, big, (), (1, 1), toy1)
-
-    def test_offset_window(self, toy1):
-        src = _square(16)
-        with pytest.raises(ConfigError):
-            translation_family(src, src, [], (), (0, 0), toy1)
+        with pytest.raises(PreconditionError, match="size budget"):
+            translation_family(src, src.sites, big, toy1)
+        six = [LatticeAnimal.filled(Rect(4, 4, 7, 5)), LatticeAnimal.filled(Rect(9, 9, 12, 10))]
+        assert translation_family(src, src.sites, six, toy1).displacement_budget == 0
 
     @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
     def test_budget_is_largest_displacement(self, toy1, h):
-        # Between translated domains, against the per-cell maximum.
-        self._check_budget(toy1, [[(5, 5), (5, 6)]], h)
+        # Between domains translated by h, with a designated target set,
+        # against the per-cell maximum: the rigid map moves no cell off its
+        # translate.
+        src = LatticeAnimal(_square(16))
+        T_prime = [LatticeAnimal(frozenset([(5 + h[0], 5 + h[1]), (5 + h[0], 6 + h[1])]))]
+        corr = translation_family(src, _square(16, off=h), T_prime, toy1)
+        expect = max(chebyshev((c[0] + h[0], c[1] + h[1]), v) for c, v in corr.mapping.items())
+        assert corr.displacement_budget == expect == 0
 
-    @pytest.mark.parametrize("h", [(1, 1), (3, 3), (3, 4)])
-    def test_budget_after_overlapping_swaps(self, toy1, h):
-        # At h = (3, 3) the second set's rigid image is where the first
-        # set's image lands, so the second swap moves cells the first moved.
-        self._check_budget(toy1, [[(5, 5)], [(7, 7)]], h)
-
-    @staticmethod
-    def _check_budget(params, cells, h):
-        src, t = _square(16), (3, -2)
-        target = _square(16, off=t)
-        T = [LatticeAnimal(frozenset(c)) for c in cells]
-        corr = translation_family(src, target, T, (), h, params)
-        expect = max(chebyshev((c[0] + t[0], c[1] + t[1]), v) for c, v in corr.mapping.items())
-        assert corr.displacement_budget == expect
-        assert (expect > 0) == (h != (1, 1))
-
-    @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
-    def test_checked_source_gives_the_same_member(self, toy1, h):
-        src, target = _square(16), _square(16, off=(3, -2))
-        T = [LatticeAnimal(frozenset([(5, 5), (5, 6)]))]
-        a = translation_family(src, target, T, (), h, toy1)
-        b = translation_family(LatticeAnimal(src), target, T, (), h, toy1)
-        assert a == b and list(a.mapping) == list(b.mapping)
-        assert (translation_subfamily(LatticeAnimal(src), T, toy1, 1)
-                == translation_subfamily(src, T, toy1, 1))
-
-    def test_disconnected_source_rejected(self, toy1):
-        src = frozenset([(0, 0), (2, 0)])
-        with pytest.raises(ConfigError, match="connected"):
-            translation_family(src, src, [], (), (1, 1), toy1)
-        assert translation_subfamily(src, [], toy1, 1) == []
+    @given(_polyominoes(),
+           st.one_of(st.sampled_from(["same", "copy"]),
+                     st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                     st.frozensets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                                   max_size=12)),
+           st.one_of(st.just(frozenset()),
+                     st.frozensets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                                   max_size=2)),
+           _level0_components(),
+           st.sampled_from([(1, 2), (2, 2), (3, 1), (3, 2), (5, 2)]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_offset_family(self, source, other, toggled, T_prime, v0_k0):
+        # The target is the source's own set (which the animal keeps), a
+        # copy of it, a translate with a few cells toggled (connected or
+        # not, matching or not), or another random set; the designated
+        # target sets are level-0 components, their total on either side
+        # of v0 * k0 (2 to 10 here).
+        v0, k0 = v0_k0
+        params = named_profile("toy1", v0=v0, k0=k0)
+        if other == "same":
+            target = source.sites
+        elif other == "copy":
+            target = frozenset(list(source.sites))
+        elif isinstance(other, frozenset):
+            target = other
+        else:
+            target = frozenset((x + other[0], y + other[1]) for x, y in source.sites) ^ toggled
+        got = _record(_outcome(translation_family, source, target, T_prime, params))
+        want = _record(_outcome(_offset_family_ref, source, target, T_prime, params))
+        if want is ConfigError:
+            # The reference's error for a mismatched target that is no
+            # lattice animal; the search treated both errors as no map.
+            want = PreconditionError
+        assert got == want
 
     def test_block_checks_its_domain_once(self):
         lb = hier.LatticeBlock(0, LatticeAnimal(frozenset([(0, 0)])))
@@ -193,35 +268,32 @@ class TestTranslationFamily:
         assert connected.domain_animal.sites == _square(4)
         assert hier.Block(1, lb, frozenset([(0, 0), (2, 0)])).domain_animal is None
 
-    def test_subfamily_size_and_disjointness(self, toy1):
-        src = _square(16)
-        T = [LatticeAnimal(frozenset([(5, 5)]))]
-        offsets = translation_subfamily(src, T, toy1, 1)
-        assert len(offsets) == toy1.scale(0) == 16
-        images = []
-        for h in offsets:
-            corr = translation_family(src, src, T, (), h, toy1)
-            images.append(corr.matched_pairs[0][1].sites)
-        for i, a in enumerate(images):
-            for b in images[i + 1:]:
-                assert min(
-                    max(abs(p[0] - q[0]), abs(p[1] - q[1])) for p in a for q in b
-                ) > 1
-
-
-def _base_translation_ref(source, target):
-    """Reference: both sets wrapped as lattice animals, then same_shape."""
-    t = same_shape(LatticeAnimal(source), LatticeAnimal(target))
-    if t is None:
-        raise PreconditionError("source and target domains have different shapes")
-    return t
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except (ConfigError, PreconditionError) as exc:
-        return type(exc)
+    def test_disconnected_source_rejected(self, toy1, monkeypatch):
+        # A source domain that is not a lattice animal has no rigid map:
+        # the level-1 search skips it and goes straight to the repair.
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        xb = hx.levels[1].blocks[0]
+        cut = min(x for x, _ in xb.domain) + 4
+        split = hier.Block(1, xb.lattice_block,
+                           frozenset(c for c in xb.domain if c[0] != cut))
+        assert split.domain_animal is None
+        sources = []
+        family = embed.translation_family
+        monkeypatch.setattr(embed, "translation_family",
+                            lambda source, *rest: sources.append(source) or family(source, *rest))
+        m0, w0 = toy1.M0, level0_window_for(Rect(0, 0, 1, 1), toy1)
+        repaired = 0
+        for seed in range(8):
+            yf = sample_field(seed, "Y", (w0.x0 * m0, w0.y0 * m0),
+                              (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
+            wit = embeds_level(split, yf, 1, toy1, x_structure=hx.level0)
+            assert not sources
+            if wit is not None:
+                assert wit.correspondence.source_cells == split.domain
+                repaired += 1
+            embeds_level(xb, yf, 1, toy1, x_structure=hx.level0)
+            assert sources.pop() is xb.domain_animal
+        assert repaired
 
 
 _cell_sets = st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12)
@@ -238,16 +310,17 @@ def _king_walks(draw):
     return frozenset(cells)
 
 
-class TestSetDistance:
-    @given(st.frozensets(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
-                         min_size=1, max_size=40),
-           st.frozensets(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
-                         min_size=1, max_size=40))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_pairwise_reference(self, a, b):
-        d = embed._set_distance(a, b)
-        assert type(d) is int
-        assert d == min(chebyshev(p, q) for p in a for q in b)
+def _rigid_map_ref(source, target):
+    """Reference: both sets wrapped as lattice animals, then _same_shape; a
+    target that is no lattice animal is no translate of the source."""
+    a = LatticeAnimal(source)
+    try:
+        t = _same_shape(a, LatticeAnimal(target))
+    except ConfigError:
+        t = None
+    if t is None:
+        raise PreconditionError("source and target domains have different shapes")
+    return {c: (c[0] + t[0], c[1] + t[1]) for c in a.sites}
 
 
 class TestBaseTranslation:
@@ -260,6 +333,7 @@ class TestBaseTranslation:
         # The target is another random set, a translate of the source with
         # a few cells toggled (connected or not, matching or not), the
         # source's own set object (which the animal keeps), or a copy of it.
+        # A source that is no lattice animal raises ConfigError on both sides.
         if other == "same":
             target = source
         elif other == "copy":
@@ -268,8 +342,10 @@ class TestBaseTranslation:
             target = other
         else:
             target = frozenset((x + other[0], y + other[1]) for x, y in source) ^ toggled
-        assert (_outcome(lambda s, t: embed._base_translation(LatticeAnimal(s), t), source, target)
-                == _outcome(_base_translation_ref, source, target))
+        toy1 = named_profile("toy1")
+        got = _outcome(lambda s, t: translation_family(LatticeAnimal(s), t, (), toy1).mapping,
+                       source, target)
+        assert got == _outcome(_rigid_map_ref, source, target)
 
 
 class TestVerifyEmbedding:
@@ -391,13 +467,13 @@ class TestGatheredContent:
         ys = build_level0(p, "Y", yseed, self.WINDOW, site_field=y_field)
         src = sorted(_square(3, off=(2, 1)))
         corr = CellCorrespondence(1, frozenset(src), frozenset(order[:9]),
-                                  dict(zip(src, order[:9])), (), 0)
+                                  dict(zip(src, order[:9])), 0)
         assert embed._accepts(corr, xs, ys) == _accepts_ref(corr, x_field, y_field, p)
 
     def test_accepts_reads_bits_from_the_source(self, toy1):
         ys = build_level0(toy1, "Y", 1, self.WINDOW)
         corr = CellCorrespondence(1, frozenset([(1, 1)]), frozenset([(1, 1)]),
-                                  {(1, 1): (1, 1)}, (), 0)
+                                  {(1, 1): (1, 1)}, 0)
         with pytest.raises(ConfigError, match="not single bits"):
             embed._accepts(corr, ys, ys)
 
@@ -445,6 +521,26 @@ class TestEmbedsLevel:
                         found += 1
         assert found
 
+    def test_level0_partner_must_cover_the_component(self):
+        # Components {(0, 0)} and {(6, 2)} against partners that miss them,
+        # before or past the cell on either axis: an error, never bits read
+        # from elsewhere in the window.
+        p = named_profile("toy-m0-3")
+        ys = build_level0(p, "Y", 1, Rect(0, 0, 8, 8))
+        corner, = [c for c in ys.bad_components if c.animal.sites == {(0, 0)}]
+        inner, = [c for c in ys.bad_components if c.animal.sites == {(6, 2)}]
+        misses = [(corner, (3, 3), 8, 8), (corner, (0, 3), 8, 8), (corner, (3, 0), 8, 8),
+                  (inner, (0, 0), 4, 4), (inner, (0, 0), 6, 8), (inner, (0, 0), 8, 2)]
+        for seed in range(12):
+            for comp, origin, width, height in misses:
+                with pytest.raises(PreconditionError, match="outside the partner window"):
+                    embeds_level(comp, sample_field(seed, "X", origin, width, height), 0, p,
+                                 x_structure=ys)
+            tight = sample_field(seed, "X", (0, 0), 1, 1)
+            assert (embeds_level(corner, tight, 0, p, x_structure=ys)
+                    == embeds_level(corner, sample_field(seed, "X", (0, 0), 8, 8), 0, p,
+                                    x_structure=ys))
+
     def test_level1_good_pair_has_witness(self, toy1):
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         xb = hx.levels[1].blocks[0]
@@ -468,14 +564,16 @@ class TestEmbedsLevel:
         xb = hx.levels[1].blocks[0]
         m0 = toy1.M0
         w0 = level0_window_for(Rect(0, 0, 1, 1), toy1)
-        yf = sample_field(0, "Y", (w0.x0 * m0, w0.y0 * m0),
-                          (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
-        wit = embeds_level(xb, yf, 1, toy1, x_structure=hx.level0)
-        if wit is None:
-            pytest.skip("seed 0 target not embeddable")
         x_field = sample_field(42, "X", (0, 0), 16, 16)
-        emb = wit.flatten(x_field, yf, toy1)
-        assert verify_embedding(emb, x_field, yf)
+        verified = 0
+        for seed in range(20):
+            yf = sample_field(seed, "Y", (w0.x0 * m0, w0.y0 * m0),
+                              (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
+            wit = embeds_level(xb, yf, 1, toy1, x_structure=hx.level0)
+            if wit is not None:
+                assert verify_embedding(wit.flatten(x_field, yf, toy1), x_field, yf)
+                verified += 1
+        assert verified
 
     @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2),
            st.integers(0, 3), st.integers(0, 3))

