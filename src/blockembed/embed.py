@@ -5,13 +5,13 @@ between two domains: a bijection on member cells that carries an integer
 displacement budget in place of continuum distortion constants.  At depth 1
 a source block has no bad subcomponent, so the paper's family of offset
 maps has one member, the rigid translation.  ``embeds_level`` searches that
-map and a boundary repair; it is a sound semi-decision, never a
-completeness claim.
+map and a boundary repair, deciding both on cell arrays and building a
+correspondence only for the witness it returns; it is a sound
+semi-decision, never a completeness claim.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
 from .fields import ACCEPTS, GRID_GOOD, BitField
-from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry, chebyshev
+from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry
 from .params import ParameterSet
 
 __all__ = [
@@ -85,17 +85,17 @@ def translation_family(
     cells.  The source's own set is its zero translate.
     """
     sites = source.sites
-    t = (0, 0)
+    images = sites
     if target is not sites:
         ax, ay = min(sites)
         bx, by = min(target, default=(ax, ay))
-        t = (bx - ax, by - ay)
-        if {(x + t[0], y + t[1]) for x, y in sites} != target:
+        dx, dy = bx - ax, by - ay
+        images = [(x + dx, y + dy) for x, y in sites]
+        if set(images) != target:
             raise PreconditionError("source and target domains have different shapes")
     if sum(len(a) for a in T_prime) > params.v0 * params.k0:
         raise PreconditionError("designated sets exceed the size budget")
-    mapping = {c: (c[0] + t[0], c[1] + t[1]) for c in sites}
-    return CellCorrespondence(1, sites, target, mapping, 0)
+    return CellCorrespondence(1, sites, target, dict(zip(sites, images)), 0)
 
 
 @dataclass(frozen=True)
@@ -251,42 +251,8 @@ def _embeds_level0(component, x_window, params, y_level0):
     return EmbeddingWitness(0, identity)
 
 
-def _repair_correspondence(
-    src_cells: frozenset,
-    free_pool: Iterable[Point],
-    level: int,
-    cap: int,
-) -> Optional[CellCorrespondence]:
-    """Identity plus nearest-free reassignment of boundary slivers.
-
-    Source cells present in the pool map to themselves; the rest go to the
-    nearest unused pool cell (Chebyshev, lexicographic tie-break) within the
-    displacement cap.  Discrete stand-in for the boundary-reassignment maps
-    that absorb curve differences between two domains of the same block.
-    """
-    pool = set(free_pool)
-    mapping = {}
-    cells = sorted(src_cells)
-    for c in cells:
-        if c in pool:
-            mapping[c] = c
-            pool.discard(c)
-    budget = 0
-    for c in cells:
-        if c in mapping:
-            continue
-        near = [q for q in pool if chebyshev(c, q) <= cap]
-        if not near:
-            return None
-        best = min(near, key=lambda q: (chebyshev(c, q), q))
-        mapping[c] = best
-        pool.discard(best)
-        budget = max(budget, chebyshev(c, best))
-    target = frozenset(mapping.values())
-    return CellCorrespondence(level, frozenset(src_cells), target, mapping, budget)
-
-
 def _embeds_level1(block, y_window, params, x_structure):
+    """Cut the target block over the source cell, then decide the maps."""
     (x, y), = block.animal.sites
     # The target block is cut over the level-0 window of the cell's own
     # level-1 window, from y_window's sites when it covers that window and
@@ -298,53 +264,64 @@ def _embeds_level1(block, y_window, params, x_structure):
     # The cell's blow-up reaches past its own window, so the block is
     # censored: a missed curve leaves the straight placeholder.
     curve, _ = hier.block_curve(block.lattice_block, y_level0, y_window.seed, censored=True)
-    y_domain = curve.domain
-    y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
+    return _rigid_or_repair(block, curve.domain, y_level0, x_structure, params)
 
+
+def _rigid_or_repair(block, y_domain, y_level0, x_structure, params):
+    """The rigid map of the block's domain onto ``y_domain`` if every cell
+    embeds, else the boundary repair if every cell embeds, else None.  Both
+    are decided on the block's sorted cell array and a mask of the blow-up;
+    only the witness is built as a correspondence."""
+    src = block.domain_cells
+    bits = x_structure.bits_at(src)
+    # Straight curves of one frame share their domain object.
+    same = y_domain is block.domain
+    y_cells = src if same else cell_array(y_domain)
     # The block checks its domain once for all the trials that search it;
     # a domain that is not a lattice animal has no rigid map.
     source = block.domain_animal
-    if source is not None:
-        try:
-            corr = translation_family(source, y_domain, y_bad, params)
-        except PreconditionError:
-            corr = None
-        if corr is not None and _accepts(corr, x_structure, y_level0):
-            return EmbeddingWitness(1, corr)
+    if source is not None and len(y_cells) == len(src):
+        dst = y_cells if same else y_cells[np.lexsort(y_cells.T[::-1])]
+        if np.array_equal(dst, src + (dst[0] - src[0])):
+            y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
+            if (sum(len(a) for a in y_bad) <= params.v0 * params.k0
+                    and ACCEPTS[bits, y_level0.codes_at(dst)].all()):
+                return EmbeddingWitness(1, translation_family(source, y_domain, y_bad, params))
 
     # Domains of the two blocks may have different curve perturbations:
-    # absorb the boundary slivers with an in-place reassignment into
-    # good-class cells of the blow-up.
-    geometry = cell_geometry(1, (x, y), params)
-    pool = _good_or_in(y_level0, geometry.blowup, y_domain)
-    corr = _repair_correspondence(block.domain, pool, 1, cap=3 * geometry.margin)
-    if corr is not None and _accepts(corr, x_structure, y_level0):
-        return EmbeddingWitness(1, corr)
-    return None
-
-
-def _pairs(mapping: dict) -> np.ndarray:
-    """A cell map as an (n, 2, 2) array: [i, 0] a source cell, [i, 1] its image."""
-    return cell_array(itertools.chain.from_iterable(mapping.items())).reshape(-1, 2, 2)
-
-
-def _accepts(corr: CellCorrespondence, x_level0, y_level0) -> bool:
-    """Whether every source cell's bit embeds into its image's target block."""
-    pairs = _pairs(corr.mapping)
-    return bool(ACCEPTS[x_level0.bits_at(pairs[:, 0]), y_level0.codes_at(pairs[:, 1])].all())
-
-
-def _good_or_in(level0, rect: Rect, domain: frozenset) -> list:
-    """Cells of ``rect`` that are good or in ``domain``, row-major; ``rect``
-    lies inside the level-0 window."""
-    w = level0.window
-    mask = level0.class_grid[rect.y0 - w.y0:rect.y1 - w.y0,
-                             rect.x0 - w.x0:rect.x1 - w.x0] == GRID_GOOD
-    xy = cell_array(domain) - (rect.x0, rect.y0)
-    xy = xy[((xy >= 0) & (xy < (rect.x1 - rect.x0, rect.y1 - rect.y0))).all(axis=1)]
-    mask[xy[:, 1], xy[:, 0]] = True
-    ys, xs = np.nonzero(mask)
-    return list(zip((xs + rect.x0).tolist(), (ys + rect.y0).tolist()))
+    # absorb the boundary slivers with an in-place reassignment into the
+    # free cells of the blow-up, those of good class or in y_domain.
+    # Source cells that are free map to themselves; each other one, in
+    # sorted order, takes the nearest unused free cell within the cap
+    # (Chebyshev, least (x, y) on a tie).
+    geometry = cell_geometry(1, min(block.animal.sites), params)
+    rect, cap, w = geometry.blowup, 3 * geometry.margin, y_level0.window
+    free = y_level0.class_grid[rect.y0 - w.y0:rect.y1 - w.y0,
+                               rect.x0 - w.x0:rect.x1 - w.x0] == GRID_GOOD
+    corner, size = (rect.x0, rect.y0), (rect.x1 - rect.x0, rect.y1 - rect.y0)
+    y_rel, rel = y_cells - corner, src - corner
+    y_rel = y_rel[((y_rel >= 0) & (y_rel < size)).all(axis=1)]
+    free[y_rel[:, 1], y_rel[:, 0]] = True
+    fixed = ((rel >= 0) & (rel < size)).all(axis=1)
+    fixed[fixed] = free[rel[fixed, 1], rel[fixed, 0]]
+    free[rel[fixed, 1], rel[fixed, 0]] = False
+    budget = 0
+    for i in np.flatnonzero(~fixed):
+        qx, qy = np.nonzero(free.T)  # x-major: argmin breaks ties on least (x, y)
+        d = np.maximum(np.abs(qx - rel[i, 0]), np.abs(qy - rel[i, 1]))
+        if not len(d) or d.min() > cap:
+            return None
+        k = int(np.argmin(d))
+        free[qy[k], qx[k]] = False
+        rel[i] = qx[k], qy[k]
+        budget = max(budget, int(d[k]))
+    dst = rel + corner
+    if not ACCEPTS[bits, y_level0.codes_at(dst)].all():
+        return None
+    order = np.concatenate([np.flatnonzero(fixed), np.flatnonzero(~fixed)])
+    mapping = dict(zip(map(tuple, src[order].tolist()), map(tuple, dst[order].tolist())))
+    corr = CellCorrespondence(1, block.domain, frozenset(mapping.values()), mapping, budget)
+    return EmbeddingWitness(1, corr)
 
 
 def _crop(field: BitField, window0: Rect, m0: int) -> Optional[BitField]:

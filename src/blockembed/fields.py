@@ -172,9 +172,11 @@ def classify_grid(field: BitField, params: ParameterSet) -> np.ndarray:
         raise ConfigError("window origin must align to the block lattice")
     if field.width % m0 or field.height % m0:
         raise ConfigError("window must span whole blocks")
-    # Block rows, then block columns; int64 holds every count exactly.
-    rows = np.add.reduceat(field.bits, np.arange(0, field.height, m0), axis=0, dtype=np.int64)
-    ones = np.add.reduceat(rows, np.arange(0, field.width, m0), axis=1)
+    # Block rows in one pass over an (h/m0, m0, w) view, in int32 as uint8
+    # would wrap; then block columns in int64, which holds every count exactly.
+    rows = np.add.reduce(field.bits.reshape(field.height // m0, m0, field.width), axis=1,
+                         dtype=np.int32)
+    ones = np.add.reduceat(rows, np.arange(0, field.width, m0), axis=1, dtype=np.int64)
     n = m0 * m0
     zeros = n - ones
     good = np.minimum(ones, zeros) >= good_threshold(m0)

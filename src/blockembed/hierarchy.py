@@ -140,6 +140,13 @@ class Block:
         except ConfigError:
             return None
 
+    @cached_property
+    def domain_cells(self) -> np.ndarray:
+        """The domain as a sorted, read-only (n, 2) cell array."""
+        cells = cell_array(sorted(self.domain))
+        cells.flags.writeable = False
+        return cells
+
     @property
     def size(self) -> int:
         return self.lattice_block.size
@@ -193,16 +200,25 @@ class Level0Structure:
     bad_components: list
 
     def codes_at(self, cells: np.ndarray) -> np.ndarray:
-        """Class codes of an (n, 2) array of (x, y) cells."""
+        """Class codes of an (n, 2) array of (x, y) cells in the window."""
         if self.class_grid is None:
             raise ConfigError("source-family cells are unclassified (always good)")
-        return self.class_grid[cells[:, 1] - self.window.y0, cells[:, 0] - self.window.x0]
+        return self._at(self.class_grid, cells)
 
     def bits_at(self, cells: np.ndarray) -> np.ndarray:
-        """Bits of an (n, 2) array of (x, y) cells."""
+        """Bits of an (n, 2) array of (x, y) cells in the window."""
         if self.bits is None:
             raise ConfigError("target-family cells carry classes, not single bits")
-        return self.bits[cells[:, 1] - self.window.y0, cells[:, 0] - self.window.x0]
+        return self._at(self.bits, cells)
+
+    def _at(self, grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The grid at the cells; one outside the window raises PreconditionError."""
+        try:
+            flat = np.ravel_multi_index((cells[:, 1] - self.window.y0,
+                                         cells[:, 0] - self.window.x0), grid.shape)
+        except ValueError:
+            raise PreconditionError("cell outside the level-0 window") from None
+        return grid.take(flat)
 
 
 def exact_level0_status(size: int, params: ParameterSet) -> str:
@@ -248,6 +264,8 @@ def _level0_bad_components(
     grid: np.ndarray, window: Rect, params: ParameterSet
 ) -> list:
     bad = grid != fields_mod.GRID_GOOD
+    if not bad.any():
+        return []  # no labelling to do
     height, width = bad.shape
     comps = []
     # A component is its filled box, whose (x0, y0) corner is its least cell.

@@ -1,6 +1,8 @@
 """Cell correspondences, the rigid map, embedding search, and verification."""
 
+import itertools
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from blockembed import embed, hierarchy as hier
 from blockembed.embed import (
     CellCorrespondence,
     EmbeddingMap,
+    EmbeddingWitness,
     InvalidOffset,
     embeds_level,
     translation_family,
@@ -19,13 +22,15 @@ from blockembed.embed import (
 )
 from blockembed.errors import ConfigError, PreconditionError
 from blockembed.fields import (
+    ACCEPTS,
     GRID_GOOD,
+    GRID_ZERO,
     BitField,
     classify_y0_block,
     level0_embeds,
     sample_field,
 )
-from blockembed.lattice import LatticeAnimal, Rect, chebyshev
+from blockembed.lattice import LatticeAnimal, Rect, cell_array, cell_geometry, chebyshev
 from blockembed.hierarchy import build_level0, level0_window_for
 from blockembed.params import named_profile
 
@@ -269,8 +274,9 @@ class TestTranslationFamily:
         assert hier.Block(1, lb, frozenset([(0, 0), (2, 0)])).domain_animal is None
 
     def test_disconnected_source_rejected(self, toy1, monkeypatch):
-        # A source domain that is not a lattice animal has no rigid map:
-        # the level-1 search skips it and goes straight to the repair.
+        # A source domain that is not a lattice animal has no rigid map: the
+        # level-1 search never builds one for it, and its witness is a
+        # repair that covers the whole cut domain.
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         xb = hx.levels[1].blocks[0]
         cut = min(x for x, _ in xb.domain) + 4
@@ -289,10 +295,10 @@ class TestTranslationFamily:
             wit = embeds_level(split, yf, 1, toy1, x_structure=hx.level0)
             assert not sources
             if wit is not None:
-                assert wit.correspondence.source_cells == split.domain
+                corr = wit.correspondence
+                assert corr.source_cells == split.domain
+                assert set(corr.mapping) == split.domain
                 repaired += 1
-            embeds_level(xb, yf, 1, toy1, x_structure=hx.level0)
-            assert sources.pop() is xb.domain_animal
         assert repaired
 
 
@@ -448,6 +454,77 @@ def _accepts_ref(corr, x_field, y_field, params):
     return True
 
 
+def _pairs_ref(mapping):
+    """A cell map as an (n, 2, 2) array: [i, 0] a source cell, [i, 1] its image."""
+    return cell_array(itertools.chain.from_iterable(mapping.items())).reshape(-1, 2, 2)
+
+
+def _accepts_cells_ref(corr, x_level0, y_level0):
+    """Reference (the search's former gather): whether every source cell's
+    bit embeds into its image's target block."""
+    pairs = _pairs_ref(corr.mapping)
+    return bool(ACCEPTS[x_level0.bits_at(pairs[:, 0]), y_level0.codes_at(pairs[:, 1])].all())
+
+
+def _good_or_in_ref(level0, rect, domain):
+    """Reference (the repair's former pool): cells of ``rect`` that are good
+    or in ``domain``, row-major; ``rect`` lies inside the level-0 window."""
+    w = level0.window
+    mask = level0.class_grid[rect.y0 - w.y0:rect.y1 - w.y0,
+                             rect.x0 - w.x0:rect.x1 - w.x0] == GRID_GOOD
+    xy = cell_array(domain) - (rect.x0, rect.y0)
+    xy = xy[((xy >= 0) & (xy < (rect.x1 - rect.x0, rect.y1 - rect.y0))).all(axis=1)]
+    mask[xy[:, 1], xy[:, 0]] = True
+    ys, xs = np.nonzero(mask)
+    return list(zip((xs + rect.x0).tolist(), (ys + rect.y0).tolist()))
+
+
+def _repair_correspondence_ref(src_cells, free_pool, level, cap):
+    """Reference (the former repair): identity on the pool, then each other
+    source cell, in sorted order, to the nearest unused pool cell
+    (Chebyshev, lexicographic tie-break) within the cap."""
+    pool = set(free_pool)
+    mapping = {}
+    cells = sorted(src_cells)
+    for c in cells:
+        if c in pool:
+            mapping[c] = c
+            pool.discard(c)
+    budget = 0
+    for c in cells:
+        if c in mapping:
+            continue
+        near = [q for q in pool if chebyshev(c, q) <= cap]
+        if not near:
+            return None
+        best = min(near, key=lambda q: (chebyshev(c, q), q))
+        mapping[c] = best
+        pool.discard(best)
+        budget = max(budget, chebyshev(c, best))
+    target = frozenset(mapping.values())
+    return CellCorrespondence(level, frozenset(src_cells), target, mapping, budget)
+
+
+def _rigid_or_repair_ref(block, y_domain, y_level0, x_structure, params):
+    """Reference: the former level-1 decision, on sets and dicts."""
+    source = block.domain_animal
+    if source is not None:
+        y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
+        try:
+            corr = translation_family(source, y_domain, y_bad, params)
+        except PreconditionError:
+            corr = None
+        if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
+            return EmbeddingWitness(1, corr)
+    cell, = block.animal.sites
+    geometry = cell_geometry(1, cell, params)
+    pool = _good_or_in_ref(y_level0, geometry.blowup, y_domain)
+    corr = _repair_correspondence_ref(block.domain, pool, 1, cap=3 * geometry.margin)
+    if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
+        return EmbeddingWitness(1, corr)
+    return None
+
+
 class TestGatheredContent:
     """The array reads of level-0 content against per-cell references."""
 
@@ -458,7 +535,8 @@ class TestGatheredContent:
     @settings(max_examples=60, deadline=None)
     def test_accepts_matches_per_cell_reference(self, xseed, yseed, order):
         # A 3x3 source square onto nine random target cells; toy-m0-3
-        # accepts a bit in about nine target blocks of ten.
+        # accepts a bit in about nine target blocks of ten.  The level-1
+        # search reads acceptance as ACCEPTS over the two cell arrays.
         p = named_profile("toy-m0-3")
         m0 = p.M0
         x_field = sample_field(xseed, "X", (0, 0), 6, 6)
@@ -468,25 +546,92 @@ class TestGatheredContent:
         src = sorted(_square(3, off=(2, 1)))
         corr = CellCorrespondence(1, frozenset(src), frozenset(order[:9]),
                                   dict(zip(src, order[:9])), 0)
-        assert embed._accepts(corr, xs, ys) == _accepts_ref(corr, x_field, y_field, p)
+        expect = _accepts_ref(corr, x_field, y_field, p)
+        got = ACCEPTS[xs.bits_at(cell_array(src)), ys.codes_at(cell_array(order[:9]))].all()
+        assert got == expect == _accepts_cells_ref(corr, xs, ys)
 
     def test_accepts_reads_bits_from_the_source(self, toy1):
-        ys = build_level0(toy1, "Y", 1, self.WINDOW)
-        corr = CellCorrespondence(1, frozenset([(1, 1)]), frozenset([(1, 1)]),
-                                  {(1, 1): (1, 1)}, 0)
+        ys = build_level0(toy1, "Y", 1, level0_window_for(Rect(0, 0, 1, 1), toy1))
+        lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        block = hier.Block(1, lb, _square(16))
         with pytest.raises(ConfigError, match="not single bits"):
-            embed._accepts(corr, ys, ys)
+            embed._rigid_or_repair(block, block.domain, ys, ys, toy1)
 
     @given(st.integers(0, 2**32),
            st.frozensets(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1))
     @settings(max_examples=60, deadline=None)
     def test_pool_matches_per_cell_reference(self, seed, domain):
+        # The former repair pool, kept as the decision's reference.
         p = named_profile("toy-m0-3")
         ys = build_level0(p, "Y", seed, Rect(-2, -2, 8, 8))
         rect = Rect(-1, 0, 7, 6)
         expect = [c for c in rect.cells()
                   if c in domain or ys.class_grid[c[1] + 2, c[0] + 2] == GRID_GOOD]
-        assert embed._good_or_in(ys, rect, domain) == expect
+        assert _good_or_in_ref(ys, rect, domain) == expect
+
+
+_CELL = Rect(0, 0, 16, 16)  # the region of level-1 cell (0, 0) at side 16
+# Cells one step either side of its outline, and cells from 3 inside it to
+# its level-0 window, 6 outside (the blow-up ends 3 outside).
+_RING = sorted(set(Rect(-1, -1, 17, 17).cells()) - set(Rect(1, 1, 15, 15).cells()))
+_EDGE_CELLS = sorted(set(Rect(-6, -6, 22, 22).cells()) - set(Rect(3, 3, 13, 13).cells()))
+
+
+@st.composite
+def _level1_domains(draw):
+    """The region of level-1 cell (0, 0) with cells toggled near its
+    outline, or farther out, past the blow-up, possibly shifted: straight,
+    perturbed, translated or cut apart."""
+    near = draw(st.sampled_from([_RING, _EDGE_CELLS]))
+    cells = set(_CELL.cells()) ^ draw(st.sets(st.sampled_from(near), max_size=12))
+    dx, dy = draw(st.sampled_from([(0, 0)] * 3 + [(1, 0), (0, -2), (2, 1)]))
+    cells = {(x + dx, y + dy) for x, y in cells}
+    return frozenset(c for c in cells if -6 <= min(c) and max(c) < 22)
+
+
+class TestRigidOrRepair:
+    """The array-native level-1 decision against the former set-based one."""
+
+    WINDOW0 = Rect(-6, -6, 22, 22)
+
+    @given(st.sampled_from(["toy1", "toy-m0-3"]), st.integers(0, 2**32),
+           st.integers(0, 2**32), st.sampled_from([0.0, 0.02, 0.2, 0.6, 0.95]), st.booleans(),
+           _level1_domains(),
+           st.one_of(st.sampled_from(["same", "copy"]), _level1_domains(),
+                     st.sampled_from([(1, 0), (-2, 1), (0, 3)])))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_references(self, profile, xseed, yseed, bad_frac, agree, domain,
+                                    other):
+        # Random class grids, from all good (every rigid map of matching
+        # shape embeds) to nearly all bad (missing cells find no free cell
+        # within the cap); sparse free cells give equal-distance ties.
+        # With ``agree`` every bad block is of class Zero and every source
+        # bit 0, so every map embeds and the repair's own choices, not the
+        # acceptance, decide the witness.  The target is the source's own
+        # set, a copy, another domain, or a translate of the source.
+        p = named_profile(profile)
+        rng = np.random.default_rng(yseed)
+        bad_codes = GRID_ZERO if agree else rng.integers(1, 3, (28, 28))
+        grid = np.where(rng.random((28, 28)) < bad_frac, bad_codes, GRID_GOOD).astype(np.int8)
+        ys = hier.Level0Structure("Y", self.WINDOW0, yseed, p, grid, None,
+                                  hier._level0_bad_components(grid, self.WINDOW0, p))
+        xs = build_level0(p, "X", xseed, self.WINDOW0)
+        if agree:
+            xs = replace(xs, bits=np.zeros_like(xs.bits))
+        lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        block = hier.Block(1, lb, domain)
+        if isinstance(other, tuple):
+            y_domain = frozenset((x + other[0], y + other[1]) for x, y in domain)
+        else:
+            y_domain = {"same": domain, "copy": frozenset(list(domain))}.get(other, other)
+        got = embed._rigid_or_repair(block, y_domain, ys, xs, p)
+        want = _rigid_or_repair_ref(block, y_domain, ys, xs, p)
+        if want is None:
+            assert got is None
+        else:
+            assert _record(got.correspondence) == _record(want.correspondence)
+            assert got.level == want.level == 1
+            assert type(got.correspondence.displacement_budget) is int
 
 
 class TestEmbedsLevel:
@@ -540,6 +685,19 @@ class TestEmbedsLevel:
             assert (embeds_level(corner, tight, 0, p, x_structure=ys)
                     == embeds_level(corner, sample_field(seed, "X", (0, 0), 8, 8), 0, p,
                                     x_structure=ys))
+
+    def test_level0_component_outside_the_structure_window(self):
+        # Component {(0, 0)} of one target window searched against the
+        # structure of another that starts at (3, 3): its class is never
+        # read from the wrapped cell (8, 8).
+        p = named_profile("toy-m0-3")
+        corner, = [c for c in build_level0(p, "Y", 1, Rect(0, 0, 8, 8)).bad_components
+                   if c.animal.sites == {(0, 0)}]
+        shifted = build_level0(p, "Y", 1, Rect(3, 3, 11, 11))
+        for seed in range(8):
+            with pytest.raises(PreconditionError, match="outside the level-0 window"):
+                embeds_level(corner, sample_field(seed, "X", (0, 0), 8, 8), 0, p,
+                             x_structure=shifted)
 
     def test_level1_good_pair_has_witness(self, toy1):
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))

@@ -649,6 +649,32 @@ class TestLevel0:
         assert ys.codes_at(cells).tolist() == expect_codes
         assert xs.bits_at(cells).tolist() == expect_bits
 
+    @pytest.mark.parametrize("cell", [(-4, 4), (-3, 3), (5, 4), (-3, 9), (5, 9), (-4, 3)])
+    def test_readers_reject_cells_outside_the_window(self, toy1, cell):
+        # Left of, above, past or below the window: an error, never a read
+        # wrapped round from the far side or a bare IndexError.
+        window = Rect(-3, 4, 5, 9)
+        ys = build_level0(toy1, "Y", 5, window)
+        xs = build_level0(toy1, "X", 5, window)
+        cells = np.array([(-3, 4), cell, (4, 8)])
+        with pytest.raises(PreconditionError, match="outside the level-0 window"):
+            ys.codes_at(cells)
+        with pytest.raises(PreconditionError, match="outside the level-0 window"):
+            xs.bits_at(cells)
+        assert ys.codes_at(cells[:0]).tolist() == xs.bits_at(cells[:0]).tolist() == []
+
+    def test_all_good_window_skips_the_labelling(self, toy1, monkeypatch):
+        # No bad cell: no component, and no closure or labelling is run.
+        def fail(mask):
+            raise AssertionError("labelled a window with no bad cell")
+
+        monkeypatch.setattr(hierarchy, "_close_boxes", fail)
+        grid = np.full((7, 5), GRID_GOOD, dtype=np.int8)
+        assert _level0_bad_components(grid, Rect(-2, 3, 3, 10), toy1) == []
+        grid[6, 0] = GRID_ONE
+        with pytest.raises(AssertionError, match="no bad cell"):
+            _level0_bad_components(grid, Rect(-2, 3, 3, 10), toy1)
+
     def test_bad_components_cover_all_bad_cells(self, toy1):
         s = build_level0(toy1, "Y", 5, Rect(0, 0, 30, 30))
         covered = set()
