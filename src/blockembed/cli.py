@@ -45,6 +45,12 @@ class _Group(click.Group):
         cfg_path = ctx.params.get("config")
         if cfg_path:
             values = _read_config(cfg_path)
+            # One file serves every subcommand: a key is known when some
+            # subcommand takes it.
+            known = {p.name for cmd in self.commands.values() for p in cmd.params}
+            unknown = sorted(values.keys() - known)
+            if unknown:
+                raise ConfigError(f"config key {unknown[0]!r} names no option")
             ctx.default_map = {name: values for name in self.commands}
         return super().invoke(ctx)
 
@@ -290,12 +296,12 @@ def oracle(x_file, y_file, bound, mode, limit, node_cap):
 @click.option("--alpha", type=float)
 @click.option("--beta", type=float)
 @click.option("--gamma", type=float)
-@click.option("--m", "m_", type=float)
+@click.option("--m", type=float)
 @click.option("--k0", type=int)
 @click.option("--v0", type=int)
-def audit_params(profile, alpha, beta, gamma, m_, k0, v0):
+def audit_params(profile, alpha, beta, gamma, m, k0, v0):
     """Audit a parameter set against the required inequalities."""
-    p = _params(profile, alpha=alpha, beta=beta, gamma=gamma, m=m_, k0=k0, v0=v0)
+    p = _params(profile, alpha=alpha, beta=beta, gamma=gamma, m=m, k0=k0, v0=v0)
     report = check_constraints(p)
     click.echo("constraint,lhs,rhs,satisfied,slack")
     for row in report:

@@ -1,18 +1,21 @@
-"""Cell correspondences, the rigid map and its repair, and site-level embeddings.
+"""Cell correspondences, the boundary repair, and site-level embeddings.
 
 A CellCorrespondence is the discrete stand-in for a shape-preserving map
 between two domains: a bijection on member cells that carries an integer
 displacement budget in place of continuum distortion constants.  At depth 1
 a source block has no bad subcomponent, so the paper's family of offset
-maps has one member, the rigid translation.  ``embeds_level`` searches that
-map and a boundary repair, deciding both on cell arrays and building a
-correspondence only for the witness it returns; it is a sound
-semi-decision, never a completeness claim.
+maps has one member, the rigid translation, and the target block is cut
+from the source block's own lattice block, so that translation is the
+identity.  ``embeds_level`` searches the boundary repair, whose zero-shift
+case is that identity; it decides on cell arrays, and a witness builds its
+correspondence only when read.  The search is a sound semi-decision,
+never a completeness claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -78,7 +81,10 @@ def translation_family(
     """The rigid map of a source domain onto its translate: least site onto
     least site, with displacement budget 0.  At depth 1 this map is the
     whole translation family: a source block has no bad subcomponent to
-    move.
+    move.  No program path calls it: the level-1 search's target is the
+    source domain or no translate of it, and the repair covers the first
+    case.  The benchmark's traced run still spans the name, until the
+    in-package trace of ROADMAP item 4.
 
     Raises PreconditionError when the target is not that translate, or when
     the target's designated bad sets ``T_prime`` hold more than v0 * k0
@@ -164,12 +170,31 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingWitness:
-    """The correspondence found by embeds_level, flattenable to sites."""
+    """A cell map found by embeds_level, flattenable to sites.
+
+    ``cells`` and ``images`` are aligned (n, 2) arrays, fixed cells first;
+    the correspondence is built from them on first read.  Two witnesses
+    are equal when their levels and correspondences are.
+    """
 
     level: int
-    correspondence: CellCorrespondence
+    source_cells: frozenset
+    cells: np.ndarray
+    images: np.ndarray
+    budget: int
+
+    @cached_property
+    def correspondence(self) -> CellCorrespondence:
+        mapping = dict(zip(map(tuple, self.cells.tolist()), map(tuple, self.images.tolist())))
+        return CellCorrespondence(self.level, self.source_cells,
+                                  frozenset(mapping.values()), mapping, self.budget)
+
+    def __eq__(self, other):
+        if not isinstance(other, EmbeddingWitness):
+            return NotImplemented
+        return (self.level, self.correspondence) == (other.level, other.correspondence)
 
     def flatten(self, x_field: BitField, y_field: BitField, params: ParameterSet) -> EmbeddingMap:
         """Site-level map: each source site to a value-matched target site.
@@ -214,9 +239,9 @@ def embeds_level(
     At level 1, x is a single-cell block of the source family, as every
     source block is at depth 1: the one target block over that cell is cut
     from the target-family window with curve randomness derived from the
-    window's seed, and the rigid map, then a boundary repair, is checked
-    cell by cell.  Sound but not complete: a None result means the
-    searched maps hold no witness.
+    window's seed, and the boundary repair is checked cell by cell.  Sound
+    but not complete: a None result means the searched maps hold no
+    witness.
     """
     if level not in (0, 1):
         raise ConfigError("embedding search supports levels 0 and 1")
@@ -247,12 +272,11 @@ def _embeds_level0(component, x_window, params, y_level0):
         raise PreconditionError("component cell outside the partner window")
     if not ACCEPTS[x_window.bits[iy, ix], y_level0.codes_at(xy)].all():
         return None
-    identity = CellCorrespondence(0, frozenset(cells), frozenset(cells), {c: c for c in cells}, 0)
-    return EmbeddingWitness(0, identity)
+    return EmbeddingWitness(0, frozenset(cells), xy, xy, 0)
 
 
 def _embeds_level1(block, y_window, params, x_structure):
-    """Cut the target block over the source cell, then decide the maps."""
+    """Cut the target block over the source cell, then decide the repair."""
     (x, y), = block.animal.sites
     # The target block is cut over the level-0 window of the cell's own
     # level-1 window, from y_window's sites when it covers that window and
@@ -264,30 +288,18 @@ def _embeds_level1(block, y_window, params, x_structure):
     # The cell's blow-up reaches past its own window, so the block is
     # censored: a missed curve leaves the straight placeholder.
     curve, _ = hier.block_curve(block.lattice_block, y_level0, y_window.seed, censored=True)
-    return _rigid_or_repair(block, curve.domain, y_level0, x_structure, params)
+    return _repair(block, curve.domain, y_level0, x_structure, params)
 
 
-def _rigid_or_repair(block, y_domain, y_level0, x_structure, params):
-    """The rigid map of the block's domain onto ``y_domain`` if every cell
-    embeds, else the boundary repair if every cell embeds, else None.  Both
-    are decided on the block's sorted cell array and a mask of the blow-up;
-    only the witness is built as a correspondence."""
+def _repair(block, y_domain, y_level0, x_structure, params):
+    """The boundary repair of the block's domain into ``y_domain`` if every
+    cell embeds, else None, decided on the block's sorted cell array and a
+    mask of the blow-up.  A matching target is the repair's zero-shift
+    case: every source cell stays in place, with budget 0."""
     src = block.domain_cells
     bits = x_structure.bits_at(src)
     # Straight curves of one frame share their domain object.
-    same = y_domain is block.domain
-    y_cells = src if same else cell_array(y_domain)
-    # The block checks its domain once for all the trials that search it;
-    # a domain that is not a lattice animal has no rigid map.
-    source = block.domain_animal
-    if source is not None and len(y_cells) == len(src):
-        dst = y_cells if same else y_cells[np.lexsort(y_cells.T[::-1])]
-        if np.array_equal(dst, src + (dst[0] - src[0])):
-            y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
-            if (sum(len(a) for a in y_bad) <= params.v0 * params.k0
-                    and ACCEPTS[bits, y_level0.codes_at(dst)].all()):
-                return EmbeddingWitness(1, translation_family(source, y_domain, y_bad, params))
-
+    y_cells = src if y_domain is block.domain else cell_array(y_domain)
     # Domains of the two blocks may have different curve perturbations:
     # absorb the boundary slivers with an in-place reassignment into the
     # free cells of the blow-up, those of good class or in y_domain.
@@ -319,9 +331,7 @@ def _rigid_or_repair(block, y_domain, y_level0, x_structure, params):
     if not ACCEPTS[bits, y_level0.codes_at(dst)].all():
         return None
     order = np.concatenate([np.flatnonzero(fixed), np.flatnonzero(~fixed)])
-    mapping = dict(zip(map(tuple, src[order].tolist()), map(tuple, dst[order].tolist())))
-    corr = CellCorrespondence(1, block.domain, frozenset(mapping.values()), mapping, budget)
-    return EmbeddingWitness(1, corr)
+    return EmbeddingWitness(1, block.domain, src[order], dst[order], budget)
 
 
 def _crop(field: BitField, window0: Rect, m0: int) -> Optional[BitField]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 GOOD_SINGLETON = "good-singleton"
-SEMI_BAD = "semi-bad"
 REALLY_BAD = "really-bad"
 
 # Attempt caps for randomized then deterministic curve selection.
@@ -130,15 +128,6 @@ class Block:
     @property
     def animal(self) -> LatticeAnimal:
         return self.lattice_block.animal
-
-    @cached_property
-    def domain_animal(self) -> Optional[LatticeAnimal]:
-        """The domain as a lattice animal, checked on first read; None when
-        it is not connected."""
-        try:
-            return LatticeAnimal(self.domain)
-        except ConfigError:
-            return None
 
     @cached_property
     def domain_cells(self) -> np.ndarray:
@@ -221,13 +210,6 @@ class Level0Structure:
         return grid.take(flat)
 
 
-def exact_level0_status(size: int, params: ParameterSet) -> str:
-    """Exact semi-bad status of a level-0 bad component of the target family."""
-    if size <= params.v0 and Fraction(1, 2**size) >= params.semibad_threshold(0):
-        return SEMI_BAD
-    return REALLY_BAD
-
-
 def build_level0(
     params: ParameterSet,
     family: str,
@@ -256,13 +238,12 @@ def build_level0(
         )
     grid = classify_grid(site_field, params)
     structure = Level0Structure(family, window, seed, params, grid, None, [])
-    structure.bad_components = _level0_bad_components(grid, window, params)
+    structure.bad_components = _level0_bad_components(grid, window)
     return structure
 
 
-def _level0_bad_components(
-    grid: np.ndarray, window: Rect, params: ParameterSet
-) -> list:
+def _level0_bad_components(grid: np.ndarray, window: Rect) -> list:
+    """The closed bad boxes of a class grid, each one really-bad."""
     bad = grid != fields_mod.GRID_GOOD
     if not bad.any():
         return []  # no labelling to do
@@ -274,11 +255,10 @@ def _level0_bad_components(
         animal = LatticeAnimal.filled(Rect(sx.start + window.x0, sy.start + window.y0,
                                            sx.stop + window.x0, sy.stop + window.y0))
         n_bad = int(np.count_nonzero(bad[sy, sx]))
-        status = exact_level0_status(len(animal), params)
         # A component on the window's edge may extend past it.
         censored = (sx.start == 0 or sy.start == 0
                     or sx.stop == width or sy.stop == height)
-        comps.append(Component(0, animal, (), status, (n_bad, n_bad), censored))
+        comps.append(Component(0, animal, (), REALLY_BAD, (n_bad, n_bad), censored))
     return comps
 
 
@@ -306,23 +286,18 @@ def _close_boxes(mask: np.ndarray) -> list:
 
 
 def is_conjoined(buffer: BufferZone, level_below) -> bool:
-    """Whether a shared buffer forces its two cells into one lattice block.
+    """Whether a shared buffer forces its two cells into one lattice block:
+    some bad component of the level below meets the buffer rectangle.
 
-    True when the bad components of the level below that meet the buffer
-    rectangle total more than k0 cells, or any of them is not semi-bad.
+    Every level-0 component is really-bad (see classify_good_block), so
+    the first one that meets the buffer decides; no k0 total is needed.
     """
     if buffer.rect is None:
         raise PreconditionError("buffer has no extent")
-    params = level_below.params
     if not level_below.window.contains_rect(buffer.rect):
         raise PreconditionError("structure not built over the buffer extent")
-    total = 0
-    for comp in level_below.bad_components:
-        if any(buffer.rect.contains_cell(c) for c in comp.animal.sites):
-            total += comp.size
-            if comp.status != SEMI_BAD:
-                return True
-    return total > params.k0
+    return any(buffer.rect.contains_cell(c)
+               for comp in level_below.bad_components for c in comp.animal.sites)
 
 
 def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
@@ -1020,32 +995,20 @@ def form_components(blocks: Sequence[Block]) -> list:
 # Good blocks
 
 
-def bad_subcomponents(domain: frozenset, level_below: Level0Structure) -> list:
-    """Bad components of the level below that meet a block's domain."""
-    return [comp for comp in level_below.bad_components if comp.animal.sites & domain]
+def classify_good_block(block: Block, level_below: Level0Structure) -> bool:
+    """Goodness test for a block: size 1, and no bad component of the level
+    below meets its domain.
 
-
-def classify_good_block(
-    block: Block,
-    level_below: Level0Structure,
-    params: ParameterSet,
-) -> bool:
-    """Goodness test for a block.
-
-    Good blocks have size 1 and carry at most k0 cells of bad
-    subcomponents, all of them semi-bad.  The construction also asks every
-    airport-sized square of member cells to host nearly every translate of
-    each semi-bad partner shape; at depth 1 that condition is vacuous, as
-    the partner library is empty: a level-0 component of V cells embeds
-    with probability 2**-V, below the semi-bad floor
-    1 - 1/(v0**5 * k0**4), as ParameterSet keeps v0**5 * k0**4 > 2.
+    The construction lets a good block carry up to k0 cells of semi-bad
+    subcomponents, and asks every airport-sized square of member cells to
+    host nearly every translate of each semi-bad partner shape.  At depth 1
+    neither applies: a level-0 component of V >= 1 cells embeds with
+    probability 2**-V <= 1/2, below the semi-bad floor
+    1 - 1/(v0**5 * k0**4) >= 15/16 that ParameterSet keeps, so every
+    level-0 component is really-bad.
     """
-    if block.size != 1:
-        return False
-    bad = bad_subcomponents(block.domain, level_below)
-    if sum(c.size for c in bad) > params.k0:
-        return False
-    return all(c.status == SEMI_BAD for c in bad)
+    return block.size == 1 and all(comp.animal.sites.isdisjoint(block.domain)
+                                   for comp in level_below.bad_components)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1133,7 @@ def build_level1(
         censored = not region.contains_rect(blowup)
         curve, placeholder = block_curve(lb, level0, seed, censored)
         block = form_block(curve.domain, lb, curve, j)
-        good = not placeholder and classify_good_block(block, level0, params)
+        good = not placeholder and classify_good_block(block, level0)
         blocks.append(replace(block, good=good, censored=censored))
 
     components = form_components(blocks)

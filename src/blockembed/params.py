@@ -80,8 +80,10 @@ class ParameterSet:
                 raise ConfigError(f"{label} must be a positive integer")
         if self.L0 < 2:
             raise ConfigError("L0 must be at least 2")
-        # Level-0 components then embed with probability 2**-V <= 1/2, below
-        # the semi-bad floor, which classify_good_block relies on.
+        # The semi-bad floor 1 - 1/(v0**5 * k0**4) is then at least 15/16,
+        # above the 2**-V <= 1/2 with which a level-0 component embeds: no
+        # level-0 component is semi-bad, and hierarchy marks every one
+        # really-bad without a test.
         if self.v0**5 * self.k0**4 <= 2:
             raise ConfigError("v0**5 * k0**4 must exceed 2")
 
@@ -145,11 +147,6 @@ class ParameterSet:
                 f"< buffer, got {margins}"
             )
         return margins
-
-    @_per_level
-    def semibad_threshold(self, j: int) -> Fraction:
-        """Embedding-probability floor for a semi-bad level-j component."""
-        return 1 - Fraction(1, self.v0**5 * self.k0**4 * 100**j)
 
     def straight_curve_mass(self, j: int) -> float:
         """Minimum probability of keeping a valid straight boundary index."""

@@ -277,3 +277,19 @@ class TestConfigFile:
         cfg.write_text("what even is this\n")
         code, _, _ = run(capsys, "--config", str(cfg), "components")
         assert code == EXIT_CONFIG
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # A misspelt key is refused by name, not ignored; a key that only
+        # another subcommand takes, or a long flag name, stays accepted.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("windw = 0 0 3 3\n")
+        code, out, err = run(capsys, "--config", str(cfg), "components", "--family", "X")
+        assert code == EXIT_CONFIG and out == ""
+        assert "config error:" in err and "'windw'" in err
+        cfg.write_text("window = 0 0 1 1\nout-dir = unused\nm = 3\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "components", "--family", "X")
+        assert code == EXIT_OK and out.startswith("level,status")
+        code, via_config, _ = run(capsys, "--config", str(cfg), "audit-params")
+        assert code == EXIT_OK
+        assert via_config == run(capsys, "audit-params", "--m", "3")[1]
+        assert via_config != run(capsys, "audit-params")[1]

@@ -14,7 +14,6 @@ from blockembed import embed, hierarchy as hier
 from blockembed.embed import (
     CellCorrespondence,
     EmbeddingMap,
-    EmbeddingWitness,
     InvalidOffset,
     embeds_level,
     translation_family,
@@ -27,6 +26,7 @@ from blockembed.fields import (
     GRID_ZERO,
     BitField,
     classify_y0_block,
+    derive_seed,
     level0_embeds,
     sample_field,
 )
@@ -266,13 +266,6 @@ class TestTranslationFamily:
             want = PreconditionError
         assert got == want
 
-    def test_block_checks_its_domain_once(self):
-        lb = hier.LatticeBlock(0, LatticeAnimal(frozenset([(0, 0)])))
-        connected = hier.Block(1, lb, _square(4))
-        assert connected.domain_animal is connected.domain_animal
-        assert connected.domain_animal.sites == _square(4)
-        assert hier.Block(1, lb, frozenset([(0, 0), (2, 0)])).domain_animal is None
-
     def test_disconnected_source_rejected(self, toy1, monkeypatch):
         # A source domain that is not a lattice animal has no rigid map: the
         # level-1 search never builds one for it, and its witness is a
@@ -282,7 +275,8 @@ class TestTranslationFamily:
         cut = min(x for x, _ in xb.domain) + 4
         split = hier.Block(1, xb.lattice_block,
                            frozenset(c for c in xb.domain if c[0] != cut))
-        assert split.domain_animal is None
+        with pytest.raises(ConfigError):
+            LatticeAnimal(split.domain)
         sources = []
         family = embed.translation_family
         monkeypatch.setattr(embed, "translation_family",
@@ -505,24 +499,43 @@ def _repair_correspondence_ref(src_cells, free_pool, level, cap):
     return CellCorrespondence(level, frozenset(src_cells), target, mapping, budget)
 
 
-def _rigid_or_repair_ref(block, y_domain, y_level0, x_structure, params):
-    """Reference: the former level-1 decision, on sets and dicts."""
-    source = block.domain_animal
-    if source is not None:
-        y_bad = [c.animal for c in hier.bad_subcomponents(y_domain, y_level0)]
-        try:
-            corr = translation_family(source, y_domain, y_bad, params)
-        except PreconditionError:
-            corr = None
-        if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
-            return EmbeddingWitness(1, corr)
+def _repair_ref(block, y_domain, y_level0, x_structure, params):
+    """Reference: the former boundary repair, on sets and dicts, as a
+    correspondence or None."""
     cell, = block.animal.sites
     geometry = cell_geometry(1, cell, params)
     pool = _good_or_in_ref(y_level0, geometry.blowup, y_domain)
     corr = _repair_correspondence_ref(block.domain, pool, 1, cap=3 * geometry.margin)
     if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
-        return EmbeddingWitness(1, corr)
+        return corr
     return None
+
+
+def _rigid_or_repair_ref(block, y_domain, y_level0, x_structure, params):
+    """Reference: the former level-1 decision, the rigid map of a domain
+    that is a lattice animal, within the v0 * k0 budget of the target's bad
+    subcomponents, then the repair."""
+    try:
+        source = LatticeAnimal(block.domain)
+    except ConfigError:
+        source = None
+    if source is not None:
+        y_bad = [c.animal for c in y_level0.bad_components if c.animal.sites & y_domain]
+        try:
+            corr = translation_family(source, y_domain, y_bad, params)
+        except PreconditionError:
+            corr = None
+        if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
+            return corr
+    return _repair_ref(block, y_domain, y_level0, x_structure, params)
+
+
+def _sorted_record(corr):
+    """A correspondence as its fields, the mapping sorted."""
+    if corr is None:
+        return None
+    return (corr.level, corr.source_cells, corr.target_cells, sorted(corr.mapping.items()),
+            corr.displacement_budget)
 
 
 class TestGatheredContent:
@@ -555,7 +568,7 @@ class TestGatheredContent:
         lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
         block = hier.Block(1, lb, _square(16))
         with pytest.raises(ConfigError, match="not single bits"):
-            embed._rigid_or_repair(block, block.domain, ys, ys, toy1)
+            embed._repair(block, block.domain, ys, ys, toy1)
 
     @given(st.integers(0, 2**32),
            st.frozensets(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1))
@@ -590,7 +603,8 @@ def _level1_domains(draw):
 
 
 class TestRigidOrRepair:
-    """The array-native level-1 decision against the former set-based one."""
+    """The array-native level-1 decision, the boundary repair, against the
+    former set-based decisions."""
 
     WINDOW0 = Rect(-6, -6, 22, 22)
 
@@ -608,13 +622,15 @@ class TestRigidOrRepair:
         # With ``agree`` every bad block is of class Zero and every source
         # bit 0, so every map embeds and the repair's own choices, not the
         # acceptance, decide the witness.  The target is the source's own
-        # set, a copy, another domain, or a translate of the source.
+        # set, a copy, another domain, or a translate of the source; the
+        # program passes neither translates nor cells past the blow-up,
+        # so the reference here is the repair alone.
         p = named_profile(profile)
         rng = np.random.default_rng(yseed)
         bad_codes = GRID_ZERO if agree else rng.integers(1, 3, (28, 28))
         grid = np.where(rng.random((28, 28)) < bad_frac, bad_codes, GRID_GOOD).astype(np.int8)
         ys = hier.Level0Structure("Y", self.WINDOW0, yseed, p, grid, None,
-                                  hier._level0_bad_components(grid, self.WINDOW0, p))
+                                  hier._level0_bad_components(grid, self.WINDOW0))
         xs = build_level0(p, "X", xseed, self.WINDOW0)
         if agree:
             xs = replace(xs, bits=np.zeros_like(xs.bits))
@@ -624,14 +640,48 @@ class TestRigidOrRepair:
             y_domain = frozenset((x + other[0], y + other[1]) for x, y in domain)
         else:
             y_domain = {"same": domain, "copy": frozenset(list(domain))}.get(other, other)
-        got = embed._rigid_or_repair(block, y_domain, ys, xs, p)
-        want = _rigid_or_repair_ref(block, y_domain, ys, xs, p)
+        got = embed._repair(block, y_domain, ys, xs, p)
+        want = _repair_ref(block, y_domain, ys, xs, p)
         if want is None:
             assert got is None
         else:
-            assert _record(got.correspondence) == _record(want.correspondence)
-            assert got.level == want.level == 1
+            assert _record(got.correspondence) == _record(want)
+            assert got.level == 1
             assert type(got.correspondence.displacement_budget) is int
+
+    @pytest.mark.parametrize("profile", ["toy1", "toy-m0-3", "toy-m0-6"])
+    def test_program_traffic_matches_the_rigid_decision(self, profile):
+        # Each uncensored source block of the X 3x3 window against 25
+        # target fields, seeded as estimate-s seeds them: the repair gives
+        # the witness the former rigid-then-repair decision gave, and a
+        # witness builds no correspondence until it is read.  toy-m0-3
+        # leaves about one target block in ten bad, so no 256-cell block
+        # embeds there and both decisions must say None.
+        p = named_profile(profile)
+        m0 = p.M0
+        witnesses = 0
+        for seed in range(3 if profile == "toy-m0-3" else 6):
+            hx = hier.build_hierarchy(p, "X", seed, Rect(0, 0, 3, 3))
+            for i, block in enumerate(hx.levels[1].blocks):
+                if block.censored:
+                    continue
+                (x, y), = block.animal.sites
+                w0 = level0_window_for(Rect(x, y, x + 1, y + 1), p)
+                for t in range(25):
+                    yseed = derive_seed(derive_seed(seed, i), 0x51, t)
+                    yf = sample_field(yseed, "Y", (w0.x0 * m0, w0.y0 * m0),
+                                      (w0.x1 - w0.x0) * m0, (w0.y1 - w0.y0) * m0)
+                    wit = embeds_level(block, yf, 1, p, x_structure=hx.level0)
+                    ys = build_level0(p, "Y", yseed, w0, site_field=yf)
+                    curve, _ = hier.block_curve(block.lattice_block, ys, yseed, censored=True)
+                    want = _rigid_or_repair_ref(block, curve.domain, ys, hx.level0, p)
+                    if wit is None:
+                        assert want is None
+                        continue
+                    assert "correspondence" not in wit.__dict__
+                    assert _sorted_record(wit.correspondence) == _sorted_record(want)
+                    witnesses += 1
+        assert witnesses or profile == "toy-m0-3"
 
 
 class TestEmbedsLevel:

@@ -16,7 +16,6 @@ from blockembed.fields import GRID_GOOD, GRID_ONE, GRID_ZERO, derive_seed
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
     REALLY_BAD,
-    SEMI_BAD,
     Block,
     BoundaryCurve,
     Component,
@@ -42,7 +41,6 @@ from blockembed.hierarchy import (
     curve_frame,
     domain_boundary_cells,
     dump_hierarchy,
-    exact_level0_status,
     form_block,
     form_components,
     form_lattice_blocks,
@@ -601,8 +599,8 @@ def _full_tilings(draw):
     return draw(st.permutations(blocks))
 
 
-def _singleton_bad_component(cells, status=REALLY_BAD):
-    return Component(0, LatticeAnimal(frozenset(cells)), (), status,
+def _singleton_bad_component(cells):
+    return Component(0, LatticeAnimal(frozenset(cells)), (), REALLY_BAD,
                      (len(cells), len(cells)))
 
 
@@ -670,10 +668,10 @@ class TestLevel0:
 
         monkeypatch.setattr(hierarchy, "_close_boxes", fail)
         grid = np.full((7, 5), GRID_GOOD, dtype=np.int8)
-        assert _level0_bad_components(grid, Rect(-2, 3, 3, 10), toy1) == []
+        assert _level0_bad_components(grid, Rect(-2, 3, 3, 10)) == []
         grid[6, 0] = GRID_ONE
         with pytest.raises(AssertionError, match="no bad cell"):
-            _level0_bad_components(grid, Rect(-2, 3, 3, 10), toy1)
+            _level0_bad_components(grid, Rect(-2, 3, 3, 10))
 
     def test_bad_components_cover_all_bad_cells(self, toy1):
         s = build_level0(toy1, "Y", 5, Rect(0, 0, 30, 30))
@@ -752,7 +750,7 @@ class TestLevel0:
         grid = np.array(codes, dtype=np.int8).reshape(h, w)
         window = Rect(x0, y0, x0 + w, y0 + h)
         bad = {(x0 + x, y0 + y) for y in range(h) for x in range(w) if grid[y, x]}
-        comps = _level0_bad_components(grid, window, toy1)
+        comps = _level0_bad_components(grid, window)
         expected = _component_closure(bad, window.contains_cell)
         assert [set(c.animal.sites) for c in comps] == expected
         for comp, cells in zip(comps, expected):
@@ -760,16 +758,11 @@ class TestLevel0:
             assert set(comp.animal.box.cells()) == cells
             n_bad = len(cells & bad)
             assert comp.bad_summary == (n_bad, n_bad)
-            assert comp.status == exact_level0_status(len(cells), toy1)
+            assert comp.status == REALLY_BAD
             assert comp.censored == any(
                 not window.contains_cell(n)
                 for c in cells for n in neighbors(c, "close_packed"))
             assert comp.blocks == ()
-
-    def test_exact_level0_status_toy_never_semibad(self, toy1):
-        # 2^-V is always far below the toy semi-bad threshold.
-        for v in range(1, 5):
-            assert exact_level0_status(v, toy1) == REALLY_BAD
 
 
 class TestConjoined:
@@ -784,24 +777,35 @@ class TestConjoined:
         s.bad_components = [_singleton_bad_component([(z.rect.x0, z.rect.y0)])]
         assert is_conjoined(z, s)
 
-    def test_semibad_small_total_does_not_conjoin(self, toy1):
+    def test_any_meeting_component_conjoins(self, toy1):
+        # Every level-0 component is really-bad, so one that meets the
+        # buffer conjoins, with one cell or with one cell of two straddling
+        # its edge, however small its total; one beside the buffer does not.
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
-        s.bad_components = [
-            _singleton_bad_component([(z.rect.x0, z.rect.y0)], status=SEMI_BAD)
-        ]
+        r = z.rect
+        beside = _singleton_bad_component([(r.x1, r.y0)])
+        s.bad_components = [beside]
         assert not is_conjoined(z, s)
+        for cells in ([(r.x0, r.y0)], [(r.x1 - 1, r.y1 - 1), (r.x1, r.y1 - 1)]):
+            s.bad_components = [beside, _singleton_bad_component(cells)]
+            assert is_conjoined(z, s)
 
     def test_total_above_k0_conjoins(self, toy1):
+        # Components meeting the buffer with k0 + 1 cells in all conjoin,
+        # split over two components or in one.
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
         cells1 = [(z.rect.x0, z.rect.y0), (z.rect.x0 + 1, z.rect.y0)]
         cells2 = [(z.rect.x0, z.rect.y0 + 4)]
         s.bad_components = [
-            _singleton_bad_component(cells1, status=SEMI_BAD),
-            _singleton_bad_component(cells2, status=SEMI_BAD),
+            _singleton_bad_component(cells1),
+            _singleton_bad_component(cells2),
         ]
         assert toy1.k0 == 2 and is_conjoined(z, s)
+        s.bad_components = [_singleton_bad_component(
+            [(z.rect.x0 + 1, z.rect.y0 + k) for k in range(toy1.k0 + 1)])]
+        assert is_conjoined(z, s)
 
     def test_requires_structure_coverage(self, toy1):
         s = build_level0(toy1, "X", 5, Rect(0, 0, 4, 4))
@@ -1564,4 +1568,4 @@ class TestDriver:
         else:
             assert curve == select_boundary_curve(block.lattice_block,
                                                   h.level0.bad_components, TOY1, rng, 1)
-            assert block.good == classify_good_block(block, h.level0, TOY1)
+            assert block.good == classify_good_block(block, h.level0)

@@ -5,8 +5,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockembed.errors import CapExceeded, ConfigError
+from blockembed.hierarchy import REALLY_BAD, build_level0
+from blockembed.lattice import Rect
 from blockembed.params import (
     ParameterSet,
     check_constraints,
@@ -51,21 +55,30 @@ class TestScales:
         with pytest.raises(ConfigError):
             named_profile("nope")
 
-    def test_semibad_threshold(self, toy1):
-        assert toy1.semibad_threshold(0) == 1 - Fraction(1, 3**5 * 2**4)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ParameterSet(alpha=0, beta=1, gamma=1, m=1, k0=1, v0=1, L0=2, M0=2, M=1)
 
-    def test_semibad_floor_must_exceed_level0_probability(self):
-        # With v0 = k0 = 1 the semi-bad floor is 0, so every small level-0
-        # component would be semi-bad and the airport condition not vacuous.
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_semibad_floor_must_exceed_level0_probability(self, v0, k0, seed):
+        # A level-0 component of V >= 1 cells embeds with probability
+        # 2**-V <= 1/2.  Every parameter set that builds puts the semi-bad
+        # floor 1 - 1/(v0**5 * k0**4) above that, so level 0 marks every
+        # component really-bad; v0 = k0 = 1 would put the floor at 0, and
+        # is refused.
         base = dict(alpha=2, beta=1, gamma=1, m=1, L0=2, M0=2, M=1)
         with pytest.raises(ConfigError):
             ParameterSet(k0=1, v0=1, **base)
-        assert ParameterSet(k0=1, v0=2, **base).semibad_threshold(0) == Fraction(31, 32)
-        assert ParameterSet(k0=2, v0=1, **base).semibad_threshold(0) == Fraction(15, 16)
+        if v0 == k0 == 1:
+            return
+        ParameterSet(k0=k0, v0=v0, **base)
+        assert 1 - Fraction(1, v0**5 * k0**4) >= Fraction(15, 16) > Fraction(1, 2)
+        # toy-m0-3 leaves about one target block in ten bad.
+        ys = build_level0(named_profile("toy-m0-3", v0=v0, k0=k0), "Y", seed,
+                          Rect(0, 0, 12, 12))
+        assert ys.bad_components
+        assert all(c.status == REALLY_BAD for c in ys.bad_components)
 
 
 class TestPerLevelMemo:
@@ -100,7 +113,7 @@ class TestPerLevelMemo:
 
     def test_equality_and_repr_unchanged(self):
         used, fresh = named_profile("toy1"), named_profile("toy1")
-        used.margins(1), used.semibad_threshold(1), used.cells_per_side(1)
+        used.margins(1), used.scale(1), used.cells_per_side(1)
         assert used == fresh and fresh == used
         assert repr(used) == repr(fresh) == (
             "ParameterSet(alpha=2, beta=1.0, gamma=2.0, m=2.0, k0=2, v0=3, L0=16, M0=9, "
