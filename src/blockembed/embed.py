@@ -1,15 +1,17 @@
-"""Cell correspondences, the boundary repair, and site-level embeddings.
+"""Cell correspondences, the level-1 embedding search, and site-level embeddings.
 
 A CellCorrespondence is the discrete stand-in for a shape-preserving map
 between two domains: a bijection on member cells that carries an integer
 displacement budget in place of continuum distortion constants.  At depth 1
-a source block has no bad subcomponent, so the paper's family of offset
-maps has one member, the rigid translation, and the target block is cut
-from the source block's own lattice block, so that translation is the
-identity.  ``embeds_level`` searches the boundary repair, whose zero-shift
-case is that identity; it decides on cell arrays, and a witness builds its
-correspondence only when read.  The search is a sound semi-decision,
-never a completeness claim.
+a source block is one cell with no bad subcomponent, so the paper's family
+of offset maps has one member, the rigid translation.  The target block is
+cut from the source cell's own lattice block, so that translation is the
+identity, and its curve keeps every bad target cell of the cell inside the
+block, so no cell needs a repair.  ``embeds_level`` is therefore the
+level-0 rule at both levels: every source bit against the class of the
+target block under its own cell.  A witness builds its correspondence only
+when read.  The search is a sound semi-decision, never a completeness
+claim.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
-from .fields import ACCEPTS, GRID_GOOD, BitField
+from .fields import ACCEPTS, BitField, classify_grid, sample_field
 from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry
 from .params import ParameterSet
 
@@ -82,9 +83,9 @@ def translation_family(
     least site, with displacement budget 0.  At depth 1 this map is the
     whole translation family: a source block has no bad subcomponent to
     move.  No program path calls it: the level-1 search's target is the
-    source domain or no translate of it, and the repair covers the first
-    case.  The benchmark's traced run still spans the name, until the
-    in-package trace of ROADMAP item 4.
+    source cell's own region, so the map is the identity, which that
+    search decides without building it.  The benchmark's traced run still
+    spans the name, until the in-package trace of ROADMAP item 4.
 
     Raises PreconditionError when the target is not that translate, or when
     the target's designated bad sets ``T_prime`` hold more than v0 * k0
@@ -170,31 +171,22 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EmbeddingWitness:
     """A cell map found by embeds_level, flattenable to sites.
 
-    ``cells`` and ``images`` are aligned (n, 2) arrays, fixed cells first;
-    the correspondence is built from them on first read.  Two witnesses
-    are equal when their levels and correspondences are.
+    Both levels map every source cell onto the target block of its own
+    cell, so the correspondence is the identity on ``source_cells``, with
+    displacement budget 0, built on first read.
     """
 
     level: int
     source_cells: frozenset
-    cells: np.ndarray
-    images: np.ndarray
-    budget: int
 
     @cached_property
     def correspondence(self) -> CellCorrespondence:
-        mapping = dict(zip(map(tuple, self.cells.tolist()), map(tuple, self.images.tolist())))
-        return CellCorrespondence(self.level, self.source_cells,
-                                  frozenset(mapping.values()), mapping, self.budget)
-
-    def __eq__(self, other):
-        if not isinstance(other, EmbeddingWitness):
-            return NotImplemented
-        return (self.level, self.correspondence) == (other.level, other.correspondence)
+        cells = self.source_cells
+        return CellCorrespondence(self.level, cells, cells, dict(zip(cells, cells)), 0)
 
     def flatten(self, x_field: BitField, y_field: BitField, params: ParameterSet) -> EmbeddingMap:
         """Site-level map: each source site to a value-matched target site.
@@ -237,11 +229,11 @@ def embeds_level(
     y_window is a source-family partner covering it, whose bits are checked
     cellwise under the identity map.
     At level 1, x is a single-cell block of the source family, as every
-    source block is at depth 1: the one target block over that cell is cut
-    from the target-family window with curve randomness derived from the
-    window's seed, and the boundary repair is checked cell by cell.  Sound
-    but not complete: a None result means the searched maps hold no
-    witness.
+    source block is at depth 1, and y_window a target-family window whose
+    sites, or those of a fresh sample of its seed, are classified under
+    the cell; the same rule decides each source cell of the block's domain
+    against the class under it.  Sound but not complete: a None result
+    means the searched maps hold no witness.
     """
     if level not in (0, 1):
         raise ConfigError("embedding search supports levels 0 and 1")
@@ -272,74 +264,48 @@ def _embeds_level0(component, x_window, params, y_level0):
         raise PreconditionError("component cell outside the partner window")
     if not ACCEPTS[x_window.bits[iy, ix], y_level0.codes_at(xy)].all():
         return None
-    return EmbeddingWitness(0, frozenset(cells), xy, xy, 0)
+    return EmbeddingWitness(0, component.animal.sites)
 
 
 def _embeds_level1(block, y_window, params, x_structure):
-    """Cut the target block over the source cell, then decide the repair."""
-    (x, y), = block.animal.sites
-    # The target block is cut over the level-0 window of the cell's own
-    # level-1 window, from y_window's sites when it covers that window and
-    # resampled from its seed otherwise: windows of one seed agree site for
-    # site, so y_window only needs to cover the images.
-    window0 = hier.level0_window_for(Rect(x, y, x + 1, y + 1), params)
-    y_level0 = hier.build_level0(params, "Y", y_window.seed, window0,
-                                 site_field=_crop(y_window, window0, params.M0))
-    # The cell's blow-up reaches past its own window, so the block is
-    # censored: a missed curve leaves the straight placeholder.
-    curve, _ = hier.block_curve(block.lattice_block, y_level0, y_window.seed, censored=True)
-    return _repair(block, curve.domain, y_level0, x_structure, params)
+    """The identity witness when every cell of the block's domain embeds
+    into the target block of its own cell, else None.
 
-
-def _repair(block, y_domain, y_level0, x_structure, params):
-    """The boundary repair of the block's domain into ``y_domain`` if every
-    cell embeds, else None, decided on the block's sorted cell array and a
-    mask of the blow-up.  A matching target is the repair's zero-shift
-    case: every source cell stays in place, with budget 0."""
-    src = block.domain_cells
-    bits = x_structure.bits_at(src)
-    # Straight curves of one frame share their domain object.
-    y_cells = src if y_domain is block.domain else cell_array(y_domain)
-    # Domains of the two blocks may have different curve perturbations:
-    # absorb the boundary slivers with an in-place reassignment into the
-    # free cells of the blow-up, those of good class or in y_domain.
-    # Source cells that are free map to themselves; each other one, in
-    # sorted order, takes the nearest unused free cell within the cap
-    # (Chebyshev, least (x, y) on a tie).
-    geometry = cell_geometry(1, min(block.animal.sites), params)
-    rect, cap, w = geometry.blowup, 3 * geometry.margin, y_level0.window
-    free = y_level0.class_grid[rect.y0 - w.y0:rect.y1 - w.y0,
-                               rect.x0 - w.x0:rect.x1 - w.x0] == GRID_GOOD
-    corner, size = (rect.x0, rect.y0), (rect.x1 - rect.x0, rect.y1 - rect.y0)
-    y_rel, rel = y_cells - corner, src - corner
-    y_rel = y_rel[((y_rel >= 0) & (y_rel < size)).all(axis=1)]
-    free[y_rel[:, 1], y_rel[:, 0]] = True
-    fixed = ((rel >= 0) & (rel < size)).all(axis=1)
-    fixed[fixed] = free[rel[fixed, 1], rel[fixed, 0]]
-    free[rel[fixed, 1], rel[fixed, 0]] = False
-    budget = 0
-    for i in np.flatnonzero(~fixed):
-        qx, qy = np.nonzero(free.T)  # x-major: argmin breaks ties on least (x, y)
-        d = np.maximum(np.abs(qx - rel[i, 0]), np.abs(qy - rel[i, 1]))
-        if not len(d) or d.min() > cap:
-            return None
-        k = int(np.argmin(d))
-        free[qy[k], qx[k]] = False
-        rel[i] = qx[k], qy[k]
-        budget = max(budget, int(d[k]))
-    dst = rel + corner
-    if not ACCEPTS[bits, y_level0.codes_at(dst)].all():
+    The construction cuts the target block over the cell by a boundary
+    curve that moves at most k0 - 1 cells inside the cell's region and
+    keeps ``clearance`` from every bad target cell, or by the straight
+    placeholder.  With k0 <= clearance the block therefore holds every bad
+    cell of the region, so each source cell there lies in the target block
+    or over a good cell, and no cell needs moving: no target curve need be
+    drawn.  A larger k0 lets a curve leave a bad cell
+    outside (toy1 at k0 = 3 does), so it is refused.  A source curve is
+    straight with probability 1 - 10**-11, and its domain is the region;
+    one that leaves the region is refused rather than repaired.
+    """
+    if params.k0 > params.margins(1).clearance:
+        raise ConfigError("the level-1 search needs k0 <= the level-1 clearance")
+    region, m0 = cell_geometry(1, min(block.animal.sites), params).region, params.M0
+    rel = block.domain_cells - (region.x0, region.y0)
+    if not ((rel >= 0) & (rel < region.x1 - region.x0)).all():
+        raise PreconditionError("source domain leaves its cell's region")
+    # Windows of one seed agree site for site, so a window that misses the
+    # cell is resampled from its seed.
+    sites = _crop(y_window, region, m0)
+    if sites is None:
+        sites = sample_field(y_window.seed, "Y", (region.x0 * m0, region.y0 * m0),
+                             (region.x1 - region.x0) * m0, (region.y1 - region.y0) * m0)
+    codes = classify_grid(sites, params)[rel[:, 1], rel[:, 0]]
+    if not ACCEPTS[x_structure.bits_at(block.domain_cells), codes].all():
         return None
-    order = np.concatenate([np.flatnonzero(fixed), np.flatnonzero(~fixed)])
-    return EmbeddingWitness(1, block.domain, src[order], dst[order], budget)
+    return EmbeddingWitness(1, block.domain)
 
 
-def _crop(field: BitField, window0: Rect, m0: int) -> Optional[BitField]:
-    """The target-family sites of a level-0 cell window, cut from ``field``,
-    or None when the field does not cover them."""
-    x0, y0 = window0.x0 * m0 - field.origin[0], window0.y0 * m0 - field.origin[1]
-    width, height = (window0.x1 - window0.x0) * m0, (window0.y1 - window0.y0) * m0
+def _crop(field: BitField, rect: Rect, m0: int) -> Optional[BitField]:
+    """The target-family sites of a rectangle of level-0 cells, cut from
+    ``field``, or None when the field does not cover them."""
+    x0, y0 = rect.x0 * m0 - field.origin[0], rect.y0 * m0 - field.origin[1]
+    width, height = (rect.x1 - rect.x0) * m0, (rect.y1 - rect.y0) * m0
     if x0 < 0 or y0 < 0 or x0 + width > field.width or y0 + height > field.height:
         return None
-    return BitField("Y", (window0.x0 * m0, window0.y0 * m0), width, height, field.seed,
+    return BitField("Y", (rect.x0 * m0, rect.y0 * m0), width, height, field.seed,
                     field.bits[y0:y0 + height, x0:x0 + width])

@@ -17,10 +17,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.stats import beta as _beta
 
-from . import hierarchy as hier
 from .errors import ConfigError, PreconditionError
 from .fields import GRID_GOOD, GRID_ONE, derive_seed, sample_field, site_bits
-from .lattice import Rect, cell_array
+from .lattice import cell_array, cell_geometry
 from .params import ParameterSet
 
 __all__ = [
@@ -112,16 +111,14 @@ def _estimate_level0_y(component, structure, trials, seed, params):
 def _estimate_level1_x(block, structure, trials, seed, params, workers):
     from . import embed as embed_mod
 
-    x0, y0, x1, y1 = block.animal.bounding_box()
-    window1 = Rect(x0, y0, x1 + 1, y1 + 1)
-    window0 = hier.level0_window_for(window1, params)
-    m0 = params.M0
+    # A trial reads the target sites under the block's own cell only.
+    region, m0 = cell_geometry(1, min(block.animal.sites), params).region, params.M0
 
     def one(t: int) -> bool:
         s = derive_seed(seed, 0x51, t)
         y_field = sample_field(
-            s, "Y", (window0.x0 * m0, window0.y0 * m0),
-            (window0.x1 - window0.x0) * m0, (window0.y1 - window0.y0) * m0,
+            s, "Y", (region.x0 * m0, region.y0 * m0),
+            (region.x1 - region.x0) * m0, (region.y1 - region.y0) * m0,
         )
         return embed_mod.embeds_level(block, y_field, 1, params, structure) is not None
 
@@ -151,6 +148,8 @@ def estimate_S(
     """
     if trials < 1:
         raise PreconditionError("at least one trial required")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if level == 0:
         if family != "Y":
             raise ConfigError(f"level-0 components are target-family, not {family!r}")

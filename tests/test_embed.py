@@ -23,7 +23,7 @@ from blockembed.errors import ConfigError, PreconditionError
 from blockembed.fields import (
     ACCEPTS,
     GRID_GOOD,
-    GRID_ZERO,
+    GRID_ONE,
     BitField,
     classify_y0_block,
     derive_seed,
@@ -567,8 +567,9 @@ class TestGatheredContent:
         ys = build_level0(toy1, "Y", 1, level0_window_for(Rect(0, 0, 1, 1), toy1))
         lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
         block = hier.Block(1, lb, _square(16))
+        yf = sample_field(1, "Y", (0, 0), 16 * toy1.M0, 16 * toy1.M0)
         with pytest.raises(ConfigError, match="not single bits"):
-            embed._repair(block, block.domain, ys, ys, toy1)
+            embed._embeds_level1(block, yf, toy1, ys)
 
     @given(st.integers(0, 2**32),
            st.frozensets(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1))
@@ -583,71 +584,58 @@ class TestGatheredContent:
         assert _good_or_in_ref(ys, rect, domain) == expect
 
 
-_CELL = Rect(0, 0, 16, 16)  # the region of level-1 cell (0, 0) at side 16
-# Cells one step either side of its outline, and cells from 3 inside it to
-# its level-0 window, 6 outside (the blow-up ends 3 outside).
-_RING = sorted(set(Rect(-1, -1, 17, 17).cells()) - set(Rect(1, 1, 15, 15).cells()))
-_EDGE_CELLS = sorted(set(Rect(-6, -6, 22, 22).cells()) - set(Rect(3, 3, 13, 13).cells()))
-
-
-@st.composite
-def _level1_domains(draw):
-    """The region of level-1 cell (0, 0) with cells toggled near its
-    outline, or farther out, past the blow-up, possibly shifted: straight,
-    perturbed, translated or cut apart."""
-    near = draw(st.sampled_from([_RING, _EDGE_CELLS]))
-    cells = set(_CELL.cells()) ^ draw(st.sets(st.sampled_from(near), max_size=12))
-    dx, dy = draw(st.sampled_from([(0, 0)] * 3 + [(1, 0), (0, -2), (2, 1)]))
-    cells = {(x + dx, y + dy) for x, y in cells}
-    return frozenset(c for c in cells if -6 <= min(c) and max(c) < 22)
-
-
 class TestRigidOrRepair:
-    """The array-native level-1 decision, the boundary repair, against the
-    former set-based decisions."""
+    """The level-1 decision against the former rigid map and boundary
+    repair, and the lemma that leaves the repair nothing to move."""
 
-    WINDOW0 = Rect(-6, -6, 22, 22)
-
-    @given(st.sampled_from(["toy1", "toy-m0-3"]), st.integers(0, 2**32),
-           st.integers(0, 2**32), st.sampled_from([0.0, 0.02, 0.2, 0.6, 0.95]), st.booleans(),
-           _level1_domains(),
-           st.one_of(st.sampled_from(["same", "copy"]), _level1_domains(),
-                     st.sampled_from([(1, 0), (-2, 1), (0, 3)])))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_the_references(self, profile, xseed, yseed, bad_frac, agree, domain,
-                                    other):
-        # Random class grids, from all good (every rigid map of matching
-        # shape embeds) to nearly all bad (missing cells find no free cell
-        # within the cap); sparse free cells give equal-distance ties.
-        # With ``agree`` every bad block is of class Zero and every source
-        # bit 0, so every map embeds and the repair's own choices, not the
-        # acceptance, decide the witness.  The target is the source's own
-        # set, a copy, another domain, or a translate of the source; the
-        # program passes neither translates nor cells past the blow-up,
-        # so the reference here is the repair alone.
-        p = named_profile(profile)
-        rng = np.random.default_rng(yseed)
-        bad_codes = GRID_ZERO if agree else rng.integers(1, 3, (28, 28))
-        grid = np.where(rng.random((28, 28)) < bad_frac, bad_codes, GRID_GOOD).astype(np.int8)
-        ys = hier.Level0Structure("Y", self.WINDOW0, yseed, p, grid, None,
-                                  hier._level0_bad_components(grid, self.WINDOW0))
-        xs = build_level0(p, "X", xseed, self.WINDOW0)
-        if agree:
-            xs = replace(xs, bits=np.zeros_like(xs.bits))
+    @staticmethod
+    def _target_block(params, grid, seed):
+        """The censored target block over level-1 cell (0, 0), cut from a
+        class grid over the cell's level-0 window, and the region's cells
+        that are not good."""
+        w0 = level0_window_for(Rect(0, 0, 1, 1), params)
+        ys = hier.Level0Structure("Y", w0, seed, params, grid, None,
+                                  hier._level0_bad_components(grid, w0))
         lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        block = hier.Block(1, lb, domain)
-        if isinstance(other, tuple):
-            y_domain = frozenset((x + other[0], y + other[1]) for x, y in domain)
-        else:
-            y_domain = {"same": domain, "copy": frozenset(list(domain))}.get(other, other)
-        got = embed._repair(block, y_domain, ys, xs, p)
-        want = _repair_ref(block, y_domain, ys, xs, p)
-        if want is None:
-            assert got is None
-        else:
-            assert _record(got.correspondence) == _record(want)
-            assert got.level == 1
-            assert type(got.correspondence.displacement_budget) is int
+        curve, _ = hier.block_curve(lb, ys, seed, censored=True)
+        region = grid[-w0.y0:16 - w0.y0, -w0.x0:16 - w0.x0]
+        bad_y, bad_x = np.nonzero(region != GRID_GOOD)
+        return curve, set(zip(bad_x.tolist(), bad_y.tolist()))
+
+    @given(st.sampled_from([2, 1]), st.integers(0, 2**32),
+           st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.2]))
+    @settings(max_examples=800, deadline=None)
+    def test_target_block_holds_every_bad_cell_of_the_cell(self, k0, seed, bad_frac):
+        # The lemma the level-1 search rests on: with k0 <= clearance the
+        # target block over a cell, perturbed, straight or the placeholder,
+        # holds every bad cell of the cell's region, so no source cell over
+        # a bad cell is left for a repair.  Sparse grids often give a
+        # perturbed curve (about half of them at k0 = 2); dense ones give
+        # the straight placeholder.
+        p = named_profile("toy1", k0=k0)
+        assert k0 <= p.margins(1).clearance
+        rng = np.random.default_rng(seed)
+        grid = np.where(rng.random((28, 28)) < bad_frac, rng.integers(1, 3, (28, 28)),
+                        GRID_GOOD).astype(np.int8)
+        curve, bad = self._target_block(p, grid, seed)
+        assert bad <= curve.domain
+
+    def test_a_curve_past_the_clearance_leaves_a_bad_cell_out(self):
+        # Why k0 > clearance is refused: at k0 = 3 a curve may run two
+        # cells inside the cell, past a bad cell on its outline.  With one
+        # bad cell at (0, 8), the curve of seed 3 does; at k0 = 2 none of
+        # 40 seeds does.
+        w0 = level0_window_for(Rect(0, 0, 1, 1), named_profile("toy1"))
+        grid = np.full((28, 28), GRID_GOOD, dtype=np.int8)
+        grid[8 - w0.y0, 0 - w0.x0] = GRID_ONE
+        p3 = named_profile("toy1", k0=3)
+        assert p3.k0 > p3.margins(1).clearance
+        curve, bad = self._target_block(p3, grid, 3)
+        assert bad == {(0, 8)} and not bad <= curve.domain
+        assert not curve.is_straight
+        for seed in range(40):
+            curve, bad = self._target_block(named_profile("toy1"), grid, seed)
+            assert bad <= curve.domain
 
     @pytest.mark.parametrize("profile", ["toy1", "toy-m0-3", "toy-m0-6"])
     def test_program_traffic_matches_the_rigid_decision(self, profile):
@@ -825,6 +813,40 @@ class TestEmbedsLevel:
             assert witnesses[1] == witnesses[0] == witnesses[2]
             found += witnesses[0] is not None
         assert found
+
+    def test_level1_resamples_a_window_that_misses_the_cell(self, toy1):
+        # A target window of one block, far from the cell, stands for its
+        # seed: the witness is the one a sample over the cell gives.
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        xb, m0 = hx.levels[1].blocks[0], toy1.M0
+        found = 0
+        for seed in range(8):
+            far = sample_field(seed, "Y", (40 * m0, -3 * m0), m0, m0)
+            cell = sample_field(seed, "Y", (0, 0), 16 * m0, 16 * m0)
+            wit = embeds_level(xb, far, 1, toy1, x_structure=hx.level0)
+            assert wit == embeds_level(xb, cell, 1, toy1, x_structure=hx.level0)
+            found += wit is not None
+        assert found
+
+    def test_level1_refuses_k0_above_the_clearance(self, toy1):
+        # k0 = 3 = mb passes the curve frame, but its curves may leave a bad
+        # cell outside the target block, which the search does not repair.
+        p = replace(toy1, k0=3)
+        hx = hier.build_hierarchy(p, "X", 42, Rect(0, 0, 1, 1))
+        yf = sample_field(0, "Y", (0, 0), 16 * p.M0, 16 * p.M0)
+        with pytest.raises(ConfigError, match="k0 <= the level-1 clearance"):
+            embeds_level(hx.levels[1].blocks[0], yf, 1, p, x_structure=hx.level0)
+
+    @pytest.mark.parametrize("stray", [(16, 3), (-1, 0), (5, -2)])
+    def test_level1_source_domain_must_stay_in_its_cell(self, toy1, stray):
+        # A one-cell block whose domain reaches past its region, as a
+        # perturbed source curve could: refused, never read off other cells.
+        xs = build_level0(toy1, "X", 42, level0_window_for(Rect(0, 0, 1, 1), toy1))
+        lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        block = hier.Block(1, lb, _square(16) | {stray})
+        yf = sample_field(0, "Y", (-3 * toy1.M0, -3 * toy1.M0), 22 * toy1.M0, 22 * toy1.M0)
+        with pytest.raises(PreconditionError, match="leaves its cell's region"):
+            embeds_level(block, yf, 1, toy1, x_structure=xs)
 
     def test_unsupported_level(self, toy1):
         with pytest.raises(ConfigError):

@@ -136,13 +136,15 @@ class TestEstimateS:
         assert est.point == 1.0
 
 
+@pytest.fixture
+def source(toy1):
+    """A toy1 source block and its level 0."""
+    h = build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+    return h.levels[1].blocks[0], h.level0
+
+
 class TestLevel1FailedTrials:
     """A trial's errors raise: none is folded into a failed trial."""
-
-    @pytest.fixture
-    def source(self, toy1):
-        h = build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
-        return h.levels[1].blocks[0], h.level0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_precondition_errors_raise(self, toy1, source, monkeypatch, workers):
@@ -153,6 +155,36 @@ class TestLevel1FailedTrials:
         block, level0 = source
         with pytest.raises(PreconditionError, match="planted failure"):
             estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0, workers=workers)
+
+
+class TestLevel1Trials:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_search_per_trial_through_the_module(self, toy1, source, monkeypatch,
+                                                     workers):
+        # Each trial calls embed.embeds_level once, read off the module at
+        # call time: the benchmark counts trials by wrapping it there.
+        calls = []
+        search = embed.embeds_level
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(embed, "embeds_level", counted)
+        block, level0 = source
+        est = estimate_S(block, 1, 7, 3, toy1, family="X", structure=level0, workers=workers)
+        assert est.trials == 7 and len(calls) == 7
+        assert all(b is block for b in calls)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, toy1, source, workers):
+        block, level0 = source
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0, workers=workers)
+        comp = _bad_component([(0, 0)])
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            estimate_S(comp, 0, 5, 0, toy1, family="Y", structure=_class_content(),
+                       workers=workers)
 
 
 class TestIntervals:
