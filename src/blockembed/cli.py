@@ -258,8 +258,8 @@ def reports(profile, seed, windows, window, out_dir):
 @cli.command()
 @click.option("--x-file", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--y-file", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--bound", "-m", "bound", required=True, type=float,
-              help="Lipschitz bound M")
+@click.option("--bound", "-m", "bound", required=True,
+              help="Lipschitz bound M, read exactly: 2.3 is 23/10, and 3/2 is allowed")
 @click.option("--mode", default="decide", show_default=True,
               type=click.Choice(["decide", "count", "enumerate"]))
 @click.option("--limit", default=None, type=int, help="max enumerated witnesses")

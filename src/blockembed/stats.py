@@ -1,10 +1,12 @@
-"""Exact level-0 embedding probabilities, Monte Carlo estimation, and reports.
+"""Exact level-0 and level-1 embedding probabilities, Monte Carlo estimation,
+and reports.
 
-Level-0 probabilities are computable in closed form; higher levels are
-estimated by sampling independent partner windows.  Recursive tail/size/
-good-probability bounds are *reported* against the empirical data, never
-asserted: at desk-scale parameters the inequalities are not expected to
-hold, and the tables exist to show by how much.
+Level-0 and level-1 embedding probabilities have closed forms (``exact_S0``,
+``exact_S1``); the Monte Carlo estimators sample independent partner
+windows.  Recursive tail/size/good-probability bounds are *reported*
+against the empirical data, never asserted: at desk-scale parameters the
+inequalities are not expected to hold, and the tables exist to show by
+how much.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import beta as _beta
 
 from .errors import ConfigError, PreconditionError
-from .fields import GRID_GOOD, GRID_ONE, derive_seed, sample_field, site_bits
+from .fields import GRID_GOOD, GRID_ONE, derive_seed, good_threshold, sample_field, site_bits
 from .lattice import cell_array, cell_geometry
 from .params import ParameterSet
 
@@ -26,6 +29,7 @@ __all__ = [
     "ProbabilityEstimate",
     "clopper_pearson",
     "exact_S0",
+    "exact_S1",
     "estimate_S",
     "Report",
     "tail_report",
@@ -86,6 +90,24 @@ def exact_S0(component, family: str, params: ParameterSet) -> Fraction:
     return Fraction(1, 2**component.bad_summary[1])
 
 
+def exact_S1(block, params: ParameterSet) -> Fraction:
+    """Exact probability that the level-1 search embeds a source block
+    into a fresh target window: (1 - q) ** |domain|.
+
+    The search accepts when every domain cell's bit is accepted by the
+    class of the target M0 x M0 block under the cell.  Those blocks are
+    disjoint, so their classes are independent.  A bit is refused by the
+    majority class of the other value, which it meets exactly when its own
+    value fills fewer than ceil(M0^2 / 3) sites, so whatever the bit,
+    q = P(Bin(M0^2, 1/2) < ceil(M0^2 / 3)).
+    """
+    if block.level != 1:
+        raise ConfigError("the level-1 closed form needs a level-1 block")
+    n = params.M0 * params.M0
+    q = Fraction(sum(comb(n, k) for k in range(good_threshold(params.M0))), 2**n)
+    return (1 - q) ** len(block.domain)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 
@@ -109,6 +131,8 @@ def _estimate_level0_y(component, structure, trials, seed, params):
 
 
 def _estimate_level1_x(block, structure, trials, seed, params, workers):
+    """Trials the level-1 search accepts, each against a fresh target
+    window; the probability it estimates is ``exact_S1(block, params)``."""
     from . import embed as embed_mod
 
     # A trial reads the target sites under the block's own cell only.

@@ -79,6 +79,20 @@ class TestLevel0TargetExactness:
         assert time.monotonic() - start < 30.0
 
 
+class TestLevel1SourceExactness:
+    """A level-1 source block estimates to its closed form exact_S1."""
+
+    @pytest.mark.parametrize("profile", ["toy1", "toy-m0-6"])
+    def test_within_three_sigma(self, profile):
+        p = named_profile(profile)
+        hx = build_hierarchy(p, "X", 7, Rect(0, 0, 1, 1))
+        block = hx.levels[1].blocks[0]
+        est = estimate_S(block, 1, 20_000, 5, p, family="X", structure=hx.level0)
+        exact = float(stats.exact_S1(block, p))
+        sigma = (exact * (1 - exact) / 20_000) ** 0.5
+        assert abs(est.point - exact) <= 3 * sigma
+
+
 class TestGoodBlockProbability:
     """Empirical frequency of good target cells matches the exact binomial sum."""
 

@@ -2,10 +2,14 @@
 
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from blockembed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, main
+from blockembed.fields import BitField, dump_field
+from blockembed.oracle import Instance, count_embeddings
 
 
 def run(capsys, *args):
@@ -109,11 +113,29 @@ class TestSampleAndOracle:
                          "-m", "2", "--mode", "count", "--node-cap", "1")
         assert code == EXIT_CAP
 
+    # A 2x1 source into a 2x2 target: 8 maps send the pair to neighbours and
+    # 4 more to diagonals, allowed once M^2 >= 2.  The first bound lies just
+    # below sqrt(2), and its nearest double just above.
+    @pytest.mark.parametrize("bound, count", [("1.414213562373095048", 8), ("3/2", 12)])
+    def test_bound_is_read_exactly(self, tmp_path, capsys, bound, count):
+        x = BitField("X", (0, 0), 2, 1, 0, np.zeros((1, 2), dtype=np.uint8))
+        y = BitField("Y", (0, 0), 2, 2, 0, np.zeros((2, 2), dtype=np.uint8))
+        (tmp_path / "x.bin").write_bytes(dump_field(x))
+        (tmp_path / "y.bin").write_bytes(dump_field(y))
+        code, out, _ = run(capsys, "oracle", "--x-file", str(tmp_path / "x.bin"),
+                           "--y-file", str(tmp_path / "y.bin"), "-m", bound, "--mode", "count")
+        assert code == EXIT_OK
+        assert count_embeddings(Instance.from_fields(x, y, Fraction(bound))) == count
+        assert json.loads(out) == {"mode": "count", "count": count}
+        assert count_embeddings(Instance.from_fields(x, y, float("1.414213562373095048"))) == 12
+
     @pytest.mark.parametrize("extra", [("--mode", "enumerate", "--limit", "0"),
                                        ("--mode", "enumerate", "--limit", "-3"),
                                        ("-m", "-2", "--mode", "count"),
                                        ("-m", "nan", "--mode", "count"),
-                                       ("-m", "inf", "--mode", "decide")])
+                                       ("-m", "inf", "--mode", "decide"),
+                                       ("-m", "two", "--mode", "count"),
+                                       ("-m", "1/0", "--mode", "count")])
     def test_bad_limit_or_bound_is_config_error(self, tmp_path, capsys, extra):
         run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
             "--height", "2", "--out-dir", str(tmp_path / "sx"))

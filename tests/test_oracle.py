@@ -202,6 +202,66 @@ class TestBitsetSearch:
             assert _outcome(_Search(inst, cap), mode) == _outcome(ReferenceSearch(inst, cap), mode)
 
 
+def _fresh(inst: Instance) -> Instance:
+    """An equal instance with no tables built yet."""
+    return Instance(inst.source_sites, dict(inst.source_values), inst.target, inst.m_squared)
+
+
+def _sampled_3x2(seed):
+    x = sample_field(seed, "X", (0, 0), 3, 2)
+    y = sample_field(seed + 1000, "Y", (0, 0), 5, 5)
+    return Instance.from_fields(x, y, 2)
+
+
+class TestSharedTables:
+    """Searches on one instance share its tables, and give what they give
+    on a fresh one."""
+
+    @given(oracle_instances(),
+           st.permutations(["count", "find", "enumerate", "tripped count"]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_order_on_one_instance_matches_fresh(self, inst, modes):
+        full = _Search(_fresh(inst), 3000)
+        _outcome(full, "count")
+
+        def outcome(instance, mode):
+            if mode == "tripped count":
+                return _outcome(_Search(instance, full.nodes - 1), "count")
+            return _outcome(_Search(instance, 3000), mode)
+
+        for mode in modes:
+            assert outcome(inst, mode) == outcome(_fresh(inst), mode)
+
+    def test_one_table_per_instance(self):
+        inst = _sampled_3x2(1)
+        assert _Search(inst, 10).tables is _Search(inst, 10).tables
+        assert _Search(_fresh(inst), 10).tables is not _Search(inst, 10).tables
+
+    @pytest.mark.parametrize("case", ["3x2 seed 1", "3x2 seed 5", "1 site", "2 sites"])
+    def test_every_cap_trips_where_reference_does(self, case):
+        if case.startswith("3x2"):
+            inst = _sampled_3x2(int(case.split()[-1]))
+        else:
+            y = sample_field(1001, "Y", (0, 0), 5, 5)
+            sites = ((0, 0),) if case == "1 site" else ((0, 0), (1, 1))
+            inst = Instance(sites, {s: 0 for s in sites}, y, Fraction(4))
+        done = _outcome(ReferenceSearch(inst, 10**6), "count")
+        total = done[2]
+        assert done[1] == "done"
+
+        def reference(cap):
+            # The reference counts one node at a time and raises on the first
+            # node past the cap.
+            if cap >= total:
+                return done
+            return [], f"oracle exceeded {cap} search nodes", cap + 1
+
+        for cap in sorted({0, 1, total // 3, total - 1, total, *range(0, total, 97)}):
+            assert _outcome(ReferenceSearch(inst, cap), "count") == reference(cap)
+        for cap in range(total + 2):
+            assert _outcome(_Search(inst, cap), "count") == reference(cap)
+
+
 class TestMalformedInstance:
     def _y(self):
         return _bf("Y", [[0, 1], [1, 0]])

@@ -1,5 +1,6 @@
 """Exact formulas, Monte Carlo estimation, and report tables."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from blockembed import embed
 from blockembed.errors import ConfigError, PreconditionError
-from blockembed.fields import GRID_GOOD, GRID_ONE
+from blockembed.fields import ACCEPTS, GRID_GOOD, GRID_ONE, BitField, classify_grid
 from blockembed.hierarchy import Component, Level0Structure, build_hierarchy, build_level0
 from blockembed.lattice import LatticeAnimal, Rect
 from blockembed.params import named_profile
@@ -16,6 +17,7 @@ from blockembed.stats import (
     clopper_pearson,
     estimate_S,
     exact_S0,
+    exact_S1,
     good_prob_report,
     size_report,
     tail_report,
@@ -141,6 +143,29 @@ def source(toy1):
     """A toy1 source block and its level 0."""
     h = build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
     return h.levels[1].blocks[0], h.level0
+
+
+class TestExactS1:
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    def test_refusal_rate_by_enumerating_every_block(self, m0, source):
+        # All 2**(m0*m0) target blocks side by side in one window, each
+        # classified as the level-1 search classifies them.
+        p = named_profile("toy-m0-3", M0=m0)
+        n = m0 * m0
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        row = bits.reshape(2**n, m0, m0).transpose(1, 0, 2).reshape(m0, 2**n * m0)
+        codes = classify_grid(BitField("Y", (0, 0), 2**n * m0, m0, 0,
+                                       row.astype(np.uint8)), p)[0]
+        block, _ = source
+        cell = replace(block, domain=frozenset([min(block.domain)]))
+        for bit in (0, 1):
+            refused = np.count_nonzero(~ACCEPTS[bit, codes])
+            assert exact_S1(cell, p) == 1 - Fraction(refused, 2**n)
+        assert exact_S1(block, p) == exact_S1(cell, p) ** len(block.domain)
+
+    def test_level0_component_rejected(self, toy1):
+        with pytest.raises(ConfigError, match="level-1 block"):
+            exact_S1(_bad_component([(0, 0)]), toy1)
 
 
 class TestLevel1FailedTrials:
