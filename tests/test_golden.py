@@ -8,7 +8,9 @@ and windows whose one merged block scans to the cap and falls back to the
 censored straight placeholder (toy1 seed 41, toy-m0-2, toy-m0-3).  The
 CLI digests cover `estimate-s` at level 1 (seed 100008 meets a target
 block with no valid curve, seed 100098 one whose 1 536 valid curves the
-sampler and the scan both miss), `reports` tables and one `render` SVG.
+sampler and the scan both miss) and at level 0 (toy1 single-cell
+components, and toy-m0-6 components of 2 and 4 cells, one holding a good
+cell), `reports` tables and one `render` SVG.
 The witness digests pin what the embedding search returns, not just
 whether it returns: the level-1 witnesses behind those estimate lines and
 level-0 witnesses of target-family components, the only level-0
@@ -72,6 +74,11 @@ CURVE_DIGEST = "42554a889a8e7a263d97e82cd40c310f4f86f2449800f9c5172fef3aca722a8a
 ESTIMATE_SEEDS = (100001, 100002, 100003, 100008, 100098)
 ESTIMATE_DIGEST = "d3f19eb514abfd39ad10ebfb3e2d0547452d868f858f8cc19d2887497de46469"
 
+# (profile, window, seed) of the level-0 estimate cases, 200 trials each.
+ESTIMATE0_CASES = [("toy1", (0, 0, 3, 3), s) for s in (0, 1, 3)] + [
+    ("toy-m0-6", (0, 0, 1, 1), 3)]
+ESTIMATE0_DIGEST = "2429a5996444ae5ec0ecc20766607d7dda14374fc5dbd8d8e4ce96edd88eae1d"
+
 REPORTS_SEEDS = (1, 2)
 REPORTS_DIGEST = "974d0afe8506850d3bbed6d96b8249e5932bdfe24e19c690b263fb046b4812fa"
 
@@ -130,6 +137,15 @@ def test_estimate_lines_reproduce():
                       "--window", "0", "0", "3", "3", "--trials", "20",
                       "--seed", str(seed)).encode())
     assert h.hexdigest() == ESTIMATE_DIGEST
+
+
+def test_level0_estimate_lines_reproduce():
+    h = hashlib.sha256()
+    for profile, window, seed in ESTIMATE0_CASES:
+        h.update(_cli("estimate-s", "--profile", profile, "--family", "Y", "--level", "0",
+                      "--window", *map(str, window), "--trials", "200",
+                      "--seed", str(seed)).encode())
+    assert h.hexdigest() == ESTIMATE0_DIGEST
 
 
 def test_reports_tables_reproduce(tmp_path):
