@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -291,12 +292,23 @@ def oracle(x_file, y_file, bound, mode, limit, node_cap):
             ))
 
 
+def _exact_number(ctx, param, text):
+    """An option's text read exactly, as a Fraction: 6.0000000000000001 is
+    not 6.  NaN, infinities and non-numbers are refused."""
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--{param.name} must be a finite number, got {text!r}") from None
+
+
 @cli.command("audit-params")
 @profile_option
-@click.option("--alpha", type=float)
-@click.option("--beta", type=float)
-@click.option("--gamma", type=float)
-@click.option("--m", type=float)
+@click.option("--alpha", callback=_exact_number, help="read exactly")
+@click.option("--beta", callback=_exact_number, help="read exactly")
+@click.option("--gamma", callback=_exact_number, help="read exactly")
+@click.option("--m", callback=_exact_number, help="read exactly")
 @click.option("--k0", type=int)
 @click.option("--v0", type=int)
 def audit_params(profile, alpha, beta, gamma, m, k0, v0):
@@ -359,7 +371,7 @@ def render(profile, seed, family, window, level, out_dir):
             parts.append(_svg_rect(zone.rect, scale, "#88aaff", "0.25", "buffer"))
     # Bad components of the level below.
     for comp in h.level0.bad_components:
-        for x, y in sorted(comp.animal.sites):
+        for x, y in sorted(comp.box.cells()):
             parts.append(_svg_rect(Rect(x, y, x + 1, y + 1), scale,
                                    "#cc2222", "0.8", "bad"))
     # Boundary polylines.

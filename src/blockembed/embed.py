@@ -257,14 +257,14 @@ def _embeds_level0(component, x_window, params, y_level0):
     block of its own cell, else None.  A source level-0 cell carries one
     site, so the bits are read from the partner window, which must cover
     the component."""
-    cells = sorted(component.animal.sites)
+    cells = sorted(component.box.cells())
     xy = cell_array(cells)
     ix, iy = xy[:, 0] - x_window.origin[0], xy[:, 1] - x_window.origin[1]
     if not ((ix >= 0) & (ix < x_window.width) & (iy >= 0) & (iy < x_window.height)).all():
         raise PreconditionError("component cell outside the partner window")
     if not ACCEPTS[x_window.bits[iy, ix], y_level0.codes_at(xy)].all():
         return None
-    return EmbeddingWitness(0, component.animal.sites)
+    return EmbeddingWitness(0, frozenset(cells))
 
 
 def _embeds_level1(block, y_window, params, x_structure):

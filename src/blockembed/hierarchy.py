@@ -10,8 +10,11 @@ Both groupings are ``ndimage.label`` of a boolean grid.  Bad cells (level
 0) or the cells of bad blocks are closed under the 2x2 rule (a diagonal
 pair pulls in the rest of its square) and close-packed neighbours merge:
 ``_close_boxes`` fills the bounding box of every close-packed group until
-each is full.  Lattice blocks are the 4-connected labels of a doubled grid:
-cells on the even sites, conjoined edges on the odd sites between them.
+each is full.  So every component is a filled rectangle and is held as its
+box, a ``Rect``: a bad block lies inside one box, a good block is one
+cell, and a good singleton is a 1x1 box.  Lattice blocks are the
+4-connected labels of a doubled grid: cells on the even sites, conjoined
+edges on the odd sites between them.
 
 Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
@@ -20,6 +23,7 @@ indices.  Level-0 cells coincide with level-0 blocks of the field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -143,17 +147,18 @@ class Block:
 
 @dataclass(frozen=True)
 class Component:
-    """A maximal grouping of blocks around bad blocks.
+    """A maximal grouping of blocks around bad blocks: the filled
+    rectangle ``box`` of level-j cells, which its blocks tile.
 
     ``bad_summary`` is (number of bad blocks, total cell count of bad
     blocks).  Bad components without an embedding-probability certificate
     are conservatively reported really-bad.  At level 0 each cell is its
-    own block, so ``blocks`` is empty there: the cells are ``animal`` and
+    own block, so ``blocks`` is empty there: the cells are the box's and
     ``bad_summary`` counts the bad ones.
     """
 
     level: int
-    animal: LatticeAnimal
+    box: Rect
     blocks: tuple  # member Block objects; () at level 0
     status: str
     bad_summary: tuple
@@ -161,7 +166,7 @@ class Component:
 
     @property
     def size(self) -> int:
-        return len(self.animal)
+        return self.box.area
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +254,16 @@ def _level0_bad_components(grid: np.ndarray, window: Rect) -> list:
         return []  # no labelling to do
     height, width = bad.shape
     comps = []
-    # A component is its filled box, whose (x0, y0) corner is its least cell.
+    # Sorted by the (x0, y0) corner, the box's least cell.
     boxes = sorted(_close_boxes(bad), key=lambda box: (box[1].start, box[0].start))
     for sy, sx in boxes:
-        animal = LatticeAnimal.filled(Rect(sx.start + window.x0, sy.start + window.y0,
-                                           sx.stop + window.x0, sy.stop + window.y0))
+        box = Rect(sx.start + window.x0, sy.start + window.y0,
+                   sx.stop + window.x0, sy.stop + window.y0)
         n_bad = int(np.count_nonzero(bad[sy, sx]))
         # A component on the window's edge may extend past it.
         censored = (sx.start == 0 or sy.start == 0
                     or sx.stop == width or sy.stop == height)
-        comps.append(Component(0, animal, (), REALLY_BAD, (n_bad, n_bad), censored))
+        comps.append(Component(0, box, (), REALLY_BAD, (n_bad, n_bad), censored))
     return comps
 
 
@@ -292,12 +297,9 @@ def is_conjoined(buffer: BufferZone, level_below) -> bool:
     Every level-0 component is really-bad (see classify_good_block), so
     the first one that meets the buffer decides; no k0 total is needed.
     """
-    if buffer.rect is None:
-        raise PreconditionError("buffer has no extent")
     if not level_below.window.contains_rect(buffer.rect):
         raise PreconditionError("structure not built over the buffer extent")
-    return any(buffer.rect.contains_cell(c)
-               for comp in level_below.bad_components for c in comp.animal.sites)
+    return any(buffer.rect.meets(comp.box) for comp in level_below.bad_components)
 
 
 def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
@@ -789,8 +791,7 @@ def _make_curve(
 
 def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequence) -> np.ndarray:
     """Mask of the cells of the bad components that come near the blow-up,
-    the only ones that can constrain the curve.  A component that is a
-    filled box is tested and painted as its box, any other cell by cell."""
+    the only ones that can constrain the curve."""
     r, margin = frame.r, frame.mb + frame.clearance
     x0, y0, x1, y1 = animal.bounding_box()
     reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
@@ -798,13 +799,10 @@ def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequenc
     view = Rect(frame.x0, frame.y0, frame.x0 + w, frame.y0 + h)
     mask = np.zeros_like(frame.ideal)
     for comp in bad_components:
-        box = comp.animal.box
-        rects = ([box] if box is not None
-                 else [Rect(x, y, x + 1, y + 1) for x, y in comp.animal.sites])
-        if any(reach.intersection(b) for b in rects):
-            for part in filter(None, map(view.intersection, rects)):
-                mask[part.y0 - frame.y0:part.y1 - frame.y0,
-                     part.x0 - frame.x0:part.x1 - frame.x0] = True
+        part = reach.meets(comp.box) and view.intersection(comp.box)
+        if part:
+            mask[part.y0 - frame.y0:part.y1 - frame.y0,
+                 part.x0 - frame.x0:part.x1 - frame.x0] = True
     return mask
 
 
@@ -931,9 +929,9 @@ def form_components(blocks: Sequence[Block]) -> list:
 
     The cells of bad blocks are closed under the grouping rules: a
     diagonal pair pulls in the other two cells of its 2x2 square, taking
-    the blocks there along, and close-packed neighbours merge.  Each block
-    joins the group of its cells; remaining good blocks become good
-    singleton components.
+    the blocks there along, and close-packed neighbours merge.  Each
+    closed group is a filled box, and the blocks in it form one component;
+    each remaining good block is a good singleton, its cell's 1x1 box.
 
     The blocks must cover the closure of their bad cells, as a tiling of a
     rectangle always does; a closure that reaches a cell no block covers
@@ -949,45 +947,33 @@ def form_components(blocks: Sequence[Block]) -> list:
             raise PreconditionError("blocks overlap")
         covered |= b.animal.sites
 
-    labels = None
+    boxes, labels = [], None
     if not all(b.good for b in blocks):
         cover, x0, y0 = cell_mask(covered)
         bad = cell_array(c for b in blocks if not b.good for c in b.animal.sites)
         mask = np.zeros_like(cover)
         mask[bad[:, 1] - y0, bad[:, 0] - x0] = True
         labels = np.zeros(mask.shape, dtype=np.intp)
-        for k, box in enumerate(_close_boxes(mask), start=1):
-            if not cover[box].all():
+        for k, (sy, sx) in enumerate(_close_boxes(mask), start=1):
+            if not cover[sy, sx].all():
                 raise PreconditionError("bad-block closure reaches a cell no block covers")
-            labels[box] = k
+            labels[sy, sx] = k
+            boxes.append(Rect(sx.start + x0, sy.start + y0, sx.stop + x0, sy.stop + y0))
+    # A bad block lies in one box and a good one is one cell, so any cell
+    # of a block tells its group.
     groups: dict = {}
-    for i, b in enumerate(blocks):
+    for b in blocks:
         x, y = next(iter(b.animal.sites))
-        k = 0 if labels is None else int(labels[y - y0, x - x0])
-        groups.setdefault(k or -1 - i, []).append(i)
+        k = 0 if labels is None else labels[y - y0, x - x0]
+        groups.setdefault(boxes[k - 1] if k else Rect(x, y, x + 1, y + 1), []).append(b)
     comps = []
-    for ids in groups.values():
-        members = tuple(sorted((blocks[i] for i in ids),
-                               key=lambda b: min(b.animal.sites)))
-        cells = frozenset().union(*(b.animal.sites for b in members))
+    for box in sorted(groups, key=lambda box: (box.x0, box.y0)):
+        members = tuple(sorted(groups[box], key=lambda b: min(b.animal.sites)))
         bad_blocks = [b for b in members if not b.good]
-        if not bad_blocks and len(members) == 1:
-            status = GOOD_SINGLETON
-        else:
-            status = REALLY_BAD
-        level = members[0].level
-        n_bad = len(bad_blocks)
-        k_bad = sum(b.size for b in bad_blocks)
-        censored = any(b.censored for b in members)
-        comps.append(
-            Component(level, LatticeAnimal(cells), members, status,
-                      (n_bad, k_bad), censored)
-        )
-    comps.sort(key=lambda c: min(c.animal.sites))
-    # A group without a bad block larger than a singleton violates the rules.
-    for c in comps:
-        if c.size > 1 and c.bad_summary[0] == 0:
-            raise PreconditionError("component grouping produced a bad-free group")
+        status = REALLY_BAD if bad_blocks else GOOD_SINGLETON
+        comps.append(Component(members[0].level, box, members, status,
+                               (len(bad_blocks), sum(b.size for b in bad_blocks)),
+                               any(b.censored for b in members)))
     return comps
 
 
@@ -1007,8 +993,11 @@ def classify_good_block(block: Block, level_below: Level0Structure) -> bool:
     1 - 1/(v0**5 * k0**4) >= 15/16 that ParameterSet keeps, so every
     level-0 component is really-bad.
     """
-    return block.size == 1 and all(comp.animal.sites.isdisjoint(block.domain)
-                                   for comp in level_below.bad_components)
+    domain = block.domain
+    # Each box's cells against the domain, iterated in C: exact for any domain.
+    return block.size == 1 and all(
+        domain.isdisjoint(itertools.product(range(b.x0, b.x1), range(b.y0, b.y1)))
+        for b in (comp.box for comp in level_below.bad_components))
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1138,7 @@ def dump_hierarchy(h: BlockHierarchy) -> str:
         f"level0 window={tuple(h.level0.window)} bad_components={len(h.level0.bad_components)}",
     ]
     for comp in h.level0.bad_components:
-        cells = ";".join(f"{x},{y}" for x, y in sorted(comp.animal.sites))
+        cells = ";".join(f"{x},{y}" for x, y in sorted(comp.box.cells()))
         lines.append(
             f"component level=0 status={comp.status} censored={comp.censored} cells={cells}"
         )
@@ -1166,7 +1155,7 @@ def dump_hierarchy(h: BlockHierarchy) -> str:
                 f"domain_size={len(b.domain)} domain_min={dom[0]} domain_max={dom[-1]}"
             )
         for comp in lvl.components:
-            cells = ";".join(f"{x},{y}" for x, y in sorted(comp.animal.sites))
+            cells = ";".join(f"{x},{y}" for x, y in sorted(comp.box.cells()))
             lines.append(
                 f"component level={j} status={comp.status} censored={comp.censored} "
                 f"bad={comp.bad_summary} cells={cells}"

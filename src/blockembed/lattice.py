@@ -3,13 +3,14 @@
 All geometry is stored in integer units of level-0 cells; level-0 cells are
 unit squares of the block index lattice.  Rectangles are half-open in cell
 units: ``Rect(x0, y0, x1, y1)`` covers cells with x0 <= x < x1 and
-y0 <= y < y1.
+y0 <= y < y1.  A lattice animal is an arbitrary connected cell set (a
+lattice block); a component, whose grouping rule fills it, is a ``Rect``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -61,13 +62,10 @@ class LatticeAnimal:
     """A nonempty finite subset of the lattice, connected by lattice edges.
 
     Connectivity is checked with one 4-connected labelling of the set's
-    bounding-box mask.  An animal built by ``filled`` is a rectangle's
-    cells, connected by construction, and keeps the rectangle as ``box``;
-    any other has ``box`` None.  ``box`` takes no part in ``==`` or hashing.
+    bounding-box mask.
     """
 
     sites: frozenset[Point]
-    box: Optional[Rect] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", frozenset(self.sites))
@@ -75,17 +73,6 @@ class LatticeAnimal:
             raise ConfigError("a lattice animal must be nonempty")
         if len(self.sites) > 1 and ndimage.label(cell_mask(self.sites)[0])[1] != 1:
             raise ConfigError("a lattice animal must be connected")
-
-    @classmethod
-    def filled(cls, rect: Rect) -> LatticeAnimal:
-        """The cells of a nonempty rectangle, not re-checked."""
-        if rect.x1 <= rect.x0 or rect.y1 <= rect.y0:
-            raise ConfigError("a lattice animal must be nonempty")
-        animal = object.__new__(cls)
-        cells = itertools.product(range(rect.x0, rect.x1), range(rect.y0, rect.y1))
-        object.__setattr__(animal, "sites", frozenset(cells))
-        object.__setattr__(animal, "box", rect)
-        return animal
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -97,8 +84,6 @@ class LatticeAnimal:
         return iter(sorted(self.sites))
 
     def bounding_box(self) -> tuple[int, int, int, int]:
-        if self.box is not None:
-            return self.box.x0, self.box.y0, self.box.x1 - 1, self.box.y1 - 1
         xs = [p[0] for p in self.sites]
         ys = [p[1] for p in self.sites]
         return min(xs), min(ys), max(xs), max(ys)
@@ -123,6 +108,15 @@ class Rect(NamedTuple):
             and other.y1 <= self.y1
         )
 
+    @property
+    def area(self) -> int:
+        return (self.x1 - self.x0) * (self.y1 - self.y0)
+
+    def meets(self, other: "Rect") -> bool:
+        """Whether two nonempty rectangles share a cell."""
+        return (self.x0 < other.x1 and other.x0 < self.x1
+                and self.y0 < other.y1 and other.y0 < self.y1)
+
     def intersection(self, other: "Rect") -> Optional["Rect"]:
         x0, y0 = max(self.x0, other.x0), max(self.y0, other.y0)
         x1, y1 = min(self.x1, other.x1), min(self.y1, other.y1)
@@ -144,26 +138,21 @@ class Rect(NamedTuple):
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Region, interior, and blow-up squares of one cell."""
+    """Region square and buffer margin of one cell."""
 
-    level: int
-    index: Point
     region: Rect
-    interior: Rect
-    blowup: Rect
     margin: int
 
 
 def cell_geometry(j: int, u: Point, params: ParameterSet) -> CellGeometry:
     """Geometry of the level-j cell at index u, in level-0 cell units.
 
-    The interior and blow-up are inset/outset from the region by the
-    buffer margin (level 0 has no buffers and uses margin 0).
+    Level 0 has no buffers and uses margin 0.
     """
     side = params.cell_side(j)
     margin = params.margins(j).buffer if j >= 1 else 0
     region = Rect(u[0] * side, u[1] * side, (u[0] + 1) * side, (u[1] + 1) * side)
-    return CellGeometry(j, u, region, region.inset(margin), region.outset(margin), margin)
+    return CellGeometry(region, margin)
 
 
 _SIDE_STEPS = {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}

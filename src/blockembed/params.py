@@ -9,6 +9,7 @@ to violate them, and the auditor reports rather than repairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -72,7 +73,10 @@ class ParameterSet:
 
     def __post_init__(self) -> None:
         for label in ("alpha", "beta", "gamma", "m", "M"):
-            if getattr(self, label) <= 0:
+            value = getattr(self, label)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{label} must be finite")
+            if value <= 0:
                 raise ConfigError(f"{label} must be positive")
         for label in ("k0", "v0", "L0", "M0"):
             value = getattr(self, label)

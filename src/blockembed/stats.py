@@ -114,17 +114,18 @@ def exact_S1(block, params: ParameterSet) -> Fraction:
 
 def _estimate_level0_y(component, structure, trials, seed, params):
     """P over fresh source bits that the component's bad cells are matched."""
-    cells = cell_array(component.animal.sites)
+    box = component.box
+    cells = cell_array(box.cells())
     codes = structure.codes_at(cells)
     bad = codes != GRID_GOOD
     if not bad.any():
         return trials  # every trial succeeds
     need = cells[bad]
-    x0, y0, x1, _ = component.animal.bounding_box()
-    stride = x1 - x0 + 2
+    # Trial t reads the partner sites t * (box width + 1) cells along x.
+    stride = box.x1 - box.x0 + 1
     t_idx = np.arange(trials, dtype=np.int64)[:, None]
-    xs = (need[:, 0] - x0)[None, :] + t_idx * stride
-    ys = (need[:, 1] - y0)[None, :] + 0 * t_idx
+    xs = (need[:, 0] - box.x0)[None, :] + t_idx * stride
+    ys = (need[:, 1] - box.y0)[None, :] + 0 * t_idx
     bits = site_bits(seed, "X", xs, ys)
     want = (codes[bad] == GRID_ONE)[None, :]
     return int(np.all(bits == want, axis=1).sum())

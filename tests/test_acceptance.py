@@ -49,9 +49,9 @@ EXPECTED_PUBLISHED_VERDICTS = [
 ]
 
 
-def _bad_component(cells):
-    return Component(0, LatticeAnimal(frozenset(cells)), (), REALLY_BAD,
-                     (len(cells), len(cells)))
+def _bad_component(box):
+    """A fabricated level-0 component: a box of bad cells."""
+    return Component(0, box, (), REALLY_BAD, (box.area, box.area))
 
 
 # Every fabricated component below lies in this window.
@@ -70,7 +70,7 @@ class TestLevel0TargetExactness:
     def test_within_three_sigma_and_fast(self, toy1):
         start = time.monotonic()
         for v, seed in ((1, 11), (2, 12), (3, 13)):
-            comp = _bad_component([(i, 0) for i in range(v)])
+            comp = _bad_component(Rect(0, 0, v, 1))
             est = estimate_S(comp, 0, 20_000, seed, toy1, family="Y",
                              structure=_all_ones_content())
             exact = 2.0 ** -v
@@ -229,7 +229,9 @@ class TestStructuralInvariants:
                 bad_cells_by_comp.append(frozenset(
                     c for b in comp.blocks if not b.good for c in b.animal.sites
                 ))
-            sites = comp.animal.sites
+            # A component is its box, and its blocks tile it.
+            sites = set(comp.box.cells())
+            assert sites == {c for b in comp.blocks for c in b.animal.sites}
             for (x, y) in sites:
                 for dx, dy in ((1, 1), (1, -1)):
                     if (x + dx, y + dy) in sites:
@@ -262,7 +264,7 @@ class TestCurveDistribution:
 
     def test_planted_obstruction_always_cleared(self, toy1):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        obstruction = _bad_component([(0, 7)])
+        obstruction = _bad_component(Rect(0, 7, 1, 8))
         clearance = toy1.margins(1).clearance
         rng = np.random.default_rng(32)
         for _ in range(100):

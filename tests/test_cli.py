@@ -35,6 +35,26 @@ class TestAuditParams:
         code, _, _ = run(capsys, "audit-params", "--profile", "missing")
         assert code == EXIT_CONFIG
 
+    def test_values_are_read_exactly(self, capsys):
+        # The nearest double of 6.0000000000000001 is 6, which fails
+        # alpha > 6; the value typed passes it.
+        code, out, _ = run(capsys, "audit-params", "--profile", "published",
+                           "--alpha", "6.0000000000000001")
+        assert code == EXIT_OK
+        assert "alpha > 6,6,6,True,1e-16" in out.splitlines()
+        code, out, _ = run(capsys, "audit-params", "--profile", "published", "--gamma", "1/3")
+        assert code == EXIT_OK
+        assert "gamma > 40*alpha,0.333333,320,False,-319.667" in out.splitlines()
+
+    @pytest.mark.parametrize("option, text", [
+        ("--m", "inf"), ("--alpha", "nan"), ("--beta", "-inf"), ("--gamma", "abc"),
+        ("--m", "1/0"), ("--alpha", ""),
+    ])
+    def test_non_finite_values_are_config_errors(self, capsys, option, text):
+        code, out, err = run(capsys, "audit-params", "--profile", "published", option, text)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith(f"config error: {option} must be a finite number")
+
 
 class TestBuild:
     def test_deterministic_dump(self, tmp_path, capsys):

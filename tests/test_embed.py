@@ -40,9 +40,14 @@ def _square(n, off=(0, 0)):
 
 
 def _good_cell(cell):
-    """A level-0 good-singleton component: one cell, no bad cell."""
-    return hier.Component(0, LatticeAnimal(frozenset([cell])), (), hier.GOOD_SINGLETON,
-                          (0, 0))
+    """A level-0 good-singleton component: one cell's box, no bad cell."""
+    x, y = cell
+    return hier.Component(0, Rect(x, y, x + 1, y + 1), (), hier.GOOD_SINGLETON, (0, 0))
+
+
+def _box_cells(box):
+    """A box's cells as the designated set of a translation."""
+    return LatticeAnimal(frozenset(box.cells()))
 
 
 def _correspondence_check_ref(mapping, source_cells, target_cells):
@@ -171,12 +176,12 @@ def _polyominoes(draw):
 
 @st.composite
 def _level0_components(draw):
-    """Bad components as level 0 makes them: the closed boxes of a few
-    random bad cells."""
+    """The cells of bad components as level 0 makes them: the closed boxes
+    of a few random bad cells."""
     bad = np.zeros((9, 9), dtype=bool)
     for x, y in draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8)):
         bad[y, x] = True
-    return [LatticeAnimal.filled(Rect(sx.start, sy.start, sx.stop, sy.stop))
+    return [_box_cells(Rect(sx.start, sy.start, sx.stop, sy.stop))
             for sy, sx in hier._close_boxes(bad)]
 
 
@@ -217,7 +222,7 @@ class TestTranslationFamily:
         # 8 cells > v0*k0 = 6 for toy1.
         with pytest.raises(PreconditionError, match="size budget"):
             translation_family(src, src.sites, big, toy1)
-        six = [LatticeAnimal.filled(Rect(4, 4, 7, 5)), LatticeAnimal.filled(Rect(9, 9, 12, 10))]
+        six = [_box_cells(Rect(4, 4, 7, 5)), _box_cells(Rect(9, 9, 12, 10))]
         assert translation_family(src, src.sites, six, toy1).displacement_budget == 0
 
     @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
@@ -504,7 +509,7 @@ def _repair_ref(block, y_domain, y_level0, x_structure, params):
     correspondence or None."""
     cell, = block.animal.sites
     geometry = cell_geometry(1, cell, params)
-    pool = _good_or_in_ref(y_level0, geometry.blowup, y_domain)
+    pool = _good_or_in_ref(y_level0, geometry.region.outset(geometry.margin), y_domain)
     corr = _repair_correspondence_ref(block.domain, pool, 1, cap=3 * geometry.margin)
     if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
         return corr
@@ -520,7 +525,8 @@ def _rigid_or_repair_ref(block, y_domain, y_level0, x_structure, params):
     except ConfigError:
         source = None
     if source is not None:
-        y_bad = [c.animal for c in y_level0.bad_components if c.animal.sites & y_domain]
+        y_bad = [_box_cells(c.box) for c in y_level0.bad_components
+                 if not y_domain.isdisjoint(c.box.cells())]
         try:
             corr = translation_family(source, y_domain, y_bad, params)
         except PreconditionError:
@@ -696,7 +702,7 @@ class TestEmbedsLevel:
                     expected = all(
                         level0_embeds(x_field.get(x, y), classify_y0_block(
                             y_field.bits[y * m0:(y + 1) * m0, x * m0:(x + 1) * m0], p))
-                        for x, y in comp.animal.sites)
+                        for x, y in comp.box.cells())
                     assert (wit is not None) == expected
                     if wit is not None:
                         assert verify_embedding(wit.flatten(x_field, y_field, p),
@@ -710,8 +716,8 @@ class TestEmbedsLevel:
         # from elsewhere in the window.
         p = named_profile("toy-m0-3")
         ys = build_level0(p, "Y", 1, Rect(0, 0, 8, 8))
-        corner, = [c for c in ys.bad_components if c.animal.sites == {(0, 0)}]
-        inner, = [c for c in ys.bad_components if c.animal.sites == {(6, 2)}]
+        corner, = [c for c in ys.bad_components if c.box == Rect(0, 0, 1, 1)]
+        inner, = [c for c in ys.bad_components if c.box == Rect(6, 2, 7, 3)]
         misses = [(corner, (3, 3), 8, 8), (corner, (0, 3), 8, 8), (corner, (3, 0), 8, 8),
                   (inner, (0, 0), 4, 4), (inner, (0, 0), 6, 8), (inner, (0, 0), 8, 2)]
         for seed in range(12):
@@ -730,7 +736,7 @@ class TestEmbedsLevel:
         # read from the wrapped cell (8, 8).
         p = named_profile("toy-m0-3")
         corner, = [c for c in build_level0(p, "Y", 1, Rect(0, 0, 8, 8)).bad_components
-                   if c.animal.sites == {(0, 0)}]
+                   if c.box == Rect(0, 0, 1, 1)]
         shifted = build_level0(p, "Y", 1, Rect(3, 3, 11, 11))
         for seed in range(8):
             with pytest.raises(PreconditionError, match="outside the level-0 window"):

@@ -89,7 +89,8 @@ LEVEL0_WITNESS_DIGEST = "17064f4eadfdf5f2dd2b96b94386fcb4ec8ce693e8fb827634b7d0d
 
 
 def _bad_cell(c):
-    return Component(0, LatticeAnimal(frozenset([c])), (), REALLY_BAD, (1, 1))
+    x, y = c
+    return Component(0, Rect(x, y, x + 1, y + 1), (), REALLY_BAD, (1, 1))
 
 
 def _cli(*args) -> str:

@@ -20,6 +20,7 @@ from blockembed.hierarchy import (
     BoundaryCurve,
     Component,
     LatticeBlock,
+    Level0Structure,
     _bad_cells,
     _boundary,
     _boundary_edges,
@@ -224,7 +225,7 @@ def curve_clearance(domain: frozenset, bad_components) -> int:
     """Reference clearance: smallest distance from any bad-component cell
     to the domain boundary (10**9 when either side is empty)."""
     boundary = _domain_boundary_cells_ref(domain)
-    bad = [c for comp in bad_components for c in comp.animal.sites]
+    bad = [c for comp in bad_components for c in comp.box.cells()]
     if not bad or not boundary:
         return 10**9
     return min(chebyshev(b, c) for b in boundary for c in bad)
@@ -409,8 +410,8 @@ def _bad_cells_ref(frame, animal, bad_components):
     return _raster(frame, [
         p
         for c in bad_components
-        if any(reach.contains_cell(q) for q in c.animal.sites)
-        for p in c.animal.sites
+        if any(reach.contains_cell(q) for q in c.box.cells())
+        for p in c.box.cells()
     ])
 
 
@@ -599,9 +600,15 @@ def _full_tilings(draw):
     return draw(st.permutations(blocks))
 
 
-def _singleton_bad_component(cells):
-    return Component(0, LatticeAnimal(frozenset(cells)), (), REALLY_BAD,
-                     (len(cells), len(cells)))
+def _bad_component(box: Rect) -> Component:
+    """A fabricated level-0 component: a box of bad cells."""
+    return Component(0, box, (), REALLY_BAD, (box.area, box.area))
+
+
+def _unit_bad(cell) -> Component:
+    """The fabricated bad component of one cell."""
+    x, y = cell
+    return _bad_component(Rect(x, y, x + 1, y + 1))
 
 
 class TestLevel0:
@@ -677,7 +684,7 @@ class TestLevel0:
         s = build_level0(toy1, "Y", 5, Rect(0, 0, 30, 30))
         covered = set()
         for comp in s.bad_components:
-            covered |= comp.animal.sites
+            covered |= set(comp.box.cells())
         bad = {(x, y) for y, x in zip(*np.nonzero(s.class_grid != GRID_GOOD))}
         assert bad <= covered
 
@@ -685,13 +692,13 @@ class TestLevel0:
         s = build_level0(toy1, "Y", 17, Rect(0, 0, 40, 40))
         seen = set()
         for comp in s.bad_components:
-            assert not (comp.animal.sites & seen)
-            seen |= comp.animal.sites
+            assert not (set(comp.box.cells()) & seen)
+            seen |= set(comp.box.cells())
         # Distinct components are never close-packed adjacent.
         for i, a in enumerate(s.bad_components):
             for b in s.bad_components[i + 1:]:
-                for c in a.animal.sites:
-                    assert not (neighbors(c, "close_packed") & b.animal.sites)
+                for c in a.box.cells():
+                    assert not (neighbors(c, "close_packed") & set(b.box.cells()))
 
     def test_diagonal_square_completion(self):
         groups = _helper_groups({(0, 0), (1, 1)})
@@ -752,10 +759,9 @@ class TestLevel0:
         bad = {(x0 + x, y0 + y) for y in range(h) for x in range(w) if grid[y, x]}
         comps = _level0_bad_components(grid, window)
         expected = _component_closure(bad, window.contains_cell)
-        assert [set(c.animal.sites) for c in comps] == expected
+        assert [set(c.box.cells()) for c in comps] == expected
         for comp, cells in zip(comps, expected):
-            assert comp.animal == LatticeAnimal(frozenset(cells))
-            assert set(comp.animal.box.cells()) == cells
+            assert comp.size == len(cells)
             n_bad = len(cells & bad)
             assert comp.bad_summary == (n_bad, n_bad)
             assert comp.status == REALLY_BAD
@@ -774,7 +780,7 @@ class TestConjoined:
     def test_really_bad_component_conjoins(self, toy1):
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
-        s.bad_components = [_singleton_bad_component([(z.rect.x0, z.rect.y0)])]
+        s.bad_components = [_unit_bad((z.rect.x0, z.rect.y0))]
         assert is_conjoined(z, s)
 
     def test_any_meeting_component_conjoins(self, toy1):
@@ -784,11 +790,11 @@ class TestConjoined:
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
         r = z.rect
-        beside = _singleton_bad_component([(r.x1, r.y0)])
+        beside = _unit_bad((r.x1, r.y0))
         s.bad_components = [beside]
         assert not is_conjoined(z, s)
-        for cells in ([(r.x0, r.y0)], [(r.x1 - 1, r.y1 - 1), (r.x1, r.y1 - 1)]):
-            s.bad_components = [beside, _singleton_bad_component(cells)]
+        for box in (Rect(r.x0, r.y0, r.x0 + 1, r.y0 + 1), Rect(r.x1 - 1, r.y1 - 1, r.x1 + 1, r.y1)):
+            s.bad_components = [beside, _bad_component(box)]
             assert is_conjoined(z, s)
 
     def test_total_above_k0_conjoins(self, toy1):
@@ -796,15 +802,13 @@ class TestConjoined:
         # split over two components or in one.
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
-        cells1 = [(z.rect.x0, z.rect.y0), (z.rect.x0 + 1, z.rect.y0)]
-        cells2 = [(z.rect.x0, z.rect.y0 + 4)]
+        x0, y0 = z.rect.x0, z.rect.y0
         s.bad_components = [
-            _singleton_bad_component(cells1),
-            _singleton_bad_component(cells2),
+            _bad_component(Rect(x0, y0, x0 + 2, y0 + 1)),
+            _unit_bad((x0, y0 + 4)),
         ]
         assert toy1.k0 == 2 and is_conjoined(z, s)
-        s.bad_components = [_singleton_bad_component(
-            [(z.rect.x0 + 1, z.rect.y0 + k) for k in range(toy1.k0 + 1)])]
+        s.bad_components = [_bad_component(Rect(x0 + 1, y0, x0 + 2, y0 + toy1.k0 + 1))]
         assert is_conjoined(z, s)
 
     def test_requires_structure_coverage(self, toy1):
@@ -812,6 +816,77 @@ class TestConjoined:
         z = buffer_zone(1, (5, 5), "R", toy1)
         with pytest.raises(PreconditionError):
             is_conjoined(z, s)
+
+
+def _is_conjoined_ref(buffer, bad_components) -> bool:
+    """Reference (the former per-cell scan): some cell of some component
+    lies in the buffer rectangle."""
+    return any(buffer.rect.contains_cell(c)
+               for comp in bad_components for c in comp.box.cells())
+
+
+def _classify_good_block_ref(block, bad_components) -> bool:
+    """Reference (the former per-cell test): a one-cell block whose domain
+    shares no cell with any component."""
+    return block.size == 1 and all(frozenset(comp.box.cells()).isdisjoint(block.domain)
+                                   for comp in bad_components)
+
+
+@st.composite
+def _boxes_around(draw, cells, span: Rect):
+    """Boxes inside, straddling or outside a cell set: each is anchored at
+    one of the cells or anywhere in ``span``, and is 1 to 6 cells a side."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        if cells and draw(st.booleans()):
+            x, y = draw(st.sampled_from(sorted(cells)))
+            x -= draw(st.integers(0, 5))
+            y -= draw(st.integers(0, 5))
+        else:
+            x = draw(st.integers(span.x0, span.x1 - 1))
+            y = draw(st.integers(span.y0, span.y1 - 1))
+        boxes.append(Rect(x, y, x + draw(st.integers(1, 6)), y + draw(st.integers(1, 6))))
+    return boxes
+
+
+class TestBoxPredicates:
+    """The box tests against the per-cell expressions they replace."""
+
+    SPAN = Rect(-8, -8, 26, 26)
+
+    @given(st.sampled_from(["R", "T", "L", "B"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_is_conjoined_matches_reference(self, side, data):
+        z = buffer_zone(1, (0, 0), side, TOY1)
+        window = level0_window_for(Rect(-1, -1, 2, 2), TOY1)
+        boxes = data.draw(_boxes_around(list(z.rect.cells()), self.SPAN))
+        comps = [_bad_component(b) for b in boxes]
+        # Each box alone, then all together.
+        for group in [[c] for c in comps] + [comps]:
+            s = Level0Structure("Y", window, 0, TOY1, None, None, group)
+            assert is_conjoined(z, s) == _is_conjoined_ref(z, group)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_classify_good_block_matches_reference(self, data):
+        # Arbitrary domains, not only realized ones: scattered cells, or a
+        # rectangle with holes, anywhere in the span, also far from the
+        # block's cell.
+        cell = st.tuples(st.integers(self.SPAN.x0, self.SPAN.x1 - 1),
+                         st.integers(self.SPAN.y0, self.SPAN.y1 - 1))
+        if data.draw(st.booleans()):
+            domain = data.draw(st.frozensets(cell, min_size=1, max_size=40))
+        else:
+            x, y = data.draw(cell)
+            rect = Rect(x, y, x + data.draw(st.integers(1, 20)), y + data.draw(st.integers(1, 20)))
+            holes = data.draw(st.frozensets(st.sampled_from(list(rect.cells())), max_size=10))
+            domain = frozenset(rect.cells()) - holes or frozenset([(x, y)])
+        cells = data.draw(st.sampled_from([[(0, 0)], [(0, 0), (1, 0)]]))
+        block = Block(1, LatticeBlock(1, LatticeAnimal(frozenset(cells))), domain)
+        comps = [_bad_component(b) for b in data.draw(_boxes_around(domain, self.SPAN))]
+        for group in [[c] for c in comps] + [comps]:
+            s = Level0Structure("Y", self.SPAN, 0, TOY1, None, None, group)
+            assert classify_good_block(block, s) == _classify_good_block_ref(block, group)
 
 
 class TestLatticeBlocks:
@@ -915,7 +990,7 @@ class TestCurves:
         # A bad cell on the straight boundary forces a perturbed curve that
         # still clears it by the configured clearance.
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        obstruction = _singleton_bad_component([(0, 7)])
+        obstruction = _unit_bad((0, 7))
         clearance = toy1.margins(1).clearance
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -984,7 +1059,7 @@ class TestCurves:
         frame = curve_frame(animal, 1, TOY1)
         mask = realize_domain(frame, corner, edge)
         cells = data.draw(_cells_around(frame, 12))
-        bad = [_singleton_bad_component([c]) for c in cells]
+        bad = [_unit_bad(c) for c in cells]
         clearance = frame.clearance
         assert _clears(mask, _dilate(_raster(frame, cells), clearance - 1)) == (
             curve_clearance(frame.cells(mask), bad) >= clearance)
@@ -1055,8 +1130,8 @@ class TestCurves:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(CurveSelectionError, match="no valid boundary curve exists"):
-            select_boundary_curve(lb, [_singleton_bad_component([c])
-                                       for c in ((15, 8), (17, 8))], toy1, rng, 1)
+            select_boundary_curve(lb, [_unit_bad(c) for c in ((15, 8), (17, 8))],
+                                  toy1, rng, 1)
         assert rng.bit_generator.state == state
 
 
@@ -1240,7 +1315,7 @@ class TestCurveTables:
         animal = data.draw(_animals(_SHAPES[:2]))
         frame = curve_frame(animal, 1, params)
         cells = data.draw(_outline_cells(frame, 12))
-        bad = [_singleton_bad_component([c]) for c in cells]
+        bad = [_unit_bad(c) for c in cells]
         seed = data.draw(st.integers(0, 2**32))
         lb = LatticeBlock(1, animal)
         assert _selection(select_boundary_curve, lb, bad, params,
@@ -1266,7 +1341,7 @@ class TestCurveTables:
     ])
     def test_planted_blocks_match_reference(self, toy1, cells, seeds):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        bad = [_singleton_bad_component([c]) for c in cells]
+        bad = [_unit_bad(c) for c in cells]
         for seed in seeds:
             assert _selection(select_boundary_curve, lb, bad, toy1,
                               np.random.default_rng(seed), 1) == _selection(
@@ -1280,7 +1355,7 @@ class TestCurveTables:
     def test_scan_reads_exactly_its_cap(self, toy1, monkeypatch, cap):
         monkeypatch.setattr(hierarchy, "CURVE_SCAN_CAP", cap)
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        bad = [_singleton_bad_component([c]) for c in self.SCAN_CELLS]
+        bad = [_unit_bad(c) for c in self.SCAN_CELLS]
         got = _selection(select_boundary_curve, lb, bad, toy1, np.random.default_rng(5), 1)
         assert got == _selection(_select_ref, lb, bad, toy1, np.random.default_rng(5), 1)
         assert isinstance(got, str) == (cap == 1543)
@@ -1295,7 +1370,7 @@ class TestCurveTables:
         # curve is realized, and a selection that raises realizes none.
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
         frame = curve_frame(lb.animal, 1, toy1)  # straight curve realized
-        bad = [_singleton_bad_component([c]) for c in cells]
+        bad = [_unit_bad(c) for c in cells]
         masks = []
         realize = realize_domain
         monkeypatch.setattr(hierarchy, "realize_domain",
@@ -1326,8 +1401,8 @@ class TestCurveTables:
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_bad_cells_match_reference(self, params, data):
-        # Components grown cell by cell, or filled boxes as level 0 builds
-        # them, around the frame: some reach into the blow-up's reach, some
+        # Boxes as level 0 builds them, or the unit boxes of a random walk's
+        # cells, around the frame: some reach into the blow-up's reach, some
         # only come near it, and boxes may overhang the frame.
         animal = data.draw(_animals())
         frame = curve_frame(animal, 1, params)
@@ -1339,19 +1414,19 @@ class TestCurveTables:
             if data.draw(st.booleans()):
                 bw, bh = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
                 box = Rect(x, y, x + bw, y + bh)
-                comps.append(Component(0, LatticeAnimal.filled(box), (), REALLY_BAD, (1, 1)))
+                comps.append(_bad_component(box))
                 continue
             cells = [(x, y)]
             for step in data.draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
                                            max_size=8)):
                 cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
-            comps.append(_singleton_bad_component(set(cells)))
+            comps += [_unit_bad(c) for c in set(cells)]
         assert np.array_equal(_bad_cells(frame, animal, comps),
                               _bad_cells_ref(frame, animal, comps))
 
     def test_tables_take_every_remaining_draw(self, toy1):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        bad = [_singleton_bad_component([c]) for c in self.SCAN_CELLS]
+        bad = [_unit_bad(c) for c in self.SCAN_CELLS]
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         select_boundary_curve(lb, bad, toy1, rng, 1)
         # Four vertices and four edges at 2 * k0 = 4 tracks.
@@ -1417,7 +1492,7 @@ class TestCurveTables:
 class TestLazyPolyline:
     def test_polyline_traced_on_first_read(self, toy1, monkeypatch):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        bad = [_singleton_bad_component([(0, 7)])]
+        bad = [_unit_bad((0, 7))]
         calls = []
         trace = region_boundary_loops
         monkeypatch.setattr(hierarchy, "region_boundary_loops",
@@ -1430,7 +1505,7 @@ class TestLazyPolyline:
 
     def test_equality_and_hash_ignore_reading(self, toy1):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        bad = [_singleton_bad_component([(0, 7)])]
+        bad = [_unit_bad((0, 7))]
         a, b = (select_boundary_curve(lb, bad, toy1, np.random.default_rng(2), 1)
                 for _ in range(2))
         other = select_boundary_curve(lb, bad, toy1, np.random.default_rng(3), 1)
@@ -1486,7 +1561,7 @@ class TestBlocksAndComponents:
         comps = form_components(blocks)
         big = max(comps, key=lambda c: c.size)
         # The two diagonal bad blocks merge and pull in their 2x2 squares.
-        assert {(0, 0), (1, 1), (1, 0), (0, 1)} <= big.animal.sites
+        assert big.box == Rect(0, 0, 2, 2)
         assert big.status == REALLY_BAD
         assert big.bad_summary[0] == 2
 
@@ -1500,9 +1575,9 @@ class TestBlocksAndComponents:
         expected = groups + [{c} for c in cell_owner if c not in grouped]
         expected.sort(key=min)
         comps = form_components(blocks)
-        assert [set(c.animal.sites) for c in comps] == expected
+        assert [set(c.box.cells()) for c in comps] == expected
         for comp in comps:
-            members = {cell_owner[c] for c in comp.animal.sites}
+            members = {cell_owner[c] for c in comp.box.cells()}
             assert set(comp.blocks) == members
             bad_blocks = [b for b in members if not b.good]
             assert comp.bad_summary == (len(bad_blocks),

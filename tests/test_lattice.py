@@ -102,25 +102,6 @@ class TestAnimals:
         assert _is_animal(cells) == is_connected(cells)
 
 
-class TestFilledAnimals:
-    @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 6), st.integers(1, 6))
-    @settings(max_examples=200, deadline=None)
-    def test_box_animal_equals_checked_animal(self, x0, y0, w, h):
-        rect = Rect(x0, y0, x0 + w, y0 + h)
-        box = LatticeAnimal.filled(rect)
-        checked = LatticeAnimal(frozenset(rect.cells()))
-        assert box.sites == checked.sites
-        assert box == checked and checked == box
-        assert hash(box) == hash(checked)
-        assert box.bounding_box() == checked.bounding_box()
-        assert box.box == rect and checked.box is None
-
-    @pytest.mark.parametrize("rect", [Rect(0, 0, 0, 3), Rect(2, 2, 1, 4), Rect(0, 0, 0, 0)])
-    def test_empty_box_rejected(self, rect):
-        with pytest.raises(ConfigError, match="a lattice animal must be nonempty"):
-            LatticeAnimal.filled(rect)
-
-
 class TestRect:
     def test_half_open_contains(self):
         r = Rect(0, 0, 2, 2)
@@ -131,6 +112,15 @@ class TestRect:
         assert Rect(0, 0, 4, 4).intersection(Rect(2, 2, 6, 6)) == Rect(2, 2, 4, 4)
         assert Rect(0, 0, 2, 2).intersection(Rect(2, 0, 4, 2)) is None
 
+    @given(*[st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 5), st.integers(1, 5)] * 2)
+    @settings(max_examples=100, deadline=None)
+    def test_meets_is_a_shared_cell(self, ax, ay, aw, ah, bx, by, bw, bh):
+        a, b = Rect(ax, ay, ax + aw, ay + ah), Rect(bx, by, bx + bw, by + bh)
+        shared = set(a.cells()) & set(b.cells())
+        assert a.meets(b) == b.meets(a) == bool(shared)
+        assert a.meets(b) == (a.intersection(b) is not None)
+        assert a.area == len(list(a.cells()))
+
     def test_inset_outset(self):
         assert Rect(0, 0, 10, 10).inset(2) == Rect(2, 2, 8, 8)
         assert Rect(0, 0, 10, 10).outset(1) == Rect(-1, -1, 11, 11)
@@ -139,18 +129,22 @@ class TestRect:
         assert list(Rect(0, 0, 2, 2).cells()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
+def _blowup(g):
+    """A cell's blow-up: its region widened by the buffer margin."""
+    return g.region.outset(g.margin)
+
+
 class TestCellGeometry:
     def test_level0_unit_square(self, toy1):
         g = cell_geometry(0, (3, 5), toy1)
         assert g.region == Rect(3, 5, 4, 6)
-        assert g.interior == g.region == g.blowup
+        assert g.margin == 0
 
     def test_level1_margins(self, toy1):
         g = cell_geometry(1, (0, 0), toy1)
         m = toy1.margins(1).buffer
         assert g.region == Rect(0, 0, 16, 16)
-        assert g.interior == Rect(m, m, 16 - m, 16 - m)
-        assert g.blowup == Rect(-m, -m, 16 + m, 16 + m)
+        assert g.margin == m
 
     def test_nested_tiling_cell_count(self, toy1):
         # A level-1 cell tiles into cells_per_side(1)^2 level-0 cells.
@@ -162,16 +156,16 @@ class TestCellGeometry:
     def test_buffer_is_annulus_band(self, toy1):
         # Each side buffer is the intersection of the two adjacent blow-ups.
         z = buffer_zone(1, (0, 0), "R", toy1)
-        left = cell_geometry(1, (0, 0), toy1).blowup
-        right = cell_geometry(1, (1, 0), toy1).blowup
+        left = _blowup(cell_geometry(1, (0, 0), toy1))
+        right = _blowup(cell_geometry(1, (1, 0), toy1))
         assert z.rect == left.intersection(right)
         assert z.shared_with == (1, 0)
 
     def test_buffer_set_equality_all_sides(self, toy1):
         for side, nb in (("T", (0, 1)), ("B", (0, -1)), ("L", (-1, 0)), ("R", (1, 0))):
             z = buffer_zone(1, (2, 2), side, toy1)
-            a = cell_geometry(1, (2, 2), toy1).blowup
-            b = cell_geometry(1, z.shared_with, toy1).blowup
+            a = _blowup(cell_geometry(1, (2, 2), toy1))
+            b = _blowup(cell_geometry(1, z.shared_with, toy1))
             assert z.rect == a.intersection(b)
             assert z.shared_with == (2 + nb[0], 2 + nb[1])
 

@@ -59,6 +59,13 @@ class TestScales:
         with pytest.raises(ConfigError):
             ParameterSet(alpha=0, beta=1, gamma=1, m=1, k0=1, v0=1, L0=2, M0=2, M=1)
 
+    @pytest.mark.parametrize("label", ["alpha", "beta", "gamma", "m", "M"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, label, value):
+        # NaN compares false with 0, so a positivity test alone lets it in.
+        with pytest.raises(ConfigError, match=f"{label} must be finite"):
+            named_profile("toy1", **{label: value})
+
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_semibad_floor_must_exceed_level0_probability(self, v0, k0, seed):

@@ -10,7 +10,7 @@ from blockembed import embed
 from blockembed.errors import ConfigError, PreconditionError
 from blockembed.fields import ACCEPTS, GRID_GOOD, GRID_ONE, BitField, classify_grid
 from blockembed.hierarchy import Component, Level0Structure, build_hierarchy, build_level0
-from blockembed.lattice import LatticeAnimal, Rect
+from blockembed.lattice import Rect
 from blockembed.params import named_profile
 from blockembed.stats import (
     ProbabilityEstimate,
@@ -24,9 +24,9 @@ from blockembed.stats import (
 )
 
 
-def _bad_component(cells):
-    return Component(0, LatticeAnimal(frozenset(cells)), (), "really-bad",
-                     (len(cells), len(cells)))
+def _bad_component(box):
+    """A fabricated level-0 component: a box of bad cells."""
+    return Component(0, box, (), "really-bad", (box.area, box.area))
 
 
 # Every fabricated component below lies in this window.
@@ -47,23 +47,23 @@ def _bit_content(bit):
 
 class TestExactS0:
     def test_good_component_is_one(self, toy1):
-        comp = Component(0, LatticeAnimal(frozenset([(0, 0)])), (), "good-singleton",
+        comp = Component(0, Rect(0, 0, 1, 1), (), "good-singleton",
                          (0, 0))
         assert exact_S0(comp, "Y", toy1) == 1
 
     def test_bad_component_2_pow_v(self, toy1):
         for v in (1, 2, 3):
-            comp = _bad_component([(i, 0) for i in range(v)])
+            comp = _bad_component(Rect(0, 0, v, 1))
             assert exact_S0(comp, "Y", toy1) == Fraction(1, 2**v)
 
     def test_source_singleton(self):
         # A source level 0 has no bad cell, so it has no component to price.
-        comp = _bad_component([(0, 0)])
+        comp = _bad_component(Rect(0, 0, 1, 1))
         with pytest.raises(ConfigError, match="target-family"):
             exact_S0(comp, "X", named_profile("toy-m0-2"))
 
     def test_level_restriction(self, toy1):
-        comp = _bad_component([(0, 0)])
+        comp = _bad_component(Rect(0, 0, 1, 1))
         object.__setattr__(comp, "level", 1)
         with pytest.raises(ConfigError):
             exact_S0(comp, "Y", toy1)
@@ -78,7 +78,7 @@ class TestExactS0:
             s = build_level0(p, "Y", seed, Rect(0, 0, 12, 12))
             assert s.bad_components
             for comp in s.bad_components:
-                n = sum(int(s.class_grid[y, x]) != GRID_GOOD for x, y in comp.animal.sites)
+                n = sum(int(s.class_grid[y, x]) != GRID_GOOD for x, y in comp.box.cells())
                 assert exact_S0(comp, "Y", p) == Fraction(1, 2**n)
                 sizes_differ |= n < comp.size
         assert sizes_differ
@@ -86,12 +86,12 @@ class TestExactS0:
 
 class TestEstimateS:
     def test_zero_trials_rejected(self, toy1):
-        comp = _bad_component([(0, 0)])
+        comp = _bad_component(Rect(0, 0, 1, 1))
         with pytest.raises(PreconditionError):
             estimate_S(comp, 0, 0, 1, toy1)
 
     def test_deterministic(self, toy1):
-        comp = _bad_component([(0, 0)])
+        comp = _bad_component(Rect(0, 0, 1, 1))
         content = _class_content()
         a = estimate_S(comp, 0, 5000, 42, toy1, family="Y", structure=content)
         b = estimate_S(comp, 0, 5000, 42, toy1, family="Y", structure=content)
@@ -99,7 +99,7 @@ class TestEstimateS:
 
     def test_matches_exact_within_3_sigma(self, toy1):
         for v, seed in ((1, 5), (2, 6), (3, 7)):
-            comp = _bad_component([(i, 0) for i in range(v)])
+            comp = _bad_component(Rect(0, 0, v, 1))
             est = estimate_S(comp, 0, 20000, seed, toy1, family="Y",
                              structure=_class_content())
             exact = float(exact_S0(comp, "Y", toy1))
@@ -107,7 +107,7 @@ class TestEstimateS:
             assert abs(est.point - exact) <= 3 * sigma
 
     def test_level0_source_side_rejected(self):
-        comp = _bad_component([(0, 0)])
+        comp = _bad_component(Rect(0, 0, 1, 1))
         with pytest.raises(ConfigError, match="target-family"):
             estimate_S(comp, 0, 100, 9, named_profile("toy-m0-2"), family="X",
                        structure=_bit_content(0))
@@ -131,7 +131,7 @@ class TestEstimateS:
         assert checked >= 5
 
     def test_good_component_estimates_one(self, toy1):
-        comp = Component(0, LatticeAnimal(frozenset([(0, 0)])), (), "good-singleton",
+        comp = Component(0, Rect(0, 0, 1, 1), (), "good-singleton",
                          (0, 0))
         est = estimate_S(comp, 0, 1000, 3, toy1, family="Y",
                          structure=_class_content(GRID_GOOD))
@@ -165,7 +165,7 @@ class TestExactS1:
 
     def test_level0_component_rejected(self, toy1):
         with pytest.raises(ConfigError, match="level-1 block"):
-            exact_S1(_bad_component([(0, 0)]), toy1)
+            exact_S1(_bad_component(Rect(0, 0, 1, 1)), toy1)
 
 
 class TestLevel1FailedTrials:
@@ -206,7 +206,7 @@ class TestLevel1Trials:
         block, level0 = source
         with pytest.raises(ConfigError, match="workers must be at least 1"):
             estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0, workers=workers)
-        comp = _bad_component([(0, 0)])
+        comp = _bad_component(Rect(0, 0, 1, 1))
         with pytest.raises(ConfigError, match="workers must be at least 1"):
             estimate_S(comp, 0, 5, 0, toy1, family="Y", structure=_class_content(),
                        workers=workers)
