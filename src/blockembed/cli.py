@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from . import hierarchy as hier
@@ -230,7 +232,7 @@ def reports(profile, seed, windows, window, out_dir):
             tail_samples.append((float(s), comp.size))
             sizes.append(comp.size)
         # Row-major, the order of window.cells().
-        good0 += (h.level0.class_grid == GRID_GOOD).ravel().tolist()
+        good0.append((h.level0.class_grid == GRID_GOOD).ravel())
         for block in h.levels[1].blocks:
             if not block.censored:
                 good1.append(block.good)
@@ -240,7 +242,8 @@ def reports(profile, seed, windows, window, out_dir):
         tail_samples.append((1.0, 1))
         sizes.append(1)
     # Fully censored levels contribute no samples and are omitted.
-    good_by_level = {j: flags for j, flags in ((0, good0), (1, good1)) if flags}
+    good_by_level = {j: flags for j, flags in ((0, np.concatenate(good0)), (1, good1))
+                     if len(flags)}
     texts = {}
     for name, report in (
         ("tail", stats.tail_report(tail_samples, p, 0)),
@@ -303,6 +306,19 @@ def _exact_number(ctx, param, text):
         raise ConfigError(f"--{param.name} must be a finite number, got {text!r}") from None
 
 
+def _g6(value) -> str:
+    """An audit value to 6 significant digits, as its float prints; one
+    beyond the float range is rounded to them exactly in decimal instead."""
+    try:
+        return format(float(value), ".6g")
+    except OverflowError:
+        value = Fraction(value)
+        with localcontext() as ctx:
+            ctx.prec = 6
+            return format((Decimal(value.numerator) / Decimal(value.denominator)).normalize(),
+                          "g")
+
+
 @cli.command("audit-params")
 @profile_option
 @click.option("--alpha", callback=_exact_number, help="read exactly")
@@ -318,8 +334,7 @@ def audit_params(profile, alpha, beta, gamma, m, k0, v0):
     click.echo("constraint,lhs,rhs,satisfied,slack")
     for row in report:
         verdict = "inconclusive" if row.satisfied is None else str(row.satisfied)
-        click.echo(f"{row.name},{float(row.lhs):.6g},{float(row.rhs):.6g},"
-                   f"{verdict},{float(row.slack):.6g}")
+        click.echo(f"{row.name},{_g6(row.lhs)},{_g6(row.rhs)},{verdict},{_g6(row.slack)}")
     click.echo(f"overall,{report.overall}")
     if not report.overall:
         click.echo("note: violations are reported, not repaired", err=True)

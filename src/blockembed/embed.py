@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .fields import ACCEPTS, BitField, classify_grid, sample_field
+from .fields import ACCEPTS, BitField, block_codes, block_ones, sample_field
 from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry
 from .params import ParameterSet
 
@@ -34,6 +34,7 @@ __all__ = [
     "EmbeddingWitness",
     "translation_family",
     "embeds_level",
+    "level1_rule",
     "verify_embedding",
 ]
 
@@ -231,25 +232,29 @@ def embeds_level(
     At level 1, x is a single-cell block of the source family, as every
     source block is at depth 1, and y_window a target-family window whose
     sites, or those of a fresh sample of its seed, are classified under
-    the cell; the same rule decides each source cell of the block's domain
-    against the class under it.  Sound but not complete: a None result
-    means the searched maps hold no witness.
+    the cell; its ``Level1Rule`` decides that window as a stack of one.
+    Sound but not complete: a None result means the searched maps hold no
+    witness.
     """
     if level not in (0, 1):
         raise ConfigError("embedding search supports levels 0 and 1")
-    if x_structure is None:
-        raise PreconditionError("source structure required for content lookup")
     if level == 0:
-        if x_structure.family != "Y":
+        if _content(x_structure).family != "Y":
             raise ConfigError("the level-0 search maps a target-family component")
         partner, search = "X", _embeds_level0
     else:
-        if x_structure.family != "X" or x.size != 1:
-            raise ConfigError("the level-1 search maps one source-family cell")
+        _level1_source(x, x_structure)
         partner, search = "Y", _embeds_level1
     if y_window.family != partner:
         raise ConfigError(f"the level-{level} partner window must be of family {partner}")
     return search(x, y_window, params, x_structure)
+
+
+def _content(x_structure):
+    """The source structure, which every search reads its content from."""
+    if x_structure is None:
+        raise PreconditionError("source structure required for content lookup")
+    return x_structure
 
 
 def _embeds_level0(component, x_window, params, y_level0):
@@ -267,35 +272,82 @@ def _embeds_level0(component, x_window, params, y_level0):
     return EmbeddingWitness(0, frozenset(cells))
 
 
-def _embeds_level1(block, y_window, params, x_structure):
-    """The identity witness when every cell of the block's domain embeds
-    into the target block of its own cell, else None.
+@dataclass(frozen=True, eq=False)
+class Level1Rule:
+    """The level-1 search of one source block, checked once and applied to
+    any number of target windows over the block's cell region.
 
-    The construction cuts the target block over the cell by a boundary
-    curve that moves at most k0 - 1 cells inside the cell's region and
-    keeps ``clearance`` from every bad target cell, or by the straight
-    placeholder.  With k0 <= clearance the block therefore holds every bad
-    cell of the region, so each source cell there lies in the target block
-    or over a good cell, and no cell needs moving: no target curve need be
-    drawn.  A larger k0 lets a curve leave a bad cell
-    outside (toy1 at k0 = 3 does), so it is refused.  A source curve is
-    straight with probability 1 - 10**-11, and its domain is the region;
-    one that leaves the region is refused rather than repaired.
+    ``rel`` is the domain as (x, y) cells relative to ``region`` and
+    ``bits`` their source bits.  A target window is accepted, with the
+    identity witness, exactly when every domain cell's bit is accepted by
+    the class of the M0 x M0 target block under it.
     """
-    if params.k0 > params.margins(1).clearance:
-        raise ConfigError("the level-1 search needs k0 <= the level-1 clearance")
-    region, m0 = cell_geometry(1, min(block.animal.sites), params).region, params.M0
-    rel = block.domain_cells - (region.x0, region.y0)
-    if not ((rel >= 0) & (rel < region.x1 - region.x0)).all():
-        raise PreconditionError("source domain leaves its cell's region")
+
+    region: Rect
+    m0: int
+    rel: np.ndarray
+    bits: np.ndarray
+
+    @property
+    def window(self) -> tuple:
+        """(origin, width, height) of the region's target sites."""
+        r, m0 = self.region, self.m0
+        return (r.x0 * m0, r.y0 * m0), (r.x1 - r.x0) * m0, (r.y1 - r.y0) * m0
+
+    def accepts(self, sites: np.ndarray) -> np.ndarray:
+        """Per layer of a (T, height, width) stack of target windows over
+        the region: whether the search accepts it."""
+        ones = block_ones(sites, self.m0)[:, self.rel[:, 1], self.rel[:, 0]]
+        return ACCEPTS[self.bits, block_codes(ones, self.m0)].all(axis=1)
+
+    @classmethod
+    def of(cls, block, params: ParameterSet, x_structure) -> "Level1Rule":
+        """The rule of a single-cell source block.
+
+        The construction cuts the target block over the cell by a boundary
+        curve that moves at most k0 - 1 cells inside the cell's region and
+        keeps ``clearance`` from every bad target cell, or by the straight
+        placeholder.  With k0 <= clearance the block therefore holds every
+        bad cell of the region, so each source cell there lies in the
+        target block or over a good cell, and no cell needs moving: no
+        target curve need be drawn.  A larger k0 lets a curve leave a bad
+        cell outside (toy1 at k0 = 3 does), so it is refused.  A source
+        curve is straight with probability 1 - 10**-11, and its domain is
+        the region; one that leaves the region is refused rather than
+        repaired.
+        """
+        if params.k0 > params.margins(1).clearance:
+            raise ConfigError("the level-1 search needs k0 <= the level-1 clearance")
+        region = cell_geometry(1, min(block.animal.sites), params).region
+        rel = block.domain_cells - (region.x0, region.y0)
+        if not ((rel >= 0) & (rel < region.x1 - region.x0)).all():
+            raise PreconditionError("source domain leaves its cell's region")
+        return cls(region, params.M0, rel, x_structure.bits_at(block.domain_cells))
+
+
+def _level1_source(block, x_structure) -> None:
+    if _content(x_structure).family != "X" or block.size != 1:
+        raise ConfigError("the level-1 search maps one source-family cell")
+
+
+def level1_rule(block, params: ParameterSet, x_structure) -> Level1Rule:
+    """The level-1 search of a source block, with every check that
+    ``embeds_level`` makes of it done once: the Monte Carlo estimator
+    applies it to its trials a stack at a time."""
+    _level1_source(block, x_structure)
+    return Level1Rule.of(block, params, x_structure)
+
+
+def _embeds_level1(block, y_window, params, x_structure):
+    """``Level1Rule.of`` the block applied to one target window, a stack
+    of one: the identity witness when it accepts, else None."""
+    rule = Level1Rule.of(block, params, x_structure)
     # Windows of one seed agree site for site, so a window that misses the
-    # cell is resampled from its seed.
-    sites = _crop(y_window, region, m0)
+    # region is resampled from its seed.
+    sites = _crop(y_window, rule.region, rule.m0)
     if sites is None:
-        sites = sample_field(y_window.seed, "Y", (region.x0 * m0, region.y0 * m0),
-                             (region.x1 - region.x0) * m0, (region.y1 - region.y0) * m0)
-    codes = classify_grid(sites, params)[rel[:, 1], rel[:, 0]]
-    if not ACCEPTS[x_structure.bits_at(block.domain_cells), codes].all():
+        sites = sample_field(y_window.seed, "Y", *rule.window)
+    if not rule.accepts(sites.bits[np.newaxis])[0]:
         return None
     return EmbeddingWitness(1, block.domain)
 

@@ -32,13 +32,20 @@ _MIX2 = 0x94D049BB133111EB
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array of ndim >= 1: numpy wraps
     array arithmetic silently but warns on scalar overflow."""
-    z = z + _U64(_GOLDEN)
-    z ^= z >> _U64(30)
-    z *= _U64(_MIX1)
-    z ^= z >> _U64(27)
-    z *= _U64(_MIX2)
-    z ^= z >> _U64(31)
+    z = z.copy()
+    _mix64_into(z, np.empty_like(z))
     return z
+
+
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """``_mix64`` in place over the uint64 array ``z``, with ``tmp`` of the
+    same shape as scratch: no array is allocated."""
+    z += _U64(_GOLDEN)
+    for shift, mul in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= _U64(mul)
 
 
 def _mix64_int(z: int) -> int:
@@ -108,6 +115,42 @@ class BitField:
         )
 
 
+class WindowHash:
+    """The bits of one window of sites under a stack of seeds.
+
+    ``bits(seeds)`` returns the (len(seeds), height, width) uint8 stack
+    whose layer t is the window's bits under ``seeds[t]``, hashed as
+    ``site_bits`` hashes each site.  Its two uint64 work buffers hold
+    ``depth`` layers and are reused by every call, which hashes at most
+    ``depth`` seeds.
+    """
+
+    def __init__(self, family: str, origin: tuple[int, int], width: int, height: int,
+                 depth: int = 1):
+        if width < 1 or height < 1:
+            raise ConfigError("window dimensions must be positive")
+        if width * height > SITE_CAP:
+            raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
+        if family not in _FAMILY_TAGS:
+            raise ConfigError(f"unknown family {family!r}")
+        self.shape = (height, width)
+        self._tag = _mix64_int(_FAMILY_TAGS[family])
+        self._xs = np.arange(origin[0], origin[0] + width, dtype=np.int64).astype(_U64)
+        self._ys = np.arange(origin[1], origin[1] + height, dtype=np.int64).astype(_U64)[:, None]
+        n = depth * width * height
+        self._h, self._tmp = np.empty(n, _U64), np.empty(n, _U64)
+
+    def bits(self, seeds) -> np.ndarray:
+        shape = (len(seeds), *self.shape)
+        h, tmp = (buf[:np.prod(shape)].reshape(shape) for buf in (self._h, self._tmp))
+        prefix = np.array([_mix64_int((s & _M64) ^ self._tag) for s in seeds], dtype=_U64)
+        np.bitwise_xor(_mix64(self._xs ^ prefix[:, None])[:, None, :], self._ys, out=h)
+        _mix64_into(h, tmp)
+        np.right_shift(h, _U64(31), out=h)
+        np.bitwise_and(h, _U64(1), out=h)
+        return h.astype(np.uint8)
+
+
 def sample_field(
     seed: int,
     family: str,
@@ -116,13 +159,7 @@ def sample_field(
     height: int,
 ) -> BitField:
     """Sample a window of i.i.d. fair bits determined by (seed, family, site)."""
-    if width < 1 or height < 1:
-        raise ConfigError("window dimensions must be positive")
-    if width * height > SITE_CAP:
-        raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
-    xs = np.arange(origin[0], origin[0] + width, dtype=np.int64)
-    ys = np.arange(origin[1], origin[1] + height, dtype=np.int64)
-    bits = site_bits(seed, family, xs[np.newaxis, :], ys[:, np.newaxis])
+    bits = WindowHash(family, origin, width, height).bits([seed])[0]
     return BitField(family, tuple(origin), width, height, seed, bits)
 
 
@@ -172,11 +209,26 @@ def classify_grid(field: BitField, params: ParameterSet) -> np.ndarray:
         raise ConfigError("window origin must align to the block lattice")
     if field.width % m0 or field.height % m0:
         raise ConfigError("window must span whole blocks")
-    # Block rows in one pass over an (h/m0, m0, w) view, in int32 as uint8
-    # would wrap; then block columns in int64, which holds every count exactly.
-    rows = np.add.reduce(field.bits.reshape(field.height // m0, m0, field.width), axis=1,
-                         dtype=np.int32)
-    ones = np.add.reduceat(rows, np.arange(0, field.width, m0), axis=1, dtype=np.int64)
+    return block_codes(block_ones(field.bits, m0), m0)
+
+
+def block_ones(bits: np.ndarray, m0: int) -> np.ndarray:
+    """Ones in every aligned m0 x m0 block of a (..., H, W) stack of bit
+    windows whose sides are multiples of m0, as a (..., H/m0, W/m0) array.
+
+    Block rows are summed over an (..., H/m0, m0, W) view, then block
+    columns; in int16, which holds every count up to m0 = 181, and in
+    int64 above that (uint8 would wrap).
+    """
+    *stack, h, w = bits.shape
+    dtype = np.int16 if m0 * m0 < 1 << 15 else np.int64
+    rows = np.add.reduce(bits.reshape(*stack, h // m0, m0, w), axis=-2, dtype=dtype)
+    return np.add.reduce(rows.reshape(*stack, h // m0, w // m0, m0), axis=-1, dtype=dtype)
+
+
+def block_codes(ones: np.ndarray, m0: int) -> np.ndarray:
+    """Class codes of M0 x M0 blocks from their counts of ones: an int8
+    array of GRID_GOOD, GRID_ZERO and GRID_ONE of the same shape."""
     n = m0 * m0
     zeros = n - ones
     good = np.minimum(ones, zeros) >= good_threshold(m0)

@@ -46,6 +46,15 @@ class TestAuditParams:
         assert code == EXIT_OK
         assert "gamma > 40*alpha,0.333333,320,False,-319.667" in out.splitlines()
 
+    def test_values_beyond_the_float_range_print(self, capsys):
+        # 300*alpha*beta is 1.35e309 at alpha = 1e300, past the largest
+        # double: rounded to 6 digits exactly, with no float in between.
+        code, out, _ = run(capsys, "audit-params", "--profile", "published",
+                           "--alpha", "1e300")
+        assert code == EXIT_OK
+        assert "gamma*k0 > 300*alpha*beta,4.55e+09,1.35e+309,False,-1.35e+309" in out.splitlines()
+        assert "alpha > 6,1e+300,6,True,1e+300" in out.splitlines()
+
     @pytest.mark.parametrize("option, text", [
         ("--m", "inf"), ("--alpha", "nan"), ("--beta", "-inf"), ("--gamma", "abc"),
         ("--m", "1/0"), ("--alpha", ""),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockembed.errors import CapExceeded, ConfigError
@@ -13,7 +13,10 @@ from blockembed.fields import (
     GRID_ONE,
     GRID_ZERO,
     BitField,
+    WindowHash,
     Y0Class,
+    block_codes,
+    block_ones,
     classify_grid,
     classify_y0_block,
     derive_seed,
@@ -107,6 +110,52 @@ def _classify_grid_ref(bits, m0):
     out = np.where(ones >= zeros, GRID_ONE, GRID_ZERO).astype(np.int8)
     out[np.minimum(ones, zeros) >= good_threshold(m0)] = GRID_GOOD
     return out
+
+
+class TestWindowStacks:
+    """A stack of windows hashed together gives each window's own bits."""
+
+    @given(st.lists(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=7),
+           st.integers(1, 4), st.sampled_from(sorted(_FAMILY_TAGS)),
+           st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12), st.integers(1, 12))
+    @example([0, 2**64 - 1], 1, "Y", -1, -1, 1, 1)
+    @example([2**64 - 1, 0, 5, 6, 7], 3, "Y", -9, -18, 9, 18)
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_bits_equal_each_window(self, seeds, depth, family, ox, oy, w, h):
+        # Stacks of `depth` seeds through one hasher, the last one short
+        # when depth does not divide the seed count.
+        hasher = WindowHash(family, (ox, oy), w, h, depth)
+        xs, ys = np.arange(ox, ox + w)[None, :], np.arange(oy, oy + h)[:, None]
+        for start in range(0, len(seeds), depth):
+            stack = hasher.bits(seeds[start:start + depth])
+            assert stack.shape == (len(seeds[start:start + depth]), h, w)
+            for layer, seed in zip(stack, seeds[start:start + depth]):
+                assert np.array_equal(layer, site_bits(seed, family, xs, ys))
+                assert np.array_equal(layer, sample_field(seed, family, (ox, oy), w, h).bits)
+
+    @given(st.sampled_from([1, 2, 3, 6, 9]), st.integers(1, 5), st.integers(1, 4),
+           st.integers(1, 4), st.integers(-3, 3), st.integers(-3, 3),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_counts_classify_like_classify_grid(self, m0, depth, w, h, ox, oy, seed):
+        p = named_profile("toy-m0-2", M0=m0)
+        origin = (ox * m0, oy * m0)
+        seeds = [derive_seed(seed, t) for t in range(depth)]
+        stack = WindowHash("Y", origin, w * m0, h * m0, depth).bits(seeds)
+        ones = block_ones(stack, m0)
+        assert ones.shape == (depth, h, w)
+        codes = block_codes(ones, m0)
+        for t, layer in enumerate(stack):
+            field = BitField("Y", origin, w * m0, h * m0, seeds[t], layer)
+            assert np.array_equal(codes[t], classify_grid(field, p))
+            assert np.array_equal(codes[t], _classify_grid_ref(layer, m0))
+
+    @pytest.mark.parametrize("m0", [181, 182])
+    def test_counts_hold_a_full_block(self, m0):
+        # int16 holds 181 * 181 ones; a larger block counts in int64.
+        ones = block_ones(np.ones((2, m0, 2 * m0), dtype=np.uint8), m0)
+        assert ones.tolist() == [[[m0 * m0] * 2]] * 2
 
 
 class TestClassification:

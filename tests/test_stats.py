@@ -1,18 +1,25 @@
 """Exact formulas, Monte Carlo estimation, and report tables."""
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import beta
 
-from blockembed import embed
-from blockembed.errors import ConfigError, PreconditionError
-from blockembed.fields import ACCEPTS, GRID_GOOD, GRID_ONE, BitField, classify_grid
-from blockembed.hierarchy import Component, Level0Structure, build_hierarchy, build_level0
-from blockembed.lattice import Rect
+from blockembed import embed, stats as stats_mod
+from blockembed.errors import BlockEmbedError, ConfigError, PreconditionError
+from blockembed.fields import (ACCEPTS, GRID_GOOD, GRID_ONE, BitField, classify_grid,
+                               derive_seed, sample_field)
+from blockembed.hierarchy import (Component, LatticeBlock, Level0Structure, build_hierarchy,
+                                  build_level0)
+from blockembed.lattice import LatticeAnimal, Rect, cell_geometry
 from blockembed.params import named_profile
 from blockembed.stats import (
+    CONFIDENCE,
     ProbabilityEstimate,
     clopper_pearson,
     estimate_S,
@@ -173,33 +180,117 @@ class TestLevel1FailedTrials:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_precondition_errors_raise(self, toy1, source, monkeypatch, workers):
+        # Planted in the acceptance rule that decides every stack of trials.
         def broken(*args, **kwargs):
             raise PreconditionError("planted failure")
 
-        monkeypatch.setattr(embed, "embeds_level", broken)
+        monkeypatch.setattr(embed.Level1Rule, "accepts", broken)
         block, level0 = source
         with pytest.raises(PreconditionError, match="planted failure"):
             estimate_S(block, 1, 5, 0, toy1, family="X", structure=level0, workers=workers)
 
 
+def _per_trial_ref(block, structure, trials, seed, params):
+    """The estimator trial by trial: one ``embeds_level`` search against
+    each trial's own target window over the block's cell."""
+    region, m0 = cell_geometry(1, min(block.animal.sites), params).region, params.M0
+    hits = 0
+    for t in range(trials):
+        y = sample_field(derive_seed(seed, 0x51, t), "Y", (region.x0 * m0, region.y0 * m0),
+                         (region.x1 - region.x0) * m0, (region.y1 - region.y0) * m0)
+        hits += embed.embeds_level(block, y, 1, params, structure) is not None
+    return hits
+
+
+@functools.lru_cache(maxsize=None)
+def _source_block(profile, seed=42, **overrides):
+    h = build_hierarchy(named_profile(profile, **overrides), "X", seed, Rect(0, 0, 1, 1))
+    return h.levels[1].blocks[0], h.level0
+
+
+def _raised(call):
+    """(type, message) of the error ``call`` raises, or None."""
+    try:
+        call()
+    except BlockEmbedError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _stack_depth(params):
+    return max(1, stats_mod._STACK_SITES // (params.cells_per_side(1) * params.M0) ** 2)
+
+
 class TestLevel1Trials:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_search_per_trial_through_the_module(self, toy1, source, monkeypatch,
-                                                     workers):
-        # Each trial calls embed.embeds_level once, read off the module at
-        # call time: the benchmark counts trials by wrapping it there.
-        calls = []
-        search = embed.embeds_level
+    def test_each_trial_decided_once(self, toy1, source, monkeypatch, workers):
+        # Every trial index derives its target seed once, every stack the
+        # rule decides holds at most the stack depth, and together the
+        # stacks hold each trial once.
+        indices, depths = [], []
+        derive, accepts = stats_mod.derive_seed, embed.Level1Rule.accepts
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return search(*args, **kwargs)
+        def derived(seed, *counters):
+            if counters[:1] == (0x51,):
+                indices.append(counters[1])
+            return derive(seed, *counters)
 
-        monkeypatch.setattr(embed, "embeds_level", counted)
+        def decided(rule, sites):
+            depths.append(len(sites))
+            return accepts(rule, sites)
+
+        monkeypatch.setattr(stats_mod, "derive_seed", derived)
+        monkeypatch.setattr(embed.Level1Rule, "accepts", decided)
         block, level0 = source
         est = estimate_S(block, 1, 7, 3, toy1, family="X", structure=level0, workers=workers)
-        assert est.trials == 7 and len(calls) == 7
-        assert all(b is block for b in calls)
+        assert sorted(indices) == list(range(7))
+        assert sum(depths) == 7 and max(depths) <= _stack_depth(toy1)
+        monkeypatch.undo()
+        assert est.successes == _per_trial_ref(block, level0, 7, 3, toy1)
+
+    @pytest.mark.parametrize("profile", ["toy1", "toy-m0-3", "toy-m0-6", "toy-m0-9"])
+    @pytest.mark.parametrize("count", ["1", "depth-1", "depth", "depth+1", "257"])
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 3))
+    @settings(max_examples=2, deadline=None)
+    def test_stacks_equal_the_per_trial_search(self, profile, count, seed, xseed):
+        # The same count as the search trial by trial, at 1 and 2 workers,
+        # with the last stack full, one short or holding one trial.
+        block, level0 = _source_block(profile, xseed)
+        p = named_profile(profile)
+        depth = _stack_depth(p)
+        trials = {"1": 1, "depth-1": depth - 1, "depth": depth, "depth+1": depth + 1,
+                  "257": 257}[count]
+        expect = _per_trial_ref(block, level0, trials, seed, p)
+        for workers in (1, 2):
+            est = estimate_S(block, 1, trials, seed, p, family="X", structure=level0,
+                             workers=workers)
+            assert (est.successes, est.trials) == (expect, trials)
+
+    @given(st.sampled_from(["no structure", "two cells", "target family", "k0 > clearance",
+                            "domain leaves region"]),
+           st.integers(1, 9), st.sampled_from([1, 2]))
+    @settings(max_examples=20, deadline=None)
+    def test_errors_are_those_of_the_search(self, fault, trials, workers):
+        p = named_profile("toy1")
+        block, structure = _source_block("toy1")
+        if fault == "no structure":
+            structure = None
+        elif fault == "two cells":
+            pair = LatticeAnimal(frozenset([(0, 0), (1, 0)]))
+            block = replace(block, lattice_block=LatticeBlock(1, pair))
+        elif fault == "target family":
+            h = build_hierarchy(p, "Y", 42, Rect(0, 0, 1, 1))
+            block, structure = h.levels[1].blocks[0], h.level0
+        elif fault == "k0 > clearance":
+            p = replace(p, k0=3)
+            block, structure = _source_block("toy1", 42, k0=3)
+        else:
+            block = replace(block, domain=block.domain | {(16, 3)})
+        y = sample_field(0, "Y", (0, 0), 16 * p.M0, 16 * p.M0)
+        searched = _raised(lambda: embed.embeds_level(block, y, 1, p, structure))
+        assert searched is not None
+        assert _raised(lambda: estimate_S(block, 1, trials, 0, p, family="X",
+                                          structure=structure, workers=workers)) == searched
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, toy1, source, workers):
@@ -226,6 +317,22 @@ class TestIntervals:
     def test_invalid_counts(self):
         with pytest.raises(ConfigError):
             clopper_pearson(5, 3)
+
+    def test_same_doubles_as_the_beta_quantiles(self):
+        # Every k for n <= 200 and for n in {1000, 2000, 5000}, both ends,
+        # against scipy.stats.beta.ppf, which the interval was defined by.
+        ns = [n for n in range(1, 201) for _ in range(n + 1)]
+        ks = [k for n in range(1, 201) for k in range(n + 1)]
+        for n in (1000, 2000, 5000):
+            ns += [n] * (n + 1)
+            ks += range(n + 1)
+        k, n = np.array(ks), np.array(ns)
+        a = (1.0 - CONFIDENCE) / 2.0
+        with np.errstate(all="ignore"):
+            lo = np.where(k == 0, 0.0, beta.ppf(a, k, n - k + 1))
+            hi = np.where(k == n, 1.0, beta.ppf(1.0 - a, k + 1, n - k))
+        got = np.array([clopper_pearson(int(i), int(j)) for i, j in zip(ks, ns)])
+        assert np.array_equal(got[:, 0], lo) and np.array_equal(got[:, 1], hi)
 
     def test_calibration(self):
         # Coverage of the 95% interval on synthetic Bernoulli streams.
@@ -281,6 +388,13 @@ class TestReports:
         row = rep.rows[0]
         assert row[2] == 0.9
         assert row[3] <= 0.9 <= row[4]
+
+    def test_good_prob_report_counts_arrays_as_lists(self, toy1):
+        flags = np.random.default_rng(3).random(3600) < 0.8
+        as_list = good_prob_report({0: flags.tolist(), 1: [True, False, True]}, toy1)
+        as_array = good_prob_report({0: flags, 1: np.array([1, 0, 2])}, toy1)
+        assert as_array.to_csv() == as_list.to_csv()
+        assert as_array.to_records() == as_list.to_records()
 
     def test_reports_byte_identical(self, toy1):
         samples = [(0.5, 1), (0.25, 2)]
