@@ -280,13 +280,15 @@ class Level1Rule:
     ``rel`` is the domain as (x, y) cells relative to ``region`` and
     ``bits`` their source bits.  A target window is accepted, with the
     identity witness, exactly when every domain cell's bit is accepted by
-    the class of the M0 x M0 target block under it.
+    the class of the M0 x M0 target block under it.  ``table[bit, ones]``
+    is that verdict for a target block holding ``ones`` ones.
     """
 
     region: Rect
     m0: int
     rel: np.ndarray
     bits: np.ndarray
+    table: np.ndarray
 
     @property
     def window(self) -> tuple:
@@ -298,7 +300,7 @@ class Level1Rule:
         """Per layer of a (T, height, width) stack of target windows over
         the region: whether the search accepts it."""
         ones = block_ones(sites, self.m0)[:, self.rel[:, 1], self.rel[:, 0]]
-        return ACCEPTS[self.bits, block_codes(ones, self.m0)].all(axis=1)
+        return self.table[self.bits, ones].all(axis=1)
 
     @classmethod
     def of(cls, block, params: ParameterSet, x_structure) -> "Level1Rule":
@@ -322,7 +324,9 @@ class Level1Rule:
         rel = block.domain_cells - (region.x0, region.y0)
         if not ((rel >= 0) & (rel < region.x1 - region.x0)).all():
             raise PreconditionError("source domain leaves its cell's region")
-        return cls(region, params.M0, rel, x_structure.bits_at(block.domain_cells))
+        m0 = params.M0
+        table = ACCEPTS[:, block_codes(np.arange(m0 * m0 + 1), m0)]
+        return cls(region, m0, rel, x_structure.bits_at(block.domain_cells), table)
 
 
 def _level1_source(block, x_structure) -> None:

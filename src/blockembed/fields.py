@@ -34,18 +34,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     array arithmetic silently but warns on scalar overflow."""
     z = z.copy()
     _mix64_into(z, np.empty_like(z))
-    return z
+    return z ^ (z >> _U64(31))
 
 
 def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
-    """``_mix64`` in place over the uint64 array ``z``, with ``tmp`` of the
-    same shape as scratch: no array is allocated."""
+    """``_mix64`` in place over the uint64 array ``z`` up to its second
+    multiply, with ``tmp`` of the same shape as scratch: no array is
+    allocated.  The finished word is ``z ^ (z >> 31)``."""
     z += _U64(_GOLDEN)
-    for shift, mul in ((30, _MIX1), (27, _MIX2), (31, None)):
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, _U64(shift), out=tmp)
         z ^= tmp
-        if mul is not None:
-            z *= _U64(mul)
+        z *= _U64(mul)
 
 
 def _mix64_int(z: int) -> int:
@@ -121,34 +121,37 @@ class WindowHash:
     ``bits(seeds)`` returns the (len(seeds), height, width) uint8 stack
     whose layer t is the window's bits under ``seeds[t]``, hashed as
     ``site_bits`` hashes each site.  Its two uint64 work buffers hold
-    ``depth`` layers and are reused by every call, which hashes at most
-    ``depth`` seeds.
+    ``depth`` >= 1 layers and are reused by every call; a call with more
+    than ``depth`` seeds raises ConfigError.
     """
 
     def __init__(self, family: str, origin: tuple[int, int], width: int, height: int,
                  depth: int = 1):
         if width < 1 or height < 1:
             raise ConfigError("window dimensions must be positive")
+        if depth < 1:
+            raise ConfigError(f"hash depth {depth} holds no seed")
         if width * height > SITE_CAP:
             raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
         if family not in _FAMILY_TAGS:
             raise ConfigError(f"unknown family {family!r}")
-        self.shape = (height, width)
         self._tag = _mix64_int(_FAMILY_TAGS[family])
         self._xs = np.arange(origin[0], origin[0] + width, dtype=np.int64).astype(_U64)
         self._ys = np.arange(origin[1], origin[1] + height, dtype=np.int64).astype(_U64)[:, None]
-        n = depth * width * height
-        self._h, self._tmp = np.empty(n, _U64), np.empty(n, _U64)
+        self._h, self._tmp = (np.empty((depth, height, width), _U64) for _ in range(2))
 
     def bits(self, seeds) -> np.ndarray:
-        shape = (len(seeds), *self.shape)
-        h, tmp = (buf[:np.prod(shape)].reshape(shape) for buf in (self._h, self._tmp))
+        if len(seeds) > len(self._h):
+            raise ConfigError(f"{len(seeds)} seeds exceed the hash depth {len(self._h)}")
+        h, tmp = self._h[:len(seeds)], self._tmp[:len(seeds)]
         prefix = np.array([_mix64_int((s & _M64) ^ self._tag) for s in seeds], dtype=_U64)
         np.bitwise_xor(_mix64(self._xs ^ prefix[:, None])[:, None, :], self._ys, out=h)
         _mix64_into(h, tmp)
-        np.right_shift(h, _U64(31), out=h)
-        np.bitwise_and(h, _U64(1), out=h)
-        return h.astype(np.uint8)
+        # Bit 31 of the finished z ^ (z >> 31) is bit 31 of z xor bit 62.
+        h &= _U64(1 << 31 | 1 << 62)
+        out = np.bitwise_count(h)
+        out &= 1
+        return out
 
 
 def sample_field(
@@ -217,11 +220,11 @@ def block_ones(bits: np.ndarray, m0: int) -> np.ndarray:
     windows whose sides are multiples of m0, as a (..., H/m0, W/m0) array.
 
     Block rows are summed over an (..., H/m0, m0, W) view, then block
-    columns; in int16, which holds every count up to m0 = 181, and in
-    int64 above that (uint8 would wrap).
+    columns, in the narrowest dtype that holds m0 * m0: uint8 up to
+    m0 = 15, int16 up to m0 = 181 and int64 above that.
     """
     *stack, h, w = bits.shape
-    dtype = np.int16 if m0 * m0 < 1 << 15 else np.int64
+    dtype = np.uint8 if m0 * m0 < 1 << 8 else np.int16 if m0 * m0 < 1 << 15 else np.int64
     rows = np.add.reduce(bits.reshape(*stack, h // m0, m0, w), axis=-2, dtype=dtype)
     return np.add.reduce(rows.reshape(*stack, h // m0, w // m0, m0), axis=-1, dtype=dtype)
 

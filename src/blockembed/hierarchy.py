@@ -835,10 +835,13 @@ def select_boundary_curve(
     if j is None:
         j = ideal_block.level or 1
     frame = curve_frame(ideal_block.animal, j, params)
-    bad = _bad_cells(frame, ideal_block.animal, bad_components)
-    straight_clears = not (bad & frame.ring).any()
+    # With no bad component the straight ring clears without a raster.
+    bad = _bad_cells(frame, ideal_block.animal, bad_components) if bad_components else None
+    straight_clears = bad is None or not (bad & frame.ring).any()
     if straight_clears and rng.random() < params.straight_curve_mass(j):
         return frame.straight
+    if bad is None:
+        bad = np.zeros_like(frame.ideal)
     # A curve is valid exactly when its boundary cells avoid the bad cells
     # dilated by clearance - 1.
     forbidden = _dilate(bad, frame.clearance - 1)
@@ -1097,12 +1100,17 @@ def build_level1(
     cells = list(window1.cells())
     cell_set = set(cells)
 
+    if level0.bad_components:
+        edges = [(u, side) for u in cells for side in ("R", "T")]
+    else:
+        # No buffer is conjoined; the extreme ones check level 0 covers all.
+        x0, y0, x1, y1 = window1
+        edges = [((x0, y0), "R"), ((x1 - 2, y1 - 1), "R"), ((x0, y0), "T"), ((x1 - 1, y1 - 2), "T")]
     conjoined_edges = set()
-    for u in cells:
-        for side in ("R", "T"):
-            zone = buffer_zone(j, u, side, params)
-            if zone.shared_with in cell_set and is_conjoined(zone, level0):
-                conjoined_edges.add(frozenset((u, zone.shared_with)))
+    for u, side in edges:
+        zone = buffer_zone(j, u, side, params)
+        if u in cell_set and zone.shared_with in cell_set and is_conjoined(zone, level0):
+            conjoined_edges.add(frozenset((u, zone.shared_with)))
 
     def conjoined(u, v):
         return frozenset((u, v)) in conjoined_edges

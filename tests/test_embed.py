@@ -25,6 +25,9 @@ from blockembed.fields import (
     GRID_GOOD,
     GRID_ONE,
     BitField,
+    WindowHash,
+    block_codes,
+    block_ones,
     classify_y0_block,
     derive_seed,
     level0_embeds,
@@ -588,6 +591,40 @@ class TestGatheredContent:
         expect = [c for c in rect.cells()
                   if c in domain or ys.class_grid[c[1] + 2, c[0] + 2] == GRID_GOOD]
         assert _good_or_in_ref(ys, rect, domain) == expect
+
+
+class TestLevel1Rule:
+    """A rule decides a target block by its count of ones through one
+    table, built once per rule."""
+
+    @staticmethod
+    def _rule(params):
+        xs = build_level0(params, "X", 42, level0_window_for(Rect(0, 0, 1, 1), params))
+        lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
+        return embed.level1_rule(hier.Block(1, lb, _square(16)), params, xs)
+
+    @pytest.mark.parametrize("m0", range(1, 17))
+    def test_count_table_is_the_level0_rule(self, toy1, m0):
+        # Every count of ones in an m0 x m0 block, both source bits.
+        p = replace(toy1, M0=m0)
+        table = self._rule(p).table
+        assert table.shape == (2, m0 * m0 + 1)
+        for ones in range(m0 * m0 + 1):
+            code = block_codes(np.array([ones]), m0)[0]
+            block = np.arange(m0 * m0) < ones
+            for bit in (0, 1):
+                assert table[bit, ones] == ACCEPTS[bit, code]
+                assert table[bit, ones] == level0_embeds(bit, classify_y0_block(block, p))
+
+    @pytest.mark.parametrize("m0", [1, 2, 9, 15, 16])
+    def test_accepts_matches_the_class_gather(self, toy1, m0):
+        # The count-table verdict against ACCEPTS over the block classes,
+        # on stacks whose blocks count in uint8 (m0 <= 15) and int16.
+        rule = self._rule(replace(toy1, M0=m0))
+        stack = WindowHash("Y", *rule.window, 3).bits([derive_seed(m0, t) for t in range(3)])
+        ones = block_ones(stack, m0)[:, rule.rel[:, 1], rule.rel[:, 0]]
+        expect = ACCEPTS[rule.bits, block_codes(ones, m0)].all(axis=1)
+        assert np.array_equal(rule.accepts(stack), expect)
 
 
 class TestRigidOrRepair:

@@ -22,8 +22,12 @@ from blockembed.fields import (
     derive_seed,
     dump_field,
     good_threshold,
+    _GOLDEN,
+    _MIX1,
+    _MIX2,
     _mix64,
     _mix64_int,
+    _mix64_into,
     level0_embeds,
     load_field,
     sample_field,
@@ -102,6 +106,59 @@ class TestSampling:
         assert site_bits(seed, family, x, y) == (int(h[0]) >> 31) & 1
 
 
+def _unmix_rounds(z: int) -> int:
+    """The word that ``_mix64_into`` takes to ``z``: its two rounds undone."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z * pow(_MIX2, -1, 2**64) % 2**64, 27)
+    z = unshift(z * pow(_MIX1, -1, 2**64) % 2**64, 30)
+    return (z - _GOLDEN) % 2**64
+
+
+_B31, _B62 = 1 << 31, 1 << 62
+
+
+class TestParityBit:
+    """A window's site bit is read off the unfinished SplitMix64 word: bit
+    31 of the finished word is the parity of bits 31 and 62 of the word
+    before the last xor-shift."""
+
+    @given(st.one_of(
+        st.integers(0, 2**64 - 1),
+        # Words whose unfinished state sets only bit 31, only bit 62, both
+        # or neither of the two, the rest of the state drawn or clear.
+        st.builds(lambda rest, pair: _unmix_rounds(rest & ~(_B31 | _B62) | pair),
+                  st.one_of(st.just(0), st.integers(0, 2**64 - 1)),
+                  st.sampled_from([0, _B31, _B62, _B31 | _B62]))))
+    @example(_unmix_rounds(0))
+    @example(_unmix_rounds(_B31))
+    @example(_unmix_rounds(_B62))
+    @example(_unmix_rounds(_B31 | _B62))
+    @example(0)
+    @example(_B31)
+    @example(_B62)
+    @example(_B31 | _B62)
+    @settings(max_examples=300, deadline=None)
+    def test_popcount_parity_is_the_finished_bit(self, w):
+        words = np.array([w], dtype=np.uint64)
+        z = words.copy()
+        _mix64_into(z, np.empty_like(z))
+        assert int(z[0]) ^ (int(z[0]) >> 31) == int(_mix64(words)[0])
+        parity = np.bitwise_count(z & np.uint64(_B31 | _B62)) & 1
+        assert parity.dtype == np.uint8
+        assert int(parity[0]) == (int(_mix64(words)[0]) >> 31) & 1
+
+    @pytest.mark.parametrize("pair", [0, _B31, _B62, _B31 | _B62])
+    def test_edge_words_reach_their_state(self, pair):
+        z = np.array([_unmix_rounds(pair)], dtype=np.uint64)
+        _mix64_into(z, np.empty_like(z))
+        assert int(z[0]) == pair
+
+
 def _classify_grid_ref(bits, m0):
     """Reference: block counts by one reshape and sum."""
     h, w = bits.shape[0] // m0, bits.shape[1] // m0
@@ -151,11 +208,24 @@ class TestWindowStacks:
             assert np.array_equal(codes[t], classify_grid(field, p))
             assert np.array_equal(codes[t], _classify_grid_ref(layer, m0))
 
-    @pytest.mark.parametrize("m0", [181, 182])
+    @pytest.mark.parametrize("m0", [15, 16, 181, 182])
     def test_counts_hold_a_full_block(self, m0):
-        # int16 holds 181 * 181 ones; a larger block counts in int64.
+        # uint8 holds 15 * 15 ones and int16 181 * 181; a larger block
+        # counts in the next wider dtype.
         ones = block_ones(np.ones((2, m0, 2 * m0), dtype=np.uint8), m0)
+        assert ones.dtype == {15: np.uint8, 16: np.int16, 181: np.int16, 182: np.int64}[m0]
         assert ones.tolist() == [[[m0 * m0] * 2]] * 2
+
+    def test_depth_zero_is_refused(self):
+        with pytest.raises(ConfigError, match="depth 0"):
+            WindowHash("Y", (0, 0), 4, 4, 0)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_seeds_beyond_the_depth_are_refused(self, depth):
+        hasher = WindowHash("Y", (0, 0), 4, 4, depth)
+        with pytest.raises(ConfigError, match=f"depth {depth}"):
+            hasher.bits(list(range(depth + 1)))
+        assert hasher.bits(list(range(depth))).shape == (depth, 4, 4)
 
 
 class TestClassification:

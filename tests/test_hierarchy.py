@@ -38,6 +38,7 @@ from blockembed.hierarchy import (
     _offset_of_index,
     build_hierarchy,
     build_level0,
+    build_level1,
     classify_good_block,
     curve_frame,
     domain_boundary_cells,
@@ -60,7 +61,7 @@ from blockembed.lattice import (
     chebyshev,
     neighbors,
 )
-from blockembed.params import named_profile
+from blockembed.params import ParameterSet, named_profile
 
 TOY1 = named_profile("toy1")
 # k0 = buffer: the widest tracks the margins allow.
@@ -772,6 +773,32 @@ class TestLevel0:
 
 
 class TestConjoined:
+    @pytest.mark.parametrize("window1", [
+        Rect(0, 0, 1, 1), Rect(0, 0, 2, 1), Rect(0, 0, 1, 2), Rect(-2, 1, 1, 4)])
+    def test_no_bad_component_still_checks_the_buffer_cover(self, toy1, window1):
+        # Without a bad component no buffer is tested for conjoining, yet a
+        # level-0 window that misses a buffer raises as it does when a far
+        # bad component sends every buffer through is_conjoined.
+        full = level0_window_for(window1, toy1)
+        raised = set()
+        for side, trim in itertools.product(range(4), (0, 3, 4, 6)):
+            edges = list(full)
+            edges[side] += trim if side < 2 else -trim
+            level0 = build_level0(toy1, "X", 5, Rect(*edges))
+            outcomes = []
+            for comps in ([], [_unit_bad((full.x1 + 50, full.y1 + 50))]):
+                level0.bad_components = comps
+                try:
+                    level1 = build_level1(level0, window1, 5)
+                except PreconditionError as exc:
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append((level1.conjoined, [b.curve for b in level1.blocks]))
+            assert outcomes[0] == outcomes[1]
+            raised.add(isinstance(outcomes[0], str))
+        # A window of one cell has no shared buffer to cover.
+        assert raised == ({False} if window1.area == 1 else {False, True})
+
     def test_empty_buffer_not_conjoined(self, toy1):
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
@@ -1397,6 +1424,33 @@ class TestCurveTables:
                 select_boundary_curve(lb, level0.bad_components, toy1,
                                       np.random.default_rng(0), 1)
         assert calls == []
+
+    @pytest.mark.parametrize("mass", [None, 0.0])
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]])
+    def test_no_bad_component_selects_as_a_far_one(self, toy1, monkeypatch, mass, cells):
+        # With no bad component the straight ring is not rasterized, yet the
+        # curve and the generator state are those of a selection that
+        # rasterizes one bad component beyond the block's reach.  With a
+        # straight mass of 0 the straight draw fails and both go on to draw.
+        if mass is not None:
+            monkeypatch.setattr(ParameterSet, "straight_curve_mass", lambda self, j: mass)
+        lb = LatticeBlock(1, LatticeAnimal(frozenset(cells)))
+        far = [_unit_bad((200, 200))]
+        frame = curve_frame(lb.animal, 1, toy1)
+        assert not _bad_cells(frame, lb.animal, far).any()
+        rasters = []
+        monkeypatch.setattr(hierarchy, "_bad_cells",
+                            lambda *a: rasters.append(a[2]) or _bad_cells(*a))
+        for seed in range(5):
+            rng_none, rng_far = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _selection(select_boundary_curve, lb, [], toy1, rng_none, 1)
+            assert rasters == []
+            assert got == _selection(select_boundary_curve, lb, far, toy1, rng_far, 1)
+            assert rasters == [far]
+            assert rng_none.bit_generator.state == rng_far.bit_generator.state
+            if mass is None:
+                assert got == _selection(lambda: frame.straight)
+            rasters.clear()
 
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
