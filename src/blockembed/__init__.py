@@ -2,7 +2,7 @@
 
 Subpackages: fields (seeded random fields and level-0 classification),
 lattice (animals and cell geometry), hierarchy (recursive block structure),
-embed (cell correspondences and embedding search), stats (exact formulas,
+embed (embedding search and verification), stats (exact formulas,
 Monte Carlo estimates, reports), oracle (exact brute-force ground truth),
 params (profiles and the constraint auditor), cli (command-line front end).
 """

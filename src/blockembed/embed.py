@@ -1,35 +1,31 @@
-"""Cell correspondences, the level-1 embedding search, and site-level embeddings.
+"""The embedding search at levels 0 and 1, and site-level embeddings.
 
-A CellCorrespondence is the discrete stand-in for a shape-preserving map
-between two domains: a bijection on member cells that carries an integer
-displacement budget in place of continuum distortion constants.  At depth 1
-a source block is one cell with no bad subcomponent, so the paper's family
-of offset maps has one member, the rigid translation.  The target block is
-cut from the source cell's own lattice block, so that translation is the
-identity, and its curve keeps every bad target cell of the cell inside the
-block, so no cell needs a repair.  ``embeds_level`` is therefore the
-level-0 rule at both levels: every source bit against the class of the
-target block under its own cell.  A witness builds its correspondence only
-when read.  The search is a sound semi-decision, never a completeness
-claim.
+In the paper, blocks embed by shape-preserving maps between cell domains.
+At depth 1 a source block is one cell with no bad subcomponent, so the
+paper's family of offset maps has one member, the rigid translation.  The
+target block is cut from the source cell's own lattice block, so that
+translation is the identity, and its curve keeps every bad target cell of
+the cell inside the block, so no cell needs a repair.  ``embeds_level`` is
+therefore the level-0 rule at both levels: every source bit against the
+class of the target block under its own cell, and a witness is the set of
+source cells it maps onto their own target blocks.  The search is a sound
+semi-decision, never a completeness claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .fields import ACCEPTS, BitField, block_codes, block_ones, sample_field
-from .lattice import LatticeAnimal, Point, Rect, cell_array, cell_geometry
+from .fields import ACCEPTS, BitField, block_codes, block_ones
+from .lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from .params import ParameterSet
 
 __all__ = [
-    "CellCorrespondence",
     "EmbeddingMap",
     "EmbeddingWitness",
     "translation_family",
@@ -45,48 +41,19 @@ class InvalidOffset(PreconditionError):
     reads the name, until the in-package trace of ROADMAP item 4."""
 
 
-@dataclass(frozen=True)
-class CellCorrespondence:
-    """A bijection between two cell domains.
-
-    ``displacement_budget`` is the largest per-cell displacement relative
-    to the rigid translation between the domains.
-    """
-
-    level: int
-    source_cells: frozenset
-    target_cells: frozenset
-    mapping: dict
-    displacement_budget: int
-
-    def __post_init__(self) -> None:
-        if self.mapping.keys() != _as_set(self.source_cells):
-            raise ConfigError("mapping must cover exactly the source cells")
-        images = set(self.mapping.values())
-        if images != _as_set(self.target_cells) or len(images) != len(self.mapping):
-            raise ConfigError("mapping must be a bijection onto the target cells")
-
-    def apply(self, cell: Point) -> Point:
-        return self.mapping[cell]
-
-
-def _as_set(cells: Iterable[Point]):
-    return cells if isinstance(cells, (set, frozenset)) else set(cells)
-
-
 def translation_family(
     source: LatticeAnimal,
     target: frozenset,
     T_prime: Sequence[LatticeAnimal],
     params: ParameterSet,
-) -> CellCorrespondence:
-    """The rigid map of a source domain onto its translate: least site onto
-    least site, with displacement budget 0.  At depth 1 this map is the
-    whole translation family: a source block has no bad subcomponent to
-    move.  No program path calls it: the level-1 search's target is the
-    source cell's own region, so the map is the identity, which that
-    search decides without building it.  The benchmark's traced run still
-    spans the name, until the in-package trace of ROADMAP item 4.
+) -> dict:
+    """The rigid map of a source domain onto its translate, least site onto
+    least site, as ``{site: image}``.  At depth 1 this map is the whole
+    translation family: a source block has no bad subcomponent to move, so
+    no cell is displaced.  No program path calls it: the level-1 search's
+    target is the source cell's own region, so the map is the identity,
+    which that search decides without building it.  The benchmark's traced
+    run still spans the name, until the in-package trace of ROADMAP item 4.
 
     Raises PreconditionError when the target is not that translate, or when
     the target's designated bad sets ``T_prime`` hold more than v0 * k0
@@ -103,7 +70,7 @@ def translation_family(
             raise PreconditionError("source and target domains have different shapes")
     if sum(len(a) for a in T_prime) > params.v0 * params.k0:
         raise PreconditionError("designated sets exceed the size budget")
-    return CellCorrespondence(1, sites, target, dict(zip(sites, images)), 0)
+    return dict(zip(sites, images))
 
 
 @dataclass(frozen=True)
@@ -174,37 +141,29 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingWitness:
-    """A cell map found by embeds_level, flattenable to sites.
+    """An embedding found by embeds_level, flattenable to sites.
 
     Both levels map every source cell onto the target block of its own
-    cell, so the correspondence is the identity on ``source_cells``, with
-    displacement budget 0, built on first read.
+    cell, so the witness is its set of ``source_cells``.
     """
 
     level: int
     source_cells: frozenset
 
-    @cached_property
-    def correspondence(self) -> CellCorrespondence:
-        cells = self.source_cells
-        return CellCorrespondence(self.level, cells, cells, dict(zip(cells, cells)), 0)
-
     def flatten(self, x_field: BitField, y_field: BitField, params: ParameterSet) -> EmbeddingMap:
         """Site-level map: each source site to a value-matched target site.
 
-        Source cells carry one site each; the image cell is an M0-sided
-        square of target sites, and the first row-major site with the
-        matching value is chosen.
+        Source cells carry one site each; the image of a cell is the M0-sided
+        square of target sites under it, and the first row-major site with
+        the matching value is chosen.
         """
         m0 = params.M0
-        corr = self.correspondence
         mapping = {}
-        for cell in sorted(corr.source_cells):
-            bit = x_field.get(cell[0], cell[1])
-            ix, iy = corr.apply(cell)
+        for cx, cy in sorted(self.source_cells):
+            bit = x_field.get(cx, cy)
             chosen = None
-            for sy in range(iy * m0, (iy + 1) * m0):
-                for sx in range(ix * m0, (ix + 1) * m0):
+            for sy in range(cy * m0, (cy + 1) * m0):
+                for sx in range(cx * m0, (cx + 1) * m0):
                     if y_field.get(sx, sy) == bit:
                         chosen = (sx, sy)
                         break
@@ -212,7 +171,7 @@ class EmbeddingWitness:
                     break
             if chosen is None:
                 raise PreconditionError("image cell has no matching site")
-            mapping[cell] = chosen
+            mapping[cx, cy] = chosen
         return EmbeddingMap(mapping, params.M)
 
 
@@ -230,9 +189,9 @@ def embeds_level(
     y_window is a source-family partner covering it, whose bits are checked
     cellwise under the identity map.
     At level 1, x is a single-cell block of the source family, as every
-    source block is at depth 1, and y_window a target-family window whose
-    sites, or those of a fresh sample of its seed, are classified under
-    the cell; its ``Level1Rule`` decides that window as a stack of one.
+    source block is at depth 1, and y_window a target-family window that
+    covers the cell's region, whose sites are classified under the cell;
+    its ``Level1Rule`` decides that window as a stack of one.
     Sound but not complete: a None result means the searched maps hold no
     witness.
     """
@@ -344,13 +303,12 @@ def level1_rule(block, params: ParameterSet, x_structure) -> Level1Rule:
 
 def _embeds_level1(block, y_window, params, x_structure):
     """``Level1Rule.of`` the block applied to one target window, a stack
-    of one: the identity witness when it accepts, else None."""
+    of one: the identity witness when it accepts, else None.  The window
+    must cover the cell's region."""
     rule = Level1Rule.of(block, params, x_structure)
-    # Windows of one seed agree site for site, so a window that misses the
-    # region is resampled from its seed.
     sites = _crop(y_window, rule.region, rule.m0)
     if sites is None:
-        sites = sample_field(y_window.seed, "Y", *rule.window)
+        raise PreconditionError("target window does not cover the cell's region")
     if not rule.accepts(sites.bits[np.newaxis])[0]:
         return None
     return EmbeddingWitness(1, block.domain)

@@ -811,7 +811,7 @@ def select_boundary_curve(
     bad_components: Sequence,
     params: ParameterSet,
     rng: np.random.Generator,
-    j: Optional[int] = None,
+    j: int,
 ) -> BoundaryCurve:
     """Randomly choose a valid boundary curve for a lattice block.
 
@@ -832,8 +832,6 @@ def select_boundary_curve(
     the kept curve is realized.  A selection that draws takes all
     CURVE_SAMPLE_TRIES draws in one generator call, whichever one is kept.
     """
-    if j is None:
-        j = ideal_block.level or 1
     frame = curve_frame(ideal_block.animal, j, params)
     # With no bad component the straight ring clears without a raster.
     bad = _bad_cells(frame, ideal_block.animal, bad_components) if bad_components else None
@@ -912,15 +910,14 @@ def _realized_curve(frame: CurveFrame, states: np.ndarray) -> BoundaryCurve:
 def form_block(
     domain: frozenset,
     lattice_block: LatticeBlock,
-    curve: Optional[BoundaryCurve] = None,
-    level: Optional[int] = None,
+    curve: Optional[BoundaryCurve],
+    level: int,
 ) -> Block:
     """Cut a block out of a curve-bounded domain: its member cells are the
     domain's cells."""
     if not domain:
         raise PreconditionError("domain is empty")
-    j = level if level is not None else (curve.level if curve else 1)
-    return Block(j, lattice_block, frozenset(domain), curve)
+    return Block(level, lattice_block, frozenset(domain), curve)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,11 @@ SCALE_CAP = 10**9
 class Margins(NamedTuple):
     """Per-level geometry margins, in level-(j-1) cell units.
 
-    ``interior`` bounds how far relocated content must stay from a domain
-    boundary, ``clearance`` is the exclusion distance between boundary
-    polylines and bad components, and ``buffer`` is the half-width of the
-    buffer annulus around a cell.
+    ``clearance`` is the exclusion distance between boundary polylines and
+    bad components, and ``buffer`` is the half-width of the buffer annulus
+    around a cell.
     """
 
-    interior: int
     clearance: int
     buffer: int
 
@@ -132,23 +130,21 @@ class ParameterSet:
 
     @_per_level
     def margins(self, j: int) -> Margins:
-        """Interior/clearance/buffer margins for level-j cells.
+        """Clearance/buffer margins for level-j cells.
 
-        They follow the full-scale formulas (previous scale to the 5th,
-        4th, and 3rd powers), capped so that buffer < cell_side/4; a cell
-        too narrow for 1 <= interior < clearance < buffer raises.
+        They follow the full-scale formulas (previous scale to the 4th and
+        5th powers), capped so that buffer < cell_side/4; a cell too narrow
+        for 2 <= clearance < buffer raises.
         """
         if j < 1:
             raise ConfigError("margins are defined for levels >= 1")
         prev = self.scale(j - 1)
         buffer = min(prev**5, self.cell_side(j) // 4 - 1)
         clearance = min(10 * prev**4, buffer - 1)
-        interior = min(max(prev**3 // 2, 1), clearance - 1)
-        margins = Margins(interior, clearance, buffer)
-        if not (1 <= margins.interior < margins.clearance < margins.buffer):
+        margins = Margins(clearance, buffer)
+        if not (2 <= margins.clearance < margins.buffer):
             raise ConfigError(
-                f"margins at level {j} must satisfy 1 <= interior < clearance "
-                f"< buffer, got {margins}"
+                f"margins at level {j} must satisfy 2 <= clearance < buffer, got {margins}"
             )
         return margins
 

@@ -1,4 +1,4 @@
-"""Cell correspondences, the rigid map, embedding search, and verification."""
+"""The rigid map, embedding search, and verification."""
 
 import itertools
 import tracemalloc
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from blockembed import embed, hierarchy as hier
 from blockembed.embed import (
-    CellCorrespondence,
     EmbeddingMap,
     InvalidOffset,
     embeds_level,
@@ -53,64 +52,6 @@ def _box_cells(box):
     return LatticeAnimal(frozenset(box.cells()))
 
 
-def _correspondence_check_ref(mapping, source_cells, target_cells):
-    """Reference: the correspondence's cover and bijection checks on sets."""
-    if set(mapping) != set(source_cells):
-        raise ConfigError("mapping must cover exactly the source cells")
-    images = set(mapping.values())
-    if images != set(target_cells) or len(images) != len(mapping):
-        raise ConfigError("mapping must be a bijection onto the target cells")
-
-
-_small_cells = st.tuples(st.integers(0, 3), st.integers(0, 2))
-
-
-@st.composite
-def _cell_collections(draw, base):
-    """``base`` or a near miss of it, as a frozenset, a set or a list,
-    the list possibly with repeats."""
-    cells = set(base) ^ draw(st.sets(_small_cells, max_size=1))
-    kind = draw(st.sampled_from(["frozenset", "set", "list"]))
-    if kind == "list":
-        cells = list(cells) + draw(st.lists(st.sampled_from(sorted(cells)), max_size=2)
-                                   if cells else st.just([]))
-        return draw(st.permutations(cells))
-    return frozenset(cells) if kind == "frozenset" else cells
-
-
-class TestCellCorrespondence:
-    @given(st.dictionaries(_small_cells, _small_cells, max_size=6), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_checks_match_set_reference(self, mapping, data):
-        source = data.draw(_cell_collections(mapping.keys()))
-        target = data.draw(_cell_collections(mapping.values()))
-
-        def outcome(f):
-            try:
-                f()
-            except ConfigError as exc:
-                return str(exc)
-            return None
-
-        assert (outcome(lambda: CellCorrespondence(1, source, target, mapping, 0))
-                == outcome(lambda: _correspondence_check_ref(mapping, source, target)))
-
-    def test_list_of_source_cells_accepted(self):
-        cells = sorted(_square(2))
-        corr = CellCorrespondence(1, cells, list(reversed(cells)), {c: c for c in cells}, 0)
-        assert corr.apply((1, 1)) == (1, 1)
-
-    def test_bijection_enforced(self):
-        cells = _square(2)
-        with pytest.raises(ConfigError):
-            CellCorrespondence(1, cells, cells, {c: (0, 0) for c in cells}, 0)
-
-    def test_coverage_enforced(self):
-        cells = _square(2)
-        with pytest.raises(ConfigError):
-            CellCorrespondence(1, cells, cells, {(0, 0): (0, 0)}, 0)
-
-
 def _same_shape(a, b):
     """The unique translation taking animal a onto animal b, or None if
     their shapes differ."""
@@ -125,8 +66,9 @@ def _same_shape(a, b):
 
 def _offset_family_ref(source, target, T_prime, params):
     """Reference: the offset family of maps at the one member a depth-1
-    search asks for, no designated source set (T = ()) and h = (1, 1).  A
-    mismatched target is checked as a lattice animal to choose the error."""
+    search asks for, no designated source set (T = ()) and h = (1, 1), as
+    (mapping, displacement budget).  A mismatched target is checked as a
+    lattice animal to choose the error."""
     sites = source.sites
     t = None
     if target is sites:
@@ -146,8 +88,7 @@ def _offset_family_ref(source, target, T_prime, params):
         for b in zones[i + 1:]:
             if min(chebyshev(p, q) for p in a for q in b) <= 1:
                 raise InvalidOffset("designated images neighbour each other")
-    mapping = {c: (c[0] + t[0], c[1] + t[1]) for c in sites}
-    return CellCorrespondence(1, sites, target, mapping, 0)
+    return {c: (c[0] + t[0], c[1] + t[1]) for c in sites}, 0
 
 
 def _outcome(f, *args):
@@ -158,11 +99,14 @@ def _outcome(f, *args):
 
 
 def _record(outcome):
-    """A correspondence as its fields, the mapping in iteration order; an
-    exception class as itself."""
-    if isinstance(outcome, CellCorrespondence):
-        return (outcome.level, outcome.source_cells, outcome.target_cells,
-                list(outcome.mapping.items()), outcome.displacement_budget)
+    """A (mapping, budget) pair, or a bare mapping, which displaces no cell,
+    as the mapping in iteration order and the budget; an exception class as
+    itself."""
+    if isinstance(outcome, dict):
+        outcome = outcome, 0
+    if isinstance(outcome, tuple):
+        mapping, budget = outcome
+        return list(mapping.items()), budget
     return outcome
 
 
@@ -191,24 +135,21 @@ def _level0_components(draw):
 class TestTranslationFamily:
     def test_base_offset_is_rigid(self, toy1):
         src = LatticeAnimal(_square(16))
-        corr = translation_family(src, src.sites, (), toy1)
-        assert all(corr.apply(c) == c for c in src.sites)
-        assert corr.displacement_budget == 0
+        assert translation_family(src, src.sites, (), toy1) == {c: c for c in src.sites}
         moved = translation_family(src, _square(16, off=(3, -2)), (), toy1)
-        assert all(moved.apply(c) == (c[0] + 3, c[1] - 2) for c in src.sites)
-        assert moved.displacement_budget == 0
+        assert moved == {c: (c[0] + 3, c[1] - 2) for c in src.sites}
 
     def test_bijection_onto_every_translate(self, toy1):
         src = LatticeAnimal(frozenset([(0, 0), (1, 0), (1, 1), (1, 2)]))
         for t in [(0, 0), (2, 2), (-4, 7), (9, -3)]:
             target = frozenset((x + t[0], y + t[1]) for x, y in src.sites)
-            corr = translation_family(src, target, (), toy1)
-            assert {corr.apply(c) for c in src.sites} == target
+            mapping = translation_family(src, target, (), toy1)
+            assert mapping.keys() == src.sites and set(mapping.values()) == target
 
     def test_same_shape_translation(self, toy1):
         a = LatticeAnimal(frozenset([(0, 0), (1, 0), (1, 1)]))
-        corr = translation_family(a, frozenset([(-5, 2), (-4, 2), (-4, 3)]), (), toy1)
-        assert corr.mapping == {(0, 0): (-5, 2), (1, 0): (-4, 2), (1, 1): (-4, 3)}
+        mapping = translation_family(a, frozenset([(-5, 2), (-4, 2), (-4, 3)]), (), toy1)
+        assert mapping == {(0, 0): (-5, 2), (1, 0): (-4, 2), (1, 1): (-4, 3)}
 
     def test_different_shapes(self, toy1):
         # Another shape of the same size, a disconnected set, and sets of
@@ -226,7 +167,7 @@ class TestTranslationFamily:
         with pytest.raises(PreconditionError, match="size budget"):
             translation_family(src, src.sites, big, toy1)
         six = [_box_cells(Rect(4, 4, 7, 5)), _box_cells(Rect(9, 9, 12, 10))]
-        assert translation_family(src, src.sites, six, toy1).displacement_budget == 0
+        assert translation_family(src, src.sites, six, toy1) == {c: c for c in src.sites}
 
     @pytest.mark.parametrize("h", [(1, 1), (3, 4), (9, 2)])
     def test_budget_is_largest_displacement(self, toy1, h):
@@ -235,9 +176,8 @@ class TestTranslationFamily:
         # translate.
         src = LatticeAnimal(_square(16))
         T_prime = [LatticeAnimal(frozenset([(5 + h[0], 5 + h[1]), (5 + h[0], 6 + h[1])]))]
-        corr = translation_family(src, _square(16, off=h), T_prime, toy1)
-        expect = max(chebyshev((c[0] + h[0], c[1] + h[1]), v) for c, v in corr.mapping.items())
-        assert corr.displacement_budget == expect == 0
+        mapping = translation_family(src, _square(16, off=h), T_prime, toy1)
+        assert max(chebyshev((c[0] + h[0], c[1] + h[1]), v) for c, v in mapping.items()) == 0
 
     @given(_polyominoes(),
            st.one_of(st.sampled_from(["same", "copy"]),
@@ -276,8 +216,8 @@ class TestTranslationFamily:
 
     def test_disconnected_source_rejected(self, toy1, monkeypatch):
         # A source domain that is not a lattice animal has no rigid map: the
-        # level-1 search never builds one for it, and its witness is a
-        # repair that covers the whole cut domain.
+        # level-1 search never builds one for it, and its witness covers
+        # the whole cut domain.
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         xb = hx.levels[1].blocks[0]
         cut = min(x for x, _ in xb.domain) + 4
@@ -297,9 +237,7 @@ class TestTranslationFamily:
             wit = embeds_level(split, yf, 1, toy1, x_structure=hx.level0)
             assert not sources
             if wit is not None:
-                corr = wit.correspondence
-                assert corr.source_cells == split.domain
-                assert set(corr.mapping) == split.domain
+                assert wit.source_cells == split.domain
                 repaired += 1
         assert repaired
 
@@ -351,7 +289,7 @@ class TestBaseTranslation:
         else:
             target = frozenset((x + other[0], y + other[1]) for x, y in source) ^ toggled
         toy1 = named_profile("toy1")
-        got = _outcome(lambda s, t: translation_family(LatticeAnimal(s), t, (), toy1).mapping,
+        got = _outcome(lambda s, t: translation_family(LatticeAnimal(s), t, (), toy1),
                        source, target)
         assert got == _outcome(_rigid_map_ref, source, target)
 
@@ -446,10 +384,10 @@ class TestVerifyEmbedding:
         assert not verify_embedding(EmbeddingMap(squeezed, 1.0), x, y2)
 
 
-def _accepts_ref(corr, x_field, y_field, params):
+def _accepts_ref(mapping, x_field, y_field, params):
     """Per cell: the source bit against the class of its image's sites."""
     m0 = params.M0
-    for (sx, sy), (tx, ty) in corr.mapping.items():
+    for (sx, sy), (tx, ty) in mapping.items():
         block = y_field.bits[ty * m0:(ty + 1) * m0, tx * m0:(tx + 1) * m0]
         if not level0_embeds(x_field.get(sx, sy), classify_y0_block(block, params)):
             return False
@@ -461,10 +399,10 @@ def _pairs_ref(mapping):
     return cell_array(itertools.chain.from_iterable(mapping.items())).reshape(-1, 2, 2)
 
 
-def _accepts_cells_ref(corr, x_level0, y_level0):
+def _accepts_cells_ref(mapping, x_level0, y_level0):
     """Reference (the search's former gather): whether every source cell's
     bit embeds into its image's target block."""
-    pairs = _pairs_ref(corr.mapping)
+    pairs = _pairs_ref(mapping)
     return bool(ACCEPTS[x_level0.bits_at(pairs[:, 0]), y_level0.codes_at(pairs[:, 1])].all())
 
 
@@ -481,10 +419,11 @@ def _good_or_in_ref(level0, rect, domain):
     return list(zip((xs + rect.x0).tolist(), (ys + rect.y0).tolist()))
 
 
-def _repair_correspondence_ref(src_cells, free_pool, level, cap):
+def _repair_correspondence_ref(src_cells, free_pool, cap):
     """Reference (the former repair): identity on the pool, then each other
     source cell, in sorted order, to the nearest unused pool cell
-    (Chebyshev, lexicographic tie-break) within the cap."""
+    (Chebyshev, lexicographic tie-break) within the cap, as (mapping,
+    displacement budget), or None."""
     pool = set(free_pool)
     mapping = {}
     cells = sorted(src_cells)
@@ -503,18 +442,17 @@ def _repair_correspondence_ref(src_cells, free_pool, level, cap):
         mapping[c] = best
         pool.discard(best)
         budget = max(budget, chebyshev(c, best))
-    target = frozenset(mapping.values())
-    return CellCorrespondence(level, frozenset(src_cells), target, mapping, budget)
+    return mapping, budget
 
 
 def _repair_ref(block, y_domain, y_level0, x_structure, params):
-    """Reference: the former boundary repair, on sets and dicts, as a
-    correspondence or None."""
+    """Reference: the former boundary repair, on sets and dicts, as
+    (mapping, displacement budget) or None."""
     cell, = block.animal.sites
     geometry = cell_geometry(1, cell, params)
     pool = _good_or_in_ref(y_level0, geometry.region.outset(geometry.margin), y_domain)
-    corr = _repair_correspondence_ref(block.domain, pool, 1, cap=3 * geometry.margin)
-    if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
+    corr = _repair_correspondence_ref(block.domain, pool, cap=3 * geometry.margin)
+    if corr is not None and _accepts_cells_ref(corr[0], x_structure, y_level0):
         return corr
     return None
 
@@ -531,20 +469,20 @@ def _rigid_or_repair_ref(block, y_domain, y_level0, x_structure, params):
         y_bad = [_box_cells(c.box) for c in y_level0.bad_components
                  if not y_domain.isdisjoint(c.box.cells())]
         try:
-            corr = translation_family(source, y_domain, y_bad, params)
+            mapping = translation_family(source, y_domain, y_bad, params)
         except PreconditionError:
-            corr = None
-        if corr is not None and _accepts_cells_ref(corr, x_structure, y_level0):
-            return corr
+            mapping = None
+        if mapping is not None and _accepts_cells_ref(mapping, x_structure, y_level0):
+            return mapping, 0
     return _repair_ref(block, y_domain, y_level0, x_structure, params)
 
 
 def _sorted_record(corr):
-    """A correspondence as its fields, the mapping sorted."""
+    """A (mapping, budget) pair as the mapping sorted and the budget."""
     if corr is None:
         return None
-    return (corr.level, corr.source_cells, corr.target_cells, sorted(corr.mapping.items()),
-            corr.displacement_budget)
+    mapping, budget = corr
+    return sorted(mapping.items()), budget
 
 
 class TestGatheredContent:
@@ -566,11 +504,10 @@ class TestGatheredContent:
         xs = build_level0(p, "X", xseed, self.WINDOW, site_field=x_field)
         ys = build_level0(p, "Y", yseed, self.WINDOW, site_field=y_field)
         src = sorted(_square(3, off=(2, 1)))
-        corr = CellCorrespondence(1, frozenset(src), frozenset(order[:9]),
-                                  dict(zip(src, order[:9])), 0)
-        expect = _accepts_ref(corr, x_field, y_field, p)
+        mapping = dict(zip(src, order[:9]))
+        expect = _accepts_ref(mapping, x_field, y_field, p)
         got = ACCEPTS[xs.bits_at(cell_array(src)), ys.codes_at(cell_array(order[:9]))].all()
-        assert got == expect == _accepts_cells_ref(corr, xs, ys)
+        assert got == expect == _accepts_cells_ref(mapping, xs, ys)
 
     def test_accepts_reads_bits_from_the_source(self, toy1):
         ys = build_level0(toy1, "Y", 1, level0_window_for(Rect(0, 0, 1, 1), toy1))
@@ -683,9 +620,10 @@ class TestRigidOrRepair:
     @pytest.mark.parametrize("profile", ["toy1", "toy-m0-3", "toy-m0-6"])
     def test_program_traffic_matches_the_rigid_decision(self, profile):
         # Each uncensored source block of the X 3x3 window against 25
-        # target fields, seeded as estimate-s seeds them: the repair gives
-        # the witness the former rigid-then-repair decision gave, and a
-        # witness builds no correspondence until it is read.  toy-m0-3
+        # target fields, seeded as estimate-s seeds them: the search finds a
+        # witness exactly when the former rigid-then-repair decision found
+        # a map, and that map is the identity on the witness's cells, with
+        # displacement budget 0.  toy-m0-3
         # leaves about one target block in ten bad, so no 256-cell block
         # embeds there and both decisions must say None.
         p = named_profile(profile)
@@ -709,8 +647,8 @@ class TestRigidOrRepair:
                     if wit is None:
                         assert want is None
                         continue
-                    assert "correspondence" not in wit.__dict__
-                    assert _sorted_record(wit.correspondence) == _sorted_record(want)
+                    identity = [(c, c) for c in sorted(wit.source_cells)]
+                    assert _sorted_record(want) == (identity, 0)
                     witnesses += 1
         assert witnesses or profile == "toy-m0-3"
 
@@ -840,8 +778,10 @@ class TestEmbedsLevel:
         assert embed._crop(short, w0, m0) is None
 
     def test_level1_search_with_wider_and_narrower_target_windows(self, toy1):
-        # Wider windows are cropped, narrower ones resampled: the witness is
-        # the one the exact level-0 window gives.
+        # Windows wider or narrower than the level-0 window are cropped while
+        # they cover the cell's region: the witness is the one the exact
+        # level-0 window gives.  The level-0 window pads the region by 6
+        # cells, so one narrower by 7 misses it and is refused.
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         xb = hx.levels[1].blocks[0]
         m0 = toy1.M0
@@ -850,25 +790,54 @@ class TestEmbedsLevel:
         for seed in range(8):
             windows = [sample_field(seed, "Y", ((w0.x0 - a) * m0, (w0.y0 - a) * m0),
                                     (w0.x1 - w0.x0 + 2 * a) * m0,
-                                    (w0.y1 - w0.y0 + 2 * a) * m0) for a in (0, 2, -1)]
+                                    (w0.y1 - w0.y0 + 2 * a) * m0) for a in (0, 2, -1, -7)]
             witnesses = [embeds_level(xb, yf, 1, toy1, x_structure=hx.level0)
-                         for yf in windows]
+                         for yf in windows[:3]]
             assert witnesses[1] == witnesses[0] == witnesses[2]
+            with pytest.raises(PreconditionError, match="does not cover the cell's region"):
+                embeds_level(xb, windows[3], 1, toy1, x_structure=hx.level0)
             found += witnesses[0] is not None
         assert found
 
-    def test_level1_resamples_a_window_that_misses_the_cell(self, toy1):
-        # A target window of one block, far from the cell, stands for its
-        # seed: the witness is the one a sample over the cell gives.
+    def test_level1_target_must_cover_the_cell(self, toy1):
+        # The cell (0, 0), whose region is the 144 x 144 target sites from
+        # the origin, against target windows that miss part of it, before
+        # or past the region on either axis: an error, never bits read
+        # from elsewhere.  A window of exactly the region decides as a
+        # wider one does.
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        xb, side = hx.levels[1].blocks[0], 16 * toy1.M0
+        misses = [((1, 0), side, side), ((0, 1), side, side), ((0, 0), side - 1, side),
+                  ((0, 0), side, side - 1), ((-1, 0), side, side), ((0, -1), side, side)]
+        for seed in range(4):
+            for origin, width, height in misses:
+                with pytest.raises(PreconditionError, match="does not cover the cell's region"):
+                    embeds_level(xb, sample_field(seed, "Y", origin, width, height), 1, toy1,
+                                 x_structure=hx.level0)
+            tight = sample_field(seed, "Y", (0, 0), side, side)
+            wide = sample_field(seed, "Y", (-side, -side), 3 * side, 3 * side)
+            assert (embeds_level(xb, tight, 1, toy1, x_structure=hx.level0)
+                    == embeds_level(xb, wide, 1, toy1, x_structure=hx.level0))
+
+    def test_level1_reads_the_window_it_is_given(self, toy1):
+        # A target window far from the cell is refused, whatever its bits,
+        # rather than stood in for by a fresh sample of its seed.  Over the
+        # cell, the caller's bits decide: the seed's own sample finds a
+        # witness, and the same window emptied of ones finds none.
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         xb, m0 = hx.levels[1].blocks[0], toy1.M0
         found = 0
-        for seed in range(8):
-            far = sample_field(seed, "Y", (40 * m0, -3 * m0), m0, m0)
+        for seed in range(4):
+            for fill in (0, 1):
+                far = BitField("Y", (40 * m0, -3 * m0), m0, m0, seed,
+                               np.full((m0, m0), fill, dtype=np.uint8))
+                with pytest.raises(PreconditionError, match="does not cover the cell's region"):
+                    embeds_level(xb, far, 1, toy1, x_structure=hx.level0)
             cell = sample_field(seed, "Y", (0, 0), 16 * m0, 16 * m0)
-            wit = embeds_level(xb, far, 1, toy1, x_structure=hx.level0)
-            assert wit == embeds_level(xb, cell, 1, toy1, x_structure=hx.level0)
-            found += wit is not None
+            zeros = BitField("Y", cell.origin, cell.width, cell.height, seed,
+                             np.zeros_like(cell.bits))
+            assert embeds_level(xb, zeros, 1, toy1, x_structure=hx.level0) is None
+            found += embeds_level(xb, cell, 1, toy1, x_structure=hx.level0) is not None
         assert found
 
     def test_level1_refuses_k0_above_the_clearance(self, toy1):

@@ -172,13 +172,13 @@ def _witness_record(witness) -> str:
     if witness is None:
         return "none"
     # The record keeps the fields witnesses carried when the digests were
-    # taken: a family offset, None at level 0 and (1, 1) at level 1, and the
-    # matched bad sets, the component onto itself at level 0 and none at
-    # level 1.
-    corr = witness.correspondence
-    cells = sorted(corr.source_cells)
+    # taken: a family offset, None at level 0 and (1, 1) at level 1; the
+    # cell map, the identity on the source cells; its displacement budget,
+    # 0; and the matched bad sets, the component onto itself at level 0 and
+    # none at level 1.
+    cells = sorted(witness.source_cells)
     offset, matched = (None, [(cells, cells)]) if witness.level == 0 else ((1, 1), [])
-    return repr((offset, sorted(corr.mapping.items()), corr.displacement_budget, matched))
+    return repr((offset, [(c, c) for c in cells], 0, matched))
 
 
 def test_level1_witnesses_reproduce():

@@ -39,17 +39,39 @@ class TestScales:
 
     def test_margin_ordering(self, toy1):
         m = toy1.margins(1)
-        assert 1 <= m.interior < m.clearance < m.buffer
+        assert 2 <= m.clearance < m.buffer
         assert 4 * m.buffer < toy1.cell_side(1)
 
     def test_margin_override(self):
         # A profile override that widens the cell widens the margins.
-        assert named_profile("toy1", L0=32).margins(1) == (5, 6, 7)
+        assert named_profile("toy1", L0=32).margins(1) == (6, 7)
 
     def test_bad_override_rejected(self):
         # A level-1 cell four cells wide leaves no room for a buffer.
-        with pytest.raises(ConfigError, match="interior < clearance < buffer"):
+        with pytest.raises(ConfigError, match="2 <= clearance < buffer"):
             named_profile("toy1", L0=4).margins(1)
+
+    @given(st.integers(2, 60), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_rejects_what_the_relocation_margin_rejected(self, L0, alpha):
+        # The margins once carried an interior (relocation) margin,
+        # min(max(prev**3 // 2, 1), clearance - 1), and required
+        # 1 <= interior < clearance < buffer: exactly the cells refused now.
+        p = replace(named_profile("toy1"), L0=L0, alpha=alpha)
+        try:
+            prev, side = p.scale(0), p.cell_side(1)
+        except ConfigError:
+            return
+        buffer = min(prev**5, side // 4 - 1)
+        clearance = min(10 * prev**4, buffer - 1)
+        interior = min(max(prev**3 // 2, 1), clearance - 1)
+        old_ok = 1 <= interior < clearance < buffer
+        try:
+            got = p.margins(1)
+        except ConfigError:
+            assert not old_ok
+        else:
+            assert old_ok and got == (clearance, buffer)
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
@@ -91,16 +113,16 @@ class TestScales:
 class TestPerLevelMemo:
     def test_replace_and_overrides_see_their_own_values(self):
         base = named_profile("published")
-        assert base.margins(1) == (4, 30, 31)
+        assert base.margins(1) == (30, 31)
         assert base.cell_side(1) == 128
         custom = replace(base, L0=4)
-        assert (custom.margins(1), custom.cell_side(1)) == ((32, 1023, 1024), 16384)
-        assert base.margins(1) == (4, 30, 31)
+        assert (custom.margins(1), custom.cell_side(1)) == ((1023, 1024), 16384)
+        assert base.margins(1) == (30, 31)
         # Built first this time: the default instance does not see it.
         wide = named_profile("toy1", L0=64)
-        assert (wide.margins(1), wide.cell_side(1), wide.scale(0)) == ((13, 14, 15), 64, 64)
+        assert (wide.margins(1), wide.cell_side(1), wide.scale(0)) == ((14, 15), 64, 64)
         toy1 = named_profile("toy1")
-        assert (toy1.margins(1), toy1.cell_side(1), toy1.scale(0)) == ((1, 2, 3), 16, 16)
+        assert (toy1.margins(1), toy1.cell_side(1), toy1.scale(0)) == ((2, 3), 16, 16)
 
     def test_errors_raise_on_every_call(self, toy1):
         bad = replace(toy1, L0=4)
