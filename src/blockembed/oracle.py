@@ -6,16 +6,21 @@ window into a target window with X(v) = Y(phi(v)) and
 arithmetic for the distance comparisons.  It is deliberately independent of
 the constructive machinery so it can serve as ground truth for it.
 
-The search backtracks over the source sites center-out, with a domain per
-site: a bitmask over the target sites still open to it.  Each assignment
-intersects the later domains with a ball around its image (forward
-checking).  The tables a search reads are built once per instance and
-shared by every search on it: the balls, keyed on each source pair's
-integer radius floor(M^2 d^2) and filled per target on first use, and the
-nearest-first candidate streams.  Counting does the last two sites in
-bulk: each target of the second-to-last site adds the size of the last
-site's domain inside its ball, without visiting those targets one by one,
-and counts the same nodes.
+The search assigns the source sites center-out, with a domain per site:
+the set of target sites still open to it.  Each assignment intersects the
+later domains with a ball around its image (forward checking).  Every
+search on an instance shares its tables: one array of the balls of every
+target, keyed on each source pair's integer radius floor(M^2 d^2) and built
+once per instance, a block of targets at a time, and the nearest-first
+candidate streams; a search builds only the blocks of the targets it
+visits.  Finding and enumerating backtrack over int bitmasks.  Counting
+expands a depth at a time over uint64 words instead: one numpy pass takes a
+chunk of the (node, target) pairs of a frontier, ANDs the target's balls
+into the node's later domains and keeps the children where none empties;
+the chunks hold a fixed number of words, so that its memory stays bounded.
+The last site adds the sizes of its domains.  It visits the nodes the
+backtracking visits, so the count and the node cap's trip point are the
+same.
 """
 
 from __future__ import annotations
@@ -40,6 +45,12 @@ __all__ = [
 
 DEFAULT_NODE_CAP = 5_000_000
 SOURCE_SITE_CAP = 64
+
+# The uint64 words of later domains a count narrows in one numpy pass, and
+# the target pairs one block of the ball table compares: they bound the
+# temporaries whatever the target size or node cap.
+_CHUNK_WORDS = 1 << 15
+_TABLE_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,23 +133,28 @@ def _variable_order(sites) -> list:
     return sorted(sites, key=lambda s: ((n * s[0] - sx) ** 2 + (n * s[1] - sy) ** 2, s))
 
 
-def _bitmask(mask: np.ndarray) -> int:
-    """A boolean vector as an int whose bit k is mask[k]."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 class _Tables:
     """What every search on one instance reads, built once per instance.
 
-    Target sites are numbered row-major, k = iy * width + ix, and sets of
-    them are int bitmasks.  A source pair (i, j) of ``order`` admits images
-    at squared distance at most its integer radius min(floor(num * d2 /
-    den), far), where num/den is M^2 and d2 the pair's squared distance:
-    over integers, d^2 * den <= num * d2 iff d^2 <= floor(num * d2 / den).
-    ``rows[i][k]`` lists the balls that order[i] -> k imposes on the later
-    sites, each minus k itself.  Every row of target k is filled the first
-    time k is used, from one comparison against all the radii at once, so
-    the tables grow with the targets visited.
+    Target sites are numbered row-major, k = iy * width + ix.  A set of them
+    is W = ceil(targets / 64) little-endian uint64 words, bit k % 64 of word
+    k // 64, or the int with the same bits.  A source pair (i, j) of
+    ``order`` admits images at squared distance at most its integer radius
+    min(floor(num * d2 / den), far), where num/den is M^2 and d2 the pair's
+    squared distance: over integers, d^2 * den <= num * d2 iff
+    d^2 <= floor(num * d2 / den).  ``slots[i]`` names the radius of each
+    pair (order[i], later site), and word w of the ball of target k at the
+    r-th distinct radius, minus k itself, sits at [w, r, k - k0] of the
+    block of targets k0 to k0 + step - 1 that holds k.  A block comes from
+    comparing the M-free squared distances between its targets and every
+    target against the radii, once and on first use, by ``fill`` or
+    ``gather``.  ``rows[k]`` holds the balls of target k as ints, copied
+    out by ``fill(k)`` the first time a backtracking search uses k; a count
+    reads the blocks as arrays.
+    ``domains[w, i]`` is word w of the targets whose bit matches order[i],
+    and ``roots[i]`` the same set as an int.  Arrays of sets keep the word
+    axis first, so that numpy reduces over words, and over sites, with
+    whole-array operations.
     """
 
     def __init__(self, inst: "Instance"):
@@ -148,29 +164,68 @@ class _Tables:
         self.tx = ix.ravel().astype(np.int64) + y.origin[0]
         self.ty = iy.ravel().astype(np.int64) + y.origin[1]
         self.targets = list(zip(self.tx.tolist(), self.ty.tolist()))
-        bits = y.bits.ravel()
-        self.roots = [_bitmask(bits == inst.source_values[s]) for s in self.order]
+        values = np.array([inst.source_values[s] for s in self.order], dtype=np.uint8)
+        words = _pack(y.bits.ravel() == values[:, None])
+        self.roots = [int.from_bytes(row.tobytes(), "little") for row in words]
+        self.domains = np.ascontiguousarray(words.T)
         far = (y.width - 1) ** 2 + (y.height - 1) ** 2
-        m2 = inst.m_squared
-        radius = [[min(m2.numerator * _d2(a, b) // m2.denominator, far)
+        num, den = inst.m_squared.numerator, inst.m_squared.denominator
+        radius = [[min(num * _d2(a, b) // den, far)
                    for b in self.order[i + 1:]] for i, a in enumerate(self.order)]
         radii = sorted({r for row in radius for r in row})
         slot = {r: n for n, r in enumerate(radii)}
-        self._slots = [[slot[r] for r in row] for row in radius]
-        self._radii = np.array(radii, dtype=np.int64)[:, None]
-        self.rows = [[None] * len(self.targets) for _ in self.order]
+        self.slots = [[slot[r] for r in row] for row in radius]
+        self.radii = np.array(radii, dtype=np.int64)
+        self.columns = [np.array(slots, dtype=np.intp)[:, None] for slots in self.slots]
+        n_targets = len(self.targets)
+        self.step = max(1, _TABLE_PAIRS // n_targets)
+        self._blocks = [None] * -(-n_targets // self.step)
+        self.rows = [None] * n_targets
         self._streams: dict = {}
 
-    def fill(self, k: int) -> None:
-        """Fill rows[i][k] for every i."""
-        x, y = self.targets[k]
-        dx, dy = self.tx - x, self.ty - y
-        packed = np.packbits(dx * dx + dy * dy <= self._radii, axis=1, bitorder="little")
-        width, data, clear = packed.shape[1], packed.tobytes(), ~(1 << k)
-        balls = [int.from_bytes(data[r * width:(r + 1) * width], "little") & clear
-                 for r in range(len(packed))]
-        for rows, slots in zip(self.rows, self._slots):
-            rows[k] = [balls[r] for r in slots]
+    def _block(self, b: int) -> np.ndarray:
+        """The (W, radii, step) balls of the targets from b * step on, built
+        on first use from at most ``_TABLE_PAIRS`` target pairs."""
+        block = self._blocks[b]
+        if block is None:
+            k0, n = b * self.step, len(self.targets)
+            dx = self.tx[k0:k0 + self.step, None] - self.tx
+            dy = self.ty[k0:k0 + self.step, None] - self.ty
+            d2 = dx * dx + dy * dy
+            d2.ravel()[k0::n + 1] = np.iinfo(np.int64).max  # k is not in its own ball
+            block = np.ascontiguousarray(
+                _pack(d2 <= self.radii[:, None, None]).transpose(2, 0, 1))
+            self._blocks[b] = block
+        return block
+
+    def gather(self, i: int, ks: np.ndarray) -> np.ndarray:
+        """The balls of targets ks for the sites after order[i], at [w, j, n]
+        for order[i + 1 + j] and ks[n], building the blocks they fall in."""
+        if len(self._blocks) == 1:
+            return self._take(0, i, ks)
+        blocks = ks // self.step
+        balls = np.empty((len(self.domains), len(self.columns[i]), len(ks)), dtype="<u8")
+        for b in np.unique(blocks).tolist():
+            at = np.flatnonzero(blocks == b)
+            balls[:, :, at] = self._take(b, i, ks[at])
+        return balls
+
+    def _take(self, b: int, i: int, ks: np.ndarray) -> np.ndarray:
+        """gather(i, ks) for targets ks of block b."""
+        block = self._block(b)
+        # Word w of the ball of target k at radius slot r sits at column
+        # r * width + k - k0 of the block's (W, radii * width) view.
+        columns = self.columns[i] * block.shape[2] + (ks - b * self.step)
+        return block.reshape(len(block), -1).take(columns, axis=1)
+
+    def fill(self, k: int) -> list:
+        """Fill and return rows[k]."""
+        words = self._block(k // self.step)[:, :, k % self.step].tolist()
+        row = words[0]
+        for w, more in enumerate(words[1:], 1):
+            row = [low | high << 64 * w for low, high in zip(row, more)]
+        self.rows[k] = row
+        return row
 
     def stream(self, i: int, k0: int) -> list:
         """Targets nearest first to the rigid continuation of order[0] -> k0
@@ -185,6 +240,14 @@ class _Tables:
         return stream
 
 
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """Boolean rows over the targets as rows of little-endian uint64 words."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    words = np.zeros(mask.shape[:-1] + (-(-mask.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
 class _Search:
     """Backtracking over the sites of ``_variable_order``: one search per
     public call, with its own node count, over the instance's tables.
@@ -192,7 +255,9 @@ class _Search:
     Each source site keeps a domain: the targets still open to it.
     Assigning site i to target k intersects every later domain with the
     ball of k at the pair's integer radius, minus k itself; the assignment
-    is kept only when no later domain empties (forward checking).
+    is kept only when no later domain empties (forward checking).  ``run``
+    walks that tree depth first over int bitmasks; ``count`` expands it a
+    depth at a time over uint64 words, and visits the same nodes.
     """
 
     def __init__(self, inst: Instance, node_cap: int):
@@ -213,8 +278,6 @@ class _Search:
 
     def run(self, limit: Optional[int]) -> Iterator[dict]:
         """Yield embeddings (as dicts) up to ``limit``; None means all."""
-        if limit is not None and limit < 1:
-            raise ConfigError(f"the witness limit must be at least 1, got {limit}")
         count = 0
         for emb in self._walk(0, self.tables.roots, []):
             yield emb
@@ -229,63 +292,59 @@ class _Search:
         if i == len(t.order):
             yield dict(zip(t.order, (t.targets[k] for k in image)))
             return
-        domain, rest, rows = domains[0], domains[1:], t.rows[i]
+        domain, rest, slots = domains[0], domains[1:], t.slots[i]
         for k in t.stream(i, image[0]) if i else range(len(t.targets)):
             if domain >> k & 1:
-                if rows[k] is None:
-                    t.fill(k)
-                narrowed = [d & ball for d, ball in zip(rest, rows[k])]
+                balls = t.rows[k]
+                if balls is None:
+                    balls = t.fill(k)
+                narrowed = [d & balls[r] for d, r in zip(rest, slots)]
                 if all(narrowed):
                     image.append(k)
                     yield from self._walk(i + 1, narrowed, image)
                     image.pop()
 
     def count(self) -> int:
-        """The number of embeddings.  The nodes are those ``run`` visits, in
-        target order: the set of nodes, and so the count and the node cap's
-        trip point, do not depend on the order of siblings."""
-        return self._count(0, self.tables.roots)
+        """The number of embeddings.  The nodes are those ``run`` visits: the
+        set of nodes, and so the count and the node cap's trip point, do not
+        depend on the order in which they are visited."""
+        self._visit()
+        return self._expand(0, self.tables.domains[:, :, None])
 
-    def _count(self, i: int, domains: list) -> int:
-        """Domains are those of order[i:]."""
-        if self.nodes >= self.node_cap:
-            self._trip()
-        self.nodes += 1
-        domain = domains[0]
-        if len(domains) == 1:
-            # Each target left to the last site is one leaf node.
-            leaves = domain.bit_count()
+    def _expand(self, i: int, frontier: np.ndarray) -> int:
+        """The leaves below a frontier of nodes at depth i, which holds word
+        w of node f's domain for order[i + j] at [w, j, f].
+
+        Below a node with one site left there is a leaf for each target in
+        its domain.  Otherwise every (node, target) pair of the first domains
+        is a candidate child, and one numpy pass expands as many pairs as
+        narrow ``_CHUNK_WORDS`` words of later domains: gather the balls, AND
+        them into the later domains, and keep the children where none
+        empties.  A chunk's children are counted, then expanded in turn, so
+        that at most a chunk of each depth is held at once.
+        """
+        if frontier.shape[1] == 1:
+            leaves = int(np.bitwise_count(frontier).sum())
             self._visit(leaves)
             return leaves
         t = self.tables
-        rows, total = t.rows[i], 0
-        if len(domains) == 2:
-            # Each k whose ball meets the last domain gives one node of the
-            # last site with |last & ball| leaves below it, counted at once.
-            last, cap = domains[1], self.node_cap
-            while domain:
-                low = domain & -domain
-                domain ^= low
-                k = low.bit_length() - 1
-                if rows[k] is None:
-                    t.fill(k)
-                leaves = (last & rows[k][0]).bit_count()
-                if leaves:
-                    if self.nodes + 1 + leaves > cap:
-                        self._trip()
-                    self.nodes += 1 + leaves
-                    total += leaves
-            return total
-        rest = domains[1:]
-        while domain:
-            low = domain & -domain
-            domain ^= low
-            k = low.bit_length() - 1
-            if rows[k] is None:
-                t.fill(k)
-            narrowed = [d & ball for d, ball in zip(rest, rows[k])]
-            if all(narrowed):
-                total += self._count(i + 1, narrowed)
+        first = frontier[:, 0]
+        ends = np.cumsum(np.bitwise_count(first).sum(axis=0, dtype=np.int64))
+        pairs, width, total = int(ends[-1]), 64 * len(first), 0
+        chunk = max(1, _CHUNK_WORDS // (len(first) * (frontier.shape[1] - 1)))
+        for a in range(0, pairs, chunk):
+            b = min(a + chunk, pairs)
+            r0, r1 = np.searchsorted(ends, (a, b - 1), side="right")
+            words = np.ascontiguousarray(first[:, r0:r1 + 1].T)
+            bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+            skip = a - (int(ends[r0 - 1]) if r0 else 0)
+            nodes, ks = np.divmod(bits.nonzero()[0][skip:skip + b - a], width)
+            narrowed = frontier[:, 1:].take(nodes + r0, axis=2) & t.gather(i, ks)
+            children = narrowed.compress(narrowed.any(axis=0).all(axis=0), axis=2)
+            del narrowed
+            self._visit(children.shape[2])
+            if children.shape[2]:
+                total += self._expand(i + 1, children)
         return total
 
 
@@ -315,5 +374,8 @@ def count_embeddings(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> int:
 def enumerate_embeddings(
     inst: Instance, limit: Optional[int] = None, node_cap: int = DEFAULT_NODE_CAP
 ) -> Iterator[dict]:
-    """Stream embeddings; order is deterministic for fixed inputs."""
-    yield from _Search(inst, node_cap).run(limit=limit)
+    """Stream embeddings; order is deterministic for fixed inputs.  A limit
+    below 1 raises ``ConfigError`` at the call, not at the first ``next``."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"the witness limit must be at least 1, got {limit}")
+    return _Search(inst, node_cap).run(limit)

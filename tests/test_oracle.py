@@ -1,6 +1,7 @@
 """Exact brute-force embedding oracle."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockembed import oracle
 from blockembed.embed import EmbeddingMap, verify_embedding
 from blockembed.errors import ConfigError, SearchBudgetExceeded
 from blockembed.fields import BitField, sample_field
@@ -217,6 +219,10 @@ class TestSharedTables:
     """Searches on one instance share its tables, and give what they give
     on a fresh one."""
 
+    # Caps a count is tried at: every cap_step-th up to the total, and the
+    # three around it.
+    cap_step = 1
+
     @given(oracle_instances(),
            st.permutations(["count", "find", "enumerate", "tripped count"]))
     @settings(max_examples=200, deadline=None)
@@ -258,8 +264,130 @@ class TestSharedTables:
 
         for cap in sorted({0, 1, total // 3, total - 1, total, *range(0, total, 97)}):
             assert _outcome(ReferenceSearch(inst, cap), "count") == reference(cap)
-        for cap in range(total + 2):
+        for cap in sorted({*range(0, total + 2, self.cap_step), total - 1, total, total + 1}):
             assert _outcome(_Search(inst, cap), "count") == reference(cap)
+
+
+@pytest.fixture(scope="class", params=[1, 12], ids=["words1", "words12"])
+def split_chunks(request):
+    """Counts that narrow 1 or 12 words of later domains a pass.  At 3x2
+    into 5x5 the default chunk holds every frontier whole; these expand one
+    (node, target) pair a pass, or 2 to 12."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_CHUNK_WORDS", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("split_chunks")
+class TestBitsetSearchSplitChunks(TestBitsetSearch):
+    """TestBitsetSearch with every frontier split into chunks."""
+
+
+@pytest.mark.usefixtures("split_chunks")
+class TestSharedTablesSplitChunks(TestSharedTables):
+    """TestSharedTables with every frontier split into chunks.  A count
+    pays a numpy pass a chunk, and a count at each of the ~1 400 caps of a
+    3x2 instance would take ~20 s at one pair a pass, so every 11th cap is
+    tried."""
+
+    cap_step = 11
+
+
+class TestMultiword:
+    """Targets of more than 64 sites, whose sets of targets span W > 1
+    uint64 words (8x8 fills exactly one), with both windows away from
+    (0, 0): counts, first witnesses, enumerate sequences, node counts and
+    trip points against the reference."""
+
+    @pytest.mark.parametrize("target, source, m", [
+        ((8, 8), (2, 2), Fraction(3, 2)),
+        ((8, 8), (3, 2), Fraction(3, 2)),
+        ((13, 5), (2, 2), Fraction(3, 2)),
+        ((13, 5), (3, 2), 1),
+        ((9, 8), (2, 2), Fraction(3, 2)),
+        ((9, 8), (3, 2), 1),
+        ((1, 70), (1, 3), 1),
+        ((1, 70), (1, 3), 2),
+        ((12, 12), (2, 2), Fraction(3, 2)),
+        ((12, 12), (3, 2), 1),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"M{v}")
+    def test_agrees_with_reference(self, target, source, m):
+        w, h = target
+        x = sample_field(100 * w + h, "X", (-3, 5), *source)
+        y = sample_field(100 * w + h + 7, "Y", (-40, 17), w, h)
+        inst = Instance.from_fields(x, y, m)
+        for mode in ("count", "find", "enumerate"):
+            ref = _outcome(ReferenceSearch(inst, 10**6), mode)
+            assert ref[1] == "done"
+            assert _outcome(_Search(inst, 10**6), mode) == ref
+            n = ref[2]
+            for cap in (0, 1, n // 3, n // 2, n - 1, n):
+                assert _outcome(_Search(inst, cap), mode) == _outcome(ReferenceSearch(inst, cap), mode)
+            if mode == "count":
+                assert ref[0] > 0
+
+    def test_ball_table_built_in_blocks(self, monkeypatch):
+        """Blocks of one and of five targets give the balls one block gives,
+        and a count over them the reference's count, nodes and trip point,
+        whether a find built some blocks first or none was built."""
+        x = sample_field(3, "X", (-3, 5), 3, 2)
+        y = sample_field(4, "Y", (-40, 17), 13, 5)
+        inst = Instance.from_fields(x, y, 2)
+        rows = [inst._tables.fill(k) for k in range(65)]
+        ref = _outcome(ReferenceSearch(inst, 10**6), "count")
+        tripped = _outcome(ReferenceSearch(inst, ref[2] // 2), "count")
+        for pairs in (1, 5 * 65):
+            monkeypatch.setattr(oracle, "_TABLE_PAIRS", pairs)
+            found = _fresh(inst)
+            _outcome(_Search(found, 10**6), "find")
+            for instance in (found, _fresh(inst)):
+                assert _outcome(_Search(instance, 10**6), "count") == ref
+            assert _outcome(_Search(_fresh(inst), ref[2] // 2), "count") == tripped
+            assert [found._tables.fill(k) for k in range(65)] == rows
+
+
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSearchMemory:
+    @pytest.mark.parametrize("source, side, cap", [
+        (3, 12, 2_000_000), (8, 30, 300_000), (8, 120, 100_000)])
+    def test_tripped_count_holds_a_chunk_per_depth(self, source, side, cap):
+        """Counts that trip deep in wide trees, all-zero fields at M = 5.
+        3x3 into 12x12 has ~3e6 nodes three sites down, whose domains alone
+        take ~400 MiB: a count must not hold a level whole.  8x8 into 30x30
+        is 63 sites deep over 15 words: a chunk of every depth is alive at
+        once, so a chunk must be bounded in words, not pairs.  8x8 into
+        120x120 would need ~850 MiB for the balls of every target, so a
+        count must build only the blocks of the targets it visits."""
+        x = _bf("X", [[0] * source] * source)
+        y = BitField("Y", (7, -2), side, side, 0, np.zeros((side, side), dtype=np.uint8))
+        search = _Search(Instance.from_fields(x, y, 5), cap)
+
+        def count():
+            with pytest.raises(SearchBudgetExceeded, match=f"exceeded {cap} search nodes"):
+                search.count()
+
+        assert _peak_bytes(count) < 64 * 2**20
+        assert search.nodes == cap + 1
+
+    def test_find_builds_only_the_balls_it_reads(self):
+        """A 2x2 source into a 120x120 target at M = 2: the whole ball table
+        would take ~90 MiB, and the search that filled a row per visited
+        target peaked at ~3.6 MiB."""
+        x = sample_field(5, "X", (0, 0), 2, 2)
+        y = sample_field(6, "Y", (0, 0), 120, 120)
+        inst = Instance.from_fields(x, y, 2)
+        found = []
+        assert _peak_bytes(lambda: found.append(find_embedding(inst))) < 8 * 2**20
+        assert verify_embedding(EmbeddingMap(found[0], 2.0), x, y)
 
 
 class TestMalformedInstance:
@@ -373,6 +501,11 @@ class TestCountEmbeddings:
         inst = Instance.from_fields(_bf("X", [[0]]), _bf("Y", [[0] * 5] * 5), 1)
         with pytest.raises(ConfigError, match="at least 1"):
             list(enumerate_embeddings(inst, limit=limit))
+
+    def test_limit_is_checked_at_the_call(self):
+        inst = Instance.from_fields(_bf("X", [[0]]), _bf("Y", [[0] * 5] * 5), 1)
+        with pytest.raises(ConfigError, match="at least 1"):
+            enumerate_embeddings(inst, limit=0)
 
     @pytest.mark.parametrize("m, reason", [(-2, "nonnegative"), (Fraction(-1, 3), "nonnegative"),
                                            (float("nan"), "finite"), (float("inf"), "finite")])
