@@ -15,7 +15,6 @@ semi-decision, never a completeness claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 from .fields import ACCEPTS, BitField, block_codes, block_ones
 from .lattice import LatticeAnimal, Rect, cell_array, cell_geometry
-from .params import ParameterSet
+from .params import ParameterSet, lipschitz_bound
 
 __all__ = [
     "EmbeddingMap",
@@ -91,8 +90,10 @@ def verify_embedding(emb: EmbeddingMap, x: BitField, y: BitField) -> bool:
 
     The map is checked on its own domain, which must lie inside x's window;
     images must lie in y's window.  Pairwise distances are compared exactly,
-    a block of rows at a time.
+    a block of rows at a time.  A negative or non-finite bound raises
+    ConfigError.
     """
+    m = lipschitz_bound(emb.M)
     sites = sorted(emb.mapping)
     if not sites:
         return True  # the empty map is vacuously an embedding
@@ -114,7 +115,7 @@ def verify_embedding(emb: EmbeddingMap, x: BitField, y: BitField) -> bool:
     yv = y.bits[dst[:, 1] - y.origin[1], dst[:, 0] - y.origin[0]]
     if not np.array_equal(xv, yv):
         return False
-    m2 = Fraction(emb.M) ** 2
+    m2 = m ** 2
     num, den = m2.numerator, m2.denominator
     rows = max(1, VERIFY_CHUNK // len(sites))
     for i in range(0, len(sites), rows):

@@ -19,6 +19,9 @@ edges on the odd sites between them.
 Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
 indices.  Level-0 cells coincide with level-0 blocks of the field.
+
+``scipy.ndimage`` is imported inside the functions that label or dilate,
+so that commands which never build a hierarchy start without scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import fields as fields_mod
 from .errors import ConfigError, CurveSelectionError, PreconditionError
@@ -276,6 +278,8 @@ def _close_boxes(mask: np.ndarray) -> list:
     touch even at a corner.  Filling every group's bounding box until all
     are full thus reaches the closure and adds no cell outside it.
     """
+    from scipy import ndimage
+
     while True:
         labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
         boxes = ndimage.find_objects(labels)
@@ -308,6 +312,8 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
     ``conjoined`` is a predicate on ordered cell pairs (u, u') for euclidean
     neighbors; it is queried once per undirected internal edge.
     """
+    from scipy import ndimage
+
     cells = sorted(set(window))
     if not cells:
         return []
@@ -581,6 +587,8 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Cells within Chebyshev distance ``radius`` of a mask cell."""
+    from scipy import ndimage
+
     return ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant")
 
 

@@ -5,6 +5,8 @@ unit squares of the block index lattice.  Rectangles are half-open in cell
 units: ``Rect(x0, y0, x1, y1)`` covers cells with x0 <= x < x1 and
 y0 <= y < y1.  A lattice animal is an arbitrary connected cell set (a
 lattice block); a component, whose grouping rule fills it, is a ``Rect``.
+``scipy.ndimage`` is imported only where an animal of two or more sites
+is checked, so that commands which never label a grid start without scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError
 from .params import ParameterSet
@@ -34,11 +35,6 @@ def neighbors(u: Point, mode: str = "euclidean") -> frozenset[Point]:
     else:
         raise ConfigError(f"unknown neighborhood mode {mode!r}")
     return frozenset((u[0] + dx, u[1] + dy) for dx, dy in steps)
-
-
-def chebyshev(a: Point, b: Point) -> int:
-    """Close-packed (king-move) distance between two lattice points."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
 def cell_array(cells: Iterable[Point]) -> np.ndarray:
@@ -71,8 +67,11 @@ class LatticeAnimal:
         object.__setattr__(self, "sites", frozenset(self.sites))
         if not self.sites:
             raise ConfigError("a lattice animal must be nonempty")
-        if len(self.sites) > 1 and ndimage.label(cell_mask(self.sites)[0])[1] != 1:
-            raise ConfigError("a lattice animal must be connected")
+        if len(self.sites) > 1:
+            from scipy import ndimage
+
+            if ndimage.label(cell_mask(self.sites)[0])[1] != 1:
+                raise ConfigError("a lattice animal must be connected")
 
     def __len__(self) -> int:
         return len(self.sites)

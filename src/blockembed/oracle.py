@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, SearchBudgetExceeded
 from .fields import BitField
+from .params import lipschitz_bound
 
 __all__ = [
     "Instance",
@@ -71,13 +72,7 @@ class Instance:
         cls, x: BitField, y: BitField, m: Fraction | int | float | str
     ) -> "Instance":
         """Text such as "2.3" is read exactly, as 23/10."""
-        try:
-            m = Fraction(m)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            raise ConfigError(
-                f"the Lipschitz bound must be a finite number, got {m!r}") from None
-        if m < 0:
-            raise ConfigError(f"the Lipschitz bound must be nonnegative, got {m}")
+        m = lipschitz_bound(m)
         sites = tuple(
             (sx, sy)
             for sy in range(x.origin[1], x.origin[1] + x.height)

@@ -223,6 +223,18 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def lipschitz_bound(m) -> Fraction:
+    """A Lipschitz bound M read exactly: text such as "2.3" is 23/10.
+    Negative, infinite and NaN bounds raise ConfigError."""
+    try:
+        bound = Fraction(m)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ConfigError(f"the Lipschitz bound must be a finite number, got {m!r}") from None
+    if bound < 0:
+        raise ConfigError(f"the Lipschitz bound must be nonnegative, got {bound}")
+    return bound
+
+
 # The error band certified for the one transcendental constraint.
 TRANSCENDENTAL_BAND = Fraction(1, 10**15)
 

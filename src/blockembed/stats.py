@@ -8,6 +8,8 @@ and one count-table gather for every few trials, the block checked once.
 Recursive tail/size/good-probability bounds are *reported* against the
 empirical data, never asserted: at desk-scale parameters the inequalities
 are not expected to hold, and the tables exist to show by how much.
+``scipy.special`` is imported inside ``clopper_pearson``, so that commands
+which compute no interval start without scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import embed
 from .errors import ConfigError, PreconditionError
@@ -48,6 +49,8 @@ def clopper_pearson(successes: int, trials: int):
     """Exact binomial interval at confidence ``CONFIDENCE``."""
     if not 0 <= successes <= trials or trials < 1:
         raise ConfigError("need 0 <= successes <= trials, trials >= 1")
+    from scipy.special import betaincinv
+
     a = (1.0 - CONFIDENCE) / 2.0
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, a))
     hi = 1.0 if successes == trials else float(

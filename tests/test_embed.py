@@ -32,9 +32,15 @@ from blockembed.fields import (
     level0_embeds,
     sample_field,
 )
-from blockembed.lattice import LatticeAnimal, Rect, cell_array, cell_geometry, chebyshev
+from blockembed.lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from blockembed.hierarchy import build_level0, level0_window_for
+from blockembed.oracle import Instance, find_embedding
 from blockembed.params import named_profile
+
+
+def chebyshev(a, b) -> int:
+    """Close-packed (king-move) distance between two lattice points."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
 def _square(n, off=(0, 0)):
@@ -330,6 +336,20 @@ class TestVerifyEmbedding:
     def test_empty_map_is_an_embedding(self):
         x, y = self._fields()
         assert verify_embedding(EmbeddingMap({}, 2.0), x, y)
+
+    @pytest.mark.parametrize("m", [-2, -2.0, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_bound_is_config_error(self, m):
+        # The oracle workload's instance, 3x2 into 5x5 from seeds 1 and 2,
+        # whose first witness verifies at M = 2; squaring used to accept
+        # M = -2 alike, and Fraction raised on NaN and infinities.
+        x = sample_field(1, "X", (0, 0), 3, 2)
+        y = sample_field(2, "Y", (0, 0), 5, 5)
+        witness = find_embedding(Instance.from_fields(x, y, 2))
+        assert verify_embedding(EmbeddingMap(witness, 2), x, y)
+        with pytest.raises(ConfigError, match="Lipschitz bound"):
+            verify_embedding(EmbeddingMap(witness, m), x, y)
+        with pytest.raises(ConfigError, match="Lipschitz bound"):
+            verify_embedding(EmbeddingMap({}, m), x, y)
 
     def test_single_site_with_fine_bound(self):
         # M**2 with a huge denominator; no pair of sites to compare.

@@ -58,7 +58,6 @@ from blockembed.lattice import (
     buffer_zone,
     cell_array,
     cell_mask,
-    chebyshev,
     neighbors,
 )
 from blockembed.params import ParameterSet, named_profile
@@ -68,6 +67,11 @@ TOY1 = named_profile("toy1")
 TOY1_K3 = replace(TOY1, k0=3)
 # Two tracks: a single-cell block has 2**4 * 4**4 = 4096 curves.
 TOY1_K1 = named_profile("toy1", k0=1)
+
+
+def chebyshev(a, b) -> int:
+    """Close-packed (king-move) distance between two lattice points."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
 def _component_closure(bad_cells: set, in_window) -> list:
