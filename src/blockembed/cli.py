@@ -266,11 +266,13 @@ def reports(profile, seed, windows, window, out_dir):
               help="Lipschitz bound M, read exactly: 2.3 is 23/10, and 3/2 is allowed")
 @click.option("--mode", default="decide", show_default=True,
               type=click.Choice(["decide", "count", "enumerate"]))
-@click.option("--limit", default=None, type=int, help="max enumerated witnesses")
+@click.option("--limit", default=None, type=int, help="max witnesses of --mode enumerate")
 @click.option("--node-cap", default=oracle_mod.DEFAULT_NODE_CAP, show_default=True,
               type=int)
 def oracle(x_file, y_file, bound, mode, limit, node_cap):
     """Run the exact embedding oracle on two serialized field windows."""
+    if limit is not None and mode != "enumerate":
+        raise ConfigError(f"--limit applies to --mode enumerate only, not --mode {mode}")
     if limit is not None and limit < 1:
         raise ConfigError(f"--limit must be at least 1, got {limit}")
     if node_cap < 1:

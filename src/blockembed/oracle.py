@@ -8,12 +8,12 @@ the constructive machinery so it can serve as ground truth for it.
 
 The search assigns the source sites center-out, with a domain per site:
 the set of target sites still open to it.  Each assignment intersects the
-later domains with a ball around its image (forward checking).  Every
-search on an instance shares its tables: one array of the balls of every
-target, keyed on each source pair's integer radius floor(M^2 d^2) and built
-once per instance, a block of targets at a time, and the nearest-first
-candidate streams; a search builds only the blocks of the targets it
-visits.  Finding and enumerating backtrack over int bitmasks.  Counting
+later domains with a ball around its image (forward checking).  What
+reads no bit forms a frame: one array of the balls of every target, keyed
+on each source pair's integer radius floor(M^2 d^2) and built a block of
+targets at a time, and the nearest-first candidate streams.  Instances of
+one source, target window and bound share a frame of at most 256 targets.
+Finding and enumerating backtrack over int bitmasks.  Counting
 expands a depth at a time over uint64 words instead: one numpy pass takes a
 chunk of the (node, target) pairs of a frontier, ANDs the target's balls
 into the node's later domains and keeps the children where none empties;
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -52,6 +52,8 @@ SOURCE_SITE_CAP = 64
 # temporaries whatever the target size or node cap.
 _CHUNK_WORDS = 1 << 15
 _TABLE_PAIRS = 1 << 16
+# Frames of at most 256 targets kept for reuse (see _Tables).
+_SHARED_FRAMES = 8
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ def _variable_order(sites) -> list:
     return sorted(sites, key=lambda s: ((n * s[0] - sx) ** 2 + (n * s[1] - sy) ** 2, s))
 
 
-class _Tables:
-    """What every search on one instance reads, built once per instance.
+class _Frame:
+    """What every search on one source, target window and bound reads.
 
     Target sites are numbered row-major, k = iy * width + ix.  A set of them
     is W = ceil(targets / 64) little-endian uint64 words, bit k % 64 of word
@@ -145,26 +147,18 @@ class _Tables:
     target against the radii, once and on first use, by ``fill`` or
     ``gather``.  ``rows[k]`` holds the balls of target k as ints, copied
     out by ``fill(k)`` the first time a backtracking search uses k; a count
-    reads the blocks as arrays.
-    ``domains[w, i]`` is word w of the targets whose bit matches order[i],
-    and ``roots[i]`` the same set as an int.  Arrays of sets keep the word
-    axis first, so that numpy reduces over words, and over sites, with
-    whole-array operations.
+    reads the blocks as arrays.  No bit enters a frame, its arrays are
+    read-only, and its lazy fills write equal values whoever fills first.
     """
 
-    def __init__(self, inst: "Instance"):
-        y = inst.target
-        self.order = _variable_order(inst.source_sites)
-        iy, ix = np.indices((y.height, y.width))
-        self.tx = ix.ravel().astype(np.int64) + y.origin[0]
-        self.ty = iy.ravel().astype(np.int64) + y.origin[1]
+    def __init__(self, sites: tuple, origin: tuple, width: int, height: int, m_squared: Fraction):
+        self.order = _variable_order(sites)
+        iy, ix = np.indices((height, width))
+        self.tx = ix.ravel().astype(np.int64) + origin[0]
+        self.ty = iy.ravel().astype(np.int64) + origin[1]
         self.targets = list(zip(self.tx.tolist(), self.ty.tolist()))
-        values = np.array([inst.source_values[s] for s in self.order], dtype=np.uint8)
-        words = _pack(y.bits.ravel() == values[:, None])
-        self.roots = [int.from_bytes(row.tobytes(), "little") for row in words]
-        self.domains = np.ascontiguousarray(words.T)
-        far = (y.width - 1) ** 2 + (y.height - 1) ** 2
-        num, den = inst.m_squared.numerator, inst.m_squared.denominator
+        far = (width - 1) ** 2 + (height - 1) ** 2
+        num, den = m_squared.numerator, m_squared.denominator
         radius = [[min(num * _d2(a, b) // den, far)
                    for b in self.order[i + 1:]] for i, a in enumerate(self.order)]
         radii = sorted({r for row in radius for r in row})
@@ -172,7 +166,10 @@ class _Tables:
         self.slots = [[slot[r] for r in row] for row in radius]
         self.radii = np.array(radii, dtype=np.int64)
         self.columns = [np.array(slots, dtype=np.intp)[:, None] for slots in self.slots]
+        for array in (self.tx, self.ty, self.radii, *self.columns):
+            array.flags.writeable = False
         n_targets = len(self.targets)
+        self.words = -(-n_targets // 64)
         self.step = max(1, _TABLE_PAIRS // n_targets)
         self._blocks = [None] * -(-n_targets // self.step)
         self.rows = [None] * n_targets
@@ -190,6 +187,7 @@ class _Tables:
             d2.ravel()[k0::n + 1] = np.iinfo(np.int64).max  # k is not in its own ball
             block = np.ascontiguousarray(
                 _pack(d2 <= self.radii[:, None, None]).transpose(2, 0, 1))
+            block.flags.writeable = False
             self._blocks[b] = block
         return block
 
@@ -199,7 +197,7 @@ class _Tables:
         if len(self._blocks) == 1:
             return self._take(0, i, ks)
         blocks = ks // self.step
-        balls = np.empty((len(self.domains), len(self.columns[i]), len(ks)), dtype="<u8")
+        balls = np.empty((self.words, len(self.columns[i]), len(ks)), dtype="<u8")
         for b in np.unique(blocks).tolist():
             at = np.flatnonzero(blocks == b)
             balls[:, :, at] = self._take(b, i, ks[at])
@@ -235,6 +233,29 @@ class _Tables:
         return stream
 
 
+_shared_frame = lru_cache(maxsize=_SHARED_FRAMES)(_Frame)
+
+
+class _Tables:
+    """What every search on one instance reads, built once per instance:
+    a ``frame``, shared while its ball table is one block of at most 256
+    targets, and the targets whose bit matches each site, word w of them
+    for order[i] at ``domains[w, i]`` and as an int at ``roots[i]``.  Arrays
+    of sets keep the word axis first, so that numpy reduces over words, and
+    over sites, with whole-array operations.
+    """
+
+    def __init__(self, inst: "Instance"):
+        y = inst.target
+        key = (tuple(inst.source_sites), tuple(y.origin), y.width, y.height, inst.m_squared)
+        shared = (y.width * y.height) ** 2 <= _TABLE_PAIRS
+        self.frame = (_shared_frame if shared else _Frame)(*key)
+        values = np.array([inst.source_values[s] for s in self.frame.order], dtype=np.uint8)
+        words = _pack(y.bits.ravel() == values[:, None])
+        self.roots = [int.from_bytes(row.tobytes(), "little") for row in words]
+        self.domains = np.ascontiguousarray(words.T)
+
+
 def _pack(mask: np.ndarray) -> np.ndarray:
     """Boolean rows over the targets as rows of little-endian uint64 words."""
     packed = np.packbits(mask, axis=-1, bitorder="little")
@@ -256,6 +277,8 @@ class _Search:
     """
 
     def __init__(self, inst: Instance, node_cap: int):
+        if isinstance(node_cap, bool) or not isinstance(node_cap, (int, np.integer)) or node_cap < 0:
+            raise ConfigError(f"the node cap must be an integer of at least 0, got {node_cap!r}")
         self.node_cap = node_cap
         self.nodes = 0
         self.tables = inst._tables
@@ -283,7 +306,7 @@ class _Search:
     def _walk(self, i: int, domains: list, image: list) -> Iterator[dict]:
         """Domains are those of order[i:]."""
         self._visit()
-        t = self.tables
+        t = self.tables.frame
         if i == len(t.order):
             yield dict(zip(t.order, (t.targets[k] for k in image)))
             return
@@ -322,7 +345,6 @@ class _Search:
             leaves = int(np.bitwise_count(frontier).sum())
             self._visit(leaves)
             return leaves
-        t = self.tables
         first = frontier[:, 0]
         ends = np.cumsum(np.bitwise_count(first).sum(axis=0, dtype=np.int64))
         pairs, width, total = int(ends[-1]), 64 * len(first), 0
@@ -334,7 +356,7 @@ class _Search:
             bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
             skip = a - (int(ends[r0 - 1]) if r0 else 0)
             nodes, ks = np.divmod(bits.nonzero()[0][skip:skip + b - a], width)
-            narrowed = frontier[:, 1:].take(nodes + r0, axis=2) & t.gather(i, ks)
+            narrowed = frontier[:, 1:].take(nodes + r0, axis=2) & self.tables.frame.gather(i, ks)
             children = narrowed.compress(narrowed.any(axis=0).all(axis=0), axis=2)
             del narrowed
             self._visit(children.shape[2])

@@ -164,7 +164,10 @@ class TestSampleAndOracle:
                                        ("-m", "nan", "--mode", "count"),
                                        ("-m", "inf", "--mode", "decide"),
                                        ("-m", "two", "--mode", "count"),
-                                       ("-m", "1/0", "--mode", "count")])
+                                       ("-m", "1/0", "--mode", "count"),
+                                       ("--mode", "decide", "--limit", "2"),
+                                       ("--mode", "count", "--limit", "2"),
+                                       ("--limit", "1")])
     def test_bad_limit_or_bound_is_config_error(self, tmp_path, capsys, extra):
         run(capsys, "sample", "--seed", "1", "--family", "X", "--width", "2",
             "--height", "2", "--out-dir", str(tmp_path / "sx"))

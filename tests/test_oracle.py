@@ -205,7 +205,9 @@ class TestBitsetSearch:
 
 
 def _fresh(inst: Instance) -> Instance:
-    """An equal instance with no tables built yet."""
+    """An equal instance with no tables built yet: the shared frames are
+    dropped too."""
+    oracle._shared_frame.cache_clear()
     return Instance(inst.source_sites, dict(inst.source_values), inst.target, inst.m_squared)
 
 
@@ -293,6 +295,102 @@ class TestSharedTablesSplitChunks(TestSharedTables):
     cap_step = 11
 
 
+@st.composite
+def frame_siblings(draw):
+    """Two to four instances of one source, target window and bound, each
+    with its own source values and target bits."""
+    first = draw(oracle_instances())
+    y, siblings = first.target, [first]
+    for _ in range(draw(st.integers(1, 3))):
+        values = {s: draw(st.integers(0, 1)) for s in first.source_sites}
+        n = y.width * y.height
+        bits = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                        dtype=np.uint8).reshape(y.height, y.width)
+        target = BitField("Y", y.origin, y.width, y.height, 0, bits)
+        siblings.append(Instance(first.source_sites, values, target, first.m_squared))
+    return siblings
+
+
+class TestSharedFrames:
+    """Instances of one source, target window and bound share a frame, and
+    give what each gives with no frame built."""
+
+    modes = ["count", "find", "enumerate", "tripped count", "tripped find"]
+
+    def _outcomes(self, inst) -> dict:
+        """Every mode's outcome, each on a fresh instance and frame."""
+        got = {mode: _outcome(_Search(_fresh(inst), 3000), mode)
+               for mode in ("count", "find", "enumerate")}
+        for mode in ("count", "find"):
+            cap = got[mode][2] - 1
+            got[f"tripped {mode}"] = _outcome(_Search(_fresh(inst), cap), mode)
+        return got
+
+    @given(frame_siblings(),
+           st.lists(st.tuples(st.integers(0, 3), st.sampled_from(modes)), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_siblings_match_a_cleared_cache(self, siblings, steps):
+        expected = [self._outcomes(inst) for inst in siblings]
+        oracle._shared_frame.cache_clear()
+        for n, mode in steps:
+            n, plain = n % len(siblings), mode.split()[-1]
+            cap = expected[n][plain][2] - 1 if mode != plain else 3000
+            assert _outcome(_Search(siblings[n], cap), plain) == expected[n][mode]
+        assert all(inst._tables.frame is siblings[0]._tables.frame for inst in siblings)
+        assert oracle._shared_frame.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("change", ["M", "target origin", "target shape", "source sites"])
+    def test_other_geometry_has_its_own_frame(self, change):
+        base = _sampled_3x2(1)
+        sites, values, y, m2 = base.source_sites, base.source_values, base.target, base.m_squared
+        if change == "M":
+            m2 = Fraction(9, 4)
+        elif change == "target origin":
+            y = BitField("Y", (1, 0), 5, 5, 0, y.bits)
+        elif change == "target shape":
+            y = BitField("Y", (0, 0), 25, 1, 0, y.bits.reshape(1, 25))
+        else:
+            sites = tuple((sx + 1, sy) for sx, sy in sites)
+            values = {(sx + 1, sy): v for (sx, sy), v in values.items()}
+        other = Instance(sites, values, y, m2)
+        oracle._shared_frame.cache_clear()
+        assert base._tables.frame is _sampled_3x2(2)._tables.frame
+        assert other._tables.frame is not base._tables.frame
+        assert oracle._shared_frame.cache_info().currsize == 2
+        for mode in ("count", "find"):
+            assert _outcome(_Search(other, 10**6), mode) == _outcome(ReferenceSearch(other, 10**6), mode)
+
+    def test_targets_past_one_block_are_not_kept(self):
+        """Finds from 2x2 into 120x120, past one block of the ball table,
+        keep no frame once their instances are gone."""
+        oracle._shared_frame.cache_clear()
+        x = sample_field(5, "X", (0, 0), 2, 2)
+        tracemalloc.start()
+        try:
+            for seed in (6, 7, 8):
+                y = sample_field(seed, "Y", (0, 0), 120, 120)
+                assert find_embedding(Instance.from_fields(x, y, 2)) is not None
+            del y
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert oracle._shared_frame.cache_info().currsize == 0
+        assert kept < 2**20
+
+
+class TestNodeCap:
+    @pytest.mark.parametrize("cap", [-5, 2.5, True])
+    @pytest.mark.parametrize("call", [count_embeddings, find_embedding, enumerate_embeddings],
+                             ids=["count", "find", "enumerate"])
+    def test_bad_node_cap_rejected_at_the_call(self, call, cap):
+        with pytest.raises(ConfigError, match="node cap must be an integer of at least 0"):
+            call(_sampled_3x2(1), node_cap=cap)
+
+    def test_zero_node_cap_trips(self):
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 0 search nodes"):
+            count_embeddings(_sampled_3x2(1), node_cap=0)
+
+
 class TestMultiword:
     """Targets of more than 64 sites, whose sets of targets span W > 1
     uint64 words (8x8 fills exactly one), with both windows away from
@@ -333,7 +431,7 @@ class TestMultiword:
         x = sample_field(3, "X", (-3, 5), 3, 2)
         y = sample_field(4, "Y", (-40, 17), 13, 5)
         inst = Instance.from_fields(x, y, 2)
-        rows = [inst._tables.fill(k) for k in range(65)]
+        rows = [inst._tables.frame.fill(k) for k in range(65)]
         ref = _outcome(ReferenceSearch(inst, 10**6), "count")
         tripped = _outcome(ReferenceSearch(inst, ref[2] // 2), "count")
         for pairs in (1, 5 * 65):
@@ -343,7 +441,8 @@ class TestMultiword:
             for instance in (found, _fresh(inst)):
                 assert _outcome(_Search(instance, 10**6), "count") == ref
             assert _outcome(_Search(_fresh(inst), ref[2] // 2), "count") == tripped
-            assert [found._tables.fill(k) for k in range(65)] == rows
+            assert [found._tables.frame.fill(k) for k in range(65)] == rows
+            assert found._tables.frame.step == max(1, pairs // 65)
 
 
 def _peak_bytes(call) -> int:
