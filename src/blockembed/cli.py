@@ -1,8 +1,9 @@
 """Command-line front end: sampling, construction, estimation, reports, SVG.
 
 Every option can also come from a key=value config file (--config); explicit
-flags win.  Runs that write artifacts also write a manifest.json capturing
-the resolved configuration, sufficient to reproduce the outputs exactly.
+flags win.  Runs that write artifacts also write a manifest.json recording
+every resolved option of the subcommand except --out-dir, sufficient to
+reproduce the outputs exactly.
 Exit codes: 0 ok, 1 config error, 2 precondition violation, 3 cap breach.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -68,39 +68,33 @@ def cli(ctx, config):
     ctx.obj["config"] = config
 
 
-def _params(profile: str, **overrides):
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    return named_profile(profile, **clean)
-
-
-def _claim(out_dir: str, *names: str) -> list:
-    """Paths of the named artifacts in ``out_dir``, which is created.
+def _publish(artifacts: dict) -> Path:
+    """Write the named artifacts (text or bytes) and a manifest.json into
+    the current subcommand's ``--out-dir``, which is created, and return it.
 
     Refuses before anything is written when the manifest or any of the
-    artifacts already exists there.
+    artifacts already exists there.  The manifest records every option of
+    the subcommand but the output directory.
     """
-    out = Path(out_dir)
-    for path in (out / "manifest.json", *(out / n for n in names)):
-        if path.exists():
-            raise PreconditionError(f"refusing to overwrite existing {path}")
+    ctx = click.get_current_context()
+    out = Path(ctx.params["out_dir"])
+    for name in ("manifest.json", *artifacts):
+        if (out / name).exists():
+            raise PreconditionError(f"refusing to overwrite existing {out / name}")
     out.mkdir(parents=True, exist_ok=True)
-    return [out / n for n in names]
-
-
-def _write_manifest(out_dir: str, subcommand: str, config: dict, artifacts: list):
+    for name, data in artifacts.items():
+        (out / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     payload = {
-        "subcommand": subcommand,
-        "config": {k: str(v) for k, v in sorted(config.items())},
+        "subcommand": ctx.info_name,
+        "config": {k: str(v) for k, v in sorted(ctx.params.items()) if k != "out_dir"},
         "artifacts": sorted(artifacts),
         "version": __version__,
         "schema_version": stats.SCHEMA_VERSION,
     }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    payload["config_hash"] = digest
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload["config_hash"] = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return out
 
 
 profile_option = click.option("--profile", default="toy1", show_default=True,
@@ -118,14 +112,9 @@ seed_option = click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def sample(profile, seed, family, origin, width, height, out_dir):
     """Sample a field window and write it to disk."""
-    _params(profile)  # validates the profile
-    field = sample_field(seed, family, tuple(origin), width, height)
-    [path] = _claim(out_dir, f"field-{family}-{seed}.bin")
-    path.write_bytes(dump_field(field))
-    _write_manifest(out_dir, "sample", dict(profile=profile, seed=seed, family=family,
-                                            origin=origin, width=width, height=height),
-                    [path.name])
-    click.echo(str(path))
+    name = f"field-{family}-{seed}.bin"
+    out = _publish({name: dump_field(sample_field(seed, family, tuple(origin), width, height))})
+    click.echo(str(out / name))
 
 
 def _window_option(f):
@@ -143,13 +132,9 @@ def _window_option(f):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def build(profile, seed, family, window, out_dir):
     """Build the block hierarchy over a window and dump it."""
-    p = _params(profile)
-    h = hier.build_hierarchy(p, family, seed, Rect(*window))
-    [path] = _claim(out_dir, f"hierarchy-{family}-{seed}.txt")
-    path.write_text(hier.dump_hierarchy(h))
-    _write_manifest(out_dir, "build", dict(profile=profile, seed=seed, family=family,
-                                           window=window), [path.name])
-    click.echo(str(path))
+    h = hier.build_hierarchy(named_profile(profile), family, seed, Rect(*window))
+    name = f"hierarchy-{family}-{seed}.txt"
+    click.echo(str(_publish({name: hier.dump_hierarchy(h)}) / name))
 
 
 @cli.command()
@@ -159,15 +144,12 @@ def build(profile, seed, family, window, out_dir):
 @_window_option
 def components(profile, seed, family, window):
     """List component statistics of a built hierarchy."""
-    p = _params(profile)
-    h = hier.build_hierarchy(p, family, seed, Rect(*window))
+    h = hier.build_hierarchy(named_profile(profile), family, seed, Rect(*window))
     click.echo("level,status,size,bad_blocks,bad_cells,censored")
-    for comp in h.level0.bad_components:
-        click.echo(f"0,{comp.status},{comp.size},{comp.bad_summary[0]},"
-                   f"{comp.bad_summary[1]},{comp.censored}")
-    for comp in h.levels[1].components:
-        click.echo(f"1,{comp.status},{comp.size},{comp.bad_summary[0]},"
-                   f"{comp.bad_summary[1]},{comp.censored}")
+    for level, comps in ((0, h.level0.bad_components), (1, h.levels[1].components)):
+        for comp in comps:
+            click.echo(f"{level},{comp.status},{comp.size},{comp.bad_summary[0]},"
+                       f"{comp.bad_summary[1]},{comp.censored}")
 
 
 @cli.command("estimate-s")
@@ -190,7 +172,7 @@ def estimate_s(profile, seed, family, level, window, trials, workers):
         raise ConfigError("level-0 estimation drives target-family components")
     if level == 1 and family != "X":
         raise ConfigError("level-1 estimation drives source-family blocks")
-    p = _params(profile)
+    p = named_profile(profile)
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
     click.echo("level,size,point,ci_low,ci_high,trials")
     if level == 0:
@@ -216,7 +198,7 @@ def estimate_s(profile, seed, family, level, window, trials, workers):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def reports(profile, seed, windows, window, out_dir):
     """Emit tail/size/good-probability report tables from seeded windows."""
-    p = _params(profile)
+    p = named_profile(profile)
     if windows < 1:
         raise ConfigError("at least one window required")
     tail_samples = []
@@ -252,11 +234,7 @@ def reports(profile, seed, windows, window, out_dir):
     ):
         texts[f"{name}.csv"] = report.to_csv()
         texts[f"{name}.records"] = report.to_records()
-    for path, text in zip(_claim(out_dir, *texts), texts.values()):
-        path.write_text(text)
-    _write_manifest(out_dir, "reports", dict(profile=profile, seed=seed,
-                                             windows=windows, window=window), list(texts))
-    click.echo(str(Path(out_dir)))
+    click.echo(str(_publish(texts)))
 
 
 @cli.command()
@@ -331,7 +309,8 @@ def _g6(value) -> str:
 @click.option("--v0", type=int)
 def audit_params(profile, alpha, beta, gamma, m, k0, v0):
     """Audit a parameter set against the required inequalities."""
-    p = _params(profile, alpha=alpha, beta=beta, gamma=gamma, m=m, k0=k0, v0=v0)
+    overrides = dict(alpha=alpha, beta=beta, gamma=gamma, m=m, k0=k0, v0=v0)
+    p = named_profile(profile, **{k: v for k, v in overrides.items() if v is not None})
     report = check_constraints(p)
     click.echo("constraint,lhs,rhs,satisfied,slack")
     for row in report:
@@ -358,24 +337,22 @@ def _svg_rect(r, scale, fill, opacity, klass):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def render(profile, seed, family, window, level, out_dir):
     """Render a built hierarchy level as SVG (cells, buffers, curves, bad sets)."""
-    p = _params(profile)
+    p = named_profile(profile)
     if level != 1:
         raise ConfigError("rendering supports level 1")
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
     lv1 = h.levels[1]
     r = p.cells_per_side(1)
     scale = 8
-    win = Rect(window[0] * r, window[1] * r, window[2] * r, window[3] * r)
-    pad = p.margins(1).buffer + 2
-    view = win.outset(pad)
+    view = Rect(*window).scaled(r).outset(p.margins(1).buffer + 2)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{view.x0 * scale} {view.y0 * scale} '
         f'{(view.x1 - view.x0) * scale} {(view.y1 - view.y0) * scale}">'
     ]
     # Level-1 cell grid.
-    for u in Rect(*window).cells():
-        cell = Rect(u[0] * r, u[1] * r, (u[0] + 1) * r, (u[1] + 1) * r)
+    for x, y in Rect(*window).cells():
+        cell = Rect(x, y, x + 1, y + 1).scaled(r)
         parts.append(_svg_rect(cell, scale, "#f5f5f5", "1", "cell"))
         parts.append(
             f'<rect class="cell-outline" x="{cell.x0 * scale}" y="{cell.y0 * scale}" '
@@ -400,11 +377,8 @@ def render(profile, seed, family, window, level, out_dir):
                          f'stroke="#222" stroke-width="2"/>')
         parts.append("</g>")
     parts.append("</svg>")
-    [path] = _claim(out_dir, f"level{level}-{family}-{seed}.svg")
-    path.write_text("\n".join(parts) + "\n")
-    _write_manifest(out_dir, "render", dict(profile=profile, seed=seed, family=family,
-                                            window=window, level=level), [path.name])
-    click.echo(str(path))
+    name = f"level{level}-{family}-{seed}.svg"
+    click.echo(str(_publish({name: "\n".join(parts) + "\n"}) / name))
 
 
 def main(argv=None) -> int:
@@ -428,7 +402,3 @@ def main(argv=None) -> int:
     except BlockEmbedError as exc:  # pragma: no cover - safety net
         click.echo(f"error: {exc}", err=True)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

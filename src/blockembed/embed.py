@@ -253,8 +253,8 @@ class Level1Rule:
     @property
     def window(self) -> tuple:
         """(origin, width, height) of the region's target sites."""
-        r, m0 = self.region, self.m0
-        return (r.x0 * m0, r.y0 * m0), (r.x1 - r.x0) * m0, (r.y1 - r.y0) * m0
+        s = self.region.scaled(self.m0)
+        return (s.x0, s.y0), s.x1 - s.x0, s.y1 - s.y0
 
     def accepts(self, sites: np.ndarray) -> np.ndarray:
         """Per layer of a (T, height, width) stack of target windows over
@@ -318,9 +318,10 @@ def _embeds_level1(block, y_window, params, x_structure):
 def _crop(field: BitField, rect: Rect, m0: int) -> Optional[BitField]:
     """The target-family sites of a rectangle of level-0 cells, cut from
     ``field``, or None when the field does not cover them."""
-    x0, y0 = rect.x0 * m0 - field.origin[0], rect.y0 * m0 - field.origin[1]
-    width, height = (rect.x1 - rect.x0) * m0, (rect.y1 - rect.y0) * m0
+    s = rect.scaled(m0)
+    x0, y0 = s.x0 - field.origin[0], s.y0 - field.origin[1]
+    width, height = s.x1 - s.x0, s.y1 - s.y0
     if x0 < 0 or y0 < 0 or x0 + width > field.width or y0 + height > field.height:
         return None
-    return BitField("Y", (rect.x0 * m0, rect.y0 * m0), width, height, field.seed,
+    return BitField("Y", (s.x0, s.y0), width, height, field.seed,
                     field.bits[y0:y0 + height, x0:x0 + width])

@@ -38,6 +38,7 @@ from . import fields as fields_mod
 from .errors import ConfigError, CurveSelectionError, PreconditionError
 from .fields import BitField, classify_grid, derive_seed
 from .lattice import (
+    SIDE_STEPS,
     BufferZone,
     LatticeAnimal,
     Point,
@@ -237,11 +238,10 @@ def build_level0(
             )
         bits = site_field.bits
         return Level0Structure(family, window, seed, params, None, bits, [])
-    m0 = params.M0
     if site_field is None:
+        sites = window.scaled(params.M0)
         site_field = fields_mod.sample_field(
-            seed, "Y", (window.x0 * m0, window.y0 * m0),
-            (window.x1 - window.x0) * m0, (window.y1 - window.y0) * m0,
+            seed, "Y", (sites.x0, sites.y0), sites.x1 - sites.x0, sites.y1 - sites.y0
         )
     grid = classify_grid(site_field, params)
     structure = Level0Structure(family, window, seed, params, grid, None, [])
@@ -358,8 +358,8 @@ def _boundary_edges(animal: LatticeAnimal) -> list:
     """Boundary sides (cell, side) of the ideal multi-cell, sorted."""
     out = []
     for u in animal:
-        for side, step in (("B", (0, -1)), ("L", (-1, 0)), ("R", (1, 0)), ("T", (0, 1))):
-            if (u[0] + step[0], u[1] + step[1]) not in animal:
+        for side, (dx, dy) in SIDE_STEPS.items():
+            if (u[0] + dx, u[1] + dy) not in animal:
                 out.append((u, side))
     return sorted(out)
 
@@ -375,10 +375,6 @@ def _edge_vertices(edge, r: int) -> tuple:
     if side == "L":
         return (x0, y0), (x0, y0 + r)
     return (x0 + r, y0), (x0 + r, y0 + r)
-
-
-def _edge_normal(side: str) -> Point:
-    return {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}[side]
 
 
 def _band(axis: int, n0: int, n1: int, a0: int, a1: int) -> tuple:
@@ -442,7 +438,7 @@ class CurveFrame:
         self.outside = {}
         incident: dict = {}
         for edge in self.edges:
-            nx, ny = _edge_normal(edge[1])
+            nx, ny = SIDE_STEPS[edge[1]]
             v_low, v_high = _edge_vertices(edge, r)
             fx, fy = v_low[0] - self.x0, v_low[1] - self.y0
             axis, line, along = (0, fy, fx) if nx == 0 else (1, fx, fy)
@@ -800,9 +796,8 @@ def _make_curve(
 def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequence) -> np.ndarray:
     """Mask of the cells of the bad components that come near the blow-up,
     the only ones that can constrain the curve."""
-    r, margin = frame.r, frame.mb + frame.clearance
     x0, y0, x1, y1 = animal.bounding_box()
-    reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
+    reach = Rect(x0, y0, x1 + 1, y1 + 1).scaled(frame.r).outset(frame.mb + frame.clearance)
     h, w = frame.ideal.shape
     view = Rect(frame.x0, frame.y0, frame.x0 + w, frame.y0 + h)
     mask = np.zeros_like(frame.ideal)
@@ -1037,15 +1032,8 @@ class BlockHierarchy:
 
 def level0_window_for(window1: Rect, params: ParameterSet) -> Rect:
     """Level-0 extent needed to build level 1 over a level-1 cell window."""
-    r = params.cells_per_side(1)
     margins = params.margins(1)
-    pad = margins.buffer + margins.clearance + 1
-    return Rect(
-        window1.x0 * r - pad,
-        window1.y0 * r - pad,
-        window1.x1 * r + pad,
-        window1.y1 * r + pad,
-    )
+    return window1.scaled(params.cells_per_side(1)).outset(margins.buffer + margins.clearance + 1)
 
 
 def build_hierarchy(
@@ -1126,12 +1114,11 @@ def build_level1(
     ]
 
     r = params.cells_per_side(j)
-    mb = params.margins(j).buffer
-    region = Rect(window1.x0 * r, window1.y0 * r, window1.x1 * r, window1.y1 * r)
+    region = window1.scaled(r)
     blocks = []
     for lb in lattice_blocks:
         bx0, by0, bx1, by1 = lb.animal.bounding_box()
-        blowup = Rect(bx0 * r - mb, by0 * r - mb, (bx1 + 1) * r + mb, (by1 + 1) * r + mb)
+        blowup = Rect(bx0, by0, bx1 + 1, by1 + 1).scaled(r).outset(params.margins(j).buffer)
         censored = not region.contains_rect(blowup)
         curve, placeholder = block_curve(lb, level0, seed, censored)
         block = form_block(curve.domain, lb, curve, j)

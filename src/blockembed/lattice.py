@@ -134,6 +134,10 @@ class Rect(NamedTuple):
             for x in range(self.x0, self.x1):
                 yield (x, y)
 
+    def scaled(self, k: int) -> "Rect":
+        """The same region in units k times finer: each cell becomes k x k."""
+        return Rect(self.x0 * k, self.y0 * k, self.x1 * k, self.y1 * k)
+
 
 @dataclass(frozen=True)
 class CellGeometry:
@@ -148,13 +152,12 @@ def cell_geometry(j: int, u: Point, params: ParameterSet) -> CellGeometry:
 
     Level 0 has no buffers and uses margin 0.
     """
-    side = params.cell_side(j)
     margin = params.margins(j).buffer if j >= 1 else 0
-    region = Rect(u[0] * side, u[1] * side, (u[0] + 1) * side, (u[1] + 1) * side)
-    return CellGeometry(region, margin)
+    return CellGeometry(Rect(u[0], u[1], u[0] + 1, u[1] + 1).scaled(params.cell_side(j)), margin)
 
 
-_SIDE_STEPS = {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}
+# The unit step out of a cell through each of its sides.
+SIDE_STEPS = {"T": (0, 1), "B": (0, -1), "L": (-1, 0), "R": (1, 0)}
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class BufferZone:
 
 def buffer_zone(j: int, u: Point, side: str, params: ParameterSet) -> BufferZone:
     """The buffer of the level-j cell at u on the given side (T/L/B/R)."""
-    if side not in _SIDE_STEPS:
+    if side not in SIDE_STEPS:
         raise ConfigError(f"unknown side {side!r}")
     geo = cell_geometry(j, u, params)
     m = geo.margin
@@ -188,7 +191,7 @@ def buffer_zone(j: int, u: Point, side: str, params: ParameterSet) -> BufferZone
         rect = Rect(r.x0 - m, r.y0 - m, r.x0 + m, r.y1 + m)
     else:
         rect = Rect(r.x1 - m, r.y0 - m, r.x1 + m, r.y1 + m)
-    dx, dy = _SIDE_STEPS[side]
+    dx, dy = SIDE_STEPS[side]
     return BufferZone(j, u, side, rect, (u[0] + dx, u[1] + dy))
 
 

@@ -80,18 +80,14 @@ class Instance:
             for sy in range(x.origin[1], x.origin[1] + x.height)
             for sx in range(x.origin[0], x.origin[0] + x.width)
         )
-        if len(sites) > SOURCE_SITE_CAP:
-            raise ConfigError(
-                f"oracle source of {len(sites)} sites exceeds cap {SOURCE_SITE_CAP}"
-            )
-        values = {s: x.get(*s) for s in sites}
-        return cls(sites, values, y, m ** 2)
+        return cls(sites, dict(zip(sites, x.bits.ravel().tolist())), y, m ** 2)
 
     def __post_init__(self) -> None:
         if not self.source_sites:
             raise ConfigError("oracle instance needs at least one source site")
         if len(self.source_sites) > SOURCE_SITE_CAP:
-            raise ConfigError("oracle source exceeds the site cap")
+            raise ConfigError(f"oracle source of {len(self.source_sites)} sites exceeds "
+                              f"cap {SOURCE_SITE_CAP}")
         if len(set(self.source_sites)) != len(self.source_sites):
             raise ConfigError("oracle source sites must be distinct")
         for s in self.source_sites:
@@ -392,7 +388,9 @@ def enumerate_embeddings(
     inst: Instance, limit: Optional[int] = None, node_cap: int = DEFAULT_NODE_CAP
 ) -> Iterator[dict]:
     """Stream embeddings; order is deterministic for fixed inputs.  A limit
-    below 1 raises ``ConfigError`` at the call, not at the first ``next``."""
-    if limit is not None and limit < 1:
-        raise ConfigError(f"the witness limit must be at least 1, got {limit}")
+    that is not an integer of at least 1 raises ``ConfigError`` at the call,
+    not at the first ``next``."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, (int, np.integer))
+                              or limit < 1):
+        raise ConfigError(f"the witness limit must be an integer of at least 1, got {limit!r}")
     return _Search(inst, node_cap).run(limit)

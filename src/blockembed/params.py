@@ -219,10 +219,6 @@ class ConstraintReport:
         return iter(self.rows)
 
 
-def _exact(value) -> Fraction:
-    return Fraction(value)
-
-
 def lipschitz_bound(m) -> Fraction:
     """A Lipschitz bound M read exactly: text such as "2.3" is 23/10.
     Negative, infinite and NaN bounds raise ConfigError."""
@@ -258,12 +254,7 @@ def check_constraints(p: ParameterSet) -> ConstraintReport:
     via a certified enclosure; verdicts inside the error band are reported
     as inconclusive (None) rather than guessed.
     """
-    a = _exact(p.alpha)
-    b = _exact(p.beta)
-    g = _exact(p.gamma)
-    m = _exact(p.m)
-    k0 = _exact(p.k0)
-    v0 = _exact(p.v0)
+    a, b, g, m, k0, v0 = map(Fraction, (p.alpha, p.beta, p.gamma, p.m, p.k0, p.v0))
 
     algebraic = [
         ("alpha > 6", a, Fraction(6), False),

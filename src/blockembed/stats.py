@@ -26,7 +26,7 @@ import numpy as np
 
 from . import embed
 from .errors import ConfigError, PreconditionError
-from .fields import GRID_GOOD, GRID_ONE, WindowHash, derive_seed, good_threshold, site_bits
+from .fields import ACCEPTS, WindowHash, derive_seed, good_threshold, site_bits
 from .lattice import cell_array
 from .params import ParameterSet
 
@@ -120,22 +120,17 @@ def exact_S1(block, params: ParameterSet) -> Fraction:
 
 
 def _estimate_level0_y(component, structure, trials, seed, params):
-    """P over fresh source bits that the component's bad cells are matched."""
+    """Trials whose fresh source bits the level-0 rule accepts on every
+    cell of the component's box."""
     box = component.box
     cells = cell_array(box.cells())
-    codes = structure.codes_at(cells)
-    bad = codes != GRID_GOOD
-    if not bad.any():
-        return trials  # every trial succeeds
-    need = cells[bad]
     # Trial t reads the partner sites t * (box width + 1) cells along x.
     stride = box.x1 - box.x0 + 1
     t_idx = np.arange(trials, dtype=np.int64)[:, None]
-    xs = (need[:, 0] - box.x0)[None, :] + t_idx * stride
-    ys = (need[:, 1] - box.y0)[None, :] + 0 * t_idx
+    xs = (cells[:, 0] - box.x0)[None, :] + t_idx * stride
+    ys = (cells[:, 1] - box.y0)[None, :] + 0 * t_idx
     bits = site_bits(seed, "X", xs, ys)
-    want = (codes[bad] == GRID_ONE)[None, :]
-    return int(np.all(bits == want, axis=1).sum())
+    return int(ACCEPTS[bits, structure.codes_at(cells)].all(axis=1).sum())
 
 
 # Target sites hashed together in one stack of level-1 trials: each uint64
@@ -186,10 +181,10 @@ def estimate_S(
     trial index) and checks partner validity together with embeddability.
     Deterministic for fixed (seed, trials) at any worker count.
     """
-    if trials < 1:
-        raise PreconditionError("at least one trial required")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise PreconditionError(f"trials must be at least 1 and an integer, got {trials!r}")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be at least 1 and an integer, got {workers!r}")
     if level == 0:
         if family != "Y":
             raise ConfigError(f"level-0 components are target-family, not {family!r}")

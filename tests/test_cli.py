@@ -76,13 +76,33 @@ class TestBuild:
         fb = (b / "hierarchy-Y-5.txt").read_text()
         assert fa == fb
 
-    def test_manifest_written(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "build", "--seed", "5", "--out-dir", str(tmp_path / "m"))
+    # Each subcommand that writes artifacts, its options but --out-dir, and
+    # flags that keep it quick.
+    @pytest.mark.parametrize("command, options, extra", [
+        ("sample", ["family", "height", "origin", "profile", "seed", "width"],
+         ("--width", "3", "--height", "2")),
+        ("build", ["family", "profile", "seed", "window"], ()),
+        ("reports", ["profile", "seed", "window", "windows"], ("--windows", "1")),
+        ("render", ["family", "level", "profile", "seed", "window"], ()),
+    ], ids=["sample", "build", "reports", "render"])
+    def test_manifest_written(self, tmp_path, capsys, command, options, extra):
+        code, _, _ = run(capsys, command, "--seed", "5", *extra,
+                         "--out-dir", str(tmp_path / "m"))
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        assert manifest["subcommand"] == "build"
-        assert sorted(manifest["config"]) == ["family", "profile", "seed", "window"]
+        assert manifest["subcommand"] == command
+        assert sorted(manifest["config"]) == options
+        assert manifest["config"]["seed"] == "5"
         assert "config_hash" in manifest and manifest["artifacts"]
+        # A tuple option given through --config is recorded resolved.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("origin = 2 -5\nwindow = 0 0 3 3\n")
+        code, _, _ = run(capsys, "--config", str(cfg), command, *extra,
+                         "--out-dir", str(tmp_path / "c"))
+        assert code == EXIT_OK
+        config = json.loads((tmp_path / "c" / "manifest.json").read_text())["config"]
+        key, value = ("origin", "(2, -5)") if command == "sample" else ("window", "(0, 0, 3, 3)")
+        assert config[key] == value
 
     def test_no_overwrite(self, tmp_path, capsys):
         d = tmp_path / "x"

@@ -10,7 +10,8 @@ CLI digests cover `estimate-s` at level 1 (seed 100008 meets a target
 block with no valid curve, seed 100098 one whose 1 536 valid curves the
 sampler and the scan both miss) and at level 0 (toy1 single-cell
 components, and toy-m0-6 components of 2 and 4 cells, one holding a good
-cell), `reports` tables and one `render` SVG.
+cell), `reports` tables, one `render` SVG and the manifest.json of each
+subcommand that writes artifacts.
 The witness digests pin what the embedding search returns, not just
 whether it returns: the level-1 witnesses behind those estimate lines and
 level-0 witnesses of target-family components, the only level-0
@@ -83,6 +84,18 @@ REPORTS_SEEDS = (1, 2)
 REPORTS_DIGEST = "974d0afe8506850d3bbed6d96b8249e5932bdfe24e19c690b263fb046b4812fa"
 
 RENDER_DIGEST = "88cb9bae498abdc385482d0992e02208b90545aa472c22a4af83635e45c29d86"
+
+# One run of each artifact-writing subcommand; the digest covers the bytes
+# of the manifest.json each writes.
+MANIFEST_CASES = [
+    ("sample", "--seed", "4", "--family", "X", "--origin", "2", "-3", "--width", "5",
+     "--height", "3"),
+    ("build", "--profile", "toy-m0-2", "--seed", "1", "--window", "0", "0", "2", "2"),
+    ("reports", "--profile", "toy1", "--seed", "2", "--windows", "1"),
+    ("render", "--profile", "toy1", "--seed", "2", "--family", "X", "--window", "0", "0",
+     "3", "3"),
+]
+MANIFEST_DIGEST = "5d3809fdbd2b555acb569f6c1bffd6d00c0de50230a05ff63215cc8e097382bf"
 
 LEVEL1_WITNESS_DIGEST = "ab4880b3e0b17a0f671cca5c5db9e9adbfc18e2659d21ed5ee66144809a4c4de"
 LEVEL0_WITNESS_DIGEST = "17064f4eadfdf5f2dd2b96b94386fcb4ec8ce693e8fb827634b7d0d7d865bf1d"
@@ -166,6 +179,15 @@ def test_render_svg_reproduces(tmp_path):
          "--out-dir", str(tmp_path))
     svg = (tmp_path / "level1-Y-2.svg").read_bytes()
     assert hashlib.sha256(svg).hexdigest() == RENDER_DIGEST
+
+
+def test_manifests_reproduce(tmp_path):
+    h = hashlib.sha256()
+    for k, args in enumerate(MANIFEST_CASES):
+        out = tmp_path / str(k)
+        _cli(*args, "--out-dir", str(out))
+        h.update(args[0].encode() + b"\n" + (out / "manifest.json").read_bytes())
+    assert h.hexdigest() == MANIFEST_DIGEST
 
 
 def _witness_record(witness) -> str:

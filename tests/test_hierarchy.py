@@ -30,7 +30,6 @@ from blockembed.hierarchy import (
     _curve_factors,
     _dilate,
     _edge_factors,
-    _edge_normal,
     _edge_vertices,
     _hot_edges,
     _level0_bad_components,
@@ -53,6 +52,7 @@ from blockembed.hierarchy import (
     select_boundary_curve,
 )
 from blockembed.lattice import (
+    SIDE_STEPS,
     LatticeAnimal,
     Rect,
     buffer_zone,
@@ -171,7 +171,7 @@ def _realize_domain_ref(animal, j, params, corner_indices, edge_indices) -> froz
     rem: set = set()
     vertex_edges: dict = {}
     for edge in _boundary_edges(animal):
-        n = _edge_normal(edge[1])
+        n = SIDE_STEPS[edge[1]]
         v_low, v_high = _edge_vertices(edge, r)
         vertex_edges.setdefault(v_low, []).append(edge)
         vertex_edges.setdefault(v_high, []).append(edge)
@@ -191,7 +191,7 @@ def _realize_domain_ref(animal, j, params, corner_indices, edge_indices) -> froz
         incident = vertex_edges.get(v, [])
         if s != 2 or d == 0 or len(incident) != 2:
             continue
-        n1, n2 = (_edge_normal(e[1]) for e in incident)
+        n1, n2 = (SIDE_STEPS[e[1]] for e in incident)
         qx, qy = n1[0] + n2[0], n1[1] + n2[1]
         if qx == 0 or qy == 0:
             continue
@@ -293,7 +293,7 @@ def _unit_edges(loops) -> list:
 def _middle_rows(frame, edge, d) -> list:
     """Cells of an edge's middle segment on the outermost domain row at
     offset d: the outside cells shifted by d - 1 along the outward normal."""
-    nx, ny = _edge_normal(edge[1])
+    nx, ny = SIDE_STEPS[edge[1]]
     mid = _edge_outside_cells(edge, frame.r)[frame.mb:frame.r - frame.mb]
     return [(x + (d - 1) * nx, y + (d - 1) * ny) for x, y in mid]
 

@@ -128,6 +128,16 @@ class TestRect:
     def test_cells_row_major(self):
         assert list(Rect(0, 0, 2, 2).cells()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
+    @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_cells_are_the_k_by_k_squares(self, x0, y0, w, h, k):
+        r = Rect(x0, y0, x0 + w, y0 + h)
+        squares = {(x * k + dx, y * k + dy) for x, y in r.cells()
+                   for dx in range(k) for dy in range(k)}
+        assert set(r.scaled(k).cells()) == squares
+        assert r.scaled(k).area == k * k * r.area
+
 
 def _blowup(g):
     """A cell's blow-up: its region widened by the buffer margin."""
@@ -135,6 +145,16 @@ def _blowup(g):
 
 
 class TestCellGeometry:
+    @given(st.sampled_from(["toy1", "toy-m0-2", "toy-m0-3"]), st.integers(0, 1),
+           st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_region_is_the_scaled_unit_cell(self, profile, j, x, y):
+        p = named_profile(profile)
+        side = p.cell_side(j)
+        region = cell_geometry(j, (x, y), p).region
+        assert region == Rect(x, y, x + 1, y + 1).scaled(side)
+        assert (region.x0, region.y0, region.area) == (x * side, y * side, side * side)
+
     def test_level0_unit_square(self, toy1):
         g = cell_geometry(0, (3, 5), toy1)
         assert g.region == Rect(3, 5, 4, 6)

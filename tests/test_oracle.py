@@ -602,9 +602,30 @@ class TestCountEmbeddings:
             list(enumerate_embeddings(inst, limit=limit))
 
     def test_limit_is_checked_at_the_call(self):
+        # A bool or a non-integer is no limit: 2.5 used to yield 3 witnesses
+        # and True 1.
         inst = Instance.from_fields(_bf("X", [[0]]), _bf("Y", [[0] * 5] * 5), 1)
-        with pytest.raises(ConfigError, match="at least 1"):
-            enumerate_embeddings(inst, limit=0)
+        for limit in (0, 2.5, True, 1.0):
+            with pytest.raises(ConfigError, match="an integer of at least 1"):
+                enumerate_embeddings(inst, limit=limit)
+        assert len(list(enumerate_embeddings(inst, limit=np.int64(2)))) == 2
+
+    @pytest.mark.parametrize("width, height", [(8, 8), (13, 5)])
+    def test_source_site_cap(self, width, height):
+        # 64 source sites are accepted and 65 refused, named by their count,
+        # whether the instance comes from fields or is built directly.
+        x = sample_field(1, "X", (0, 0), width, height)
+        y = _bf("Y", [[0] * 5] * 5)
+        sites = tuple((sx, sy) for sy in range(height) for sx in range(width))
+        values = {s: x.get(*s) for s in sites}
+        if width * height <= oracle.SOURCE_SITE_CAP:
+            assert len(Instance.from_fields(x, y, 2).source_sites) == 64
+            assert len(Instance(sites, values, y, 4).source_sites) == 64
+            return
+        with pytest.raises(ConfigError, match="source of 65 sites exceeds cap 64"):
+            Instance.from_fields(x, y, 2)
+        with pytest.raises(ConfigError, match="source of 65 sites exceeds cap 64"):
+            Instance(sites, values, y, 4)
 
     @pytest.mark.parametrize("m, reason", [(-2, "nonnegative"), (Fraction(-1, 3), "nonnegative"),
                                            (float("nan"), "finite"), (float("inf"), "finite")])

@@ -13,10 +13,10 @@ from scipy.stats import beta
 from blockembed import embed, stats as stats_mod
 from blockembed.errors import BlockEmbedError, ConfigError, PreconditionError
 from blockembed.fields import (ACCEPTS, GRID_GOOD, GRID_ONE, BitField, classify_grid,
-                               derive_seed, sample_field)
+                               derive_seed, sample_field, site_bits)
 from blockembed.hierarchy import (Component, LatticeBlock, Level0Structure, build_hierarchy,
                                   build_level0)
-from blockembed.lattice import LatticeAnimal, Rect, cell_geometry
+from blockembed.lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from blockembed.params import named_profile
 from blockembed.stats import (
     CONFIDENCE,
@@ -92,10 +92,19 @@ class TestExactS0:
 
 
 class TestEstimateS:
-    def test_zero_trials_rejected(self, toy1):
+    def test_zero_trials_rejected(self, toy1, source):
         comp = _bad_component(Rect(0, 0, 1, 1))
         with pytest.raises(PreconditionError):
             estimate_S(comp, 0, 0, 1, toy1)
+        # A count that is not an integer is refused the same way, at both
+        # levels.
+        block, level0 = source
+        for trials in (2.5, True, 0.0):
+            with pytest.raises(PreconditionError, match="an integer"):
+                estimate_S(comp, 0, trials, 1, toy1, structure=_class_content())
+            with pytest.raises(PreconditionError, match="an integer"):
+                estimate_S(block, 1, trials, 1, toy1, family="X", structure=level0)
+        assert estimate_S(comp, 0, np.int64(3), 1, toy1, structure=_class_content()).trials == 3
 
     def test_deterministic(self, toy1):
         comp = _bad_component(Rect(0, 0, 1, 1))
@@ -143,6 +152,37 @@ class TestEstimateS:
         est = estimate_S(comp, 0, 1000, 3, toy1, family="Y",
                          structure=_class_content(GRID_GOOD))
         assert est.point == 1.0
+
+    @pytest.mark.parametrize("profile, window", [("toy-m0-3", Rect(0, 0, 12, 12)),
+                                                 ("toy-m0-6", Rect(0, 0, 24, 24))])
+    def test_level0_rule_matches_the_bad_cell_comparison(self, profile, window):
+        # The reference reads only the bad cells and wants each partner bit
+        # to equal the cell's majority; the estimator applies ACCEPTS to
+        # every cell of the box, good cells accepting either bit.
+        def reference(comp, structure, trials, seed):
+            box = comp.box
+            cells = cell_array(box.cells())
+            codes = structure.codes_at(cells)
+            bad = codes != GRID_GOOD
+            if not bad.any():
+                return trials
+            need = cells[bad]
+            t = np.arange(trials, dtype=np.int64)[:, None]
+            xs = (need[:, 0] - box.x0)[None, :] + t * (box.x1 - box.x0 + 1)
+            ys = (need[:, 1] - box.y0)[None, :] + 0 * t
+            want = (codes[bad] == GRID_ONE)[None, :]
+            return int(np.all(site_bits(seed, "X", xs, ys) == want, axis=1).sum())
+
+        p = named_profile(profile)
+        with_good = 0
+        for seed in range(4):
+            s = build_level0(p, "Y", seed, window)
+            for k, comp in enumerate(s.bad_components):
+                with_good += comp.bad_summary[1] < comp.size
+                trial_seed = derive_seed(seed, k)
+                est = estimate_S(comp, 0, 300, trial_seed, p, structure=s)
+                assert est.successes == reference(comp, s, 300, trial_seed)
+        assert with_good >= 2
 
 
 @pytest.fixture
@@ -292,7 +332,7 @@ class TestLevel1Trials:
         assert _raised(lambda: estimate_S(block, 1, trials, 0, p, family="X",
                                           structure=structure, workers=workers)) == searched
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
     def test_fewer_than_one_worker_rejected(self, toy1, source, workers):
         block, level0 = source
         with pytest.raises(ConfigError, match="workers must be at least 1"):
