@@ -26,8 +26,8 @@ so that commands which never build a hierarchy start without scipy.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -72,9 +72,6 @@ __all__ = [
 GOOD_SINGLETON = "good-singleton"
 REALLY_BAD = "really-bad"
 
-# Attempt caps for randomized then deterministic curve selection.
-CURVE_SAMPLE_TRIES = 200
-CURVE_SCAN_CAP = 2_000
 # Curve frames kept for reuse: blocks of one shape and place share a frame.
 FRAME_CACHE_SIZE = 64
 _NO_CURVE = "no valid boundary curve exists for this block"
@@ -388,10 +385,10 @@ class CurveFrame:
 
     Masks over the frame are boolean arrays indexed ``[y - y0, x - x0]`` in
     level-(j-1) cells.  The frame is the ideal block's bounding box padded
-    by clearance + k0 + 2 cells: realized domains reach k0 cells past the
-    ideal outline, the outside strips of the boundary edges one cell, and
-    the widest dilation of bad cells read there a further clearance + k0 + 1.
-    Bad cells the frame clips are therefore never read.
+    by clearance + k0 + 2 cells, more than a selection reads: realized
+    domains reach k0 cells past the ideal outline, and a bad cell forbids
+    boundary cells within a further clearance - 1.  Bad cells the frame
+    clips are therefore never read.
 
     A frame depends on the block's geometry alone, so ``curve_frame`` shares
     one among blocks of one shape and place, and the frame holds what a
@@ -435,7 +432,6 @@ class CurveFrame:
         # sign, the side's line along the normal, and the segment's extent
         # along the side (frame coordinates).
         self.bands = []
-        self.outside = {}
         incident: dict = {}
         for edge in self.edges:
             nx, ny = SIDE_STEPS[edge[1]]
@@ -445,8 +441,6 @@ class CurveFrame:
             sign = nx + ny
             for key, (a0, a1) in zip((v_low, edge, v_high), segments):
                 self.bands.append((key, axis, sign, line, along + a0, along + a1))
-            out = line if sign > 0 else line - 1
-            self.outside[edge] = _band(axis, out, out + 1, along, along + r)
             for v in (v_low, v_high):
                 incident.setdefault(v, []).append((nx, ny))
         # Corner squares: vertices where exactly two perpendicular sides
@@ -621,8 +615,7 @@ def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> list:
 
     Variables are the vertices, then the edges, in frame order; a vertex
     state (ell, s) sits at table position 2 * (ell - 1) + s - 1, an edge
-    index i at i - 1.  Returns (variables, table) pairs for ``_contract``
-    and ``_first_valid``.
+    index i at i - 1.  Returns (variables, table) pairs for ``_contract``.
     """
     scopes, colour, outlines = frame.tables
     colours = outlines.ndim - 3
@@ -675,13 +668,16 @@ def _cell_scopes(frame: CurveFrame) -> np.ndarray:
     return scopes
 
 
-def _contract(factors: list, sizes: list) -> int:
+def _contract(factors: list, sizes: list) -> tuple:
     """Sum over all assignments of the product of factor tables, exactly.
 
     ``factors`` holds (variables, boolean table) pairs, one table axis per
     variable; variable i takes ``sizes[i]`` values.  Variables are summed
     out one at a time, each time the one whose factors span the fewest
-    other variables.
+    other variables.  Returns (total, steps): ``steps`` holds, per variable
+    summed out, (variable, joint variables, product table), the product of
+    every table that held it then; the other joint variables are all summed
+    out later, so ``_draw_assignment`` can walk the steps back.
     """
     total = 1
     named = {x for scope, _ in factors for x in scope}
@@ -689,6 +685,7 @@ def _contract(factors: list, sizes: list) -> int:
         total *= sizes[x]
     factors = [(scope, np.asarray(table, dtype=np.int64).astype(object))
                for scope, table in factors]
+    steps = []
     while factors:
         if any(not scope for scope, _ in factors):
             for scope, table in factors:
@@ -709,16 +706,43 @@ def _contract(factors: list, sizes: list) -> int:
             order = sorted(range(len(scope)), key=scope.__getitem__)
             shape = [sizes[y] if y in scope else 1 for y in joint]
             product = product * table.transpose(order).reshape(shape)
+        steps.append((x, joint, product))
         k = joint.index(x)
         factors.append((tuple(joint[:k] + joint[k + 1:]),
                         np.asarray(product.sum(axis=k), dtype=object)))
-    return total
+    return total, steps
 
 
-def _hot_edges(frame: CurveFrame, bad: np.ndarray) -> list:
-    """Edges whose outside strip comes within clearance + k0 + 1 of a bad cell."""
-    near = _dilate(bad, frame.clearance + frame.k0 + 1)
-    return [e for e in frame.edges if near[frame.outside[e]].any()]
+def _draw_assignment(steps: list, sizes: list, words) -> list:
+    """Table positions of one assignment, uniform over those at which every
+    factor holds, given ``_contract``'s steps of a nonzero total.
+
+    The steps are walked back: each variable is drawn from its product
+    table at the values of the later ones, which are drawn already, and
+    each weight there is proportional to the number of valid completions.
+    Variables no factor names are drawn uniformly.  ``words`` yields
+    uniform 64-bit words.
+    """
+    state = [None] * len(sizes)
+    for x, joint, product in reversed(steps):
+        weights = product[tuple(slice(None) if y == x else state[y] for y in joint)]
+        cumulative = list(itertools.accumulate(weights.tolist()))
+        state[x] = bisect.bisect_right(cumulative, _below(cumulative[-1], words))
+    return [_below(n, words) if st is None else st for st, n in zip(state, sizes)]
+
+
+def _below(n: int, words) -> int:
+    """A uniform integer in [0, n) read from an iterator of uniform 64-bit
+    words: as many words a try as n - 1 has 64-bit digits, tried again when
+    their value reaches the largest multiple of n."""
+    digits = ((n - 1).bit_length() + 63) // 64
+    span = 1 << 64 * digits
+    while True:
+        value = 0
+        for _ in range(digits):
+            value = value << 64 | next(words)
+        if value < span - span % n:
+            return value % n
 
 
 def domain_boundary_cells(domain: frozenset) -> frozenset:
@@ -813,33 +837,32 @@ def select_boundary_curve(
     ideal_block: LatticeBlock,
     bad_components: Sequence,
     params: ParameterSet,
-    rng: np.random.Generator,
+    key: int,
     j: int,
 ) -> BoundaryCurve:
     """Randomly choose a valid boundary curve for a lattice block.
 
     A curve is valid when every bad component of the level below keeps the
     configured clearance from its polyline.  When the straight choice (all
-    indices 1) is valid it is kept with probability 1 - 10**-(j+10);
-    otherwise CURVE_SAMPLE_TRIES index assignments are drawn uniformly and
-    the first valid one is kept, with a deterministic scan as a final
-    fallback.  Raises CurveSelectionError if no valid curve exists, which
-    indicates the caller formed the block from conjoined buffers: before
-    any draw when some boundary edge has a forbidden cell on every track,
-    else once every draw has failed and the exact count of valid curves is
-    0.  A scan that reaches its cap raises too, and its message gives that
-    count.
+    indices 1) is valid it is kept with probability
+    ``params.straight_curve_mass(j)``; otherwise the curve is uniform over
+    the valid index assignments.  The randomness is the integer ``key``'s:
+    ``derive_seed(key, 0)`` decides the straight curve, and the words
+    ``derive_seed(key, i)`` for i = 1, 2, ... draw the assignment.  Raises
+    CurveSelectionError exactly when no valid curve exists, which indicates
+    the caller formed the block from conjoined buffers.
 
-    Validity is read off the straight curve's ring first, then off the
-    exact factor tables of ``_curve_factors``, for all draws at once; only
-    the kept curve is realized.  A selection that draws takes all
-    CURVE_SAMPLE_TRIES draws in one generator call, whichever one is kept.
+    Validity is read off the straight curve's ring first.  Then a boundary
+    edge with a forbidden cell on every track ends the selection, and else
+    the exact factor tables of ``_curve_factors`` count the valid curves
+    (``_contract``) and draw one (``_draw_assignment``); only that curve is
+    realized.
     """
     frame = curve_frame(ideal_block.animal, j, params)
     # With no bad component the straight ring clears without a raster.
     bad = _bad_cells(frame, ideal_block.animal, bad_components) if bad_components else None
     straight_clears = bad is None or not (bad & frame.ring).any()
-    if straight_clears and rng.random() < params.straight_curve_mass(j):
+    if straight_clears and derive_seed(key, 0) < params.straight_curve_mass(j) * 2**64:
         return frame.straight
     if bad is None:
         bad = np.zeros_like(frame.ideal)
@@ -848,59 +871,10 @@ def select_boundary_curve(
     forbidden = _dilate(bad, frame.clearance - 1)
     if not all(f.any() for f in _edge_factors(frame, forbidden).values()):
         raise CurveSelectionError(_NO_CURVE)
-    factors = _curve_factors(frame, forbidden)
-
-    # A draw is (ell, s) per vertex, then one index per edge, in frame order.
-    k2, nv = 2 * frame.k0, len(frame.vertices)
-    high = np.array([k2 + 1, 3] * nv + [k2 + 1] * len(frame.edges))
-    draws = rng.integers(1, np.tile(high, CURVE_SAMPLE_TRIES))
-    found = _first_valid(factors, _draw_states(draws.reshape(-1, len(high)), nv))
-    if found is not None:
-        return _realized_curve(frame, found)
-    count = _contract(factors, frame.sizes)
+    count, steps = _contract(_curve_factors(frame, forbidden), frame.sizes)
     if count == 0:
         raise CurveSelectionError(_NO_CURVE)
-
-    # Deterministic targeted scan: only edges (and their endpoints) whose
-    # track band comes near an offending cell are perturbed; the rest stay
-    # straight.  Scanned in canonical index order, hot edges before hot
-    # vertices and the last one fastest, capped.
-    hot_edges = _hot_edges(frame, bad)
-    hot_vertices = sorted({v for e in hot_edges for v in _edge_vertices(e, frame.r)})
-    var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
-    digits = [(var[e], k2) for e in hot_edges] + [(var[v], 2 * k2) for v in hot_vertices]
-    total = math.prod(radix for _, radix in digits)
-    rest = np.arange(min(total, CURVE_SCAN_CAP))
-    states = np.zeros((len(rest), len(var)), dtype=np.int64)
-    for x, radix in reversed(digits):
-        rest, states[:, x] = np.divmod(rest, radix)
-    found = _first_valid(factors, states)
-    if found is not None:
-        return _realized_curve(frame, found)
-    if total > CURVE_SCAN_CAP:
-        raise CurveSelectionError(
-            f"no valid boundary curve found within the scan cap ({count} valid curves exist)")
-    raise CurveSelectionError(_NO_CURVE)
-
-
-def _draw_states(draws: np.ndarray, nv: int) -> np.ndarray:
-    """Table positions (see ``_curve_factors``) of drawn index rows."""
-    ell, s = draws[:, 0:2 * nv:2], draws[:, 1:2 * nv:2]
-    return np.concatenate([2 * ell + s - 3, draws[:, 2 * nv:] - 1], axis=1)
-
-
-def _first_valid(factors: list, states: np.ndarray) -> Optional[np.ndarray]:
-    """The first row of table positions at which every factor holds."""
-    valid = np.ones(len(states), dtype=bool)
-    for scope, table in factors:
-        valid &= table[tuple(states[:, x] for x in scope)]
-    hits = np.flatnonzero(valid)
-    return states[hits[0]] if len(hits) else None
-
-
-def _realized_curve(frame: CurveFrame, states: np.ndarray) -> BoundaryCurve:
-    """The curve of one row of table positions."""
-    row = states.tolist()
+    row = _draw_assignment(steps, frame.sizes, (derive_seed(key, i) for i in itertools.count(1)))
     corner_idx = {v: (st // 2 + 1, st % 2 + 1) for v, st in zip(frame.vertices, row)}
     edge_idx = {e: st + 1 for e, st in zip(frame.edges, row[len(frame.vertices):])}
     return _make_curve(frame, corner_idx, edge_idx, realize_domain(frame, corner_idx, edge_idx))
@@ -1064,18 +1038,19 @@ def block_curve(
 ) -> tuple:
     """The boundary curve of one lattice block, as (curve, placeholder).
 
-    The curve randomness is keyed by the seed and the block's least cell.
-    When no valid curve is found for a censored block, the straight curve
-    stands in and ``placeholder`` is True: bad content hugging the window
-    edge would have conjoined the block outward in the full construction,
-    so the block is kept flagged censored and bad, excluded from
-    statistics.  An uncensored block raises CurveSelectionError instead.
+    The selection's key is derived from the seed, the level and the low 16
+    bits of each coordinate of the block's least cell.  When no valid
+    curve exists for a censored block, the straight curve stands in and
+    ``placeholder`` is True: bad content hugging the window edge would
+    have conjoined the block outward in the full construction, so the
+    block is kept flagged censored and bad, excluded from statistics.  An
+    uncensored block raises CurveSelectionError instead.
     """
     params, j = level0.params, lattice_block.level
     x, y = min(lattice_block.animal.sites)
-    rng = np.random.default_rng(derive_seed(seed, 0xC0DE, j, x & 0xFFFF, y & 0xFFFF))
+    key = derive_seed(seed, 0xC0DE, j, x & 0xFFFF, y & 0xFFFF)
     try:
-        return select_boundary_curve(lattice_block, level0.bad_components, params, rng, j), False
+        return select_boundary_curve(lattice_block, level0.bad_components, params, key, j), False
     except CurveSelectionError:
         if not censored:
             raise

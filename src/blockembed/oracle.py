@@ -73,8 +73,10 @@ class Instance:
     def from_fields(
         cls, x: BitField, y: BitField, m: Fraction | int | float | str
     ) -> "Instance":
-        """Text such as "2.3" is read exactly, as 23/10."""
+        """Text such as "2.3" is read exactly, as 23/10.  A source over the
+        site cap is refused before any site is listed."""
         m = lipschitz_bound(m)
+        _check_source_size(x.width * x.height)
         sites = tuple(
             (sx, sy)
             for sy in range(x.origin[1], x.origin[1] + x.height)
@@ -85,9 +87,7 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.source_sites:
             raise ConfigError("oracle instance needs at least one source site")
-        if len(self.source_sites) > SOURCE_SITE_CAP:
-            raise ConfigError(f"oracle source of {len(self.source_sites)} sites exceeds "
-                              f"cap {SOURCE_SITE_CAP}")
+        _check_source_size(len(self.source_sites))
         if len(set(self.source_sites)) != len(self.source_sites):
             raise ConfigError("oracle source sites must be distinct")
         for s in self.source_sites:
@@ -113,6 +113,11 @@ class Instance:
     def _tables(self) -> "_Tables":
         """The search tables, shared by every search on this instance."""
         return _Tables(self)
+
+
+def _check_source_size(n: int) -> None:
+    if n > SOURCE_SITE_CAP:
+        raise ConfigError(f"oracle source of {n} sites exceeds cap {SOURCE_SITE_CAP}")
 
 
 def _d2(a, b) -> int:

@@ -623,16 +623,16 @@ class TestRigidOrRepair:
     def test_a_curve_past_the_clearance_leaves_a_bad_cell_out(self):
         # Why k0 > clearance is refused: at k0 = 3 a curve may run two
         # cells inside the cell, past a bad cell on its outline.  With one
-        # bad cell at (0, 8), the curve of seed 3 does; at k0 = 2 none of
-        # 40 seeds does.
+        # bad cell at (0, 8), the curve of some seed below 40 does; at
+        # k0 = 2 none of those 40 seeds does.
         w0 = level0_window_for(Rect(0, 0, 1, 1), named_profile("toy1"))
         grid = np.full((28, 28), GRID_GOOD, dtype=np.int8)
         grid[8 - w0.y0, 0 - w0.x0] = GRID_ONE
         p3 = named_profile("toy1", k0=3)
         assert p3.k0 > p3.margins(1).clearance
-        curve, bad = self._target_block(p3, grid, 3)
-        assert bad == {(0, 8)} and not bad <= curve.domain
-        assert not curve.is_straight
+        past = [self._target_block(p3, grid, seed) for seed in range(40)]
+        assert {frozenset(bad) for _, bad in past} == {frozenset({(0, 8)})}
+        assert any(not bad <= curve.domain for curve, bad in past)
         for seed in range(40):
             curve, bad = self._target_block(named_profile("toy1"), grid, seed)
             assert bad <= curve.domain

@@ -2,16 +2,16 @@
 seed grid.
 
 Each digest is a sha256 over the outputs of one group of cases.  The grid
-covers every curve-selection path: straight and sampled curves (toy1), a
-curve found by the deterministic scan, a scan that runs out of candidates,
-and windows whose one merged block scans to the cap and falls back to the
-censored straight placeholder (toy1 seed 41, toy-m0-2, toy-m0-3).  The
-CLI digests cover `estimate-s` at level 1 (seed 100008 meets a target
-block with no valid curve, seed 100098 one whose 1 536 valid curves the
-sampler and the scan both miss) and at level 0 (toy1 single-cell
-components, and toy-m0-6 components of 2 and 4 cells, one holding a good
-cell), `reports` tables, one `render` SVG and the manifest.json of each
-subcommand that writes artifacts.
+covers every curve-selection outcome: the straight curve, a curve drawn
+uniformly from many or from few valid ones (toy1), and a block with a
+boundary edge blocked on every track, which raises, or in a hierarchy
+falls back to the censored straight placeholder (toy1 seeds 41 and 143,
+and the window-sized merged blocks of toy-m0-2 and toy-m0-3).  The CLI
+digests cover `estimate-s` at level 1, whose trials select no target
+curve and whose source curves are straight, and at level 0 (toy1
+single-cell components, and toy-m0-6 components of 2 and 4 cells, one
+holding a good cell), `reports` tables, one `render` SVG and the
+manifest.json of each subcommand that writes artifacts.
 The witness digests pin what the embedding search returns, not just
 whether it returns: the level-1 witnesses behind those estimate lines and
 level-0 witnesses of target-family components, the only level-0
@@ -23,7 +23,6 @@ import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-import numpy as np
 import pytest
 
 from blockembed.cli import EXIT_OK, main
@@ -44,8 +43,8 @@ from blockembed.lattice import LatticeAnimal, Rect
 from blockembed.params import named_profile
 
 HIERARCHY_GRID = {
-    # Seed 41 scans to the cap, seed 143 exhausts a small scan space; both
-    # end in the censored fallback.  Seed 47 samples 104 realizations.
+    # Seeds 41 and 143 each hold a blocked block, which ends in the censored
+    # fallback.  Seed 47 draws a five-cell block's curve from 2**44 valid ones.
     "toy1": [("toy1", f, s, (0, 0, 3, 3)) for f in "XY" for s in range(6)]
     + [("toy1", "Y", s, (0, 0, 3, 3)) for s in (41, 47, 143)],
     "toy-m0-2": [("toy-m0-2", "Y", 0, (0, 0, 2, 2)), ("toy-m0-2", "Y", 1, (0, 0, 2, 2)),
@@ -54,23 +53,21 @@ HIERARCHY_GRID = {
 }
 
 HIERARCHY_DIGESTS = {
-    "toy1": "3c74f70bf7a9419efb48d769c7fe0b32b819d58918186910b796e58b500f91ce",
+    "toy1": "19e04a6a901eaf97801e5dda28ca1fc06dc4f6e82c229afa0db676c9445ed559",
     "toy-m0-2": "70eda467d916c3379f14ff9f3b7b75d8726c1907e0a7b7a6b1e30dcda9d07614",
     "toy-m0-3": "960ed5c8fd9248ddd307ed51eb44a1b0428d66c692b3bbddd872c41a395547f5",
 }
 
 # Bad cells planted around the single-cell block (0, 0) of toy1, with the
-# curve RNG seeds.  "scan" needs R straight, T at offset 2 and the corner
-# (16, 16) at offset 2 with its square filled: sampling misses it 200 times
-# for seed 5, and the scan finds it.  "exhausted" leaves no valid track for
-# R, so its 256-candidate scan runs out.
+# curve keys.  Of the block's 2**20 curves, "many" leaves 262 144 valid and
+# "few" 8 192; "blocked" leaves no valid track for R, so it raises.
 CURVE_CASES = {
-    "sampled": ([(0, 7)], range(4)),
-    "scan": ([(13, 8), (17, 8), (8, 15), (15, 15)], (0, 5)),
-    "exhausted": ([(15, 8), (17, 8)], (0,)),
+    "many": ([(0, 7)], range(4)),
+    "few": ([(13, 8), (17, 8), (8, 15), (15, 15)], (0, 5)),
+    "blocked": ([(15, 8), (17, 8)], (0,)),
 }
 
-CURVE_DIGEST = "42554a889a8e7a263d97e82cd40c310f4f86f2449800f9c5172fef3aca722a8a"
+CURVE_DIGEST = "d48fffbce6d79896ce04130049f460e0f7abb9d051d2383264be10627329e4df"
 
 ESTIMATE_SEEDS = (100001, 100002, 100003, 100008, 100098)
 ESTIMATE_DIGEST = "d3f19eb514abfd39ad10ebfb3e2d0547452d868f858f8cc19d2887497de46469"
@@ -83,7 +80,7 @@ ESTIMATE0_DIGEST = "2429a5996444ae5ec0ecc20766607d7dda14374fc5dbd8d8e4ce96edd88e
 REPORTS_SEEDS = (1, 2)
 REPORTS_DIGEST = "974d0afe8506850d3bbed6d96b8249e5932bdfe24e19c690b263fb046b4812fa"
 
-RENDER_DIGEST = "88cb9bae498abdc385482d0992e02208b90545aa472c22a4af83635e45c29d86"
+RENDER_DIGEST = "ae72bbdf70ab08c03190b773dce1c81d303c77b46565c6d090da3a95d55dc483"
 
 # One run of each artifact-writing subcommand; the digest covers the bytes
 # of the manifest.json each writes.
@@ -114,12 +111,11 @@ def _cli(*args) -> str:
     return out.getvalue()
 
 
-def _curve_record(cells, seed) -> str:
+def _curve_record(cells, key) -> str:
     lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
     bad = [_bad_cell(c) for c in cells]
     try:
-        curve = select_boundary_curve(lb, bad, named_profile("toy1"),
-                                      np.random.default_rng(seed), 1)
+        curve = select_boundary_curve(lb, bad, named_profile("toy1"), key, 1)
     except CurveSelectionError as exc:
         return f"error {exc}"
     return repr((curve.corner_indices, curve.edge_indices,
@@ -132,16 +128,18 @@ def test_hierarchy_dumps_reproduce(group):
     for profile, family, seed, window in HIERARCHY_GRID[group]:
         hier = build_hierarchy(named_profile(profile), family, seed, Rect(*window))
         h.update(dump_hierarchy(hier).encode())
-    assert h.hexdigest() == HIERARCHY_DIGESTS[group]
+    got = h.hexdigest()
+    assert got == HIERARCHY_DIGESTS[group], got
 
 
 def test_selected_curves_reproduce():
     h = hashlib.sha256()
     for name in sorted(CURVE_CASES):
-        cells, seeds = CURVE_CASES[name]
-        for seed in seeds:
-            h.update(f"{name} {seed} {_curve_record(cells, seed)}\n".encode())
-    assert h.hexdigest() == CURVE_DIGEST
+        cells, keys = CURVE_CASES[name]
+        for key in keys:
+            h.update(f"{name} {key} {_curve_record(cells, key)}\n".encode())
+    got = h.hexdigest()
+    assert got == CURVE_DIGEST, got
 
 
 def test_estimate_lines_reproduce():
@@ -150,7 +148,8 @@ def test_estimate_lines_reproduce():
         h.update(_cli("estimate-s", "--profile", "toy1", "--family", "X", "--level", "1",
                       "--window", "0", "0", "3", "3", "--trials", "20",
                       "--seed", str(seed)).encode())
-    assert h.hexdigest() == ESTIMATE_DIGEST
+    got = h.hexdigest()
+    assert got == ESTIMATE_DIGEST, got
 
 
 def test_level0_estimate_lines_reproduce():
@@ -159,7 +158,8 @@ def test_level0_estimate_lines_reproduce():
         h.update(_cli("estimate-s", "--profile", profile, "--family", "Y", "--level", "0",
                       "--window", *map(str, window), "--trials", "200",
                       "--seed", str(seed)).encode())
-    assert h.hexdigest() == ESTIMATE0_DIGEST
+    got = h.hexdigest()
+    assert got == ESTIMATE0_DIGEST, got
 
 
 def test_reports_tables_reproduce(tmp_path):
@@ -171,14 +171,16 @@ def test_reports_tables_reproduce(tmp_path):
         for name in sorted(f"{t}.{ext}" for t in ("tail", "size", "good")
                            for ext in ("csv", "records")):
             h.update(name.encode() + b"\n" + (out / name).read_bytes())
-    assert h.hexdigest() == REPORTS_DIGEST
+    got = h.hexdigest()
+    assert got == REPORTS_DIGEST, got
 
 
 def test_render_svg_reproduces(tmp_path):
     _cli("render", "--profile", "toy1", "--seed", "2", "--window", "0", "0", "3", "3",
          "--out-dir", str(tmp_path))
     svg = (tmp_path / "level1-Y-2.svg").read_bytes()
-    assert hashlib.sha256(svg).hexdigest() == RENDER_DIGEST
+    got = hashlib.sha256(svg).hexdigest()
+    assert got == RENDER_DIGEST, got
 
 
 def test_manifests_reproduce(tmp_path):
@@ -187,7 +189,8 @@ def test_manifests_reproduce(tmp_path):
         out = tmp_path / str(k)
         _cli(*args, "--out-dir", str(out))
         h.update(args[0].encode() + b"\n" + (out / "manifest.json").read_bytes())
-    assert h.hexdigest() == MANIFEST_DIGEST
+    got = h.hexdigest()
+    assert got == MANIFEST_DIGEST, got
 
 
 def _witness_record(witness) -> str:
@@ -225,7 +228,8 @@ def test_level1_witnesses_reproduce():
                 except CurveSelectionError as exc:
                     record = f"error {exc}"
                 h.update(f"{seed} {i} {t} {record}\n".encode())
-    assert h.hexdigest() == LEVEL1_WITNESS_DIGEST
+    got = h.hexdigest()
+    assert got == LEVEL1_WITNESS_DIGEST, got
 
 
 def test_level0_witnesses_reproduce():
@@ -241,4 +245,5 @@ def test_level0_witnesses_reproduce():
             partner = sample_field(seed, "X", (0, 0), 8, 8)
             record = _witness_record(embeds_level(comp, partner, 0, p, x_structure=ys))
             h.update(f"Y {k} {seed} {record}\n".encode())
-    assert h.hexdigest() == LEVEL0_WITNESS_DIGEST
+    got = h.hexdigest()
+    assert got == LEVEL0_WITNESS_DIGEST, got

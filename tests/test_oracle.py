@@ -610,10 +610,12 @@ class TestCountEmbeddings:
                 enumerate_embeddings(inst, limit=limit)
         assert len(list(enumerate_embeddings(inst, limit=np.int64(2)))) == 2
 
-    @pytest.mark.parametrize("width, height", [(8, 8), (13, 5)])
+    @pytest.mark.parametrize("width, height", [(8, 8), (13, 5), (500, 500)])
     def test_source_site_cap(self, width, height):
-        # 64 source sites are accepted and 65 refused, named by their count,
-        # whether the instance comes from fields or is built directly.
+        # 64 source sites are accepted and 65 or more refused, named by
+        # their count, whether the instance comes from fields or is built
+        # directly.  From fields the refusal lists no site: a 500x500
+        # source is refused within 1 MiB.
         x = sample_field(1, "X", (0, 0), width, height)
         y = _bf("Y", [[0] * 5] * 5)
         sites = tuple((sx, sy) for sy in range(height) for sx in range(width))
@@ -622,9 +624,16 @@ class TestCountEmbeddings:
             assert len(Instance.from_fields(x, y, 2).source_sites) == 64
             assert len(Instance(sites, values, y, 4).source_sites) == 64
             return
-        with pytest.raises(ConfigError, match="source of 65 sites exceeds cap 64"):
-            Instance.from_fields(x, y, 2)
-        with pytest.raises(ConfigError, match="source of 65 sites exceeds cap 64"):
+        message = f"source of {width * height} sites exceeds cap 64"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=message):
+                Instance.from_fields(x, y, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ConfigError, match=message):
             Instance(sites, values, y, 4)
 
     @pytest.mark.parametrize("m, reason", [(-2, "nonnegative"), (Fraction(-1, 3), "nonnegative"),
