@@ -23,7 +23,8 @@ from . import hierarchy as hier
 from . import oracle as oracle_mod
 from . import stats
 from .errors import BlockEmbedError, CapExceeded, ConfigError, PreconditionError
-from .fields import GRID_GOOD, dump_field, load_field, sample_field
+from .embed import check_search
+from .fields import FAMILY_TAGS, GRID_GOOD, dump_field, load_field, sample_field
 from .lattice import Rect, outer_buffers
 from .params import PROFILES, check_constraints, named_profile
 
@@ -99,13 +100,18 @@ def _publish(artifacts: dict) -> Path:
 
 profile_option = click.option("--profile", default="toy1", show_default=True,
                               type=click.Choice(sorted(PROFILES)))
-seed_option = click.option("--seed", default=0, show_default=True, type=int)
+seed_option = click.option("--seed", default=0, show_default=True,
+                           type=click.IntRange(0, 2**64 - 1))
+family_option = click.option("--family", default="Y", show_default=True,
+                             type=click.Choice(sorted(FAMILY_TAGS)))
+window_option = click.option("--window", nargs=4, default=(0, 0, 2, 2), show_default=True,
+                             type=int, help="level-1 cell window x0 y0 x1 y1")
 
 
 @cli.command()
 @profile_option
 @seed_option
-@click.option("--family", default="Y", type=click.Choice(["X", "Y"]), show_default=True)
+@family_option
 @click.option("--origin", nargs=2, default=(0, 0), show_default=True, type=int)
 @click.option("--width", default=64, show_default=True, type=int)
 @click.option("--height", default=64, show_default=True, type=int)
@@ -117,18 +123,11 @@ def sample(profile, seed, family, origin, width, height, out_dir):
     click.echo(str(out / name))
 
 
-def _window_option(f):
-    return click.option(
-        "--window", nargs=4, default=(0, 0, 2, 2), show_default=True, type=int,
-        help="level-1 cell window x0 y0 x1 y1",
-    )(f)
-
-
 @cli.command()
 @profile_option
 @seed_option
-@click.option("--family", default="Y", type=click.Choice(["X", "Y"]), show_default=True)
-@_window_option
+@family_option
+@window_option
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def build(profile, seed, family, window, out_dir):
     """Build the block hierarchy over a window and dump it."""
@@ -140,8 +139,8 @@ def build(profile, seed, family, window, out_dir):
 @cli.command()
 @profile_option
 @seed_option
-@click.option("--family", default="Y", type=click.Choice(["X", "Y"]), show_default=True)
-@_window_option
+@family_option
+@window_option
 def components(profile, seed, family, window):
     """List component statistics of a built hierarchy."""
     h = hier.build_hierarchy(named_profile(profile), family, seed, Rect(*window))
@@ -155,9 +154,9 @@ def components(profile, seed, family, window):
 @cli.command("estimate-s")
 @profile_option
 @seed_option
-@click.option("--family", default="Y", type=click.Choice(["X", "Y"]), show_default=True)
+@family_option
 @click.option("--level", default=0, show_default=True, type=int)
-@_window_option
+@window_option
 @click.option("--trials", default=2000, show_default=True, type=int)
 @click.option("--workers", default=1, show_default=True, type=int)
 def estimate_s(profile, seed, family, level, window, trials, workers):
@@ -166,12 +165,7 @@ def estimate_s(profile, seed, family, level, window, trials, workers):
         raise ConfigError(f"--trials must be at least 1, got {trials}")
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
-    if level not in (0, 1):
-        raise ConfigError("estimation supports levels 0 and 1")
-    if level == 0 and family != "Y":
-        raise ConfigError("level-0 estimation drives target-family components")
-    if level == 1 and family != "X":
-        raise ConfigError("level-1 estimation drives source-family blocks")
+    check_search(level, family)
     p = named_profile(profile)
     h = hier.build_hierarchy(p, family, seed, Rect(*window))
     click.echo("level,size,point,ci_low,ci_high,trials")
@@ -194,7 +188,7 @@ def estimate_s(profile, seed, family, level, window, trials, workers):
 @seed_option
 @click.option("--windows", default=20, show_default=True, type=int,
               help="number of independent seeded windows to sample")
-@_window_option
+@window_option
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def reports(profile, seed, windows, window, out_dir):
     """Emit tail/size/good-probability report tables from seeded windows."""
@@ -331,8 +325,8 @@ def _svg_rect(r, scale, fill, opacity, klass):
 @cli.command()
 @profile_option
 @seed_option
-@click.option("--family", default="Y", type=click.Choice(["X", "Y"]), show_default=True)
-@_window_option
+@family_option
+@window_option
 @click.option("--level", default=1, show_default=True, type=int)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def render(profile, seed, family, window, level, out_dir):
@@ -360,8 +354,8 @@ def render(profile, seed, family, window, level, out_dir):
             f'fill="none" stroke="#999" stroke-width="1"/>'
         )
     # Buffers of every lattice block.
-    for lb in lv1.lattice_blocks:
-        for zone in outer_buffers(lb.animal, 1, p):
+    for block in lv1.blocks:
+        for zone in outer_buffers(block.animal, 1, p):
             parts.append(_svg_rect(zone.rect, scale, "#88aaff", "0.25", "buffer"))
     # Bad components of the level below.
     for comp in h.level0.bad_components:

@@ -9,7 +9,8 @@ the cell inside the block, so no cell needs a repair.  ``embeds_level`` is
 therefore the level-0 rule at both levels: every source bit against the
 class of the target block under its own cell, and a witness is the set of
 source cells it maps onto their own target blocks.  The search is a sound
-semi-decision, never a completeness claim.
+semi-decision, never a completeness claim.  ``check_search`` is the one
+refusal of a (level, family) pair that no search runs, for every caller.
 """
 
 from __future__ import annotations
@@ -28,10 +29,26 @@ __all__ = [
     "EmbeddingMap",
     "EmbeddingWitness",
     "translation_family",
+    "check_search",
     "embeds_level",
-    "level1_rule",
     "verify_embedding",
 ]
+
+# The family each level searches at depth 1, and its partner: level 0 maps a
+# target-family bad component, and level 1 one source-family cell.
+SEARCHES = {0: ("Y", "X"), 1: ("X", "Y")}
+
+
+def check_search(level: int, family: str) -> str:
+    """The partner family of a level-``level`` search of a ``family`` block.
+    Raises ConfigError for a level other than 0 and 1, whatever the family,
+    then for a family that the level does not search."""
+    if level not in SEARCHES:
+        raise ConfigError(f"the embedding search runs at levels 0 and 1, not {level}")
+    searched, partner = SEARCHES[level]
+    if family != searched:
+        raise ConfigError(f"the level-{level} search maps family {searched}, not {family!r}")
+    return partner
 
 
 class InvalidOffset(PreconditionError):
@@ -185,28 +202,21 @@ def embeds_level(
 ) -> Optional[EmbeddingWitness]:
     """Search the constructed maps for an embedding witness.
 
-    At level 0, x is a bad component of the target family, the only family
-    with level-0 components (a source level 0 has no bad cell), and
-    y_window is a source-family partner covering it, whose bits are checked
-    cellwise under the identity map.
-    At level 1, x is a single-cell block of the source family, as every
-    source block is at depth 1, and y_window a target-family window that
-    covers the cell's region, whose sites are classified under the cell;
-    its ``Level1Rule`` decides that window as a stack of one.
+    At level 0, x is a target-family bad component (a source level 0 has
+    no bad cell) and y_window a source-family partner covering it, whose
+    bits are checked cellwise under the identity map.  At level 1, x is a
+    single source-family cell, as every source block is at depth 1, and
+    y_window a target-family window over the cell's region, which its
+    ``Level1Rule`` decides as a stack of one.
     Sound but not complete: a None result means the searched maps hold no
     witness.
     """
-    if level not in (0, 1):
-        raise ConfigError("embedding search supports levels 0 and 1")
-    if level == 0:
-        if _content(x_structure).family != "Y":
-            raise ConfigError("the level-0 search maps a target-family component")
-        partner, search = "X", _embeds_level0
-    else:
-        _level1_source(x, x_structure)
-        partner, search = "Y", _embeds_level1
+    # The level first: a level that no search runs reads no structure.
+    family = _content(x_structure).family if level in SEARCHES else None
+    partner = check_search(level, family)
     if y_window.family != partner:
         raise ConfigError(f"the level-{level} partner window must be of family {partner}")
+    search = _embeds_level0 if level == 0 else _embeds_level1
     return search(x, y_window, params, x_structure)
 
 
@@ -264,7 +274,8 @@ class Level1Rule:
 
     @classmethod
     def of(cls, block, params: ParameterSet, x_structure) -> "Level1Rule":
-        """The rule of a single-cell source block.
+        """The rule of a single-cell source-family block; ``check_search``
+        refuses a structure of the other family, and a wider block is refused.
 
         The construction cuts the target block over the cell by a boundary
         curve that moves at most k0 - 1 cells inside the cell's region and
@@ -278,6 +289,9 @@ class Level1Rule:
         the region; one that leaves the region is refused rather than
         repaired.
         """
+        check_search(1, _content(x_structure).family)
+        if block.size != 1:
+            raise ConfigError(f"the level-1 search maps a block of one cell, not {block.size}")
         if params.k0 > params.margins(1).clearance:
             raise ConfigError("the level-1 search needs k0 <= the level-1 clearance")
         region = cell_geometry(1, min(block.animal.sites), params).region
@@ -287,19 +301,6 @@ class Level1Rule:
         m0 = params.M0
         table = ACCEPTS[:, block_codes(np.arange(m0 * m0 + 1), m0)]
         return cls(region, m0, rel, x_structure.bits_at(block.domain_cells), table)
-
-
-def _level1_source(block, x_structure) -> None:
-    if _content(x_structure).family != "X" or block.size != 1:
-        raise ConfigError("the level-1 search maps one source-family cell")
-
-
-def level1_rule(block, params: ParameterSet, x_structure) -> Level1Rule:
-    """The level-1 search of a source block, with every check that
-    ``embeds_level`` makes of it done once: the Monte Carlo estimator
-    applies it to its trials a stack at a time."""
-    _level1_source(block, x_structure)
-    return Level1Rule.of(block, params, x_structure)
 
 
 def _embeds_level1(block, y_window, params, x_structure):

@@ -8,7 +8,6 @@ the same seed agree and sampling parallelizes trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,7 +19,8 @@ FORMAT_VERSION = 1
 # Cap on the number of sites in one sampled window.
 SITE_CAP = 1 << 26
 
-_FAMILY_TAGS = {"X": 0x58, "Y": 0x59}
+# The field families, X the source and Y the target, and their hash tags.
+FAMILY_TAGS = {"X": 0x58, "Y": 0x59}
 
 _U64 = np.uint64
 _M64 = (1 << 64) - 1
@@ -58,12 +58,12 @@ def _mix64_int(z: int) -> int:
 
 def site_bits(seed: int, family: str, xs, ys) -> np.ndarray:
     """Fair-coin bits for absolute sites (xs, ys); broadcasts like numpy."""
-    if family not in _FAMILY_TAGS:
+    if family not in FAMILY_TAGS:
         raise ConfigError(f"unknown family {family!r}")
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     shape = np.broadcast_shapes(xs.shape, ys.shape)
-    prefix = _mix64_int((seed & _M64) ^ _mix64_int(_FAMILY_TAGS[family]))
+    prefix = _mix64_int((seed & _M64) ^ _mix64_int(FAMILY_TAGS[family]))
     h = _mix64(np.atleast_1d(xs).astype(_U64) ^ _U64(prefix))
     h = _mix64(h ^ np.atleast_1d(ys).astype(_U64))
     return ((h >> _U64(31)) & _U64(1)).astype(np.uint8).reshape(shape)
@@ -133,9 +133,9 @@ class WindowHash:
             raise ConfigError(f"hash depth {depth} holds no seed")
         if width * height > SITE_CAP:
             raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
-        if family not in _FAMILY_TAGS:
+        if family not in FAMILY_TAGS:
             raise ConfigError(f"unknown family {family!r}")
-        self._tag = _mix64_int(_FAMILY_TAGS[family])
+        self._tag = _mix64_int(FAMILY_TAGS[family])
         self._xs = np.arange(origin[0], origin[0] + width, dtype=np.int64).astype(_U64)
         self._ys = np.arange(origin[1], origin[1] + height, dtype=np.int64).astype(_U64)[:, None]
         self._h, self._tmp = (np.empty((depth, height, width), _U64) for _ in range(2))
@@ -166,37 +166,12 @@ def sample_field(
     return BitField(family, tuple(origin), width, height, seed, bits)
 
 
-class Y0Class(Enum):
-    """Classification of a level-0 block of the target field."""
-
-    GOOD = "Good"
-    ZERO = "Zero"
-    ONE = "One"
-
-
 def good_threshold(m0: int) -> int:
     """Minimum count of the rarer symbol for a Good block (ceiling of M0^2/3)."""
     return -((m0 * m0) // -3)
 
 
-def classify_y0_block(block_bits, params: ParameterSet) -> Y0Class:
-    """Classify an M0 x M0 block as Good, Zero, or One.
-
-    Good when both symbols reach the threshold; otherwise the majority
-    symbol names the class, with ties going to One (at least as many ones
-    as zeros).
-    """
-    bits = np.asarray(block_bits, dtype=np.uint8).ravel()
-    n = params.M0 * params.M0
-    if bits.size != n:
-        raise ConfigError(f"expected {n} bits, got {bits.size}")
-    ones = int(bits.sum())
-    zeros = n - ones
-    if min(ones, zeros) >= good_threshold(params.M0):
-        return Y0Class.GOOD
-    return Y0Class.ONE if ones >= zeros else Y0Class.ZERO
-
-
+# The class of a level-0 target block, Good, Zero or One, as its int8 code.
 GRID_GOOD, GRID_ZERO, GRID_ONE = 0, 1, 2
 
 
@@ -240,18 +215,14 @@ def block_codes(ones: np.ndarray, m0: int) -> np.ndarray:
     return out
 
 
-def level0_embeds(x_bit: int, y_class: Y0Class) -> bool:
-    """Whether a single source bit embeds into a target block of this class."""
-    if y_class is Y0Class.GOOD:
-        return True
-    if x_bit == 0:
-        return y_class is Y0Class.ZERO
-    return y_class is Y0Class.ONE
+def level0_embeds(x_bit: int, code: int) -> bool:
+    """Whether a single source bit embeds into a target block of this code."""
+    return code == GRID_GOOD or code == (GRID_ONE if x_bit else GRID_ZERO)
 
 
 # The level-0 rule as a table: ACCEPTS[bit, code] is whether a source bit
 # embeds into a target block of grid code GRID_GOOD, GRID_ZERO or GRID_ONE.
-ACCEPTS = np.array([[level0_embeds(bit, k) for k in (Y0Class.GOOD, Y0Class.ZERO, Y0Class.ONE)]
+ACCEPTS = np.array([[level0_embeds(bit, code) for code in (GRID_GOOD, GRID_ZERO, GRID_ONE)]
                     for bit in (0, 1)])
 
 
@@ -278,7 +249,7 @@ def load_field(data: bytes) -> BitField:
     if len(parts) != 8 or parts[0] != "field":
         raise ConfigError("malformed field header")
     family = parts[1]
-    if family not in _FAMILY_TAGS:
+    if family not in FAMILY_TAGS:
         raise ConfigError(f"unknown family {family!r}")
     try:
         ox, oy, width, height, seed, version = (int(v) for v in parts[2:])

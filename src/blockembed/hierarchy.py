@@ -226,7 +226,10 @@ def build_level0(
 
     The source family has one site per level-0 cell and every cell is good;
     the target family has M0 x M0 sites per cell classified Good/Zero/One.
+    Any other family raises ConfigError.
     """
+    if family not in fields_mod.FAMILY_TAGS:
+        raise ConfigError(f"unknown family {family!r}")
     if family == "X":
         if site_field is None:
             site_field = fields_mod.sample_field(
@@ -988,8 +991,7 @@ class LevelStructure:
     level: int
     window: Rect  # level-j cell indices
     conjoined: frozenset  # frozensets {u, u'} of conjoined edges
-    lattice_blocks: list
-    blocks: list
+    blocks: list  # one per lattice block, in form_lattice_blocks order
     components: list
 
 
@@ -1039,12 +1041,15 @@ def block_curve(
     """The boundary curve of one lattice block, as (curve, placeholder).
 
     The selection's key is derived from the seed, the level and the low 16
-    bits of each coordinate of the block's least cell.  When no valid
-    curve exists for a censored block, the straight curve stands in and
-    ``placeholder`` is True: bad content hugging the window edge would
-    have conjoined the block outward in the full construction, so the
-    block is kept flagged censored and bad, excluded from statistics.  An
-    uncensored block raises CurveSelectionError instead.
+    bits of each coordinate of the block's least cell, so two blocks 65 536
+    level-1 cells apart share one.  No target-family window under
+    ``fields.SITE_CAP`` holds two such blocks; a 65 537 x 1 source-family
+    toy window of 2.9e7 sites does.  When no valid curve exists for a
+    censored block, the straight curve stands in and ``placeholder`` is
+    True: bad content hugging the window edge would have conjoined the
+    block outward in the full construction, so the block is kept flagged
+    censored and bad, excluded from statistics.  An uncensored block
+    raises CurveSelectionError instead.
     """
     params, j = level0.params, lattice_block.level
     x, y = min(lattice_block.animal.sites)
@@ -1083,15 +1088,11 @@ def build_level1(
     def conjoined(u, v):
         return frozenset((u, v)) in conjoined_edges
 
-    lattice_blocks = [
-        LatticeBlock(j, lb.animal)
-        for lb in form_lattice_blocks(cells, conjoined)
-    ]
-
     r = params.cells_per_side(j)
     region = window1.scaled(r)
     blocks = []
-    for lb in lattice_blocks:
+    for found in form_lattice_blocks(cells, conjoined):
+        lb = LatticeBlock(j, found.animal)
         bx0, by0, bx1, by1 = lb.animal.bounding_box()
         blowup = Rect(bx0, by0, bx1 + 1, by1 + 1).scaled(r).outset(params.margins(j).buffer)
         censored = not region.contains_rect(blowup)
@@ -1101,9 +1102,7 @@ def build_level1(
         blocks.append(replace(block, good=good, censored=censored))
 
     components = form_components(blocks)
-    return LevelStructure(
-        j, window1, frozenset(conjoined_edges), lattice_blocks, blocks, components
-    )
+    return LevelStructure(j, window1, frozenset(conjoined_edges), blocks, components)
 
 
 def dump_hierarchy(h: BlockHierarchy) -> str:

@@ -88,12 +88,11 @@ def exact_S0(component, family: str, params: ParameterSet) -> Fraction:
     Only the target family has level-0 components: 2**(-V) with V the
     number of bad cells, read from ``bad_summary`` (each bad cell pins the
     partner bit; a good singleton has none).  A source-family level 0 has
-    no bad cell, so a source component is rejected.
+    no bad cell, so ``embed.check_search`` refuses a source component.
     """
     if component.level != 0:
         raise ConfigError("exact probabilities are available at level 0 only")
-    if family != "Y":
-        raise ConfigError(f"level-0 components are target-family, not {family!r}")
+    embed.check_search(0, family)
     return Fraction(1, 2**component.bad_summary[1])
 
 
@@ -147,7 +146,7 @@ def _estimate_level1_x(block, structure, trials, seed, params, workers):
     gather from the rule's count table.  Each worker thread reuses its own
     hash buffers.
     """
-    rule = embed.level1_rule(block, params, structure)
+    rule = embed.Level1Rule.of(block, params, structure)
     origin, width, height = rule.window
     depth = max(1, _STACK_SITES // (width * height))
     local = threading.local()
@@ -179,24 +178,20 @@ def estimate_S(
 
     Each trial draws an independent partner (bits keyed to the seed and the
     trial index) and checks partner validity together with embeddability.
-    Deterministic for fixed (seed, trials) at any worker count.
+    Deterministic for fixed (seed, trials) at any worker count.  The
+    (level, family) pair is refused as ``embed.check_search`` refuses it.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise PreconditionError(f"trials must be at least 1 and an integer, got {trials!r}")
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigError(f"workers must be at least 1 and an integer, got {workers!r}")
-    if level == 0:
-        if family != "Y":
-            raise ConfigError(f"level-0 components are target-family, not {family!r}")
-        if structure is None:
-            raise PreconditionError("target-side estimation needs the class content")
-        succ = _estimate_level0_y(component, structure, trials, seed, params)
-    elif level == 1:
-        if family != "X":
-            raise ConfigError("level-1 estimation is implemented for source blocks")
+    embed.check_search(level, family)
+    if level == 1:
         succ = _estimate_level1_x(component, structure, trials, seed, params, workers)
+    elif structure is None:
+        raise PreconditionError("target-side estimation needs the class content")
     else:
-        raise ConfigError("estimation supports levels 0 and 1")
+        succ = _estimate_level0_y(component, structure, trials, seed, params)
     return ProbabilityEstimate.from_counts(succ, trials, seed)
 
 

@@ -214,7 +214,7 @@ class TestStructuralInvariants:
                         stack.append(n)
             seen |= comp
             flood.append(frozenset(comp))
-        assert sorted(lb.animal.sites for lb in lvl.lattice_blocks) == sorted(flood)
+        assert sorted(b.animal.sites for b in lvl.blocks) == sorted(flood)
 
         # Component grouping: good components are good singletons; distinct
         # components carry no close-packed adjacent bad blocks; diagonal

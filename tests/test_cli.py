@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blockembed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, main
-from blockembed.fields import BitField, dump_field
+from blockembed.fields import BitField, dump_field, load_field, sample_field
 from blockembed.oracle import Instance, count_embeddings
 
 
@@ -290,6 +290,41 @@ class TestEstimateAndReports:
         assert ("stand-in sample (S=1, V=1)" in err) == censored
         size = (tmp_path / "r" / "size.csv").read_text().splitlines()
         assert (size[2:] == ["0,1,1,1,1,1"]) == censored
+
+
+class TestSeedRange:
+    # A seed is one 64-bit word; outside [0, 2**64) it would alias one inside.
+    SEEDED = ["sample", "build", "components", "estimate-s", "reports", "render"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, command, seed):
+        out_dir = tmp_path / "out"
+        args = [command, "--seed", seed]
+        if command not in ("components", "estimate-s"):
+            args += ["--out-dir", str(out_dir)]
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_CONFIG
+        assert f"'--seed': {seed} is not in the range 0<=x<=18446744073709551615" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_config_file_seed_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed = {2**64 + 1}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "components")
+        assert code == EXIT_CONFIG
+        assert out == "" and "is not in the range" in err
+
+    def test_top_of_the_range_is_a_seed(self, tmp_path, capsys):
+        top = 2**64 - 1
+        code, out, _ = run(capsys, "sample", "--seed", str(top), "--width", "8",
+                           "--height", "8", "--out-dir", str(tmp_path / "s"))
+        assert code == EXIT_OK
+        field = load_field((tmp_path / "s" / f"field-Y-{top}.bin").read_bytes())
+        assert field.seed == top
+        assert field == sample_field(top, "Y", (0, 0), 8, 8)
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == str(top)
 
 
 class TestEmptyWindow:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockembed import embed, hierarchy as hier
+from blockembed import embed, hierarchy as hier, stats
+from blockembed.cli import EXIT_CONFIG, EXIT_OK, main
 from blockembed.embed import (
     EmbeddingMap,
     InvalidOffset,
@@ -27,7 +28,6 @@ from blockembed.fields import (
     WindowHash,
     block_codes,
     block_ones,
-    classify_y0_block,
     derive_seed,
     level0_embeds,
     sample_field,
@@ -36,6 +36,8 @@ from blockembed.lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from blockembed.hierarchy import build_level0, level0_window_for
 from blockembed.oracle import Instance, find_embedding
 from blockembed.params import named_profile
+
+from test_fields import classify_y0_block
 
 
 def chebyshev(a, b) -> int:
@@ -530,12 +532,15 @@ class TestGatheredContent:
         assert got == expect == _accepts_cells_ref(mapping, xs, ys)
 
     def test_accepts_reads_bits_from_the_source(self, toy1):
+        # A target-family structure carries classes, not bits: the rule
+        # refuses it by its family before reading any.
         ys = build_level0(toy1, "Y", 1, level0_window_for(Rect(0, 0, 1, 1), toy1))
         lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
         block = hier.Block(1, lb, _square(16))
-        yf = sample_field(1, "Y", (0, 0), 16 * toy1.M0, 16 * toy1.M0)
+        with pytest.raises(ConfigError, match="the level-1 search maps family X, not 'Y'"):
+            embed.Level1Rule.of(block, toy1, ys)
         with pytest.raises(ConfigError, match="not single bits"):
-            embed._embeds_level1(block, yf, toy1, ys)
+            ys.bits_at(cell_array(sorted(block.domain)))
 
     @given(st.integers(0, 2**32),
            st.frozensets(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), min_size=1))
@@ -558,7 +563,7 @@ class TestLevel1Rule:
     def _rule(params):
         xs = build_level0(params, "X", 42, level0_window_for(Rect(0, 0, 1, 1), params))
         lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        return embed.level1_rule(hier.Block(1, lb, _square(16)), params, xs)
+        return embed.Level1Rule.of(hier.Block(1, lb, _square(16)), params, xs)
 
     @pytest.mark.parametrize("m0", range(1, 17))
     def test_count_table_is_the_level0_rule(self, toy1, m0):
@@ -673,12 +678,75 @@ class TestRigidOrRepair:
         assert witnesses or profile == "toy-m0-3"
 
 
+class TestCheckSearch:
+    """One refusal of a (level, family) pair, whoever asks: the CLI, the
+    estimators and the search refuse exactly the pairs ``check_search``
+    refuses, each with its message."""
+
+    @staticmethod
+    def _refusal(level, family):
+        try:
+            embed.check_search(level, family)
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        """Per family: the params, a block of it, its level-0 structure and
+        a partner window that covers the block."""
+        p3 = named_profile("toy-m0-3")
+        ys = build_level0(p3, "Y", 1, Rect(0, 0, 8, 8))
+        toy1 = named_profile("toy1")
+        hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
+        return {"Y": (p3, ys.bad_components[0], ys, sample_field(0, "X", (0, 0), 8, 8)),
+                "X": (toy1, hx.levels[1].blocks[0], hx.level0,
+                      sample_field(0, "Y", (0, 0), 16 * toy1.M0, 16 * toy1.M0))}
+
+    def test_the_searched_pairs(self):
+        refused = {(level, family) for level in (-1, 0, 1, 2) for family in ("X", "Y")
+                   if self._refusal(level, family)}
+        assert refused == {(-1, "X"), (-1, "Y"), (0, "X"), (1, "Y"), (2, "X"), (2, "Y")}
+        assert embed.check_search(0, "Y") == "X" and embed.check_search(1, "X") == "Y"
+
+    @pytest.mark.parametrize("family", ["X", "Y"])
+    @pytest.mark.parametrize("level", [-1, 0, 1, 2])
+    def test_one_refusal_everywhere(self, searches, capsys, monkeypatch, level, family):
+        want = self._refusal(level, family)
+        params, block, structure, partner = searches[family]
+
+        built = []
+        build = hier.build_hierarchy
+        monkeypatch.setattr(hier, "build_hierarchy", lambda *a: built.append(a) or build(*a))
+        code = main(["estimate-s", "--profile", "toy1", "--level", str(level),
+                     "--family", family, "--trials", "5", "--window", "0", "0", "1", "1"])
+        out, err = capsys.readouterr()
+        if want:
+            assert (code, out, err, built) == (EXIT_CONFIG, "", f"config error: {want}\n", [])
+        else:
+            assert code == EXIT_OK and out and built
+
+        calls = [lambda: stats.estimate_S(block, level, 5, 1, params, family=family,
+                                          structure=structure),
+                 lambda: embeds_level(block, partner, level, params, x_structure=structure)]
+        if level == 0:
+            component = block if family == "Y" else _good_cell((1, 1))
+            calls.append(lambda: stats.exact_S0(component, family, params))
+        for call in calls:
+            if want:
+                with pytest.raises(ConfigError) as exc:
+                    call()
+                assert str(exc.value) == want
+            else:
+                call()
+
+
 class TestEmbedsLevel:
     def test_level0_source_component(self, toy1):
         # A source level 0 has no bad cell, so no source component exists.
         xs = build_level0(toy1, "X", 3, Rect(0, 0, 4, 4))
         yf = sample_field(0, "Y", (0, 0), 4 * toy1.M0, 4 * toy1.M0)
-        with pytest.raises(ConfigError, match="target-family component"):
+        with pytest.raises(ConfigError, match="the level-0 search maps family Y, not 'X'"):
             embeds_level(_good_cell((1, 1)), yf, 0, toy1, x_structure=xs)
 
     def test_level0_witness_flattens_and_verifies(self):
@@ -886,19 +954,23 @@ class TestEmbedsLevel:
 
     def test_level1_source_is_one_source_cell(self, toy1):
         # A level-1 source is a single cell of the source family: a wider
-        # block or a target-family structure is rejected before any work.
+        # block or a target-family structure is rejected before any work,
+        # the structure by check_search's refusal of the pair (1, Y).
         hx = hier.build_hierarchy(toy1, "X", 42, Rect(0, 0, 1, 1))
         cell = hx.levels[1].blocks[0]
         pair = LatticeAnimal(frozenset([(0, 0), (1, 0)]))
         wide = hier.Block(1, hier.LatticeBlock(1, pair), frozenset(), good=False)
         yf = sample_field(0, "Y", (0, 0), 4 * toy1.M0, 4 * toy1.M0)
-        with pytest.raises(ConfigError, match="one source-family cell"):
+        with pytest.raises(ConfigError, match="maps a block of one cell, not 2"):
             embeds_level(wide, yf, 1, toy1, x_structure=hx.level0)
         hy = hier.build_hierarchy(toy1, "Y", 42, Rect(0, 0, 1, 1))
-        with pytest.raises(ConfigError, match="one source-family cell"):
-            embeds_level(hy.levels[1].blocks[0], yf, 1, toy1, x_structure=hy.level0)
-        with pytest.raises(ConfigError, match="one source-family cell"):
-            embeds_level(cell, yf, 1, toy1, x_structure=hy.level0)
+        for block in (hy.levels[1].blocks[0], cell, wide):
+            with pytest.raises(ConfigError, match="the level-1 search maps family X, not 'Y'"):
+                embeds_level(block, yf, 1, toy1, x_structure=hy.level0)
+            with pytest.raises(ConfigError, match="the level-1 search maps family X, not 'Y'"):
+                embed.Level1Rule.of(block, toy1, hy.level0)
+        with pytest.raises(ConfigError, match="maps a block of one cell, not 2"):
+            embed.Level1Rule.of(wide, toy1, hx.level0)
 
     def test_partner_window_family_is_checked(self, toy1):
         # A level-1 target window must be target-family and a level-0

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from blockembed.errors import CapExceeded, ConfigError
 from blockembed.fields import (
-    _FAMILY_TAGS,
     ACCEPTS,
+    FAMILY_TAGS,
     GRID_GOOD,
     GRID_ONE,
     GRID_ZERO,
     BitField,
     WindowHash,
-    Y0Class,
     block_codes,
     block_ones,
     classify_grid,
-    classify_y0_block,
     derive_seed,
     dump_field,
     good_threshold,
@@ -35,7 +33,29 @@ from blockembed.fields import (
 )
 from blockembed.params import named_profile
 
-CODES = {Y0Class.GOOD: GRID_GOOD, Y0Class.ZERO: GRID_ZERO, Y0Class.ONE: GRID_ONE}
+
+def classify_y0_block(block_bits, params) -> int:
+    """Per-block reference: the grid code of an M0 x M0 block of bits.
+
+    Good when both symbols reach the threshold; otherwise the majority
+    symbol names the class, with ties going to One (at least as many ones
+    as zeros).
+    """
+    bits = np.asarray(block_bits, dtype=np.uint8).ravel()
+    n = params.M0 * params.M0
+    assert bits.size == n
+    ones = int(bits.sum())
+    zeros = n - ones
+    if min(ones, zeros) >= good_threshold(params.M0):
+        return GRID_GOOD
+    return GRID_ONE if ones >= zeros else GRID_ZERO
+
+
+def _grid_code(block_bits, params) -> int:
+    """The code ``classify_grid`` gives a window of one M0 x M0 block."""
+    m0 = params.M0
+    bits = np.asarray(block_bits, dtype=np.uint8).reshape(m0, m0)
+    return classify_grid(BitField("Y", (0, 0), m0, m0, 0, bits), params)[0, 0]
 
 
 class TestSampling:
@@ -96,12 +116,12 @@ class TestSampling:
             h = _mix64(h ^ np.uint64(c % 2**64))
         assert derive_seed(seed, *counters) == int(h[0])
 
-    @given(st.integers(0, 2**64 - 1), st.sampled_from(sorted(_FAMILY_TAGS)),
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(sorted(FAMILY_TAGS)),
            st.integers(-2**40, 2**40), st.integers(-2**40, 2**40))
     @settings(max_examples=100, deadline=None)
     def test_site_bits_match_the_array_mix(self, seed, family, x, y):
         prefix = _mix64(np.array([seed], dtype=np.uint64)
-                        ^ _mix64(np.array([_FAMILY_TAGS[family]], dtype=np.uint64)))
+                        ^ _mix64(np.array([FAMILY_TAGS[family]], dtype=np.uint64)))
         h = _mix64(_mix64(prefix ^ np.uint64(x % 2**64)) ^ np.uint64(y % 2**64))
         assert site_bits(seed, family, x, y) == (int(h[0]) >> 31) & 1
 
@@ -174,7 +194,7 @@ class TestWindowStacks:
 
     @given(st.lists(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
                     min_size=1, max_size=7),
-           st.integers(1, 4), st.sampled_from(sorted(_FAMILY_TAGS)),
+           st.integers(1, 4), st.sampled_from(sorted(FAMILY_TAGS)),
            st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12), st.integers(1, 12))
     @example([0, 2**64 - 1], 1, "Y", -1, -1, 1, 1)
     @example([2**64 - 1, 0, 5, 6, 7], 3, "Y", -9, -18, 9, 18)
@@ -235,23 +255,23 @@ class TestClassification:
 
     def test_all_ones_is_one(self):
         p = named_profile("toy-m0-3")
-        assert classify_y0_block(np.ones(9), p) is Y0Class.ONE
+        assert _grid_code(np.ones(9), p) == classify_y0_block(np.ones(9), p) == GRID_ONE
 
     def test_all_zeros_is_zero(self):
         p = named_profile("toy-m0-3")
-        assert classify_y0_block(np.zeros(9), p) is Y0Class.ZERO
+        assert _grid_code(np.zeros(9), p) == classify_y0_block(np.zeros(9), p) == GRID_ZERO
 
     def test_balanced_is_good(self):
         p = named_profile("toy-m0-3")
         bits = [1, 0, 1, 0, 1, 0, 1, 0, 1]
-        assert classify_y0_block(bits, p) is Y0Class.GOOD
+        assert _grid_code(bits, p) == classify_y0_block(bits, p) == GRID_GOOD
 
     def test_tie_goes_to_one(self):
         p = named_profile("toy-m0-2")
         # 2 ones, 2 zeros: both reach threshold 2, so Good, not a tie case;
         # below threshold the majority rules and exact ties resolve to One.
-        assert classify_y0_block([1, 1, 0, 0], p) is Y0Class.GOOD
-        assert classify_y0_block([1, 1, 1, 0], p) is Y0Class.ONE
+        assert _grid_code([1, 1, 0, 0], p) == classify_y0_block([1, 1, 0, 0], p) == GRID_GOOD
+        assert _grid_code([1, 1, 1, 0], p) == classify_y0_block([1, 1, 1, 0], p) == GRID_ONE
 
     def test_classify_grid_matches_blockwise(self):
         p = named_profile("toy-m0-3")
@@ -260,7 +280,7 @@ class TestClassification:
         for by in range(10):
             for bx in range(10):
                 block = f.bits[by * 3 : by * 3 + 3, bx * 3 : bx * 3 + 3]
-                assert grid[by, bx] == CODES[classify_y0_block(block, p)]
+                assert grid[by, bx] == classify_y0_block(block, p)
 
     @given(st.sampled_from([2, 3, 6, 9]), st.integers(0, 7), st.integers(0, 7),
            st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([0.2, 0.5, 0.8]),
@@ -292,17 +312,18 @@ class TestClassification:
             classify_grid(f, p)
 
     def test_level0_embeds_table(self):
-        assert level0_embeds(0, Y0Class.GOOD)
-        assert level0_embeds(1, Y0Class.GOOD)
-        assert level0_embeds(0, Y0Class.ZERO)
-        assert not level0_embeds(1, Y0Class.ZERO)
-        assert level0_embeds(1, Y0Class.ONE)
-        assert not level0_embeds(0, Y0Class.ONE)
+        assert level0_embeds(0, GRID_GOOD)
+        assert level0_embeds(1, GRID_GOOD)
+        assert level0_embeds(0, GRID_ZERO)
+        assert not level0_embeds(1, GRID_ZERO)
+        assert level0_embeds(1, GRID_ONE)
+        assert not level0_embeds(0, GRID_ONE)
 
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("klass", list(Y0Class))
-    def test_accepts_table_is_the_rule(self, bit, klass):
-        assert ACCEPTS[bit, CODES[klass]] == level0_embeds(bit, klass)
+    @pytest.mark.parametrize("code", [GRID_GOOD, GRID_ONE, GRID_ZERO],
+                             ids=["good", "one", "zero"])
+    def test_accepts_table_is_the_rule(self, bit, code):
+        assert ACCEPTS[bit, code] == level0_embeds(bit, code)
 
 
 class TestSerialization:

@@ -1695,9 +1695,18 @@ class TestDriver:
         b = dump_hierarchy(build_hierarchy(toy1, "Y", 99, Rect(0, 0, 2, 2)))
         assert a == b
 
+    @pytest.mark.parametrize("family", ["Z", "x", ""])
+    def test_unknown_family_is_refused(self, toy1, family):
+        # Only X and Y are families: any other name is refused before a
+        # field is sampled, never built as a target family under its name.
+        with pytest.raises(ConfigError, match=f"unknown family {family!r}"):
+            build_hierarchy(toy1, family, 3, Rect(0, 0, 1, 1))
+        with pytest.raises(ConfigError, match=f"unknown family {family!r}"):
+            build_level0(toy1, family, 3, Rect(0, 0, 4, 4))
+
     def test_blocks_partition_window(self, toy1):
         h = build_hierarchy(toy1, "Y", 4, Rect(0, 0, 3, 3))
-        cells = [c for b in h.levels[1].lattice_blocks for c in b.animal.sites]
+        cells = [c for b in h.levels[1].blocks for c in b.animal.sites]
         assert sorted(cells) == sorted(Rect(0, 0, 3, 3).cells())
 
     def test_edge_blocks_censored(self, toy1):

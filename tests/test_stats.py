@@ -66,7 +66,7 @@ class TestExactS0:
     def test_source_singleton(self):
         # A source level 0 has no bad cell, so it has no component to price.
         comp = _bad_component(Rect(0, 0, 1, 1))
-        with pytest.raises(ConfigError, match="target-family"):
+        with pytest.raises(ConfigError, match="the level-0 search maps family Y, not 'X'"):
             exact_S0(comp, "X", named_profile("toy-m0-2"))
 
     def test_level_restriction(self, toy1):
@@ -124,7 +124,7 @@ class TestEstimateS:
 
     def test_level0_source_side_rejected(self):
         comp = _bad_component(Rect(0, 0, 1, 1))
-        with pytest.raises(ConfigError, match="target-family"):
+        with pytest.raises(ConfigError, match="the level-0 search maps family Y, not 'X'"):
             estimate_S(comp, 0, 100, 9, named_profile("toy-m0-2"), family="X",
                        structure=_bit_content(0))
 
