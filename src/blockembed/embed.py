@@ -16,12 +16,13 @@ refusal of a (level, family) pair that no search runs, for every caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .fields import ACCEPTS, BitField, block_codes, block_ones
+from .fields import ACCEPTS, BitField, block_codes, block_ones, count_dtype
 from .lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from .params import ParameterSet, lipschitz_bound
 
@@ -242,23 +243,46 @@ def _embeds_level0(component, x_window, params, y_level0):
     return EmbeddingWitness(0, frozenset(cells))
 
 
+@lru_cache(maxsize=None)
+def count_bounds(m0: int) -> np.ndarray:
+    """The one-counts of an M0 x M0 target block that each source bit
+    accepts, as ``bounds[bit] = (first, last)``.
+
+    The level-0 rule over counts, ``ACCEPTS[:, block_codes(ones, m0)]``,
+    accepts one interval of counts per bit, and this checks it: a bit is
+    refused only by the majority class of the other value, which is every
+    count with fewer than ceil(M0^2 / 3) sites of the bit's own value.
+    Computed once per M0.
+    """
+    table = ACCEPTS[:, block_codes(np.arange(m0 * m0 + 1), m0)]
+    bounds = np.empty((2, 2), dtype=np.int64)
+    for bit, row in enumerate(table):
+        accepted = np.flatnonzero(row)
+        assert accepted.size and accepted[-1] - accepted[0] + 1 == accepted.size, (
+            f"bit {bit} accepts no single interval of counts at M0 = {m0}")
+        bounds[bit] = accepted[0], accepted[-1]
+    bounds.flags.writeable = False
+    return bounds
+
+
 @dataclass(frozen=True, eq=False)
 class Level1Rule:
     """The level-1 search of one source block, checked once and applied to
     any number of target windows over the block's cell region.
 
-    ``rel`` is the domain as (x, y) cells relative to ``region`` and
-    ``bits`` their source bits.  A target window is accepted, with the
-    identity witness, exactly when every domain cell's bit is accepted by
-    the class of the M0 x M0 target block under it.  ``table[bit, ones]``
-    is that verdict for a target block holding ``ones`` ones.
+    A target window is accepted, with the identity witness, exactly when
+    every domain cell's bit is accepted by the class of the M0 x M0 target
+    block under it.  A bit accepts one interval of counts of ones (see
+    ``count_bounds``), so ``low`` and ``high`` hold, per cell of the
+    region, the first and last count that the cell's bit accepts, and a
+    cell off the domain accepts every count.  Both are indexed [y, x]
+    relative to ``region``, in the dtype that ``block_ones`` counts in.
     """
 
     region: Rect
     m0: int
-    rel: np.ndarray
-    bits: np.ndarray
-    table: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
 
     @property
     def window(self) -> tuple:
@@ -269,8 +293,8 @@ class Level1Rule:
     def accepts(self, sites: np.ndarray) -> np.ndarray:
         """Per layer of a (T, height, width) stack of target windows over
         the region: whether the search accepts it."""
-        ones = block_ones(sites, self.m0)[:, self.rel[:, 1], self.rel[:, 0]]
-        return self.table[self.bits, ones].all(axis=1)
+        ones = block_ones(sites, self.m0)
+        return ((ones >= self.low) & (ones <= self.high)).all(axis=(1, 2))
 
     @classmethod
     def of(cls, block, params: ParameterSet, x_structure) -> "Level1Rule":
@@ -295,12 +319,17 @@ class Level1Rule:
         if params.k0 > params.margins(1).clearance:
             raise ConfigError("the level-1 search needs k0 <= the level-1 clearance")
         region = cell_geometry(1, min(block.animal.sites), params).region
+        side = region.x1 - region.x0
         rel = block.domain_cells - (region.x0, region.y0)
-        if not ((rel >= 0) & (rel < region.x1 - region.x0)).all():
+        if not ((rel >= 0) & (rel < side)).all():
             raise PreconditionError("source domain leaves its cell's region")
         m0 = params.M0
-        table = ACCEPTS[:, block_codes(np.arange(m0 * m0 + 1), m0)]
-        return cls(region, m0, rel, x_structure.bits_at(block.domain_cells), table)
+        low = np.zeros((side, side), dtype=count_dtype(m0))
+        high = np.full((side, side), m0 * m0, dtype=count_dtype(m0))
+        first, last = count_bounds(m0)[x_structure.bits_at(block.domain_cells)].T
+        low[rel[:, 1], rel[:, 0]] = first
+        high[rel[:, 1], rel[:, 0]] = last
+        return cls(region, m0, low, high)
 
 
 def _embeds_level1(block, y_window, params, x_structure):

@@ -56,10 +56,15 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def site_bits(seed: int, family: str, xs, ys) -> np.ndarray:
-    """Fair-coin bits for absolute sites (xs, ys); broadcasts like numpy."""
+def check_family(family: str) -> None:
+    """Raise ConfigError unless ``family`` is one of ``FAMILY_TAGS``."""
     if family not in FAMILY_TAGS:
         raise ConfigError(f"unknown family {family!r}")
+
+
+def site_bits(seed: int, family: str, xs, ys) -> np.ndarray:
+    """Fair-coin bits for absolute sites (xs, ys); broadcasts like numpy."""
+    check_family(family)
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     shape = np.broadcast_shapes(xs.shape, ys.shape)
@@ -133,8 +138,7 @@ class WindowHash:
             raise ConfigError(f"hash depth {depth} holds no seed")
         if width * height > SITE_CAP:
             raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
-        if family not in FAMILY_TAGS:
-            raise ConfigError(f"unknown family {family!r}")
+        check_family(family)
         self._tag = _mix64_int(FAMILY_TAGS[family])
         self._xs = np.arange(origin[0], origin[0] + width, dtype=np.int64).astype(_U64)
         self._ys = np.arange(origin[1], origin[1] + height, dtype=np.int64).astype(_U64)[:, None]
@@ -199,9 +203,14 @@ def block_ones(bits: np.ndarray, m0: int) -> np.ndarray:
     m0 = 15, int16 up to m0 = 181 and int64 above that.
     """
     *stack, h, w = bits.shape
-    dtype = np.uint8 if m0 * m0 < 1 << 8 else np.int16 if m0 * m0 < 1 << 15 else np.int64
+    dtype = count_dtype(m0)
     rows = np.add.reduce(bits.reshape(*stack, h // m0, m0, w), axis=-2, dtype=dtype)
     return np.add.reduce(rows.reshape(*stack, h // m0, w // m0, m0), axis=-1, dtype=dtype)
+
+
+def count_dtype(m0: int) -> type:
+    """The dtype ``block_ones`` counts an m0 x m0 block in."""
+    return np.uint8 if m0 * m0 < 1 << 8 else np.int16 if m0 * m0 < 1 << 15 else np.int64
 
 
 def block_codes(ones: np.ndarray, m0: int) -> np.ndarray:
@@ -249,8 +258,7 @@ def load_field(data: bytes) -> BitField:
     if len(parts) != 8 or parts[0] != "field":
         raise ConfigError("malformed field header")
     family = parts[1]
-    if family not in FAMILY_TAGS:
-        raise ConfigError(f"unknown family {family!r}")
+    check_family(family)
     try:
         ox, oy, width, height, seed, version = (int(v) for v in parts[2:])
     except ValueError:

@@ -20,15 +20,17 @@ Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
 indices.  Level-0 cells coincide with level-0 blocks of the field.
 
-``scipy.ndimage`` is imported inside the functions that label or dilate,
-so that commands which never build a hierarchy start without scipy.
+``scipy.ndimage`` is imported inside the two functions that label, and
+only when there is something to label: dilation is a numpy shifted OR, so
+commands that build no target-family level 0 (a source-family ``build``,
+``estimate-s --level 1``) start without it.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -89,6 +91,13 @@ class LatticeBlock:
         return len(self.animal)
 
 
+def _sorted_cells(domain: frozenset) -> np.ndarray:
+    """A cell set as a sorted, read-only (n, 2) cell array."""
+    cells = cell_array(sorted(domain))
+    cells.flags.writeable = False
+    return cells
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     """A realized boundary choice for one lattice block.
@@ -103,6 +112,12 @@ class BoundaryCurve:
     corner_indices: tuple  # ((vertex, (ell, s)), ...) sorted
     edge_indices: tuple  # (((cell, side), s_e), ...) sorted
     domain: frozenset
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """The domain as a sorted, read-only (n, 2) cell array, sorted on
+        first read and shared by every block cut by this curve."""
+        return _sorted_cells(self.domain)
 
     @cached_property
     def polyline(self) -> tuple:
@@ -135,10 +150,11 @@ class Block:
 
     @cached_property
     def domain_cells(self) -> np.ndarray:
-        """The domain as a sorted, read-only (n, 2) cell array."""
-        cells = cell_array(sorted(self.domain))
-        cells.flags.writeable = False
-        return cells
+        """The domain as a sorted, read-only (n, 2) cell array: its curve's
+        when the block holds the curve's domain."""
+        if self.curve is not None and self.curve.domain is self.domain:
+            return self.curve.cells
+        return _sorted_cells(self.domain)
 
     @property
     def size(self) -> int:
@@ -228,8 +244,7 @@ def build_level0(
     the target family has M0 x M0 sites per cell classified Good/Zero/One.
     Any other family raises ConfigError.
     """
-    if family not in fields_mod.FAMILY_TAGS:
-        raise ConfigError(f"unknown family {family!r}")
+    fields_mod.check_family(family)
     if family == "X":
         if site_field is None:
             site_field = fields_mod.sample_field(
@@ -310,13 +325,17 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
     """Partition a cell window into connected components of conjoined edges.
 
     ``conjoined`` is a predicate on ordered cell pairs (u, u') for euclidean
-    neighbors; it is queried once per undirected internal edge.
+    neighbors; it is queried once per undirected internal edge.  With no
+    conjoined edge every cell is its own block, and nothing is labelled.
     """
+    cells = sorted(set(window))
+    cell_set = set(cells)
+    edges = [(u, v) for u in cells for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1))
+             if v in cell_set and conjoined(u, v)]
+    if not edges:
+        return [LatticeBlock(0, LatticeAnimal(frozenset([u]))) for u in cells]
     from scipy import ndimage
 
-    cells = sorted(set(window))
-    if not cells:
-        return []
     x0 = min(x for x, _ in cells)
     y0 = min(y for _, y in cells)
     # Doubled grid: cell (x, y) sits at (2x, 2y) and the edge to its right
@@ -325,13 +344,10 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
     # the 4-connected labels are the close-packed ones.
     grid = np.zeros((2 * (max(y for _, y in cells) - y0) + 1,
                      2 * (max(x for x, _ in cells) - x0) + 1), dtype=bool)
-    cell_set = set(cells)
     for x, y in cells:
-        gx, gy = 2 * (x - x0), 2 * (y - y0)
-        grid[gy, gx] = True
-        for v, (ex, ey) in (((x + 1, y), (gx + 1, gy)), ((x, y + 1), (gx, gy + 1))):
-            if v in cell_set and conjoined((x, y), v):
-                grid[ey, ex] = True
+        grid[2 * (y - y0), 2 * (x - x0)] = True
+    for (ux, uy), (vx, vy) in edges:
+        grid[uy + vy - 2 * y0, ux + vx - 2 * x0] = True
     labels, _ = ndimage.label(grid)
     groups: dict = {}
     for x, y in cells:
@@ -579,10 +595,17 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Cells within Chebyshev distance ``radius`` of a mask cell."""
-    from scipy import ndimage
-
-    return ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant")
+    """Cells of a 2-D boolean mask within Chebyshev distance ``radius`` of a
+    mask cell: the square dilation, a shifted OR along y and then along x."""
+    rows = mask.copy()
+    for d in range(1, radius + 1):
+        rows[d:] |= mask[:-d]
+        rows[:-d] |= mask[d:]
+    out = rows.copy()
+    for d in range(1, radius + 1):
+        out[:, d:] |= rows[:, :-d]
+        out[:, :-d] |= rows[:, d:]
+    return out
 
 
 def _edge_factors(frame: CurveFrame, forbidden: np.ndarray) -> dict:
@@ -892,12 +915,14 @@ def form_block(
     lattice_block: LatticeBlock,
     curve: Optional[BoundaryCurve],
     level: int,
+    good: Optional[bool] = None,
+    censored: bool = False,
 ) -> Block:
     """Cut a block out of a curve-bounded domain: its member cells are the
     domain's cells."""
     if not domain:
         raise PreconditionError("domain is empty")
-    return Block(level, lattice_block, frozenset(domain), curve)
+    return Block(level, lattice_block, frozenset(domain), curve, good, censored)
 
 
 # ---------------------------------------------------------------------------
@@ -961,9 +986,11 @@ def form_components(blocks: Sequence[Block]) -> list:
 # Good blocks
 
 
-def classify_good_block(block: Block, level_below: Level0Structure) -> bool:
-    """Goodness test for a block: size 1, and no bad component of the level
-    below meets its domain.
+def classify_good_block(
+    lattice_block: LatticeBlock, domain: frozenset, level_below: Level0Structure
+) -> bool:
+    """Goodness test for the block cut from a lattice block by a domain:
+    size 1, and no bad component of the level below meets the domain.
 
     The construction lets a good block carry up to k0 cells of semi-bad
     subcomponents, and asks every airport-sized square of member cells to
@@ -973,9 +1000,8 @@ def classify_good_block(block: Block, level_below: Level0Structure) -> bool:
     1 - 1/(v0**5 * k0**4) >= 15/16 that ParameterSet keeps, so every
     level-0 component is really-bad.
     """
-    domain = block.domain
     # Each box's cells against the domain, iterated in C: exact for any domain.
-    return block.size == 1 and all(
+    return lattice_block.size == 1 and all(
         domain.isdisjoint(itertools.product(range(b.x0, b.x1), range(b.y0, b.y1)))
         for b in (comp.box for comp in level_below.bad_components))
 
@@ -1097,9 +1123,8 @@ def build_level1(
         blowup = Rect(bx0, by0, bx1 + 1, by1 + 1).scaled(r).outset(params.margins(j).buffer)
         censored = not region.contains_rect(blowup)
         curve, placeholder = block_curve(lb, level0, seed, censored)
-        block = form_block(curve.domain, lb, curve, j)
-        good = not placeholder and classify_good_block(block, level0)
-        blocks.append(replace(block, good=good, censored=censored))
+        good = not placeholder and classify_good_block(lb, curve.domain, level0)
+        blocks.append(form_block(curve.domain, lb, curve, j, good, censored))
 
     components = form_components(blocks)
     return LevelStructure(j, window1, frozenset(conjoined_edges), blocks, components)

@@ -4,7 +4,8 @@ and reports.
 Level-0 and level-1 embedding probabilities have closed forms (``exact_S0``,
 ``exact_S1``); the Monte Carlo estimators sample independent partner
 windows.  Level-1 trials are decided in stacks: one hash, one block count
-and one count-table gather for every few trials, the block checked once.
+and two compares against the rule's per-cell count bounds for every few
+trials, the block checked once.
 Recursive tail/size/good-probability bounds are *reported* against the
 empirical data, never asserted: at desk-scale parameters the inequalities
 are not expected to hold, and the tables exist to show by how much.
@@ -142,9 +143,9 @@ def _estimate_level1_x(block, structure, trials, seed, params, workers):
     window; the probability it estimates is ``exact_S1(block, params)``.
 
     The block is checked once, then its trials are decided a stack at a
-    time: one hash of the stack's target windows, one block count and one
-    gather from the rule's count table.  Each worker thread reuses its own
-    hash buffers.
+    time: one hash of the stack's target windows, one block count and two
+    compares against the rule's bound grids.  Each worker thread reuses its
+    own hash buffers.
     """
     rule = embed.Level1Rule.of(block, params, structure)
     origin, width, height = rule.window

@@ -35,7 +35,7 @@ from blockembed.fields import (
 from blockembed.lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from blockembed.hierarchy import build_level0, level0_window_for
 from blockembed.oracle import Instance, find_embedding
-from blockembed.params import named_profile
+from blockembed.params import PROFILES, named_profile
 
 from test_fields import classify_y0_block
 
@@ -555,38 +555,99 @@ class TestGatheredContent:
         assert _good_or_in_ref(ys, rect, domain) == expect
 
 
+def _table_rule_ref(block, xs, stack, params):
+    """The level-1 decision as the count table gives it: each domain
+    cell's bit against ``ACCEPTS`` over the class of the target block
+    under it, read by the block's count of ones."""
+    m0 = params.M0
+    region = cell_geometry(1, min(block.animal.sites), params).region
+    cells = cell_array(sorted(block.domain))
+    ones = block_ones(stack, m0)[:, cells[:, 1] - region.y0, cells[:, 0] - region.x0]
+    table = ACCEPTS[:, block_codes(np.arange(m0 * m0 + 1), m0)]
+    return table[xs.bits_at(cells), ones].all(axis=1)
+
+
 class TestLevel1Rule:
-    """A rule decides a target block by its count of ones through one
-    table, built once per rule."""
+    """A rule decides a target block by its count of ones against two
+    bound grids, from the one interval of counts each bit accepts."""
 
     @staticmethod
-    def _rule(params):
-        xs = build_level0(params, "X", 42, level0_window_for(Rect(0, 0, 1, 1), params))
+    def _rule(params, domain=_square(16), seed=42):
+        xs = build_level0(params, "X", seed, level0_window_for(Rect(0, 0, 1, 1), params))
         lb = hier.LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        return embed.Level1Rule.of(hier.Block(1, lb, _square(16)), params, xs)
+        block = hier.Block(1, lb, domain)
+        return embed.Level1Rule.of(block, params, xs), block, xs
 
     @pytest.mark.parametrize("m0", range(1, 17))
-    def test_count_table_is_the_level0_rule(self, toy1, m0):
-        # Every count of ones in an m0 x m0 block, both source bits.
-        p = replace(toy1, M0=m0)
-        table = self._rule(p).table
-        assert table.shape == (2, m0 * m0 + 1)
+    def test_count_table_is_the_level0_rule(self, m0):
+        # Every count of ones in an m0 x m0 block, both source bits,
+        # against the level-0 rule on a block with that many ones.
+        p = named_profile("toy1", M0=m0)
+        bounds = embed.count_bounds(m0)
+        assert bounds.shape == (2, 2)
         for ones in range(m0 * m0 + 1):
             code = block_codes(np.array([ones]), m0)[0]
             block = np.arange(m0 * m0) < ones
-            for bit in (0, 1):
-                assert table[bit, ones] == ACCEPTS[bit, code]
-                assert table[bit, ones] == level0_embeds(bit, classify_y0_block(block, p))
+            for bit, (first, last) in enumerate(bounds.tolist()):
+                assert (first <= ones <= last) == ACCEPTS[bit, code]
+                assert (first <= ones <= last) == level0_embeds(bit, classify_y0_block(block, p))
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_each_bit_accepts_one_interval_of_counts(self, name):
+        # At the M0 of every bundled profile, the counts each bit accepts
+        # are one run of consecutive counts, holding the all-bit block.
+        m0 = named_profile(name).M0
+        n = m0 * m0
+        codes = block_codes(np.arange(n + 1), m0)
+        for bit in (0, 1):
+            accepted = np.flatnonzero(ACCEPTS[bit, codes])
+            assert accepted.tolist() == list(range(accepted[0], accepted[-1] + 1))
+            assert (n if bit else 0) in accepted
+            assert embed.count_bounds(m0)[bit].tolist() == [accepted[0], accepted[-1]]
+
+    def test_bound_grids_hold_every_count_off_the_domain(self, toy1):
+        # A domain of one cell in nine: the other cells accept any count.
+        domain = frozenset((x, y) for x in range(0, 16, 3) for y in range(0, 16, 3))
+        rule, _, xs = self._rule(toy1, domain)
+        n = toy1.M0 ** 2
+        off = np.ones((16, 16), dtype=bool)
+        cells = cell_array(sorted(domain))
+        off[cells[:, 1], cells[:, 0]] = False
+        assert (rule.low[off] == 0).all() and (rule.high[off] == n).all()
+        bounds = embed.count_bounds(toy1.M0)[xs.bits_at(cells)]
+        assert np.array_equal(rule.low[cells[:, 1], cells[:, 0]], bounds[:, 0])
+        assert np.array_equal(rule.high[cells[:, 1], cells[:, 0]], bounds[:, 1])
 
     @pytest.mark.parametrize("m0", [1, 2, 9, 15, 16])
     def test_accepts_matches_the_class_gather(self, toy1, m0):
-        # The count-table verdict against ACCEPTS over the block classes,
-        # on stacks whose blocks count in uint8 (m0 <= 15) and int16.
-        rule = self._rule(replace(toy1, M0=m0))
-        stack = WindowHash("Y", *rule.window, 3).bits([derive_seed(m0, t) for t in range(3)])
-        ones = block_ones(stack, m0)[:, rule.rel[:, 1], rule.rel[:, 0]]
-        expect = ACCEPTS[rule.bits, block_codes(ones, m0)].all(axis=1)
-        assert np.array_equal(rule.accepts(stack), expect)
+        # On stacks whose blocks count in uint8 (m0 <= 15) and int16.
+        p = replace(toy1, M0=m0)
+        rule, block, xs = self._rule(p)
+        stack = WindowHash("Y", *rule.window, 8).bits([derive_seed(m0, t) for t in range(8)])
+        assert np.array_equal(rule.accepts(stack), _table_rule_ref(block, xs, stack, p))
+
+    @given(st.integers(0, 2**32),
+           st.frozensets(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1),
+           st.sampled_from([2, 3, 9]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_planted_rejecting_cell(self, seed, domain, m0):
+        # Checkerboard targets, whose blocks all accept either bit, then
+        # the block under one region cell a layer filled with the value its
+        # source bit is refused by: exactly the layers planted on the
+        # domain reject.
+        p = named_profile("toy1", M0=m0)
+        rule, block, xs = self._rule(p, domain, seed)
+        _, width, height = rule.window
+        stack = np.repeat((np.indices((1, height, width)).sum(axis=0) % 2).astype(np.uint8),
+                          4, axis=0)
+        assert rule.accepts(stack).all()
+        planted = np.random.default_rng(seed).integers(0, 16, (4, 2)).tolist()
+        for layer, (cx, cy) in enumerate(planted):
+            bit = xs.bits_at(np.array([[cx, cy]]))[0]
+            stack[layer, cy * m0:(cy + 1) * m0, cx * m0:(cx + 1) * m0] = 1 - bit
+        got = rule.accepts(stack)
+        assert got.tolist() == [tuple(c) not in domain for c in planted]
+        assert np.array_equal(got, _table_rule_ref(block, xs, stack, p))
 
 
 class TestRigidOrRepair:

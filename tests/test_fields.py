@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockembed.cli import EXIT_CONFIG, main
 from blockembed.errors import CapExceeded, ConfigError
 from blockembed.fields import (
     ACCEPTS,
@@ -31,6 +32,8 @@ from blockembed.fields import (
     sample_field,
     site_bits,
 )
+from blockembed.hierarchy import build_level0
+from blockembed.lattice import Rect
 from blockembed.params import named_profile
 
 
@@ -360,3 +363,35 @@ class TestSerialization:
         data = dump_field(sample_field(1, "X", (0, 0), 16, 16))
         with pytest.raises(ConfigError):
             load_field(corrupt(data))
+
+
+def _field_file(family: str) -> bytes:
+    """A dumped 2 x 2 source field whose header names ``family``."""
+    return dump_field(sample_field(1, "X", (0, 0), 2, 2)).replace(
+        b"field X", b"field " + family.encode(), 1)
+
+
+class TestFamilyCheck:
+    """Every entry point that takes a family name refuses an unknown one
+    with the one message of ``check_family``, which the CLI reports with
+    exit code 1."""
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda family: site_bits(1, family, 0, 0), id="site_bits"),
+        pytest.param(lambda family: WindowHash(family, (0, 0), 2, 2), id="WindowHash"),
+        pytest.param(lambda family: load_field(_field_file(family)), id="load_field"),
+        pytest.param(lambda family: build_level0(named_profile("toy1"), family, 1,
+                                                 Rect(0, 0, 2, 2)), id="build_level0"),
+    ])
+    @pytest.mark.parametrize("family", ["Z", "x", "XY"])
+    def test_unknown_family_is_refused(self, entry, family):
+        with pytest.raises(ConfigError, match=f"^unknown family {family!r}$"):
+            entry(family)
+
+    def test_cli_exits_with_the_config_code(self, tmp_path, capsys):
+        (tmp_path / "x.bin").write_bytes(_field_file("Z"))
+        (tmp_path / "y.bin").write_bytes(dump_field(sample_field(2, "Y", (0, 0), 5, 5)))
+        code = main(["oracle", "--x-file", str(tmp_path / "x.bin"),
+                     "--y-file", str(tmp_path / "y.bin"), "-m", "2"])
+        assert code == EXIT_CONFIG == 1
+        assert capsys.readouterr().err == "config error: unknown family 'Z'\n"

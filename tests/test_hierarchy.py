@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from blockembed import hierarchy
@@ -902,7 +903,8 @@ class TestBoxPredicates:
         comps = [_bad_component(b) for b in data.draw(_boxes_around(domain, self.SPAN))]
         for group in [[c] for c in comps] + [comps]:
             s = Level0Structure("Y", self.SPAN, 0, TOY1, None, None, group)
-            assert classify_good_block(block, s) == _classify_good_block_ref(block, group)
+            assert (classify_good_block(block.lattice_block, block.domain, s)
+                    == _classify_good_block_ref(block, group))
 
 
 class TestLatticeBlocks:
@@ -938,6 +940,23 @@ class TestLatticeBlocks:
         blocks = form_lattice_blocks(cells, lambda u, v: False)
         assert len(blocks) == 16
         assert {c for b in blocks for c in b.animal.sites} == set(cells)
+
+    def test_no_conjoined_edge_labels_nothing(self, monkeypatch):
+        # Every internal edge is still queried once, and every cell is its
+        # own block in least-cell order, with no labelling.
+        def refused(*args, **kwargs):
+            raise AssertionError("labelled a grid with no conjoined edge")
+
+        monkeypatch.setattr(ndimage, "label", refused)
+        cells = list(Rect(-1, 2, 4, 5).cells())
+        queried = []
+        blocks = form_lattice_blocks(reversed(cells),
+                                     lambda u, v: queried.append(frozenset((u, v))))
+        internal = {frozenset((u, v)) for u in cells
+                    for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)) if v in cells}
+        assert len(queried) == len(internal) == 22 and set(queried) == internal
+        assert [b.animal.sites for b in blocks] == [frozenset([c]) for c in sorted(cells)]
+        assert form_lattice_blocks([], lambda u, v: True) == []
 
 
 class TestCurves:
@@ -1582,6 +1601,23 @@ class TestCurveTables:
         assert info.currsize == size
 
 
+class TestDilate:
+    @given(hnp.arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+           st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    @example(np.ones((1, 1), dtype=bool), 4)
+    @example(np.eye(2, 9, 4, dtype=bool), 3)
+    def test_matches_scipy_maximum_filter(self, mask, radius):
+        # Random masks, some narrower or shorter than the radius.
+        expect = ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant")
+        got = _dilate(mask, radius)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_leaves_its_input_alone(self):
+        mask = np.eye(5, dtype=bool)
+        assert _dilate(mask, 2).all() and np.array_equal(mask, np.eye(5, dtype=bool))
+
+
 class TestLazyPolyline:
     def test_polyline_traced_on_first_read(self, toy1, monkeypatch):
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
@@ -1608,6 +1644,20 @@ class TestLazyPolyline:
         assert a != other
         assert [f for f in BoundaryCurve.__dataclass_fields__] == [
             "level", "corner_indices", "edge_indices", "domain"]
+
+    def test_blocks_read_their_curve_s_sorted_cells(self, toy1):
+        # A block cut by a curve shares its curve's sorted cell array, so
+        # a straight curve's domain is sorted once per frame; a block given
+        # another domain sorts its own.
+        h = build_hierarchy(toy1, "X", 7, Rect(0, 0, 2, 2))
+        for block in h.levels[1].blocks:
+            cells = block.domain_cells
+            assert cells is block.curve.cells and not cells.flags.writeable
+            assert cells.tolist() == [list(c) for c in sorted(block.domain)]
+        block = h.levels[1].blocks[0]
+        other = Block(1, block.lattice_block, frozenset(sorted(block.domain)), block.curve)
+        assert other.domain_cells is not block.curve.cells
+        assert np.array_equal(other.domain_cells, block.domain_cells)
 
 
 class TestBlocksAndComponents:
@@ -1743,7 +1793,8 @@ class TestDriver:
         else:
             assert curve == select_boundary_curve(block.lattice_block,
                                                   h.level0.bad_components, TOY1, key, 1)
-            assert block.good == classify_good_block(block, h.level0)
+            assert block.good == classify_good_block(block.lattice_block, block.domain,
+                                                      h.level0)
 
     def test_construction_reads_no_numpy_generator(self, monkeypatch):
         # Hierarchies of both families and direct curve selections run

@@ -1,8 +1,10 @@
 """What the package loads at start-up, and ``python -m blockembed``.
 
 scipy is imported inside the functions that call it, so commands that
-never label a grid or compute an interval start without it.  Each check
-runs in a fresh interpreter, where ``sys.modules`` shows every import.
+never label a grid or compute an interval start without it: a source-family
+build labels nothing, and a level-1 estimate loads ``scipy.special`` for
+its intervals but not ``scipy.ndimage``.  Each check runs in a fresh
+interpreter, where ``sys.modules`` shows every import.
 """
 
 import os
@@ -34,9 +36,14 @@ BOUNDARY = textwrap.dedent("""
         ["oracle", "--x-file", out + "/sx/field-X-1.bin",
          "--y-file", out + "/sy/field-Y-2.bin", "-m", "2", "--mode", "count"],
         ["audit-params", "--profile", "toy1"],
+        ["build", "--profile", "toy1", "--family", "X", "--out-dir", out + "/bx"],
     ):
         assert cli.main(args) == 0, args
         assert not scipy_modules(), (args, scipy_modules())
+    assert cli.main(["estimate-s", "--profile", "toy1", "--family", "X", "--level", "1",
+                     "--window", "0", "0", "3", "3", "--trials", "3", "--seed", "1"]) == 0
+    assert "scipy.special" in sys.modules, "estimate-s should load scipy.special"
+    assert "scipy.ndimage" not in sys.modules, ("estimate-s", scipy_modules())
     assert cli.main(["build", "--profile", "toy1", "--out-dir", out + "/b"]) == 0
     assert "scipy.ndimage" in sys.modules, "build should label with scipy.ndimage"
     print("ok")
