@@ -62,6 +62,12 @@ def check_family(family: str) -> None:
         raise ConfigError(f"unknown family {family!r}")
 
 
+def check_site_cap(width: int, height: int) -> None:
+    """Raise CapExceeded when a width x height window exceeds ``SITE_CAP`` sites."""
+    if width * height > SITE_CAP:
+        raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
+
+
 def site_bits(seed: int, family: str, xs, ys) -> np.ndarray:
     """Fair-coin bits for absolute sites (xs, ys); broadcasts like numpy."""
     check_family(family)
@@ -136,8 +142,7 @@ class WindowHash:
             raise ConfigError("window dimensions must be positive")
         if depth < 1:
             raise ConfigError(f"hash depth {depth} holds no seed")
-        if width * height > SITE_CAP:
-            raise CapExceeded(f"window of {width * height} sites exceeds cap {SITE_CAP}")
+        check_site_cap(width, height)
         check_family(family)
         self._tag = _mix64_int(FAMILY_TAGS[family])
         self._xs = np.arange(origin[0], origin[0] + width, dtype=np.int64).astype(_U64)

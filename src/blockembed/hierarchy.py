@@ -6,15 +6,18 @@ pick a valid boundary curve for each lattice block, take its realized
 domain as the block, classify block goodness, and group blocks into
 components.
 
-Both groupings are ``ndimage.label`` of a boolean grid.  Bad cells (level
-0) or the cells of bad blocks are closed under the 2x2 rule (a diagonal
-pair pulls in the rest of its square) and close-packed neighbours merge:
-``_close_boxes`` fills the bounding box of every close-packed group until
-each is full.  So every component is a filled rectangle and is held as its
-box, a ``Rect``: a bad block lies inside one box, a good block is one
-cell, and a good singleton is a 1x1 box.  Lattice blocks are the
-4-connected labels of a doubled grid: cells on the even sites, conjoined
-edges on the odd sites between them.
+Both groupings start from one ``ndimage.label`` of a boolean grid.  Bad
+cells (level 0) or the cells of bad blocks are closed under the 2x2 rule
+(a diagonal pair pulls in the rest of its square) and close-packed
+neighbours merge: ``_close_boxes`` labels the grid once, takes each
+close-packed group's bounding box, and then merges boxes, not cells,
+replacing every group of touching boxes with its hull until no two
+touch.  A merge never leaves the closure: touching boxes lie in one of
+its groups, which is a filled rectangle.  So every component is a filled
+rectangle and is held as its box, a ``Rect``: a bad block lies inside
+one box, a good block is one cell, and a good singleton is a 1x1 box.
+Lattice blocks are the 4-connected labels of a doubled grid: cells on the
+even sites, conjoined edges on the odd sites between them.
 
 Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
@@ -76,6 +79,12 @@ REALLY_BAD = "really-bad"
 
 # Curve frames kept for reuse: blocks of one shape and place share a frame.
 FRAME_CACHE_SIZE = 64
+# Level-1 cells a window may span: block_curve keys on 16 bits a coordinate.
+CURVE_KEY_SPAN = 1 << 16
+# Rows per band of the closure's touching-pair search, and the candidate
+# pairs it makes at a time: its temporaries stay within O(boxes + PAIR_CHUNK).
+PAIR_BAND = 64
+PAIR_CHUNK = 1 << 16
 _NO_CURVE = "no valid boundary curve exists for this block"
 
 
@@ -245,23 +254,22 @@ def build_level0(
     Any other family raises ConfigError.
     """
     fields_mod.check_family(family)
-    if family == "X":
-        if site_field is None:
-            site_field = fields_mod.sample_field(
-                seed, "X", (window.x0, window.y0),
-                window.x1 - window.x0, window.y1 - window.y0,
-            )
-        bits = site_field.bits
-        return Level0Structure(family, window, seed, params, None, bits, [])
     if site_field is None:
-        sites = window.scaled(params.M0)
+        sites = _site_window(params, family, window)
         site_field = fields_mod.sample_field(
-            seed, "Y", (sites.x0, sites.y0), sites.x1 - sites.x0, sites.y1 - sites.y0
+            seed, family, (sites.x0, sites.y0), sites.x1 - sites.x0, sites.y1 - sites.y0
         )
+    if family == "X":
+        return Level0Structure(family, window, seed, params, None, site_field.bits, [])
     grid = classify_grid(site_field, params)
     structure = Level0Structure(family, window, seed, params, grid, None, [])
     structure.bad_components = _level0_bad_components(grid, window)
     return structure
+
+
+def _site_window(params: ParameterSet, family: str, window: Rect) -> Rect:
+    """The sites a level-0 window holds: one a source cell, M0 x M0 a target cell."""
+    return window if family == "X" else window.scaled(params.M0)
 
 
 def _level0_bad_components(grid: np.ndarray, window: Rect) -> list:
@@ -270,39 +278,132 @@ def _level0_bad_components(grid: np.ndarray, window: Rect) -> list:
     if not bad.any():
         return []  # no labelling to do
     height, width = bad.shape
-    comps = []
+    boxes, counts = _close_boxes(bad)
+    x0, y0, x1, y1 = boxes.T
+    # A component on the window's edge may extend past it.
+    censored = (x0 == 0) | (y0 == 0) | (x1 == width) | (y1 == height)
     # Sorted by the (x0, y0) corner, the box's least cell.
-    boxes = sorted(_close_boxes(bad), key=lambda box: (box[1].start, box[0].start))
-    for sy, sx in boxes:
-        box = Rect(sx.start + window.x0, sy.start + window.y0,
-                   sx.stop + window.x0, sy.stop + window.y0)
-        n_bad = int(np.count_nonzero(bad[sy, sx]))
-        # A component on the window's edge may extend past it.
-        censored = (sx.start == 0 or sy.start == 0
-                    or sx.stop == width or sy.stop == height)
-        comps.append(Component(0, box, (), REALLY_BAD, (n_bad, n_bad), censored))
-    return comps
+    order = np.lexsort((y0, x0))
+    boxes = boxes[order] + (window.x0, window.y0, window.x0, window.y0)
+    return [Component(0, Rect(*box), (), REALLY_BAD, (n_bad, n_bad), edge)
+            for box, n_bad, edge in zip(boxes.tolist(), counts[order].tolist(),
+                                        censored[order].tolist())]
 
 
-def _close_boxes(mask: np.ndarray) -> list:
-    """Close a boolean grid under the grouping rules and return its groups
-    as ``ndimage.find_objects`` boxes, each one filled by the closure.
+def _close_boxes(mask: np.ndarray) -> tuple:
+    """Close a boolean grid under the grouping rules and return its groups:
+    an (n, 4) array of boxes ``(x0, y0, x1, y1)``, stops exclusive, in
+    raster order of their least cell, and each box's count of mask cells.
 
     A closed set has no 2x2 square holding a diagonal pair or exactly three
     cells, so its close-packed groups are filled rectangles that do not
-    touch even at a corner.  Filling every group's bounding box until all
-    are full thus reaches the closure and adds no cell outside it.
+    touch even at a corner.  The mask is labelled once, and every later
+    round works on boxes alone: boxes within Chebyshev distance 1 of each
+    other are joined, and each joined group becomes its hull, until no
+    two boxes touch.  No round leaves the closure.  Each box lies in it,
+    so two touching boxes lie in one of its groups, a filled rectangle,
+    and so does their hull.  Boxes that do not touch are a closed set that
+    holds the mask, so the last round's boxes are the closure's groups.
+    An all-True mask is one box and is not labelled.
     """
+    height, width = mask.shape
+    if mask.all():
+        return (np.array([[0, 0, width, height]], dtype=np.intp),
+                np.array([mask.size], dtype=np.intp))
     from scipy import ndimage
 
+    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    flat = np.flatnonzero(mask)
+    ys, xs = np.divmod(flat, width)
+    if n == flat.size:  # every group one cell, as in a sparse mask
+        return np.stack((xs, ys, xs + 1, ys + 1), axis=1), np.ones(n, dtype=np.intp)
+    # Rows x0, y0, x1, y1 and the count of mask cells, one column a box.
+    box = np.empty((5, n), dtype=np.intp)
+    box[:2] = ((width,), (height,))
+    box[2:4] = 0
+    group = labels.ravel()[flat] - 1
+    np.minimum.at(box[0], group, xs)
+    np.minimum.at(box[1], group, ys)
+    np.maximum.at(box[2], group, xs + 1)
+    np.maximum.at(box[3], group, ys + 1)
+    box[4] = np.bincount(group, minlength=n)
+    if (box[4] == (box[2] - box[0]) * (box[3] - box[1])).all():
+        return box[:4].T.copy(), box[4].copy()  # full groups never touch
+    box = box[:, box[0].argsort()]
     while True:
-        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-        boxes = ndimage.find_objects(labels)
-        if all(mask[box].all() for box in boxes):
-            return boxes
-        mask = mask.copy()
-        for box in boxes:
-            mask[box] = True
+        n = box.shape[1]
+        root = None
+        for i, j in _touching_pairs(box, height, width):
+            if i.size:
+                root = _join(np.arange(n) if root is None else root, i, j)
+        if root is None:
+            break
+        # Each group's root is its least index, so it has the least x0,
+        # and the joined columns stay sorted by x0.
+        np.minimum.at(box[1], root, box[1])
+        np.maximum.at(box[2], root, box[2])
+        np.maximum.at(box[3], root, box[3])
+        box[4] = np.bincount(root, box[4], n)
+        box = box[:, root == np.arange(n)]
+    box = box[:, np.lexsort(box[:2])]
+    return box[:4].T.copy(), box[4].copy()
+
+
+def _touching_pairs(box: np.ndarray, height: int, width: int):
+    """Yield the index pairs (i, j) of boxes within Chebyshev distance 1,
+    in chunks, each pair at least once.
+
+    ``box`` holds the rows x0, y0, x1, y1 of boxes in a ``height`` x
+    ``width`` grid, its columns sorted by x0.  Two boxes touch when
+    ``x0a <= x1b``, ``x0b <= x1a`` and the same holds for y.  A sweep
+    along x pairs each box with the boxes after it that start at or
+    before its x1, and keeps those that touch it in y.  A mask at least
+    two bands of ``PAIR_BAND`` rows tall is split: each box is entered once
+    in every band that its rows y0..y1 reach, and the bands are laid side
+    by side along x, so that the sweep meets only the boxes of one band,
+    not every box of a column.  A shorter mask is swept whole, where the
+    entries would cost more than they save.
+    """
+    member = None
+    if height >= 2 * PAIR_BAND:
+        first, last = box[1] // PAIR_BAND, box[3] // PAIR_BAND
+        reach = last - first + 1
+        member = np.repeat(np.arange(box.shape[1]), reach)
+        band = np.arange(member.size) + np.repeat(last + 1 - reach.cumsum(), reach)
+        order = band.argsort(kind="stable")
+        member, band = member[order], band[order]
+        box = box[:4, member]
+        box[::2] += band * (width + 1)
+    x0, y0, x1, y1 = box[:4]
+    n = len(x0)
+    stop = x0.searchsorted(x1, side="right")
+    span = stop - np.arange(1, n + 1)  # partners of box i: i + 1 .. stop - 1
+    ends = span.cumsum()
+    lo = 0
+    while lo < n:
+        base = int(ends[lo] - span[lo])
+        hi = max(int(ends.searchsorted(base + PAIR_CHUNK, side="right")), lo + 1)
+        i = np.repeat(np.arange(lo, hi), span[lo:hi])
+        j = np.arange(base, int(ends[hi - 1])) + np.repeat((stop - ends)[lo:hi], span[lo:hi])
+        near = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+        i, j = i[near], j[near]
+        yield (i, j) if member is None else (member[i], member[j])
+        lo = hi
+
+
+def _join(root: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Join the groups of each pair (i[k], j[k]) in ``root``, where every
+    index points at its group's least index, and return the new ``root``."""
+    while True:
+        a, b = root[i], root[j]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+        if (root[i] == root[j]).all():
+            return root
 
 
 # ---------------------------------------------------------------------------
@@ -959,11 +1060,12 @@ def form_components(blocks: Sequence[Block]) -> list:
         mask = np.zeros_like(cover)
         mask[bad[:, 1] - y0, bad[:, 0] - x0] = True
         labels = np.zeros(mask.shape, dtype=np.intp)
-        for k, (sy, sx) in enumerate(_close_boxes(mask), start=1):
-            if not cover[sy, sx].all():
+        closed, _ = _close_boxes(mask)
+        for k, (bx0, by0, bx1, by1) in enumerate(closed.tolist(), start=1):
+            if not cover[by0:by1, bx0:bx1].all():
                 raise PreconditionError("bad-block closure reaches a cell no block covers")
-            labels[sy, sx] = k
-            boxes.append(Rect(sx.start + x0, sy.start + y0, sx.stop + x0, sy.stop + y0))
+            labels[by0:by1, bx0:bx1] = k
+            boxes.append(Rect(bx0 + x0, by0 + y0, bx1 + x0, by1 + y0))
     # A bad block lies in one box and a good one is one cell, so any cell
     # of a block tells its group.
     groups: dict = {}
@@ -1048,11 +1150,22 @@ def build_hierarchy(
 
     The level-0 field is sampled over the window's blow-up so that buffers
     and clearances never run off the studied region.  Blocks and components
-    whose blow-up leaves the level-1 window are flagged censored.
+    whose blow-up leaves the level-1 window are flagged censored.  A window
+    more than ``CURVE_KEY_SPAN`` cells wide or tall raises ConfigError
+    before any site is sampled (see block_curve), unless its family or its
+    site count is refused first, as build_level0 would refuse them.
     """
     if window1.x1 <= window1.x0 or window1.y1 <= window1.y0:
         raise ConfigError(f"level-1 window {tuple(window1)} holds no cell")
     window0 = level0_window_for(window1, params)
+    if max(window1.x1 - window1.x0, window1.y1 - window1.y0) > CURVE_KEY_SPAN:
+        # build_level0's own refusals come first, and sample nothing either.
+        fields_mod.check_family(family)
+        sites = _site_window(params, family, window0)
+        fields_mod.check_site_cap(sites.x1 - sites.x0, sites.y1 - sites.y0)
+        raise ConfigError(
+            f"level-1 window {tuple(window1)} spans more than {CURVE_KEY_SPAN} cells, "
+            "so two of its blocks would share a curve key")
     level0 = build_level0(params, family, seed, window0)
     level1 = build_level1(level0, window1, seed)
     return BlockHierarchy(params, family, seed, level0, {1: level1})
@@ -1067,10 +1180,10 @@ def block_curve(
     """The boundary curve of one lattice block, as (curve, placeholder).
 
     The selection's key is derived from the seed, the level and the low 16
-    bits of each coordinate of the block's least cell, so two blocks 65 536
-    level-1 cells apart share one.  No target-family window under
-    ``fields.SITE_CAP`` holds two such blocks; a 65 537 x 1 source-family
-    toy window of 2.9e7 sites does.  When no valid curve exists for a
+    bits of each coordinate of the block's least cell, so two blocks
+    ``CURVE_KEY_SPAN`` = 65 536 level-1 cells apart would share one;
+    ``build_hierarchy`` refuses a window wider or taller than that, so no
+    two blocks of one build do.  When no valid curve exists for a
     censored block, the straight curve stands in and ``placeholder`` is
     True: bad content hugging the window edge would have conjoined the
     block outward in the full construction, so the block is kept flagged

@@ -343,6 +343,24 @@ class TestEmptyWindow:
         assert out == "" and not out_dir.exists()
 
 
+class TestWideWindow:
+    # A window more than 65 536 level-1 cells across would give two blocks
+    # one curve key: refused before any site is sampled, with the exit
+    # code of the refusal that comes first.
+    @pytest.mark.parametrize("family, code, message", [
+        ("X", EXIT_CONFIG, "spans more than 65536 cells"), ("Y", EXIT_CAP, "exceeds cap")])
+    def test_refused_unsampled(self, tmp_path, capsys, monkeypatch, family, code, message):
+        def fail(*args):
+            raise AssertionError("sampled a refused window")
+
+        monkeypatch.setattr("blockembed.fields.sample_field", fail)
+        out_dir = tmp_path / "out"
+        got, out, err = run(capsys, "build", "--family", family, "--window", "0", "0", "65537",
+                            "1", "--out-dir", str(out_dir))
+        assert got == code and message in err
+        assert out == "" and not out_dir.exists()
+
+
 class TestRender:
     def test_svg_well_formed_and_cross_counted(self, tmp_path, capsys):
         code, _, _ = run(capsys, "build", "--profile", "toy1", "--seed", "7",

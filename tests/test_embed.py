@@ -136,8 +136,7 @@ def _level0_components(draw):
     bad = np.zeros((9, 9), dtype=bool)
     for x, y in draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8)):
         bad[y, x] = True
-    return [_box_cells(Rect(sx.start, sy.start, sx.stop, sy.stop))
-            for sy, sx in hier._close_boxes(bad)]
+    return [_box_cells(Rect(*box)) for box in hier._close_boxes(bad)[0].tolist()]
 
 
 class TestTranslationFamily:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,12 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from blockembed import hierarchy
-from blockembed.errors import ConfigError, CurveSelectionError, PreconditionError
+from blockembed.errors import (
+    CapExceeded,
+    ConfigError,
+    CurveSelectionError,
+    PreconditionError,
+)
 from blockembed.fields import GRID_GOOD, GRID_ONE, GRID_ZERO, derive_seed
 from blockembed.hierarchy import (
     GOOD_SINGLETON,
@@ -134,11 +140,36 @@ def _helper_groups(cells) -> list:
     """Groups of ``_close_boxes`` over the bounding box of its input, as
     cell sets ordered by their least cell, like the reference."""
     mask, x0, y0 = cell_mask(cells)
-    groups = [
-        {(x + x0, y + y0) for x in range(sx.start, sx.stop) for y in range(sy.start, sy.stop)}
-        for sy, sx in _close_boxes(mask)
-    ]
+    boxes, _ = _close_boxes(mask)
+    groups = [set(Rect(bx0 + x0, by0 + y0, bx1 + x0, by1 + y0).cells())
+              for bx0, by0, bx1, by1 in boxes.tolist()]
     return sorted(groups, key=min)
+
+
+def _fill_until_full(mask):
+    """The closure ``_close_boxes`` replaced, kept verbatim as its
+    reference: label, fill every group's box, until every box is full."""
+    while True:
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+        boxes = ndimage.find_objects(labels)
+        if all(mask[box].all() for box in boxes):
+            return boxes
+        mask = mask.copy()
+        for box in boxes:
+            mask[box] = True
+
+
+def _reference_boxes(mask) -> tuple:
+    """``_fill_until_full`` in ``_close_boxes``' terms: an (n, 4) array of
+    (x0, y0, x1, y1) boxes in its order, and each box's count of mask cells."""
+    slices = _fill_until_full(mask)
+    boxes = [(sx.start, sy.start, sx.stop, sy.stop) for sy, sx in slices]
+    return (np.array(boxes, dtype=np.intp).reshape(-1, 4),
+            np.array([np.count_nonzero(mask[box]) for box in slices], dtype=np.intp))
+
+
+def _random_mask(height, width, density, seed):
+    return np.random.default_rng(seed).random((height, width)) < density
 
 
 def _flood_fill(cells, edges) -> list:
@@ -720,24 +751,92 @@ class TestLevel0:
         for x, y in bad:
             mask[y, x] = True
         before = mask.copy()
-        boxes = _close_boxes(mask)
+        boxes, counts = _close_boxes(mask)
         assert (mask == before).all()
+        slices = [(slice(y0, y1), slice(x0, x1)) for x0, y0, x1, y1 in boxes.tolist()]
         closed = np.zeros_like(mask)
-        for box in boxes:
+        for box in slices:
             closed[box] = True
         assert (mask <= closed).all()
-        # Every close-packed group of the result is one of the filled boxes.
+        assert counts.tolist() == [np.count_nonzero(mask[box]) for box in slices]
+        # Every close-packed group of the result is one of the filled boxes,
+        # and the boxes come in raster order of their least cell.
         labels, _ = ndimage.label(closed, structure=np.ones((3, 3), dtype=bool))
-        assert sorted(ndimage.find_objects(labels), key=str) == sorted(boxes, key=str)
+        assert ndimage.find_objects(labels) == slices
         # No two boxes lie within Chebyshev distance 1 of each other.
-        for (ay, ax), (by, bx) in itertools.combinations(boxes, 2):
-            gap = max(ax.start - bx.stop, bx.start - ax.stop,
-                      ay.start - by.stop, by.start - ay.stop) + 1
+        for (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) in itertools.combinations(
+                boxes.tolist(), 2):
+            gap = max(ax0 - bx1, bx0 - ax1, ay0 - by1, by0 - ay1) + 1
             assert gap > 1
         # Closed under the rule: a diagonal pair fills its 2x2 square.
         a, b = closed[:-1, :-1], closed[:-1, 1:]
         c, d = closed[1:, :-1], closed[1:, 1:]
         assert not (((a & d) | (b & c)) & ~(a & b & c & d)).any()
+
+    @pytest.mark.parametrize("band, chunk", [
+        (hierarchy.PAIR_BAND, hierarchy.PAIR_CHUNK), (2, hierarchy.PAIR_CHUNK), (64, 3), (3, 7)])
+    @given(st.integers(1, 64), st.integers(1, 64), st.floats(0.01, 0.5), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_close_boxes_matches_fill_until_full(self, band, chunk, height, width, density,
+                                                  seed):
+        # The box merges give the boxes, order and counts of the grid
+        # fills, also with bands and chunks small enough that a mask of
+        # this size is swept band by band and chunk by chunk.
+        mask = _random_mask(height, width, density, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hierarchy, "PAIR_BAND", band)
+            mp.setattr(hierarchy, "PAIR_CHUNK", chunk)
+            boxes, counts = _close_boxes(mask)
+        expect_boxes, expect_counts = _reference_boxes(mask)
+        assert boxes.tolist() == expect_boxes.tolist()
+        assert counts.tolist() == expect_counts.tolist()
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_close_boxes_matches_fill_until_full_at_toy_m0_3_density(self, seed):
+        # A toy-m0-3 window: 60 x 60 level-0 cells, about 18% of them bad.
+        mask = _random_mask(60, 60, 0.18, seed)
+        boxes, counts = _close_boxes(mask)
+        expect_boxes, expect_counts = _reference_boxes(mask)
+        assert boxes.tolist() == expect_boxes.tolist()
+        assert counts.tolist() == expect_counts.tolist()
+
+    def test_close_boxes_labels_at_most_once(self, monkeypatch):
+        calls = []
+        label = ndimage.label
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "label", counted)
+        mask = _random_mask(60, 60, 0.18, 7)
+        expect_boxes, expect_counts = _reference_boxes(mask)
+        assert len(calls) > 2  # the grid fills label this mask round after round
+        calls.clear()
+        boxes, counts = _close_boxes(mask)
+        assert len(calls) == 1
+        assert boxes.tolist() == expect_boxes.tolist()
+        assert counts.tolist() == expect_counts.tolist()
+        # An all-True mask is one box, with no labelling.
+        calls.clear()
+        boxes, counts = _close_boxes(np.ones((3, 4), dtype=bool))
+        assert boxes.tolist() == [[0, 0, 4, 3]] and counts.tolist() == [12]
+        assert calls == []
+
+    def test_close_boxes_memory_stays_within_twice_the_reference(self):
+        # A 600 x 600 mask at 18%: the pair search's temporaries are
+        # bounded, so the traced peak stays near the grid fills'.
+        mask = _random_mask(600, 600, 0.18, 3)
+        peaks = []
+        for close in (_fill_until_full, _close_boxes):
+            tracemalloc.start()
+            try:
+                close(mask)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(-5, 5),
            st.integers(-5, 5), st.data())
@@ -1753,6 +1852,29 @@ class TestDriver:
             build_hierarchy(toy1, family, 3, Rect(0, 0, 1, 1))
         with pytest.raises(ConfigError, match=f"unknown family {family!r}"):
             build_level0(toy1, family, 3, Rect(0, 0, 4, 4))
+
+    @pytest.mark.parametrize("window1", [Rect(0, 0, 65537, 1), Rect(-3, 5, -2, 65542)])
+    def test_window_past_the_curve_key_span_is_refused_unsampled(self, toy1, monkeypatch,
+                                                                  window1):
+        # Blocks 65 536 cells apart would share a curve key.  A source-family
+        # window that wide is under the site cap and is refused for the key;
+        # a target-family one stays over the cap, and an unknown family
+        # stays unknown.  No site is sampled either way.
+        def fail(*args):
+            raise AssertionError("sampled a refused window")
+
+        monkeypatch.setattr(hierarchy.fields_mod, "sample_field", fail)
+        with pytest.raises(ConfigError, match="spans more than 65536 cells"):
+            build_hierarchy(toy1, "X", 3, window1)
+        with pytest.raises(CapExceeded, match="exceeds cap"):
+            build_hierarchy(toy1, "Y", 3, window1)
+        with pytest.raises(ConfigError, match="unknown family 'Z'"):
+            build_hierarchy(toy1, "Z", 3, window1)
+        # One cell less goes on to sample its field.
+        narrower = Rect(window1.x0, window1.y0, min(window1.x1, window1.x0 + 65536),
+                        min(window1.y1, window1.y0 + 65536))
+        with pytest.raises(AssertionError, match="sampled a refused window"):
+            build_hierarchy(toy1, "X", 3, narrower)
 
     def test_blocks_partition_window(self, toy1):
         h = build_hierarchy(toy1, "Y", 4, Rect(0, 0, 3, 3))
