@@ -81,9 +81,8 @@ REALLY_BAD = "really-bad"
 FRAME_CACHE_SIZE = 64
 # Level-1 cells a window may span: block_curve keys on 16 bits a coordinate.
 CURVE_KEY_SPAN = 1 << 16
-# Rows per band of the closure's touching-pair search, and the candidate
-# pairs it makes at a time: its temporaries stay within O(boxes + PAIR_CHUNK).
-PAIR_BAND = 64
+# Candidate pairs the closure's touching-pair search makes at a time: its
+# temporaries stay within O(boxes + PAIR_CHUNK).
 PAIR_CHUNK = 1 << 16
 _NO_CURVE = "no valid boundary curve exists for this block"
 
@@ -333,7 +332,7 @@ def _close_boxes(mask: np.ndarray) -> tuple:
     while True:
         n = box.shape[1]
         root = None
-        for i, j in _touching_pairs(box, height, width):
+        for i, j in _touching_pairs(box):
             if i.size:
                 root = _join(np.arange(n) if root is None else root, i, j)
         if root is None:
@@ -349,31 +348,15 @@ def _close_boxes(mask: np.ndarray) -> tuple:
     return box[:4].T.copy(), box[4].copy()
 
 
-def _touching_pairs(box: np.ndarray, height: int, width: int):
+def _touching_pairs(box: np.ndarray):
     """Yield the index pairs (i, j) of boxes within Chebyshev distance 1,
     in chunks, each pair at least once.
 
-    ``box`` holds the rows x0, y0, x1, y1 of boxes in a ``height`` x
-    ``width`` grid, its columns sorted by x0.  Two boxes touch when
-    ``x0a <= x1b``, ``x0b <= x1a`` and the same holds for y.  A sweep
-    along x pairs each box with the boxes after it that start at or
-    before its x1, and keeps those that touch it in y.  A mask at least
-    two bands of ``PAIR_BAND`` rows tall is split: each box is entered once
-    in every band that its rows y0..y1 reach, and the bands are laid side
-    by side along x, so that the sweep meets only the boxes of one band,
-    not every box of a column.  A shorter mask is swept whole, where the
-    entries would cost more than they save.
+    ``box`` holds the rows x0, y0, x1, y1 of boxes, its columns sorted by
+    x0.  Two boxes touch when ``x0a <= x1b``, ``x0b <= x1a`` and the same
+    holds for y.  A sweep along x pairs each box with the boxes after it
+    that start at or before its x1, and keeps those that touch it in y.
     """
-    member = None
-    if height >= 2 * PAIR_BAND:
-        first, last = box[1] // PAIR_BAND, box[3] // PAIR_BAND
-        reach = last - first + 1
-        member = np.repeat(np.arange(box.shape[1]), reach)
-        band = np.arange(member.size) + np.repeat(last + 1 - reach.cumsum(), reach)
-        order = band.argsort(kind="stable")
-        member, band = member[order], band[order]
-        box = box[:4, member]
-        box[::2] += band * (width + 1)
     x0, y0, x1, y1 = box[:4]
     n = len(x0)
     stop = x0.searchsorted(x1, side="right")
@@ -386,8 +369,7 @@ def _touching_pairs(box: np.ndarray, height: int, width: int):
         i = np.repeat(np.arange(lo, hi), span[lo:hi])
         j = np.arange(base, int(ends[hi - 1])) + np.repeat((stop - ends)[lo:hi], span[lo:hi])
         near = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
-        i, j = i[near], j[near]
-        yield (i, j) if member is None else (member[i], member[j])
+        yield i[near], j[near]
         lo = hi
 
 

@@ -773,18 +773,15 @@ class TestLevel0:
         c, d = closed[1:, :-1], closed[1:, 1:]
         assert not (((a & d) | (b & c)) & ~(a & b & c & d)).any()
 
-    @pytest.mark.parametrize("band, chunk", [
-        (hierarchy.PAIR_BAND, hierarchy.PAIR_CHUNK), (2, hierarchy.PAIR_CHUNK), (64, 3), (3, 7)])
+    @pytest.mark.parametrize("chunk", [hierarchy.PAIR_CHUNK, 3, 7])
     @given(st.integers(1, 64), st.integers(1, 64), st.floats(0.01, 0.5), st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
-    def test_close_boxes_matches_fill_until_full(self, band, chunk, height, width, density,
-                                                  seed):
+    def test_close_boxes_matches_fill_until_full(self, chunk, height, width, density, seed):
         # The box merges give the boxes, order and counts of the grid
-        # fills, also with bands and chunks small enough that a mask of
-        # this size is swept band by band and chunk by chunk.
+        # fills, also with chunks small enough that a mask of this size
+        # is swept chunk by chunk.
         mask = _random_mask(height, width, density, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hierarchy, "PAIR_BAND", band)
             mp.setattr(hierarchy, "PAIR_CHUNK", chunk)
             boxes, counts = _close_boxes(mask)
         expect_boxes, expect_counts = _reference_boxes(mask)
