@@ -24,9 +24,9 @@ level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
 indices.  Level-0 cells coincide with level-0 blocks of the field.
 
 ``scipy.ndimage`` is imported inside the two functions that label, and
-only when there is something to label: dilation is a numpy shifted OR, so
-commands that build no target-family level 0 (a source-family ``build``,
-``estimate-s --level 1``) start without it.
+only when there is something to label, so commands that build no
+target-family level 0 (a source-family ``build``, ``estimate-s --level 1``)
+start without it.
 """
 
 from __future__ import annotations
@@ -326,8 +326,6 @@ def _close_boxes(mask: np.ndarray) -> tuple:
     np.maximum.at(box[2], group, xs + 1)
     np.maximum.at(box[3], group, ys + 1)
     box[4] = np.bincount(group, minlength=n)
-    if (box[4] == (box[2] - box[0]) * (box[3] - box[1])).all():
-        return box[:4].T.copy(), box[4].copy()  # full groups never touch
     box = box[:, box[0].argsort()]
     while True:
         n = box.shape[1]
@@ -487,25 +485,23 @@ class CurveFrame:
 
     Masks over the frame are boolean arrays indexed ``[y - y0, x - x0]`` in
     level-(j-1) cells.  The frame is the ideal block's bounding box padded
-    by clearance + k0 + 2 cells, more than a selection reads: realized
-    domains reach k0 cells past the ideal outline, and a bad cell forbids
-    boundary cells within a further clearance - 1.  Bad cells the frame
-    clips are therefore never read.
+    by k0 + 2 cells.  A selection depends only on the forbidden cells within
+    k0 + 1 of the ideal outline: realized domains reach k0 cells past it,
+    and a cell's boundary status reads one step further (``_cell_scopes``).
+    The frame holds all of them; a forbidden cell farther out has no
+    scope, lies on no realized outline, and changes no count or draw.
 
     A frame depends on the block's geometry alone, so ``curve_frame`` shares
     one among blocks of one shape and place, and the frame holds what a
-    selection reads that no field changes: the straight curve and its ring,
-    the cells within clearance - 1 of the straight outline, and, built on
-    first use, the field-free part of the factor tables (``tables``).  Its
-    arrays are read-only.
+    selection reads that no field changes: the straight curve and its
+    outline, and, built on first use, the field-free part of the factor
+    tables (``tables``).  Its arrays are read-only.
     """
 
-    def __init__(self, animal: LatticeAnimal, j: int, r: int, mb: int, clearance: int,
-                 k0: int):
+    def __init__(self, animal: LatticeAnimal, j: int, r: int, mb: int, k0: int):
         self.j = j
         self.r = r
         self.mb = mb
-        self.clearance = clearance
         self.k0 = k0
         if self.k0 > self.mb:
             raise ConfigError("buffer margin too small for 2*k0 curve tracks")
@@ -519,11 +515,9 @@ class CurveFrame:
         self.vertices = sorted({v for e in self.edges for v in _edge_vertices(e, r)})
         # Values per factor-table variable: the vertices, then the edges.
         self.sizes = [4 * k0] * len(self.vertices) + [2 * k0] * len(self.edges)
-        pad = self.clearance + self.k0 + 2
-        bx0, by0, bx1, by1 = animal.bounding_box()
-        self.x0, self.y0 = bx0 * r - pad, by0 * r - pad
-        self.ideal = np.zeros(((by1 - by0 + 1) * r + 2 * pad,
-                               (bx1 - bx0 + 1) * r + 2 * pad), dtype=bool)
+        view = animal.bounding_box().scaled(r).outset(k0 + 2)
+        self.x0, self.y0 = view.x0, view.y0
+        self.ideal = np.zeros((view.y1 - view.y0, view.x1 - view.x0), dtype=bool)
         for ux, uy in animal.sites:
             self.ideal[uy * r - self.y0:(uy + 1) * r - self.y0,
                        ux * r - self.x0:(ux + 1) * r - self.x0] = True
@@ -557,10 +551,8 @@ class CurveFrame:
         corner_idx, edge_idx = dict.fromkeys(self.vertices, (1, 1)), dict.fromkeys(self.edges, 1)
         mask = realize_domain(self, corner_idx, edge_idx)
         self.straight = _make_curve(self, corner_idx, edge_idx, mask)
-        # Chebyshev dilation is symmetric: a bad cell lies on the ring exactly
-        # when the straight outline lies within clearance - 1 of it.
-        self.ring = _dilate(_boundary(mask), self.clearance - 1)
-        self.ring.flags.writeable = False
+        self.outline = _boundary(mask)
+        self.outline.flags.writeable = False
 
     @cached_property
     def tables(self) -> tuple:
@@ -608,14 +600,13 @@ class CurveFrame:
 def curve_frame(animal: LatticeAnimal, j: int, params: ParameterSet) -> CurveFrame:
     """The curve frame of a lattice block, shared by blocks of one shape and
     place: it reads of the parameters only the level's geometry."""
-    margins = params.margins(j)
-    return _cached_frame(animal, j, params.cells_per_side(j), margins.buffer,
-                         margins.clearance, params.k0)
+    return _cached_frame(animal, j, params.cells_per_side(j), params.margins(j).buffer,
+                         params.k0)
 
 
 @lru_cache(maxsize=FRAME_CACHE_SIZE)
-def _cached_frame(animal: LatticeAnimal, j: int, r: int, mb: int, clearance: int, k0: int):
-    return CurveFrame(animal, j, r, mb, clearance, k0)
+def _cached_frame(animal: LatticeAnimal, j: int, r: int, mb: int, k0: int):
+    return CurveFrame(animal, j, r, mb, k0)
 
 
 def realize_domain(
@@ -675,20 +666,6 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
                               & mask[..., 2:, 1:-1] & mask[..., 1:-1, :-2]
                               & mask[..., 1:-1, 2:])
     return mask & ~inner
-
-
-def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Cells of a 2-D boolean mask within Chebyshev distance ``radius`` of a
-    mask cell: the square dilation, a shifted OR along y and then along x."""
-    rows = mask.copy()
-    for d in range(1, radius + 1):
-        rows[d:] |= mask[:-d]
-        rows[:-d] |= mask[d:]
-    out = rows.copy()
-    for d in range(1, radius + 1):
-        out[:, d:] |= rows[:, :-d]
-        out[:, :-d] |= rows[:, d:]
-    return out
 
 
 def _edge_factors(frame: CurveFrame, forbidden: np.ndarray) -> dict:
@@ -926,16 +903,15 @@ def _make_curve(
     )
 
 
-def _bad_cells(frame: CurveFrame, animal: LatticeAnimal, bad_components: Sequence) -> np.ndarray:
-    """Mask of the cells of the bad components that come near the blow-up,
-    the only ones that can constrain the curve."""
-    x0, y0, x1, y1 = animal.bounding_box()
-    reach = Rect(x0, y0, x1 + 1, y1 + 1).scaled(frame.r).outset(frame.mb + frame.clearance)
+def _forbidden(frame: CurveFrame, bad_components: Sequence, clearance: int) -> np.ndarray:
+    """Mask of the frame cells within Chebyshev distance clearance - 1 of a
+    bad component: each component is a filled box, so these are its box
+    grown by clearance - 1, clipped to the frame."""
     h, w = frame.ideal.shape
     view = Rect(frame.x0, frame.y0, frame.x0 + w, frame.y0 + h)
     mask = np.zeros_like(frame.ideal)
     for comp in bad_components:
-        part = reach.meets(comp.box) and view.intersection(comp.box)
+        part = view.intersection(comp.box.outset(clearance - 1))
         if part:
             mask[part.y0 - frame.y0:part.y1 - frame.y0,
                  part.x0 - frame.x0:part.x1 - frame.x0] = True
@@ -961,23 +937,22 @@ def select_boundary_curve(
     CurveSelectionError exactly when no valid curve exists, which indicates
     the caller formed the block from conjoined buffers.
 
-    Validity is read off the straight curve's ring first.  Then a boundary
-    edge with a forbidden cell on every track ends the selection, and else
-    the exact factor tables of ``_curve_factors`` count the valid curves
-    (``_contract``) and draw one (``_draw_assignment``); only that curve is
-    realized.
+    A curve is valid exactly when its boundary cells avoid the forbidden
+    cells of ``_forbidden``, and every test reads that one mask: the
+    straight curve's outline first, then a boundary edge with a forbidden
+    cell on every track ends the selection, and else the exact factor
+    tables of ``_curve_factors`` count the valid curves (``_contract``) and
+    draw one (``_draw_assignment``); only that curve is realized.
     """
     frame = curve_frame(ideal_block.animal, j, params)
-    # With no bad component the straight ring clears without a raster.
-    bad = _bad_cells(frame, ideal_block.animal, bad_components) if bad_components else None
-    straight_clears = bad is None or not (bad & frame.ring).any()
+    # With no bad component the straight curve clears without a raster.
+    forbidden = (_forbidden(frame, bad_components, params.margins(j).clearance)
+                 if bad_components else None)
+    straight_clears = forbidden is None or not (forbidden & frame.outline).any()
     if straight_clears and derive_seed(key, 0) < params.straight_curve_mass(j) * 2**64:
         return frame.straight
-    if bad is None:
-        bad = np.zeros_like(frame.ideal)
-    # A curve is valid exactly when its boundary cells avoid the bad cells
-    # dilated by clearance - 1.
-    forbidden = _dilate(bad, frame.clearance - 1)
+    if forbidden is None:
+        forbidden = np.zeros_like(frame.ideal)
     if not all(f.any() for f in _edge_factors(frame, forbidden).values()):
         raise CurveSelectionError(_NO_CURVE)
     count, steps = _contract(_curve_factors(frame, forbidden), frame.sizes)
@@ -1214,8 +1189,7 @@ def build_level1(
     blocks = []
     for found in form_lattice_blocks(cells, conjoined):
         lb = LatticeBlock(j, found.animal)
-        bx0, by0, bx1, by1 = lb.animal.bounding_box()
-        blowup = Rect(bx0, by0, bx1 + 1, by1 + 1).scaled(r).outset(params.margins(j).buffer)
+        blowup = lb.animal.bounding_box().scaled(r).outset(params.margins(j).buffer)
         censored = not region.contains_rect(blowup)
         curve, placeholder = block_curve(lb, level0, seed, censored)
         good = not placeholder and classify_good_block(lb, curve.domain, level0)

@@ -82,10 +82,10 @@ class LatticeAnimal:
     def __iter__(self):
         return iter(sorted(self.sites))
 
-    def bounding_box(self) -> tuple[int, int, int, int]:
+    def bounding_box(self) -> "Rect":
         xs = [p[0] for p in self.sites]
         ys = [p[1] for p in self.sites]
-        return min(xs), min(ys), max(xs), max(ys)
+        return Rect(min(xs), min(ys), max(xs) + 1, max(ys) + 1)
 
 
 class Rect(NamedTuple):

@@ -217,8 +217,7 @@ def test_level1_witnesses_reproduce():
         for i, block in enumerate(hx.levels[1].blocks):
             if block.censored:
                 continue
-            x0, y0, x1, y1 = block.animal.bounding_box()
-            w0 = level0_window_for(Rect(x0, y0, x1 + 1, y1 + 1), p)
+            w0 = level0_window_for(block.animal.bounding_box(), p)
             for t in range(20):
                 y_field = sample_field(derive_seed(derive_seed(seed, i), 0x51, t), "Y",
                                        (w0.x0 * m0, w0.y0 * m0),

@@ -1,5 +1,6 @@
 """Recursive block structure: components, buffers, curves, blocks."""
 
+import copy
 import functools
 import itertools
 import tracemalloc
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from blockembed import hierarchy
@@ -28,7 +28,6 @@ from blockembed.hierarchy import (
     Component,
     LatticeBlock,
     Level0Structure,
-    _bad_cells,
     _below,
     _boundary,
     _boundary_edges,
@@ -36,10 +35,10 @@ from blockembed.hierarchy import (
     _close_boxes,
     _contract,
     _curve_factors,
-    _dilate,
     _draw_assignment,
     _edge_factors,
     _edge_vertices,
+    _forbidden,
     _level0_bad_components,
     _make_curve,
     _offset_of_index,
@@ -439,24 +438,63 @@ def _raster(frame, cells):
     return mask
 
 
-def _bad_cells_ref(frame, animal, bad_components):
-    """Reference: the cells of every bad component with a cell in the
-    blow-up's reach, tested one cell at a time."""
-    r, margin = frame.r, frame.mb + frame.clearance
-    x0, y0, x1, y1 = animal.bounding_box()
-    reach = Rect(x0 * r - margin, y0 * r - margin, (x1 + 1) * r + margin, (y1 + 1) * r + margin)
-    return _raster(frame, [
-        p
-        for c in bad_components
-        if any(reach.contains_cell(q) for q in c.box.cells())
-        for p in c.box.cells()
-    ])
+def _box_cells(bad_components) -> list:
+    """The cells of the boxes of some bad components."""
+    return [p for c in bad_components for p in c.box.cells()]
 
 
-def _cell_scopes_ref(frame, ys, xs) -> tuple:
-    """Reference scopes of the cells (ys, xs): every band and corner
-    rectangle against every cell, by Manhattan distance."""
-    k0, nv = frame.k0, len(frame.vertices)
+def _widened(frame, extra):
+    """A copy of a frame padded by ``extra`` more cells a side: its masks
+    padded with False, its bands shifted, and its tables built afresh."""
+    wide = copy.copy(frame)
+    wide.__dict__.pop("tables", None)
+    wide.x0, wide.y0 = frame.x0 - extra, frame.y0 - extra
+    wide.ideal, wide.outline = (np.pad(m, extra) for m in (frame.ideal, frame.outline))
+    wide.bands = [(key, axis, sign, line + extra, a0 + extra, a1 + extra)
+                  for key, axis, sign, line, a0, a1 in frame.bands]
+    return wide
+
+
+def _forbidden_ref(frame, cells, clearance):
+    """Reference: the frame cells within Chebyshev distance clearance - 1
+    of one of the given cells, by scipy's square maximum filter over the
+    frame widened by clearance - 1, so that cells past its edge count."""
+    grow = clearance - 1
+    h, w = frame.ideal.shape
+    wide = ndimage.maximum_filter(_raster(_widened(frame, grow), cells), size=2 * grow + 1,
+                                  mode="constant")
+    return wide[grow:grow + h, grow:grow + w]
+
+
+def _parent_selection(lb, bad_components, params, key, j=1):
+    """Reference: the selection as it read a frame padded clearance + k0 + 2.
+    The cells of the components that meet the blow-up's reach are clipped
+    to that frame and dilated by clearance - 1 (scipy's maximum filter),
+    and the straight curve clears when they miss its outline dilated alike,
+    its ring."""
+    clearance = params.margins(j).clearance
+    frame = _widened(curve_frame(lb.animal, j, params), clearance)
+    size = 2 * clearance - 1
+    reach = lb.animal.bounding_box().scaled(frame.r).outset(frame.mb + clearance)
+    bad = _raster(frame, _box_cells(c for c in bad_components if reach.meets(c.box)))
+    ring = ndimage.maximum_filter(frame.outline, size=size, mode="constant")
+    if ((not bad_components or not (bad & ring).any())
+            and derive_seed(key, 0) < params.straight_curve_mass(j) * 2**64):
+        return frame.straight
+    forbidden = ndimage.maximum_filter(bad, size=size, mode="constant")
+    count, steps = _contract(_curve_factors(frame, forbidden), frame.sizes)
+    if _edge_blocked(frame, forbidden) or count == 0:
+        raise CurveSelectionError("no valid boundary curve exists for this block")
+    row = _draw_assignment(steps, frame.sizes, _words(key))
+    corner = {v: (st // 2 + 1, st % 2 + 1) for v, st in zip(frame.vertices, row)}
+    edge = {e: st + 1 for e, st in zip(frame.edges, row[len(frame.vertices):])}
+    return _make_curve(frame, corner, edge, realize_domain(frame, corner, edge))
+
+
+def _scope_pieces(frame) -> tuple:
+    """Every band's and corner's rectangle over all its values, as
+    (y0, y1, x0, x1) in frame cells, and the variable number of each."""
+    k0 = frame.k0
     var = {key: i for i, key in enumerate(frame.vertices + frame.edges)}
     rects, owner = [], []
     for key, axis, sign, line, a0, a1 in frame.bands:
@@ -467,6 +505,14 @@ def _cell_scopes_ref(frame, ys, xs) -> tuple:
         fx, fy = vx - frame.x0, vy - frame.y0
         rects.append((fy - k0, fy + k0, fx - k0, fx + k0))
         owner.append(var[(vx, vy)])
+    return rects, owner
+
+
+def _cell_scopes_ref(frame, ys, xs) -> tuple:
+    """Reference scopes of the cells (ys, xs): every band and corner
+    rectangle against every cell, by Manhattan distance."""
+    nv, nvar = len(frame.vertices), len(frame.vertices) + len(frame.edges)
+    rects, owner = _scope_pieces(frame)
     y0, y1, x0, x1 = np.array(rects).T[:, :, None]
     near = (np.maximum(np.maximum(y0 - ys, ys - y1 + 1), 0)
             + np.maximum(np.maximum(x0 - xs, xs - x1 + 1), 0)) <= 1
@@ -474,7 +520,7 @@ def _cell_scopes_ref(frame, ys, xs) -> tuple:
     edge = near & (owner >= nv)
     vertex = np.where(near & (owner < nv), owner, -1).max(axis=0)
     hi = np.where(edge, owner, -1).max(axis=0)
-    lo = np.where(edge, owner, len(var)).min(axis=0)
+    lo = np.where(edge, owner, nvar).min(axis=0)
     return vertex, np.where(hi < 0, -1, lo), hi
 
 
@@ -566,7 +612,8 @@ def _checked_selection(lb, bad_components, params, key, j=1):
     every track row by row), and else its curve is the realization of its
     indices and keeps the clearance from every bad cell cell by cell."""
     frame = curve_frame(lb.animal, j, params)
-    forbidden = _dilate(_bad_cells_ref(frame, lb.animal, bad_components), frame.clearance - 1)
+    clearance = params.margins(j).clearance
+    forbidden = _forbidden_ref(frame, _box_cells(bad_components), clearance)
     count = _curve_count(frame, forbidden)
     if _blocked_edge_ref(frame, forbidden, 2 * params.k0):
         assert count == 0
@@ -578,7 +625,7 @@ def _checked_selection(lb, bad_components, params, key, j=1):
     assert count > 0
     corner, edge = dict(curve.corner_indices), dict(curve.edge_indices)
     assert curve.domain == _realize_domain_ref(lb.animal, j, params, corner, edge)
-    assert curve_clearance(curve.domain, bad_components) >= frame.clearance
+    assert curve_clearance(curve.domain, bad_components) >= clearance
     return curve
 
 
@@ -1189,8 +1236,8 @@ class TestCurves:
         mask = realize_domain(frame, corner, edge)
         cells = data.draw(_cells_around(frame, 12))
         bad = [_unit_bad(c) for c in cells]
-        clearance = frame.clearance
-        assert _clears(mask, _dilate(_raster(frame, cells), clearance - 1)) == (
+        clearance = TOY1.margins(1).clearance
+        assert _clears(mask, _forbidden(frame, bad, clearance)) == (
             curve_clearance(frame.cells(mask), bad) >= clearance)
 
     @given(st.data())
@@ -1200,7 +1247,8 @@ class TestCurves:
         frame, boundaries = _k1_single_cell_boundaries()
         cells = data.draw(st.sets(st.tuples(st.integers(-3, 18), st.integers(-3, 18)),
                                   min_size=1, max_size=6))
-        forbidden = _dilate(_raster(frame, cells), frame.clearance - 1)
+        forbidden = _forbidden(frame, [_unit_bad(c) for c in cells],
+                               TOY1_K1.margins(1).clearance)
         assume(_edge_blocked(frame, forbidden))
         assert (boundaries & forbidden).any(axis=(1, 2)).all()
 
@@ -1234,7 +1282,7 @@ class TestCurves:
     def test_blocked_edge_never_when_straight_clears(self, data):
         frame = curve_frame(data.draw(_animals()), 1, TOY1)
         cells = data.draw(_cells_around(frame, 12))
-        forbidden = _dilate(_raster(frame, cells), frame.clearance - 1)
+        forbidden = _forbidden(frame, [_unit_bad(c) for c in cells], TOY1.margins(1).clearance)
         straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
                                   {e: 1 for e in frame.edges})
         assert not (_clears(straight, forbidden) and _edge_blocked(frame, forbidden))
@@ -1390,8 +1438,7 @@ class TestCurveCount:
         window0 = level0_window_for(Rect(1, 1, 2, 2), toy1)
         for seed, count in self.FUTILE_TARGETS.items():
             level0 = build_level0(toy1, "Y", seed, window0)
-            bad = _bad_cells(frame, animal, level0.bad_components)
-            forbidden = _dilate(bad, frame.clearance - 1)
+            forbidden = _forbidden(frame, level0.bad_components, toy1.margins(1).clearance)
             assert not _edge_blocked(frame, forbidden)
             assert _curve_count(frame, forbidden) == count
 
@@ -1439,7 +1486,7 @@ class TestCurveSampler:
         # k0 = 1 with a bad cell at (-2, -2): 3 072 of the 4 096 curves
         # clear it; 20 000 draws hit valid ones only, evenly.
         frame, boundaries = _k1_single_cell_boundaries()
-        forbidden = _dilate(_raster(frame, [(-2, -2)]), frame.clearance - 1)
+        forbidden = _forbidden(frame, [_unit_bad((-2, -2))], TOY1_K1.margins(1).clearance)
         valid = ~(boundaries & forbidden).any(axis=(1, 2))
         count, steps = _contract(_curve_factors(frame, forbidden), frame.sizes)
         assert count == valid.sum() == 3072
@@ -1459,8 +1506,7 @@ class TestCurveSampler:
         level0 = build_level0(toy1, "Y", seed, level0_window_for(Rect(1, 1, 2, 2), toy1))
         animal = LatticeAnimal(frozenset([(1, 1)]))
         frame = curve_frame(animal, 1, toy1)
-        forbidden = _dilate(_bad_cells(frame, animal, level0.bad_components),
-                            frame.clearance - 1)
+        forbidden = _forbidden(frame, level0.bad_components, toy1.margins(1).clearance)
         factors = _curve_factors(frame, forbidden)
         count, steps = _contract(factors, frame.sizes)
         assert count == 1536
@@ -1495,7 +1541,7 @@ class TestCurveSampler:
         # selection raises exactly when none of the 4 096 curves clears.
         frame, boundaries = _k1_single_cell_boundaries()
         lb = LatticeBlock(1, LatticeAnimal(frozenset([(0, 0)])))
-        forbidden = _dilate(_raster(frame, cells), frame.clearance - 1)
+        forbidden = _forbidden_ref(frame, cells, TOY1_K1.margins(1).clearance)
         count = _curve_count(frame, forbidden)
         assert count == (~(boundaries & forbidden).any(axis=(1, 2))).sum()
         try:
@@ -1609,19 +1655,19 @@ class TestCurveTables:
     @pytest.mark.parametrize("mass", [None, 0.0])
     @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]])
     def test_no_bad_component_selects_as_a_far_one(self, toy1, monkeypatch, mass, cells):
-        # With no bad component the straight ring is not rasterized, yet the
-        # curve is that of a selection that rasterizes one bad component
-        # beyond the block's reach.  With a straight mass of 0 the straight
-        # test fails and both go on to draw.
+        # With no bad component nothing is rasterized, yet the curve is that
+        # of a selection that rasterizes one bad component beyond the frame.
+        # With a straight mass of 0 the straight test fails and both go on
+        # to draw.
         if mass is not None:
             monkeypatch.setattr(ParameterSet, "straight_curve_mass", lambda self, j: mass)
         lb = LatticeBlock(1, LatticeAnimal(frozenset(cells)))
         far = [_unit_bad((200, 200))]
         frame = curve_frame(lb.animal, 1, toy1)
-        assert not _bad_cells(frame, lb.animal, far).any()
+        assert not _forbidden(frame, far, toy1.margins(1).clearance).any()
         rasters = []
-        monkeypatch.setattr(hierarchy, "_bad_cells",
-                            lambda *a: rasters.append(a[2]) or _bad_cells(*a))
+        monkeypatch.setattr(hierarchy, "_forbidden",
+                            lambda *a: rasters.append(a[1]) or _forbidden(*a))
         for key in range(5):
             got = _selection(select_boundary_curve, lb, [], toy1, key, 1)
             assert rasters == []
@@ -1633,10 +1679,10 @@ class TestCurveTables:
 
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_bad_cells_match_reference(self, params, data):
+    def test_forbidden_matches_reference(self, params, data):
         # Boxes as level 0 builds them, or the unit boxes of a random walk's
-        # cells, around the frame: some reach into the blow-up's reach, some
-        # only come near it, and boxes may overhang the frame.
+        # cells, around the frame: some reach into it, some only come near
+        # it, and boxes may overhang it.
         animal = data.draw(_animals())
         frame = curve_frame(animal, 1, params)
         h, w = frame.ideal.shape
@@ -1654,19 +1700,70 @@ class TestCurveTables:
                                            max_size=8)):
                 cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
             comps += [_unit_bad(c) for c in set(cells)]
-        assert np.array_equal(_bad_cells(frame, animal, comps),
-                              _bad_cells_ref(frame, animal, comps))
+        clearance = params.margins(1).clearance
+        assert np.array_equal(_forbidden(frame, comps, clearance),
+                              _forbidden_ref(frame, _box_cells(comps), clearance))
+
+    @given(st.sampled_from([TOY1, TOY1_K1, TOY1_K3]), st.sampled_from([None, 0.0]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_selection_matches_the_wider_frame(self, params, mass, data):
+        # Bad boxes near and past the edges of the frame and of the frame
+        # padded clearance more, some outside the reach that one read, and
+        # at times cells on two curves' outlines: both selections give one
+        # curve, or both raise.  With a straight mass of 0 both draw.
+        animal = data.draw(_animals())
+        frame = curve_frame(animal, 1, params)
+        h, w = frame.ideal.shape
+        past = params.margins(1).clearance + 6
+        comps = []
+        if data.draw(st.booleans()):
+            comps += [_unit_bad(c) for c in data.draw(_outline_cells(frame, 3))]
+        for _ in range(data.draw(st.integers(0, 6))):
+            x = data.draw(st.integers(frame.x0 - past, frame.x0 + w + past - 1))
+            y = data.draw(st.integers(frame.y0 - past, frame.y0 + h + past - 1))
+            bw, bh = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+            comps.append(_bad_component(Rect(x, y, x + bw, y + bh)))
+        lb, key = LatticeBlock(1, animal), data.draw(st.integers(0, 2**64 - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            if mass is not None:
+                mp.setattr(ParameterSet, "straight_curve_mass", lambda self, j: mass)
+            assert _selection(select_boundary_curve, lb, comps, params, key, 1) == _selection(
+                _parent_selection, lb, comps, params, key)
+
+    @pytest.mark.parametrize("params", [TOY1_K1, TOY1, TOY1_K3], ids=["k0=1", "k0=2", "k0=3"])
+    @pytest.mark.parametrize("shape", _SHAPES + [_PINCHED])
+    def test_frame_holds_every_piece_read(self, params, shape):
+        # Every scope piece widened by one step, every edge-factor band and
+        # every corner square lies inside the frame padded k0 + 2, and no
+        # slice starts below 0, where numpy would wrap; the frame's
+        # outermost ring has no scope.
+        frame = curve_frame(LatticeAnimal(frozenset(shape)), 1, params)
+        k0, (h, w) = params.k0, frame.ideal.shape
+        assert (frame.x0, frame.y0) == (min(shape)[0] * frame.r - k0 - 2,
+                                        min(y for _, y in shape) * frame.r - k0 - 2)
+        rects = [r for y0, y1, x0, x1 in _scope_pieces(frame)[0]
+                 for r in ((y0 - 1, y1 + 1, x0, x1), (y0, y1, x0 - 1, x1 + 1))]
+        for _, axis, _, line, a0, a1 in frame.bands[1::3]:
+            rects.append((line - k0, line + k0, a0, a1) if axis == 0
+                         else (a0, a1, line - k0, line + k0))
+        for vx, vy in frame.corners:
+            fx, fy = vx - frame.x0, vy - frame.y0
+            rects += [(y, y + k0, x, x + k0) for y in (fy - k0, fy) for x in (fx - k0, fx)]
+        for y0, y1, x0, x1 in rects:
+            assert 0 <= y0 < y1 <= h and 0 <= x0 < x1 <= w
+        ring = np.ones((h, w), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert (_cell_scopes(frame)[:, ring] == -1).all()
 
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_ring_test_is_the_straight_clearance(self, params, data):
+    def test_outline_test_is_the_straight_clearance(self, params, data):
         frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
         cells = data.draw(st.one_of(_cells_around(frame, 12), _outline_cells(frame, 3)))
-        bad = _raster(frame, cells)
-        straight = realize_domain(frame, {v: (1, 1) for v in frame.vertices},
-                                  {e: 1 for e in frame.edges})
-        assert (not (bad & frame.ring).any()) == _clears(
-            straight, _dilate(bad, frame.clearance - 1))
+        bad = [_unit_bad(c) for c in cells]
+        clearance = params.margins(1).clearance
+        assert (not (_forbidden(frame, bad, clearance) & frame.outline).any()) == (
+            curve_clearance(frame.straight.domain, bad) >= clearance)
 
     @given(st.sampled_from([TOY1, TOY1_K3]), st.data())
     @settings(max_examples=30, deadline=None)
@@ -1695,23 +1792,6 @@ class TestCurveTables:
         info = hierarchy._cached_frame.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
-
-
-class TestDilate:
-    @given(hnp.arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))),
-           st.integers(0, 4))
-    @settings(max_examples=300, deadline=None)
-    @example(np.ones((1, 1), dtype=bool), 4)
-    @example(np.eye(2, 9, 4, dtype=bool), 3)
-    def test_matches_scipy_maximum_filter(self, mask, radius):
-        # Random masks, some narrower or shorter than the radius.
-        expect = ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant")
-        got = _dilate(mask, radius)
-        assert got.dtype == expect.dtype and np.array_equal(got, expect)
-
-    def test_leaves_its_input_alone(self):
-        mask = np.eye(5, dtype=bool)
-        assert _dilate(mask, 2).all() and np.array_equal(mask, np.eye(5, dtype=bool))
 
 
 class TestLazyPolyline:
