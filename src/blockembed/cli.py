@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -71,20 +72,28 @@ def cli(ctx, config):
 
 def _publish(artifacts: dict) -> Path:
     """Write the named artifacts (text or bytes) and a manifest.json into
-    the current subcommand's ``--out-dir``, which is created, and return it.
+    the current subcommand's ``--out-dir``, and return it.
 
-    Refuses before anything is written when the manifest or any of the
-    artifacts already exists there.  The manifest records every option of
-    the subcommand but the output directory.
+    The directory is made with one ``os.mkdir``, and its missing parents
+    with it.  A directory just made holds nothing to refuse; in one that
+    exists already, the manifest and every artifact are looked up first,
+    and when one of them exists nothing is written.  Each file is created
+    exclusively (``O_CREAT | O_EXCL``), so a file that appears while the
+    others are written is refused too, not overwritten; the files written
+    before it stay.  The manifest records every option of the subcommand
+    but the output directory.
     """
     ctx = click.get_current_context()
     out = Path(ctx.params["out_dir"])
-    for name in ("manifest.json", *artifacts):
-        if (out / name).exists():
-            raise PreconditionError(f"refusing to overwrite existing {out / name}")
-    out.mkdir(parents=True, exist_ok=True)
-    for name, data in artifacts.items():
-        (out / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    try:
+        os.mkdir(out)
+    except FileNotFoundError:
+        os.makedirs(out)
+    except FileExistsError:
+        for name in ("manifest.json", *artifacts):
+            path = os.path.join(out, name)
+            if os.path.lexists(path):
+                raise PreconditionError(f"refusing to overwrite existing {path}") from None
     payload = {
         "subcommand": ctx.info_name,
         "config": {k: str(v) for k, v in sorted(ctx.params.items()) if k != "out_dir"},
@@ -94,7 +103,19 @@ def _publish(artifacts: dict) -> Path:
     }
     payload["config_hash"] = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    manifest = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for name, data in (*artifacts.items(), ("manifest.json", manifest)):
+        path = os.path.join(out, name)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            raise PreconditionError(f"refusing to overwrite existing {path}") from None
+        try:
+            view = memoryview(data if isinstance(data, bytes) else data.encode())
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     return out
 
 

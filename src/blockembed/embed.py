@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .fields import ACCEPTS, BitField, block_codes, block_ones, count_dtype
+from .fields import ACCEPTS, BitField, block_ones, code_table, count_dtype
 from .lattice import LatticeAnimal, Rect, cell_array, cell_geometry
 from .params import ParameterSet, lipschitz_bound
 
@@ -248,13 +248,13 @@ def count_bounds(m0: int) -> np.ndarray:
     """The one-counts of an M0 x M0 target block that each source bit
     accepts, as ``bounds[bit] = (first, last)``.
 
-    The level-0 rule over counts, ``ACCEPTS[:, block_codes(ones, m0)]``,
+    The level-0 rule over counts, ``ACCEPTS[:, code_table(m0)]``,
     accepts one interval of counts per bit, and this checks it: a bit is
     refused only by the majority class of the other value, which is every
     count with fewer than ceil(M0^2 / 3) sites of the bit's own value.
     Computed once per M0.
     """
-    table = ACCEPTS[:, block_codes(np.arange(m0 * m0 + 1), m0)]
+    table = ACCEPTS[:, code_table(m0)]
     bounds = np.empty((2, 2), dtype=np.int64)
     for bit, row in enumerate(table):
         accepted = np.flatnonzero(row)

@@ -44,13 +44,12 @@ from .errors import ConfigError, CurveSelectionError, PreconditionError
 from .fields import BitField, classify_grid, derive_seed
 from .lattice import (
     SIDE_STEPS,
-    BufferZone,
     LatticeAnimal,
     Point,
     Rect,
-    buffer_zone,
     cell_array,
     cell_mask,
+    shared_buffers,
 )
 from .params import ParameterSet
 
@@ -85,6 +84,8 @@ CURVE_KEY_SPAN = 1 << 16
 # temporaries stay within O(boxes + PAIR_CHUNK).
 PAIR_CHUNK = 1 << 16
 _NO_CURVE = "no valid boundary curve exists for this block"
+# The 4-connected labelling's structure, given so that no call builds it.
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,13 @@ class Level0Structure:
     class_grid: Optional[np.ndarray]  # target family only; int8 codes
     bits: Optional[np.ndarray]  # source family only; one bit per cell
     bad_components: list
+
+    @property
+    def bad_boxes(self) -> np.ndarray:
+        """The boxes of the bad components, as one (n, 4) array of rows
+        (x0, y0, x1, y1)."""
+        return np.array([comp.box for comp in self.bad_components],
+                        dtype=np.int64).reshape(-1, 4)
 
     def codes_at(self, cells: np.ndarray) -> np.ndarray:
         """Class codes of an (n, 2) array of (x, y) cells in the window."""
@@ -390,16 +398,22 @@ def _join(root: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 # Conjoined buffers and lattice blocks
 
 
-def is_conjoined(buffer: BufferZone, level_below) -> bool:
-    """Whether a shared buffer forces its two cells into one lattice block:
-    some bad component of the level below meets the buffer rectangle.
+def is_conjoined(buffers: np.ndarray, level_below) -> np.ndarray:
+    """Which shared buffers force their two cells into one lattice block:
+    for each row (x0, y0, x1, y1) of an (m, 4) array of buffer rectangles,
+    whether some bad component of the level below meets it.
 
-    Every level-0 component is really-bad (see classify_good_block), so
-    the first one that meets the buffer decides; no k0 total is needed.
+    All buffers are decided in one broadcast compare against the level's
+    box array, ``bad_boxes``.  Every level-0 component is really-bad (see
+    classify_good_block), so any one that meets a buffer conjoins it; no
+    k0 total is needed.  Raises PreconditionError when some buffer leaves
+    the window of the level below.
     """
-    if not level_below.window.contains_rect(buffer.rect):
+    w = level_below.window
+    if not ((buffers[:, :2] >= (w.x0, w.y0)).all() and (buffers[:, 2:] <= (w.x1, w.y1)).all()):
         raise PreconditionError("structure not built over the buffer extent")
-    return any(buffer.rect.meets(comp.box) for comp in level_below.bad_components)
+    a, b = buffers[:, None, :], level_below.bad_boxes[None, :, :]
+    return ((a[..., :2] < b[..., 2:]) & (b[..., :2] < a[..., 2:])).all(axis=-1).any(axis=1)
 
 
 def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
@@ -429,11 +443,11 @@ def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
         grid[2 * (y - y0), 2 * (x - x0)] = True
     for (ux, uy), (vx, vy) in edges:
         grid[uy + vy - 2 * y0, ux + vx - 2 * x0] = True
-    labels, _ = ndimage.label(grid)
+    labels, _ = ndimage.label(grid, structure=_CROSS)
     groups: dict = {}
     for x, y in cells:
         groups.setdefault(labels[2 * (y - y0), 2 * (x - x0)], []).append((x, y))
-    blocks = [LatticeBlock(0, LatticeAnimal(frozenset(g))) for g in groups.values()]
+    blocks = [LatticeBlock(0, LatticeAnimal.from_label(g)) for g in groups.values()]
     blocks.sort(key=lambda b: min(b.animal.sites))
     return blocks
 
@@ -592,6 +606,15 @@ class CurveFrame:
         scopes.flags.writeable = outlines.flags.writeable = False
         return scopes, colour, outlines
 
+    @cached_property
+    def scoped(self) -> np.ndarray:
+        """Which frame cells have a scope (see ``tables``).  A cell with
+        none, deep inside the block or on the frame's outer ring, lies on
+        no realized outline, so its factor would be all True."""
+        scoped = self.tables[0].max(axis=0) >= 0
+        scoped.flags.writeable = False
+        return scoped
+
     def cells(self, mask: np.ndarray) -> frozenset:
         ys, xs = np.nonzero(mask)
         return frozenset(zip((xs + self.x0).tolist(), (ys + self.y0).tolist()))
@@ -697,6 +720,7 @@ def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> list:
     ``CurveFrame``), the cell's scope.  So validity is a product of one
     factor per scope that forbidden cells have: whether all those cells
     are clear, read off the frame's outline masks (``CurveFrame.tables``).
+    Forbidden cells with no scope are left out (``CurveFrame.scoped``).
     The edge factors of ``_edge_factors`` are implied by these.
 
     Variables are the vertices, then the edges, in frame order; a vertex
@@ -705,7 +729,7 @@ def _curve_factors(frame: CurveFrame, forbidden: np.ndarray) -> list:
     """
     scopes, colour, outlines = frame.tables
     colours = outlines.ndim - 3
-    ys, xs = np.nonzero(forbidden)
+    ys, xs = np.nonzero(forbidden & frame.scoped)
     groups: dict = {}
     for i, scope in enumerate(zip(*scopes[:, ys, xs].tolist())):
         groups.setdefault(scope, []).append(i)
@@ -1166,20 +1190,9 @@ def build_level1(
     """Construct level 1 (buffers, lattice blocks, curves, blocks, components)."""
     params = level0.params
     j = 1
-    cells = list(window1.cells())
-    cell_set = set(cells)
-
-    if level0.bad_components:
-        edges = [(u, side) for u in cells for side in ("R", "T")]
-    else:
-        # No buffer is conjoined; the extreme ones check level 0 covers all.
-        x0, y0, x1, y1 = window1
-        edges = [((x0, y0), "R"), ((x1 - 2, y1 - 1), "R"), ((x0, y0), "T"), ((x1 - 1, y1 - 2), "T")]
-    conjoined_edges = set()
-    for u, side in edges:
-        zone = buffer_zone(j, u, side, params)
-        if u in cell_set and zone.shared_with in cell_set and is_conjoined(zone, level0):
-            conjoined_edges.add(frozenset((u, zone.shared_with)))
+    pairs, rects = shared_buffers(j, window1, params)
+    conjoined_edges = {frozenset(((ux, uy), (vx, vy)))
+                       for ux, uy, vx, vy in pairs[is_conjoined(rects, level0)].tolist()}
 
     def conjoined(u, v):
         return frozenset((u, v)) in conjoined_edges
@@ -1187,7 +1200,7 @@ def build_level1(
     r = params.cells_per_side(j)
     region = window1.scaled(r)
     blocks = []
-    for found in form_lattice_blocks(cells, conjoined):
+    for found in form_lattice_blocks(window1.cells(), conjoined):
         lb = LatticeBlock(j, found.animal)
         blowup = lb.animal.bounding_box().scaled(r).outset(params.margins(j).buffer)
         censored = not region.contains_rect(blowup)

@@ -73,6 +73,14 @@ class LatticeAnimal:
             if ndimage.label(cell_mask(self.sites)[0])[1] != 1:
                 raise ConfigError("a lattice animal must be connected")
 
+    @classmethod
+    def from_label(cls, sites: Iterable[Point]) -> "LatticeAnimal":
+        """The animal of one label of a 4-connected labelling, connected by
+        construction: its sites are not labelled again."""
+        animal = object.__new__(cls)
+        object.__setattr__(animal, "sites", frozenset(sites))
+        return animal
+
     def __len__(self) -> int:
         return len(self.sites)
 
@@ -180,19 +188,31 @@ def buffer_zone(j: int, u: Point, side: str, params: ParameterSet) -> BufferZone
     """The buffer of the level-j cell at u on the given side (T/L/B/R)."""
     if side not in SIDE_STEPS:
         raise ConfigError(f"unknown side {side!r}")
-    geo = cell_geometry(j, u, params)
-    m = geo.margin
-    r = geo.region
-    if side == "T":
-        rect = Rect(r.x0 - m, r.y1 - m, r.x1 + m, r.y1 + m)
-    elif side == "B":
-        rect = Rect(r.x0 - m, r.y0 - m, r.x1 + m, r.y0 + m)
-    elif side == "L":
-        rect = Rect(r.x0 - m, r.y0 - m, r.x0 + m, r.y1 + m)
-    else:
-        rect = Rect(r.x1 - m, r.y0 - m, r.x1 + m, r.y1 + m)
     dx, dy = SIDE_STEPS[side]
-    return BufferZone(j, u, side, rect, (u[0] + dx, u[1] + dy))
+    v = (u[0] + dx, u[1] + dy)
+    (x0, y0), (x1, y1) = min(u, v), max(u, v)
+    # The two cells' window has one shared side.
+    _, rects = shared_buffers(j, Rect(x0, y0, x1 + 1, y1 + 1), params)
+    return BufferZone(j, u, side, Rect(*rects[0].tolist()), v)
+
+
+def shared_buffers(j: int, window: Rect, params: ParameterSet) -> tuple:
+    """Every buffer that two side-adjacent level-j cells of a window share,
+    as arrays: (pairs, rects).
+
+    Row k of the (m, 4) array ``pairs`` is a cell u and its right or top
+    neighbour u' (ux, uy, u'x, u'y); row k of ``rects`` is their buffer
+    rectangle (x0, y0, x1, y1).  The right sides come first, then the top
+    sides, each in row-major order of u.
+    """
+    s, m = params.cell_side(j), params.margins(j).buffer
+    x0, y0, x1, y1 = window
+    pairs = np.array([(x, y, x + dx, y + dy) for dx, dy in ((1, 0), (0, 1))
+                      for y in range(y0, y1 - dy) for x in range(x0, x1 - dx)],
+                     dtype=np.int64).reshape(-1, 4)
+    # The shared side runs from s * u' to s * (u + 1), with u' = u + step:
+    # the rectangle widens it by m across it and beyond both corners.
+    return pairs, np.concatenate((s * pairs[:, 2:] - m, s * pairs[:, :2] + (s + m)), axis=1)
 
 
 def outer_buffers(animal: LatticeAnimal, j: int, params: ParameterSet) -> list[BufferZone]:

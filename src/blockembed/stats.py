@@ -200,6 +200,9 @@ def estimate_S(
 # Reports
 
 SCHEMA_VERSION = 1
+# The one encoder of every report record: json.dumps(rec, sort_keys=True)
+# would build a fresh encoder per record.
+_RECORD_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _fmt(value) -> str:
@@ -231,7 +234,7 @@ class Report:
             rec = {"schema": f"{self.name}.v{SCHEMA_VERSION}"}
             for col, v in zip(self.columns, row):
                 rec[col] = float(v) if isinstance(v, (float, Fraction)) else v
-            out.append(json.dumps(rec, sort_keys=True))
+            out.append(_RECORD_JSON.encode(rec))
         return "\n".join(out) + "\n"
 
 

@@ -199,7 +199,8 @@ class TestStructuralInvariants:
         for u in cells:
             for side in ("R", "T"):
                 zone = buffer_zone(1, u, side, toy1)
-                if zone.shared_with in cell_set and is_conjoined(zone, h.level0):
+                if (zone.shared_with in cell_set
+                        and is_conjoined(np.array([zone.rect]), h.level0)[0]):
                     edges.add(frozenset((u, zone.shared_with)))
         seen, flood = set(), []
         for start in sorted(cell_set):

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, manifests, rendering."""
 
 import json
+import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -132,6 +133,56 @@ def test_second_run_into_an_out_dir_writes_nothing(tmp_path, capsys, command, ex
     assert code == EXIT_PRECONDITION
     assert out == "" and "refusing to overwrite" in err
     assert _snapshot(d) == before
+
+
+REPORTS = ("reports", "--profile", "toy-m0-2", "--windows", "1", "--seed", "4")
+REPORT_FILES = sorted(f"{n}.{e}" for n in ("tail", "size", "good") for e in ("csv", "records"))
+
+
+class TestPublish:
+    """``_publish``: one mkdir, existing names refused before any write,
+    and every file created exclusively."""
+
+    @pytest.mark.parametrize("taken", ["manifest.json", "good.records", "tail.csv"])
+    def test_one_existing_name_writes_nothing(self, tmp_path, capsys, taken):
+        d = tmp_path / "out"
+        d.mkdir()
+        (d / taken).write_bytes(b"earlier")
+        code, out, err = run(capsys, *REPORTS, "--out-dir", str(d))
+        assert code == EXIT_PRECONDITION
+        assert out == "" and f"refusing to overwrite existing {d / taken}" in err
+        assert _snapshot(d) == {taken: b"earlier"}
+
+    def test_missing_parents_are_made(self, tmp_path, capsys):
+        d = tmp_path / "a" / "b" / "c"
+        code, out, _ = run(capsys, *REPORTS, "--out-dir", str(d))
+        assert code == EXIT_OK and out == f"{d}\n"
+        assert sorted(_snapshot(d)) == sorted(REPORT_FILES + ["manifest.json"])
+
+    @pytest.mark.parametrize("racing", ["manifest.json", "size.csv"])
+    def test_file_made_after_the_directory_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                     racing):
+        # Another writer creates one of the names between the directory
+        # step and that file's own write: it is refused, its bytes stay,
+        # and the files written before it are left in the directory.
+        d = tmp_path / "out"
+        made = os.mkdir
+
+        def mkdir_then_race(path, *args, **kwargs):
+            made(path, *args, **kwargs)
+            if os.fspath(path) == str(d):
+                (d / racing).write_bytes(b"theirs")
+
+        monkeypatch.setattr(os, "mkdir", mkdir_then_race)
+        code, out, err = run(capsys, *REPORTS, "--out-dir", str(d))
+        assert code == EXIT_PRECONDITION
+        assert out == "" and f"refusing to overwrite existing {d / racing}" in err
+        assert (d / racing).read_bytes() == b"theirs"
+        # Artifacts are written in the order reports makes them, the
+        # manifest last.
+        order = [f"{n}.{e}" for n in ("tail", "size", "good") for e in ("csv", "records")]
+        order.append("manifest.json")
+        assert set(_snapshot(d)) - {racing} == set(order[:order.index(racing)])
 
 
 class TestSampleAndOracle:

@@ -18,6 +18,8 @@ from blockembed.fields import (
     block_codes,
     block_ones,
     classify_grid,
+    code_table,
+    count_dtype,
     derive_seed,
     dump_field,
     good_threshold,
@@ -238,6 +240,31 @@ class TestWindowStacks:
         ones = block_ones(np.ones((2, m0, 2 * m0), dtype=np.uint8), m0)
         assert ones.dtype == {15: np.uint8, 16: np.int16, 181: np.int16, 182: np.int64}[m0]
         assert ones.tolist() == [[[m0 * m0] * 2]] * 2
+
+    @given(st.integers(1, 16), st.integers(0, 3), st.integers(1, 5), st.integers(1, 5),
+           st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_strided_counts_match_a_reshape_sum(self, m0, depth, w, h, density, seed):
+        # A single window (depth 0) or a stack of them, empty and full
+        # blocks among them: the strided column adds count like one
+        # reshape and sum, in the narrowest dtype.
+        rng = np.random.default_rng(seed)
+        shape = ((depth,) if depth else ()) + (h * m0, w * m0)
+        bits = (rng.random(shape) < density).astype(np.uint8)
+        ones = block_ones(bits, m0)
+        assert ones.dtype == count_dtype(m0)
+        ref = bits.reshape(shape[:-2] + (h, m0, w, m0)).sum(axis=(-3, -1), dtype=np.int64)
+        assert ones.shape == ref.shape and np.array_equal(ones.astype(np.int64), ref)
+
+    @pytest.mark.parametrize("m0", range(1, 17))
+    def test_code_table_is_block_codes_at_every_count(self, m0):
+        counts = np.arange(m0 * m0 + 1)
+        table = code_table(m0)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert np.array_equal(table, block_codes(counts, m0))
+        assert [int(table[n]) for n in counts] == [int(block_codes(np.array([n]), m0)[0])
+                                                   for n in counts]
+        assert code_table(m0) is table
 
     def test_depth_zero_is_refused(self):
         with pytest.raises(ConfigError, match="depth 0"):

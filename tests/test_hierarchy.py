@@ -66,6 +66,7 @@ from blockembed.lattice import (
     cell_array,
     cell_mask,
     neighbors,
+    shared_buffers,
 )
 from blockembed.params import ParameterSet, named_profile
 
@@ -445,9 +446,11 @@ def _box_cells(bad_components) -> list:
 
 def _widened(frame, extra):
     """A copy of a frame padded by ``extra`` more cells a side: its masks
-    padded with False, its bands shifted, and its tables built afresh."""
+    padded with False, its bands shifted, and its tables and scoped mask
+    built afresh."""
     wide = copy.copy(frame)
     wide.__dict__.pop("tables", None)
+    wide.__dict__.pop("scoped", None)
     wide.x0, wide.y0 = frame.x0 - extra, frame.y0 - extra
     wide.ideal, wide.outline = (np.pad(m, extra) for m in (frame.ideal, frame.outline))
     wide.bands = [(key, axis, sign, line + extra, a0 + extra, a1 + extra)
@@ -563,6 +566,54 @@ def _brute_count(frame, forbidden, free_vertices, free_edges) -> int:
     fixed = ((2 * k2) ** (len(frame.vertices) - len(free_vertices))
              * k2 ** (len(frame.edges) - len(free_edges)))
     return valid * fixed
+
+
+def _curve_factors_unmasked(frame, forbidden) -> list:
+    """Reference (the factors before scopeless cells were masked out):
+    every forbidden cell grouped by scope, so that a scopeless group gives
+    a factor of no variable, which holds."""
+    scopes, colour, outlines = frame.tables
+    colours = outlines.ndim - 3
+    ys, xs = np.nonzero(forbidden)
+    groups: dict = {}
+    for i, scope in enumerate(zip(*scopes[:, ys, xs].tolist())):
+        groups.setdefault(scope, []).append(i)
+    factors = []
+    for (v, lo, hi), cells in groups.items():
+        by_colour = {colour[x]: x for x in {lo, hi} - {-1}}
+        scope = ((v,) if v >= 0 else ()) + tuple(by_colour[c] for c in sorted(by_colour))
+        index = ((slice(None) if v >= 0 else 0,)
+                 + tuple(slice(None) if c in by_colour else 0 for c in range(colours)))
+        factors.append((scope, ~outlines[index][..., ys[cells], xs[cells]].any(axis=-1)))
+    return factors
+
+
+@st.composite
+def _planted_boxes(draw, frame, clearance):
+    """Bad boxes of three kinds: deep inside the block, where the cells
+    they forbid have no scope; just past the frame, so that they forbid
+    only cells of its outer ring; and unit boxes on the outlines of random
+    curves."""
+    h, w = frame.ideal.shape
+    deep = ndimage.binary_erosion(frame.ideal, np.ones((3, 3), dtype=bool),
+                                  iterations=frame.k0 + clearance + 1)
+    ys, xs = np.nonzero(deep)
+    deep = sorted(zip((xs + frame.x0).tolist(), (ys + frame.y0).tolist()))
+    past = clearance - 1  # the box's cells past the frame edge
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        (ax, ay), (bx, by) = draw(st.sampled_from(deep)), draw(st.sampled_from(deep))
+        boxes.append(Rect(min(ax, bx), min(ay, by), max(ax, bx) + 1, max(ay, by) + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.integers(frame.x0 - past, frame.x0 + w - 1 + past))
+        y = draw(st.integers(frame.y0 - past, frame.y0 + h - 1 + past))
+        side = draw(st.sampled_from("LRBT"))
+        x = {"L": frame.x0 - past, "R": frame.x0 + w - 1 + past}.get(side, x)
+        y = {"B": frame.y0 - past, "T": frame.y0 + h - 1 + past}.get(side, y)
+        boxes.append(Rect(x, y, x + 1, y + 1))
+    boxes += [Rect(x, y, x + 1, y + 1) for x, y in draw(_outline_cells(frame, 3))][
+        :draw(st.integers(0, 3))]
+    return boxes
 
 
 def _family(animal, j, params) -> tuple:
@@ -935,13 +986,13 @@ class TestConjoined:
     def test_empty_buffer_not_conjoined(self, toy1):
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
-        assert not is_conjoined(z, s)
+        assert not _conjoined(z, s)
 
     def test_really_bad_component_conjoins(self, toy1):
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
         z = buffer_zone(1, (0, 0), "R", toy1)
         s.bad_components = [_unit_bad((z.rect.x0, z.rect.y0))]
-        assert is_conjoined(z, s)
+        assert _conjoined(z, s)
 
     def test_any_meeting_component_conjoins(self, toy1):
         # Every level-0 component is really-bad, so one that meets the
@@ -952,10 +1003,10 @@ class TestConjoined:
         r = z.rect
         beside = _unit_bad((r.x1, r.y0))
         s.bad_components = [beside]
-        assert not is_conjoined(z, s)
+        assert not _conjoined(z, s)
         for box in (Rect(r.x0, r.y0, r.x0 + 1, r.y0 + 1), Rect(r.x1 - 1, r.y1 - 1, r.x1 + 1, r.y1)):
             s.bad_components = [beside, _bad_component(box)]
-            assert is_conjoined(z, s)
+            assert _conjoined(z, s)
 
     def test_total_above_k0_conjoins(self, toy1):
         # Components meeting the buffer with k0 + 1 cells in all conjoin,
@@ -967,15 +1018,46 @@ class TestConjoined:
             _bad_component(Rect(x0, y0, x0 + 2, y0 + 1)),
             _unit_bad((x0, y0 + 4)),
         ]
-        assert toy1.k0 == 2 and is_conjoined(z, s)
+        assert toy1.k0 == 2 and _conjoined(z, s)
         s.bad_components = [_bad_component(Rect(x0 + 1, y0, x0 + 2, y0 + toy1.k0 + 1))]
-        assert is_conjoined(z, s)
+        assert _conjoined(z, s)
 
     def test_requires_structure_coverage(self, toy1):
         s = build_level0(toy1, "X", 5, Rect(0, 0, 4, 4))
         z = buffer_zone(1, (5, 5), "R", toy1)
         with pytest.raises(PreconditionError):
-            is_conjoined(z, s)
+            _conjoined(z, s)
+
+
+def _conjoined(zone, level_below) -> bool:
+    """is_conjoined of the one buffer of a BufferZone."""
+    return bool(is_conjoined(np.array([zone.rect]), level_below)[0])
+
+
+def _is_conjoined_loop(rect: Rect, level_below) -> bool:
+    """Reference (the former per-buffer test): the level-0 window must hold
+    the buffer, and then any bad box that meets it conjoins it."""
+    if not level_below.window.contains_rect(rect):
+        raise PreconditionError("structure not built over the buffer extent")
+    return any(rect.meets(comp.box) for comp in level_below.bad_components)
+
+
+@st.composite
+def _boxes_on_edges(draw, rects):
+    """Boxes 1 to 4 cells a side, each set against one of the rectangles:
+    along x and along y it takes the rectangle's first or last cells, lies
+    just outside them, or starts somewhere inside; so boxes meet a buffer
+    on its edge or corner by one cell, or miss it by none."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.sampled_from(rects))
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        x = draw(st.sampled_from([r.x0 - w, r.x0 - w + 1, r.x1 - 1, r.x1,
+                                  draw(st.integers(r.x0, r.x1 - 1))]))
+        y = draw(st.sampled_from([r.y0 - h, r.y0 - h + 1, r.y1 - 1, r.y1,
+                                  draw(st.integers(r.y0, r.y1 - 1))]))
+        boxes.append(Rect(x, y, x + w, y + h))
+    return boxes
 
 
 def _is_conjoined_ref(buffer, bad_components) -> bool:
@@ -1024,7 +1106,46 @@ class TestBoxPredicates:
         # Each box alone, then all together.
         for group in [[c] for c in comps] + [comps]:
             s = Level0Structure("Y", window, 0, TOY1, None, None, group)
-            assert is_conjoined(z, s) == _is_conjoined_ref(z, group)
+            assert _conjoined(z, s) == _is_conjoined_ref(z, group)
+
+    @given(st.integers(-6, 2), st.integers(-6, 2), st.integers(1, 4), st.integers(1, 4),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_array_is_conjoined_matches_the_loop(self, x0, y0, w, h, data):
+        # Every shared buffer of a window, negative origins among them, at
+        # once against the per-buffer loop, with boxes on buffer edges and
+        # corners and anywhere around.
+        window1 = Rect(x0, y0, x0 + w, y0 + h)
+        _, rects = shared_buffers(1, window1, TOY1)
+        buffers = [Rect(*r) for r in rects.tolist()]
+        window0 = level0_window_for(window1, TOY1)
+        boxes = data.draw(_boxes_around([], window0))
+        if buffers:
+            boxes += data.draw(_boxes_on_edges(buffers))
+        s = Level0Structure("Y", window0, 0, TOY1, None, None, [_bad_component(b) for b in boxes])
+        got = is_conjoined(rects, s)
+        assert got.dtype == bool and got.shape == (len(buffers),)
+        assert got.tolist() == [_is_conjoined_loop(b, s) for b in buffers]
+
+    @given(st.integers(-6, 2), st.integers(-6, 2), st.integers(1, 4), st.integers(1, 4),
+           st.tuples(*[st.integers(0, 6)] * 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_array_is_conjoined_raises_where_the_loop_raises(self, x0, y0, w, h, trim, data):
+        # A level-0 window cut short on any side: the array test raises
+        # exactly when the loop raises for some buffer.
+        window1 = Rect(x0, y0, x0 + w, y0 + h)
+        _, rects = shared_buffers(1, window1, TOY1)
+        full = level0_window_for(window1, TOY1)
+        window0 = Rect(full.x0 + trim[0], full.y0 + trim[1], full.x1 - trim[2], full.y1 - trim[3])
+        boxes = data.draw(_boxes_around([], full))
+        s = Level0Structure("Y", window0, 0, TOY1, None, None, [_bad_component(b) for b in boxes])
+        try:
+            want = [_is_conjoined_loop(Rect(*r), s) for r in rects.tolist()]
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="not built over the buffer extent"):
+                is_conjoined(rects, s)
+        else:
+            assert is_conjoined(rects, s).tolist() == want
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -1077,6 +1198,28 @@ class TestLatticeBlocks:
         assert len(queried) == len(internal) and set(queried) == set(internal)
         assert [b.animal.sites for b in blocks] == sorted(
             _flood_fill(cells, edges), key=min)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_animal_is_connected(self, w, h, data):
+        # The animals are built from their labels unchecked; each passes the
+        # public constructor's connectivity check.
+        cells = list(Rect(-3, -2, w - 3, h - 2).cells())
+        edges = {frozenset((u, v)) for u in cells for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1))
+                 if v in cells and data.draw(st.booleans())}
+        for block in form_lattice_blocks(cells, lambda u, v: frozenset((u, v)) in edges):
+            assert LatticeAnimal(block.animal.sites) == block.animal
+
+    def test_a_toy_m0_3_window_labels_twice(self, monkeypatch):
+        # One labelling closes the level-0 bad cells and one finds the
+        # lattice blocks; the window's one 9-cell block is not labelled again.
+        calls = []
+        label = ndimage.label
+        monkeypatch.setattr(ndimage, "label", lambda *a, **k: calls.append(1) or label(*a, **k))
+        h = build_hierarchy(named_profile("toy-m0-3"), "Y", derive_seed(3, 0xA0, 0),
+                            Rect(0, 0, 3, 3))
+        assert [b.size for b in h.levels[1].blocks] == [9]
+        assert len(calls) == 2
 
     def test_partition(self, toy1):
         cells = list(Rect(0, 0, 4, 4).cells())
@@ -1344,6 +1487,51 @@ class TestCurveCount:
         for c, e in nearby + others:
             assert _factor_product(frame, factors, c, e) == _clears(
                 realize_domain(frame, c, e), forbidden)
+
+    @given(st.sampled_from([TOY1, TOY1_K3, TOY1_K1]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_masked_factors_count_and_draw_as_unmasked(self, params, data):
+        # Leaving out forbidden cells with no scope drops only factors of no
+        # variable that hold: the count and every draw stay the same.
+        frame = curve_frame(data.draw(_animals(_SHAPES + [_PINCHED])), 1, params)
+        clearance = params.margins(1).clearance
+        boxes = data.draw(_planted_boxes(frame, clearance))
+        forbidden = _forbidden(frame, [_bad_component(b) for b in boxes], clearance)
+        factors, unmasked = _curve_factors(frame, forbidden), _curve_factors_unmasked(
+            frame, forbidden)
+        assert all(table.item() for scope, table in unmasked if not scope)
+        kept = [(scope, table) for scope, table in unmasked if scope]
+        assert [scope for scope, _ in factors] == [scope for scope, _ in kept]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(factors, kept))
+        count, steps = _contract(factors, frame.sizes)
+        count_unmasked, steps_unmasked = _contract(unmasked, frame.sizes)
+        assert count == count_unmasked
+        if count:
+            for key in data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3)):
+                assert (_draw_assignment(steps, frame.sizes, _words(key))
+                        == _draw_assignment(steps_unmasked, frame.sizes, _words(key)))
+
+    @pytest.mark.parametrize("params", [TOY1, TOY1_K3, TOY1_K1], ids=["k2", "k3", "k1"])
+    def test_planted_boxes_forbid_scopeless_cells(self, params):
+        # The differential above plants boxes whose cells have no scope: a
+        # box deep inside a one-cell block, and cells past each frame edge.
+        frame = curve_frame(LatticeAnimal(frozenset([(0, 0)])), 1, params)
+        clearance = params.margins(1).clearance
+        inner = ndimage.binary_erosion(frame.ideal, np.ones((3, 3), dtype=bool),
+                                       iterations=frame.k0 + clearance + 1)
+        ys, xs = np.nonzero(inner)
+        h, w = frame.ideal.shape
+        past = clearance - 1
+        boxes = [Rect(xs.min() + frame.x0, ys.min() + frame.y0,
+                      xs.max() + frame.x0 + 1, ys.max() + frame.y0 + 1),
+                 Rect(frame.x0 - past, frame.y0 + 5, frame.x0 - past + 1, frame.y0 + 6),
+                 Rect(frame.x0 + w - 1 + past, frame.y0 + h - 1 + past,
+                      frame.x0 + w + past, frame.y0 + h + past)]
+        for box in boxes:
+            forbidden = _forbidden(frame, [_bad_component(box)], clearance)
+            assert forbidden.any() and not (forbidden & frame.scoped).any()
+            assert _curve_factors(frame, forbidden) == []
+            assert [scope for scope, _ in _curve_factors_unmasked(frame, forbidden)] == [()]
 
     @given(st.sampled_from([TOY1, TOY1_K3, TOY1_K1]), st.data())
     @settings(max_examples=60, deadline=None)

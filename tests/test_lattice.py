@@ -12,6 +12,7 @@ from blockembed.lattice import (
     cell_geometry,
     neighbors,
     outer_buffers,
+    shared_buffers,
 )
 from blockembed.params import named_profile
 
@@ -195,3 +196,32 @@ class TestCellGeometry:
         # Domino has 6 outer sides.
         assert len(zones) == 6
         assert all(z.shared_with not in a for z in zones)
+
+
+class TestSharedBuffers:
+    @given(st.sampled_from(["toy1", "toy-m0-3", "toy-m0-6"]), st.integers(-5, 3),
+           st.integers(-5, 3), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_buffer_zones(self, profile, x0, y0, w, h):
+        # Right sides, then top sides, each in row-major order: every side
+        # two cells of the window share, its buffer the intersection of the
+        # two cells' blow-ups.
+        p = named_profile(profile)
+        window = Rect(x0, y0, x0 + w, y0 + h)
+        want = [(u, (u[0] + dx, u[1] + dy)) for dx, dy in ((1, 0), (0, 1))
+                for u in window.cells() if window.contains_cell((u[0] + dx, u[1] + dy))]
+        pairs, rects = shared_buffers(1, window, p)
+        assert pairs.shape == rects.shape == (len(want), 4)
+        assert pairs.tolist() == [[*u, *v] for u, v in want]
+        assert [Rect(*r) for r in rects.tolist()] == [
+            _blowup(cell_geometry(1, u, p)).intersection(_blowup(cell_geometry(1, v, p)))
+            for u, v in want]
+
+
+class TestAnimalFromLabel:
+    def test_equals_the_checked_animal(self):
+        sites = [(0, 0), (1, 0), (1, 1)]
+        animal = LatticeAnimal.from_label(iter(sites))
+        assert animal == LatticeAnimal(frozenset(sites))
+        assert hash(animal) == hash(LatticeAnimal(frozenset(sites)))
+        assert isinstance(animal.sites, frozenset) and len(animal) == 3
