@@ -74,26 +74,29 @@ def _publish(artifacts: dict) -> Path:
     """Write the named artifacts (text or bytes) and a manifest.json into
     the current subcommand's ``--out-dir``, and return it.
 
-    The directory is made with one ``os.mkdir``, and its missing parents
-    with it.  A directory just made holds nothing to refuse; in one that
+    The directory is made with one ``os.mkdir`` (``os.makedirs`` when a
+    parent is missing); one the OS refuses raises ConfigError.  In one that
     exists already, the manifest and every artifact are looked up first,
     and when one of them exists nothing is written.  Each file is created
-    exclusively (``O_CREAT | O_EXCL``), so a file that appears while the
-    others are written is refused too, not overwritten; the files written
-    before it stay.  The manifest records every option of the subcommand
-    but the output directory.
+    exclusively (``O_CREAT | O_EXCL``): a file that appears while the others
+    are written, or that the OS refuses, raises PreconditionError, and the
+    files written before it stay.  The manifest records every option of the
+    subcommand but the output directory.
     """
     ctx = click.get_current_context()
     out = Path(ctx.params["out_dir"])
     try:
-        os.mkdir(out)
-    except FileNotFoundError:
-        os.makedirs(out)
+        try:
+            os.mkdir(out)
+        except FileNotFoundError:
+            os.makedirs(out)
     except FileExistsError:
         for name in ("manifest.json", *artifacts):
             path = os.path.join(out, name)
             if os.path.lexists(path):
                 raise PreconditionError(f"refusing to overwrite existing {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot make --out-dir {out}: {exc.strerror}") from None
     payload = {
         "subcommand": ctx.info_name,
         "config": {k: str(v) for k, v in sorted(ctx.params.items()) if k != "out_dir"},
@@ -110,6 +113,8 @@ def _publish(artifacts: dict) -> Path:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except FileExistsError:
             raise PreconditionError(f"refusing to overwrite existing {path}") from None
+        except OSError as exc:
+            raise PreconditionError(f"cannot create {path}: {exc.strerror}") from None
         try:
             view = memoryview(data if isinstance(data, bytes) else data.encode())
             while view:

@@ -17,7 +17,7 @@ its groups, which is a filled rectangle.  So every component is a filled
 rectangle and is held as its box, a ``Rect``: a bad block lies inside
 one box, a good block is one cell, and a good singleton is a 1x1 box.
 Lattice blocks are the 4-connected labels of a doubled grid: cells on the
-even sites, conjoined edges on the odd sites between them.
+even sites, the rows of the (m, 4) conjoined-pair array on the odd sites.
 
 Coordinates: level-j cells are indexed by integer points; the geometry of a
 level-j object (domains, curves, buffers) is expressed in level-(j-1) cell
@@ -35,7 +35,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .fields import BitField, classify_grid, derive_seed
 from .lattice import (
     SIDE_STEPS,
     LatticeAnimal,
-    Point,
     Rect,
     cell_array,
     cell_mask,
@@ -416,40 +415,40 @@ def is_conjoined(buffers: np.ndarray, level_below) -> np.ndarray:
     return ((a[..., :2] < b[..., 2:]) & (b[..., :2] < a[..., 2:])).all(axis=-1).any(axis=1)
 
 
-def form_lattice_blocks(window: Iterable[Point], conjoined) -> list:
-    """Partition a cell window into connected components of conjoined edges.
+def form_lattice_blocks(window: Rect, conjoined: np.ndarray, level: int) -> list:
+    """Partition a cell window into the connected components of its
+    conjoined edges, as level-``level`` lattice blocks in least-cell order.
 
-    ``conjoined`` is a predicate on ordered cell pairs (u, u') for euclidean
-    neighbors; it is queried once per undirected internal edge.  With no
-    conjoined edge every cell is its own block, and nothing is labelled.
+    ``conjoined`` is an (m, 4) integer array of rows (ux, uy, u'x, u'y),
+    u' the right or upper neighbour of u and both cells of the window, as
+    ``shared_buffers`` gives them; any other row raises PreconditionError.
+    With no row every cell is its own block, and nothing is labelled.
     """
-    cells = sorted(set(window))
-    cell_set = set(cells)
-    edges = [(u, v) for u in cells for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1))
-             if v in cell_set and conjoined(u, v)]
-    if not edges:
-        return [LatticeBlock(0, LatticeAnimal(frozenset([u]))) for u in cells]
+    x0, y0, x1, y1 = window
+    if conjoined.ndim != 2 or conjoined.shape[1] != 4 or conjoined.dtype.kind not in "iu":
+        raise PreconditionError(
+            f"conjoined pairs of {conjoined.dtype} {conjoined.shape} are not (m, 4) integers")
+    cells = itertools.product(range(x0, x1), range(y0, y1))  # column-major: least first
+    if not len(conjoined):
+        return [LatticeBlock(level, LatticeAnimal.from_label([u])) for u in cells]
+    rel = conjoined - (x0, y0, x0, y0)
+    step = rel[:, 2:] - rel[:, :2]
+    if not (((rel[:, :2] >= 0) & (rel[:, 2:] < (x1 - x0, y1 - y0)) & (step >= 0)).all()
+            and (step.sum(axis=1) == 1).all()):
+        raise PreconditionError(
+            f"conjoined pairs must be right or up steps between cells of {tuple(window)}")
     from scipy import ndimage
 
-    x0 = min(x for x, _ in cells)
-    y0 = min(y for _, y in cells)
-    # Doubled grid: cell (x, y) sits at (2x, 2y) and the edge to its right
-    # or upper neighbour at the odd site between them.  Odd-odd sites stay
-    # empty, so diagonal contact only joins two edges of one shared cell and
-    # the 4-connected labels are the close-packed ones.
-    grid = np.zeros((2 * (max(y for _, y in cells) - y0) + 1,
-                     2 * (max(x for x, _ in cells) - x0) + 1), dtype=bool)
-    for x, y in cells:
-        grid[2 * (y - y0), 2 * (x - x0)] = True
-    for (ux, uy), (vx, vy) in edges:
-        grid[uy + vy - 2 * y0, ux + vx - 2 * x0] = True
-    labels, _ = ndimage.label(grid, structure=_CROSS)
+    # Doubled grid: cell (x, y) at (2x, 2y), each edge at the odd site
+    # between its cells; odd-odd sites stay empty, so no corner joins cells.
+    grid = np.zeros((2 * (y1 - y0) - 1, 2 * (x1 - x0) - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[rel[:, 1] + rel[:, 3], rel[:, 0] + rel[:, 2]] = True
+    labels = ndimage.label(grid, structure=_CROSS)[0][::2, ::2]
     groups: dict = {}
-    for x, y in cells:
-        groups.setdefault(labels[2 * (y - y0), 2 * (x - x0)], []).append((x, y))
-    blocks = [LatticeBlock(0, LatticeAnimal.from_label(g)) for g in groups.values()]
-    blocks.sort(key=lambda b: min(b.animal.sites))
-    return blocks
+    for u, label in zip(cells, labels.T.ravel().tolist()):
+        groups.setdefault(label, []).append(u)
+    return [LatticeBlock(level, LatticeAnimal.from_label(g)) for g in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1098,7 @@ class LevelStructure:
 
     level: int
     window: Rect  # level-j cell indices
-    conjoined: frozenset  # frozensets {u, u'} of conjoined edges
+    conjoined: np.ndarray  # read-only (m, 4) rows (ux, uy, u'x, u'y), shared_buffers order
     blocks: list  # one per lattice block, in form_lattice_blocks order
     components: list
 
@@ -1188,20 +1187,15 @@ def build_level1(
     seed: int,
 ) -> LevelStructure:
     """Construct level 1 (buffers, lattice blocks, curves, blocks, components)."""
-    params = level0.params
-    j = 1
+    params, j = level0.params, 1
     pairs, rects = shared_buffers(j, window1, params)
-    conjoined_edges = {frozenset(((ux, uy), (vx, vy)))
-                       for ux, uy, vx, vy in pairs[is_conjoined(rects, level0)].tolist()}
-
-    def conjoined(u, v):
-        return frozenset((u, v)) in conjoined_edges
+    conjoined = pairs[is_conjoined(rects, level0)]
+    conjoined.flags.writeable = False
 
     r = params.cells_per_side(j)
     region = window1.scaled(r)
     blocks = []
-    for found in form_lattice_blocks(window1.cells(), conjoined):
-        lb = LatticeBlock(j, found.animal)
+    for lb in form_lattice_blocks(window1, conjoined, j):
         blowup = lb.animal.bounding_box().scaled(r).outset(params.margins(j).buffer)
         censored = not region.contains_rect(blowup)
         curve, placeholder = block_curve(lb, level0, seed, censored)
@@ -1209,7 +1203,7 @@ def build_level1(
         blocks.append(form_block(curve.domain, lb, curve, j, good, censored))
 
     components = form_components(blocks)
-    return LevelStructure(j, window1, frozenset(conjoined_edges), blocks, components)
+    return LevelStructure(j, window1, conjoined, blocks, components)
 
 
 def dump_hierarchy(h: BlockHierarchy) -> str:

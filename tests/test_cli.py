@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, manifests, rendering."""
 
+import errno
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -136,12 +137,13 @@ def test_second_run_into_an_out_dir_writes_nothing(tmp_path, capsys, command, ex
 
 
 REPORTS = ("reports", "--profile", "toy-m0-2", "--windows", "1", "--seed", "4")
+BUILD = ("build", "--seed", "5")
 REPORT_FILES = sorted(f"{n}.{e}" for n in ("tail", "size", "good") for e in ("csv", "records"))
 
 
 class TestPublish:
     """``_publish``: one mkdir, existing names refused before any write,
-    and every file created exclusively."""
+    every file created exclusively, and each OS refusal one message line."""
 
     @pytest.mark.parametrize("taken", ["manifest.json", "good.records", "tail.csv"])
     def test_one_existing_name_writes_nothing(self, tmp_path, capsys, taken):
@@ -183,6 +185,43 @@ class TestPublish:
         order = [f"{n}.{e}" for n in ("tail", "size", "good") for e in ("csv", "records")]
         order.append("manifest.json")
         assert set(_snapshot(d)) - {racing} == set(order[:order.index(racing)])
+
+    @pytest.mark.parametrize("below", [("sub",), ("a", "b")])
+    def test_a_regular_file_as_parent_is_a_config_error(self, tmp_path, capsys, below):
+        f = tmp_path / "FILE"
+        f.write_bytes(b"")
+        d = f.joinpath(*below)
+        code, out, err = run(capsys, *BUILD, "--out-dir", str(d))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.splitlines() == [f"config error: cannot make --out-dir {d}: Not a directory"]
+
+    @pytest.mark.parametrize("where", ["out", "a/b"])
+    def test_a_refused_mkdir_is_a_config_error(self, tmp_path, capsys, monkeypatch, where):
+        # Under root a read-only parent refuses nothing, so os.mkdir itself
+        # refuses, for os.makedirs too.
+        def refused(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+
+        monkeypatch.setattr(os, "mkdir", refused)
+        d = tmp_path / where
+        code, out, err = run(capsys, *BUILD, "--out-dir", str(d))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.splitlines() == [f"config error: cannot make --out-dir {d}: Permission denied"]
+        assert not d.exists()
+
+    def test_a_refused_create_is_a_precondition_error(self, tmp_path, capsys, monkeypatch):
+        # The first artifact cannot be created: nothing is written, the
+        # directory stays, and the run exits 2.
+        def refused(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "open", refused)
+        d = tmp_path / "out"
+        code, out, err = run(capsys, *BUILD, "--out-dir", str(d))
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.splitlines() == [
+            f"precondition violated: cannot create {d / 'hierarchy-Y-5.txt'}: Permission denied"]
+        assert _snapshot(d) == {}
 
 
 class TestSampleAndOracle:

@@ -749,7 +749,7 @@ class TestLevel0:
         with pytest.raises(ConfigError, match="unclassified"):
             s.codes_at(cell_array([min(s.window.cells())]))
         level1 = hx.levels[1]
-        assert level1.conjoined == frozenset()
+        assert level1.conjoined.shape == (0, 4) and not level1.conjoined.flags.writeable
         assert len(level1.blocks) == w * h
         assert all(b.size == 1 and b.good is True for b in level1.blocks)
         assert len(level1.components) == w * h
@@ -977,11 +977,29 @@ class TestConjoined:
                 except PreconditionError as exc:
                     outcomes.append(str(exc))
                 else:
-                    outcomes.append((level1.conjoined, [b.curve for b in level1.blocks]))
+                    outcomes.append((level1.conjoined.tolist(), [b.curve for b in level1.blocks]))
             assert outcomes[0] == outcomes[1]
             raised.add(isinstance(outcomes[0], str))
         # A window of one cell has no shared buffer to cover.
         assert raised == ({False} if window1.area == 1 else {False, True})
+
+    @pytest.mark.parametrize("profile, seed, window1", [
+        ("toy1", 0, Rect(0, 0, 5, 5)), ("toy-m0-3", derive_seed(3, 0xA0, 0), Rect(0, 0, 3, 3))])
+    def test_level1_keeps_the_conjoined_pair_rows(self, profile, seed, window1):
+        # The level holds the conjoined rows of shared_buffers, in its row
+        # order and read-only, and its lattice blocks are theirs.
+        p = named_profile(profile)
+        h = build_hierarchy(p, "Y", seed, window1)
+        pairs, rects = shared_buffers(1, window1, p)
+        want = pairs[is_conjoined(rects, h.level0)]
+        got = h.levels[1].conjoined
+        assert len(want) > 0
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+        assert [b.lattice_block for b in h.levels[1].blocks] == form_lattice_blocks(
+            window1, want, 1)
 
     def test_empty_buffer_not_conjoined(self, toy1):
         s = build_level0(toy1, "X", 5, level0_window_for(Rect(0, 0, 2, 2), toy1))
@@ -1171,43 +1189,47 @@ class TestBoxPredicates:
                     == _classify_good_block_ref(block, group))
 
 
+def _pair_subset(window: Rect, data) -> np.ndarray:
+    """A random subset of the window's shared-buffer pairs, in their order."""
+    pairs, _ = shared_buffers(1, window, TOY1)
+    keep = [data.draw(st.booleans()) for _ in range(len(pairs))]
+    return pairs[np.array(keep, dtype=bool)]
+
+
+def _edge_set(rows: np.ndarray) -> set:
+    return {frozenset(((ux, uy), (vx, vy))) for ux, uy, vx, vy in rows.tolist()}
+
+
 class TestLatticeBlocks:
-    def test_flood_fill_equivalence(self, toy1):
+    def test_flood_fill_equivalence(self):
         # form_lattice_blocks must equal an independent flood fill.
-        cells = list(Rect(0, 0, 5, 5).cells())
-        edges = {frozenset(((0, 0), (1, 0))), frozenset(((1, 0), (1, 1))),
-                 frozenset(((3, 3), (3, 4)))}
-
-        blocks = form_lattice_blocks(cells, lambda u, v: frozenset((u, v)) in edges)
-        assert [b.animal.sites for b in blocks] == sorted(_flood_fill(cells, edges), key=min)
-
-    @given(st.integers(1, 8), st.integers(1, 8), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_random_edges_match_flood_fill(self, w, h, data):
-        cells = list(Rect(-2, 1, w - 2, h + 1).cells())
-        internal = [frozenset((u, v)) for u in cells
-                    for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)) if v in cells]
-        edges = {e for e in internal if data.draw(st.booleans())}
-        queried = []
-
-        def conjoined(u, v):
-            queried.append(frozenset((u, v)))
-            return frozenset((u, v)) in edges
-
-        blocks = form_lattice_blocks(cells, conjoined)
-        assert len(queried) == len(internal) and set(queried) == set(internal)
+        window = Rect(0, 0, 5, 5)
+        rows = np.array([(0, 0, 1, 0), (1, 0, 1, 1), (3, 3, 3, 4)], dtype=np.int64)
+        blocks = form_lattice_blocks(window, rows, 1)
         assert [b.animal.sites for b in blocks] == sorted(
-            _flood_fill(cells, edges), key=min)
+            _flood_fill(list(window.cells()), _edge_set(rows)), key=min)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_edges_match_flood_fill(self, w, h, level, data):
+        # Negative origins and 1-wide windows among them; the blocks come
+        # out in least-cell order and carry the caller's level.
+        window = Rect(-2, -1, w - 2, h - 1)
+        rows = _pair_subset(window, data)
+        blocks = form_lattice_blocks(window, rows, level)
+        assert [b.animal.sites for b in blocks] == sorted(
+            _flood_fill(list(window.cells()), _edge_set(rows)), key=min)
+        least = [min(b.animal.sites) for b in blocks]
+        assert least == sorted(least)
+        assert all(b.level == level for b in blocks)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=100, deadline=None)
     def test_every_animal_is_connected(self, w, h, data):
         # The animals are built from their labels unchecked; each passes the
         # public constructor's connectivity check.
-        cells = list(Rect(-3, -2, w - 3, h - 2).cells())
-        edges = {frozenset((u, v)) for u in cells for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1))
-                 if v in cells and data.draw(st.booleans())}
-        for block in form_lattice_blocks(cells, lambda u, v: frozenset((u, v)) in edges):
+        window = Rect(-3, -2, w - 3, h - 2)
+        for block in form_lattice_blocks(window, _pair_subset(window, data), 1):
             assert LatticeAnimal(block.animal.sites) == block.animal
 
     def test_a_toy_m0_3_window_labels_twice(self, monkeypatch):
@@ -1221,28 +1243,51 @@ class TestLatticeBlocks:
         assert [b.size for b in h.levels[1].blocks] == [9]
         assert len(calls) == 2
 
-    def test_partition(self, toy1):
-        cells = list(Rect(0, 0, 4, 4).cells())
-        blocks = form_lattice_blocks(cells, lambda u, v: False)
+    def test_partition(self):
+        window = Rect(0, 0, 4, 4)
+        blocks = form_lattice_blocks(window, np.empty((0, 4), dtype=np.int64), 1)
         assert len(blocks) == 16
-        assert {c for b in blocks for c in b.animal.sites} == set(cells)
+        assert {c for b in blocks for c in b.animal.sites} == set(window.cells())
 
     def test_no_conjoined_edge_labels_nothing(self, monkeypatch):
-        # Every internal edge is still queried once, and every cell is its
-        # own block in least-cell order, with no labelling.
+        # Every cell is its own block in least-cell order, at the caller's
+        # level, with no labelling.
         def refused(*args, **kwargs):
             raise AssertionError("labelled a grid with no conjoined edge")
 
         monkeypatch.setattr(ndimage, "label", refused)
-        cells = list(Rect(-1, 2, 4, 5).cells())
-        queried = []
-        blocks = form_lattice_blocks(reversed(cells),
-                                     lambda u, v: queried.append(frozenset((u, v))))
-        internal = {frozenset((u, v)) for u in cells
-                    for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)) if v in cells}
-        assert len(queried) == len(internal) == 22 and set(queried) == internal
-        assert [b.animal.sites for b in blocks] == [frozenset([c]) for c in sorted(cells)]
-        assert form_lattice_blocks([], lambda u, v: True) == []
+        window = Rect(-1, 2, 4, 5)
+        none = np.empty((0, 4), dtype=np.int64)
+        blocks = form_lattice_blocks(window, none, 2)
+        assert [b.animal.sites for b in blocks] == [frozenset([c]) for c in sorted(window.cells())]
+        assert all(b.level == 2 for b in blocks)
+        assert form_lattice_blocks(Rect(0, 0, 0, 0), none, 1) == []
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 0, 0, 0)],  # a left step
+        [(0, 1, 0, 0)],  # a down step
+        [(0, 0, 1, 1)],  # a diagonal step
+        [(0, 0, 0, 0)],  # no step
+        [(0, 0, 2, 0)],  # a step of two
+        [(2, 0, 3, 0)],  # u' right of the window
+        [(0, 2, 0, 3)],  # u' above the window
+        [(-1, 0, 0, 0)],  # u left of the window
+        [(0, -1, 0, 0)],  # u below the window
+        [(0, 0, 1, 0), (1, 1, 0, 1)],  # one bad row among good ones
+    ])
+    def test_a_bad_row_is_refused(self, rows):
+        with pytest.raises(PreconditionError, match="right or up steps"):
+            form_lattice_blocks(Rect(0, 0, 3, 3), np.array(rows, dtype=np.int64), 1)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+        np.zeros((1, 2, 4), dtype=np.int64),
+        np.array([(0.0, 0.0, 1.0, 0.0)]),
+    ])
+    def test_a_wrong_shape_is_refused(self, rows):
+        with pytest.raises(PreconditionError, match=r"not \(m, 4\) integers"):
+            form_lattice_blocks(Rect(0, 0, 3, 3), rows, 1)
 
 
 class TestCurves:
